@@ -17,7 +17,8 @@ interpretation of the op program:
   -- absence is *legal* in this semantics, the obligation is on code
   generators, not on models);
 * dead stores (``ir-dead-store``), same-tick write-write conflicts
-  (``ir-write-write``), malformed gate jumps (``ir-gate-structure``) and
+  (``ir-write-write``), malformed gate jumps and gate regions that cross
+  instead of nesting (``ir-gate-structure``) and
   gate regions whose clock provably never fires (``ir-unreachable-op``);
 * correction barriers: every scratch-tracked run op must be covered by a
   matching barrier entry and vice versa, and untracked non-feedthrough
@@ -71,8 +72,8 @@ def _op_events(op: Tuple[Any, ...],
                index: int = 0) -> List[Tuple[str, int, Any]]:
     """The ordered slot events of one op: ``(kind, slot, origin)``.
 
-    Mirrors the execution order of ``FlatSchedule._make_step`` exactly:
-    run/expr ops read their input spec, write their outputs, then run
+    Mirrors the execution order of the generated ``FlatSchedule.step``
+    exactly: run/expr ops read their input spec, write their outputs, then run
     their post-propagation copies pair by pair; copy ops interleave reads
     and writes pair by pair (fused chains are order-dependent).
 
@@ -179,7 +180,10 @@ def lint_flat_schedule(schedule: FlatSchedule,
     # -- gate structure + unreachable regions ------------------------------
     # region_stack entries: (join target, snapshot of slot states)
     bad_gates: Set[int] = set()
+    open_gates: List[Tuple[int, int]] = []  # (gate op, jump target)
     for index, op in enumerate(program):
+        while open_gates and open_gates[-1][1] <= index:
+            open_gates.pop()
         if op[0] != OP_GATE:
             continue
         target = op[2]
@@ -191,6 +195,18 @@ def lint_flat_schedule(schedule: FlatSchedule,
                 f"range ({index + 1}..{n_ops})",
                 element=f"op {index}", op=index, target=target))
             continue
+        if open_gates and target > open_gates[-1][1]:
+            outer, outer_target = open_gates[-1]
+            bad_gates.add(index)
+            report.add(_finding(
+                "ir-gate-structure",
+                f"gate at op {index} jumps to {target}, past the end "
+                f"({outer_target}) of the region of the enclosing gate at "
+                f"op {outer}: gate regions must nest",
+                element=f"op {index}", op=index, target=target,
+                enclosing=outer))
+            continue
+        open_gates.append((index, target))
         clock = _gate_clock(op[1])
         if _clock_never_fires(clock):
             report.add(_finding(

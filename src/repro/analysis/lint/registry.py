@@ -88,7 +88,8 @@ register("ir-dead-store", "ir", Severity.INFO,
 register("ir-write-write", "ir", Severity.WARNING,
          "a slot is written twice in one tick with no intervening read")
 register("ir-gate-structure", "ir", Severity.ERROR,
-         "a gate op has a malformed jump target")
+         "a gate op has a malformed jump target or its region crosses "
+         "the enclosing gate's")
 register("ir-unreachable-op", "ir", Severity.WARNING,
          "ops inside a gate region whose clock provably never fires")
 register("ir-correction-unmatched", "ir", Severity.ERROR,

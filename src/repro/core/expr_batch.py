@@ -15,6 +15,10 @@ exact per-element operations of the scalar engine.  This sidesteps the
 classic scalar-vs-array divergences by construction: no int64 wraparound
 (Python ints stay Python ints), no NumPy true-division replacing the base
 language's int-exact division, no ``numpy.bool_`` leaking into traces.
+``+``, ``-``, ``*`` and ``%`` on rows without an absent lane skip the
+per-element Python call: NumPy's object-dtype loops for ``add``,
+``subtract``, ``multiply`` and ``remainder`` apply the same C number
+protocol as the Python operators, so values and types are unchanged.
 
 **Lane discipline.**  Out-of-mask lanes are never evaluated: binary/call
 kernels are applied through fancy indexing on the mask, ``and``/``or``
@@ -36,7 +40,7 @@ per-scenario exception, message and tick (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -115,16 +119,29 @@ _DIVIDE_KERNEL = _lift_binary(_divide)
 _BINARY_KERNELS = {name: _lift_binary(operation)
                    for name, operation in _ARITHMETIC_OPS.items()}
 _BINARY_KERNELS["/"] = _DIVIDE_KERNEL
+#: Object-dtype ufuncs computing exactly ``a <op> b`` per lane.
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                  "%": np.remainder}
 
 
-def _apply_masked(kernel: Callable, mask: np.ndarray,
-                  *rows: np.ndarray) -> np.ndarray:
-    """Apply an n-ary kernel on the masked lanes only."""
+def _apply(kernel: Callable, ufunc: Optional[Callable],
+           rows: Sequence[np.ndarray]) -> np.ndarray:
+    # ``in`` tests identity first, so a row holding ABSENT always takes the
+    # absence-aware kernel
+    if ufunc is not None and not any(ABSENT in row.tolist() for row in rows):
+        return ufunc(*rows)
+    return kernel(*rows)
+
+
+def _apply_masked(kernel: Callable, mask: np.ndarray, *rows: np.ndarray,
+                  ufunc: Optional[Callable] = None) -> np.ndarray:
+    """Apply an n-ary kernel (or its *ufunc* twin on absent-free rows) on
+    the masked lanes only."""
     if mask.all():
-        return kernel(*rows)
+        return _apply(kernel, ufunc, rows)
     out = _absent_row(len(mask))
     if mask.any():
-        out[mask] = kernel(*(row[mask] for row in rows))
+        out[mask] = _apply(kernel, ufunc, [row[mask] for row in rows])
     return out
 
 
@@ -283,9 +300,11 @@ def _compile_binary(expression: BinaryOp,
             return _absent_row(len(mask))
         return run_unknown_binary
 
+    ufunc = _BINARY_UFUNCS.get(op_name)
+
     def run_binary(environment, mask):
         return _apply_masked(kernel, mask, left(environment, mask),
-                             right(environment, mask))
+                             right(environment, mask), ufunc=ufunc)
     return run_binary
 
 

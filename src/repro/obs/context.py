@@ -7,9 +7,10 @@ global through :func:`active` / :func:`current_registry` /
 such probe is a single global read returning ``None`` -- and, crucially,
 no probe sits on a per-tick or per-op path: hot loops are instrumented by
 **swapping in** an instrumented step variant when telemetry is enabled
-(:meth:`~repro.simulation.schedule_ir.FlatSchedule.instrumented_step`),
-never by branching inside the default one.  The default step functions
-are byte-for-byte the uninstrumented closures;
+(:meth:`~repro.simulation.schedule_ir.FlatSchedule.instrumented_step`,
+generated from the same per-op templates with profiling on), never by
+branching inside the default one.  The default step functions are the
+uninstrumented generated variants;
 ``benchmarks/bench_obs_overhead.py`` gates the residual overhead of the
 disabled probes at <= 5% and asserts the step object identity.
 

@@ -9,10 +9,12 @@ scalar-fallback tick counts -- everything needed to answer *where do the
 ticks go* per backend.
 
 Profiles are recorded only by the **instrumented** step variants
-(``FlatSchedule.instrumented_step`` / the batch backend's profiled
-program loop); the default step functions never see this module, which is
-what keeps the zero-overhead-when-off contract structural rather than a
-promise about cheap branches.
+(``FlatSchedule.instrumented_step`` / the batch backend's profiled sweep),
+which :mod:`repro.simulation.op_emit` generates from the same per-op
+templates as the default steps with timers and counters written in; the
+default step functions never see this module, which is what keeps the
+zero-overhead-when-off contract structural rather than a promise about
+cheap branches.
 
 Like the metrics registry, profiles merge additively (same program shape
 required), so per-worker profiles from a sharded run aggregate into one.

@@ -7,10 +7,12 @@ ticks, which op was executing, what the stimulus looked like.  The
 :class:`FlightRecorder` answers it with a bounded ring buffer of the last
 K tick slot-environment snapshots, captured by
 :meth:`~repro.simulation.schedule_ir.FlatSchedule.recording_step` -- a
-**swapped-in** step variant built on demand, exactly like
-``instrumented_step``: the default step closure is never touched and the
-overhead-when-off bench asserts its identity, so recording costs nothing
-until a telemetry session asks for it
+**swapped-in** step variant generated on demand by
+:mod:`repro.simulation.op_emit` from the same per-op templates as the
+default step, with the op index tracked inside one ``try`` and the
+recorder hooks written in, exactly like ``instrumented_step``: the default
+step closure is never touched and the overhead-when-off bench asserts its
+identity, so recording costs nothing until a telemetry session asks for it
 (``obs.enable(flight_recording=True)``).
 
 On scenario error the runner dumps a **post-mortem bundle**: a JSON

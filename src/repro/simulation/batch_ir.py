@@ -9,7 +9,10 @@ scenarios; only the values differ.  This module widens each slot to a
 NumPy object array, and the whole battery advances through each tick with
 ONE pass over the op program.
 
-Op lowering (1:1 with the flat program, so gate jump targets carry over):
+Op lowering (1:1 with the flat program, so gate jump targets carry over;
+the tick itself is straight-line source generated from the flat engine's
+per-op templates by :func:`repro.simulation.op_emit.batch_sweep`, with
+lane-plane spellings only where the substrate differs):
 
 * ``expr``      -- expression closures are recompiled into lane-masked
   ufunc chains (:mod:`repro.core.expr_batch`): one kernel call evaluates a
@@ -61,8 +64,8 @@ from ..core.values import ABSENT, Stream, is_absent
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from .engine import StimulusSpec, prepare_feeds
-from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                          OP_EXPR, OP_GATE, OP_RUN, FlatSchedule, FlatState)
+from .op_emit import batch_sweep
+from .schedule_ir import OP_EXPR, FlatSchedule, FlatState
 from .trace import SimulationTrace
 
 #: One battery item: ``(name, stimuli, ticks)``.
@@ -127,6 +130,10 @@ class BatchSchedule:
                         component=flat.component.name,
                         ops=len(flat.program)):
             self._program = self._lower(flat)
+            #: one vectorized tick over the active lanes (generated; any
+            #: exception leaves the planes half-written and the sweep
+            #: re-runs the tick through the scalar path)
+            self._sweep = batch_sweep(self._program)
 
     def op_labels(self) -> List[Tuple[str, str, bool]]:
         """Op descriptors for :class:`repro.obs.profile.OpProfile` -- the
@@ -190,9 +197,9 @@ class BatchSchedule:
         in a ``batch.sweep`` span, sweep-level counters (lanes, vectorized
         ticks, scalar-fallback activity, duration) land in the active
         registry, and -- under ``profile_ops`` -- the op program runs
-        through a profiled variant feeding an op-level
+        through a generated profiled variant feeding an op-level
         :class:`~repro.obs.profile.OpProfile`.  Disabled, the sweep binds
-        the uninstrumented program loop once and pays nothing per tick.
+        the uninstrumented generated tick once and pays nothing per tick.
         """
         telemetry = _obs_active()
         if telemetry is None:
@@ -282,15 +289,12 @@ class BatchSchedule:
             [{} for _ in range(lanes)] if collect_modes else None
 
         # telemetry: bound ONCE per sweep -- the disabled path binds the
-        # uninstrumented program loop and never consults the context again
+        # uninstrumented generated tick and never consults the context again
         profile = telemetry.profile_for(self) if telemetry is not None \
             else None
         registry = telemetry.registry if telemetry is not None else None
-        if profile is None:
-            run_program = self._run_program
-        else:
-            def run_program(*args: Any) -> None:
-                self._run_program_profiled(profile, *args)
+        run_program = self._sweep if profile is None \
+            else batch_sweep(self._program, profile)
         vector_ticks = 0
         scalar_fallback_ticks = 0
         scalar_fallback_events = 0
@@ -385,166 +389,6 @@ class BatchSchedule:
                 mode_paths=histories[index] if histories is not None
                 else None))
         return outcomes
-
-    # -- one vectorized tick -----------------------------------------------
-
-    def _run_program(self, values: np.ndarray, active: np.ndarray,
-                     indices: List[int], tick: int,
-                     prev_states: List[List[Any]],
-                     next_states: List[List[Any]], prev_buffers: np.ndarray,
-                     next_buffers: np.ndarray, scratch: List[Any]) -> None:
-        """Advance every active lane by one tick, vectorized.
-
-        Mirrors ``FlatSchedule._make_step`` op for op; any exception leaves
-        the planes half-written and the caller re-runs the tick through the
-        scalar path (from the untouched ``prev_*`` planes).
-        """
-        program = self._program
-        n_ops = len(program)
-        pc = 0
-        while pc < n_ops:
-            op = program[pc]
-            pc += 1
-            code = op[0]
-            if code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-                env = {name: values[slot] for name, slot in in_spec}
-                for slot, fn in items:
-                    if slot >= 0:
-                        values[slot] = fn(env, active)
-                    else:
-                        fn(env, active)
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-                prev_row = prev_states[leaf_index]
-                next_row = next_states[leaf_index]
-                lane_inputs = None
-                if si >= 0:
-                    lane_inputs = scratch[si] = {}
-                for lane in indices:
-                    sub_inputs = {name: values[slot, lane]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
-                    next_row[lane] = new_state
-                    for name, slot in out_spec:
-                        values[slot, lane] = outputs.get(name, ABSENT)
-                    if lane_inputs is not None:
-                        lane_inputs[lane] = sub_inputs
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_COPY:
-                for src, dst in op[1]:
-                    values[dst] = values[src]
-            elif code == OP_BUF_READ:
-                for index, dst in op[1]:
-                    values[dst] = prev_buffers[index]
-            elif code == OP_GATE:
-                # clock predicates see the tick only: one decision per tick
-                # gates the region for every lane at once
-                if not op[1](tick):
-                    pc = op[2]
-            elif code == OP_BUF_WRITE:
-                for src, index in op[1]:
-                    next_buffers[index] = values[src]
-            else:  # OP_CORRECT
-                for si, leaf_index, fn, in_spec in op[1]:
-                    lane_inputs = scratch[si]
-                    prev_row = prev_states[leaf_index]
-                    next_row = next_states[leaf_index]
-                    for lane in indices:
-                        final = {name: values[slot, lane]
-                                 for name, slot in in_spec}
-                        if final != lane_inputs[lane]:
-                            _, corrected = fn(final, prev_row[lane], tick)
-                            next_row[lane] = corrected
-
-    def _run_program_profiled(self, profile: Any, values: np.ndarray,
-                              active: np.ndarray, indices: List[int],
-                              tick: int, prev_states: List[List[Any]],
-                              next_states: List[List[Any]],
-                              prev_buffers: np.ndarray,
-                              next_buffers: np.ndarray,
-                              scratch: List[Any],
-                              clock: Any = time.perf_counter) -> None:
-        """``_run_program`` with per-op attribution into *profile*.
-
-        An exact mirror of :meth:`_run_program` -- any semantic change there
-        MUST be replicated here (``tests/test_obs.py`` checks trace
-        equivalence between the two).  Bound only under ``profile_ops``; the
-        default sweep never routes through this method.
-        """
-        program = self._program
-        n_ops = len(program)
-        counts = profile.counts
-        times = profile.times
-        gate_skips = profile.gate_skips
-        tick_started = clock()
-        pc = 0
-        while pc < n_ops:
-            op = program[pc]
-            index = pc
-            pc += 1
-            code = op[0]
-            op_started = clock()
-            if code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-                env = {name: values[slot] for name, slot in in_spec}
-                for slot, fn in items:
-                    if slot >= 0:
-                        values[slot] = fn(env, active)
-                    else:
-                        fn(env, active)
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-                prev_row = prev_states[leaf_index]
-                next_row = next_states[leaf_index]
-                lane_inputs = None
-                if si >= 0:
-                    lane_inputs = scratch[si] = {}
-                for lane in indices:
-                    sub_inputs = {name: values[slot, lane]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs, prev_row[lane], tick)
-                    next_row[lane] = new_state
-                    for name, slot in out_spec:
-                        values[slot, lane] = outputs.get(name, ABSENT)
-                    if lane_inputs is not None:
-                        lane_inputs[lane] = sub_inputs
-                for src, dst in post:
-                    values[dst] = values[src]
-            elif code == OP_COPY:
-                for src, dst in op[1]:
-                    values[dst] = values[src]
-            elif code == OP_BUF_READ:
-                for index_, dst in op[1]:
-                    values[dst] = prev_buffers[index_]
-            elif code == OP_GATE:
-                if not op[1](tick):
-                    pc = op[2]
-                    gate_skips[index] += 1
-            elif code == OP_BUF_WRITE:
-                for src, index_ in op[1]:
-                    next_buffers[index_] = values[src]
-            else:  # OP_CORRECT
-                for si, leaf_index, fn, in_spec in op[1]:
-                    lane_inputs = scratch[si]
-                    prev_row = prev_states[leaf_index]
-                    next_row = next_states[leaf_index]
-                    for lane in indices:
-                        final = {name: values[slot, lane]
-                                 for name, slot in in_spec}
-                        if final != lane_inputs[lane]:
-                            _, corrected = fn(final, prev_row[lane], tick)
-                            next_row[lane] = corrected
-                            profile.correction_reruns += 1
-            times[index] += clock() - op_started
-            counts[index] += 1
-        profile.ticks += 1
-        profile.total_time_s += clock() - tick_started
 
     # -- the scalar fallback tick -------------------------------------------
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import Any, List, Tuple
 
 from ...ascet.c_expr import TaggedEmitter, lowerable_expression
-from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                           OP_EXPR, OP_GATE, OP_RUN, FlatSchedule)
+from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_EXPR,
+                           OP_GATE, FlatSchedule)
 
 _HEADER = """\
 /* generated by repro.simulation.native (emitter v{version}) -- do not edit */
@@ -164,9 +164,11 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     lowered = LoweredProgram(source="")
     lines: List[str] = [_HEADER.format(version=emitter_version)]
 
-    for index, op in enumerate(program):
+    for index, (op, (kind, label, _nested)) in enumerate(
+            zip(program, flat.op_labels())):
         code = op[0]
-        lines.append(f"L{index}: ;  /* {_label(flat, index, op)} */")
+        comment = f"{kind}: {label}".replace("*/", "* /")
+        lines.append(f"L{index}: ;  /* {comment} */")
         if code == OP_COPY:
             for src, dst in op[1]:
                 lines.append(f"    tag[{dst}] = tag[{src}]; "
@@ -198,16 +200,3 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     lowered.source = "\n".join(lines) + "\n"
     return lowered
 
-
-def _label(flat: FlatSchedule, index: int, op: Tuple[Any, ...]) -> str:
-    code = op[0]
-    if code in (OP_RUN, OP_EXPR):
-        leaf = flat.leaves[op[1]]
-        return f"{('run', 'expr')[code == OP_EXPR]} {leaf.component.name}"
-    if code == OP_GATE:
-        return f"gate -> {op[2]}"
-    if code == OP_CORRECT:
-        return f"correct ({len(op[1])})"
-    names = {OP_COPY: "copy", OP_BUF_READ: "buf_read",
-             OP_BUF_WRITE: "buf_write"}
-    return f"{names[code]} ({len(op[1])})"

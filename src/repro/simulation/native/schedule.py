@@ -25,9 +25,11 @@ them (copies, buffers) even though only Python can *compute* with them.
 **The trampoline.**  Ops the emitter routed to the fallback path -- and
 lowered expression blocks whose run-time values escape exact int64/double
 replication -- re-enter Python through one ``ctypes`` callback carrying
-the op index; the replay closures execute the original flat-program
-semantics (the same nested step functions and compiled expression
-closures) against the tagged plane.  A replay that raises stores the
+the op index; the replay functions are generated from the flat engine's
+own per-op templates (:func:`repro.simulation.op_emit.native_replays`,
+spelling slot access ``load`` / ``store`` / ``copy`` on the tagged plane),
+so they call the same nested step functions and compiled expression
+closures with the same semantics.  A replay that raises stores the
 exception and returns nonzero; the C function unwinds immediately and
 :attr:`step` re-raises it unchanged, which is what makes error-path
 behaviour (exception type, message, tick) identical to the flat backend
@@ -35,7 +37,7 @@ by construction.
 
 :class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
 ``instrumented_step`` / ``recording_step``: op-level profiling and flight
-recording instrument the *Python* op loop, so
+recording are variants of the generated *Python* step, so
 :meth:`repro.obs.context.Telemetry.step_for` finds nothing to swap and
 observability degrades gracefully to spans and counters.
 """
@@ -48,11 +50,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ...core.values import ABSENT
 from ...obs.context import active as _obs_active
 from ...obs.context import maybe_span
-from ..schedule_ir import (OP_CORRECT, OP_EXPR, OP_RUN, FlatSchedule,
-                           FlatState)
+from ..op_emit import native_replays
+from ..schedule_ir import FlatSchedule, FlatState
 from .emit import LoweredProgram, lower_program
 from .toolchain import (EMITTER_VERSION, NativeLoweringError,
-                        ensure_shared_object, find_compiler)
+                        find_compiler, load_shared_object)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -80,7 +82,7 @@ class NativeSchedule:
     kind = "native"
 
     def __init__(self, flat: FlatSchedule, so_path: str,
-                 lowered: LoweredProgram):
+                 lowered: LoweredProgram, lib: ctypes.CDLL):
         self.flat = flat
         self.component = flat.component
         self.so_path = so_path
@@ -102,7 +104,7 @@ class NativeSchedule:
         self._nbf = (ctypes.c_double * n_buffers)()
         self._gate = (ctypes.c_ubyte * len(lowered.gate_indexes))()
 
-        self._lib = ctypes.CDLL(so_path)
+        self._lib = lib
         self._fn = self._lib.repro_step
         self._fn.restype = ctypes.c_longlong
         self._fn.argtypes = _ARGTYPES
@@ -115,7 +117,8 @@ class NativeSchedule:
         self._tick = 0
         self._pending: Optional[BaseException] = None
 
-        self._replay = self._build_replay()
+        self._replay = native_replays(flat.program, self._load, self._store,
+                                      self._copy_slot)
         self._tramp = _TRAMP_TYPE(self._trampoline)  # kept alive on self
         self.step = self._make_step()
 
@@ -195,73 +198,12 @@ class NativeSchedule:
     def _trampoline(self, op_index: int) -> int:
         self.trampoline_calls += 1
         try:
-            self._replay[op_index]()
+            self._replay[op_index](self._prev_states, self._next_states,
+                                   self._scratch, self._tick)
             return 0
         except BaseException as exc:  # noqa: BLE001 - re-raised by step
             self._pending = exc
             return 1
-
-    def _build_replay(self) -> List[Any]:
-        """One replay closure per op (``None`` for never-trampolined ops).
-
-        Each closure re-executes its op with the flat engine's exact
-        semantics, reading and writing the tagged plane through
-        :meth:`_load` / :meth:`_store` instead of the flat ``values`` list.
-        """
-        absent = ABSENT
-        load = self._load
-        store = self._store
-        copy_slot = self._copy_slot
-        replay: List[Any] = []
-        for op in self.flat.program:
-            code = op[0]
-            if code == OP_RUN:
-                _, leaf_index, fn, in_spec, out_spec, post, si = op
-
-                def replay_run(fn=fn, leaf_index=leaf_index, in_spec=in_spec,
-                               out_spec=out_spec, post=post, si=si):
-                    sub_inputs = {name: load(slot) for name, slot in in_spec}
-                    outputs, new_state = fn(
-                        sub_inputs, self._prev_states[leaf_index], self._tick)
-                    self._next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        store(slot, outputs.get(name, absent))
-                    for src, dst in post:
-                        copy_slot(src, dst)
-                    if si >= 0:
-                        self._scratch[si] = sub_inputs
-
-                replay.append(replay_run)
-            elif code == OP_EXPR:
-                _, _leaf, in_spec, items, post = op
-
-                def replay_expr(in_spec=in_spec, items=items, post=post):
-                    env = {name: load(slot) for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            store(slot, fn(env))
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        copy_slot(src, dst)
-
-                replay.append(replay_expr)
-            elif code == OP_CORRECT:
-                entries = op[1]
-
-                def replay_correct(entries=entries):
-                    for si, leaf_index, fn, in_spec in entries:
-                        final = {name: load(slot) for name, slot in in_spec}
-                        if final != self._scratch[si]:
-                            _, corrected = fn(
-                                final, self._prev_states[leaf_index],
-                                self._tick)
-                            self._next_states[leaf_index] = corrected
-
-                replay.append(replay_correct)
-            else:  # copy / buf_read / buf_write / gate are always native
-                replay.append(None)
-        return replay
 
     # -- the step function -------------------------------------------------
 
@@ -406,9 +348,9 @@ def compile_native(schedule: Any,
     with maybe_span("compile.native", component=schedule.component.name,
                     ops=len(schedule.program)) as span:
         lowered = lower_program(schedule, EMITTER_VERSION)
-        so_path, cache_hit = ensure_shared_object(lowered.source,
-                                                  cache_directory)
-        native = NativeSchedule(schedule, so_path, lowered)
+        lib, so_path, cache_hit = load_shared_object(lowered.source,
+                                                     cache_directory)
+        native = NativeSchedule(schedule, so_path, lowered, lib)
         if span is not None:
             span.attributes.update(lowered_ops=len(lowered.lowered_ops),
                                    fallback_ops=len(lowered.fallback_ops),

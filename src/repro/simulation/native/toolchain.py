@@ -14,6 +14,11 @@ module owns everything platform-shaped about that:
   change, a compiler upgrade or any structural model change each get a
   fresh object while identical schedules share one compile across
   processes and sessions;
+* **robustness** -- sources and objects reach their shared cache paths
+  only through a per-process temp name plus ``os.replace``, the compiler
+  runs under :data:`COMPILE_TIMEOUT_S`, and :func:`load_shared_object`
+  drops and rebuilds (once) a cached object ``ctypes`` cannot load, such
+  as a truncated entry;
 * **hygiene** -- :func:`evict_stale` drops objects from older emitter
   versions and trims the cache to a bounded number of entries;
   :func:`native_info` reports compiler, cache directory and cached
@@ -22,6 +27,7 @@ module owns everything platform-shaped about that:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
@@ -41,6 +47,10 @@ _PREFIX = f"nv{EMITTER_VERSION}-"
 
 #: Upper bound on cached shared objects (oldest-first trim).
 MAX_CACHE_ENTRIES = 64
+
+#: Wall-clock limit of one compiler run; a hung compiler surfaces as a
+#: :class:`NativeLoweringError` instead of stalling the caller.
+COMPILE_TIMEOUT_S = 300
 
 #: Compilers probed (in order) when ``$CC`` is not set.
 _CANDIDATES = ("cc", "gcc", "clang")
@@ -195,8 +205,9 @@ def ensure_shared_object(source: str,
                          ) -> Tuple[str, bool]:
     """Compile *source* (or reuse the cached object); returns ``(path, hit)``.
 
-    The write is atomic (compile to a temp name, ``os.replace`` into
-    place), so concurrent workers racing on the same key converge on one
+    Writes are atomic (the source and the object each go to a per-process
+    temp name and are ``os.replace``-d into place), so concurrent workers
+    racing on the same key never see a partial file and converge on one
     valid object.  A cache miss triggers :func:`evict_stale`.
     """
     compiler = find_compiler()
@@ -210,23 +221,64 @@ def ensure_shared_object(source: str,
         return so_path, True
     os.makedirs(directory, exist_ok=True)
     c_path = os.path.join(directory, key + ".c")
-    with open(c_path, "w", encoding="utf-8") as handle:
-        handle.write(source)
-    tmp_path = f"{so_path}.tmp{os.getpid()}"
+    suffix = f".tmp{os.getpid()}"
+    try:
+        with open(c_path + suffix, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        os.replace(c_path + suffix, c_path)
+    except OSError as exc:
+        _discard(c_path + suffix)
+        raise NativeLoweringError(
+            f"cannot write C source {c_path}: {exc}") from exc
+    tmp_path = so_path + suffix
     command = [compiler, "-O2", "-std=c99", "-fPIC", "-shared",
                "-o", tmp_path, c_path, "-lm"]
-    proc = subprocess.run(command, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(command, capture_output=True, text=True,
+                              timeout=COMPILE_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        _discard(tmp_path)
+        raise NativeLoweringError(
+            f"C compilation timed out after {COMPILE_TIMEOUT_S}s "
+            f"({' '.join(command)})") from exc
     if proc.returncode != 0:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
+        _discard(tmp_path)
         raise NativeLoweringError(
             f"C compilation failed ({' '.join(command)}):\n"
             f"{proc.stderr.strip() or proc.stdout.strip()}")
     os.replace(tmp_path, so_path)
     evict_stale(directory=directory)
     return so_path, False
+
+
+def load_shared_object(source: str, directory: Optional[str] = None
+                       ) -> Tuple[ctypes.CDLL, str, bool]:
+    """:func:`ensure_shared_object` plus the ``ctypes`` load.
+
+    Returns ``(library, path, hit)``.  A cached object that fails to load
+    (a truncated or otherwise corrupt entry) is dropped and rebuilt once;
+    an object that still cannot be loaded raises
+    :class:`NativeLoweringError`.
+    """
+    so_path, hit = ensure_shared_object(source, directory)
+    if hit:
+        try:
+            return ctypes.CDLL(so_path), so_path, True
+        except OSError:
+            _remove_entry(so_path)
+            so_path, hit = ensure_shared_object(source, directory)
+    try:
+        return ctypes.CDLL(so_path), so_path, hit
+    except OSError as exc:
+        raise NativeLoweringError(
+            f"cannot load native object {so_path}: {exc}") from exc
+
+
+def _discard(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def cache_entries(directory: Optional[str] = None) -> List[Dict[str, Any]]:

@@ -38,6 +38,15 @@ engine:
   tick-start state with the final values, mirroring the reference
   interpreter's second pass.
 
+**Execution.**  The program is not interpreted by an opcode loop: the
+step function is straight-line Python source generated from one body
+template per opcode (:mod:`repro.simulation.op_emit`) and exec-compiled
+once per schedule.  The op-profiling
+(:meth:`FlatSchedule.instrumented_step`) and flight-recording
+(:meth:`FlatSchedule.recording_step`) variants, the batch backend's lane
+sweep and the native backend's trampoline replays are generated from the
+same templates.
+
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
 states plus one flat list of delayed-channel buffers.  The step also
 accepts the nested dict state produced by ``component.initial_state()``
@@ -68,11 +77,10 @@ from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
                                subtree_structure_tokens)
 from ..core.errors import SimulationError
-from ..core.values import ABSENT
 from ..obs.context import maybe_span
 from .engine import ClockGatedComponent
 
-#: Opcodes of the flat program (tuple-encoded, dispatched by one loop).
+#: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
  OP_CORRECT) = range(7)
 
@@ -453,7 +461,8 @@ class FlatSchedule:
         self._output_spec = output_spec
         self._scratch_count = scratch_count
         self._linear = linear
-        self.step = self._make_step()
+        from .op_emit import flat_step
+        self.step = flat_step(self)
 
     # -- boundary specs ----------------------------------------------------
 
@@ -489,85 +498,6 @@ class FlatSchedule:
                            if isinstance(delayed, Mapping) else initial)
         return FlatState(leaf_states, buffers)
 
-    # -- the step function -------------------------------------------------
-
-    def _make_step(self):
-        program = self.program
-        n_ops = len(program)
-        n_slots = self.n_slots
-        n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
-        convert = self._convert_state
-        absent = ABSENT
-
-        def step(inputs: Mapping[str, Any], state: Any,
-                 tick: int) -> Tuple[Dict[str, Any], Any]:
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
-            values = [absent] * n_slots
-            for name, slot in input_spec:
-                values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            while pc < n_ops:
-                op = program[pc]
-                pc += 1
-                code = op[0]
-                if code == OP_RUN:
-                    _, leaf_index, fn, in_spec, out_spec, post, si = op
-                    sub_inputs = {name: values[slot]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs,
-                                            prev_states[leaf_index], tick)
-                    next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        values[slot] = outputs.get(name, absent)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                    if si >= 0:
-                        scratch[si] = sub_inputs
-                elif code == OP_EXPR:
-                    _, _leaf, in_spec, items, post = op
-                    env = {name: values[slot] for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            values[slot] = fn(env)
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                elif code == OP_COPY:
-                    for src, dst in op[1]:
-                        values[dst] = values[src]
-                elif code == OP_BUF_READ:
-                    for index, dst in op[1]:
-                        values[dst] = prev_buffers[index]
-                elif code == OP_GATE:
-                    if not op[1](tick):
-                        pc = op[2]
-                elif code == OP_BUF_WRITE:
-                    for src, index in op[1]:
-                        next_buffers[index] = values[src]
-                else:  # OP_CORRECT
-                    for si, leaf_index, fn, in_spec in op[1]:
-                        final = {name: values[slot]
-                                 for name, slot in in_spec}
-                        if final != scratch[si]:
-                            _, corrected = fn(final, prev_states[leaf_index],
-                                              tick)
-                            next_states[leaf_index] = corrected
-            outputs = {}
-            for name, slot in output_spec:
-                outputs[name] = values[slot]
-            return outputs, FlatState(next_states, next_buffers)
-
-        return step
-
     # -- instrumentation ---------------------------------------------------
 
     def op_labels(self) -> List[Tuple[str, str, bool]]:
@@ -593,214 +523,36 @@ class FlatSchedule:
             elif code == OP_CORRECT:
                 label = f"correction barrier ({len(op[1])})"
             else:
-                label = f"{kind} ({len(op[1])} pairs)"
+                pairs = len(op[1])
+                label = f"{kind} ({pairs} pair{'s' if pairs != 1 else ''})"
             labels.append((kind, label, nested))
         return labels
 
     def instrumented_step(self, profile: Any,
                           clock: Any = time.perf_counter):
-        """An instrumented variant of :attr:`step` recording into *profile*.
+        """A variant of :attr:`step` recording into *profile*: per executed
+        op its count and wall time, per gate its skips, per correction
+        barrier its re-runs, per tick the total step time.
 
-        Mirrors :meth:`_make_step` op for op (any semantic change there
-        MUST be replicated here -- the equivalence test in
-        ``tests/test_obs.py`` pins identical traces) and adds, per op
-        executed: execution count and wall time; per gate: skip counts;
-        per correction barrier: re-run counts; per tick: total step time.
-        The default :attr:`step` closure is left untouched -- swapping the
-        step function in and out is the whole zero-overhead-when-off
-        mechanism, there is no profiling branch on the uninstrumented
-        path.
+        Generated from the same per-op templates as :attr:`step`
+        (:mod:`repro.simulation.op_emit`), which is left untouched --
+        swapping the step function in and out is the whole
+        zero-overhead-when-off mechanism.
         """
-        program = self.program
-        n_ops = len(program)
-        n_slots = self.n_slots
-        n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
-        convert = self._convert_state
-        absent = ABSENT
-        counts = profile.counts
-        times = profile.times
-        gate_skips = profile.gate_skips
-
-        def step(inputs: Mapping[str, Any], state: Any,
-                 tick: int) -> Tuple[Dict[str, Any], Any]:
-            tick_started = clock()
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
-            values = [absent] * n_slots
-            for name, slot in input_spec:
-                values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            while pc < n_ops:
-                index = pc
-                op = program[pc]
-                pc += 1
-                code = op[0]
-                op_started = clock()
-                if code == OP_RUN:
-                    _, leaf_index, fn, in_spec, out_spec, post, si = op
-                    sub_inputs = {name: values[slot]
-                                  for name, slot in in_spec}
-                    outputs, new_state = fn(sub_inputs,
-                                            prev_states[leaf_index], tick)
-                    next_states[leaf_index] = new_state
-                    for name, slot in out_spec:
-                        values[slot] = outputs.get(name, absent)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                    if si >= 0:
-                        scratch[si] = sub_inputs
-                elif code == OP_EXPR:
-                    _, _leaf, in_spec, items, post = op
-                    env = {name: values[slot] for name, slot in in_spec}
-                    for slot, fn in items:
-                        if slot >= 0:
-                            values[slot] = fn(env)
-                        else:
-                            fn(env)
-                    for src, dst in post:
-                        values[dst] = values[src]
-                elif code == OP_COPY:
-                    for src, dst in op[1]:
-                        values[dst] = values[src]
-                elif code == OP_BUF_READ:
-                    for index_, dst in op[1]:
-                        values[dst] = prev_buffers[index_]
-                elif code == OP_GATE:
-                    if not op[1](tick):
-                        pc = op[2]
-                        gate_skips[index] += 1
-                elif code == OP_BUF_WRITE:
-                    for src, index_ in op[1]:
-                        next_buffers[index_] = values[src]
-                else:  # OP_CORRECT
-                    for si, leaf_index, fn, in_spec in op[1]:
-                        final = {name: values[slot]
-                                 for name, slot in in_spec}
-                        if final != scratch[si]:
-                            _, corrected = fn(final, prev_states[leaf_index],
-                                              tick)
-                            next_states[leaf_index] = corrected
-                            profile.correction_reruns += 1
-                times[index] += clock() - op_started
-                counts[index] += 1
-            outputs = {}
-            for name, slot in output_spec:
-                outputs[name] = values[slot]
-            profile.ticks += 1
-            profile.total_time_s += clock() - tick_started
-            return outputs, FlatState(next_states, next_buffers)
-
-        return step
+        from .op_emit import flat_step
+        return flat_step(self, profile=profile, clock=clock)
 
     def recording_step(self, recorder: Any):
         """A flight-recording variant of :attr:`step` feeding *recorder*.
 
-        Mirrors :meth:`_make_step` op for op (any semantic change there
-        MUST be replicated here -- the forensics tests pin identical
-        traces) and adds: at tick 0 the recorder's window is reset (a new
-        scenario owns it); after every completed tick the slot environment
-        is snapshotted into the ring; when an op raises, the failing tick,
-        op index, partial slot environment and inputs are recorded before
-        the exception propagates unchanged.  The default :attr:`step`
-        closure is untouched -- same swap-in discipline as
-        :meth:`instrumented_step`, zero overhead while recording is off.
+        Generated from the same per-op templates as :attr:`step`: tick 0
+        resets the recorder's window (a new scenario owns it), every
+        completed tick is snapshotted into the ring, and when an op raises
+        the failing tick, op index, partial slot environment and inputs are
+        recorded before the exception propagates unchanged.
         """
-        program = self.program
-        n_ops = len(program)
-        n_slots = self.n_slots
-        n_scratch = self._scratch_count
-        input_spec = self._input_spec
-        output_spec = self._output_spec
-        convert = self._convert_state
-        absent = ABSENT
-        begin_run = recorder.begin_run
-        record_tick = recorder.record_tick
-        record_failure = recorder.record_failure
-
-        def step(inputs: Mapping[str, Any], state: Any,
-                 tick: int) -> Tuple[Dict[str, Any], Any]:
-            if tick == 0:
-                begin_run()
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_states = state.leaf_states
-            prev_buffers = state.buffers
-            next_states = prev_states[:]
-            next_buffers = prev_buffers[:]
-            values = [absent] * n_slots
-            for name, slot in input_spec:
-                values[slot] = inputs.get(name, absent)
-            scratch: List[Any] = [None] * n_scratch if n_scratch else []
-            pc = 0
-            index = 0
-            try:
-                while pc < n_ops:
-                    index = pc
-                    op = program[pc]
-                    pc += 1
-                    code = op[0]
-                    if code == OP_RUN:
-                        _, leaf_index, fn, in_spec, out_spec, post, si = op
-                        sub_inputs = {name: values[slot]
-                                      for name, slot in in_spec}
-                        outputs, new_state = fn(sub_inputs,
-                                                prev_states[leaf_index],
-                                                tick)
-                        next_states[leaf_index] = new_state
-                        for name, slot in out_spec:
-                            values[slot] = outputs.get(name, absent)
-                        for src, dst in post:
-                            values[dst] = values[src]
-                        if si >= 0:
-                            scratch[si] = sub_inputs
-                    elif code == OP_EXPR:
-                        _, _leaf, in_spec, items, post = op
-                        env = {name: values[slot] for name, slot in in_spec}
-                        for slot, fn in items:
-                            if slot >= 0:
-                                values[slot] = fn(env)
-                            else:
-                                fn(env)
-                        for src, dst in post:
-                            values[dst] = values[src]
-                    elif code == OP_COPY:
-                        for src, dst in op[1]:
-                            values[dst] = values[src]
-                    elif code == OP_BUF_READ:
-                        for index_, dst in op[1]:
-                            values[dst] = prev_buffers[index_]
-                    elif code == OP_GATE:
-                        if not op[1](tick):
-                            pc = op[2]
-                    elif code == OP_BUF_WRITE:
-                        for src, index_ in op[1]:
-                            next_buffers[index_] = values[src]
-                    else:  # OP_CORRECT
-                        for si, leaf_index, fn, in_spec in op[1]:
-                            final = {name: values[slot]
-                                     for name, slot in in_spec}
-                            if final != scratch[si]:
-                                _, corrected = fn(final,
-                                                  prev_states[leaf_index],
-                                                  tick)
-                                next_states[leaf_index] = corrected
-            except Exception as exc:  # noqa: BLE001 - forensics, re-raised
-                record_failure(tick, index, values, inputs, exc)
-                raise
-            outputs = {}
-            for name, slot in output_spec:
-                outputs[name] = values[slot]
-            record_tick(tick, values)
-            return outputs, FlatState(next_states, next_buffers)
-
-        return step
+        from .op_emit import flat_step
+        return flat_step(self, recorder=recorder)
 
     # -- introspection -----------------------------------------------------
 
@@ -822,30 +574,20 @@ class FlatSchedule:
                          for path, kind in self.linear_steps())
 
     def ops_summary(self) -> List[str]:
-        """One line per op of the flat program (the IR view).
+        """One line per op of the flat program (the IR view): index, kind
+        and the :meth:`op_labels` label.
 
         ``run`` ops name the leaf's hierarchical path and compilation kind
         (``nested`` marks unflattenable subtrees running on the nested
-        fallback path); ``gate`` ops show their jump target.
+        fallback path) and are marked ``(correction-tracked)`` when a
+        barrier may re-run them; ``gate`` ops show their jump target.
         """
         lines = []
-        for index, op in enumerate(self.program):
-            code = op[0]
-            name = _OP_NAMES[code]
-            if code in (OP_RUN, OP_EXPR):
-                leaf = self.leaves[op[1]]
-                detail = (f"{leaf.steps_prefix}/{leaf.component.name} "
-                          f"[{leaf.run_kind}]")
-                if code == OP_RUN and op[6] >= 0:
-                    detail += " (correction-tracked)"
-            elif code == OP_GATE:
-                detail = f"-> {op[2]} when clock silent"
-            elif code == OP_CORRECT:
-                detail = f"{len(op[1])} barrier entr" \
-                         f"{'y' if len(op[1]) == 1 else 'ies'}"
-            else:
-                detail = f"{len(op[1])} pair{'s' if len(op[1]) != 1 else ''}"
-            lines.append(f"{index:>4} {name:>9}  {detail}")
+        for index, (op, (kind, label, _nested)) in enumerate(
+                zip(self.program, self.op_labels())):
+            if op[0] == OP_RUN and op[6] >= 0:
+                label += " (correction-tracked)"
+            lines.append(f"{index:>4} {kind:>9}  {label}")
         return lines
 
     def mode_paths(self, state: Any) -> Dict[str, Any]:

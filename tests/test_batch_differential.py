@@ -28,8 +28,13 @@ from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
+from repro import obs
+from repro.obs.profile import OpProfile
+from repro.obs.recorder import FlightRecorder
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              Simulator, compile_batch, native_available)
+                              Simulator, compile_batch, compile_flat,
+                              native_available)
+from repro.simulation.engine import run_stepped
 
 _HAS_NATIVE = native_available()
 
@@ -227,6 +232,82 @@ def test_four_backend_fuzz_extended(seed):
     test_four_backends_agree_on_random_models_and_batteries(seed)
 
 
+# -- generated step variants ---------------------------------------------------
+
+
+def _stepped_outcome(model, step, stimuli, ticks, initial_state=None):
+    """(typed streams, error string, ticks completed) of one stepped run:
+    the completed-tick count pins the failing tick of an error."""
+    completed = []
+
+    def counted(inputs, state, tick):
+        result = step(inputs, state, tick)
+        completed.append(tick)
+        return result
+
+    try:
+        trace = run_stepped(model, counted, stimuli, ticks, False,
+                            initial_state=initial_state)
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        return None, f"{type(exc).__name__}: {exc}", len(completed)
+    return _typed_streams(trace), None, len(completed)
+
+
+def _lane_outcome(outcome):
+    return ((_typed_streams(outcome.trace) if outcome.ok else None),
+            outcome.error)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_step_variants_agree_with_interpreter(seed):
+    """The op-profiled and flight-recording flat steps and the op-profiled
+    batch sweep are generated variants of the default program; each must
+    reproduce the interpreter's typed trace, or its error type, message
+    and tick."""
+    rng = random.Random(9000 + seed)
+    model = _build_model(rng, seed)
+    battery = _battery(rng, model, size=rng.randint(3, 8))
+
+    schedule = compile_flat(model)
+    profile = OpProfile("fuzz", schedule.op_labels())
+    recorder = FlightRecorder(schedule)
+    variants = [("instrumented", schedule.instrumented_step(profile)),
+                ("recording", schedule.recording_step(recorder))]
+    expected = {}
+    for name, stimuli, ticks in battery:
+        expected[name] = _stepped_outcome(model, model.react, stimuli, ticks)
+        for label, step in variants:
+            recorder.begin_run()
+            got = _stepped_outcome(model, step, stimuli, ticks,
+                                   initial_state=schedule.initial_state())
+            assert got == expected[name], (seed, name, label)
+            if label == "recording" and recorder.failure is not None:
+                assert recorder.failure["tick"] == got[2], (seed, name)
+
+    # the profiled sweep: full horizons, then each failing lane cut just
+    # before and just after the interpreter's failing tick
+    failing = [(name, stimuli, expected[name][2])
+               for name, stimuli, _ticks in battery
+               if expected[name][1] is not None]
+    cut = [(f"{name}@{completed}", stimuli, completed)
+           for name, stimuli, completed in failing] + \
+          [(f"{name}@{completed + 1}", stimuli, completed + 1)
+           for name, stimuli, completed in failing]
+    with obs.session(profile_ops=True) as telemetry:
+        batch = compile_batch(model)
+        outcomes = batch.run_battery(battery)
+        cut_outcomes = batch.run_battery(cut) if cut else []
+    assert telemetry.profiles, "the profiled sweep did not run"
+    for (name, _stimuli, _ticks), outcome in zip(battery, outcomes):
+        assert _lane_outcome(outcome) == expected[name][:2], (seed, name)
+    interpreter = Simulator(model)
+    for (name, stimuli, ticks), outcome in zip(cut, cut_outcomes):
+        reference = _scalar_outcome(interpreter.run, stimuli, ticks)
+        assert _lane_outcome(outcome) == (
+            _typed_streams(reference[0]) if reference[0] is not None
+            else None, reference[1]), (seed, name)
+
+
 # -- lint-clean property -------------------------------------------------------
 
 
@@ -251,3 +332,9 @@ def test_fuzz_models_are_lint_clean_and_never_hit_unknown_names(seed):
         _trace, error = _scalar_outcome(flat.run, stimuli, ticks)
         if error is not None:
             assert "unknown name" not in error, (seed, name, error)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(8, 40))
+def test_generated_step_variants_fuzz_extended(seed):
+    test_generated_step_variants_agree_with_interpreter(seed)

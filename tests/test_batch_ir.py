@@ -406,6 +406,40 @@ def test_unbounded_ints_do_not_overflow():
     assert outcomes[1].trace.outputs["y"].values() == [27]
 
 
+@pytest.mark.parametrize("source", ["a + b", "a - b", "a * b", "a % b",
+                                    "(a + b) * (a - b) % 7"])
+def test_arithmetic_on_absent_free_rows_matches_scalar_types(source):
+    """Absent-free rows skip the per-lane kernel call; every lane must
+    still carry the scalar engine's value *and* type (bool arithmetic,
+    big ints, floats, strings), with or without a mask or an absent lane."""
+    from repro.core.expr_batch import compile_batch_expression
+    from repro.core.expr_compile import compile_expression
+    from repro.core.expr_parser import parse_expression
+    expression = parse_expression(source)
+    scalar = compile_expression(expression)
+    batch = compile_batch_expression(expression)
+    a = [True, 2 ** 80, -7, 7.5, False, 3, -2.25, 9]
+    b = [True, 3, 2, -2, 5, 1.5, 4, -4]
+
+    def lanes(values):
+        row = np.empty(len(values), dtype=object)
+        row[:] = values
+        return row
+
+    for left in (a, a[:3] + [ABSENT] + a[4:]):
+        env = {"a": lanes(left), "b": lanes(b)}
+        for mask in (np.ones(len(b), dtype=bool),
+                     np.array([i % 3 != 1 for i in range(len(b))])):
+            got = batch(env, mask).tolist()
+            for lane in np.nonzero(mask)[0]:
+                want = scalar({"a": left[lane], "b": b[lane]})
+                assert (type(got[lane]), got[lane]) == (type(want), want), \
+                    (source, lane)
+    words = {"a": lanes(["ab", "c"]), "b": lanes(["x", "yz"])}
+    if source == "a + b":
+        assert batch(words, np.ones(2, dtype=bool)).tolist() == ["abx", "cyz"]
+
+
 def test_short_circuit_does_not_evaluate_poisoned_right_operand():
     """``a and (1 / b)`` with a false: the scalar engine never divides, so
     a lane with b == 0 must not fall over to eager mask evaluation."""

@@ -246,12 +246,7 @@ def test_deep_hierarchy_5000_levels_compiles_and_runs():
     assert trace.output("y").values() == [2.0, 3.0, 4.0]
 
 
-def test_deep_gated_chain_compiles_and_runs():
-    """Regression: alternating composite/clock-gate nesting (the flat IR's
-    own target workload shape) must also compile and run iteratively --
-    has_behavior, structure_token and the dependency analysis unwrap
-    transparent gate wrappers instead of recursing through them."""
-    depth = 1200
+def _deep_gated_chain(depth):
     block = ExpressionComponent("B", {"out": "in1 + 1"})
     block.declare_interface_from_expressions()
     base = DataFlowDiagram("L0")
@@ -270,13 +265,48 @@ def test_deep_gated_chain_compiles_and_runs():
         dfd.connect("u", f"G{level}.u")
         dfd.connect(f"G{level}.y", "y")
         current = dfd
-    simulator = CompiledSimulator(current)
+    return current
+
+
+def test_deep_gated_chain_compiles_and_runs():
+    """Regression: alternating composite/clock-gate nesting (the flat IR's
+    own target workload shape) must also compile and run iteratively --
+    has_behavior, structure_token and the dependency analysis unwrap
+    transparent gate wrappers instead of recursing through them."""
+    simulator = CompiledSimulator(_deep_gated_chain(1200))
     schedule = simulator.schedule
     assert isinstance(schedule, FlatSchedule)
     assert schedule.fallback_paths == []   # every gate became a predicate
     trace = simulator.run({"u": [1.0, 1.0, 2.0, 2.0]}, 4)
     # aligned every(2) gates: active (passthrough + 1) on even ticks only
     assert trace.output("y").values() == [2.0, ABSENT, 3.0, ABSENT]
+
+
+def test_deep_gated_chain_runs_through_generated_step_variants():
+    """1199 nested gate regions: the generated profiled and flight-recording
+    steps keep every op at a fixed indentation (one flag per gate, each op
+    guarded by its innermost flag), so they compile and agree with the
+    default step."""
+    from repro.obs.profile import OpProfile
+    from repro.obs.recorder import FlightRecorder
+    from repro.simulation.engine import run_stepped
+
+    model = _deep_gated_chain(1200)
+    schedule = compile_flat(model)
+    stimuli = {"u": [1.0, 1.0, 2.0, 2.0]}
+    profile = OpProfile("chain", schedule.op_labels())
+    recorder = FlightRecorder(schedule, capacity=2)
+    for step in (schedule.step, schedule.instrumented_step(profile),
+                 schedule.recording_step(recorder)):
+        trace = run_stepped(model, step, stimuli, 4, False,
+                            initial_state=schedule.initial_state())
+        assert trace.output("y").values() == [2.0, ABSENT, 3.0, ABSENT]
+    assert profile.ticks == 4
+    checks, skips = profile.gate_stats()
+    # every gate is evaluated on even ticks; on odd ticks the outermost
+    # gate is silent and skips all the others
+    assert (checks, skips) == (2 * 1199 + 2, 2)
+    assert [tick for tick, _ in recorder.snapshots] == [2, 3]
 
 
 def test_deep_hierarchy_well_past_default_recursion_limit_round_trips():

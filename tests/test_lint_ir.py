@@ -174,6 +174,32 @@ def test_gated_reads_reported_as_codegen_obligation():
     assert not report.errors()
 
 
+def test_mutation_crossing_gate_regions():
+    """A second gate inside the first whose region ends past the first's:
+    both jumps are in range, but the regions cross instead of nesting.
+    The verifier flags it, and the generated step (which needs nested
+    regions) raises a typed error instead of misbehaving."""
+    from repro.core.errors import SimulationError
+    schedule = compile_flat(_gated_model(every(2)))
+    program = [list(op) for op in schedule.program]
+    gate_index = next(i for i, op in enumerate(program)
+                      if op[0] == OP_GATE)
+    target = program[gate_index][2]
+    assert target < len(program)  # room for the inner region to overrun
+    program[gate_index][2] = target + 1
+    program.insert(gate_index + 2,
+                   [OP_GATE, program[gate_index][1], target + 2])
+    mutant = _doctor(schedule, program)
+    report = lint_flat_schedule(mutant)
+    findings = report.by_rule("ir-gate-structure")
+    assert [f.location["op"] for f in findings] == [gate_index + 2], \
+        report.describe()
+    assert findings[0].severity is Severity.ERROR
+    assert "gate regions must nest" in findings[0].message
+    with pytest.raises(SimulationError, match="do not nest forward"):
+        mutant.step({}, None, 0)
+
+
 def test_mutation_correction_missing_dropped_barrier(feedback_schedule):
     program = [op for op in feedback_schedule.program
                if op[0] != OP_CORRECT]

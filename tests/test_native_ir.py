@@ -324,3 +324,91 @@ def test_trampoline_covers_nested_fallback_and_exact_escapes():
     before = schedule.trampoline_calls
     native.run({"x": Stream([2 ** 70]), "y": Stream([2 ** 70])}, 1)
     assert schedule.trampoline_calls - before > 1  # run-time bails fired
+
+
+# -- toolchain fault injection -------------------------------------------------
+
+
+def _fake_compiler(monkeypatch, toolchain):
+    """Pretend a compiler exists without ever invoking one."""
+    monkeypatch.setattr(toolchain, "find_compiler", lambda: "/usr/bin/cc")
+    monkeypatch.setattr(toolchain, "compiler_banner",
+                        lambda compiler: "fake cc 1.0")
+
+
+def test_failed_source_write_leaves_no_partial_file_on_the_shared_path(
+        monkeypatch, tmp_path):
+    """A writer dying mid-write (disk full) must not leave a truncated
+    ``.c`` where a racing worker's compiler could pick it up."""
+    from repro.simulation.native import toolchain
+    _fake_compiler(monkeypatch, toolchain)
+
+    class _DiskFull:
+        def __init__(self, path):
+            self._handle = open(path, "w", encoding="utf-8")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def write(self, text):
+            self._handle.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(toolchain, "open",
+                        lambda path, *args, **kwargs: _DiskFull(path),
+                        raising=False)
+    directory = tmp_path / "cache"
+    with pytest.raises(NativeLoweringError,
+                       match="cannot write C source .*No space left"):
+        toolchain.ensure_shared_object("int x;\n", str(directory))
+    assert list(directory.iterdir()) == []
+
+
+def test_hung_compiler_times_out_with_typed_error(monkeypatch, tmp_path):
+    import subprocess
+
+    from repro.simulation.native import toolchain
+    _fake_compiler(monkeypatch, toolchain)
+    seen = {}
+
+    def hung(command, **kwargs):
+        seen["timeout"] = kwargs.get("timeout")
+        raise subprocess.TimeoutExpired(command, kwargs.get("timeout"))
+
+    monkeypatch.setattr(toolchain.subprocess, "run", hung)
+    directory = tmp_path / "cache"
+    with pytest.raises(NativeLoweringError,
+                       match=r"C compilation timed out after \d+s"):
+        toolchain.ensure_shared_object("int x;\n", str(directory))
+    assert seen["timeout"] == toolchain.COMPILE_TIMEOUT_S
+    assert not [name for name in os.listdir(directory)
+                if name.endswith(".so") or ".tmp" in name]
+
+
+@requires_cc
+def test_truncated_cache_entry_is_dropped_and_rebuilt(monkeypatch):
+    from repro.simulation.native import ensure_shared_object, toolchain
+    model = _expression_heavy_model()
+    source = lower_program(compile_flat(model), EMITTER_VERSION).source
+    so_path, _hit = ensure_shared_object(source)
+    with open(so_path, "r+b") as handle:
+        handle.truncate(64)  # a torn entry left behind by a crashed worker
+    stimuli = {"x": Stream([1, 2, 3]), "y": Stream([3, 2, 1])}
+    native = CompiledSimulator(model, backend="native")
+    assert native.schedule.so_path == so_path
+    assert os.path.getsize(so_path) > 64
+    assert trace_to_json(native.run(stimuli, 3)) == trace_to_json(
+        CompiledSimulator(model, backend="flat").run(stimuli, 3))
+
+    def unloadable(path):
+        raise OSError(f"{path}: invalid ELF header")
+
+    # an object that still cannot be loaded after the one rebuild is a
+    # typed error, not a raw OSError
+    monkeypatch.setattr(toolchain.ctypes, "CDLL", unloadable)
+    with pytest.raises(NativeLoweringError,
+                       match="cannot load native object .*invalid ELF header"):
+        compile_native(model)
