@@ -35,8 +35,8 @@ import traceback
 from concurrent.futures import (Executor, ProcessPoolExecutor,
                                 ThreadPoolExecutor, as_completed)
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from ..core.components import Component
 from ..core.errors import SimulationError
@@ -45,7 +45,6 @@ from ..obs.context import current_events, current_registry, maybe_span
 from ..obs.events import CampaignEvent, EventLog
 from ..obs.metrics import MetricsRegistry
 from ..simulation.compiled import CompiledSimulator
-from ..simulation.engine import run_stepped
 from ..simulation.trace import SimulationTrace
 from .generators import Scenario
 from .report import active_mode_paths
@@ -103,6 +102,10 @@ def shard_scenarios(scenarios: Sequence[Scenario],
 # --------------------------------------------------------------------------
 
 _ERROR_KIND = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
+#: Counter of the schedule compiles a campaign paid: one per pool worker
+#: that ran a task (reported with its first task), one for a serial run.
+WORKER_COMPILES = "runner.worker.compiles"
 
 
 def _error_kind(error: Optional[str]) -> str:
@@ -189,12 +192,16 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
                      events: Optional[EventLog] = None) -> ScenarioResult:
     """Run one scenario against a compiled simulator with error isolation.
 
-    Mode collection is schedule-aware: flat schedules expose their active
-    machines positionally via
-    :meth:`~repro.simulation.schedule_ir.FlatSchedule.mode_paths` (same
-    paths and values as :func:`~repro.scenarios.report.active_mode_paths`
-    on a nested state tree), so sharded batches and coverage-guided search
-    get the flat engine's speed without losing coverage observability.
+    With *collect_modes* the active mode of every MTD and STD is recorded
+    after each tick.  Flat and native schedules observe through their
+    compiled :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan`,
+    reading only the leaves that carry a machine (same paths and values
+    as :func:`~repro.scenarios.report.active_mode_paths` on a nested state
+    tree); a model without machines has an empty plan and runs exactly
+    like an unobserved scenario, with empty histories.  Nested schedules
+    walk the whole state tree.  Either way the scenario runs through
+    :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
+    campaign opens one ``run`` span per scenario.
 
     *registry* receives ``runner.scenario.*`` telemetry and *events* the
     ``scenario_finished`` / ``scenario_error`` campaign events; when
@@ -210,31 +217,25 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     start = time.perf_counter()
     try:
         schedule = simulator.schedule
-        if collect_modes:
-            component = simulator.component
-            telemetry = _obs_active()
-            step = (telemetry.step_for(schedule)
-                    if telemetry is not None else None) or schedule.step
+        # nested schedules carry no plan: they always walk the state tree
+        if collect_modes and getattr(schedule, "mode_plan", True):
             extract_modes = getattr(schedule, "mode_paths", None)
             if extract_modes is None:
+                component = simulator.component
                 extract_modes = lambda state: active_mode_paths(component,
                                                                 state)
             histories: Dict[str, List[Any]] = {}
 
-            def observing_step(inputs: Mapping[str, Any], state: Any,
-                               tick: int) -> Tuple[Dict[str, Any], Any]:
-                outputs, new_state = step(inputs, state, tick)
-                for path, mode in extract_modes(new_state).items():
+            def observe(state: Any) -> None:
+                for path, mode in extract_modes(state).items():
                     histories.setdefault(path, []).append(mode)
-                return outputs, new_state
 
-            trace = run_stepped(component, observing_step, scenario.stimuli,
-                                scenario.ticks, simulator.check_types,
-                                initial_state=schedule.initial_state())
+            trace = simulator.run(scenario.stimuli, scenario.ticks,
+                                  observe=observe)
             mode_paths: Optional[Dict[str, List[Any]]] = histories
         else:
             trace = simulator.run(scenario.stimuli, scenario.ticks)
-            mode_paths = None
+            mode_paths = {} if collect_modes else None
         result = ScenarioResult(scenario.name, trace=trace,
                                 duration=time.perf_counter() - start,
                                 worker=worker, mode_paths=mode_paths)
@@ -362,6 +363,7 @@ def _process_initializer(payload: bytes, check_types: bool,
     _PROCESS_WORKER["simulator"] = CompiledSimulator(component,
                                                      check_types=check_types,
                                                      backend=backend)
+    _PROCESS_WORKER["compiles"] = 1  # not yet reported
     _PROCESS_WORKER["collect_modes"] = collect_modes
     _PROCESS_WORKER["observe"] = observe
     _PROCESS_WORKER["obs_config"] = obs_config or {}
@@ -389,6 +391,8 @@ def _observed_process_task(run: Callable[..., Any],
                       ring_ticks=config.get("ring_ticks", 16),
                       postmortem_dir=config.get("postmortem_dir")
                       ) as telemetry:
+        telemetry.registry.counter(WORKER_COMPILES).inc(
+            _PROCESS_WORKER.pop("compiles", 0))
         with telemetry.tracer.span("runner.worker_task", worker=worker):
             out = run(_PROCESS_WORKER["simulator"], argument,
                       _PROCESS_WORKER["collect_modes"], worker=worker,
@@ -511,6 +515,8 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                                    scenarios=len(batch), executor=executor)
             simulator = CompiledSimulator(component, check_types=check_types,
                                           backend=backend)
+            if parent_registry is not None:
+                parent_registry.counter(WORKER_COMPILES).inc()
             results = execute_batch(simulator, batch, collect_modes,
                                     registry=parent_registry,
                                     events=parent_events)
@@ -543,6 +549,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
             local.simulator = CompiledSimulator(component,
                                                 check_types=check_types,
                                                 backend=backend)
+            local.compiles = 1  # not yet reported
 
         # thread workers mirror the process protocol: fresh per-task
         # registry and event buffer rather than the shared ambient ones,
@@ -550,12 +557,18 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
         # appends/increments
         buffer_events = parent_events is not None
 
+        def task_registry() -> MetricsRegistry:
+            registry = MetricsRegistry()
+            registry.counter(WORKER_COMPILES).inc(local.compiles)
+            local.compiles = 0
+            return registry
+
         def run_one(scenario: Scenario) -> Any:
             worker = threading.current_thread().name
             if not observe:
                 return execute_scenario(
                     local.simulator, scenario, collect_modes, worker=worker)
-            registry = MetricsRegistry()
+            registry = task_registry()
             log = EventLog() if buffer_events else None
             result = execute_scenario(
                 local.simulator, scenario, collect_modes,
@@ -569,7 +582,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
             if not observe:
                 return execute_batch(
                     local.simulator, chunk, collect_modes, worker=worker)
-            registry = MetricsRegistry()
+            registry = task_registry()
             log = EventLog() if buffer_events else None
             results = execute_batch(
                 local.simulator, chunk, collect_modes,

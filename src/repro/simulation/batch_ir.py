@@ -272,7 +272,6 @@ class BatchSchedule:
                 horizons[index] = tick
 
         leaves = flat.leaves
-        n_leaves = len(leaves)
         n_buffers = len(flat.buffer_specs)
         states: List[List[Any]] = [
             [leaf.component.initial_state() for _ in range(lanes)]
@@ -287,6 +286,9 @@ class BatchSchedule:
         live = np.array([error is None for error in errors], dtype=bool)
         histories: Optional[List[Dict[str, List[Any]]]] = \
             [{} for _ in range(lanes)] if collect_modes else None
+        # only the leaves carrying a machine are read, per lane; a
+        # machine-free battery observes nothing
+        mode_plan = flat.mode_plan if collect_modes else ()
 
         # telemetry: bound ONCE per sweep -- the disabled path binds the
         # uninstrumented generated tick and never consults the context again
@@ -327,15 +329,16 @@ class BatchSchedule:
                 vector_ticks += 1
                 for name, slot in output_spec:
                     out_rows[name][tick] = values[slot]
-            if histories is not None:
+            if mode_plan:
                 for index in indices:
                     if not live[index]:
                         continue
-                    lane_state = FlatState(
-                        [next_states[leaf][index]
-                         for leaf in range(n_leaves)], [])
-                    for path, mode in flat.mode_paths(lane_state).items():
-                        histories[index].setdefault(path, []).append(mode)
+                    observed: Dict[str, Any] = {}
+                    for leaf, read in mode_plan:
+                        read(next_states[leaf][index], observed)
+                    history = histories[index]
+                    for path, mode in observed.items():
+                        history.setdefault(path, []).append(mode)
             if check_types:
                 for index in indices:
                     if not live[index]:

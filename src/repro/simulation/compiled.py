@@ -487,6 +487,17 @@ def _compile_std(component: StateTransitionDiagram) -> CompiledSchedule:
     return CompiledSchedule(component, "std", step)
 
 
+def _observed(step: StepFunction,
+              observe: Callable[[Any], None]) -> StepFunction:
+    """*step*, calling *observe* with the new state after every tick."""
+    def observed_step(inputs: Mapping[str, Any], state: Any,
+                      tick: int) -> Tuple[Dict[str, Any], Any]:
+        outputs, new_state = step(inputs, state, tick)
+        observe(new_state)
+        return outputs, new_state
+    return observed_step
+
+
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
 _BACKENDS = ("auto", "batch", "flat", "native", "nested")
 
@@ -564,12 +575,20 @@ class CompiledSimulator:
                 span.attributes["kind"] = self.schedule.kind
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]] = None,
-            ticks: int = 10) -> SimulationTrace:
+            ticks: int = 10,
+            observe: Optional[Callable[[Any], None]] = None
+            ) -> SimulationTrace:
         """Simulate for *ticks* ticks and return the recorded trace.
 
-        With observability enabled (:mod:`repro.obs`) the run is wrapped in
-        a tracing span, and -- when the session asked for ``profile_ops``
-        or ``flight_recording`` and the schedule is a flat program --
+        *observe*, when given, is called with the schedule's state after
+        every tick (the sharded runner's mode observation).  Observed runs
+        take the stepped path even when ``backend="batch"``: a vectorized
+        sweep has no per-tick state of one scenario.
+
+        With observability enabled (:mod:`repro.obs`) the run, observed or
+        not, is wrapped in a ``run`` span, and -- when the session asked
+        for ``profile_ops`` or ``flight_recording`` and the schedule is a
+        flat program --
         executed through a swapped-in step variant (op-profiling or
         flight-recording; recording wins when both are on).  Flight
         recording also overrides the vectorized batch backend: forensics
@@ -581,17 +600,18 @@ class CompiledSimulator:
         telemetry = _obs_active()
         recording = (telemetry is not None and telemetry.flight_recording
                      and hasattr(self.schedule, "recording_step"))
-        if self.batch_schedule is not None and not recording:
+        if self.batch_schedule is not None and not recording \
+                and observe is None:
             return self.batch_schedule.run_one(stimuli, ticks,
                                                self.check_types)
-        if telemetry is None:
-            return run_stepped(self.component, self.schedule.step, stimuli,
-                               ticks, self.check_types,
-                               initial_state=self.schedule.initial_state())
-        step = telemetry.step_for(self.schedule) or self.schedule.step
-        with telemetry.tracer.span("run", component=self.component.name,
-                                   backend=self.backend, ticks=ticks,
-                                   kind=self.schedule.kind):
+        step = self.schedule.step
+        if telemetry is not None:
+            step = telemetry.step_for(self.schedule) or step
+        if observe is not None:
+            step = _observed(step, observe)
+        with maybe_span("run", component=self.component.name,
+                        backend=self.backend, ticks=ticks,
+                        kind=self.schedule.kind):
             return run_stepped(self.component, step, stimuli, ticks,
                                self.check_types,
                                initial_state=self.schedule.initial_state())

@@ -31,6 +31,7 @@ from repro.notations.mtd import ModeTransitionDiagram
 from repro import obs
 from repro.obs.profile import OpProfile
 from repro.obs.recorder import FlightRecorder
+from repro.scenarios import Scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, compile_batch, compile_flat,
                               native_available)
@@ -230,6 +231,39 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
 @pytest.mark.parametrize("seed", range(8, 40))
 def test_four_backend_fuzz_extended(seed):
     test_four_backends_agree_on_random_models_and_batteries(seed)
+
+
+# -- mode histories ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mode_histories_agree_across_backends(seed):
+    """``collect_modes=True`` campaigns record identical per-tick mode
+    histories on every backend: nested walks the whole state tree, flat
+    and native read the leaves their mode plan names, batch reads those
+    leaves per lane."""
+    rng = random.Random(9000 + seed)
+    model = _build_model(rng, seed)
+    battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
+               in _battery(rng, model, size=rng.randint(3, 8))]
+    backends = ["nested", "flat", "batch"] + (["native"] if _HAS_NATIVE
+                                              else [])
+    outcomes = {}
+    for backend in backends:
+        results = run_sharded(model, battery, executor="serial",
+                              collect_modes=True, backend=backend)
+        outcomes[backend] = [
+            (result.error, result.mode_paths,
+             _typed_streams(result.trace) if result.ok else None)
+            for result in results]
+    for backend in backends[1:]:
+        assert outcomes[backend] == outcomes["nested"], (seed, backend)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(8, 40))
+def test_mode_histories_fuzz_extended(seed):
+    test_mode_histories_agree_across_backends(seed)
 
 
 # -- generated step variants ---------------------------------------------------

@@ -22,6 +22,9 @@ from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import Gain, UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
+from repro.notations.std import StateTransitionDiagram
+from repro.scenarios import Scenario, run_sharded
+from repro.scenarios.report import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, FlatState, ScenarioSuite,
                               Simulator, build_gated_ccd, compile_component,
@@ -466,22 +469,171 @@ def test_flat_step_accepts_nested_initial_state():
     assert isinstance(from_nested[1], FlatState)
 
 
-def test_mode_paths_matches_reference_state_walk():
-    from repro.scenarios.report import active_mode_paths
-    model = gated_mtd_system(every(2), direct=False)
+def assert_mode_paths_track_reference(model, steps):
+    """Step the interpreter and the flat schedule side by side: at every
+    tick ``mode_paths`` must equal the walker on the reference state.
+    Returns the flat schedule and its per-tick observations."""
     flat = compile_flat(model)
     reference_state, flat_state = None, flat.initial_state()
-    stimuli = [5.0, 0.0, 3.0, 0.5, ABSENT, 2.5, 0.0, 4.0]
-    for tick, value in enumerate(stimuli):
-        inputs = {"x": value}
+    observed = []
+    for tick, inputs in enumerate(steps):
         _, reference_state = model.react(inputs, reference_state, tick)
         _, flat_state = flat.step(inputs, flat_state, tick)
-        assert flat.mode_paths(flat_state) == \
-            active_mode_paths(model, reference_state), tick
+        paths = flat.mode_paths(flat_state)
+        assert paths == active_mode_paths(model, reference_state), tick
+        observed.append(paths)
+    return flat, observed
+
+
+def planned_paths(flat):
+    return [flat.leaves[index].mode_path for index, _read in flat.mode_plan]
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_mode_paths_matches_reference_state_walk(direct):
+    model = gated_mtd_system(every(2), direct=direct)
+    flat, _ = assert_mode_paths_track_reference(
+        model, [{"x": value} for value in
+                [5.0, 0.0, 3.0, 0.5, ABSENT, 2.5, 0.0, 4.0]])
+    assert planned_paths(flat) == (["Sys/Plant"] if direct
+                                   else ["Sys/Plant/Modes"])
+
+
+def chain_ccd(blocks):
+    """The rate-banded expression chain clustered into a gated CCD (the
+    campaign benchmark's machine-free workload shape)."""
+    from repro.transformations.clustering import cluster_by_clock
+    dfd = DataFlowDiagram(f"Chain{blocks}")
+    dfd.add_input("u")
+    dfd.add_output("y")
+    previous = "u"
+    for index in range(blocks):
+        block = ExpressionComponent(f"B{index}", {"out": "in1 + 1"})
+        block.declare_interface_from_expressions()
+        block.annotate("rate", 1 if index < blocks // 2 else 10)
+        dfd.add_subcomponent(block)
+        dfd.connect(previous, f"B{index}.in1")
+        previous = f"B{index}.out"
+    delay = UnitDelay("Z")
+    delay.annotate("rate", 10)
+    dfd.add_subcomponent(delay)
+    dfd.connect(previous, "Z.in1")
+    dfd.connect(previous, "y")
+    ccd, _ = cluster_by_clock(dfd)
+    return build_gated_ccd(ccd)
+
+
+def std_in_mode_mtd():
+    """An MTD whose ``High`` mode runs an STD: the STD's path exists only
+    while the MTD is in ``High``."""
+    seq = StateTransitionDiagram("Seq")
+    seq.add_input("x")
+    seq.add_output("out")
+    seq.add_state("Idle", emissions={"out": "x"})
+    seq.add_state("Busy", emissions={"out": "x * 2"})
+    seq.add_transition("Idle", "Busy", "x > 4")
+    seq.add_transition("Busy", "Idle", "x < 3")
+    mtd = ModeTransitionDiagram("Modes")
+    mtd.add_input("x")
+    mtd.add_output("out")
+    low = ExpressionComponent("LowB", {"out": "x * 1"})
+    low.declare_interface_from_expressions()
+    mtd.add_mode("Low", low, initial=True)
+    mtd.add_mode("High", seq)
+    mtd.add_transition("Low", "High", "x > 2")
+    mtd.add_transition("High", "Low", "x < 1")
+    system = DataFlowDiagram("Sys")
+    system.add_input("x")
+    system.add_output("out")
+    system.add_subcomponent(mtd)
+    system.connect("x", "Modes.x")
+    system.connect("Modes.out", "out")
+    return system
+
+
+def std_in_fallback_composite():
+    """An STD inside ``Child``, a composite that must stay a nested leaf:
+    it is non-feedthrough (the STD reads the delayed value) and fed by the
+    later-scheduled ``A``."""
+    seq = StateTransitionDiagram("Seq")
+    seq.add_input("x")
+    seq.add_output("out")
+    seq.add_state("Calm", emissions={"out": "0"})
+    seq.add_state("Hot", emissions={"out": "1"})
+    seq.add_transition("Calm", "Hot", "x > 3")
+    seq.add_transition("Hot", "Calm", "x < 2")
+    child = DataFlowDiagram("Child")
+    child.add_input("u")
+    child.add_output("y")
+    child.add_output("s")
+    child.add(UnitDelay("Z", initial=0), seq)
+    child.connect("u", "Z.in1")
+    child.connect("Z.out", "y")
+    child.connect("Z.out", "Seq.x")
+    child.connect("Seq.out", "s")
+
+    parent = DataFlowDiagram("Parent")
+    parent.add_input("u")
+    parent.add_output("y")
+    parent.add_output("s")
+    add = ExpressionComponent("A", {"out": "u0 + fb"})
+    add.declare_interface_from_expressions()
+    parent.add(add, child)
+    parent.connect("u", "A.u0")
+    parent.connect("Child.y", "A.fb")
+    parent.connect("A.out", "Child.u")
+    parent.connect("A.out", "y")
+    parent.connect("Child.s", "s")
+    return parent
+
+
+def test_machine_free_schedule_has_an_empty_mode_plan():
+    model = chain_ccd(60)
+    flat, observed = assert_mode_paths_track_reference(
+        model, [{"u": float(tick)} for tick in range(12)])
+    assert len(flat.leaves) == 61
+    assert flat.mode_plan == ()
+    assert observed == [{}] * 12
+    result, = run_sharded(model, [Scenario("walk", {"u": [1.0] * 12}, 12)],
+                          executor="serial", collect_modes=True)
+    assert result.ok and result.mode_paths == {}
+
+
+def test_mode_plan_walks_std_inside_mtd_mode():
+    model = std_in_mode_mtd()
+    flat, observed = assert_mode_paths_track_reference(
+        model, [{"x": value} for value in [0, 3, 5, 5, 3.5, 2, 0.5, 0, 6]])
+    assert planned_paths(flat) == ["Sys/Modes"]
+    assert "Sys/Modes/High" in set().union(*observed)
+
+
+def test_mode_plan_walks_machine_inside_nested_fallback_leaf():
+    model = std_in_fallback_composite()
+    flat, observed = assert_mode_paths_track_reference(
+        model, [{"u": value} for value in [1, 1, 1, 1, -4, -4, 1, 1]])
+    assert flat.fallback_paths == ["Parent/Child"]
+    assert planned_paths(flat) == ["Parent/Child"]
+    assert {paths["Parent/Child/Seq"] for paths in observed} \
+        == {"Calm", "Hot"}
+
+
+def test_mode_paths_appear_and_disappear_with_the_active_mode():
+    model = std_in_mode_mtd()
+    values = [0, 3, 5, 5, 0.5, 0, 3, 6]
+    _, observed = assert_mode_paths_track_reference(
+        model, [{"x": value} for value in values])
+    present = ["Sys/Modes/High" in paths for paths in observed]
+    assert present == [False, True, True, True, False, False, True, True]
+    scenario = [Scenario("switch", {"x": values}, len(values))]
+    histories = [run_sharded(model, scenario, executor="serial",
+                             collect_modes=True, backend=backend)[0]
+                 .mode_paths for backend in ("nested", "flat")]
+    assert histories[0] == histories[1]
+    assert len(histories[1]["Sys/Modes"]) == len(values)
+    assert len(histories[1]["Sys/Modes/High"]) == sum(present)
 
 
 def test_sharded_collect_modes_observes_flat_states():
-    from repro.scenarios import Scenario, run_sharded
     model = gated_mtd_system(every(2), direct=False)
     stimuli = {"x": [5.0, 0.0, 3.0, 0.0, 0.0, 2.8, 0.0, 4.0]}
     results = run_sharded(model, [Scenario("sweep", stimuli, 8)],
@@ -490,7 +642,6 @@ def test_sharded_collect_modes_observes_flat_states():
     histories = results[0].mode_paths
     assert set(histories) == {"Sys/Plant/Modes"}
     # per-tick history equals the reference engine's state walk
-    from repro.scenarios.report import active_mode_paths
     state, expected = None, []
     for tick in range(8):
         _, state = model.react({"x": stimuli["x"][tick]}, state, tick)

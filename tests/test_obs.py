@@ -436,6 +436,40 @@ def test_runner_counts_errors_by_exception_type(engine_modes_mtd):
     assert counters["runner.scenario.ok"] == 3
 
 
+@pytest.mark.parametrize("collect_modes", [False, True])
+def test_traced_campaign_opens_one_run_span_per_scenario(engine_modes_mtd,
+                                                         collect_modes):
+    """Observing modes or not, every scenario runs through
+    ``CompiledSimulator.run`` and opens its ``run`` span: on a machine-free
+    flat model (empty mode plan) and on an MTD root (walked every tick)."""
+    walks = [Scenario(f"walk{index}",
+                      {"u": RandomWalk(seed=index, start=0.0, step=1.0)},
+                      ticks=12) for index in range(3)]
+    for model, batch in ((gated_accumulator(), walks),
+                         (engine_modes_mtd, _engine_batch(count=3, ticks=12))):
+        with obs.session() as telemetry:
+            results = run_sharded(model, batch, executor="serial",
+                                  collect_modes=collect_modes)
+        assert all(result.ok for result in results)
+        runs = [(span.attributes["component"], span.attributes["ticks"])
+                for span in telemetry.tracer.walk() if span.name == "run"]
+        assert runs == [(model.name, 12)] * len(batch), model.name
+
+
+def test_runner_counts_one_compile_per_worker(engine_modes_mtd):
+    """``runner.worker.compiles``: one schedule compile per worker that
+    ran a task; a serial campaign compiles once, in the caller."""
+    for executor, options in (("serial", {}),
+                              ("thread", {"max_workers": 3,
+                                          "chunk_size": 2})):
+        with obs.session() as telemetry:
+            results = run_sharded(engine_modes_mtd, _engine_batch(),
+                                  executor=executor, **options)
+        workers = {result.worker for result in results}
+        assert telemetry.registry.counter("runner.worker.compiles").value \
+            == len(workers), executor
+
+
 def test_runner_records_nothing_when_disabled(engine_modes_mtd):
     results = run_sharded(engine_modes_mtd, _engine_batch(count=2),
                           executor="serial")
