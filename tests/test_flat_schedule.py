@@ -489,14 +489,20 @@ def planned_paths(flat):
     return [flat.leaves[index].mode_path for index, _read in flat.mode_plan]
 
 
-@pytest.mark.parametrize("direct", [False, True])
-def test_mode_paths_matches_reference_state_walk(direct):
-    model = gated_mtd_system(every(2), direct=direct)
-    flat, _ = assert_mode_paths_track_reference(
-        model, [{"x": value} for value in
-                [5.0, 0.0, 3.0, 0.5, ABSENT, 2.5, 0.0, 4.0]])
-    assert planned_paths(flat) == (["Sys/Plant"] if direct
-                                   else ["Sys/Plant/Modes"])
+GATED_MTD_STIMULI = [{"x": value} for value in
+                     [5.0, 0.0, 3.0, 0.5, ABSENT, 2.5, 0.0, 4.0]]
+
+
+def test_mode_paths_matches_reference_state_walk():
+    model = gated_mtd_system(every(2), direct=False)
+    flat, _ = assert_mode_paths_track_reference(model, GATED_MTD_STIMULI)
+    assert planned_paths(flat) == ["Sys/Plant/Modes"]
+
+
+def test_mode_paths_matches_reference_state_walk_bare_mtd():
+    model = gated_mtd_system(every(2), direct=True)
+    flat, _ = assert_mode_paths_track_reference(model, GATED_MTD_STIMULI)
+    assert planned_paths(flat) == ["Sys/Plant"]
 
 
 def chain_ccd(blocks):
