@@ -7,16 +7,20 @@ A 32-scenario batch of seeded random-walk stimuli is run
 * serially through :meth:`ScenarioSuite.run_all` (one shared compiled
   schedule), and
 * sharded across a 4-worker process pool via :func:`run_sharded`, one task
-  per shard (the model is pickled once per worker; each worker compiles
+  per scenario (the model is pickled once per worker; each worker compiles
   its own schedule).
 
-The acceptance gate is on deterministic counts that :mod:`repro.obs`
-records for the pooled run: one schedule compile per worker
-(``runner.worker.compiles``), one task per shard (``shard_dispatched``
-events and ``runner.worker_task`` spans) and each shard's scenarios per
-task, with traces byte-identical to the serial run.  The wall-clock
-speed-up is printed but not gated: the serial batch takes about as long
-as starting the pool, so on a small host the ratio measures the host.
+The wall-clock speed-up of an untraced pooled run is printed but not
+gated: the serial batch takes about as long as starting the pool, so on a
+small host the ratio measures the host.  The acceptance gates are on
+deterministic counts that :mod:`repro.obs` records for a second, traced
+pooled run: one task per scenario (``shard_dispatched`` events and
+``runner.worker_task`` spans) and one schedule compile per worker that
+ran a task (``compile.simulators``, counted where the compile happens),
+so 32 tasks on 4 workers pay at most 4 compiles.  A batched run
+(``backend="batch"``) on a batch that does not divide evenly checks that
+the pool receives exactly the :func:`shard_scenarios` shards, one task
+each.  Traces are byte-identical to the serial run throughout.
 Per-worker compile amortization is measured separately: the pool pays
 ``workers`` compilations where a naive per-scenario pool would pay
 ``len(batch)``.
@@ -95,10 +99,29 @@ def test_p3_shard_partitioning_is_balanced():
                  f"sizes {sizes}")
 
 
+def _counted_pool_run(gated, batch, **options):
+    """One pooled run inside a telemetry session: the results plus the
+    counts the gates read (scenarios per ``shard_dispatched`` event,
+    ``runner.worker_task`` spans, workers that ran a task, compiles)."""
+    events = EventLog()
+    with obs.session(events=events) as telemetry:
+        results = run_sharded(gated, batch, executor="process",
+                              max_workers=WORKERS, **options)
+    for result in results:
+        assert result.ok, (result.name, result.error)
+    dispatched = [event.data["scenarios"] for event in events.events
+                  if event.type == "shard_dispatched"]
+    tasks = sum(1 for span in telemetry.tracer.walk()
+                if span.name == "runner.worker_task")
+    workers = {result.worker for result in results}
+    compiles = telemetry.registry.counter("compile.simulators").value
+    return results, dispatched, tasks, workers, compiles
+
+
 @pytest.mark.parallel
 def test_p3_sharded_vs_serial_ccd_batch():
-    """Acceptance gate on counts: one compile per worker, one task per
-    shard, each task its shard's scenarios; byte-identical traces."""
+    """Acceptance gate on counts: one task per scenario, one compile per
+    worker however many tasks it ran; byte-identical traces."""
     gated = _gated_ccd_workload()
     batch = _batch()
 
@@ -110,34 +133,52 @@ def test_p3_sharded_vs_serial_ccd_batch():
     serial_traces = suite.run_all()
     t_serial = time.perf_counter() - start
 
-    shards = [len(shard) for shard in shard_scenarios(batch, WORKERS)]
-    events = EventLog()
-    with obs.session(events=events) as telemetry:
-        start = time.perf_counter()
-        results = run_sharded(gated, batch, executor="process",
-                              max_workers=WORKERS,
-                              chunk_size=BATCH_SIZE // WORKERS)
-        t_sharded = time.perf_counter() - start
+    start = time.perf_counter()
+    timed = run_sharded(gated, batch, executor="process",
+                        max_workers=WORKERS)
+    t_sharded = time.perf_counter() - start
 
-    for result in results:
+    results, dispatched, tasks, workers, compiles = \
+        _counted_pool_run(gated, batch)
+    for result in timed + results:
         assert result.ok, (result.name, result.error)
         assert first_difference(serial_traces[result.name],
                                 result.trace) is None
 
-    dispatched = [event.data["scenarios"] for event in events.events
-                  if event.type == "shard_dispatched"]
-    tasks = [span for span in telemetry.tracer.walk()
-             if span.name == "runner.worker_task"]
-    workers = {result.worker for result in results}
-    compiles = telemetry.registry.counter("runner.worker.compiles").value
     report("P3", f"{BATCH_SIZE} scenarios x {TICKS} ticks on gated CCD: "
-                 f"{len(tasks)} tasks of {dispatched} scenarios on "
-                 f"{len(workers)} workers, {compiles} compiles; serial "
-                 f"{t_serial:.3f}s, pooled {t_sharded:.3f}s -> "
-                 f"{t_serial / t_sharded:.2f}x, not gated "
-                 f"({os.cpu_count()} CPUs)")
+                 f"{tasks} tasks on {len(workers)} workers, {compiles} "
+                 f"compiles; serial {t_serial:.3f}s, pooled (untraced) "
+                 f"{t_sharded:.3f}s -> {t_serial / t_sharded:.2f}x, not "
+                 f"gated ({os.cpu_count()} CPUs)")
+    assert dispatched == [1] * BATCH_SIZE
+    assert tasks == BATCH_SIZE
+    assert compiles == len(workers) <= WORKERS
+
+
+@pytest.mark.parallel
+def test_p3_batched_pool_dispatches_one_shard_per_task():
+    """With ``backend="batch"`` the pool receives :func:`shard_scenarios`
+    shards, one task each; a batch that does not divide evenly checks the
+    shard sizes, not just their count."""
+    pytest.importorskip("numpy")
+    gated = _gated_ccd_workload()
+    batch = _batch(BATCH_SIZE - 2, ticks=60)
+    shards = [len(shard) for shard in shard_scenarios(batch, WORKERS)]
+    assert len(set(shards)) == 2
+
+    results, dispatched, tasks, workers, compiles = \
+        _counted_pool_run(gated, batch, backend="batch")
+    simulator = CompiledSimulator(gated)
+    for result, scenario in zip(results, batch):
+        assert first_difference(simulator.run(scenario.stimuli,
+                                              scenario.ticks),
+                                result.trace) is None
+
+    report("P3", f"batched pool: {len(batch)} scenarios as shards "
+                 f"{dispatched} in {tasks} tasks on {len(workers)} "
+                 f"workers, {compiles} compiles")
     assert dispatched == shards
-    assert len(tasks) == len(shards)
+    assert tasks == len(shards)
     assert compiles == len(workers) <= WORKERS
 
 

@@ -42,12 +42,12 @@ from ..core.components import Component
 from ..core.errors import SimulationError
 from ..obs.context import active as _obs_active
 from ..obs.context import current_events, current_registry, maybe_span
+from ..obs.context import session as _obs_session
 from ..obs.events import CampaignEvent, EventLog
 from ..obs.metrics import MetricsRegistry
 from ..simulation.compiled import CompiledSimulator
 from ..simulation.trace import SimulationTrace
 from .generators import Scenario
-from .report import active_mode_paths
 
 #: Result callback invoked as scenarios complete (streaming consumption).
 ResultCallback = Callable[["ScenarioResult"], None]
@@ -102,10 +102,6 @@ def shard_scenarios(scenarios: Sequence[Scenario],
 # --------------------------------------------------------------------------
 
 _ERROR_KIND = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-
-#: Counter of the schedule compiles a campaign paid: one per pool worker
-#: that ran a task (reported with its first task), one for a serial run.
-WORKER_COMPILES = "runner.worker.compiles"
 
 
 def _error_kind(error: Optional[str]) -> str:
@@ -193,13 +189,15 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     """Run one scenario against a compiled simulator with error isolation.
 
     With *collect_modes* the active mode of every MTD and STD is recorded
-    after each tick.  Flat and native schedules observe through their
-    compiled :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan`,
-    reading only the leaves that carry a machine (same paths and values
-    as :func:`~repro.scenarios.report.active_mode_paths` on a nested state
-    tree); a model without machines has an empty plan and runs exactly
-    like an unobserved scenario, with empty histories.  Nested schedules
-    walk the whole state tree.  Either way the scenario runs through
+    after each tick through the schedule's ``mode_paths`` (same paths and
+    values as :func:`~repro.simulation.engine.active_mode_paths` on a
+    nested state tree).  Flat and native schedules read only the leaves of
+    their compiled
+    :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan`; when a
+    schedule reports no ``needs_mode_observation`` (a model without
+    machines) the scenario runs exactly like an unobserved one, with empty
+    histories.  Nested schedules walk the whole state tree.  Either way
+    the scenario runs through
     :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
     campaign opens one ``run`` span per scenario.
 
@@ -217,13 +215,8 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     start = time.perf_counter()
     try:
         schedule = simulator.schedule
-        # nested schedules carry no plan: they always walk the state tree
-        if collect_modes and getattr(schedule, "mode_plan", True):
-            extract_modes = getattr(schedule, "mode_paths", None)
-            if extract_modes is None:
-                component = simulator.component
-                extract_modes = lambda state: active_mode_paths(component,
-                                                                state)
+        if collect_modes and schedule.needs_mode_observation:
+            extract_modes = schedule.mode_paths
             histories: Dict[str, List[Any]] = {}
 
             def observe(state: Any) -> None:
@@ -360,10 +353,17 @@ def _process_initializer(payload: bytes, check_types: bool,
                          observe: bool = False,
                          obs_config: Optional[Dict[str, Any]] = None) -> None:
     component = pickle.loads(payload)
-    _PROCESS_WORKER["simulator"] = CompiledSimulator(component,
-                                                     check_types=check_types,
-                                                     backend=backend)
-    _PROCESS_WORKER["compiles"] = 1  # not yet reported
+    if observe:
+        # the compile records into a worker-local registry, shipped back
+        # with the worker's first task
+        with _obs_session() as setup:
+            simulator = CompiledSimulator(component, check_types=check_types,
+                                          backend=backend)
+        _PROCESS_WORKER["setup_registry"] = setup.registry
+    else:
+        simulator = CompiledSimulator(component, check_types=check_types,
+                                      backend=backend)
+    _PROCESS_WORKER["simulator"] = simulator
     _PROCESS_WORKER["collect_modes"] = collect_modes
     _PROCESS_WORKER["observe"] = observe
     _PROCESS_WORKER["obs_config"] = obs_config or {}
@@ -382,7 +382,6 @@ def _observed_process_task(run: Callable[..., Any],
     which :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a
     distinct Perfetto track per worker.
     """
-    from ..obs.context import session as _obs_session
     worker = f"pid-{os.getpid()}"
     config = _PROCESS_WORKER["obs_config"]
     log = EventLog() if config.get("events") else None
@@ -391,8 +390,9 @@ def _observed_process_task(run: Callable[..., Any],
                       ring_ticks=config.get("ring_ticks", 16),
                       postmortem_dir=config.get("postmortem_dir")
                       ) as telemetry:
-        telemetry.registry.counter(WORKER_COMPILES).inc(
-            _PROCESS_WORKER.pop("compiles", 0))
+        setup = _PROCESS_WORKER.pop("setup_registry", None)
+        if setup is not None:
+            telemetry.registry.merge(setup)
         with telemetry.tracer.span("runner.worker_task", worker=worker):
             out = run(_PROCESS_WORKER["simulator"], argument,
                       _PROCESS_WORKER["collect_modes"], worker=worker,
@@ -515,8 +515,6 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                                    scenarios=len(batch), executor=executor)
             simulator = CompiledSimulator(component, check_types=check_types,
                                           backend=backend)
-            if parent_registry is not None:
-                parent_registry.counter(WORKER_COMPILES).inc()
             results = execute_batch(simulator, batch, collect_modes,
                                     registry=parent_registry,
                                     events=parent_events)
@@ -544,12 +542,15 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
         run_chunk: Callable[[List[Scenario]], Any] = _process_run_chunk
     else:  # thread pool: per-thread compilation, no pickling
         local = threading.local()
+        compile_lock = threading.Lock()
 
         def _thread_initializer() -> None:
-            local.simulator = CompiledSimulator(component,
-                                                check_types=check_types,
-                                                backend=backend)
-            local.compiles = 1  # not yet reported
+            # the compile records into the caller's ambient telemetry,
+            # which is not synchronized: one thread compiles at a time
+            with compile_lock:
+                local.simulator = CompiledSimulator(component,
+                                                    check_types=check_types,
+                                                    backend=backend)
 
         # thread workers mirror the process protocol: fresh per-task
         # registry and event buffer rather than the shared ambient ones,
@@ -557,18 +558,12 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
         # appends/increments
         buffer_events = parent_events is not None
 
-        def task_registry() -> MetricsRegistry:
-            registry = MetricsRegistry()
-            registry.counter(WORKER_COMPILES).inc(local.compiles)
-            local.compiles = 0
-            return registry
-
         def run_one(scenario: Scenario) -> Any:
             worker = threading.current_thread().name
             if not observe:
                 return execute_scenario(
                     local.simulator, scenario, collect_modes, worker=worker)
-            registry = task_registry()
+            registry = MetricsRegistry()
             log = EventLog() if buffer_events else None
             result = execute_scenario(
                 local.simulator, scenario, collect_modes,
@@ -582,7 +577,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
             if not observe:
                 return execute_batch(
                     local.simulator, chunk, collect_modes, worker=worker)
-            registry = task_registry()
+            registry = MetricsRegistry()
             log = EventLog() if buffer_events else None
             results = execute_batch(
                 local.simulator, chunk, collect_modes,

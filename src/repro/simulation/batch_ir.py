@@ -63,7 +63,7 @@ from ..core.types import check_value
 from ..core.values import ABSENT, Stream, is_absent
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
-from .engine import StimulusSpec, prepare_feeds
+from .engine import StimulusSpec, active_mode_paths, prepare_feeds
 from .op_emit import batch_sweep
 from .schedule_ir import OP_EXPR, FlatSchedule, FlatState
 from .trace import SimulationTrace
@@ -286,9 +286,10 @@ class BatchSchedule:
         live = np.array([error is None for error in errors], dtype=bool)
         histories: Optional[List[Dict[str, List[Any]]]] = \
             [{} for _ in range(lanes)] if collect_modes else None
-        # only the leaves carrying a machine are read, per lane; a
+        # only the leaves of the mode plan are read, per lane; a
         # machine-free battery observes nothing
-        mode_plan = flat.mode_plan if collect_modes else ()
+        observed_leaves = [leaves[index] for index in flat.mode_plan] \
+            if collect_modes and flat.needs_mode_observation else []
 
         # telemetry: bound ONCE per sweep -- the disabled path binds the
         # uninstrumented generated tick and never consults the context again
@@ -329,13 +330,15 @@ class BatchSchedule:
                 vector_ticks += 1
                 for name, slot in output_spec:
                     out_rows[name][tick] = values[slot]
-            if mode_plan:
+            if observed_leaves:
                 for index in indices:
                     if not live[index]:
                         continue
                     observed: Dict[str, Any] = {}
-                    for leaf, read in mode_plan:
-                        read(next_states[leaf][index], observed)
+                    for leaf in observed_leaves:
+                        active_mode_paths(leaf.component,
+                                          next_states[leaf.index][index],
+                                          leaf.mode_path, observed)
                     history = histories[index]
                     for path, mode in observed.items():
                         history.setdefault(path, []).append(mode)

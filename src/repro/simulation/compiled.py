@@ -59,12 +59,12 @@ from ..core.components import (Component, CompositeComponent,
 from ..core.errors import ModelError, SimulationError
 from ..core.values import ABSENT, is_present
 from ..obs.context import active as _obs_active
-from ..obs.context import maybe_span
+from ..obs.context import current_registry, maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
 from .engine import (ClockGatedComponent, Simulator, StimulusSpec,
-                     build_gated_ccd, run_stepped)
+                     active_mode_paths, build_gated_ccd, run_stepped)
 from .trace import SimulationTrace, first_difference
 
 #: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
@@ -91,6 +91,15 @@ class CompiledSchedule:
 
     def initial_state(self) -> Any:
         return self.component.initial_state()
+
+    #: A nested schedule has no mode plan: observing modes always walks
+    #: the whole state tree (:meth:`mode_paths`).
+    needs_mode_observation = True
+
+    def mode_paths(self, state: Any) -> Dict[str, Any]:
+        """Active mode/state of every MTD and STD, keyed by hierarchical
+        path (:func:`~repro.simulation.engine.active_mode_paths`)."""
+        return active_mode_paths(self.component, state)
 
     def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
         """The flattened schedule: ``(hierarchical path, kind)`` per node."""
@@ -501,6 +510,10 @@ def _observed(step: StepFunction,
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
 _BACKENDS = ("auto", "batch", "flat", "native", "nested")
 
+#: Counter of the :class:`CompiledSimulator` compiles, one per constructed
+#: simulator, recorded while observability is on.
+COMPILE_COUNTER = "compile.simulators"
+
 
 class CompiledSimulator:
     """Drop-in replacement for :class:`Simulator` backed by a compiled schedule.
@@ -573,6 +586,9 @@ class CompiledSimulator:
                 self.schedule = compile_nested(component)
             if span is not None:
                 span.attributes["kind"] = self.schedule.kind
+        registry = current_registry()
+        if registry is not None:
+            registry.counter(COMPILE_COUNTER).inc()
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]] = None,
             ticks: int = 10,

@@ -25,11 +25,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Union
 
 from ..core.clocks import Clock
-from ..core.components import Component, register_transparent_wrapper
+from ..core.components import (Component, CompositeComponent,
+                               register_transparent_wrapper)
 from ..core.errors import SimulationError
 from ..core.types import check_value
 from ..core.values import ABSENT, Stream, is_absent
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
+from ..notations.mtd import ModeTransitionDiagram
+from ..notations.std import StateTransitionDiagram
 from .trace import SimulationTrace
 
 StimulusSpec = Union[Stream, Sequence[Any], Callable[[int], Any], int, float, bool, str]
@@ -134,6 +137,44 @@ def run_stepped(component: Component,
         if isinstance(state, dict) and "mode" in state:
             trace.mode_history.append(state["mode"])
     return trace
+
+
+def active_mode_paths(component: Component, state: Any,
+                      path: Optional[str] = None,
+                      out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """Extract the active mode/state of every MTD and STD from a state tree.
+
+    Both engines use the same state shapes (``{"subs": ...}`` for
+    composites, ``{"inner": ...}`` for clock-gated wrappers, ``{"mode":
+    ...}`` / ``{"state": ...}`` for MTDs/STDs), so the walker works on
+    reference and compiled states alike.  Paths match
+    :func:`repro.analysis.mode_analysis.machine_inventory`.
+    """
+    if out is None:
+        out = {}
+    if path is None:
+        path = component.name
+    if state is None or not isinstance(state, Mapping):
+        return out
+    inner = getattr(component, "inner", None)
+    if isinstance(inner, Component) and "inner" in state:
+        active_mode_paths(inner, state["inner"], path, out)
+        return out
+    if isinstance(component, ModeTransitionDiagram):
+        current = state.get("mode") or component.initial_mode
+        out[path] = current
+        mode = component.mode(current)
+        if mode.behavior is not None:
+            mode_states = state.get("mode_states") or {}
+            active_mode_paths(mode.behavior, mode_states.get(current),
+                              f"{path}/{current}", out)
+    elif isinstance(component, StateTransitionDiagram):
+        out[path] = state.get("state") or component.initial_state_name
+    elif isinstance(component, CompositeComponent):
+        subs = state.get("subs") or {}
+        for sub in component.subcomponents():
+            active_mode_paths(sub, subs.get(sub.name), f"{path}/{sub.name}", out)
+    return out
 
 
 class Simulator:

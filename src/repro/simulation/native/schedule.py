@@ -74,9 +74,9 @@ class NativeSchedule:
     """A flat schedule executing through a compiled C step function.
 
     Introspection (``linear_steps`` / ``describe`` / ``ops_summary`` /
-    ``mode_plan`` / ``mode_paths`` and the boundary specs) delegates to the
-    wrapped :attr:`flat` schedule: the native backend changes the
-    execution substrate, not the program.
+    ``needs_mode_observation`` / ``mode_paths`` and the boundary specs)
+    delegates to the wrapped :attr:`flat` schedule: the native backend
+    changes the execution substrate, not the program.
     """
 
     kind = "native"
@@ -303,8 +303,8 @@ class NativeSchedule:
         return self.flat.ops_summary()
 
     @property
-    def mode_plan(self) -> Tuple[Tuple[int, Any], ...]:
-        return self.flat.mode_plan
+    def needs_mode_observation(self) -> bool:
+        return self.flat.needs_mode_observation
 
     def mode_paths(self, state: Any) -> Dict[str, Any]:
         return self.flat.mode_paths(state)

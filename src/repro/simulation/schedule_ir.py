@@ -71,15 +71,14 @@ initial state for.
 from __future__ import annotations
 
 import time
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
                                subtree_structure_tokens)
 from ..core.errors import SimulationError
 from ..obs.context import maybe_span
-from .engine import ClockGatedComponent
+from .engine import ClockGatedComponent, active_mode_paths
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
@@ -155,49 +154,17 @@ def _dig(state: Any, path: Tuple[str, ...]) -> Any:
     return current
 
 
-#: Reads one leaf's active modes into a path-keyed dict.
-ModeReader = Callable[[Any, Dict[str, Any]], None]
-
-
-def _mode_plan(leaves: List[_Leaf]) -> Tuple[Tuple[int, ModeReader], ...]:
-    """Compile mode observation: ``(leaf index, read)`` for every leaf whose
+def _mode_plan(leaves: List[_Leaf]) -> Tuple[int, ...]:
+    """Compile mode observation: the index of every leaf whose
     :func:`~repro.analysis.mode_analysis.machine_inventory` is non-empty.
 
-    ``read(leaf_state, out)`` adds the leaf's active modes to *out* with
-    the paths and values of :func:`~repro.scenarios.report.active_mode_paths`.
-    A bare MTD or STD with no machine in a mode behaviour has one path and
-    reads its ``mode`` / ``state`` straight from the leaf state; every other
-    machine-carrying leaf keeps the walker, whose paths change with the
-    active modes.  Machine-free leaves get no reader at all.
+    Only these leaves can contribute a path to
+    :func:`~repro.simulation.engine.active_mode_paths`, which follows the
+    same traversal; machine-free leaves are never read.
     """
     from ..analysis.mode_analysis import machine_inventory
-    from ..scenarios.report import active_mode_paths
-
-    def field_reader(path: str, key: str, initial: Any) -> ModeReader:
-        def read(state: Any, out: Dict[str, Any]) -> None:
-            if isinstance(state, Mapping):
-                out[path] = state.get(key) or initial
-        return read
-
-    def walker(component: Component, path: str) -> ModeReader:
-        def read(state: Any, out: Dict[str, Any]) -> None:
-            active_mode_paths(component, state, path, out)
-        return read
-
-    plan = []
-    for leaf in leaves:
-        inventory = machine_inventory(leaf.component)
-        if not inventory:
-            continue
-        machine = inventory[0]
-        if len(inventory) == 1 and machine.component is leaf.component:
-            read = field_reader(leaf.mode_path,
-                                "mode" if machine.kind == "mtd" else "state",
-                                machine.initial)
-        else:
-            read = walker(leaf.component, leaf.mode_path)
-        plan.append((leaf.index, read))
-    return tuple(plan)
+    return tuple(leaf.index for leaf in leaves
+                 if machine_inventory(leaf.component))
 
 
 class _Flattener:
@@ -507,9 +474,8 @@ class FlatSchedule:
         self._output_spec = output_spec
         self._scratch_count = scratch_count
         self._linear = linear
-        #: ``(leaf index, reader)`` per leaf carrying an MTD or STD, in
-        #: leaf order (see :meth:`mode_paths`); empty for machine-free
-        #: models, which then observe nothing per tick
+        #: indices of the leaves carrying an MTD or STD, in leaf order
+        #: (see :meth:`mode_paths`); empty for machine-free models
         self.mode_plan = _mode_plan(leaves)
         from .op_emit import flat_step
         self.step = flat_step(self)
@@ -640,11 +606,18 @@ class FlatSchedule:
             lines.append(f"{index:>4} {kind:>9}  {label}")
         return lines
 
+    @property
+    def needs_mode_observation(self) -> bool:
+        """Whether a run must observe modes per tick: only when
+        :attr:`mode_plan` names a leaf.  An empty plan means the model has
+        no MTD or STD, so :meth:`mode_paths` is ``{}`` on every tick."""
+        return bool(self.mode_plan)
+
     def mode_paths(self, state: Any) -> Dict[str, Any]:
         """Active mode/state of every MTD and STD, keyed by hierarchical path.
 
         The flat-engine counterpart of
-        :func:`repro.scenarios.report.active_mode_paths`: identical paths
+        :func:`repro.simulation.engine.active_mode_paths`: identical paths
         and values, read positionally from the flat state -- and only from
         the leaves :attr:`mode_plan` names, so a machine-free schedule
         reads nothing.
@@ -652,12 +625,14 @@ class FlatSchedule:
         if state is None:
             return {}
         if type(state) is not FlatState:
-            from ..scenarios.report import active_mode_paths
             return active_mode_paths(self.component, state)
         out: Dict[str, Any] = {}
+        leaves = self.leaves
         leaf_states = state.leaf_states
-        for index, read in self.mode_plan:
-            read(leaf_states[index], out)
+        for index in self.mode_plan:
+            leaf = leaves[index]
+            active_mode_paths(leaf.component, leaf_states[index],
+                              leaf.mode_path, out)
         return out
 
     def __repr__(self) -> str:

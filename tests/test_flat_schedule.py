@@ -486,7 +486,7 @@ def assert_mode_paths_track_reference(model, steps):
 
 
 def planned_paths(flat):
-    return [flat.leaves[index].mode_path for index, _read in flat.mode_plan]
+    return [flat.leaves[index].mode_path for index in flat.mode_plan]
 
 
 GATED_MTD_STIMULI = [{"x": value} for value in
@@ -599,6 +599,7 @@ def test_machine_free_schedule_has_an_empty_mode_plan():
         model, [{"u": float(tick)} for tick in range(12)])
     assert len(flat.leaves) == 61
     assert flat.mode_plan == ()
+    assert not flat.needs_mode_observation
     assert observed == [{}] * 12
     result, = run_sharded(model, [Scenario("walk", {"u": [1.0] * 12}, 12)],
                           executor="serial", collect_modes=True)

@@ -456,18 +456,38 @@ def test_traced_campaign_opens_one_run_span_per_scenario(engine_modes_mtd,
         assert runs == [(model.name, 12)] * len(batch), model.name
 
 
-def test_runner_counts_one_compile_per_worker(engine_modes_mtd):
-    """``runner.worker.compiles``: one schedule compile per worker that
-    ran a task; a serial campaign compiles once, in the caller."""
-    for executor, options in (("serial", {}),
-                              ("thread", {"max_workers": 3,
-                                          "chunk_size": 2})):
+def test_compiles_are_counted_where_they_happen(engine_modes_mtd):
+    """``compile.simulators`` counts every ``CompiledSimulator`` built:
+    once for a serial campaign, once per pool thread however many tasks
+    it runs."""
+    with obs.session() as telemetry:
+        CompiledSimulator(engine_modes_mtd)
+        CompiledSimulator(engine_modes_mtd, backend="nested")
+    assert telemetry.registry.counter("compile.simulators").value == 2
+
+    batch = _engine_batch(count=8, ticks=5)
+    for executor, workers in (("serial", 1), ("thread", 2)):
         with obs.session() as telemetry:
-            results = run_sharded(engine_modes_mtd, _engine_batch(),
-                                  executor=executor, **options)
-        workers = {result.worker for result in results}
-        assert telemetry.registry.counter("runner.worker.compiles").value \
-            == len(workers), executor
+            results = run_sharded(engine_modes_mtd, batch, executor=executor,
+                                  max_workers=workers)
+        assert all(result.ok for result in results)
+        compiles = telemetry.registry.counter("compile.simulators").value
+        assert len({result.worker for result in results}) <= compiles \
+            <= workers < len(batch), executor
+
+
+@pytest.mark.parallel
+def test_process_workers_ship_their_compile_count(engine_modes_mtd):
+    """A process worker compiles in its initializer, outside any task; the
+    count reaches the caller with the worker's first task."""
+    batch = _engine_batch(count=8, ticks=5)
+    with obs.session() as telemetry:
+        results = run_sharded(engine_modes_mtd, batch, executor="process",
+                              max_workers=2)
+    assert all(result.ok for result in results)
+    workers = {result.worker for result in results}
+    assert telemetry.registry.counter("compile.simulators").value \
+        == len(workers)
 
 
 def test_runner_records_nothing_when_disabled(engine_modes_mtd):
