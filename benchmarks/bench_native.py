@@ -1,7 +1,7 @@
-"""[P8] Native C step function vs flat interpreter (gated-controller gate).
+"""[P8] Native C tick loop vs flat interpreter (gated-controller gate).
 
 Not a paper figure: quantifies the speedup of lowering the flat schedule
-IR to one compiled C step function (:mod:`repro.simulation.native`) over
+IR to one compiled C tick loop (:mod:`repro.simulation.native`) over
 interpreting the same op program in Python, on the workload the native
 backend exists for -- an expression-heavy gated controller.  A wide chain
 of integer expression blocks feeds a clock-gated inner chain and a
@@ -14,12 +14,21 @@ The gate is **semantic first**: the native trace must serialize
 byte-identically (:func:`repro.io.trace_to_json`) to the flat trace and
 to the reference interpreter before the >= 2x best-of speedup is
 asserted.  Median tick rates land in ``BENCH_native.json`` for the CI
-artifact trail (mirroring ``BENCH_flatten.json``); compiler-less hosts
-skip cleanly (``native_available``).
+artifact trail (mirroring ``BENCH_flatten.json``), together with the
+horizon ratio: a whole run in one C call (``CompiledSimulator.run``)
+against the same run stepped tick by tick through ``schedule.step``.
+Compiler-less hosts skip cleanly (``native_available``).
+
+:func:`test_p8_native_count_gate` gates on deterministic counts instead
+of wall-clock, so it holds on any host: one C entry per run, Python
+re-entries equal to the executions of the program's fallback ops (the
+unit-delay leaf and its correction barrier, counted on the flat engine's
+op profile), byte-identical traces.  It runs in the gating CI job.
 """
 
 import pytest
 
+from repro import obs
 from repro.core.clocks import every
 from repro.core.components import ExpressionComponent
 from repro.io import trace_to_json
@@ -27,6 +36,7 @@ from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, native_available)
+from repro.simulation.engine import run_stepped
 
 from _bench_utils import report, time_best, time_median, write_bench_json
 
@@ -106,10 +116,53 @@ def gated_expression_controller(width: int = WIDTH) -> DataFlowDiagram:
     return dfd
 
 
+def _stimuli(ticks: int):
+    return {"u": [(tick * 7) % 23 + 1 for tick in range(ticks)]}
+
+
+#: Horizon and repetitions of the count gate.
+COUNT_TICKS = 400
+COUNT_RUNS = 3
+
+
+def test_p8_native_count_gate():
+    """Count gate: one C entry per run, one trampoline per fallback-op
+    execution, traces byte-identical to flat and to the interpreter."""
+    model = gated_expression_controller(WIDTH)
+    stimuli = _stimuli(COUNT_TICKS)
+    flat = CompiledSimulator(model, backend="flat")
+    native = CompiledSimulator(model, backend="native")
+    fallback_ops = native.schedule.lowered.fallback_ops
+    assert fallback_ops, "the workload must exercise the trampoline"
+
+    # how often the flat engine executes the ops native replays in Python
+    with obs.session(profile_ops=True) as flat_telemetry:
+        flat_trace = flat.run(stimuli, COUNT_TICKS)
+    (profile,) = flat_telemetry.profiles.values()
+    executions = sum(profile.counts[index] for index in fallback_ops)
+
+    with obs.session() as telemetry:
+        traces = [native.run(stimuli, COUNT_TICKS)
+                  for _ in range(COUNT_RUNS)]
+    counters = telemetry.registry.counter_values("native.")
+    expected = trace_to_json(flat_trace)
+    assert all(trace_to_json(trace) == expected for trace in traces)
+    assert trace_to_json(Simulator(model).run(stimuli, COUNT_TICKS)) \
+        == expected
+    assert counters["native.runs"] == COUNT_RUNS, "one C entry per run"
+    assert counters["native.ticks"] == COUNT_RUNS * COUNT_TICKS
+    assert counters["native.trampolines"] == COUNT_RUNS * executions, (
+        "Python re-entries must equal the fallback ops' executions")
+    report("P8", f"count gate: {COUNT_RUNS} runs x {COUNT_TICKS} ticks -> "
+                 f"{counters['native.runs']:.0f} C entries, "
+                 f"{counters['native.trampolines'] / counters['native.ticks']:.2f}"
+                 f" trampolines per tick ({len(fallback_ops)} fallback ops)")
+
+
 def test_p8_native_vs_flat_gate():
     """Acceptance gate: native >= 2x flat best-of, traces byte-identical."""
     model = gated_expression_controller(WIDTH)
-    stimuli = {"u": [(tick * 7) % 23 + 1 for tick in range(TICKS)]}
+    stimuli = _stimuli(TICKS)
 
     interpreter = Simulator(model)
     flat = CompiledSimulator(model, backend="flat")
@@ -131,9 +184,16 @@ def test_p8_native_vs_flat_gate():
     assert trace_to_json(reference_trace) \
         == trace_to_json(native.run(stimuli, 300))
 
+    schedule = native.schedule
+
+    def native_stepped():
+        return run_stepped(model, schedule.step, stimuli, TICKS, False,
+                           initial_state=schedule.initial_state())
+
     timings = {
         "flat": time_median(lambda: flat.run(stimuli, TICKS), repeats=3),
         "native": time_median(lambda: native.run(stimuli, TICKS), repeats=3),
+        "native_stepped": time_median(native_stepped, repeats=3),
     }
     tick_rates = {engine: TICKS / seconds
                   for engine, seconds in timings.items()}
@@ -159,6 +219,9 @@ def test_p8_native_vs_flat_gate():
         "speedup": {
             "native_vs_flat_best": speedup,
             "native_vs_flat_median": timings["flat"] / timings["native"],
+            # one C call per horizon vs one C call per tick
+            "native_run_vs_step_median":
+                timings["native_stepped"] / timings["native"],
         },
         "gate": {"native_vs_flat_min": 2.0, "basis": "best-of"},
     })
@@ -168,7 +231,7 @@ def test_p8_native_vs_flat_gate():
          f"(median tick rates):"]
         + [f"  {engine:>6}: {timings[engine]:.3f}s "
            f"({tick_rates[engine]:,.0f} ticks/s)"
-           for engine in ("flat", "native")]
+           for engine in ("flat", "native", "native_stepped")]
         + [f"  native vs flat {speedup:.2f}x (best-of), "
            f"{len(lowered.lowered_ops)} lowered / "
            f"{len(lowered.fallback_ops)} fallback ops -> {path}"]))

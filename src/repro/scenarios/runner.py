@@ -473,7 +473,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     :func:`shard_scenarios` shard per worker by default (``chunk_size``
     still overrides the grouping) -- traces, error strings and result
     order stay byte-identical to the per-scenario path.  With
-    ``backend="native"`` every worker drives the compiled C step function;
+    ``backend="native"`` every worker drives the compiled C tick loop;
     the content-addressed shared-object cache makes the per-worker
     recompile a cache hit, and compiler-less hosts degrade to ``"flat"``.
     """

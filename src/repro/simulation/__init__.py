@@ -11,7 +11,7 @@
   the flat program over a ``(slot, scenario)`` NumPy plane, one sweep per
   scenario battery (requires NumPy; gated exports are ``None`` without it)
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
-  lowered to one compiled C step function driven through ctypes (requires
+  lowered to one compiled C tick loop driven through ctypes (requires
   a platform C compiler; check :func:`native_available`)
 * :mod:`repro.simulation.trace` -- recorded traces, trace tables, equivalence
 * :mod:`repro.simulation.causality` -- hierarchical instantaneous-loop check

@@ -42,7 +42,9 @@ scalar exception (same type, message and tick) and leave the battery;
 surviving lanes continue vectorized at the next tick.  Stimulus
 validation runs through :func:`repro.simulation.engine.prepare_feeds`,
 the same helper :func:`~repro.simulation.engine.run_stepped` uses, so
-rejection messages are identical by construction.
+rejection messages are identical by construction; the horizon is drawn
+by :func:`~repro.simulation.engine.prefill_stimuli`, the helper the
+native tick loop uses too.
 
 Stimulus callables are materialized for the full horizon up front (one
 draw sequence per lane, in lane order).  Deterministic ``tick -> value``
@@ -59,11 +61,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.expr_batch import compile_batch_expression
-from ..core.types import check_value
-from ..core.values import ABSENT, Stream, is_absent
+from ..core.values import ABSENT, Stream
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
-from .engine import StimulusSpec, active_mode_paths, prepare_feeds
+from .engine import (StimulusSpec, active_mode_paths, check_outputs,
+                     prefill_stimuli, prepare_feeds)
 from .op_emit import batch_sweep
 from .schedule_ir import OP_EXPR, FlatSchedule, FlatState
 from .trace import SimulationTrace
@@ -104,9 +106,9 @@ class LaneOutcome:
 
 
 def _capture(exc: BaseException) -> Tuple[str, BaseException]:
-    """Format a lane failure exactly like ``execute_scenario`` (call from
-    inside the ``except`` block so the traceback is still current)."""
-    detail = traceback.format_exc(limit=3).strip().splitlines()[-1]
+    """Format a lane failure exactly like ``execute_scenario``."""
+    detail = "".join(traceback.format_exception(
+        type(exc), exc, exc.__traceback__, limit=3)).strip().splitlines()[-1]
     error = f"{type(exc).__name__}: {exc}" if str(exc) else detail
     return error, exc
 
@@ -247,29 +249,22 @@ class BatchSchedule:
         out_rows = {name: _absent_plane(horizon, lanes)
                     for name, _slot in output_spec}
 
-        # prefill the input planes lane by lane, tick-major and port-inner:
-        # the exact draw (and type-check) sequence of run_stepped, so shared
-        # generator instances see the serial draw order and the first
-        # failing (tick, port) matches.  The failure is *pending* until the
-        # sweep reaches its tick: the lane still runs the ticks before it.
+        # prefill the input planes lane by lane in run_stepped's draw order;
+        # a failure is *pending* until the sweep reaches its tick: the lane
+        # still runs the ticks before it
         for index in range(lanes):
             feeds = feeds_by_lane[index]
             if feeds is None:
                 continue
-            tick = 0
-            try:
-                for tick in range(requested[index]):
-                    for name, generator in feeds:
-                        value = generator(tick) if generator is not None \
-                            else ABSENT
-                        if check_types and not is_absent(value):
-                            check_value(
-                                value, component.port(name).port_type,
-                                context=f"{component.name}.{name}@t{tick}")
-                        in_rows[name][tick, index] = value
-            except Exception as exc:  # noqa: BLE001 - per-lane isolation
-                pending[index] = _capture(exc)
-                horizons[index] = tick
+            prefill = prefill_stimuli(component, feeds, requested[index],
+                                      check_types)
+            for name, column in zip(input_names, prefill.columns):
+                row = in_rows[name]
+                for tick, value in enumerate(column):
+                    row[tick, index] = value
+            if prefill.deferred is not None:
+                pending[index] = _capture(prefill.deferred)
+                horizons[index] = prefill.runnable
 
         leaves = flat.leaves
         n_buffers = len(flat.buffer_specs)
@@ -347,13 +342,9 @@ class BatchSchedule:
                     if not live[index]:
                         continue
                     try:
-                        for name, _slot in output_spec:
-                            value = out_rows[name][tick, index]
-                            if component.has_port(name) \
-                                    and not is_absent(value):
-                                check_value(
-                                    value, component.port(name).port_type,
-                                    context=f"{component.name}.{name}@t{tick}")
+                        check_outputs(component, {
+                            name: out_rows[name][tick, index]
+                            for name, _slot in output_spec}, tick)
                     except Exception as exc:  # noqa: BLE001
                         errors[index], exceptions[index] = _capture(exc)
                         live[index] = False

@@ -533,10 +533,10 @@ class CompiledSimulator:
     aware callers (:class:`ScenarioSuite`,
     :func:`repro.scenarios.runner.run_sharded`) execute whole batteries as
     single sweeps via :attr:`batch_schedule`.  ``"native"`` compiles the
-    flat program to a C step function driven through ctypes
+    flat program to a C tick loop driven through ctypes
     (:mod:`repro.simulation.native`, requires a flattenable root and a C
-    compiler); hosts without a compiler degrade to the flat interpreter
-    with a warning.
+    compiler) and runs each scenario's whole horizon in one C call; hosts
+    without a compiler degrade to the flat interpreter with a warning.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -599,7 +599,10 @@ class CompiledSimulator:
         *observe*, when given, is called with the schedule's state after
         every tick (the sharded runner's mode observation).  Observed runs
         take the stepped path even when ``backend="batch"``: a vectorized
-        sweep has no per-tick state of one scenario.
+        sweep has no per-tick state of one scenario.  Native schedules run
+        the whole horizon in one C call
+        (:meth:`~repro.simulation.native.NativeSchedule.run`), observed or
+        not.
 
         With observability enabled (:mod:`repro.obs`) the run, observed or
         not, is wrapped in a ``run`` span, and -- when the session asked
@@ -620,14 +623,17 @@ class CompiledSimulator:
                 and observe is None:
             return self.batch_schedule.run_one(stimuli, ticks,
                                                self.check_types)
-        step = self.schedule.step
-        if telemetry is not None:
-            step = telemetry.step_for(self.schedule) or step
-        if observe is not None:
-            step = _observed(step, observe)
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
                         kind=self.schedule.kind):
+            if self.schedule.kind == "native":
+                return self.schedule.run(stimuli, ticks, self.check_types,
+                                         observe)
+            step = self.schedule.step
+            if telemetry is not None:
+                step = telemetry.step_for(self.schedule) or step
+            if observe is not None:
+                step = _observed(step, observe)
             return run_stepped(self.component, step, stimuli, ticks,
                                self.check_types,
                                initial_state=self.schedule.initial_state())

@@ -94,6 +94,64 @@ def prepare_feeds(component: Component,
     return tuple((name, generators.get(name)) for name in input_names)
 
 
+class Prefill:
+    """The stimuli of one run, drawn for the whole horizon before it runs.
+
+    ``columns[i]`` holds the values of the i-th input port (``input_names``
+    order) for ticks ``[0, runnable)``.  ``runnable`` is the horizon, or
+    the tick *p* at which a draw or an input type check failed; that
+    failure is ``deferred``: in :func:`run_stepped` order the draws of
+    tick *p* come after the step (and output checks) of tick *p - 1*, so
+    the engine runs ticks ``[0, p)`` first and an error there wins.
+    """
+
+    __slots__ = ("columns", "runnable", "deferred")
+
+    def __init__(self, columns: "list[list[Any]]", runnable: int,
+                 deferred: Optional[BaseException]):
+        self.columns = columns
+        self.runnable = runnable
+        self.deferred = deferred
+
+
+def prefill_stimuli(component: Component,
+                    feeds: "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]",
+                    ticks: int, check_types: bool) -> Prefill:
+    """Draw every feed (from :func:`prepare_feeds`) for *ticks* ticks.
+
+    The draw is tick-major and port-inner, with the input type checks of
+    :func:`run_stepped` in place: the exact draw sequence of a stepped
+    run, so shared generator instances see the serial draw order and the
+    first failing ``(tick, port)`` is the same.  The horizon-at-once
+    backends (:mod:`repro.simulation.batch_ir`, the native tick loop) call
+    this instead of drawing per tick.
+    """
+    columns: "list[list[Any]]" = [[] for _ in feeds]
+    tick = 0
+    try:
+        for tick in range(ticks):
+            for (name, generator), column in zip(feeds, columns):
+                value = generator(tick) if generator is not None else ABSENT
+                if check_types and not is_absent(value):
+                    check_value(value, component.port(name).port_type,
+                                context=f"{component.name}.{name}@t{tick}")
+                column.append(value)
+    except Exception as exc:  # noqa: BLE001 - deferred to its tick
+        for column in columns:
+            del column[tick:]
+        return Prefill(columns, tick, exc)
+    return Prefill(columns, ticks, None)
+
+
+def check_outputs(component: Component, outputs: Mapping[str, Any],
+                  tick: int) -> None:
+    """The output type checks of one tick (``check_types=True`` runs)."""
+    for name, value in outputs.items():
+        if component.has_port(name) and not is_absent(value):
+            check_value(value, component.port(name).port_type,
+                        context=f"{component.name}.{name}@t{tick}")
+
+
 def run_stepped(component: Component,
                 step: Callable[[Mapping[str, Any], Any, int],
                                "tuple[Dict[str, Any], Any]"],
@@ -129,10 +187,7 @@ def run_stepped(component: Component,
             inputs[name] = value
         outputs, state = step(inputs, state, tick)
         if check_types:
-            for name, value in outputs.items():
-                if component.has_port(name) and not is_absent(value):
-                    check_value(value, component.port(name).port_type,
-                                context=f"{component.name}.{name}@t{tick}")
+            check_outputs(component, outputs, tick)
         trace.record_tick(inputs, outputs)
         if isinstance(state, dict) and "mode" in state:
             trace.mode_history.append(state["mode"])

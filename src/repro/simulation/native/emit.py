@@ -1,24 +1,48 @@
-"""Lowering a flat schedule's op program to one C step function.
+"""Lowering a flat schedule's op program to one C tick loop.
 
-The whole flat program becomes a single translation unit exporting
+The whole flat program becomes a single translation unit exporting one
+entry point that runs a whole horizon of ticks:
 
 .. code-block:: c
 
-    long long repro_step(unsigned char *tag, long long *iv, double *fv,
-                         const unsigned char *pbt, const long long *pbi,
-                         const double *pbf,
-                         unsigned char *nbt, long long *nbi, double *nbf,
-                         const unsigned char *gate, repro_tramp_fn tramp);
+    long long repro_run(long long t0, long long ticks, unsigned char *tag,
+                        long long *iv, double *fv, const unsigned char *gates,
+                        repro_tramp_fn tramp, long long observe);
 
-operating on the same fixed slot plane the flat interpreter uses, encoded
-as three parallel arrays (tag / int64 payload / double payload; the
-:data:`~repro.ascet.c_expr.TAG_OBJ` payload indexes a per-tick Python
-object table, so opaque values still *copy* natively).  ``pb*``/``nb*``
-are the previous/next delayed-buffer planes, ``gate[]`` holds the gate
-predicates pre-evaluated for the tick (clock patterns depend on the tick
-only), and ``tramp`` is the ctypes callback through which any op the
-emitter did not (or at run time cannot) lower exactly is replayed through
-the original Python closures.
+``tag`` / ``iv`` / ``fv`` are one tagged plane (value tag, int64 payload,
+double payload per cell; the :data:`~repro.ascet.c_expr.TAG_OBJ` payload
+indexes a Python object table that lives for the whole call, so opaque
+values still *move* natively -- across ticks too, through the delayed
+buffers).  With ``S`` slots, ``B`` delayed buffers, ``I`` inputs and
+``O`` outputs the plane holds, in this order: the slots, the previous
+buffers, the next buffers, ``ticks x I`` input rows and ``ticks x O``
+output rows (rows tick-major, columns in ``input_spec`` /
+``output_spec`` order).  Per tick ``k`` of ``[0, ticks)`` (absolute tick
+``t0 + k``) the loop
+
+1. rolls the delayed buffers: the last tick's next buffers become this
+   tick's previous ones and stay the seed of the next ones, so unwritten
+   buffers carry over exactly like the flat engine's
+   ``next_buffers = prev_buffers[:]`` (the caller seeds the next buffers
+   before the call);
+2. clears the slots to all-ABSENT (ABSENT is tag 0) and scatters input
+   row ``k`` into the input slots;
+3. runs the op program, reading its gate flags from row ``k`` of the
+   ``gates`` bitmap (``ticks x gates``, evaluated by the caller from the
+   gate predicates -- clock patterns depend on the tick only);
+4. gathers the output slots into output row ``k``;
+5. when ``observe`` is nonzero, calls ``tramp(-1, t0 + k)`` so the caller
+   can observe the state after the tick.
+
+Steps 1-4 are one ``static`` function, ``repro_tick``, optimized like
+any straight-line step; the loop around it is a few index moves per tick
+and is compiled unoptimized, because optimizing a loop costs the compiler
+more than it saves at run time (cold compiles stay as fast as a single
+step's).  The unit includes no system header either -- parsing them
+dominates a small program's compile -- so ``fabs`` / ``NAN`` /
+``INFINITY`` map to compiler builtins.  ``tramp(op, tick)`` is the ctypes
+callback through which any op the emitter did not (or at run time
+cannot) lower exactly is replayed through the original Python closures.
 
 Lowering decisions per op:
 
@@ -36,8 +60,10 @@ Lowering decisions per op:
 
 The emitted fast path is compute-then-commit: an expression block writes
 slots only after every item evaluated cleanly, so a bail-out replays the
-whole op from unmodified inputs.  The return value is ``0`` on success or
-``op_index + 1`` when the trampoline reported a pending Python exception.
+whole op from unmodified inputs.  The return value is ``0`` once every
+tick ran, or nonzero as soon as a trampoline call reports a pending
+Python exception (``op_index + 1`` for an op replay, ``-1`` for the
+tick-end observation); the loop stops at that tick.
 """
 
 from __future__ import annotations
@@ -51,16 +77,39 @@ from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_EXPR,
 
 _HEADER = """\
 /* generated by repro.simulation.native (emitter v{version}) -- do not edit */
-#include <math.h>
+/* no system headers: parsing them is most of a small program's compile */
+#define fabs __builtin_fabs
+#define NAN __builtin_nanf("")
+#define INFINITY __builtin_inff()
 
-typedef long long (*repro_tramp_fn)(long long);
+typedef long long (*repro_tramp_fn)(long long, long long);
 
-long long repro_step(unsigned char *tag, long long *iv, double *fv,
-                     const unsigned char *pbt, const long long *pbi,
-                     const double *pbf,
-                     unsigned char *nbt, long long *nbi, double *nbf,
-                     const unsigned char *gate, repro_tramp_fn tramp)
+/* one tick: 0, or op_index + 1 when a replay raised */
+static __attribute__((noinline))
+long long repro_tick(long long at, const unsigned char *gate, long long in,
+                     long long out, unsigned char *tag, long long *iv,
+                     double *fv, repro_tramp_fn tramp)
 {{
+"""
+
+_RUN = """\
+/* the loop is a few moves per tick around repro_tick: not worth the
+   compile time of optimizing it */
+__attribute__((optimize("O0")))
+long long repro_run(long long t0, long long ticks, unsigned char *tag,
+                    long long *iv, double *fv, const unsigned char *gates,
+                    repro_tramp_fn tramp, long long observe)
+{{
+    const long long out = {inputs} + ticks * {n_inputs};
+    for (long long tick = 0; tick < ticks; ++tick) {{
+        long long failed = repro_tick(
+            t0 + tick, gates + tick * {n_gates}, {inputs} + tick * {n_inputs},
+            out + tick * {n_outputs}, tag, iv, fv, tramp);
+        if (failed) return failed;
+        if (observe && tramp(-1LL, t0 + tick)) return -1LL;
+    }}
+    return 0LL;
+}}
 """
 
 
@@ -72,7 +121,7 @@ class LoweredProgram:
     (they may still bail to the trampoline at run time); ``fallback_ops``
     are the indexes lowered as unconditional trampoline calls (``run`` /
     ``correct`` / non-lowerable ``expr``); ``gate_indexes`` maps the k-th
-    entry of the C ``gate[]`` array to its op index.
+    column of the C ``gates`` bitmap to its op index.
     """
 
     source: str
@@ -122,7 +171,7 @@ def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
 
 
 def _tramp_call(index: int, lines: List[str]) -> None:
-    lines.append(f"    if (tramp({index}LL)) return {index + 1}LL;")
+    lines.append(f"    if (tramp({index}LL, at)) return {index + 1}LL;")
 
 
 def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
@@ -148,9 +197,7 @@ def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
             lines.append(f"        tag[{slot}] = {prefix}_t; "
                          f"iv[{slot}] = {prefix}_i; "
                          f"fv[{slot}] = {prefix}_f;")
-    for src, dst in post:
-        lines.append(f"        tag[{dst}] = tag[{src}]; "
-                     f"iv[{dst}] = iv[{src}]; fv[{dst}] = fv[{src}];")
+    lines += ["        " + _move(dst, src) for src, dst in post]
     lines.append(f"        goto L{index}_done;")
     lines.append(f"    }}")
     lines.append(f"L{index}_py: ;")
@@ -158,45 +205,77 @@ def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
     lines.append(f"L{index}_done: ;")
 
 
+def _move(dst: Any, src: Any) -> str:
+    """One tagged-plane cell copy (cells are C index expressions)."""
+    return (f"tag[{dst}] = tag[{src}]; iv[{dst}] = iv[{src}]; "
+            f"fv[{dst}] = fv[{src}];")
+
+
+def _tick_prologue(flat: FlatSchedule) -> List[str]:
+    """Roll the buffers, clear the slots, scatter the input row."""
+    slots, n_buffers = flat.n_slots, len(flat.buffer_specs)
+    lines = []
+    if n_buffers:  # the last tick's next buffers are this tick's previous
+        nxt = slots + n_buffers
+        lines += [f"    __builtin_memcpy(tag + {slots}, tag + {nxt}, "
+                  f"{n_buffers});",
+                  f"    __builtin_memcpy(iv + {slots}, iv + {nxt}, "
+                  f"{n_buffers} * sizeof(long long));",
+                  f"    __builtin_memcpy(fv + {slots}, fv + {nxt}, "
+                  f"{n_buffers} * sizeof(double));"]
+    lines.append(f"    __builtin_memset(tag, 0, {slots});")
+    lines += ["    " + _move(slot, f"in + {column}")
+              for column, (_name, slot) in enumerate(flat.input_spec)]
+    return lines
+
+
+def _tick_epilogue(flat: FlatSchedule) -> List[str]:
+    """Gather the output row."""
+    return (["Lend: ;"]
+            + ["    " + _move(f"out + {column}", slot)
+               for column, (_name, slot) in enumerate(flat.output_spec)]
+            + ["    return 0;", "}"])
+
+
 def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     """Lower *flat*'s op program into one C translation unit."""
     program = flat.program
     lowered = LoweredProgram(source="")
-    lines: List[str] = [_HEADER.format(version=emitter_version)]
+    body: List[str] = []
+    prev_base = flat.n_slots                     # first previous buffer
+    next_base = prev_base + len(flat.buffer_specs)  # first next buffer
 
     for index, (op, (kind, label, _nested)) in enumerate(
             zip(program, flat.op_labels())):
         code = op[0]
         comment = f"{kind}: {label}".replace("*/", "* /")
-        lines.append(f"L{index}: ;  /* {comment} */")
+        body.append(f"L{index}: ;  /* {comment} */")
         if code == OP_COPY:
-            for src, dst in op[1]:
-                lines.append(f"    tag[{dst}] = tag[{src}]; "
-                             f"iv[{dst}] = iv[{src}]; fv[{dst}] = fv[{src}];")
+            body += ["    " + _move(dst, src) for src, dst in op[1]]
         elif code == OP_BUF_READ:
-            for buf, dst in op[1]:
-                lines.append(f"    tag[{dst}] = pbt[{buf}]; "
-                             f"iv[{dst}] = pbi[{buf}]; fv[{dst}] = pbf[{buf}];")
+            body += ["    " + _move(dst, prev_base + buf)
+                     for buf, dst in op[1]]
         elif code == OP_BUF_WRITE:
-            for src, buf in op[1]:
-                lines.append(f"    nbt[{buf}] = tag[{src}]; "
-                             f"nbi[{buf}] = iv[{src}]; nbf[{buf}] = fv[{src}];")
+            body += ["    " + _move(next_base + buf, src)
+                     for src, buf in op[1]]
         elif code == OP_GATE:
             gate_index = len(lowered.gate_indexes)
             lowered.gate_indexes.append(index)
             target = op[2]
             label = "Lend" if target >= len(program) else f"L{target}"
-            lines.append(f"    if (!gate[{gate_index}]) goto {label};")
+            body.append(f"    if (!gate[{gate_index}]) goto {label};")
         elif code == OP_EXPR and _expr_is_lowerable(op, flat.leaves[op[1]]):
             lowered.lowered_ops.append(index)
-            _emit_expr_block(index, op, flat.leaves[op[1]], lines)
+            _emit_expr_block(index, op, flat.leaves[op[1]], body)
         else:  # run / correct / non-lowerable expr
             lowered.fallback_ops.append(index)
-            _tramp_call(index, lines)
+            _tramp_call(index, body)
 
-    lines.append("Lend: ;")
-    lines.append("    return 0;")
-    lines.append("}")
-    lowered.source = "\n".join(lines) + "\n"
+    lines = [_HEADER.format(version=emitter_version)]
+    lines += _tick_prologue(flat) + body + _tick_epilogue(flat)
+    lines.append(_RUN.format(n_gates=len(lowered.gate_indexes),
+                             inputs=next_base + len(flat.buffer_specs),
+                             n_inputs=len(flat.input_spec),
+                             n_outputs=len(flat.output_spec)))
+    lowered.source = "\n".join(lines)
     return lowered
-

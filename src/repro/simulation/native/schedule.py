@@ -1,57 +1,86 @@
-"""The native schedule: a compiled C step function behind ``run_stepped``.
+"""The native schedule: a compiled C tick loop behind ``run`` and ``step``.
 
 :class:`NativeSchedule` wraps a :class:`~repro.simulation.schedule_ir.FlatSchedule`
 whose op program has been lowered to C (:mod:`.emit`), compiled
-(:mod:`.toolchain`) and loaded through :mod:`ctypes`.  Its :attr:`step`
-keeps the exact ``(inputs, state, tick) -> (outputs, state)`` contract of
-the flat engine -- :class:`~repro.simulation.schedule_ir.FlatState` in and
-out, nested dict states converted on entry -- so it is a drop-in fifth
-backend for :func:`~repro.simulation.engine.run_stepped` and
-:class:`~repro.simulation.compiled.CompiledSimulator`.
+(:mod:`.toolchain`) and loaded through :mod:`ctypes`.  The one C entry
+point, ``repro_run``, runs a whole horizon of ticks; :meth:`NativeSchedule.run`
+drives a scenario through it in one call, and :attr:`NativeSchedule.step`
+keeps the ``(inputs, state, tick) -> (outputs, state)`` contract of the
+flat engine -- :class:`~repro.simulation.schedule_ir.FlatState` in and out,
+nested dict states converted on entry -- as a one-tick call of the same
+loop, so :func:`~repro.simulation.engine.run_stepped` callers keep working.
 
-**The tick protocol.**  Python marshals the boundary each tick: the tag
-plane is ``memset`` to all-ABSENT (ABSENT is tag 0 by construction),
-inputs are scattered into their slots, the previous delayed buffers are
-stored into the ``pb*`` planes and ``memmove``-seeded into ``nb*`` (so
-unwritten buffers carry over, exactly like the flat engine's
-``next_buffers = prev_buffers[:]``), gate predicates -- functions of the
-tick only -- are pre-evaluated into a byte array, and the C function runs
-the whole op program in one call.  Values without a native representation
-(nested leaf states aside: out-of-int64 integers, enum members, structs,
-any non-exact-typed object) travel as :data:`~repro.ascet.c_expr.TAG_OBJ`
-with the int payload indexing a per-tick object table, so C can *move*
-them (copies, buffers) even though only Python can *compute* with them.
+**The tick protocol.**  Python marshals the boundary once per call, not
+once per tick, into one tagged plane per call (slots, delayed buffers,
+input rows, output rows -- the layout :mod:`.emit` documents):
+
+* inputs are drawn for the whole horizon by
+  :func:`~repro.simulation.engine.prefill_stimuli` (the draw order and
+  input type checks of ``run_stepped``) and encoded tick-major and
+  port-inner;
+* gate predicates -- functions of the tick only -- are evaluated into a
+  ``ticks x gates`` bitmap, cached per schedule and extended when a
+  longer horizon asks for it;
+* the initial delayed buffers seed the next-buffer cells; C rolls
+  previous / next buffers itself at every tick boundary;
+* the C loop runs every tick and writes the output rows, which are
+  decoded into the same :class:`~repro.simulation.trace.SimulationTrace`
+  ``run_stepped`` records.
+
+Values without a native representation (out-of-int64 integers, enum
+members, structs, any non-exact-typed object) travel as
+:data:`~repro.ascet.c_expr.TAG_OBJ` with the int payload indexing an
+object table that lives for the whole call, so C can *move* them
+(copies, delayed buffers, across ticks) even though only Python can
+*compute* with them.  The plane, the object table and the leaf-state
+roll belong to one call: concurrent runs of one schedule share nothing
+mutable (``ctypes`` releases the GIL while C runs).
 
 **The trampoline.**  Ops the emitter routed to the fallback path -- and
 lowered expression blocks whose run-time values escape exact int64/double
 replication -- re-enter Python through one ``ctypes`` callback carrying
-the op index; the replay functions are generated from the flat engine's
-own per-op templates (:func:`repro.simulation.op_emit.native_replays`,
-spelling slot access ``load`` / ``store`` / ``copy`` on the tagged plane),
-so they call the same nested step functions and compiled expression
-closures with the same semantics.  A replay that raises stores the
-exception and returns nonzero; the C function unwinds immediately and
-:attr:`step` re-raises it unchanged, which is what makes error-path
-behaviour (exception type, message, tick) identical to the flat backend
-by construction.
+the op index and the tick; the replay functions are generated from the
+flat engine's own per-op templates
+(:func:`repro.simulation.op_emit.native_replays`, spelling slot access
+``load`` / ``store`` / ``copy`` on the tagged plane), so they call the
+same nested step functions and compiled expression closures with the same
+semantics.  Leaf states roll lazily: the first replay of a new tick makes
+the last tick's next states the previous ones -- ticks without a replay
+leave leaf states untouched, so nothing is lost.  Observed runs (the
+sharded runner's mode observation) get one more re-entry at every tick
+end, handing the state after the tick to the observer.
+
+**Errors.**  A replay (or observer) that raises stores the exception and
+returns nonzero; the C loop stops at that tick and the exception is
+re-raised unchanged.  :meth:`NativeSchedule.run` keeps the first error in
+``run_stepped`` order: an output type check failing at tick *o* beats a
+step error at *s > o*, which beats a stimulus or input type failure at
+*p > s* (C only runs the ticks ``[0, p)`` before it) -- same exception
+object, type, message and tick as the flat backend.
 
 :class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
 ``instrumented_step`` / ``recording_step``: op-level profiling and flight
 recording are variants of the generated *Python* step, so
 :meth:`repro.obs.context.Telemetry.step_for` finds nothing to swap and
-observability degrades gracefully to spans and counters.
+observability degrades to spans and the ``native.runs`` /
+``native.ticks`` / ``native.trampolines`` counters.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import threading
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from ...core.values import ABSENT
+from ...core.values import ABSENT, Stream
 from ...obs.context import active as _obs_active
-from ...obs.context import maybe_span
+from ...obs.context import current_registry, maybe_span
+from ..engine import (StimulusSpec, check_outputs, prefill_stimuli,
+                      prepare_feeds)
 from ..op_emit import native_replays
 from ..schedule_ir import FlatSchedule, FlatState
+from ..trace import SimulationTrace
 from .emit import LoweredProgram, lower_program
 from .toolchain import (EMITTER_VERSION, NativeLoweringError,
                         find_compiler, load_shared_object)
@@ -59,19 +88,93 @@ from .toolchain import (EMITTER_VERSION, NativeLoweringError,
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
-_TRAMP_TYPE = ctypes.CFUNCTYPE(ctypes.c_longlong, ctypes.c_longlong)
+_U8 = ctypes.c_ubyte
+_I64 = ctypes.c_longlong
+_F64 = ctypes.c_double
 
-_ARGTYPES = [ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
-             ctypes.POINTER(ctypes.c_double),
-             ctypes.POINTER(ctypes.c_ubyte), _TRAMP_TYPE]
+_TRAMP_TYPE = ctypes.CFUNCTYPE(_I64, _I64, _I64)
+
+#: ``repro_run(t0, ticks, tag, iv, fv, gates, tramp, observe)``
+_ARGTYPES = [_I64, _I64, ctypes.POINTER(_U8), ctypes.POINTER(_I64),
+             ctypes.POINTER(_F64), ctypes.c_char_p, _TRAMP_TYPE, _I64]
+
+
+def _tagged_plane(size: int, objects: List[Any]) -> Tuple[Any, ...]:
+    """A fresh all-ABSENT tagged plane of *size* cells plus its accessors.
+
+    Returns ``(tag, iv, fv, load, store, copy)``; ``TAG_OBJ`` payloads
+    index *objects*.  The replays call the accessors for every slot an op
+    touches, so they are closures over the arrays, spelled out inline.
+    """
+    tag = (_U8 * size)()
+    iv = (_I64 * size)()
+    fv = (_F64 * size)()
+
+    def store(index: int, value: Any) -> None:
+        kind = type(value)
+        if value is ABSENT:
+            tag[index] = 0
+        elif kind is bool:
+            tag[index] = 3
+            iv[index] = 1 if value else 0
+        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
+            tag[index] = 1
+            iv[index] = value
+        elif kind is float:
+            tag[index] = 2
+            fv[index] = value
+        else:
+            # exact-type dispatch on purpose: subclasses (IntEnum, ...)
+            # must round-trip identically, so they ride the object table
+            tag[index] = 4
+            iv[index] = len(objects)
+            objects.append(value)
+
+    def load(index: int) -> Any:
+        code = tag[index]
+        if code == 0:
+            return ABSENT
+        if code == 1:
+            return iv[index]
+        if code == 2:
+            return fv[index]
+        if code == 3:
+            return iv[index] != 0
+        return objects[iv[index]]
+
+    def copy(src: int, dst: int) -> None:
+        tag[dst] = tag[src]
+        iv[dst] = iv[src]
+        fv[dst] = fv[src]
+
+    return tag, iv, fv, load, store, copy
+
+
+def _decode_columns(tag: Any, iv: Any, fv: Any, objects: List[Any],
+                    start: int, width: int, rows: int) -> List[List[Any]]:
+    """*rows* rows of *width* cells from cell *start* on, as one value
+    list per column."""
+    end = start + rows * width
+    tags, ints, floats = tag[start:end], iv[start:end], fv[start:end]
+    return [[ABSENT if code == 0 else i if code == 1 else f if code == 2
+             else i != 0 if code == 3 else objects[i]
+             for code, i, f in zip(tags[column::width], ints[column::width],
+                                   floats[column::width])]
+            for column in range(width)]
+
+
+class _Entry(NamedTuple):
+    """What one C call leaves behind."""
+
+    completed: int                 # ticks that ran to their end
+    error: Optional[BaseException]  # the replay/observer error that stopped it
+    outputs: List[List[Any]]       # per output_spec entry, completed ticks
+    leaf_states: List[Any]         # leaf states after the last completed tick
+    buffers: List[Any]             # delayed buffers after the last tick run
 
 
 class NativeSchedule:
-    """A flat schedule executing through a compiled C step function.
+    """A flat schedule executing through a compiled C tick loop.
 
     Introspection (``linear_steps`` / ``describe`` / ``ops_summary`` /
     ``needs_mode_observation`` / ``mode_paths`` and the boundary specs)
@@ -87,190 +190,185 @@ class NativeSchedule:
         self.component = flat.component
         self.so_path = so_path
         self.lowered = lowered
-        #: total trampoline re-entries (fallback ops + run-time bails);
-        #: plain attribute, no observability branch on the hot path.
+        #: total trampoline re-entries (fallback ops + run-time bails),
+        #: added once per call under a lock (runs may be concurrent)
         self.trampoline_calls = 0
-
-        n_slots = flat.n_slots
-        n_buffers = len(flat.buffer_specs)
-        self._tag = (ctypes.c_ubyte * n_slots)()
-        self._iv = (ctypes.c_longlong * n_slots)()
-        self._fv = (ctypes.c_double * n_slots)()
-        self._pbt = (ctypes.c_ubyte * n_buffers)()
-        self._pbi = (ctypes.c_longlong * n_buffers)()
-        self._pbf = (ctypes.c_double * n_buffers)()
-        self._nbt = (ctypes.c_ubyte * n_buffers)()
-        self._nbi = (ctypes.c_longlong * n_buffers)()
-        self._nbf = (ctypes.c_double * n_buffers)()
-        self._gate = (ctypes.c_ubyte * len(lowered.gate_indexes))()
+        self._calls_lock = threading.Lock()
 
         self._lib = lib
-        self._fn = self._lib.repro_step
-        self._fn.restype = ctypes.c_longlong
+        self._fn = lib.repro_run
+        self._fn.restype = _I64
         self._fn.argtypes = _ARGTYPES
+        self._replay = native_replays(flat.program)
+        self._gate_predicates = tuple(flat.program[index][1]
+                                      for index in lowered.gate_indexes)
+        #: tick-major gate bitmap of the longest horizon asked for so far
+        self._gate_plane = b""
 
-        # per-tick context the replay closures read
-        self._objtable: List[Any] = []
-        self._prev_states: List[Any] = []
-        self._next_states: List[Any] = []
-        self._scratch: List[Any] = []
-        self._tick = 0
-        self._pending: Optional[BaseException] = None
+    # -- the C entry -------------------------------------------------------
 
-        self._replay = native_replays(flat.program, self._load, self._store,
-                                      self._copy_slot)
-        self._tramp = _TRAMP_TYPE(self._trampoline)  # kept alive on self
-        self.step = self._make_step()
+    def _gates(self, t0: int, ticks: int) -> bytes:
+        """The gate bitmap of ticks ``[t0, t0 + ticks)``.
 
-    # -- tagged-plane marshalling ------------------------------------------
+        Horizons from tick 0 share one cached plane (gate predicates are
+        functions of the tick only); replacing it with a longer one is a
+        single reference store, so concurrent runs may race on the cache
+        but never see a torn plane.
+        """
+        predicates = self._gate_predicates
+        if not predicates:
+            return b""
+        if t0:
+            return bytes(1 if predicate(tick) else 0
+                         for tick in range(t0, t0 + ticks)
+                         for predicate in predicates)
+        plane = self._gate_plane
+        known = len(plane) // len(predicates)
+        if known < ticks:
+            plane += bytes(1 if predicate(tick) else 0
+                           for tick in range(known, ticks)
+                           for predicate in predicates)
+            self._gate_plane = plane
+        return plane
 
-    def _store(self, slot: int, value: Any) -> None:
-        kind = type(value)
-        if value is ABSENT:
-            self._tag[slot] = 0
-        elif kind is bool:
-            self._tag[slot] = 3
-            self._iv[slot] = 1 if value else 0
-        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
-            self._tag[slot] = 1
-            self._iv[slot] = value
-        elif kind is float:
-            self._tag[slot] = 2
-            self._fv[slot] = value
-        else:
-            # exact-type dispatch on purpose: subclasses (IntEnum, ...)
-            # must round-trip identically, so they ride the object table
-            objtable = self._objtable
-            self._tag[slot] = 4
-            self._iv[slot] = len(objtable)
-            objtable.append(value)
+    def _enter(self, t0: int, ticks: int, columns: Sequence[Sequence[Any]],
+               state: FlatState,
+               observe: Optional[Callable[[Any], None]]) -> _Entry:
+        """Run ticks ``[t0, t0 + ticks)`` in one C call.
 
-    def _load(self, slot: int) -> Any:
-        tag = self._tag[slot]
-        if tag == 0:
-            return ABSENT
-        if tag == 1:
-            return self._iv[slot]
-        if tag == 2:
-            return self._fv[slot]
-        if tag == 3:
-            return self._iv[slot] != 0
-        return self._objtable[self._iv[slot]]
-
-    def _copy_slot(self, src: int, dst: int) -> None:
-        self._tag[dst] = self._tag[src]
-        self._iv[dst] = self._iv[src]
-        self._fv[dst] = self._fv[src]
-
-    def _store_prev_buffer(self, index: int, value: Any) -> None:
-        kind = type(value)
-        if value is ABSENT:
-            self._pbt[index] = 0
-        elif kind is bool:
-            self._pbt[index] = 3
-            self._pbi[index] = 1 if value else 0
-        elif kind is int and _INT64_MIN <= value <= _INT64_MAX:
-            self._pbt[index] = 1
-            self._pbi[index] = value
-        elif kind is float:
-            self._pbt[index] = 2
-            self._pbf[index] = value
-        else:
-            objtable = self._objtable
-            self._pbt[index] = 4
-            self._pbi[index] = len(objtable)
-            objtable.append(value)
-
-    def _load_next_buffer(self, index: int) -> Any:
-        tag = self._nbt[index]
-        if tag == 0:
-            return ABSENT
-        if tag == 1:
-            return self._nbi[index]
-        if tag == 2:
-            return self._nbf[index]
-        if tag == 3:
-            return self._nbi[index] != 0
-        return self._objtable[self._nbi[index]]
-
-    # -- the trampoline ----------------------------------------------------
-
-    def _trampoline(self, op_index: int) -> int:
-        self.trampoline_calls += 1
-        try:
-            self._replay[op_index](self._prev_states, self._next_states,
-                                   self._scratch, self._tick)
-            return 0
-        except BaseException as exc:  # noqa: BLE001 - re-raised by step
-            self._pending = exc
-            return 1
-
-    # -- the step function -------------------------------------------------
-
-    def _make_step(self):
+        *columns* holds one value sequence per ``input_spec`` entry;
+        *state* is the state before tick *t0*.  Every plane, the object
+        table and the leaf-state roll are private to this call.
+        """
         flat = self.flat
-        input_spec = flat.input_spec
-        output_spec = flat.output_spec
         n_buffers = len(flat.buffer_specs)
+        n_inputs = len(columns)
+        n_outputs = len(flat.output_spec)
         n_scratch = flat._scratch_count  # noqa: SLF001
-        convert = flat._convert_state  # noqa: SLF001
-        absent = ABSENT
-        gates = [(index, flat.program[op_index][1])
-                 for index, op_index in enumerate(self.lowered.gate_indexes)]
-        tag, gate = self._tag, self._gate
-        pbt, pbi, pbf = self._pbt, self._pbi, self._pbf
-        nbt, nbi, nbf = self._nbt, self._nbi, self._nbf
-        iv, fv = self._iv, self._fv
-        tag_bytes = ctypes.sizeof(tag)
-        pbt_bytes = ctypes.sizeof(pbt)
-        pbi_bytes = ctypes.sizeof(pbi)
-        pbf_bytes = ctypes.sizeof(pbf)
-        memset = ctypes.memset
-        memmove = ctypes.memmove
-        fn = self._fn
-        tramp = self._tramp
-        store = self._store
-        load = self._load
-        store_buffer = self._store_prev_buffer
-        load_buffer = self._load_next_buffer
+        # the plane layout of the emitted C (see .emit): slots, previous
+        # buffers, next buffers, input rows, output rows
+        next_base = flat.n_slots + n_buffers
+        in_base = next_base + n_buffers
+        out_base = in_base + ticks * n_inputs
+        objects: List[Any] = []
+        tag, iv, fv, load, store, copy = _tagged_plane(
+            out_base + ticks * n_outputs, objects)
+        for index, value in enumerate(state.buffers):
+            store(next_base + index, value)
+        for column, values in enumerate(columns):
+            for tick, value in enumerate(values):
+                if value is not ABSENT:
+                    store(in_base + tick * n_inputs + column, value)
 
-        def step(inputs: Mapping[str, Any], state: Any,
-                 tick: int) -> Tuple[Dict[str, Any], Any]:
-            if type(state) is not FlatState:
-                state = convert(state)
-            prev_buffers = state.buffers
-            self._prev_states = prev_states = state.leaf_states
-            self._next_states = next_states = prev_states[:]
-            self._scratch = [None] * n_scratch if n_scratch else []
-            self._tick = tick
-            self._objtable.clear()
-            memset(tag, 0, tag_bytes)
-            for name, slot in input_spec:
-                value = inputs.get(name, absent)
-                if value is not absent:
-                    store(slot, value)
-            for index in range(n_buffers):
-                store_buffer(index, prev_buffers[index])
-            memmove(nbt, pbt, pbt_bytes)
-            memmove(nbi, pbi, pbi_bytes)
-            memmove(nbf, pbf, pbf_bytes)
-            for index, predicate in gates:
-                gate[index] = 1 if predicate(tick) else 0
-            failed = fn(tag, iv, fv, pbt, pbi, pbf, nbt, nbi, nbf, gate,
-                        tramp)
-            if failed:
-                pending = self._pending
-                self._pending = None
-                if pending is None:  # pragma: no cover - defensive
-                    raise NativeLoweringError(
-                        f"native step failed at op {failed - 1} without a "
-                        "pending Python exception")
-                raise pending
-            outputs = {name: load(slot) for name, slot in output_spec}
-            next_buffers = [load_buffer(index) for index in range(n_buffers)]
-            return outputs, FlatState(next_states, next_buffers)
+        def next_buffers() -> List[Any]:
+            return [load(next_base + index) for index in range(n_buffers)]
 
-        return step
+        replay = self._replay
+        ps = state.leaf_states
+        ns = ps[:]
+        sc: List[Any] = [None] * n_scratch
+        current = t0
+        calls = 0
+        error: Optional[BaseException] = None
+        stopped = t0 + ticks
+
+        def trampoline(op: int, tick: int) -> int:
+            nonlocal ps, ns, sc, current, calls, error, stopped
+            try:
+                if op < 0:
+                    observe(FlatState(ns, next_buffers()))
+                    return 0
+                if tick != current:
+                    # the first replay of a new tick rolls the leaf states
+                    ps = ns
+                    ns = ps[:]
+                    sc = [None] * n_scratch
+                    current = tick
+                calls += 1
+                replay[op](ps, ns, sc, tick, load, store, copy)
+                return 0
+            except BaseException as exc:  # noqa: BLE001 - re-raised by caller
+                error = exc
+                stopped = tick
+                return 1
+
+        tramp = _TRAMP_TYPE(trampoline)
+        failed = self._fn(t0, ticks, tag, iv, fv, self._gates(t0, ticks),
+                          tramp, observe is not None)
+        if failed and error is None:  # pragma: no cover - defensive
+            error = NativeLoweringError(
+                f"native run failed (code {failed}) without a pending "
+                "Python exception")
+        completed = stopped - t0
+        with self._calls_lock:
+            self.trampoline_calls += calls
+        registry = current_registry()
+        if registry is not None:
+            registry.counter("native.runs").inc()
+            registry.counter("native.ticks").inc(completed)
+            registry.counter("native.trampolines").inc(calls)
+        return _Entry(completed, error,
+                      _decode_columns(tag, iv, fv, objects, out_base,
+                                      n_outputs, completed),
+                      ns, next_buffers())
+
+    # -- whole horizons ----------------------------------------------------
+
+    def run(self, stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
+            check_types: bool = False,
+            observe: Optional[Callable[[Any], None]] = None
+            ) -> SimulationTrace:
+        """Simulate *ticks* ticks in one C call; the trace of
+        :func:`~repro.simulation.engine.run_stepped` over :attr:`step`.
+
+        *observe*, when given, is called with the state after every tick
+        (from inside the C loop, before the output type checks run over
+        the decoded rows, so an observer may see the ticks after an output
+        type failure that ends the run).  Raises the first error in
+        ``run_stepped`` order (see the module docstring), the same
+        exception object the step raised.
+        """
+        component = self.component
+        feeds = prepare_feeds(component, stimuli, ticks)
+        prefill = prefill_stimuli(component, feeds, ticks, check_types)
+        # prefill columns follow input_names(), the input_spec order
+        entry = self._enter(0, prefill.runnable, prefill.columns,
+                            self.flat.initial_state(), observe)
+        names = [name for name, _slot in self.flat.output_spec]
+        if check_types:
+            for tick in range(entry.completed):
+                check_outputs(component, {
+                    name: column[tick]
+                    for name, column in zip(names, entry.outputs)}, tick)
+        if entry.error is not None:
+            raise entry.error
+        if prefill.deferred is not None:
+            raise prefill.deferred
+        trace = SimulationTrace(component.name)
+        trace.ticks = ticks
+        if ticks:
+            for name, column in zip(component.input_names(),
+                                    prefill.columns):
+                trace.inputs[name] = Stream(column)
+            for name, column in zip(names, entry.outputs):
+                trace.outputs[name] = Stream(column)
+        return trace
+
+    # -- one tick ----------------------------------------------------------
+
+    def step(self, inputs: Mapping[str, Any], state: Any,
+             tick: int) -> Tuple[Dict[str, Any], Any]:
+        """One tick through the same C loop (the ``run_stepped`` contract)."""
+        if type(state) is not FlatState:
+            state = self.flat._convert_state(state)  # noqa: SLF001
+        entry = self._enter(tick, 1, [(inputs.get(name, ABSENT),)
+                                      for name, _slot in self.flat.input_spec],
+                            state, None)
+        if entry.error is not None:
+            raise entry.error
+        outputs = {name: column[0] for (name, _slot), column
+                   in zip(self.flat.output_spec, entry.outputs)}
+        return outputs, FlatState(entry.leaf_states, entry.buffers)
 
     # -- delegation to the wrapped flat schedule ---------------------------
 

@@ -40,7 +40,7 @@ from ...core.errors import SimulationError
 #: Bump whenever the C emitter's output semantics change: the version is
 #: part of every cache key and :func:`evict_stale` drops entries of older
 #: versions.
-EMITTER_VERSION = 1
+EMITTER_VERSION = 2
 
 #: Cache-entry filename prefix carrying the emitter version.
 _PREFIX = f"nv{EMITTER_VERSION}-"

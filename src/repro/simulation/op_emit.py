@@ -266,23 +266,21 @@ def batch_sweep(program: Sequence[Tuple[Any, ...]], profile: Any = None,
                    head + ops + tail, bound, "<batch sweep>")
 
 
-def native_replays(program: Sequence[Tuple[Any, ...]],
-                   load: Callable[[int], Any],
-                   store: Callable[[int, Any], None],
-                   copy: Callable[[int, int], None]
+def native_replays(program: Sequence[Tuple[Any, ...]]
                    ) -> List[Optional[Callable[..., None]]]:
-    """Per-op replay functions ``(ps, ns, sc, tick)`` over a tagged plane.
+    """Per-op replay functions ``(ps, ns, sc, tick, load, store, copy)``.
 
     ``run`` / ``expr`` / ``correct`` ops get one function each, executing
-    the op through *load* / *store* / *copy*; the other opcodes always run
+    the op through the *load* / *store* / *copy* accessors of the tagged
+    slot plane it is called with (one plane per native call, so replays
+    share no state between concurrent runs); the other opcodes always run
     in C and get ``None``.
     """
-    bound: Dict[str, Any] = {"A": ABSENT, "load": load, "store": store,
-                             "copy": copy}
+    bound: Dict[str, Any] = {"A": ABSENT}
     lines: List[str] = []
     for k, op in enumerate(program):
         if op[0] in (OP_RUN, OP_EXPR, OP_CORRECT):
-            lines.append(f"def r{k}(ps, ns, sc, tick):")
+            lines.append(f"def r{k}(ps, ns, sc, tick, load, store, copy):")
             lines += _block(_op_lines(k, op, _TAGGED, False, False, bound)
                             or ["pass"])
     exec(compile("\n".join(lines), "<native replay>", "exec"),  # noqa: S102

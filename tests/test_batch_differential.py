@@ -9,7 +9,9 @@ execution backends: identical traces -- value AND Python type, so an
 int-exact division that decays to ``numpy`` true division or an int64
 wraparound is a failure even when ``==`` would hide it -- and identical
 error strings on failing scenarios.  The native C backend joins only when
-the host has a compiler (``native_available``).
+the host has a compiler (``native_available``), through both of its entry
+points: whole horizons (``CompiledSimulator.run``) and the per-tick
+``schedule.step`` under ``run_stepped``.
 
 Every generation step draws from one seeded ``random.Random``, so a
 reported seed reproduces the exact divergence.  The regressions this fuzz
@@ -203,7 +205,15 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     runners = [("nested", nested.run), ("flat", flat.run)]
     if _HAS_NATIVE:
         native = CompiledSimulator(model, backend="native")
-        runners.append(("native", native.run))
+        schedule = native.schedule
+
+        def native_stepped(stimuli, ticks):
+            # the per-tick entry point: one C call per tick
+            return run_stepped(model, schedule.step, stimuli, ticks, False,
+                               initial_state=schedule.initial_state())
+
+        runners += [("native", native.run),
+                    ("native-step", native_stepped)]
 
     for (name, stimuli, ticks), outcome in zip(battery, outcomes):
         expected_trace, expected_error = _scalar_outcome(

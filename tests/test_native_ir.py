@@ -3,29 +3,35 @@
 The native backend's promise is byte-identical observable behaviour to the
 flat interpreter -- same ``trace_to_json`` output across the case-study
 portfolio, same exception type/message/tick on error paths -- obtained
-from a compiled C step function.  Everything that needs a C compiler is
+from a compiled C tick loop.  Everything that needs a C compiler is
 skipped cleanly (``native_available``) on compiler-less hosts; the static
 pieces (cache keys, eviction, the ir_verify refusal gate, backend
 validation) run everywhere.
 """
 
 import os
+import sys
+import threading
+from enum import Enum
 
 import pytest
 
+from repro import obs
 from repro.casestudy import (acceleration_scenario, build_closed_loop,
                              build_door_lock_control, build_engine_ccd,
                              build_reengineered_fda, crash_scenario,
                              driving_scenario)
 from repro.core.clocks import every
 from repro.core.components import ExpressionComponent
-from repro.core.errors import SimulationError
+from repro.core.errors import (ExpressionEvalError, SimulationError,
+                               TypeCheckError)
+from repro.core.types import FloatType, IntType
 from repro.core.values import ABSENT, Stream
 from repro.io.json_io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              NativeLoweringError, build_gated_ccd,
+                              NativeLoweringError, Simulator, build_gated_ccd,
                               compile_flat, compile_native, native_available)
 from repro.simulation.native import (EMITTER_VERSION, cache_key, evict_stale,
                                      lower_program, reset_toolchain_cache)
@@ -412,3 +418,270 @@ def test_truncated_cache_entry_is_dropped_and_rebuilt(monkeypatch):
     with pytest.raises(NativeLoweringError,
                        match="cannot load native object .*invalid ELF header"):
         compile_native(model)
+
+
+# -- the horizon entry point ---------------------------------------------------
+
+
+def _counted_chain():
+    """Gated expression chain with a delay leaf: lowered ops, a live gate
+    and trampolines every tick, the shape the reentrancy test needs."""
+    dfd = DataFlowDiagram("NativeThreads")
+    dfd.add_input("u")
+    dfd.add_output("y")
+    previous = "u"
+    for index in range(8):
+        block = ExpressionComponent(f"E{index}",
+                                    {"out": "(a * 3 + b) % 1009"})
+        block.add_input("a")
+        block.add_input("b")
+        block.add_output("out")
+        dfd.add_subcomponent(block)
+        dfd.connect(previous, f"E{index}.a")
+        dfd.connect("u", f"E{index}.b")
+        previous = f"E{index}.out"
+    core = DataFlowDiagram("Core")
+    core.add_input("a")
+    core.add_output("out")
+    tail = ExpressionComponent("T", {"out": "a * 2 - 1"})
+    tail.add_input("a")
+    tail.add_output("out")
+    core.add_subcomponent(tail)
+    core.connect("a", "T.a")
+    core.connect("T.out", "out")
+    gated = ClockGatedComponent(core, every(3), name="G")
+    delay = UnitDelay("Z", initial=0)
+    mix = ExpressionComponent("M", {"out": "a + b"})
+    mix.add_input("a")
+    mix.add_input("b")
+    mix.add_output("out")
+    dfd.add(gated, delay, mix)
+    dfd.connect(previous, "G.a")
+    dfd.connect(previous, "M.a")
+    dfd.connect("Z.out", "M.b")
+    dfd.connect("M.out", "Z.in1")
+    dfd.connect("M.out", "y")
+    return dfd
+
+
+def _walk(seed, ticks):
+    return Stream([(seed * 31 + tick * 7) % 97 - 40 for tick in range(ticks)])
+
+
+@requires_cc
+def test_one_native_simulator_is_reentrant_across_threads():
+    """ctypes releases the GIL while C runs, so four threads sharing one
+    simulator really run it concurrently; every trace must match the
+    serial run of the same scenario."""
+    model = _counted_chain()
+    native = CompiledSimulator(model, backend="native")
+    ticks = 300
+    scenarios = [{"u": _walk(seed, ticks)} for seed in range(40)]
+    expected = [trace_to_json(native.run(stimuli, ticks))
+                for stimuli in scenarios]
+    assert len(set(expected)) == len(expected)  # scenarios really differ
+    mismatches = []
+    errors = []
+
+    def worker(offset):
+        try:
+            for round_index in range(2):
+                for index in range(offset, len(scenarios), 4):
+                    got = trace_to_json(native.run(scenarios[index], ticks))
+                    if got != expected[index]:
+                        mismatches.append((offset, round_index, index))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(offset,))
+               for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert not mismatches, f"{len(mismatches)} of 80 traces diverged"
+
+
+def _precedence_model():
+    """``y = 100 / (10 - x)`` typed ``float[0..50]`` on ``x: int[0..20]``:
+    ``x = 10`` is a step error (division by zero), ``y`` above 50 an
+    output type failure and ``x`` above 20 an input type failure."""
+    dfd = DataFlowDiagram("Precedence")
+    dfd.add_input("x", IntType(0, 20))
+    dfd.add_output("y", FloatType(0.0, 50.0))
+    block = ExpressionComponent("D", {"out": "100 / (10 - a)"})
+    block.add_input("a")
+    block.add_output("out")
+    delay = UnitDelay("Z", initial=0)
+    dfd.add(block, delay)
+    dfd.connect("x", "D.a")
+    dfd.connect("D.out", "Z.in1")
+    dfd.connect("D.out", "y")
+    return dfd
+
+
+def _raising_at(values, tick):
+    """A callable stimulus failing when asked for *tick*."""
+    def stimulus(at):
+        if at == tick:
+            raise ValueError(f"stimulus exhausted at {at}")
+        return values[at]
+    return stimulus
+
+
+@requires_cc
+@pytest.mark.parametrize("case", ["step_before_stimulus",
+                                  "output_check_before_step",
+                                  "input_check_before_step",
+                                  "stimulus_before_step"])
+def test_first_error_in_stepped_order_wins(case):
+    """The horizon runs every draw before C starts and checks outputs
+    after it stops; the error raised must still be the first one
+    ``run_stepped`` meets -- same type, message and tick as flat."""
+    model = _precedence_model()
+    base = [1, 2, 3, 4, 5, 6, 7, 8]
+    if case == "step_before_stimulus":
+        # division by zero at tick 3, stimulus failure at tick 6
+        stimuli = {"x": _raising_at(base[:3] + [10] + base[4:], 6)}
+        expected = ExpressionEvalError
+    elif case == "output_check_before_step":
+        # y = 100 / (10 - 9) = 100 > 50 at tick 1, division by zero at 4
+        stimuli = {"x": Stream([1, 9, 2, 3, 10, 4, 5, 6])}
+        expected = TypeCheckError
+    elif case == "input_check_before_step":
+        # x = 25 is outside int[0..20] at tick 2, before the step error at 4
+        stimuli = {"x": Stream([1, 2, 25, 3, 10, 4, 5, 6])}
+        expected = TypeCheckError
+    else:
+        # stimulus failure at tick 2 stops the run before tick 4's error
+        stimuli = {"x": _raising_at([1, 2, 3, 4, 10, 5, 6, 7], 2)}
+        expected = ValueError
+    flat = CompiledSimulator(model, check_types=True, backend="flat")
+    native = CompiledSimulator(model, check_types=True, backend="native")
+    with pytest.raises(expected) as flat_error:
+        flat.run(stimuli, 8)
+    with pytest.raises(expected) as native_error:
+        native.run(stimuli, 8)
+    assert str(native_error.value) == str(flat_error.value)
+
+
+@requires_cc
+def test_step_error_stops_the_loop_and_reraises_the_replay_exception():
+    model = _precedence_model()
+    native = CompiledSimulator(model, backend="native")
+    observed = []
+    with pytest.raises(ExpressionEvalError) as error:
+        native.schedule.run({"x": Stream([1, 10, 2])}, 3,
+                            observe=observed.append)
+    # the tick-end observation saw tick 0 only: tick 1 raised mid-tick
+    assert len(observed) == 1
+    assert "division by zero" in str(error.value)
+    # the object the replay raised, not a copy: its traceback runs
+    # through the generated replay function
+    frames = []
+    tb = error.value.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_filename)
+        tb = tb.tb_next
+    assert "<native replay>" in frames
+
+
+def _delayed_passthrough():
+    """``y`` is ``u`` through two delayed channels (two buffer planes
+    cells), so values must survive buffer rolls across ticks."""
+    dfd = DataFlowDiagram("DelayedCarry")
+    dfd.add_input("u")
+    dfd.add_output("y")
+    dfd.add_output("raw")
+    first = ExpressionComponent("P", {"out": "a"})
+    first.add_input("a")
+    first.add_output("out")
+    second = ExpressionComponent("Q", {"out": "a"})
+    second.add_input("a")
+    second.add_output("out")
+    dfd.add(first, second)
+    dfd.connect("u", "P.a")
+    dfd.connect("P.out", "Q.a", delayed=True, initial_value=0)
+    dfd.connect("Q.out", "y", delayed=True, initial_value=-1)
+    dfd.connect("u", "raw")
+    return dfd
+
+
+@requires_cc
+def test_objects_and_huge_ints_ride_delayed_buffers_across_ticks():
+    class Gear(Enum):
+        LOW = 1
+        HIGH = 2
+
+    model = _delayed_passthrough()
+    values = [Gear.LOW, 2 ** 70, ABSENT, Gear.HIGH, -2 ** 65, 3, True, 0.5]
+    stimuli = {"u": Stream(values)}
+    flat = CompiledSimulator(model, backend="flat")
+    native = CompiledSimulator(model, backend="native")
+    assert native.schedule.kind == "native"
+    assert len(native.schedule.flat.buffer_specs) == 2
+
+    def typed(trace):
+        return {port: [(type(v), v) for v in stream.values()]
+                for port, stream in trace.outputs.items()}
+
+    native_trace = native.run(stimuli, 10)
+    assert typed(native_trace) == typed(flat.run(stimuli, 10))
+    assert typed(native_trace) == typed(Simulator(model).run(stimuli, 10))
+    got = native_trace.outputs["y"].values()
+    assert got[2] is Gear.LOW and got[5] is Gear.HIGH
+    assert type(got[3]) is int and got[3] == 2 ** 70
+
+
+@requires_cc
+def test_zero_ticks_and_short_stimuli_match_flat():
+    model = _counted_chain()
+    flat = CompiledSimulator(model, backend="flat")
+    native = CompiledSimulator(model, backend="native")
+    for stimuli, ticks in [({"u": Stream([1, 2, 3])}, 0),
+                           ({}, 0),
+                           ({"u": Stream([4, 5])}, 9),
+                           ({"u": [6]}, 4),
+                           ({}, 5)]:
+        assert trace_to_json(native.run(stimuli, ticks)) == \
+            trace_to_json(flat.run(stimuli, ticks)), (stimuli, ticks)
+
+
+@requires_cc
+def test_native_counters_count_c_entries_ticks_and_trampolines():
+    model = _counted_chain()
+    native = CompiledSimulator(model, backend="native")
+    schedule = native.schedule
+    before = schedule.trampoline_calls
+    with obs.session() as telemetry:
+        native.run({"u": _walk(1, 30)}, 30)
+        native.run({"u": _walk(2, 12)}, 12)
+    counters = telemetry.registry.counter_values("native.")
+    assert counters["native.runs"] == 2
+    assert counters["native.ticks"] == 42
+    # the fallback ops are the unit delay and the correction barrier that
+    # re-runs it, both every tick; small ints never bail
+    assert len(schedule.lowered.fallback_ops) == 2
+    assert counters["native.trampolines"] == 84
+    assert schedule.trampoline_calls - before == 84
+
+
+@requires_cc
+def test_generated_object_exports_exactly_one_entry_point():
+    native = CompiledSimulator(_counted_chain(), backend="native").schedule
+    lines = native.lowered.source.splitlines()
+    definitions = [(index, line.split("(")[0]) for index, line
+                   in enumerate(lines) if line.startswith("long long ")]
+    exported = [name for index, name in definitions
+                if not lines[index - 1].startswith("static ")]
+    assert exported == ["long long repro_run"]
+    assert native._lib.repro_run  # noqa: SLF001
+    with pytest.raises(AttributeError):
+        native._lib.repro_tick  # noqa: SLF001, B018 - static, not exported
