@@ -160,7 +160,6 @@ def test_p3_batched_pool_dispatches_one_shard_per_task():
     """With ``backend="batch"`` the pool receives :func:`shard_scenarios`
     shards, one task each; a batch that does not divide evenly checks the
     shard sizes, not just their count."""
-    pytest.importorskip("numpy")
     gated = _gated_ccd_workload()
     batch = _batch(BATCH_SIZE - 2, ticks=60)
     shards = [len(shard) for shard in shard_scenarios(batch, WORKERS)]

@@ -2,20 +2,24 @@
 
 Builds a deep clock-gated controller cascade (the ``bench_flatten``
 workload shape: expression blocks, gating predicates, delayed feedback
-taps with correction barriers on every level), runs the same scenario
-battery through the **flat** and the **batch** backends under
-``repro.obs`` with op profiling enabled, and prints
+taps with correction barriers on every level) and runs one scenario
+battery under ``repro.obs`` twice:
 
-* the op-level profile of each backend (per-kind time split, gate skip
-  rates, correction re-runs, the top-N hottest ops by accumulated time),
-* the side-by-side backend comparison,
-* the metrics registry (sweep counters, scenario counters, durations),
+* with op profiling on, through the **flat** backend, printing the
+  op-level profile of the flat program (per-kind time split, gate skip
+  rates, correction re-runs, the top-N hottest ops by accumulated time);
+* with spans and metrics only, through the **flat** and the **batch**
+  backends, printing each campaign's wall time and the metrics registry
+  (scenario counters, the native loop's C entries and trampoline
+  re-entries).  The batch backend runs the native C tick loop (flat on
+  hosts without a C compiler); op profiling would route it back through
+  the flat program's profiled step, so the second pass leaves it off.
 
-and saves a Chrome trace (``profile_flat_ops_trace.json``) loadable in
-Perfetto / ``chrome://tracing``.
+It saves the second pass as a Chrome trace (``profile_flat_ops_trace.json``)
+loadable in Perfetto / ``chrome://tracing``.
 
 Observability is strictly opt-in: rerun this workload without the
-``obs.session(...)`` block and the engines execute their untouched step
+``obs.session(...)`` blocks and the engines execute their untouched step
 closures -- zero instrumentation cost is the contract, gated by
 ``benchmarks/bench_obs_overhead.py``.
 
@@ -28,7 +32,7 @@ from repro.core.components import ExpressionComponent
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.scenarios import RandomWalk, Scenario, run_sharded
-from repro.simulation import ClockGatedComponent
+from repro.simulation import ClockGatedComponent, CompiledSimulator
 
 DEPTH = 5
 SCENARIOS = 16
@@ -76,26 +80,29 @@ def main():
     print(f"profiling {model.name!r} (depth {DEPTH}): "
           f"{SCENARIOS} scenarios x {TICKS} ticks per backend\n")
 
-    profiles = {}
-    with obs.session(profile_ops=True) as telemetry:
-        for backend in ("flat", "batch"):
-            try:
-                results = run_sharded(model, scenarios, executor="serial",
-                                      backend=backend)
-            except Exception as exc:  # numpy-less hosts: skip batch
-                print(f"[{backend}] skipped: {exc}\n")
-                continue
-            failed = [result for result in results if not result.ok]
-            assert not failed, failed
-        for label, profile in telemetry.named_profiles().items():
-            profiles[label] = profile
-            print(obs.format_profile(profile, top=8))
-            print()
-
-    if len(profiles) > 1:
-        print(obs.format_backend_comparison(profiles))
+    with obs.session(profile_ops=True) as profiled:
+        results = run_sharded(model, scenarios, executor="serial",
+                              backend="flat")
+        assert all(result.ok for result in results)
+    for profile in profiled.named_profiles().values():
+        print(obs.format_profile(profile, top=8))
         print()
 
+    # warm the shared-object cache, so the timed batch campaign measures
+    # runs rather than the C compiler
+    CompiledSimulator(model, backend="batch")
+    with obs.session() as telemetry:
+        for backend in ("flat", "batch"):
+            results = run_sharded(model, scenarios, executor="serial",
+                                  backend=backend)
+            assert all(result.ok for result in results)
+    ticks = SCENARIOS * TICKS
+    for span in telemetry.tracer.roots:
+        if span.name == "runner.run_sharded":
+            seconds = span.duration()
+            print(f"[{span.attributes['backend']}] {seconds:.3f}s "
+                  f"({ticks / seconds:,.0f} scenario-ticks/s)")
+    print()
     print(telemetry.registry.format_summary())
 
     trace_path = "profile_flat_ops_trace.json"

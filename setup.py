@@ -1,7 +1,6 @@
 from setuptools import setup
 
-setup(
-    # numpy backs the vectorized batch simulation backend
-    # (repro.simulation.batch_ir / repro.core.expr_batch)
-    install_requires=["numpy"],
-)
+# The library has no third-party runtime dependency: the native backend
+# needs only a host C compiler and degrades to the flat interpreter
+# without one.
+setup()

@@ -1,8 +1,8 @@
 """Static dataflow verification of flat-schedule op programs.
 
 The :class:`~repro.simulation.schedule_ir.FlatSchedule` IR is the substrate
-every compiled execution shares (flat and batch backends run it directly;
-the planned native codegen will emit C from it).  At that level "the model
+every compiled execution shares (the flat backend runs it directly; the
+native backend emits C from it).  At that level "the model
 is well-formed" becomes concrete dataflow obligations over the slot
 environment, and this module discharges them *statically*, by abstract
 interpretation of the op program:
@@ -25,8 +25,9 @@ interpretation of the op program:
   leaves must not have late producers writing their inputs
   (``ir-correction-unmatched`` / ``ir-correction-missing`` /
   ``ir-correction-dead``);
-* batch aliasing: :func:`certify_batch` certifies a schedule safe for the
-  ``(slot, scenario)`` vectorized sweeps of the batch backend -- fused
+* batch aliasing: :func:`certify_batch` certifies a schedule safe for
+  ``(slot, scenario)`` vectorized sweeps (no backend runs such sweeps
+  any more; the rule awaits retirement) -- fused
   copy ops are classified gatherable vs order-dependent (chains and
   different-source duplicate destinations require in-order pair
   execution), and genuine aliasing hazards void the certification

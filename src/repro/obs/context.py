@@ -1,7 +1,7 @@
 """The ambient telemetry context: one switch, zero overhead when off.
 
 Instrumentation sites across the engine stack (compile phases, the
-sharded runner, the batch sweep, the search loop) consult ONE module
+sharded runner, the native loop, the search loop) consult ONE module
 global through :func:`active` / :func:`current_registry` /
 :func:`maybe_span`.  While observability is disabled (the default) every
 such probe is a single global read returning ``None`` -- and, crucially,
@@ -133,8 +133,8 @@ class Telemetry:
         """The (lazily created) flight recorder of *schedule*, or ``None``.
 
         Returns ``None`` when flight recording is off or the schedule has
-        no ``recording_step`` (nested and batch schedules run unrecorded:
-        forensics lives on the flat path, which is the default backend).
+        no ``recording_step`` (nested schedules run unrecorded: forensics
+        lives on the flat program, which native schedules wrap).
         """
         if not self.flight_recording \
                 or not hasattr(schedule, "recording_step"):

@@ -1,16 +1,14 @@
 """Op-level profiles of flat-IR step programs.
 
 The flat schedule (:mod:`repro.simulation.schedule_ir`) executes a linear
-op program; the batch backend (:mod:`repro.simulation.batch_ir`) sweeps
-the same program across scenario lanes.  An :class:`OpProfile` records,
-per program position: execution count and accumulated wall time, plus
-gate skip counts, correction-barrier re-runs and (for the batch backend)
-scalar-fallback tick counts -- everything needed to answer *where do the
-ticks go* per backend.
+op program.  An :class:`OpProfile` records, per program position:
+execution count and accumulated wall time, plus gate skip counts and
+correction-barrier re-runs -- everything needed to answer *where do the
+ticks go*.  Native schedules are profiled on their wrapped flat program
+(:meth:`repro.simulation.compiled.CompiledSimulator.run`).
 
-Profiles are recorded only by the **instrumented** step variants
-(``FlatSchedule.instrumented_step`` / the batch backend's profiled sweep),
-which :mod:`repro.simulation.op_emit` generates from the same per-op
+Profiles are recorded only by the **instrumented** step variant
+(``FlatSchedule.instrumented_step``), which :mod:`repro.simulation.op_emit` generates from the same per-op
 templates as the default steps with timers and counters written in; the
 default step functions never see this module, which is what keeps the
 zero-overhead-when-off contract structural rather than a promise about
@@ -33,7 +31,7 @@ class OpProfile:
 
     __slots__ = ("label", "op_kinds", "op_names", "nested_ops", "counts",
                  "times", "gate_skips", "correction_reruns", "ticks",
-                 "total_time_s", "scalar_fallback_ticks")
+                 "total_time_s")
 
     def __init__(self, label: str, op_labels: Sequence[OpLabel]):
         self.label = label
@@ -48,8 +46,6 @@ class OpProfile:
         self.correction_reruns = 0
         self.ticks = 0
         self.total_time_s = 0.0
-        #: ticks replayed through the scalar path by the batch backend
-        self.scalar_fallback_ticks = 0
 
     # -- derived views -----------------------------------------------------
 
@@ -102,7 +98,6 @@ class OpProfile:
         self.correction_reruns += other.correction_reruns
         self.ticks += other.ticks
         self.total_time_s += other.total_time_s
-        self.scalar_fallback_ticks += other.scalar_fallback_ticks
         return self
 
     # -- export ------------------------------------------------------------
@@ -119,7 +114,6 @@ class OpProfile:
             "gate_skips": gate_skips,
             "correction_reruns": self.correction_reruns,
             "nested_fallback_runs": self.nested_fallback_runs(),
-            "scalar_fallback_ticks": self.scalar_fallback_ticks,
             "ops": [{
                 "index": index,
                 "kind": self.op_kinds[index],
@@ -161,9 +155,6 @@ def format_profile(profile: OpProfile, top: int = 10) -> str:
     if profile.nested_fallback_runs():
         lines.append(f"  nested-fallback runs: "
                      f"{profile.nested_fallback_runs()}")
-    if profile.scalar_fallback_ticks:
-        lines.append(f"  scalar-fallback ticks: "
-                     f"{profile.scalar_fallback_ticks}")
     hottest = profile.hottest_ops(top)
     if hottest:
         lines.append(f"  hottest ops (top {len(hottest)}):")
@@ -176,10 +167,10 @@ def format_profile(profile: OpProfile, top: int = 10) -> str:
 def format_backend_comparison(profiles: Mapping[str, OpProfile]) -> str:
     """Side-by-side per-kind timing of the same workload across backends.
 
-    *profiles* maps a backend name (e.g. ``"flat"``, ``"batch"``) to its
+    *profiles* maps a backend or workload name (e.g. ``"flat"``) to its
     profile; the table shows ticks/s and the per-kind time split so the
-    backend trade-offs (vectorized exprs vs per-lane nested runs) are
-    visible in one place.
+    trade-offs (lowered exprs vs nested-fallback runs) are visible in one
+    place.
     """
     if not profiles:
         return "backend comparison: (no profiles)"

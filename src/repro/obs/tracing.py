@@ -1,7 +1,7 @@
 """Span-based tracing with JSON and Chrome trace-event export.
 
 A :class:`Tracer` records a tree of timed spans: compile phases (flatten,
-closure lowering, batch lowering), scenario executions, batch sweeps,
+closure lowering, native lowering), scenario executions, worker tasks,
 search rounds.  Spans nest through a plain stack -- ``tracer.span(...)``
 inside an open span becomes its child -- and serialize two ways:
 

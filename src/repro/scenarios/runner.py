@@ -55,13 +55,7 @@ ResultCallback = Callable[["ScenarioResult"], None]
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one scenario: a trace or an isolated error.
-
-    *amortized* marks durations that are an even share of a vectorized
-    sweep's wall time rather than a per-scenario measurement; the true
-    sweep duration lands in the metrics registry (``runner.sweep.*``)
-    when observability is on.
-    """
+    """Outcome of one scenario: a trace or an isolated error."""
 
     name: str
     trace: Optional[SimulationTrace] = None
@@ -69,7 +63,6 @@ class ScenarioResult:
     duration: float = 0.0
     worker: str = ""
     mode_paths: Optional[Dict[str, List[Any]]] = None
-    amortized: bool = False
 
     @property
     def ok(self) -> bool:
@@ -161,14 +154,17 @@ def _dump_postmortem(simulator: CompiledSimulator, scenario: Scenario,
     """Write a flight-recorder post-mortem bundle for a failed scenario.
 
     Only fires when the active telemetry session has flight recording on
-    AND the failing simulator's schedule ran through a recording step
-    (flat backend); the bundle path is collected on the session
-    (``telemetry.bundles``) and returned for the scenario_error event.
+    AND the failing simulator's flat program ran through a recording step
+    (flat backend, or the wrapped flat program of a native schedule); the
+    bundle path is collected on the session (``telemetry.bundles``) and
+    returned for the scenario_error event.
     """
     telemetry = _obs_active()
     if telemetry is None or not telemetry.flight_recording:
         return None
-    recorder = telemetry.recorders.get(id(simulator.schedule))
+    schedule = simulator.schedule
+    recorder = telemetry.recorders.get(id(getattr(schedule, "flat",
+                                                  schedule)))
     if recorder is None \
             or (recorder.failure is None and not recorder.snapshots):
         return None
@@ -255,57 +251,18 @@ def execute_batch(simulator: CompiledSimulator, scenarios: Sequence[Scenario],
                   ) -> List[ScenarioResult]:
     """Run a whole shard of scenarios against one compiled simulator.
 
-    With a batch-capable simulator (``backend="batch"``) the shard executes
-    as ONE vectorized sweep over the scenario axis
-    (:meth:`~repro.simulation.batch_ir.BatchSchedule.run_battery`); results
-    are identical to :func:`execute_scenario` per scenario -- traces,
-    error strings, isolation.  Sweep wall time is a property of the shard,
-    not of any one scenario: each result carries an even share of it with
-    ``amortized=True``, and the TRUE sweep duration and lane count land in
-    the registry (``runner.sweep.count`` / ``runner.sweep.lanes`` counters,
-    ``runner.sweep.duration_s`` histogram).  Any other simulator falls back
-    to the per-scenario loop, so every executor can dispatch chunks through
-    this one entry point.
+    Each scenario runs through :func:`execute_scenario` -- with a native
+    schedule (``backend="native"`` or ``"batch"``) one C call per
+    scenario -- so every executor dispatches chunks through this one
+    entry point with per-scenario results, telemetry and events.
     """
     if registry is None:
         registry = current_registry()
     if events is None:
         events = current_events()
-    batch_schedule = getattr(simulator, "batch_schedule", None)
-    if batch_schedule is not None:
-        telemetry = _obs_active()
-        if (telemetry is not None and telemetry.flight_recording
-                and hasattr(simulator.schedule, "recording_step")):
-            # forensics needs per-tick slot environments: recorded runs
-            # take the per-scenario flat path instead of the vectorized
-            # sweep (matching CompiledSimulator.run)
-            batch_schedule = None
-    if batch_schedule is None:
-        return [execute_scenario(simulator, scenario, collect_modes, worker,
-                                 registry=registry, events=events)
-                for scenario in scenarios]
-    start = time.perf_counter()
-    outcomes = batch_schedule.run_battery(
-        [(scenario.name, scenario.stimuli, scenario.ticks)
-         for scenario in scenarios],
-        check_types=simulator.check_types, collect_modes=collect_modes)
-    sweep_duration = time.perf_counter() - start
-    amortized = sweep_duration / max(1, len(outcomes))
-    results = [ScenarioResult(outcome.name, trace=outcome.trace,
-                              error=outcome.error, duration=amortized,
-                              worker=worker, mode_paths=outcome.mode_paths,
-                              amortized=True)
-               for outcome in outcomes]
-    if registry is not None:
-        registry.counter("runner.sweep.count").inc()
-        registry.counter("runner.sweep.lanes").inc(len(results))
-        registry.histogram("runner.sweep.duration_s").observe(sweep_duration)
-        for result, scenario in zip(results, scenarios):
-            _record_scenario(registry, result, scenario.ticks)
-    if events is not None:
-        for result, scenario in zip(results, scenarios):
-            _emit_scenario_event(events, result, scenario.ticks)
-    return results
+    return [execute_scenario(simulator, scenario, collect_modes, worker,
+                             registry=registry, events=events)
+            for scenario in scenarios]
 
 
 # --------------------------------------------------------------------------
@@ -375,12 +332,13 @@ def _observed_process_task(run: Callable[..., Any],
 
     The session makes the worker's AMBIENT telemetry the worker-local one
     for the duration of the task, so every instrumentation site fires --
-    including the batch sweep's ``batch.*`` counters and spans, which an
-    explicit registry alone would miss -- and everything lands in the one
-    registry/tracer/event-log shipped back in the envelope.  The task is
-    wrapped in a ``runner.worker_task`` span carrying the worker identity,
-    which :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a
-    distinct Perfetto track per worker.
+    including the native loop's ``native.*`` counters and the ``run``
+    spans, which an explicit registry alone would miss -- and everything
+    lands in the one registry/tracer/event-log shipped back in the
+    envelope.  The task is wrapped in a ``runner.worker_task`` span
+    carrying the worker identity, which
+    :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a distinct
+    Perfetto track per worker.
     """
     worker = f"pid-{os.getpid()}"
     config = _PROCESS_WORKER["obs_config"]
@@ -468,14 +426,14 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
 
     *backend* selects the worker simulators' schedule backend (forwarded
     to :class:`~repro.simulation.compiled.CompiledSimulator`).  With
-    ``backend="batch"`` every shard executes as one vectorized sweep: the
-    serial executor sweeps the whole batch, pools dispatch one
-    :func:`shard_scenarios` shard per worker by default (``chunk_size``
+    ``backend="native"`` or ``"batch"`` every worker drives the compiled
+    C tick loop, one C call per scenario; the content-addressed
+    shared-object cache makes the per-worker recompile a cache hit, and
+    compiler-less hosts degrade to ``"flat"``.  ``backend="batch"``
+    additionally dispatches one :func:`shard_scenarios` shard per pool
+    worker by default instead of one task per scenario (``chunk_size``
     still overrides the grouping) -- traces, error strings and result
-    order stay byte-identical to the per-scenario path.  With
-    ``backend="native"`` every worker drives the compiled C tick loop;
-    the content-addressed shared-object cache makes the per-worker
-    recompile a cache hit, and compiler-less hosts degrade to ``"flat"``.
+    order stay byte-identical to the per-scenario path.
     """
     if executor not in _EXECUTORS:
         raise SimulationError(
@@ -594,9 +552,9 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                           executor=executor, backend=backend,
                           workers=workers):
         if chunk_size is None and batched:
-            # whole shards as single sweeps: one contiguous near-equal
+            # whole shards as single tasks: one contiguous near-equal
             # shard per worker (shard_scenarios drops empty shards, so
-            # workers > len(batch) degenerates to singleton sweeps)
+            # workers > len(batch) degenerates to singleton shards)
             tasks = shard_scenarios(batch, workers)
             chunked = True
         elif chunk_size is None:

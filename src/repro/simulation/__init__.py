@@ -7,12 +7,12 @@
 * :mod:`repro.simulation.schedule_ir` -- the flat schedule IR:
   cross-hierarchy flattening onto one global step program with slot-based
   environments, gating predicates and correction barriers
-* :mod:`repro.simulation.batch_ir` -- the vectorized battery backend:
-  the flat program over a ``(slot, scenario)`` NumPy plane, one sweep per
-  scenario battery (requires NumPy; gated exports are ``None`` without it)
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
-  lowered to one compiled C tick loop driven through ctypes (requires
-  a platform C compiler; check :func:`native_available`)
+  lowered to one compiled C tick loop driven through ctypes, one C call
+  per scenario (requires a platform C compiler; check
+  :func:`native_available`).  It serves both ``backend="native"`` and
+  ``backend="batch"``, which differ only in how the sharded runner
+  dispatches a battery; hosts without a compiler run the flat program.
 * :mod:`repro.simulation.trace` -- recorded traces, trace tables, equivalence
 * :mod:`repro.simulation.causality` -- hierarchical instantaneous-loop check
 * :mod:`repro.simulation.multirate` -- stimulus generators and resampling
@@ -26,13 +26,6 @@ from .compiled import (CompiledSchedule, CompiledSimulator, ScenarioSuite,
 from .engine import (ClockGatedComponent, Simulator, build_gated_ccd,
                      normalize_stimulus, prepare_feeds, simulate, simulate_ccd)
 from .schedule_ir import FlatSchedule, FlatState, compile_flat, is_flattenable
-
-try:
-    from .batch_ir import BatchSchedule, LaneOutcome, compile_batch
-except ImportError:  # pragma: no cover - numpy is an install requirement
-    BatchSchedule = None  # type: ignore[assignment, misc]
-    LaneOutcome = None  # type: ignore[assignment, misc]
-    compile_batch = None  # type: ignore[assignment]
 from .multirate import (align_lengths, constant, presence_ratio, pulse, ramp,
                         resample, sine, sporadic, step)
 from .native import (NativeLoweringError, NativeSchedule, compile_native,
@@ -41,16 +34,15 @@ from .trace import (SimulationTrace, first_difference, streams_equal,
                     traces_equivalent)
 
 __all__ = [
-    "BatchSchedule", "CausalityAnalysis", "CausalityResult",
-    "ClockGatedComponent", "CompiledSchedule", "CompiledSimulator",
-    "FlatSchedule", "FlatState", "LaneOutcome", "NativeLoweringError",
-    "NativeSchedule", "ScenarioSuite", "SimulationTrace", "Simulator",
-    "align_lengths", "analyze_causality", "assert_causal", "build_gated_ccd",
-    "compile_batch", "compile_ccd", "compile_component", "compile_flat",
-    "compile_native", "compile_nested", "constant", "first_difference",
-    "instantaneous_path_exists", "is_flattenable", "native_available",
-    "normalize_stimulus", "prepare_feeds", "presence_ratio", "pulse", "ramp",
-    "resample", "simulate", "simulate_ccd", "simulate_ccd_compiled",
-    "simulate_compiled", "sine", "sporadic", "step", "streams_equal",
-    "traces_equivalent",
+    "CausalityAnalysis", "CausalityResult", "ClockGatedComponent",
+    "CompiledSchedule", "CompiledSimulator", "FlatSchedule", "FlatState",
+    "NativeLoweringError", "NativeSchedule", "ScenarioSuite",
+    "SimulationTrace", "Simulator", "align_lengths", "analyze_causality",
+    "assert_causal", "build_gated_ccd", "compile_ccd", "compile_component",
+    "compile_flat", "compile_native", "compile_nested", "constant",
+    "first_difference", "instantaneous_path_exists", "is_flattenable",
+    "native_available", "normalize_stimulus", "prepare_feeds",
+    "presence_ratio", "pulse", "ramp", "resample", "simulate",
+    "simulate_ccd", "simulate_ccd_compiled", "simulate_compiled", "sine",
+    "sporadic", "step", "streams_equal", "traces_equivalent",
 ]

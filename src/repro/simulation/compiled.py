@@ -527,16 +527,14 @@ class CompiledSimulator:
     the flat schedule IR whenever the component is flattenable and the
     nested path otherwise; ``"flat"`` / ``"nested"`` force one of the two
     (``"flat"`` raises :class:`SimulationError` for unflattenable roots).
-    ``"batch"`` additionally lowers the flat program onto the vectorized
-    battery backend (:mod:`repro.simulation.batch_ir`, requires NumPy and a
-    flattenable root): single runs go through a one-lane sweep, and batch-
-    aware callers (:class:`ScenarioSuite`,
-    :func:`repro.scenarios.runner.run_sharded`) execute whole batteries as
-    single sweeps via :attr:`batch_schedule`.  ``"native"`` compiles the
-    flat program to a C tick loop driven through ctypes
-    (:mod:`repro.simulation.native`, requires a flattenable root and a C
-    compiler) and runs each scenario's whole horizon in one C call; hosts
-    without a compiler degrade to the flat interpreter with a warning.
+    ``"native"`` compiles the flat program to a C tick loop driven through
+    ctypes (:mod:`repro.simulation.native`, requires a flattenable root
+    and a C compiler) and runs each scenario's whole horizon in one C
+    call; hosts without a compiler degrade to the flat interpreter with a
+    ``RuntimeWarning``.  ``"batch"`` compiles exactly like ``"native"``;
+    it differs only in how :func:`repro.scenarios.runner.run_sharded`
+    dispatches a battery (one :func:`~repro.scenarios.runner.shard_scenarios`
+    shard per worker instead of one task per scenario).
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -552,7 +550,6 @@ class CompiledSimulator:
         self.component = component
         self.check_types = check_types
         self.backend = backend
-        self.batch_schedule = None
         with maybe_span("compile.component", component=component.name,
                         backend=backend) as span:
             if backend == "auto":
@@ -560,17 +557,7 @@ class CompiledSimulator:
             elif backend == "flat":
                 from .schedule_ir import compile_flat
                 self.schedule = compile_flat(component)
-            elif backend == "batch":
-                from .schedule_ir import compile_flat
-                try:
-                    from .batch_ir import BatchSchedule
-                except ImportError as exc:
-                    raise SimulationError(
-                        "backend 'batch' requires numpy, which is not "
-                        "installed") from exc
-                self.schedule = compile_flat(component)
-                self.batch_schedule = BatchSchedule(self.schedule)
-            elif backend == "native":
+            elif backend in ("batch", "native"):
                 from .schedule_ir import compile_flat
                 from .native import compile_native, native_available
                 flat_schedule = compile_flat(component)
@@ -578,7 +565,7 @@ class CompiledSimulator:
                     self.schedule = compile_native(flat_schedule)
                 else:
                     warnings.warn(
-                        "backend 'native' requires a C compiler (cc/gcc/"
+                        f"backend {backend!r} requires a C compiler (cc/gcc/"
                         "clang); falling back to the flat interpreter",
                         RuntimeWarning, stacklevel=2)
                     self.schedule = flat_schedule
@@ -597,46 +584,42 @@ class CompiledSimulator:
         """Simulate for *ticks* ticks and return the recorded trace.
 
         *observe*, when given, is called with the schedule's state after
-        every tick (the sharded runner's mode observation).  Observed runs
-        take the stepped path even when ``backend="batch"``: a vectorized
-        sweep has no per-tick state of one scenario.  Native schedules run
-        the whole horizon in one C call
+        every tick (the sharded runner's mode observation).  Native
+        schedules run the whole horizon in one C call
         (:meth:`~repro.simulation.native.NativeSchedule.run`), observed or
         not.
 
         With observability enabled (:mod:`repro.obs`) the run, observed or
         not, is wrapped in a ``run`` span, and -- when the session asked
         for ``profile_ops`` or ``flight_recording`` and the schedule is a
-        flat program --
-        executed through a swapped-in step variant (op-profiling or
-        flight-recording; recording wins when both are on).  Flight
-        recording also overrides the vectorized batch backend: forensics
-        needs per-tick slot environments, so recorded runs take the flat
-        stepped path even when ``backend="batch"``.  The default path is
-        untouched: ``schedule.step`` is the same closure whether or not
-        :mod:`repro.obs` was ever enabled.
+        flat program -- executed through a swapped-in step variant
+        (op-profiling or flight-recording; recording wins when both are
+        on).  Op profiles and forensics need the per-tick Python step, so
+        under either flag a native schedule runs its wrapped
+        :attr:`~repro.simulation.native.NativeSchedule.flat` program's
+        step variant instead of the C loop; spans-only sessions stay in
+        C.  The default path is untouched: ``schedule.step`` is the same
+        closure whether or not :mod:`repro.obs` was ever enabled.
         """
         telemetry = _obs_active()
-        recording = (telemetry is not None and telemetry.flight_recording
-                     and hasattr(self.schedule, "recording_step"))
-        if self.batch_schedule is not None and not recording \
-                and observe is None:
-            return self.batch_schedule.run_one(stimuli, ticks,
-                                               self.check_types)
+        schedule = self.schedule
+        if schedule.kind == "native" and telemetry is not None \
+                and (telemetry.flight_recording or telemetry.profile_ops):
+            schedule = schedule.flat
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
-                        kind=self.schedule.kind):
-            if self.schedule.kind == "native":
-                return self.schedule.run(stimuli, ticks, self.check_types,
-                                         observe)
-            step = self.schedule.step
+                        kind=schedule.kind):
+            if schedule.kind == "native":
+                return schedule.run(stimuli, ticks, self.check_types,
+                                    observe)
+            step = schedule.step
             if telemetry is not None:
-                step = telemetry.step_for(self.schedule) or step
+                step = telemetry.step_for(schedule) or step
             if observe is not None:
                 step = _observed(step, observe)
             return run_stepped(self.component, step, stimuli, ticks,
                                self.check_types,
-                               initial_state=self.schedule.initial_state())
+                               initial_state=schedule.initial_state())
 
 
 def simulate_compiled(component: Component,
@@ -669,10 +652,9 @@ class ScenarioSuite:
     sequences, event storms or randomized stimulus sets against the same
     model while paying the compilation cost once.
 
-    *backend* is forwarded to :class:`CompiledSimulator`; with
-    ``backend="batch"`` :meth:`run_all` executes the whole suite as one
-    vectorized sweep instead of one run per scenario (identical traces,
-    identical first-error propagation).
+    *backend* is forwarded to :class:`CompiledSimulator`: with
+    ``backend="native"`` or ``"batch"`` each scenario of :meth:`run_all`
+    is one call into the compiled C tick loop.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -710,20 +692,9 @@ class ScenarioSuite:
         return len(self._scenarios)
 
     def run_all(self) -> Dict[str, SimulationTrace]:
-        """Run every scenario against the compiled schedule.
-
-        With the batch backend the whole suite is one vectorized sweep; the
-        first failing scenario (in registration order) re-raises its
-        original exception, mirroring the serial loop.
-        """
-        if self.simulator.batch_schedule is not None:
-            traces: Dict[str, SimulationTrace] = {}
-            for outcome in self.simulator.batch_schedule.run_battery(
-                    self._scenarios, check_types=self.simulator.check_types):
-                if outcome.exception is not None:
-                    raise outcome.exception
-                traces[outcome.name] = outcome.trace
-            return traces
+        """Run every scenario against the compiled schedule, in
+        registration order; the first failing scenario raises its
+        original exception."""
         return {name: self.simulator.run(stimuli, ticks)
                 for name, stimuli, ticks in self._scenarios}
 

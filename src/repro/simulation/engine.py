@@ -67,8 +67,8 @@ def prepare_feeds(component: Component,
                   ticks: int) -> "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]":
     """Validate *ticks*/*stimuli* against *component* and normalize feeds.
 
-    The entry validation of :func:`run_stepped`, shared with the batch
-    backend (:mod:`repro.simulation.batch_ir`) so every engine rejects bad
+    The entry validation of :func:`run_stepped`, shared with the native
+    tick loop (:mod:`repro.simulation.native`) so every engine rejects bad
     tick counts and unknown stimulus ports with identical messages and
     materializes generators identically.  Returns one
     ``(port name, tick -> value | None)`` pair per input port, in
@@ -123,8 +123,8 @@ def prefill_stimuli(component: Component,
     :func:`run_stepped` in place: the exact draw sequence of a stepped
     run, so shared generator instances see the serial draw order and the
     first failing ``(tick, port)`` is the same.  The horizon-at-once
-    backends (:mod:`repro.simulation.batch_ir`, the native tick loop) call
-    this instead of drawing per tick.
+    native tick loop (:mod:`repro.simulation.native`) calls this instead
+    of drawing per tick.
     """
     columns: "list[list[Any]]" = [[] for _ in feeds]
     tick = 0

@@ -17,7 +17,9 @@ input rows, output rows -- the layout :mod:`.emit` documents):
 * inputs are drawn for the whole horizon by
   :func:`~repro.simulation.engine.prefill_stimuli` (the draw order and
   input type checks of ``run_stepped``) and encoded tick-major and
-  port-inner;
+  port-inner -- a column of only exact ``float`` values, or only exact
+  ``int`` values within int64, in one strided slice assignment per plane,
+  any other column value by value;
 * gate predicates -- functions of the tick only -- are evaluated into a
   ``ticks x gates`` bitmap, cached per schedule and extended when a
   longer horizon asks for it;
@@ -60,9 +62,11 @@ object, type, message and tick as the flat backend.
 
 :class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
 ``instrumented_step`` / ``recording_step``: op-level profiling and flight
-recording are variants of the generated *Python* step, so
-:meth:`repro.obs.context.Telemetry.step_for` finds nothing to swap and
-observability degrades to spans and the ``native.runs`` /
+recording are variants of the generated *Python* step, so under
+``profile_ops`` or ``flight_recording``
+:meth:`repro.simulation.compiled.CompiledSimulator.run` runs the wrapped
+:attr:`NativeSchedule.flat` program's step variant instead of the C loop.
+Untraced and spans-only runs stay in C and report the ``native.runs`` /
 ``native.ticks`` / ``native.trampolines`` counters.
 """
 
@@ -148,6 +152,32 @@ def _tagged_plane(size: int, objects: List[Any]) -> Tuple[Any, ...]:
         fv[dst] = fv[src]
 
     return tag, iv, fv, load, store, copy
+
+
+def _encode_column(tag: Any, iv: Any, fv: Any,
+                   store: Callable[[int, Any], None], start: int, step: int,
+                   values: Sequence[Any]) -> None:
+    """Write one input column into every *step*-th cell from *start* on.
+
+    A column of only exact ``float`` values, or only exact ``int`` values
+    within int64, is written with one extended-slice assignment per plane;
+    any other column (ABSENT gaps, ``bool``, enums, big ints, mixed types)
+    goes through *store* value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        cells = slice(start, start + len(values) * step, step)
+        tag[cells] = b"\x02" * len(values)
+        fv[cells] = values
+    elif kinds == {int} and _INT64_MIN <= min(values) \
+            and max(values) <= _INT64_MAX:
+        cells = slice(start, start + len(values) * step, step)
+        tag[cells] = b"\x01" * len(values)
+        iv[cells] = values
+    else:
+        for tick, value in enumerate(values):
+            if value is not ABSENT:
+                store(start + tick * step, value)
 
 
 def _decode_columns(tag: Any, iv: Any, fv: Any, objects: List[Any],
@@ -256,9 +286,8 @@ class NativeSchedule:
         for index, value in enumerate(state.buffers):
             store(next_base + index, value)
         for column, values in enumerate(columns):
-            for tick, value in enumerate(values):
-                if value is not ABSENT:
-                    store(in_base + tick * n_inputs + column, value)
+            _encode_column(tag, iv, fv, store, in_base + column, n_inputs,
+                           values)
 
         def next_buffers() -> List[Any]:
             return [load(next_base + index) for index in range(n_buffers)]

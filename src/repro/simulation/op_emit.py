@@ -5,7 +5,7 @@ One definition of op semantics: every opcode of a
 template here, and every way the program is executed is straight-line
 Python source written from those templates and exec-compiled once per
 schedule -- the deployed system as one generated program (paper Sec. 2.4),
-produced from the model the way ASCET-SD produces code (Sec. 3.4).  Three
+produced from the model the way ASCET-SD produces code (Sec. 3.4).  Two
 value substrates spell slot access differently:
 
 * ``flat``   -- the per-tick ``values`` list ``v``: the default
@@ -13,11 +13,7 @@ value substrates spell slot access differently:
   variants (:func:`flat_step`);
 * ``native`` -- the tagged slot plane of :mod:`repro.simulation.native`,
   spelled ``load(slot)`` / ``store(slot, x)`` / ``copy(src, dst)``: one
-  replay function per op the C code can trampoline (:func:`native_replays`);
-* ``batch``  -- the ``(slot, lane)`` object plane of
-  :mod:`repro.simulation.batch_ir`: slot copies are whole-row assignments,
-  ``expr`` kernels take the active-lane mask and ``run`` / ``correct``
-  loop over the active lanes (:func:`batch_sweep`).
+  replay function per op the C code can trampoline (:func:`native_replays`).
 
 Op profiling and flight recording are emitter parameters, not twin loops:
 profiling times and counts every executed op and counts gate skips and
@@ -56,10 +52,6 @@ _TAGGED: _Slots = (lambda slot: f"load({slot})",
                    lambda src, dst: f"copy({src}, {dst})")
 
 
-def _lane(slot: int) -> str:
-    return f"v[{slot}, lane]"
-
-
 def _env(in_spec: Sequence[Tuple[str, int]],
          read: Callable[[int], str]) -> str:
     return "{" + ", ".join(f"{name!r}: {read(slot)}"
@@ -70,8 +62,8 @@ def _block(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
-def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, lanes: bool,
-              profiled: bool, bound: Dict[str, Any]) -> List[str]:
+def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
+              bound: Dict[str, Any]) -> List[str]:
     """The body of op *k*; the objects it calls are bound into *bound*."""
     read, write, copy = slots
     code = op[0]
@@ -90,49 +82,25 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, lanes: bool,
         lines = []
         for j, (si, leaf, fn, in_spec) in enumerate(op[1]):
             bound[f"c{k}_{j}"] = fn
-            if lanes:
-                lines += [f"li = sc[{si}]", f"pr = ps[{leaf}]",
-                          f"nr = ns[{leaf}]", "for lane in indices:"]
-                lines += _block(
-                    [f"fin = {_env(in_spec, _lane)}", "if fin != li[lane]:"]
-                    + _block([f"_, nr[lane] = c{k}_{j}(fin, pr[lane], tick)"]
-                             + count))
-            else:
-                lines += [f"fin = {_env(in_spec, read)}",
-                          f"if fin != sc[{si}]:"]
-                lines += _block(
-                    [f"_, ns[{leaf}] = c{k}_{j}(fin, ps[{leaf}], tick)"]
-                    + count)
+            lines += [f"fin = {_env(in_spec, read)}", f"if fin != sc[{si}]:"]
+            lines += _block(
+                [f"_, ns[{leaf}] = c{k}_{j}(fin, ps[{leaf}], tick)"] + count)
         return lines
     if code == OP_EXPR:
         _, _leaf, in_spec, items, post = op
-        args = "(env, active)" if lanes else "(env)"
         lines = [f"env = {_env(in_spec, read)}"]
         for j, (slot, fn) in enumerate(items):
             bound[f"x{k}_{j}"] = fn
-            call = f"x{k}_{j}{args}"
+            call = f"x{k}_{j}(env)"
             lines.append(write(slot, call) if slot >= 0 else call)
         return lines + [copy(src, dst) for src, dst in post]
     _, leaf, fn, in_spec, out_spec, post, si = op  # OP_RUN
     bound[f"f{k}"] = fn
-    if lanes:
-        lines = [f"pr = ps[{leaf}]", f"nr = ns[{leaf}]"]
-        if si >= 0:
-            lines.append(f"li = sc[{si}] = {{}}")
-        per_lane = [f"sub = {_env(in_spec, _lane)}",
-                    f"out, nr[lane] = f{k}(sub, pr[lane], tick)"]
-        per_lane += [f"v[{slot}, lane] = out.get({name!r}, A)"
-                     for name, slot in out_spec]
-        if si >= 0:
-            per_lane.append("li[lane] = sub")
-        lines += ["for lane in indices:"] + _block(per_lane)
-    else:
-        lines = [f"sub = {_env(in_spec, read)}",
-                 f"out, ns[{leaf}] = f{k}(sub, ps[{leaf}], tick)"]
-        lines += [write(slot, f"out.get({name!r}, A)")
-                  for name, slot in out_spec]
-        if si >= 0:
-            lines.append(f"sc[{si}] = sub")
+    lines = [f"sub = {_env(in_spec, read)}",
+             f"out, ns[{leaf}] = f{k}(sub, ps[{leaf}], tick)"]
+    lines += [write(slot, f"out.get({name!r}, A)") for name, slot in out_spec]
+    if si >= 0:
+        lines.append(f"sc[{si}] = sub")
     return lines + [copy(src, dst) for src, dst in post]
 
 
@@ -156,7 +124,7 @@ def _gate_guards(program: Sequence[Tuple[Any, ...]]
 
 
 def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
-                   lanes: bool, profiled: bool, recording: bool,
+                   profiled: bool, recording: bool,
                    bound: Dict[str, Any]) -> List[str]:
     """The whole op program as depth-1 guarded straight-line source."""
     guards = _gate_guards(program)
@@ -169,7 +137,7 @@ def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
              if op[0] == OP_GATE and guards[k] is not None]
     open_guard = None
     for k, op in enumerate(program):
-        body = _op_lines(k, op, slots, lanes, profiled, bound)
+        body = _op_lines(k, op, slots, profiled, bound)
         if profiled:
             body = ["t = clock()"] + body + [f"T[{k}] += clock() - t",
                                              f"C[{k}] += 1"]
@@ -233,7 +201,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     n_scratch = flat._scratch_count  # noqa: SLF001
     if n_scratch:
         head.append(f"sc = [None] * {n_scratch}")
-    ops = _program_lines(flat.program, _LIST, False, profile is not None,
+    ops = _program_lines(flat.program, _LIST, profile is not None,
                          recorder is not None, bound)
     if recorder is not None:
         ops = (["index = 0", "try:"] + _block(ops or ["pass"])
@@ -245,25 +213,6 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     tail.append(f"return {{{outputs}}}, FlatState(ns, nb)")
     return _define("step", "inputs, state, tick", head + ops + tail, bound,
                    f"<flat step {flat.component.name}>")
-
-
-def batch_sweep(program: Sequence[Tuple[Any, ...]], profile: Any = None,
-                clock: Callable[[], float] = time.perf_counter
-                ) -> Callable[..., None]:
-    """One vectorized tick of a batch-lowered *program* over the lanes.
-
-    Signature ``(v, active, indices, tick, ps, ns, pb, nb, sc)``: the
-    ``(slot, lane)`` plane, the active mask and its lane indexes, the tick,
-    per-leaf state rows (previous / next), buffer planes (previous / next)
-    and the correction scratch list.  With *profile* the tick and every
-    executed op are timed and counted.
-    """
-    bound: Dict[str, Any] = {"A": ABSENT}
-    head, tail = _profiling(profile, clock, bound)
-    ops = _program_lines(program, _LIST, True, profile is not None, False,
-                         bound)
-    return _define("sweep", "v, active, indices, tick, ps, ns, pb, nb, sc",
-                   head + ops + tail, bound, "<batch sweep>")
 
 
 def native_replays(program: Sequence[Tuple[Any, ...]]
@@ -281,7 +230,7 @@ def native_replays(program: Sequence[Tuple[Any, ...]]
     for k, op in enumerate(program):
         if op[0] in (OP_RUN, OP_EXPR, OP_CORRECT):
             lines.append(f"def r{k}(ps, ns, sc, tick, load, store, copy):")
-            lines += _block(_op_lines(k, op, _TAGGED, False, False, bound)
+            lines += _block(_op_lines(k, op, _TAGGED, False, bound)
                             or ["pass"])
     exec(compile("\n".join(lines), "<native replay>", "exec"),  # noqa: S102
          bound)

@@ -1,17 +1,18 @@
-"""Five-backend differential fuzz: interpreter vs nested vs flat vs batch
-vs native.
+"""Differential fuzz: interpreter vs nested vs flat vs native vs batch.
 
 Random flattenable models (expression blocks with randomized base-language
 source, delayed feedback, clock-gated subtrees, MTD leaves) crossed with
 random batteries (unequal tick counts, missing stimuli, ABSENT-laced
 streams, huge integers, zero divisors) must agree across all the
 execution backends: identical traces -- value AND Python type, so an
-int-exact division that decays to ``numpy`` true division or an int64
-wraparound is a failure even when ``==`` would hide it -- and identical
-error strings on failing scenarios.  The native C backend joins only when
-the host has a compiler (``native_available``), through both of its entry
+int-exact division that decays to true division or an int64 wraparound
+is a failure even when ``==`` would hide it -- and identical error
+strings on failing scenarios.  The native C backend joins only when the
+host has a compiler (``native_available``), through both of its entry
 points: whole horizons (``CompiledSimulator.run``) and the per-tick
-``schedule.step`` under ``run_stepped``.
+``schedule.step`` under ``run_stepped``.  The batch arm runs each battery
+as one serial ``run_sharded(..., backend="batch")`` campaign (the native
+C loop, or flat without a compiler).
 
 Every generation step draws from one seeded ``random.Random``, so a
 reported seed reproduces the exact divergence.  The regressions this fuzz
@@ -21,8 +22,6 @@ historically flushed out are pinned individually in ``test_batch_ir.py``.
 import random
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import every
@@ -35,8 +34,7 @@ from repro.obs.profile import OpProfile
 from repro.obs.recorder import FlightRecorder
 from repro.scenarios import Scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              Simulator, compile_batch, compile_flat,
-                              native_available)
+                              Simulator, compile_flat, native_available)
 from repro.simulation.engine import run_stepped
 
 _HAS_NATIVE = native_available()
@@ -201,7 +199,9 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     interpreter = Simulator(model)
     nested = CompiledSimulator(model, backend="nested")
     flat = CompiledSimulator(model, backend="flat")
-    outcomes = compile_batch(model).run_battery(battery)
+    outcomes = run_sharded(model, [Scenario(name, stimuli, ticks)
+                                   for name, stimuli, ticks in battery],
+                           executor="serial", backend="batch")
     runners = [("nested", nested.run), ("flat", flat.run)]
     if _HAS_NATIVE:
         native = CompiledSimulator(model, backend="native")
@@ -249,9 +249,8 @@ def test_four_backend_fuzz_extended(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_mode_histories_agree_across_backends(seed):
     """``collect_modes=True`` campaigns record identical per-tick mode
-    histories on every backend: nested walks the whole state tree, flat
-    and native read the leaves their mode plan names, batch reads those
-    leaves per lane."""
+    histories on every backend: nested walks the whole state tree; flat,
+    native and batch read the leaves their mode plan names."""
     rng = random.Random(9000 + seed)
     model = _build_model(rng, seed)
     battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
@@ -304,10 +303,10 @@ def _lane_outcome(outcome):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_step_variants_agree_with_interpreter(seed):
-    """The op-profiled and flight-recording flat steps and the op-profiled
-    batch sweep are generated variants of the default program; each must
-    reproduce the interpreter's typed trace, or its error type, message
-    and tick."""
+    """The op-profiled and flight-recording flat steps are generated
+    variants of the default program, and profiled batch-backend runs take
+    the profiled step; each must reproduce the interpreter's typed trace,
+    or its error type, message and tick."""
     rng = random.Random(9000 + seed)
     model = _build_model(rng, seed)
     battery = _battery(rng, model, size=rng.randint(3, 8))
@@ -328,8 +327,9 @@ def test_generated_step_variants_agree_with_interpreter(seed):
             if label == "recording" and recorder.failure is not None:
                 assert recorder.failure["tick"] == got[2], (seed, name)
 
-    # the profiled sweep: full horizons, then each failing lane cut just
-    # before and just after the interpreter's failing tick
+    # profiled batch-backend runs: full horizons as one campaign, then
+    # each failing scenario cut just before and just after the
+    # interpreter's failing tick
     failing = [(name, stimuli, expected[name][2])
                for name, stimuli, _ticks in battery
                if expected[name][1] is not None]
@@ -338,16 +338,20 @@ def test_generated_step_variants_agree_with_interpreter(seed):
           [(f"{name}@{completed + 1}", stimuli, completed + 1)
            for name, stimuli, completed in failing]
     with obs.session(profile_ops=True) as telemetry:
-        batch = compile_batch(model)
-        outcomes = batch.run_battery(battery)
-        cut_outcomes = batch.run_battery(cut) if cut else []
-    assert telemetry.profiles, "the profiled sweep did not run"
+        outcomes = run_sharded(model, [Scenario(name, stimuli, ticks)
+                                       for name, stimuli, ticks in battery],
+                               executor="serial", backend="batch")
+        batch = CompiledSimulator(model, backend="batch")
+        cut_outcomes = [_scalar_outcome(batch.run, stimuli, ticks)
+                        for _name, stimuli, ticks in cut]
+    assert telemetry.profiles, "the profiled step did not run"
     for (name, _stimuli, _ticks), outcome in zip(battery, outcomes):
         assert _lane_outcome(outcome) == expected[name][:2], (seed, name)
     interpreter = Simulator(model)
-    for (name, stimuli, ticks), outcome in zip(cut, cut_outcomes):
+    for (name, stimuli, ticks), (trace, error) in zip(cut, cut_outcomes):
         reference = _scalar_outcome(interpreter.run, stimuli, ticks)
-        assert _lane_outcome(outcome) == (
+        assert (_typed_streams(trace) if trace is not None else None,
+                error) == (
             _typed_streams(reference[0]) if reference[0] is not None
             else None, reference[1]), (seed, name)
 

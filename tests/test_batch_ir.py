@@ -1,18 +1,26 @@
-"""The vectorized batch backend: trace identity, error parity, isolation.
+"""The batch backend: trace identity, error parity, isolation.
 
-The batch IR (:mod:`repro.simulation.batch_ir`) promises that a whole
-scenario battery swept as ONE vectorized op program is observationally
+``backend="batch"`` compiles the native C tick loop exactly like
+``backend="native"`` (the flat interpreter on hosts without a compiler);
+the sharded runner dispatches its batteries one shard per worker, and
+each scenario of a shard is one C call.  This module pins, through the
+public entry points (:class:`CompiledSimulator`, :class:`ScenarioSuite`
+and :func:`run_sharded`), that a battery run this way is observationally
 identical to running each scenario through the scalar engines: identical
 traces (value *and* type), identical error messages at identical ticks,
 per-scenario isolation instead of batch poisoning, and no leakage across
-lanes of mixed batteries.  This module pins those contracts plus the
-regressions the differential fuzz flushed out (int-exact division,
-unbounded ints, short-circuit laziness, ABSENT propagation).
+the scenarios of mixed batteries.  It also keeps the regressions the
+differential fuzz once flushed out of the vectorized backend this one
+replaced (int-exact division, unbounded ints, short-circuit laziness,
+ABSENT propagation), now compared against the interpreter.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
 
-np = pytest.importorskip("numpy")
+import pytest
 
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import every
@@ -21,9 +29,11 @@ from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import Gain, UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
-from repro.simulation import (BatchSchedule, ClockGatedComponent,
-                              CompiledSimulator, ScenarioSuite, Simulator,
-                              compile_batch, compile_flat, first_difference)
+from repro.scenarios import Scenario, run_sharded
+from repro.simulation import (ClockGatedComponent, CompiledSimulator,
+                              ScenarioSuite, Simulator, first_difference,
+                              native_available)
+from repro.simulation.native import reset_toolchain_cache
 from repro.core.types import INT
 
 
@@ -130,12 +140,16 @@ def assert_trace_identical(reference, batch):
         assert [type(v) for v in got] == [type(v) for v in expected], port
 
 
-def batteries(model, items, **kwargs):
-    """Run *items* through the scalar flat engine and one batch sweep."""
-    scalar = CompiledSimulator(model, backend="flat", **kwargs)
-    batch = compile_batch(model)
-    outcomes = batch.run_battery(items, **kwargs)
-    return scalar, outcomes
+def run_battery(model, items, **kwargs):
+    """Run ``(name, stimuli, ticks)`` *items* as one serial batch-backend
+    campaign; one :class:`ScenarioResult` per item, in order."""
+    return run_sharded(model, [Scenario(name, dict(stimuli or {}), ticks)
+                               for name, stimuli, ticks in items],
+                       executor="serial", backend="batch", **kwargs)
+
+
+def expected_kind():
+    return "native" if native_available() else "flat"
 
 
 # -- trace identity ------------------------------------------------------------
@@ -148,17 +162,17 @@ def test_battery_traces_identical_to_interpreter(build):
     port = model.input_names()[0]
     items = [(f"s{i}", {port: [i, i + 2, 7 * i, 0, -i]}, 5) for i in range(9)]
     reference = Simulator(model)
-    outcomes = compile_batch(model).run_battery(items)
-    assert [o.name for o in outcomes] == [f"s{i}" for i in range(9)]
-    for (name, stimuli, ticks), outcome in zip(items, outcomes):
-        assert outcome.ok, (name, outcome.error)
-        assert_trace_identical(reference.run(stimuli, ticks), outcome.trace)
+    results = run_battery(model, items)
+    assert [r.name for r in results] == [f"s{i}" for i in range(9)]
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert result.ok, (name, result.error)
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
 
 
 def test_compiled_simulator_batch_backend_single_run():
     model = expression_pipeline()
     sim = CompiledSimulator(model, backend="batch")
-    assert isinstance(sim.batch_schedule, BatchSchedule)
+    assert sim.schedule.kind == expected_kind()
     stimuli = {"u": [1, 2, 3, 4]}
     assert_trace_identical(Simulator(model).run(stimuli, 4),
                            sim.run(stimuli, 4))
@@ -168,7 +182,25 @@ def test_batch_backend_rejects_unflattenable_roots():
     with pytest.raises(SimulationError, match="not flattenable"):
         CompiledSimulator(modes_mtd(), backend="batch")
     with pytest.raises(SimulationError, match="not flattenable"):
-        compile_batch(modes_mtd())
+        ScenarioSuite(modes_mtd(), backend="batch")
+
+
+def test_batch_backend_degrades_to_flat_without_compiler(monkeypatch):
+    model = expression_pipeline()
+    monkeypatch.setenv("CC", "/nonexistent/compiler")
+    monkeypatch.setenv("PATH", "/nonexistent")
+    reset_toolchain_cache()
+    try:
+        with pytest.warns(RuntimeWarning, match="'batch' requires a C "
+                                                "compiler"):
+            simulator = CompiledSimulator(model, backend="batch")
+        assert simulator.schedule.kind == "flat"
+        stimuli = {"u": [1, 2, 3]}
+        assert_trace_identical(Simulator(model).run(stimuli, 3),
+                               simulator.run(stimuli, 3))
+    finally:
+        monkeypatch.undo()
+        reset_toolchain_cache()
 
 
 def test_scenario_suite_batch_matches_auto():
@@ -199,29 +231,30 @@ def test_mixed_horizons_and_partial_stimuli_no_lane_leakage():
         ("absent_holes", {"u": Stream([1, ABSENT, 3, ABSENT])}, 4),
     ]
     reference = Simulator(model)
-    outcomes = compile_batch(model).run_battery(items)
-    for (name, stimuli, ticks), outcome in zip(items, outcomes):
-        assert outcome.ok, (name, outcome.error)
+    results = run_battery(model, items)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert result.ok, (name, result.error)
         expected = reference.run(stimuli, ticks)
-        assert outcome.trace.ticks == ticks
-        assert_trace_identical(expected, outcome.trace)
+        assert result.trace.ticks == ticks
+        assert_trace_identical(expected, result.trace)
         for port, stream in expected.inputs.items():
-            assert outcome.trace.inputs[port].values() == stream.values()
+            assert result.trace.inputs[port].values() == stream.values()
 
 
 def test_zero_tick_scenarios_in_a_battery():
     model = expression_pipeline()
-    items = [("empty", {"u": [1, 2]}, 0), ("real", {"u": [5, 6]}, 2)]
-    outcomes = compile_batch(model).run_battery(items)
-    assert outcomes[0].ok
-    assert outcomes[0].trace.ticks == 0
-    assert outcomes[0].trace.outputs == {}
+    sim = CompiledSimulator(model, backend="batch")
+    empty = sim.run({"u": [1, 2]}, 0)
+    assert empty.ticks == 0
+    assert empty.outputs == {}
     assert_trace_identical(Simulator(model).run({"u": [5, 6]}, 2),
-                           outcomes[1].trace)
+                           sim.run({"u": [5, 6]}, 2))
 
 
 def test_empty_battery_returns_empty_list():
-    assert compile_batch(expression_pipeline()).run_battery([]) == []
+    model = expression_pipeline()
+    assert run_battery(model, []) == []
+    assert ScenarioSuite(model, backend="batch").run_all() == {}
 
 
 # -- error parity and isolation ------------------------------------------------
@@ -237,19 +270,21 @@ def test_division_error_identical_message_tick_and_isolation():
     scalar = CompiledSimulator(model, backend="flat")
     with pytest.raises(ExpressionEvalError) as scalar_error:
         scalar.run(items[1][1], items[1][2])
-    outcomes = compile_batch(model).run_battery(items)
+    with pytest.raises(ExpressionEvalError) as batch_error:
+        CompiledSimulator(model, backend="batch").run(items[1][1],
+                                                      items[1][2])
+    assert str(batch_error.value) == str(scalar_error.value)
+    results = run_battery(model, items)
 
-    boom = outcomes[1]
+    boom = results[1]
     assert not boom.ok
-    assert isinstance(boom.exception, ExpressionEvalError)
-    assert str(boom.exception) == str(scalar_error.value)
     assert boom.error == (f"{type(scalar_error.value).__name__}: "
                           f"{scalar_error.value}")
 
     # neighbours keep their full traces: no batch poisoning
-    assert outcomes[0].ok and outcomes[2].ok
-    assert outcomes[0].trace.outputs["q"].values() == [5, 3]
-    assert outcomes[2].trace.outputs["q"].values() == [2.4]
+    assert results[0].ok and results[2].ok
+    assert results[0].trace.outputs["q"].values() == [5, 3]
+    assert results[2].trace.outputs["q"].values() == [2.4]
 
 
 def test_run_one_reraises_the_original_exception():
@@ -278,25 +313,27 @@ def test_unknown_name_error_parity():
     scalar = CompiledSimulator(dfd, backend="flat")
     with pytest.raises(ExpressionEvalError) as expected:
         scalar.run({"u": [1]}, 1)
-    outcome = compile_batch(dfd).run_battery([("s", {"u": [1]}, 1)])[0]
-    assert str(outcome.exception) == str(expected.value)
+    with pytest.raises(ExpressionEvalError) as got:
+        CompiledSimulator(dfd, backend="batch").run({"u": [1]}, 1)
+    assert str(got.value) == str(expected.value)
 
 
 def test_stimulus_validation_messages_identical():
     model = expression_pipeline()
-    batch = compile_batch(model)
+    batch = CompiledSimulator(model, backend="batch")
     scalar = CompiledSimulator(model, backend="flat")
     for stimuli, ticks in [({"u": [1]}, True), ({"u": [1]}, -1),
                            ({"bogus": [1]}, 3)]:
         with pytest.raises(SimulationError) as expected:
             scalar.run(stimuli, ticks)
-        outcome = batch.run_battery([("s", stimuli, ticks)])[0]
-        assert not outcome.ok
-        assert str(outcome.exception) == str(expected.value)
-        # the rest of the battery is untouched
-        good = batch.run_battery([("s", stimuli, ticks),
-                                  ("ok", {"u": [2]}, 1)])[1]
-        assert good.ok
+        with pytest.raises(SimulationError) as got:
+            batch.run(stimuli, ticks)
+        assert str(got.value) == str(expected.value)
+    # a rejected scenario leaves the rest of the battery untouched
+    rejected, good = run_battery(model, [("s", {"bogus": [1]}, 3),
+                                         ("ok", {"u": [2]}, 1)])
+    assert rejected.error == f"SimulationError: {expected.value}"
+    assert good.ok
 
 
 def test_failing_stimulus_callable_matches_scalar_tick():
@@ -313,10 +350,11 @@ def test_failing_stimulus_callable_matches_scalar_tick():
     scalar = CompiledSimulator(model, backend="flat")
     with pytest.raises(RuntimeError) as expected:
         scalar.run({"u": explode_at(3)}, 6)
-    outcome = compile_batch(model).run_battery(
-        [("s", {"u": explode_at(3)}, 6)])[0]
-    assert str(outcome.exception) == str(expected.value)
-    assert type(outcome.exception) is type(expected.value)
+    with pytest.raises(RuntimeError) as got:
+        CompiledSimulator(model, backend="batch").run(
+            {"u": explode_at(3)}, 6)
+    assert str(got.value) == str(expected.value)
+    assert type(got.value) is type(expected.value)
 
     # model error at tick 1 beats a stimulus error at tick 4
     div = divider()
@@ -330,9 +368,9 @@ def test_failing_stimulus_callable_matches_scalar_tick():
     scalar_div = CompiledSimulator(div, backend="flat")
     with pytest.raises(ExpressionEvalError) as div_error:
         scalar_div.run(stimuli, 5)
-    outcome = compile_batch(div).run_battery([("s", stimuli, 5)])[0]
-    assert str(outcome.exception) == str(div_error.value)
-    assert isinstance(outcome.exception, ExpressionEvalError)
+    with pytest.raises(ExpressionEvalError) as got:
+        CompiledSimulator(div, backend="batch").run(stimuli, 5)
+    assert str(got.value) == str(div_error.value)
 
 
 def test_check_types_parity_both_directions():
@@ -347,50 +385,53 @@ def test_check_types_parity_both_directions():
     dfd.connect("B.out", "y")
 
     scalar = CompiledSimulator(dfd, check_types=True, backend="flat")
-    batch = compile_batch(dfd)
+    batch = CompiledSimulator(dfd, check_types=True, backend="batch")
 
     # input violation at tick 1
     with pytest.raises(Exception) as expected:
         scalar.run({"u": [2, "oops", 4]}, 3)
-    outcome = batch.run_battery([("s", {"u": [2, "oops", 4]}, 3)],
-                                check_types=True)[0]
-    assert str(outcome.exception) == str(expected.value)
-    assert "@t1" in str(outcome.exception)
+    with pytest.raises(Exception) as got:
+        batch.run({"u": [2, "oops", 4]}, 3)
+    assert str(got.value) == str(expected.value)
+    assert "@t1" in str(got.value)
 
     # output violation: u=3 -> y=1.5 violates INT at tick 1
     with pytest.raises(Exception) as expected:
         scalar.run({"u": [2, 3]}, 2)
-    outcome = batch.run_battery([("s", {"u": [2, 3]}, 2)],
-                                check_types=True)[0]
-    assert str(outcome.exception) == str(expected.value)
+    with pytest.raises(Exception) as got:
+        batch.run({"u": [2, 3]}, 2)
+    assert str(got.value) == str(expected.value)
 
     # clean battery type-checks clean
-    outcome = batch.run_battery([("s", {"u": [2, 4]}, 2)],
-                                check_types=True)[0]
-    assert outcome.ok
-    assert outcome.trace.outputs["y"].values() == [1, 2]
+    (result,) = run_battery(dfd, [("s", {"u": [2, 4]}, 2)],
+                            check_types=True)
+    assert result.ok
+    assert result.trace.outputs["y"].values() == [1, 2]
 
 
 # -- pinned regressions (differential-fuzz finds) ------------------------------
 
 
 def test_int_exact_division_stays_int_across_lanes():
-    """NumPy true division would give floats; the base language is
-    int-exact.  Every lane must preserve the scalar result *type*."""
-    outcomes = compile_batch(divider()).run_battery([
-        ("exact", {"a": [10, 9, -8], "b": [2, 3, 4]}, 3),
-        ("inexact", {"a": [10, 7], "b": [4, 2]}, 2),
-    ])
-    exact = outcomes[0].trace.outputs["q"].values()
+    """The base language is int-exact: every scenario must preserve the
+    interpreter's result *type*, not decay to true division."""
+    model = divider()
+    items = [("exact", {"a": [10, 9, -8], "b": [2, 3, 4]}, 3),
+             ("inexact", {"a": [10, 7], "b": [4, 2]}, 2)]
+    results = run_battery(model, items)
+    reference = Simulator(model)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
+    exact = results[0].trace.outputs["q"].values()
     assert exact == [5, 3, -2]
     assert all(type(v) is int for v in exact)
-    inexact = outcomes[1].trace.outputs["q"].values()
+    inexact = results[1].trace.outputs["q"].values()
     assert inexact == [2.5, 3.5]
     assert all(type(v) is float for v in inexact)
 
 
 def test_unbounded_ints_do_not_overflow():
-    """int64 lanes would wrap at 2**63; object lanes must not."""
+    """int64 arithmetic would wrap at 2**63; results must not."""
     dfd = DataFlowDiagram("Big")
     dfd.add_input("u")
     dfd.add_output("y")
@@ -400,49 +441,63 @@ def test_unbounded_ints_do_not_overflow():
     dfd.connect("u", "Cube.u")
     dfd.connect("Cube.out", "y")
     huge = 2 ** 80
-    outcomes = compile_batch(dfd).run_battery(
-        [("big", {"u": [huge, -huge]}, 2), ("small", {"u": [3]}, 1)])
-    assert outcomes[0].trace.outputs["y"].values() == [huge ** 3, -(huge ** 3)]
-    assert outcomes[1].trace.outputs["y"].values() == [27]
+    items = [("big", {"u": [huge, -huge]}, 2), ("small", {"u": [3]}, 1),
+             ("edge", {"u": [2 ** 21, 2 ** 22]}, 2)]  # 2**66 leaves int64
+    results = run_battery(dfd, items)
+    reference = Simulator(dfd)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
+    assert results[0].trace.outputs["y"].values() == [huge ** 3, -(huge ** 3)]
+    assert results[1].trace.outputs["y"].values() == [27]
+    assert results[2].trace.outputs["y"].values() == [2 ** 63, 2 ** 66]
+
+
+def _binary_block(source):
+    dfd = DataFlowDiagram("Binary")
+    dfd.add_input("a")
+    dfd.add_input("b")
+    dfd.add_output("y")
+    block = ExpressionComponent("B", {"out": source})
+    block.add_input("a")
+    block.add_input("b")
+    block.add_output("out")
+    dfd.add_subcomponent(block)
+    dfd.connect("a", "B.a")
+    dfd.connect("b", "B.b")
+    dfd.connect("B.out", "y")
+    return dfd
 
 
 @pytest.mark.parametrize("source", ["a + b", "a - b", "a * b", "a % b",
                                     "(a + b) * (a - b) % 7"])
 def test_arithmetic_on_absent_free_rows_matches_scalar_types(source):
-    """Absent-free rows skip the per-lane kernel call; every lane must
-    still carry the scalar engine's value *and* type (bool arithmetic,
-    big ints, floats, strings), with or without a mask or an absent lane."""
-    from repro.core.expr_batch import compile_batch_expression
-    from repro.core.expr_compile import compile_expression
-    from repro.core.expr_parser import parse_expression
-    expression = parse_expression(source)
-    scalar = compile_expression(expression)
-    batch = compile_batch_expression(expression)
+    """ABSENT-free columns take the native plane's bulk encoding; every
+    tick must still carry the interpreter's value *and* type (bool
+    arithmetic, big ints, floats, strings), with or without an absent
+    tick in the column."""
+    model = _binary_block(source)
     a = [True, 2 ** 80, -7, 7.5, False, 3, -2.25, 9]
     b = [True, 3, 2, -2, 5, 1.5, 4, -4]
-
-    def lanes(values):
-        row = np.empty(len(values), dtype=object)
-        row[:] = values
-        return row
-
-    for left in (a, a[:3] + [ABSENT] + a[4:]):
-        env = {"a": lanes(left), "b": lanes(b)}
-        for mask in (np.ones(len(b), dtype=bool),
-                     np.array([i % 3 != 1 for i in range(len(b))])):
-            got = batch(env, mask).tolist()
-            for lane in np.nonzero(mask)[0]:
-                want = scalar({"a": left[lane], "b": b[lane]})
-                assert (type(got[lane]), got[lane]) == (type(want), want), \
-                    (source, lane)
-    words = {"a": lanes(["ab", "c"]), "b": lanes(["x", "yz"])}
+    items = [("mixed", {"a": a, "b": b}, len(b)),
+             ("holes", {"a": Stream(a[:3] + [ABSENT] + a[4:]), "b": b},
+              len(b)),
+             ("ints", {"a": [3, -7, 9, 2 ** 40], "b": [2, 5, -4, 3]}, 4),
+             ("floats", {"a": [7.5, -2.25, 0.5], "b": [-2.0, 4.0, 1.5]}, 3),
+             ("bools", {"a": [True, False], "b": [True, True]}, 2)]
+    reference = Simulator(model)
+    results = run_battery(model, items)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert result.ok, (source, name, result.error)
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
     if source == "a + b":
-        assert batch(words, np.ones(2, dtype=bool)).tolist() == ["abx", "cyz"]
+        words = CompiledSimulator(model, backend="batch").run(
+            {"a": ["ab", "c"], "b": ["x", "yz"]}, 2)
+        assert words.outputs["y"].values() == ["abx", "cyz"]
 
 
 def test_short_circuit_does_not_evaluate_poisoned_right_operand():
-    """``a and (1 / b)`` with a false: the scalar engine never divides, so
-    a lane with b == 0 must not fall over to eager mask evaluation."""
+    """``a and (1 / b)`` with a false: the interpreter never divides, so a
+    scenario with b == 0 must not fail through eager evaluation."""
     dfd = DataFlowDiagram("Lazy")
     dfd.add_input("a")
     dfd.add_input("b")
@@ -456,15 +511,17 @@ def test_short_circuit_does_not_evaluate_poisoned_right_operand():
     items = [("safe", {"a": [False, False], "b": [0, 0]}, 2),
              ("divides", {"a": [True], "b": [4]}, 1)]
     reference = Simulator(dfd)
-    outcomes = compile_batch(dfd).run_battery(items)
-    for (name, stimuli, ticks), outcome in zip(items, outcomes):
-        assert outcome.ok, (name, outcome.error)
-        assert_trace_identical(reference.run(stimuli, ticks), outcome.trace)
-    # and a genuinely-dividing zero lane still fails with the scalar message
-    bad = compile_batch(dfd).run_battery(
-        [("boom", {"a": [True], "b": [0]}, 1)])[0]
+    results = run_battery(dfd, items)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert result.ok, (name, result.error)
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
+    # and a genuinely-dividing zero scenario still fails with the
+    # interpreter's message
+    (bad,) = run_battery(dfd, [("boom", {"a": [True], "b": [0]}, 1)])
     assert not bad.ok
-    assert isinstance(bad.exception, ExpressionEvalError)
+    with pytest.raises(ExpressionEvalError) as expected:
+        reference.run({"a": [True], "b": [0]}, 1)
+    assert bad.error == f"ExpressionEvalError: {expected.value}"
 
 
 def test_absent_propagation_matches_interpreter():
@@ -483,11 +540,10 @@ def test_absent_propagation_matches_interpreter():
     dfd.connect("B.flag", "seen")
     stimuli = {"u": Stream([1, ABSENT, 3, ABSENT, 5])}
     expected = Simulator(dfd).run(stimuli, 5)
-    outcome = compile_batch(dfd).run_battery([("s", stimuli, 5)])[0]
-    assert_trace_identical(expected, outcome.trace)
-    assert outcome.trace.outputs["y"].values()[1] is ABSENT
-    assert outcome.trace.outputs["seen"].values() == [True, False, True,
-                                                      False, True]
+    trace = CompiledSimulator(dfd, backend="batch").run(stimuli, 5)
+    assert_trace_identical(expected, trace)
+    assert trace.outputs["y"].values()[1] is ABSENT
+    assert trace.outputs["seen"].values() == [True, False, True, False, True]
 
 
 # -- mode observability --------------------------------------------------------
@@ -497,22 +553,62 @@ def test_collect_modes_matches_scalar_histories():
     model = mtd_in_composite()
     items = [("calm", {"x": [1, 1, 1, 1]}, 4),
              ("spike", {"x": [1, 5, 5, 0]}, 4)]
-    outcomes = compile_batch(model).run_battery(items, collect_modes=True)
-    for (name, stimuli, ticks), outcome in zip(items, outcomes):
-        assert outcome.ok
-        assert outcome.mode_paths is not None
+    results = run_battery(model, items, collect_modes=True)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert result.ok
+        assert result.mode_paths is not None
         expected = Simulator(model).run(stimuli, ticks)
         # the MTD publishes its mode on a port: histories must agree with it
-        path, = outcome.mode_paths
-        assert outcome.mode_paths[path] == \
-            expected.outputs["mode"].values()
+        path, = result.mode_paths
+        assert result.mode_paths[path] == expected.outputs["mode"].values()
 
 
 def test_stateful_leaf_states_stay_per_lane():
-    """The UnitDelay accumulator feedback: lane states must never mix."""
+    """The UnitDelay accumulator feedback: scenario states must never mix."""
     model = expression_pipeline()
     items = [(f"s{i}", {"u": [i] * 6}, 6) for i in range(5)]
     reference = Simulator(model)
-    outcomes = compile_batch(model).run_battery(items)
-    for (name, stimuli, ticks), outcome in zip(items, outcomes):
-        assert_trace_identical(reference.run(stimuli, ticks), outcome.trace)
+    results = run_battery(model, items)
+    for (name, stimuli, ticks), result in zip(items, results):
+        assert_trace_identical(reference.run(stimuli, ticks), result.trace)
+
+
+# -- no third-party runtime dependency -----------------------------------------
+
+
+def test_batch_campaign_runs_without_numpy():
+    """A ``backend="batch"`` campaign with a coverage report runs in a
+    process where ``import numpy`` fails."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises
+        from repro.casestudy import build_engine_modes_mtd
+        from repro.notations.dfd import DataFlowDiagram
+        from repro.scenarios import RandomWalk, Scenario, run_with_report
+
+        system = DataFlowDiagram("EngineSystem")
+        system.add_subcomponent(build_engine_modes_mtd())
+        for port in ("n", "ped", "t_eng"):
+            system.add_input(port)
+            system.connect(port, f"EngineOperationModes.{port}")
+        system.add_output("mode")
+        system.connect("EngineOperationModes.mode", "mode")
+        battery = [Scenario(f"drive{index}", {
+            "n": RandomWalk(seed=index, start=0.0, step=500.0,
+                            low=0.0, high=6000.0),
+            "ped": 20.0, "t_eng": 40.0}, ticks=30) for index in range(4)]
+        results, report = run_with_report(system, battery,
+                                          executor="serial", backend="batch")
+        assert all(result.ok for result in results)
+        assert report.succeeded == 4
+        print("ok", report.total_ticks)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["ok", "120"]

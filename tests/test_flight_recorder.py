@@ -13,8 +13,10 @@ Pins the contracts of :mod:`repro.obs.recorder`:
   preceding the failure;
 * bundles **replay**: a fresh recorder over the same stimuli reproduces
   the ring and the failure tick exactly;
-* flight recording overrides the vectorized batch backend (forensics
-  needs per-tick slot environments), without changing results.
+* flight recording overrides the native C loop of ``backend="batch"``
+  and ``backend="native"`` (forensics needs per-tick slot environments):
+  recorded runs take the wrapped flat program's recording step, without
+  changing results.
 """
 
 import json
@@ -192,7 +194,6 @@ def test_forced_scenario_error_dumps_replayable_bundle(tmp_path):
 
 
 def test_batch_backend_falls_back_to_recorded_flat_path(tmp_path):
-    pytest.importorskip("numpy")
     model = divider_model()
     with obs.session(flight_recording=True, ring_ticks=4,
                      postmortem_dir=str(tmp_path)) as telemetry:
@@ -206,6 +207,26 @@ def test_batch_backend_falls_back_to_recorded_flat_path(tmp_path):
     # results agree with the unrecorded batch run
     reference = run_sharded(model, forensic_batch(), executor="serial",
                             backend="batch")
+    for expected, actual in zip(reference, results):
+        assert expected.error == actual.error
+        if expected.ok:
+            assert first_difference(expected.trace, actual.trace) is None
+
+
+def test_native_backend_falls_back_to_recorded_flat_path(tmp_path):
+    model = divider_model()
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        results = run_sharded(model, forensic_batch(), executor="serial",
+                              backend="native")
+        bundles = list(telemetry.bundles)
+    assert [result.ok for result in results] == [True, False, True]
+    assert "division by zero" in results[1].error
+    assert len(bundles) == 1
+    assert read_bundle(bundles[0])["failing"]["tick"] == 5
+    # results agree with the unrecorded native run
+    reference = run_sharded(model, forensic_batch(), executor="serial",
+                            backend="native")
     for expected, actual in zip(reference, results):
         assert expected.error == actual.error
         if expected.ok:

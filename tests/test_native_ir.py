@@ -12,7 +12,7 @@ validation) run everywhere.
 import os
 import sys
 import threading
-from enum import Enum
+from enum import Enum, IntEnum
 
 import pytest
 
@@ -638,6 +638,62 @@ def test_objects_and_huge_ints_ride_delayed_buffers_across_ticks():
     got = native_trace.outputs["y"].values()
     assert got[2] is Gear.LOW and got[5] is Gear.HIGH
     assert type(got[3]) is int and got[3] == 2 ** 70
+
+
+class _Gear(Enum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Level(IntEnum):
+    OFF = 0
+    ON = 1
+
+
+#: Input column shapes of the plane encoding: exact floats and in-range
+#: ints take the bulk slice path, everything else the per-value store.
+_COLUMN_SHAPES = {
+    "float": [0.5, -1.25, 3.0, 1e300, -0.0, 7.0],
+    "int": [0, 1, -7, 2 ** 63 - 1, -(2 ** 63), 42],
+    "absent_gaps": Stream([1.5, ABSENT, 2.5, ABSENT, 4.0, 5.5]),
+    "bool": [True, False, True, True, False, False],
+    "enum": [_Gear.LOW, _Gear.HIGH, _Level.ON, _Level.OFF, _Gear.LOW,
+             _Level.ON],
+    "int_outside_int64": [2 ** 63, -(2 ** 63) - 1, 5, 2 ** 70, -3, 0],
+    "mixed": [1, 2.5, True, 3, _Gear.HIGH, -4.0],
+}
+
+
+def _two_port_carry():
+    """Two inputs, so columns interleave in the input rows; ``u`` also
+    rides two delayed channels (see :func:`_delayed_passthrough`)."""
+    dfd = _delayed_passthrough()
+    dfd.add_input("w")
+    dfd.add_output("w_raw")
+    dfd.connect("w", "w_raw")
+    return dfd
+
+
+@requires_cc
+@pytest.mark.parametrize("shape", sorted(_COLUMN_SHAPES))
+def test_input_column_shapes_encode_byte_identical_to_flat(shape):
+    model = _two_port_carry()
+    flat = CompiledSimulator(model, backend="flat")
+    native = CompiledSimulator(model, backend="native")
+    assert native.schedule.kind == "native"
+    column = _COLUMN_SHAPES[shape]
+    partner = [float(tick) for tick in range(6)]
+
+    def typed(trace):
+        return {port: [(type(v), v) for v in stream.values()]
+                for port, stream in sorted(trace.outputs.items())}
+
+    for stimuli in ({"u": column}, {"u": column, "w": partner},
+                    {"u": partner, "w": column}):
+        got, want = native.run(stimuli, 6), flat.run(stimuli, 6)
+        assert typed(got) == typed(want), (shape, sorted(stimuli))
+        if shape not in ("enum", "mixed"):  # enum members are not JSON
+            assert trace_to_json(got) == trace_to_json(want), shape
 
 
 @requires_cc

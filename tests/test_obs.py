@@ -30,7 +30,7 @@ from repro.obs import (MetricsRegistry, OpProfile, Tracer, format_profile,
                        span_from_json_dict)
 from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              first_difference)
+                              first_difference, native_available)
 
 
 @pytest.fixture(autouse=True)
@@ -360,35 +360,41 @@ def _flattenable_engine(engine_modes_mtd):
 
 
 def test_batch_sweep_profile_and_counters(engine_modes_mtd):
-    pytest.importorskip("numpy")
+    """``backend="batch"`` runs each scenario through the native C loop:
+    one ``native.runs`` entry per scenario and no sweep counters.  Under
+    ``profile_ops`` the runs take the wrapped flat program's profiled
+    step instead, with identical traces."""
     model = _flattenable_engine(engine_modes_mtd)
     batch = _engine_batch()
-    reference = run_sharded(model, batch, executor="serial",
-                            backend="batch")
+    with obs.session() as counted:
+        reference = run_sharded(model, batch, executor="serial",
+                                backend="batch")
     with obs.session(profile_ops=True) as telemetry:
         observed = run_sharded(model, batch, executor="serial",
                                backend="batch")
     for expected, actual in zip(reference, observed):
-        assert actual.ok and actual.amortized
+        assert actual.ok
         assert first_difference(expected.trace, actual.trace) is None
 
-    registry = telemetry.registry
-    assert registry.counter("batch.sweeps").value == 1
-    assert registry.counter("batch.lanes").value == len(batch)
-    assert registry.counter("runner.sweep.count").value == 1
-    assert registry.counter("runner.sweep.lanes").value == len(batch)
-    assert registry.histogram("runner.sweep.duration_s").count == 1
-    assert registry.counter_values("runner.scenario.") == {
-        "runner.scenario.total": len(batch),
-        "runner.scenario.ok": len(batch),
-        "runner.scenario.ticks": sum(s.ticks for s in batch),
-    }
+    runs = len(batch) if native_available() else 0
+    for registry in (counted.registry, telemetry.registry):
+        assert registry.counter_values("runner.scenario.") == {
+            "runner.scenario.total": len(batch),
+            "runner.scenario.ok": len(batch),
+            "runner.scenario.ticks": sum(s.ticks for s in batch),
+        }
+        assert registry.counter_values("batch.") == {}
+        assert registry.counter_values("runner.sweep.") == {}
+    assert counted.registry.counter_values("native.runs") \
+        == ({"native.runs": runs} if runs else {})
+    assert telemetry.registry.counter_values("native.runs") == {}
     span_names = [span.name for span in telemetry.tracer.walk()]
     assert "runner.run_sharded" in span_names
-    assert "batch.sweep" in span_names
+    assert "batch.sweep" not in span_names
+    assert span_names.count("run") == len(batch)
     profiles = telemetry.named_profiles()
-    (profile,) = [profiles[name] for name in profiles if "[batch]" in name]
-    assert profile.ticks > 0
+    (profile,) = [profiles[name] for name in profiles if "[flat]" in name]
+    assert profile.ticks == sum(s.ticks for s in batch)
 
 
 # -- executor equivalence of runner telemetry --------------------------------
@@ -493,7 +499,7 @@ def test_process_workers_ship_their_compile_count(engine_modes_mtd):
 def test_runner_records_nothing_when_disabled(engine_modes_mtd):
     results = run_sharded(engine_modes_mtd, _engine_batch(count=2),
                           executor="serial")
-    assert all(result.ok and not result.amortized for result in results)
+    assert all(result.ok for result in results)
     assert obs.current_registry() is None
 
 

@@ -247,7 +247,6 @@ def test_process_stream_matches_serial_after_normalization(engine_modes_mtd):
 
 
 def test_batch_backend_stream_matches_per_scenario(engine_modes_mtd):
-    pytest.importorskip("numpy")
     from repro.notations.dfd import DataFlowDiagram
     dfd = DataFlowDiagram("EngineSystem")
     dfd.add_subcomponent(engine_modes_mtd)

@@ -258,8 +258,6 @@ def test_scenario_suite_scenarios_accessor(engine_modes_mtd):
 def _flattenable_engine():
     """The engine-mode MTD wrapped in a composite so the root flattens
     (batch backend requirement); the MTD itself stays a nested leaf."""
-    import pytest as _pytest
-    _pytest.importorskip("numpy")
     from repro.casestudy import build_engine_modes_mtd
     from repro.notations.dfd import DataFlowDiagram
 
@@ -333,8 +331,6 @@ def test_batch_backend_empty_battery_and_chunk_override():
 
 
 def test_batch_backend_rejects_unflattenable_root(engine_modes_mtd):
-    import pytest as _pytest
-    _pytest.importorskip("numpy")
     batch = _engine_batch(2, ticks=5)
     with pytest.raises(SimulationError, match="not flattenable"):
         run_sharded(engine_modes_mtd, batch, executor="serial",
