@@ -46,6 +46,35 @@ def time_median(runner, repeats: int = 5) -> float:
     return statistics.median(durations)
 
 
+def median_paired_ratio(baseline, candidate, pairs: int):
+    """Median over *pairs* of ``candidate() / baseline()`` wall-clock ratios.
+
+    Each pair times the two runners back to back, alternating which goes
+    first, so a slow stretch of a shared host lands on both sides of one
+    ratio instead of on one side of a best-of comparison.  Returns
+    ``(ratio, baseline_s, candidate_s)``: the median ratio and the median
+    duration of each side.
+    """
+    def timed(runner):
+        start = time.perf_counter()
+        runner()
+        return time.perf_counter() - start
+
+    ratios, base_times, cand_times = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            cand = timed(candidate)
+            base = timed(baseline)
+        else:
+            base = timed(baseline)
+            cand = timed(candidate)
+        ratios.append(cand / base)
+        base_times.append(base)
+        cand_times.append(cand)
+    return (statistics.median(ratios), statistics.median(base_times),
+            statistics.median(cand_times))
+
+
 def write_bench_json(name: str, payload: dict, telemetry=None) -> str:
     """Write ``BENCH_<name>.json``, the machine-readable benchmark artefact.
 

@@ -7,8 +7,10 @@ the deep gated-controller workload of ``bench_flatten``.
   closures: the gate asserts object identity of ``schedule.step`` across
   an enable/run/disable cycle, and that a full :class:`CompiledSimulator`
   run -- whose only extra work is the disabled ambient probes -- costs at
-  most 5% (best-of) over driving the raw step closure through
-  ``run_stepped`` directly.
+  most 5% over driving the raw step closure through ``run_stepped``
+  directly.  The ratio is the median over interleaved (raw, simulator)
+  pairs whose order alternates, so host noise lands on both sides of each
+  ratio rather than on one side of a best-of comparison.
 * **Enabled** with ``profile_ops``, the attribution must be honest: the
   op-level profile accounts the bulk of the measured run inside op timers
   (``op_time_s <= total_time_s``, with the difference being the step
@@ -40,14 +42,16 @@ from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import CompiledSimulator, first_difference
 from repro.simulation.engine import run_stepped
 
-from _bench_utils import report, time_best, write_bench_json
+from _bench_utils import median_paired_ratio, report, write_bench_json
 from bench_flatten import deep_gated_controller
 
 #: Workload shape: nesting depth and simulation horizon of the gate.
 DEPTH = 6
 TICKS = 2000
-#: Disabled-mode overhead ceiling (best-of ratio vs the raw step driver).
+#: Disabled-mode overhead ceiling (median paired ratio vs the raw step
+#: driver) and the number of interleaved pairs it is the median of.
 OVERHEAD_CEILING = 1.05
+PAIRS = 21
 
 
 def _out_path(name: str) -> str:
@@ -83,9 +87,8 @@ def test_p8_obs_overhead_gate():
         simulator.run(stimuli, TICKS)
 
     raw_run(), off_run()  # warm-up
-    baseline = time_best(raw_run, repeats=5)
-    disabled = time_best(off_run, repeats=5)
-    off_ratio = disabled / baseline
+    off_ratio, baseline, disabled = median_paired_ratio(raw_run, off_run,
+                                                        pairs=PAIRS)
 
     # -- enabled: op-level profile + spans -----------------------------------
     reference = simulator.run(stimuli, TICKS)
@@ -186,7 +189,7 @@ def test_p8_obs_overhead_gate():
             "compiled_simulator_s": disabled,
             "overhead_ratio": off_ratio,
             "ceiling": OVERHEAD_CEILING,
-            "basis": "best-of",
+            "basis": f"median of {PAIRS} interleaved pair ratios",
         },
         "enabled": {
             "ticks": profile.ticks,
@@ -210,8 +213,9 @@ def test_p8_obs_overhead_gate():
 
     report("P8", "\n".join([
         f"deep gated controller, depth {DEPTH}, {TICKS} ticks:",
-        f"  disabled: raw step {baseline:.4f}s, simulator {disabled:.4f}s "
-        f"-> {100 * (off_ratio - 1):+.1f}% (ceiling "
+        f"  disabled: median raw step {baseline:.4f}s, simulator "
+        f"{disabled:.4f}s; median of {PAIRS} pair ratios "
+        f"{100 * (off_ratio - 1):+.1f}% (ceiling "
         f"{100 * (OVERHEAD_CEILING - 1):.0f}%)",
         f"  enabled: {profile.ticks} ticks profiled, "
         f"{100 * attribution:.1f}% attributed to ops, "

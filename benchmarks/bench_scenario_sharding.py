@@ -17,10 +17,12 @@ deterministic counts that :mod:`repro.obs` records for a second, traced
 pooled run: one task per scenario (``shard_dispatched`` events and
 ``runner.worker_task`` spans) and one schedule compile per worker that
 ran a task (``compile.simulators``, counted where the compile happens),
-so 32 tasks on 4 workers pay at most 4 compiles.  A batched run
-(``backend="batch"``) on a batch that does not divide evenly checks that
-the pool receives exactly the :func:`shard_scenarios` shards, one task
-each.  Traces are byte-identical to the serial run throughout.
+so 32 tasks on 4 workers pay at most 4 compiles.  A chunked run
+(``chunk_size=8``) on a batch that does not divide evenly checks that the
+pool receives exactly the ``chunk_size`` slices, one task each, and a
+``backend="batch"`` run checks that the alias dispatches one task per
+scenario like ``"native"``.  Traces are byte-identical to the serial run
+throughout.
 Per-worker compile amortization is measured separately: the pool pays
 ``workers`` compilations where a naive per-scenario pool would pay
 ``len(batch)``.
@@ -156,29 +158,32 @@ def test_p3_sharded_vs_serial_ccd_batch():
 
 
 @pytest.mark.parallel
-def test_p3_batched_pool_dispatches_one_shard_per_task():
-    """With ``backend="batch"`` the pool receives :func:`shard_scenarios`
-    shards, one task each; a batch that does not divide evenly checks the
-    shard sizes, not just their count."""
+def test_p3_pool_dispatches_one_chunk_per_task():
+    """``chunk_size`` is the only dispatch knob: on a batch that does not
+    divide evenly the pool receives the ``chunk_size`` slices, one task
+    each, and ``backend="batch"`` (an alias of ``"native"``) dispatches
+    one task per scenario like every other backend."""
     gated = _gated_ccd_workload()
     batch = _batch(BATCH_SIZE - 2, ticks=60)
-    shards = [len(shard) for shard in shard_scenarios(batch, WORKERS)]
-    assert len(set(shards)) == 2
-
-    results, dispatched, tasks, workers, compiles = \
-        _counted_pool_run(gated, batch, backend="batch")
     simulator = CompiledSimulator(gated)
-    for result, scenario in zip(results, batch):
-        assert first_difference(simulator.run(scenario.stimuli,
-                                              scenario.ticks),
-                                result.trace) is None
+    reference = [simulator.run(scenario.stimuli, scenario.ticks)
+                 for scenario in batch]
 
-    report("P3", f"batched pool: {len(batch)} scenarios as shards "
-                 f"{dispatched} in {tasks} tasks on {len(workers)} "
-                 f"workers, {compiles} compiles")
-    assert dispatched == shards
-    assert tasks == len(shards)
-    assert compiles == len(workers) <= WORKERS
+    for options in ({"chunk_size": 8}, {"backend": "batch"}):
+        results, dispatched, tasks, workers, compiles = \
+            _counted_pool_run(gated, batch, **options)
+        for result, expected in zip(results, reference):
+            assert first_difference(expected, result.trace) is None
+        report("P3", f"pool with {options}: {len(batch)} scenarios as "
+                     f"tasks of {dispatched} in {tasks} "
+                     f"runner.worker_task spans on {len(workers)} "
+                     f"workers, {compiles} compiles")
+        if "chunk_size" in options:
+            assert dispatched == [8, 8, 8, 6]
+        else:
+            assert dispatched == [1] * len(batch)
+        assert tasks == len(dispatched)
+        assert compiles == len(workers) <= WORKERS
 
 
 @pytest.mark.parallel

@@ -12,7 +12,7 @@
 
 from .conflicts import (ActuatorConflict, ConflictAnalysis, analyze_conflicts,
                         suggest_coordinator_name)
-from .lint import (Finding, LintReport, certify_batch, findings_from_report,
+from .lint import (Finding, LintReport, findings_from_report,
                    lint_component, lint_flat_schedule, lint_model,
                    lint_schedule, to_sarif, verify_component)
 from .consistency import (check_faa_fda_coverage, check_fda_la_allocation,
@@ -29,7 +29,7 @@ from .well_definedness import (OSEK_FIXED_PRIORITY, PROFILES, TIME_TRIGGERED,
                                missing_delays, repair_rate_transitions)
 
 __all__ = [
-    "Finding", "LintReport", "certify_batch", "findings_from_report",
+    "Finding", "LintReport", "findings_from_report",
     "lint_component", "lint_flat_schedule", "lint_model", "lint_schedule",
     "to_sarif", "verify_component",
     "ActuatorConflict", "ConflictAnalysis", "GlobalModeSystem",

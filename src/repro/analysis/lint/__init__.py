@@ -17,7 +17,7 @@ from .expr_check import (AbstractValue, abstract_of_type, abstract_of_value,
                          lint_expression_component)
 from .findings import (FINDING_SCHEMA_VERSION, Finding, LintReport,
                        findings_from_report, to_sarif)
-from .ir_verify import certify_batch, lint_flat_schedule
+from .ir_verify import lint_flat_schedule
 from .machine_check import lint_machine, lint_machines
 from .registry import LintRule, all_rules, get_rule, register, rule_ids
 
@@ -30,7 +30,6 @@ __all__ = [
     "abstract_of_type",
     "abstract_of_value",
     "all_rules",
-    "certify_batch",
     "check_expression",
     "environment_of_ports",
     "findings_from_report",

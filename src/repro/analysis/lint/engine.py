@@ -5,7 +5,7 @@
   :class:`ExpressionComponent`, and the machine-level checks of every
   MTD/STD (including mode behaviours and clock-gated inners);
 * :func:`lint_schedule` -- IR dataflow verification of a compiled
-  :class:`FlatSchedule` (plus the batch-sweep certification);
+  :class:`FlatSchedule`;
 * :func:`lint_model` -- both: the hierarchy *and*, when the model is
   flattenable, the schedule it compiles to;
 * :func:`verify_component` -- :func:`lint_model` that raises

@@ -25,13 +25,6 @@ interpretation of the op program:
   leaves must not have late producers writing their inputs
   (``ir-correction-unmatched`` / ``ir-correction-missing`` /
   ``ir-correction-dead``);
-* batch aliasing: :func:`certify_batch` certifies a schedule safe for
-  ``(slot, scenario)`` vectorized sweeps (no backend runs such sweeps
-  any more; the rule awaits retirement) -- fused
-  copy ops are classified gatherable vs order-dependent (chains and
-  different-source duplicate destinations require in-order pair
-  execution), and genuine aliasing hazards void the certification
-  (``ir-batch-alias`` / ``ir-batch-certified``).
 
 The verifier never executes a tick and never calls a step closure; it
 reads only the program tuples, the specs and the leaves' static metadata.
@@ -338,18 +331,6 @@ def lint_flat_schedule(schedule: FlatSchedule,
 
     # -- correction barriers -----------------------------------------------
     report.extend(_check_corrections(schedule, writes_by_slot))
-
-    # -- batch aliasing certification --------------------------------------
-    cert = certify_batch(schedule)
-    report.extend(cert.pop("findings"))
-    if cert["safe"]:
-        report.add(_finding(
-            "ir-batch-certified",
-            f"certified safe for (slot, scenario) vectorized sweeps: "
-            f"{cert['copy_ops']} copy op(s), {cert['gatherable_ops']} "
-            f"gatherable, {cert['order_dependent_ops']} order-dependent "
-            f"(in-order pair execution required), 0 aliasing hazards",
-            element=report.subject, **{k: v for k, v in cert.items()}))
     return report
 
 
@@ -436,78 +417,3 @@ def _check_corrections(schedule: FlatSchedule,
                 element=leaf_label(op[1]),
                 op=index, late_writers=late))
     return findings
-
-
-def certify_batch(schedule: FlatSchedule) -> Dict[str, Any]:
-    """Certify *schedule* for ``(slot, scenario)`` vectorized batch sweeps.
-
-    The batch backend executes copy pairs in order, row-assigning one slot
-    across all scenario lanes at a time; a copy op is *gatherable* (safe to
-    lower as one fancy-indexed gather, or to reorder/parallelize) iff its
-    pairs are alias-free.  The flattener's copy fusion routinely produces
-    chains (a pair reading an earlier pair's destination) and redundant
-    duplicates (the same value forwarded to one slot twice) -- both are
-    correct under in-order execution and only classify the op as
-    *order-dependent*; a destination written twice from **different**
-    sources is additionally reported (``ir-batch-alias``, info).  The only
-    hazard that voids the certification is a self-copy pair whose slot an
-    earlier pair already rewrote -- under any reordering or two-phase
-    gather its value is ambiguous.
-
-    Returns ``{"safe", "copy_ops", "gatherable_ops", "order_dependent_ops",
-    "hazards", "findings"}``.
-    """
-    findings: List[Finding] = []
-    copy_ops = gatherable = order_dependent = hazards = 0
-
-    def classify(index: int, pairs: Tuple[Tuple[int, int], ...],
-                 what: str) -> bool:
-        nonlocal hazards
-        ordered = False
-        dst_sources: Dict[int, int] = {}
-        rewritten: Set[int] = set()
-        for pair_index, (src, dst) in enumerate(pairs):
-            if src == dst and src in rewritten:
-                hazards += 1
-                findings.append(_finding(
-                    "ir-batch-alias",
-                    f"{what} {index} pair {pair_index} copies slot {src} "
-                    f"({_slot_name(schedule, src)}) onto itself after an "
-                    f"earlier pair rewrote it: ambiguous under any "
-                    f"reordering or two-phase gather",
-                    element=_slot_name(schedule, src),
-                    op=index, pair=pair_index, slot=src))
-            if dst in dst_sources:
-                ordered = True
-                if dst_sources[dst] != src:
-                    findings.append(_finding(
-                        "ir-batch-alias",
-                        f"{what} {index} writes slot {dst} "
-                        f"({_slot_name(schedule, dst)}) from two different "
-                        f"sources; the last pair wins, so the op requires "
-                        f"in-order pair execution and cannot be lowered "
-                        f"as a parallel gather",
-                        element=_slot_name(schedule, dst),
-                        severity=Severity.INFO, op=index, slot=dst))
-            dst_sources[dst] = src
-            rewritten.add(dst)
-            if any(src == earlier_dst
-                   for _esrc, earlier_dst in pairs[:pair_index]):
-                ordered = True
-        return ordered
-
-    for index, op in enumerate(schedule.program):
-        if op[0] == OP_COPY:
-            copy_ops += 1
-            if classify(index, op[1], "copy op"):
-                order_dependent += 1
-            else:
-                gatherable += 1
-        elif op[0] in (OP_RUN, OP_EXPR):
-            post = op[5] if op[0] == OP_RUN else op[4]
-            if post:
-                classify(index, tuple(post), "post-propagation of op")
-    return {"safe": hazards == 0, "copy_ops": copy_ops,
-            "gatherable_ops": gatherable,
-            "order_dependent_ops": order_dependent,
-            "hazards": hazards, "findings": findings}

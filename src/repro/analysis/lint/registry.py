@@ -101,12 +101,6 @@ register("ir-correction-missing", "ir", Severity.ERROR,
 register("ir-correction-dead", "ir", Severity.INFO,
          "a correction-barrier entry whose inputs no later op can change "
          "(the compare-and-rerun is provably a no-op)")
-register("ir-batch-alias", "ir", Severity.WARNING,
-         "a fused copy op has aliasing pairs (duplicate destination or "
-         "self-copy) unsafe to reorder for vectorized sweeps")
-register("ir-batch-certified", "ir", Severity.INFO,
-         "the schedule is certified safe for (slot, scenario) vectorized "
-         "batch sweeps")
 
 # --------------------------------------------------------------------------
 # Expression abstract interpretation (repro.analysis.lint.expr_check)

@@ -35,8 +35,7 @@ import traceback
 from concurrent.futures import (Executor, ProcessPoolExecutor,
                                 ThreadPoolExecutor, as_completed)
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence)
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.components import Component
 from ..core.errors import SimulationError
@@ -249,11 +248,11 @@ def execute_batch(simulator: CompiledSimulator, scenarios: Sequence[Scenario],
                   registry: Optional[MetricsRegistry] = None,
                   events: Optional[EventLog] = None
                   ) -> List[ScenarioResult]:
-    """Run a whole shard of scenarios against one compiled simulator.
+    """Run a list of scenarios against one compiled simulator.
 
     Each scenario runs through :func:`execute_scenario` -- with a native
-    schedule (``backend="native"`` or ``"batch"``) one C call per
-    scenario -- so every executor dispatches chunks through this one
+    schedule (``backend="native"`` or its alias ``"batch"``) one C call
+    per scenario -- so every executor runs every task through this one
     entry point with per-scenario results, telemetry and events.
     """
     if registry is None:
@@ -326,21 +325,26 @@ def _process_initializer(payload: bytes, check_types: bool,
     _PROCESS_WORKER["obs_config"] = obs_config or {}
 
 
-def _observed_process_task(run: Callable[..., Any],
-                           argument: Any) -> _ShardOutcome:
-    """Run one observed task inside a worker-local telemetry session.
+def _process_run_chunk(chunk: List[Scenario]) -> Any:
+    """Run one pool task in a worker process.
 
-    The session makes the worker's AMBIENT telemetry the worker-local one
-    for the duration of the task, so every instrumentation site fires --
-    including the native loop's ``native.*`` counters and the ``run``
-    spans, which an explicit registry alone would miss -- and everything
-    lands in the one registry/tracer/event-log shipped back in the
-    envelope.  The task is wrapped in a ``runner.worker_task`` span
-    carrying the worker identity, which
+    Unobserved, the task returns its results.  Observed, it runs inside a
+    worker-local telemetry session that makes the worker's AMBIENT
+    telemetry the worker-local one for the duration of the task, so every
+    instrumentation site fires -- including the native loop's
+    ``native.*`` counters and the ``run`` spans, which an explicit
+    registry alone would miss -- and everything lands in the one
+    registry/tracer/event-log shipped back in a :class:`_ShardOutcome`.
+    The task is wrapped in a ``runner.worker_task`` span carrying the
+    worker identity, which
     :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a distinct
     Perfetto track per worker.
     """
     worker = f"pid-{os.getpid()}"
+    simulator = _PROCESS_WORKER["simulator"]
+    collect_modes = _PROCESS_WORKER["collect_modes"]
+    if not _PROCESS_WORKER.get("observe"):
+        return execute_batch(simulator, chunk, collect_modes, worker=worker)
     config = _PROCESS_WORKER["obs_config"]
     log = EventLog() if config.get("events") else None
     with _obs_session(events=log,
@@ -352,30 +356,13 @@ def _observed_process_task(run: Callable[..., Any],
         if setup is not None:
             telemetry.registry.merge(setup)
         with telemetry.tracer.span("runner.worker_task", worker=worker):
-            out = run(_PROCESS_WORKER["simulator"], argument,
-                      _PROCESS_WORKER["collect_modes"], worker=worker,
-                      registry=telemetry.registry, events=log)
-    results = out if isinstance(out, list) else [out]
+            results = execute_batch(simulator, chunk, collect_modes,
+                                    worker=worker,
+                                    registry=telemetry.registry, events=log)
     return _ShardOutcome(results, telemetry.registry,
                          events=log.events if log is not None else (),
                          spans=telemetry.tracer.roots, worker=worker,
                          bundles=telemetry.bundles)
-
-
-def _process_run_one(scenario: Scenario) -> Any:
-    if not _PROCESS_WORKER.get("observe"):
-        return execute_scenario(_PROCESS_WORKER["simulator"], scenario,
-                                _PROCESS_WORKER["collect_modes"],
-                                worker=f"pid-{os.getpid()}")
-    return _observed_process_task(execute_scenario, scenario)
-
-
-def _process_run_chunk(chunk: List[Scenario]) -> Any:
-    if not _PROCESS_WORKER.get("observe"):
-        return execute_batch(_PROCESS_WORKER["simulator"], chunk,
-                             _PROCESS_WORKER["collect_modes"],
-                             worker=f"pid-{os.getpid()}")
-    return _observed_process_task(execute_batch, chunk)
 
 
 # --------------------------------------------------------------------------
@@ -421,19 +408,19 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
 
     Results are returned in scenario order regardless of completion order;
     ``on_result`` observes them in completion order for streaming
-    consumption.  ``chunk_size`` groups scenarios per task to amortize
+    consumption.  Each pool task is a list of scenarios: one scenario per
+    task by default, or ``chunk_size`` contiguous scenarios to amortize
     inter-process transfer for very large batches of cheap scenarios.
+    *max_workers* defaults to one worker per CPU, capped at the batch
+    size.
 
     *backend* selects the worker simulators' schedule backend (forwarded
     to :class:`~repro.simulation.compiled.CompiledSimulator`).  With
-    ``backend="native"`` or ``"batch"`` every worker drives the compiled
-    C tick loop, one C call per scenario; the content-addressed
-    shared-object cache makes the per-worker recompile a cache hit, and
-    compiler-less hosts degrade to ``"flat"``.  ``backend="batch"``
-    additionally dispatches one :func:`shard_scenarios` shard per pool
-    worker by default instead of one task per scenario (``chunk_size``
-    still overrides the grouping) -- traces, error strings and result
-    order stay byte-identical to the per-scenario path.
+    ``backend="native"`` every worker drives the compiled C tick loop,
+    one C call per scenario; the content-addressed shared-object cache
+    makes the per-worker recompile a cache hit, and compiler-less hosts
+    degrade to ``"flat"``.  ``backend="batch"`` is an alias of
+    ``"native"``: it compiles and dispatches exactly the same way.
     """
     if executor not in _EXECUTORS:
         raise SimulationError(
@@ -447,6 +434,8 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
             "cannot be simulated (FAA components may be structure-only)")
     if chunk_size is not None and chunk_size < 1:
         raise SimulationError("chunk_size must be >= 1")
+    if max_workers is not None and max_workers < 1:
+        raise SimulationError("max_workers must be >= 1")
 
     parent_telemetry = _obs_active()
     parent_registry = current_registry()
@@ -486,9 +475,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                 on_result(result)
         return results
 
-    workers = max_workers or min(len(batch), os.cpu_count() or 1)
-    workers = max(1, min(workers, len(batch)))
-    batched = backend == "batch"
+    workers = min(max_workers or os.cpu_count() or 1, len(batch))
 
     if executor == "process":
         payload = _pickle_model(component)
@@ -496,7 +483,6 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
             max_workers=workers, initializer=_process_initializer,
             initargs=(payload, check_types, collect_modes, backend, observe,
                       obs_config))
-        run_one: Callable[[Scenario], Any] = _process_run_one
         run_chunk: Callable[[List[Scenario]], Any] = _process_run_chunk
     else:  # thread pool: per-thread compilation, no pickling
         local = threading.local()
@@ -516,20 +502,6 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
         # appends/increments
         buffer_events = parent_events is not None
 
-        def run_one(scenario: Scenario) -> Any:
-            worker = threading.current_thread().name
-            if not observe:
-                return execute_scenario(
-                    local.simulator, scenario, collect_modes, worker=worker)
-            registry = MetricsRegistry()
-            log = EventLog() if buffer_events else None
-            result = execute_scenario(
-                local.simulator, scenario, collect_modes,
-                worker=worker, registry=registry, events=log)
-            return _ShardOutcome([result], registry,
-                                 events=log.events if log is not None
-                                 else (), worker=worker)
-
         def run_chunk(chunk: List[Scenario]) -> Any:
             worker = threading.current_thread().name
             if not observe:
@@ -547,38 +519,26 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
         pool = ThreadPoolExecutor(max_workers=workers,
                                   initializer=_thread_initializer)
 
+    size = chunk_size or 1
+    tasks = [batch[index:index + size]
+             for index in range(0, len(batch), size)]
     by_name: Dict[str, ScenarioResult] = {}
     with pool, maybe_span("runner.run_sharded", scenarios=len(batch),
                           executor=executor, backend=backend,
                           workers=workers):
-        if chunk_size is None and batched:
-            # whole shards as single tasks: one contiguous near-equal
-            # shard per worker (shard_scenarios drops empty shards, so
-            # workers > len(batch) degenerates to singleton shards)
-            tasks = shard_scenarios(batch, workers)
-            chunked = True
-        elif chunk_size is None:
-            tasks = [[scenario] for scenario in batch]
-            chunked = False
-        else:
-            tasks = [batch[index:index + chunk_size]
-                     for index in range(0, len(batch), chunk_size)]
-            chunked = True
         futures: Dict[Any, List[Scenario]] = {}
         for shard_index, task in enumerate(tasks):
             if parent_events is not None:
                 parent_events.emit("shard_dispatched", shard=shard_index,
                                    scenarios=len(task), executor=executor)
-            future = pool.submit(run_chunk, task) if chunked \
-                else pool.submit(run_one, task[0])
-            futures[future] = task
+            futures[pool.submit(run_chunk, task)] = task
         for future in as_completed(futures):
             submitted = futures[future]
             error = future.exception()
             if error is not None:
                 # the task itself failed (e.g. unpicklable stimuli, broken
                 # pool): isolate it to the scenarios of this task
-                completed: Iterable[ScenarioResult] = [
+                completed: List[ScenarioResult] = [
                     ScenarioResult(scenario.name,
                                    error=f"{type(error).__name__}: {error}")
                     for scenario in submitted]
@@ -600,7 +560,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                             parent_telemetry.tracer.adopt(span)
                         parent_telemetry.bundles.extend(outcome.bundles)
                     outcome = outcome.results
-                completed = outcome if isinstance(outcome, list) else [outcome]
+                completed = outcome
             for result in completed:
                 by_name[result.name] = result
                 if on_result is not None:

@@ -10,9 +10,9 @@
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
   lowered to one compiled C tick loop driven through ctypes, one C call
   per scenario (requires a platform C compiler; check
-  :func:`native_available`).  It serves both ``backend="native"`` and
-  ``backend="batch"``, which differ only in how the sharded runner
-  dispatches a battery; hosts without a compiler run the flat program.
+  :func:`native_available`).  It serves ``backend="native"`` and its
+  alias ``backend="batch"``; hosts without a compiler run the flat
+  program.
 * :mod:`repro.simulation.trace` -- recorded traces, trace tables, equivalence
 * :mod:`repro.simulation.causality` -- hierarchical instantaneous-loop check
 * :mod:`repro.simulation.multirate` -- stimulus generators and resampling

@@ -531,10 +531,8 @@ class CompiledSimulator:
     ctypes (:mod:`repro.simulation.native`, requires a flattenable root
     and a C compiler) and runs each scenario's whole horizon in one C
     call; hosts without a compiler degrade to the flat interpreter with a
-    ``RuntimeWarning``.  ``"batch"`` compiles exactly like ``"native"``;
-    it differs only in how :func:`repro.scenarios.runner.run_sharded`
-    dispatches a battery (one :func:`~repro.scenarios.runner.shard_scenarios`
-    shard per worker instead of one task per scenario).
+    ``RuntimeWarning``.  ``"batch"`` is an alias of ``"native"``; spans
+    and events still carry the name the caller passed.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -653,8 +651,8 @@ class ScenarioSuite:
     model while paying the compilation cost once.
 
     *backend* is forwarded to :class:`CompiledSimulator`: with
-    ``backend="native"`` or ``"batch"`` each scenario of :meth:`run_all`
-    is one call into the compiled C tick loop.
+    ``backend="native"`` (or its alias ``"batch"``) each scenario of
+    :meth:`run_all` is one call into the compiled C tick loop.
     """
 
     def __init__(self, component: Component, check_types: bool = False,

@@ -93,8 +93,8 @@ def find_compiler() -> Optional[str]:
 
 
 def native_available() -> bool:
-    """True when a C compiler is available (``backend="native"`` and
-    ``backend="batch"`` degrade to flat without one)."""
+    """True when a C compiler is available (``backend="native"`` and its
+    alias ``"batch"`` degrade to flat without one)."""
     return find_compiler() is not None
 
 

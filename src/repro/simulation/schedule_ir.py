@@ -43,9 +43,8 @@ step function is straight-line Python source generated from one body
 template per opcode (:mod:`repro.simulation.op_emit`) and exec-compiled
 once per schedule.  The op-profiling
 (:meth:`FlatSchedule.instrumented_step`) and flight-recording
-(:meth:`FlatSchedule.recording_step`) variants, the batch backend's lane
-sweep and the native backend's trampoline replays are generated from the
-same templates.
+(:meth:`FlatSchedule.recording_step`) variants and the native backend's
+trampoline replays are generated from the same templates.
 
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
 states plus one flat list of delayed-channel buffers.  The step also

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.analysis.lint import certify_batch, lint_flat_schedule, lint_model
+from repro.analysis.lint import lint_flat_schedule, lint_model
 from repro.casestudy.door_lock import build_door_lock_faa
 from repro.casestudy.engine_control import build_engine_ccd
 from repro.casestudy.momentum import (build_closed_loop,
@@ -246,47 +246,6 @@ def test_clean_feedback_schedule_has_no_correction_findings(
     assert not report.by_rule("ir-correction-missing")
     assert not report.by_rule("ir-correction-unmatched")
     assert not report.errors(), report.describe()
-
-
-# -- batch certification ----------------------------------------------------
-
-
-def test_batch_certification_of_clean_schedule(momentum_schedule):
-    cert = certify_batch(momentum_schedule)
-    assert cert["safe"]
-    assert cert["copy_ops"] == cert["gatherable_ops"] \
-        + cert["order_dependent_ops"]
-    report = lint_flat_schedule(momentum_schedule)
-    assert report.by_rule("ir-batch-certified")
-
-
-def test_batch_alias_duplicate_destination_is_order_dependent(
-        momentum_schedule):
-    in_a = momentum_schedule.input_spec[0][1]
-    in_b = momentum_schedule.input_spec[1][1]
-    fresh = momentum_schedule.n_slots
-    program = list(momentum_schedule.program) \
-        + [[OP_COPY, ((in_a, fresh), (in_b, fresh))]]
-    mutant = _doctor(momentum_schedule, program, n_slots=fresh + 1)
-    cert = certify_batch(mutant)
-    assert cert["safe"]  # in-order pair execution keeps it correct
-    alias = [f for f in cert["findings"] if f.rule == "ir-batch-alias"]
-    assert alias and alias[0].severity is Severity.INFO
-
-
-def test_batch_alias_self_copy_hazard_voids_certification(
-        momentum_schedule):
-    in_a = momentum_schedule.input_spec[0][1]
-    fresh = momentum_schedule.n_slots
-    program = list(momentum_schedule.program) \
-        + [[OP_COPY, ((in_a, fresh), (fresh, fresh))]]
-    mutant = _doctor(momentum_schedule, program, n_slots=fresh + 1)
-    cert = certify_batch(mutant)
-    assert not cert["safe"]
-    alias = [f for f in cert["findings"] if f.rule == "ir-batch-alias"]
-    assert alias and alias[0].severity is Severity.WARNING
-    report = lint_flat_schedule(mutant)
-    assert not report.by_rule("ir-batch-certified")
 
 
 # -- zero false positives over everything the compiler really emits ---------

@@ -7,7 +7,10 @@ the runner covered everywhere.
 
 import pytest
 
+from repro import obs
 from repro.core.errors import SimulationError
+from repro.io import trace_to_json
+from repro.obs.events import EventLog
 from repro.scenarios import RandomWalk, Scenario, run_sharded, shard_scenarios
 from repro.simulation import ScenarioSuite, first_difference
 
@@ -124,6 +127,11 @@ def test_runner_rejects_bad_batches(engine_modes_mtd):
         run_sharded(engine_modes_mtd, [Scenario("ok", {}, 2)],
                     executor="gpu")
     assert run_sharded(engine_modes_mtd, []) == []
+    for max_workers in (0, -3):
+        with pytest.raises(SimulationError,
+                           match="max_workers must be >= 1"):
+            run_sharded(engine_modes_mtd, [Scenario("ok", {}, 2)],
+                        executor="thread", max_workers=max_workers)
 
 
 def test_runner_rejects_structure_only_components():
@@ -292,11 +300,39 @@ def test_batch_backend_thread_whole_shard_sweeps():
     batched = run_sharded(model, batch, executor="thread", backend="batch",
                           max_workers=3)
     _assert_same_traces(serial, batched)
-    # more workers than scenarios: shard_scenarios degenerates to
-    # singleton sweeps, order and traces unchanged
+    # more workers than scenarios: order and traces unchanged
     small = run_sharded(model, batch[:2], executor="thread", backend="batch",
                         max_workers=16)
     _assert_same_traces(serial[:2], small)
+
+
+def _dispatch_and_traces(model, batch, executor, backend):
+    events = EventLog()
+    with obs.session(events=events):
+        results = run_sharded(model, batch, executor=executor,
+                              backend=backend, max_workers=3)
+    dispatched = [event.data["scenarios"] for event in events.events
+                  if event.type == "shard_dispatched"]
+    return dispatched, results
+
+
+@pytest.mark.parametrize("executor", [
+    "serial", "thread", pytest.param("process", marks=pytest.mark.parallel)])
+def test_batch_backend_dispatches_like_native(executor):
+    """``backend="batch"`` is an alias of ``"native"``: the pool receives
+    the same tasks and returns the same traces."""
+    model = _flattenable_engine()
+    batch = _engine_batch(10, ticks=25)
+    native_dispatch, native = _dispatch_and_traces(model, batch, executor,
+                                                   "native")
+    batch_dispatch, batched = _dispatch_and_traces(model, batch, executor,
+                                                   "batch")
+    assert batch_dispatch == native_dispatch
+    if executor != "serial":
+        assert batch_dispatch == [1] * len(batch)
+    _assert_same_traces(native, batched)
+    assert [trace_to_json(r.trace) for r in batched] \
+        == [trace_to_json(r.trace) for r in native]
 
 
 def test_batch_backend_isolates_failing_lane_in_shard():
