@@ -15,7 +15,8 @@ The gate is **semantic first**: every batch trace must serialize
 byte-identically (:func:`repro.io.trace_to_json`) to the per-scenario flat
 trace, and a sample of scenarios is additionally checked byte-for-byte
 against the reference interpreter.  Only then is the >= 3x speedup
-asserted.  Median tick rates land in ``BENCH_batch_ir.json`` for the CI
+asserted, as the median of interleaved run-pair ratios
+(:func:`_bench_utils.median_paired_ratio`).  Median tick rates land in ``BENCH_batch_ir.json`` for the CI
 artifact trail (mirroring ``BENCH_flatten.json``).  Compiler-less hosts
 skip cleanly (``native_available``): there ``"batch"`` degrades to flat.
 
@@ -36,7 +37,7 @@ from repro.notations.dfd import DataFlowDiagram
 from repro.scenarios import Scenario, run_sharded
 from repro.simulation import CompiledSimulator, Simulator, native_available
 
-from _bench_utils import report, time_best, time_median, write_bench_json
+from _bench_utils import median_paired_ratio, report, write_bench_json
 
 pytestmark = pytest.mark.skipif(
     not native_available(),
@@ -46,6 +47,9 @@ pytestmark = pytest.mark.skipif(
 SCENARIOS = 512
 TICKS = 100
 WIDTH = 4
+
+#: Interleaved run pairs behind the gated median.
+PAIRS = 9
 _SOURCES = ("a + b * 2", "(a - b) % 97", "a * 3 - b", "a + b * 2")
 
 
@@ -134,15 +138,9 @@ def test_p7_batch_ir_vs_per_scenario_flat_gate():
                                              scenario.ticks)) \
             == trace_to_json(results[index].trace)
 
-    timings = {
-        "flat_per_scenario": time_median(run_flat, repeats=3),
-        "batch": time_median(lambda: run_batch(model, items), repeats=3),
-    }
-    # best-of for the gate itself (repo convention for speedup gates: keeps
-    # one descheduled run on a shared CI box from flipping the assertion)
-    best_flat = time_best(run_flat)
-    best_batch = time_best(lambda: run_batch(model, items))
-    speedup = best_flat / best_batch
+    speedup, t_batch, t_flat = median_paired_ratio(
+        lambda: run_batch(model, items), run_flat, PAIRS)
+    timings = {"flat_per_scenario": t_flat, "batch": t_batch}
     total_ticks = sum(scenario.ticks for scenario in items)
     path = write_bench_json("batch_ir", {
         "workload": {
@@ -154,16 +152,12 @@ def test_p7_batch_ir_vs_per_scenario_flat_gate():
             "flat_slots": flat.schedule.n_slots,
         },
         "median_seconds": timings,
-        "best_seconds": {"flat_per_scenario": best_flat, "batch": best_batch},
         "scenario_ticks_per_second": {
             engine: total_ticks / seconds
             for engine, seconds in timings.items()},
-        "speedup": {
-            "batch_vs_flat_best": speedup,
-            "batch_vs_flat_median":
-                timings["flat_per_scenario"] / timings["batch"],
-        },
-        "gate": {"batch_vs_flat_min": 3.0, "basis": "best-of"},
+        "speedup": {"batch_vs_flat_median": speedup},
+        "gate": {"batch_vs_flat_min": 3.0,
+                 "basis": f"median of {PAIRS} interleaved pair ratios"},
     })
 
     report("P7", "\n".join([
@@ -173,7 +167,8 @@ def test_p7_batch_ir_vs_per_scenario_flat_gate():
         f"({total_ticks / timings['flat_per_scenario']:,.0f} scenario-ticks/s)",
         f"  batch backend:     {timings['batch']:.3f}s "
         f"({total_ticks / timings['batch']:,.0f} scenario-ticks/s)",
-        f"  batch vs flat {speedup:.2f}x (best-of) -> {path}"]))
+        f"  batch vs flat {speedup:.2f}x (median of {PAIRS} pairs) "
+        f"-> {path}"]))
 
     assert speedup >= 3.0, (
         f"batch backend only {speedup:.2f}x faster than per-scenario flat "

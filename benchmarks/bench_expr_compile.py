@@ -8,7 +8,9 @@ never change shape; lowering them to closures removes the per-evaluation
 expression-heavy workload -- a deep base-language expression evaluated over
 many mixed present/absent environments -- with identical results.  A
 second comparison times the compiled STD tables against the interpreted
-``react`` on a transition-heavy state machine.
+``react`` on a transition-heavy state machine.  Both gates take the median
+of interleaved run-pair ratios (:func:`_bench_utils.median_paired_ratio`),
+so one slow stretch of a shared host cannot decide them.
 """
 
 from repro.core.expr_compile import compile_expression
@@ -18,7 +20,10 @@ from repro.core.values import ABSENT
 from repro.notations.std import StateTransitionDiagram
 from repro.simulation import (CompiledSimulator, Simulator, first_difference)
 
-from _bench_utils import report, time_best as _time_best
+from _bench_utils import median_paired_ratio, report
+
+#: Interleaved run pairs behind each gated median.
+PAIRS = 11
 
 
 #: A deep expression mixing every hot construct: arithmetic, comparisons,
@@ -67,13 +72,12 @@ def test_p5_closure_vs_ast_walk_gate():
             for env in environments:
                 compiled(env)
 
-    t_walk = _time_best(run_interpreter)
-    t_closure = _time_best(run_compiled)
-    speedup = t_walk / t_closure
+    speedup, t_closure, t_walk = median_paired_ratio(
+        run_compiled, run_interpreter, PAIRS)
     evaluations = rounds * len(environments)
-    report("P5", f"{evaluations} evaluations of a depth-heavy expression: "
-                 f"AST walk {t_walk:.3f}s, closures {t_closure:.3f}s "
-                 f"-> {speedup:.1f}x")
+    report("P5", f"{evaluations} evaluations of a depth-heavy expression "
+                 f"(median of {PAIRS} pairs): AST walk {t_walk:.3f}s, "
+                 f"closures {t_closure:.3f}s -> {speedup:.1f}x")
     assert speedup >= 2.0, (
         f"compiled closures only {speedup:.1f}x faster than the AST walk")
 
@@ -108,11 +112,11 @@ def test_p5_compiled_std_vs_interpreter():
     assert first_difference(reference.run(stimuli, ticks),
                             compiled.run(stimuli, ticks)) is None
 
-    t_reference = _time_best(lambda: reference.run(stimuli, ticks))
-    t_compiled = _time_best(lambda: compiled.run(stimuli, ticks))
-    speedup = t_reference / t_compiled
-    report("P5", f"transition-heavy STD, {ticks} ticks: interpreter "
-                 f"{t_reference:.3f}s, compiled {t_compiled:.3f}s "
-                 f"-> {speedup:.1f}x")
+    speedup, t_compiled, t_reference = median_paired_ratio(
+        lambda: compiled.run(stimuli, ticks),
+        lambda: reference.run(stimuli, ticks), PAIRS)
+    report("P5", f"transition-heavy STD, {ticks} ticks (median of {PAIRS} "
+                 f"pairs): interpreter {t_reference:.3f}s, compiled "
+                 f"{t_compiled:.3f}s -> {speedup:.1f}x")
     assert speedup >= 1.5, (
         f"compiled STD only {speedup:.1f}x faster than the interpreter")

@@ -1,18 +1,21 @@
-"""[P6] Flat schedule IR vs nested compiled engine (deep-hierarchy gate).
+"""[P6] Flat schedule IR vs the reference interpreter (deep-hierarchy gate).
 
 Not a paper figure: quantifies the speedup of cross-hierarchy flattening
-(:mod:`repro.simulation.schedule_ir`) over the PR-4 nested compiled engine
-on the workload the flattener exists for -- a deeply nested composite
-hierarchy (>= 4 levels) with clock-gated subtrees, expression blocks on the
-feedthrough path and a delayed feedback tap per level (so gating
-predicates, slot copies *and* correction barriers are all on the measured
-path).  The acceptance gate requires the flat IR to be at least 1.5x
-faster than the nested compiled engine while producing tick-for-tick
-identical traces (checked against the reference interpreter as well).
+(:mod:`repro.simulation.schedule_ir`, the only compiler for composites)
+over the tree-walking reference interpreter on the workload the flattener
+exists for -- a deeply nested composite hierarchy (>= 4 levels) with
+clock-gated subtrees, expression blocks on the feedthrough path and a
+delayed feedback tap per level (so gating predicates, slot copies *and*
+correction barriers are all on the measured path).  The acceptance gate
+requires the flat IR to be at least 20x faster than the interpreter, as
+the median of interleaved (flat, interpreter) run-pair ratios, while
+producing a tick-for-tick identical trace.  On a 2-CPU host 33 measured
+pairs read 45x-121x (medians 67x-81x), so the bound leaves headroom for a
+slow runner.
 
-The measured median tick rates per engine are additionally written to
-``BENCH_flatten.json`` (via :func:`_bench_utils.write_bench_json`); CI
-uploads the file as an artifact so the performance trajectory of the
+The median tick rates per engine and the median speedup are additionally
+written to ``BENCH_flatten.json`` (via :func:`_bench_utils.write_bench_json`);
+CI uploads the file as an artifact so the performance trajectory of the
 simulation engines is tracked across PRs.
 """
 
@@ -23,11 +26,17 @@ from repro.notations.dfd import DataFlowDiagram
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, first_difference)
 
-from _bench_utils import report, time_best, time_median, write_bench_json
+from _bench_utils import median_paired_ratio, report, write_bench_json
 
 #: Workload shape: nesting depth and simulation horizon of the gate.
 DEPTH = 6
-TICKS = 2000
+TICKS = 500
+
+#: Interleaved (flat, interpreter) run pairs behind the gated median.
+PAIRS = 11
+
+#: Minimum median speedup of the flat IR over the interpreter.
+GATE = 20.0
 
 
 def deep_gated_controller(depth: int = DEPTH) -> DataFlowDiagram:
@@ -67,48 +76,31 @@ def deep_gated_controller(depth: int = DEPTH) -> DataFlowDiagram:
     return level(depth)
 
 
-def test_p6_flat_ir_vs_nested_compiled_gate():
-    """Acceptance gate: flat IR >= 1.5x nested compiled, traces identical."""
+def test_p6_flat_ir_vs_interpreter_gate():
+    """Acceptance gate: flat IR >= 20x the interpreter (median of paired
+    ratios), traces identical."""
     model = deep_gated_controller(DEPTH)
     stimuli = {"u": [1.0] * TICKS}
 
     interpreter = Simulator(model)
-    nested = CompiledSimulator(model, backend="nested")
     flat = CompiledSimulator(model, backend="flat")
     assert flat.schedule.kind == "flat"
-    assert nested.schedule.kind == "composite"
     # the workload really is a >= 4-level composite nest with gated subtrees
     kinds = [kind for _, kind in flat.schedule.linear_steps()]
     assert kinds.count("composite") >= 4
     assert kinds.count("gated") >= 4
 
-    # trace equivalence on the gated deep-nesting workload, all three engines
-    reference_trace = interpreter.run(stimuli, 300)
-    assert first_difference(reference_trace, flat.run(stimuli, 300)) is None
-    assert first_difference(reference_trace, nested.run(stimuli, 300)) is None
+    # trace equivalence on the gated deep-nesting workload (the flat run
+    # doubles as the warm-up of the timed pairs)
+    reference_trace = interpreter.run(stimuli, TICKS)
+    assert first_difference(reference_trace, flat.run(stimuli, TICKS)) is None
 
-    # warm up both compiled engines (first runs pay allocator/branch-cache
-    # noise that would otherwise leak into the timings)
-    nested.run(stimuli, TICKS)
-    flat.run(stimuli, TICKS)
-    timings = {
-        "interpreter": time_median(lambda: interpreter.run(stimuli, TICKS),
-                                   repeats=3),
-        "nested": time_median(lambda: nested.run(stimuli, TICKS)),
-        "flat": time_median(lambda: flat.run(stimuli, TICKS)),
-    }
+    speedup, flat_s, interpreter_s = median_paired_ratio(
+        lambda: flat.run(stimuli, TICKS),
+        lambda: interpreter.run(stimuli, TICKS), PAIRS)
+    timings = {"interpreter": interpreter_s, "flat": flat_s}
     tick_rates = {engine: TICKS / seconds
                   for engine, seconds in timings.items()}
-    speedup_interpreter = timings["interpreter"] / timings["flat"]
-    # The gate compares best-of runs (the repo-wide convention for speedup
-    # gates, see time_best in the other benchmarks): best-of isolates the
-    # engines' intrinsic cost from scheduler noise on shared CI runners,
-    # where a single descheduled median run can swing the ratio below the
-    # threshold.  The JSON artifact keeps the medians -- the right
-    # statistic to *compare across PRs*.
-    best_nested = time_best(lambda: nested.run(stimuli, TICKS))
-    best_flat = time_best(lambda: flat.run(stimuli, TICKS))
-    speedup_nested = best_nested / best_flat
 
     path = write_bench_json("flatten", {
         "workload": {
@@ -120,25 +112,20 @@ def test_p6_flat_ir_vs_nested_compiled_gate():
             "flat_leaves": len(flat.schedule.leaves),
         },
         "median_seconds": timings,
-        "best_seconds": {"nested": best_nested, "flat": best_flat},
         "ticks_per_second": tick_rates,
-        "speedup": {
-            "flat_vs_nested_best": speedup_nested,
-            "flat_vs_nested_median": timings["nested"] / timings["flat"],
-            "flat_vs_interpreter_median": speedup_interpreter,
-        },
-        "gate": {"flat_vs_nested_min": 1.5, "basis": "best-of"},
+        "speedup": {"flat_vs_interpreter_median": speedup},
+        "gate": {"flat_vs_interpreter_min": GATE,
+                 "basis": f"median of {PAIRS} interleaved pair ratios"},
     })
 
     report("P6", "\n".join(
         [f"deep gated controller, depth {DEPTH}, {TICKS} ticks "
-         f"(median tick rates):"]
+         f"(median of {PAIRS} interleaved pairs):"]
         + [f"  {engine:>11}: {timings[engine]:.3f}s "
            f"({tick_rates[engine]:,.0f} ticks/s)"
-           for engine in ("interpreter", "nested", "flat")]
-        + [f"  flat vs nested {speedup_nested:.2f}x (best-of), vs "
-           f"interpreter {speedup_interpreter:.1f}x -> {path}"]))
+           for engine in ("interpreter", "flat")]
+        + [f"  flat vs interpreter {speedup:.1f}x -> {path}"]))
 
-    assert speedup_nested >= 1.5, (
-        f"flat IR only {speedup_nested:.2f}x faster than the nested "
-        f"compiled engine (gate: 1.5x)")
+    assert speedup >= GATE, (
+        f"flat IR only {speedup:.1f}x faster than the interpreter "
+        f"(gate: {GATE:.0f}x)")

@@ -22,12 +22,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from ...core.components import Component
 from ...core.errors import ExpressionEvalError
-from ...core.expressions import BinaryOp, Literal, walk
 from ...core.validation import Severity
 from ...core.values import ABSENT, is_present
 from ...notations.mtd import ModeTransitionDiagram
 from ...notations.std import StateTransitionDiagram
-from ..mode_analysis import machine_inventory
+from ..mode_analysis import (_guard_constants, _scenario_valuations,
+                             machine_inventory)
 from .expr_check import (_NO_CONST, AbstractValue, abstract_of_type,
                          abstract_of_value, check_expression)
 from .findings import Finding
@@ -70,50 +70,13 @@ def _machine_environment(machine: Machine) -> Dict[str, AbstractValue]:
 
 
 def _vocabulary(machine: Machine) -> Dict[str, List[Any]]:
-    """Boundary-value pools per guard name (inputs *and* STD variables).
-
-    Same c-1 / c / c+1 sampling as ``mode_analysis._guard_constants`` but
-    keyed on every name a guard may read, so STD guards over local
-    variables get valuations too.
-    """
+    """Boundary-value pools per guard name: the inputs *and* the STD
+    variables, so STD guards over local variables get valuations too."""
     names: Set[str] = set(machine.input_names())
     if isinstance(machine, StateTransitionDiagram):
         names |= set(machine.variables())
-    pools: Dict[str, Set[Any]] = {name: set() for name in names}
-    for transition in machine.transitions():
-        for node in walk(transition.guard):
-            if not isinstance(node, BinaryOp):
-                continue
-            sides = [(node.left, node.right), (node.right, node.left)]
-            for variable_side, literal_side in sides:
-                name = getattr(variable_side, "name", None)
-                if name not in pools or not isinstance(literal_side, Literal):
-                    continue
-                value = literal_side.value
-                if isinstance(value, (bool, str)):
-                    pools[name].add(value)
-                elif isinstance(value, (int, float)):
-                    pools[name].update({value - 1, value, value + 1})
-    for name, values in pools.items():
-        if not values:
-            values.update({True, False, 0, 1})
-        if any(isinstance(v, bool) for v in values):
-            values.update({True, False})
-    return {name: sorted(values, key=repr) for name, values in pools.items()}
-
-
-def _valuations(vocabulary: Mapping[str, List[Any]],
-                limit: int = _OVERLAP_VALUATION_LIMIT
-                ) -> List[Dict[str, Any]]:
-    names = sorted(vocabulary)
-    if not names:
-        return [{}]
-    valuations: List[Dict[str, Any]] = []
-    for combination in itertools.product(*(vocabulary[n] for n in names)):
-        valuations.append(dict(zip(names, combination)))
-        if len(valuations) >= limit:
-            break
-    return valuations
+    return {name: sorted(values, key=repr)
+            for name, values in _guard_constants(machine, names).items()}
 
 
 def _guard_fires(machine: Machine, guard: Any,
@@ -156,7 +119,8 @@ def _check_guard_overlap(machine: Machine, path: str) -> List[Finding]:
     transitions = machine.transitions()
     if len(transitions) < 2:
         return []
-    valuations = _valuations(_vocabulary(machine))
+    valuations = _scenario_valuations(_vocabulary(machine),
+                                      _OVERLAP_VALUATION_LIMIT)
     findings: List[Finding] = []
     by_source: Dict[str, List[Any]] = {}
     for transition in transitions:

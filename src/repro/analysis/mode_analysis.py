@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Set, Tuple, Union)
 
 from ..core.components import Component, CompositeComponent
 from ..core.expr_eval import ExpressionEvaluator
@@ -169,17 +170,23 @@ def machine_inventory(root: Component,
     return infos
 
 
-def _guard_constants(mtd: ModeTransitionDiagram) -> Dict[str, Set[Any]]:
-    """Sample values per input name from the constants appearing in guards.
+def _guard_constants(machine: Union[ModeTransitionDiagram,
+                                    StateTransitionDiagram],
+                     names: Optional[Iterable[str]] = None
+                     ) -> Dict[str, Set[Any]]:
+    """Sample values per name from the constants appearing in guards.
 
+    *names* are the guard names sampled, by default the machine's inputs.
     For every comparison ``x <op> c`` the values ``c - 1``, ``c`` and ``c + 1``
     are added for numeric constants, plus the constant itself for booleans and
     enumeration literals.  This vocabulary is sufficient to distinguish all
     guard outcomes for the threshold-style guards used in automotive mode
     logic.
     """
-    vocabulary: Dict[str, Set[Any]] = {name: set() for name in mtd.input_names()}
-    for transition in mtd.transitions():
+    if names is None:
+        names = machine.input_names()
+    vocabulary: Dict[str, Set[Any]] = {name: set() for name in names}
+    for transition in machine.transitions():
         for node in walk(transition.guard):
             if isinstance(node, BinaryOp):
                 sides = [(node.left, node.right), (node.right, node.left)]

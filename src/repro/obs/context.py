@@ -99,8 +99,9 @@ class Telemetry:
         """The (lazily created) op profile of *schedule*, or ``None``.
 
         Returns ``None`` when op profiling is off or the schedule does not
-        expose an op program (``op_labels()``): nested-only schedules run
-        unprofiled, they are already observable through spans and metrics.
+        expose an op program (``op_labels()``): leaf-compiled roots (MTDs,
+        STDs, atomic blocks) run unprofiled, they are already observable
+        through spans and metrics.
         """
         if not self.profile_ops:
             return None
@@ -133,8 +134,8 @@ class Telemetry:
         """The (lazily created) flight recorder of *schedule*, or ``None``.
 
         Returns ``None`` when flight recording is off or the schedule has
-        no ``recording_step`` (nested schedules run unrecorded: forensics
-        lives on the flat program, which native schedules wrap).
+        no ``recording_step`` (leaf-compiled roots run unrecorded:
+        forensics lives on the flat program, which native schedules wrap).
         """
         if not self.flight_recording \
                 or not hasattr(schedule, "recording_step"):

@@ -59,7 +59,8 @@ class OpProfile:
         return rollup
 
     def nested_fallback_runs(self) -> int:
-        """Executions of ops running on the nested-compiled fallback path."""
+        """Executions of ``run`` ops whose leaf is a composite or gate kept
+        as one step (the ``[nested]`` label)."""
         return sum(count for count, nested
                    in zip(self.counts, self.nested_ops) if nested)
 

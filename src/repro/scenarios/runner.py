@@ -191,7 +191,8 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan`; when a
     schedule reports no ``needs_mode_observation`` (a model without
     machines) the scenario runs exactly like an unobserved one, with empty
-    histories.  Nested schedules walk the whole state tree.  Either way
+    histories.  Leaf-compiled roots walk their state through their
+    compiled children.  Either way
     the scenario runs through
     :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
     campaign opens one ``run`` span per scenario.

@@ -3,10 +3,12 @@
 * :mod:`repro.simulation.engine` -- the reference tick-based interpreter and
   rate gating
 * :mod:`repro.simulation.compiled` -- the compiled engine: one-time schedule
-  compilation, batch scenario runs, differential verification
-* :mod:`repro.simulation.schedule_ir` -- the flat schedule IR:
-  cross-hierarchy flattening onto one global step program with slot-based
-  environments, gating predicates and correction barriers
+  compilation (the leaf compiler for MTDs, STDs, expression and atomic
+  blocks), batch scenario runs, differential verification
+* :mod:`repro.simulation.schedule_ir` -- the flat schedule IR, the only
+  compiler for composites: cross-hierarchy flattening onto one global step
+  program with slot-based environments, gating predicates and correction
+  barriers
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
   lowered to one compiled C tick loop driven through ctypes, one C call
   per scenario (requires a platform C compiler; check

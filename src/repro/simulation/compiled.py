@@ -13,26 +13,23 @@ This module splits execution into two phases.
 **Compile** (:func:`compile_component`): flattenable hierarchies -- default
 composites, optionally wrapped in clock gates -- are lowered onto the flat
 schedule IR of :mod:`repro.simulation.schedule_ir` (one global step program
-over slot-based environments); everything else takes the **nested** path
-(:func:`compile_nested`), where the hierarchy is walked *once* and
-translated into a tree of small step closures with every schedule decision
+over slot-based environments).  Everything else is a *leaf*, compiled once
+by :func:`compile_nested` into a step closure with every schedule decision
 precomputed:
 
-* each composite becomes a linear step list (its sub-components in the
-  cached :class:`~repro.core.components.ExecutionPlan` order) with
-  prebuilt instantaneous-propagation lists, delayed-channel seed/commit
-  lists and boundary collection lists -- no per-tick graph analysis;
-* each :class:`~repro.simulation.engine.ClockGatedComponent` gets an
-  incrementally materialized clock pattern
+* each :class:`~repro.simulation.engine.ClockGatedComponent` around a leaf
+  gets an incrementally materialized clock pattern
   (:meth:`~repro.core.clocks.Clock.cached`) shared across runs;
 * each mode-transition diagram gets per-mode transition tables (guards
-  lowered to closures via :mod:`repro.core.expr_compile`) and compiled
-  mode behaviours;
+  lowered to closures via :mod:`repro.core.expr_compile`) and mode
+  behaviours compiled by :func:`compile_component` (a composite behaviour
+  is a flat program of its own);
 * each state-transition diagram gets per-state sorted transition tables
   with compiled guards, actions and emissions;
 * each expression block gets its output expressions lowered to closures;
-* every other component (function/stateful blocks...) is already a single
-  ``react`` call and is executed directly.
+* every other component (function/stateful blocks, subclasses with a
+  custom ``react``...) is already a single ``react`` call and is executed
+  directly.
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
@@ -54,8 +51,7 @@ from __future__ import annotations
 import warnings
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
 
-from ..core.components import (Component, CompositeComponent,
-                               ExpressionComponent)
+from ..core.components import Component, ExpressionComponent
 from ..core.errors import ModelError, SimulationError
 from ..core.values import ABSENT, is_present
 from ..obs.context import active as _obs_active
@@ -72,18 +68,19 @@ StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any
 
 
 class CompiledSchedule:
-    """A component compiled into an executable schedule.
+    """A leaf component compiled into an executable schedule.
 
     ``step`` is the executable form; ``kind`` names the compilation strategy
-    (``"composite"``, ``"gated"``, ``"mtd"``, ``"std"`` or ``"atomic"``) and
-    ``children`` holds the compiled sub-schedules, so tests and tools can
-    inspect what the compiler produced.
+    (``"gated"``, ``"mtd"``, ``"std"`` or ``"atomic"``) and ``children``
+    holds the compiled sub-schedules (a gate's inner schedule, an MTD's
+    mode behaviours), so tests and tools can inspect what the compiler
+    produced.
     """
 
     __slots__ = ("component", "kind", "step", "children")
 
     def __init__(self, component: Component, kind: str, step: StepFunction,
-                 children: Optional[List[Tuple[str, "CompiledSchedule"]]] = None):
+                 children: Optional[List[Tuple[str, Any]]] = None):
         self.component = component
         self.kind = kind
         self.step = step
@@ -92,14 +89,38 @@ class CompiledSchedule:
     def initial_state(self) -> Any:
         return self.component.initial_state()
 
-    #: A nested schedule has no mode plan: observing modes always walks
-    #: the whole state tree (:meth:`mode_paths`).
+    #: A leaf schedule has no mode plan: observing modes always walks its
+    #: state (:meth:`mode_paths`).
     needs_mode_observation = True
 
-    def mode_paths(self, state: Any) -> Dict[str, Any]:
+    def mode_paths(self, state: Any, path: Optional[str] = None,
+                   out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Active mode/state of every MTD and STD, keyed by hierarchical
-        path (:func:`~repro.simulation.engine.active_mode_paths`)."""
-        return active_mode_paths(self.component, state)
+        path (the paths of :func:`~repro.simulation.engine.active_mode_paths`)
+        and collected into *out*.
+
+        Gates and MTDs recurse through their compiled children, so a mode
+        behaviour holding a flat program's state is read by that program;
+        every other leaf runs ``react`` and is walked by
+        :func:`~repro.simulation.engine.active_mode_paths`.
+        """
+        if out is None:
+            out = {}
+        if path is None:
+            path = self.component.name
+        if self.kind not in ("gated", "mtd") or not isinstance(state, Mapping):
+            return active_mode_paths(self.component, state, path, out)
+        if self.kind == "gated":
+            return self.children[0][1].mode_paths(state.get("inner"), path,
+                                                  out)
+        current = state.get("mode") or self.component.initial_mode
+        out[path] = current
+        for mode_name, behavior in self.children:
+            if mode_name == current:
+                mode_states = state.get("mode_states") or {}
+                behavior.mode_paths(mode_states.get(current),
+                                    f"{path}/{current}", out)
+        return out
 
     def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
         """The flattened schedule: ``(hierarchical path, kind)`` per node."""
@@ -126,12 +147,11 @@ def compile_component(component: Component, verify: bool = False):
     default synchronous ``react`` compile to the flat schedule IR
     (:class:`~repro.simulation.schedule_ir.FlatSchedule`): one global,
     topologically ordered step program over slot-based environments, with
-    gating predicates and correction barriers preserving the nested
+    gating predicates and correction barriers preserving the interpreter's
     semantics exactly.  Everything else -- MTDs, STDs, atomic blocks,
-    subclasses with a custom ``react`` -- compiles on the nested path
-    (:func:`compile_nested`), which is also the per-subtree fallback the
-    flattener embeds for unflattenable children.  Both schedule kinds share
-    the ``(inputs, state, tick) -> (outputs, state)`` step contract and the
+    gates around them, subclasses with a custom ``react`` -- is a leaf
+    compiled by :func:`compile_nested`.  Both schedule kinds share the
+    ``(inputs, state, tick) -> (outputs, state)`` step contract and the
     ``linear_steps()`` / ``describe()`` naming contract.
 
     With ``verify=True`` the static-analysis engine
@@ -155,17 +175,13 @@ def compile_component(component: Component, verify: bool = False):
 
 
 def compile_nested(component: Component) -> CompiledSchedule:
-    """Compile *component* into the nested (per-composite closure) schedule.
+    """Compile the leaf *component* into a step closure.
 
-    This is the PR-4 compiled engine: each composite is one step closure
-    over its sub-schedules.  It remains the reference compiled semantics --
-    the flat IR is differentially tested against it -- the fallback for
-    components the flattener cannot hoist, and the baseline the
-    ``benchmarks/bench_flatten.py`` speedup gate measures against.
+    The leaf compiler of the flat program and of unflattenable roots:
+    clock gates around leaves, MTDs, STDs and expression blocks get
+    specialized steps; anything else -- composites included, which
+    :func:`compile_component` flattens instead -- runs its own ``react``.
     """
-    if isinstance(component, CompositeComponent) \
-            and type(component).react is CompositeComponent.react:
-        return _compile_composite(component)
     if isinstance(component, ClockGatedComponent) \
             and type(component).react is ClockGatedComponent.react:
         return _compile_gated(component)
@@ -208,101 +224,9 @@ def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
     return CompiledSchedule(component, "atomic", step)
 
 
-def _compile_composite(component: CompositeComponent) -> CompiledSchedule:
-    """Flatten one composite into a linear step list over its plan."""
-    plan = component.execution_plan()
-    children = [(entry.name, compile_nested(component.subcomponent(entry.name)))
-                for entry in plan.entries]
-    steps = {name: schedule.step for name, schedule in children}
-    for entry in plan.entries:
-        sub = component.subcomponent(entry.name)
-        if not sub.has_behavior():
-            raise SimulationError(
-                f"sub-component {entry.name!r} of {component.name!r} has no "
-                f"executable behaviour")
-
-    def _input_keys(entry):
-        # Pre-allocate the (sub, port) lookup keys once per schedule instead
-        # of building a tuple per port per tick on the hot path.
-        return tuple((port_name, (entry.name, port_name))
-                     for port_name in entry.input_names)
-
-    entries = tuple((entry.name, steps[entry.name], _input_keys(entry),
-                     entry.propagate) for entry in plan.entries)
-    corrections = tuple((entry.name, steps[entry.name], _input_keys(entry))
-                        for entry in plan.correction_entries())
-    track_corrections = bool(corrections)
-    boundary_propagate = plan.boundary_propagate
-    delayed_seed = plan.delayed_seed
-    delayed_commit = plan.delayed_commit
-    boundary_outputs = plan.boundary_outputs
-    output_names = tuple(component.output_names())
-    initial_state = component.initial_state
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
-        sub_states: Dict[str, Any] = dict(state["subs"])
-        delayed_buffers: Dict[str, Any] = dict(state["delayed"])
-
-        port_values: Dict[Tuple[Optional[str], str], Any] = {}
-        for name, value in inputs.items():
-            port_values[(None, name)] = value
-        for channel_name, dst_key, initial_value in delayed_seed:
-            port_values[dst_key] = delayed_buffers.get(channel_name,
-                                                       initial_value)
-        for src_key, dst_key in boundary_propagate:
-            if src_key in port_values:
-                port_values[dst_key] = port_values[src_key]
-
-        seen_inputs: Dict[str, Dict[str, Any]] = {}
-        for sub_name, sub_step, input_keys, propagate in entries:
-            sub_inputs = {port_name: port_values.get(key, ABSENT)
-                          for port_name, key in input_keys}
-            outputs, new_state = sub_step(sub_inputs,
-                                          sub_states.get(sub_name), tick)
-            if track_corrections:
-                seen_inputs[sub_name] = sub_inputs
-            sub_states[sub_name] = new_state
-            for port_name, value in outputs.items():
-                port_values[(sub_name, port_name)] = value
-            for src_key, dst_key in propagate:
-                if src_key in port_values:
-                    port_values[dst_key] = port_values[src_key]
-
-        # State-correction pass: a non-feedthrough sub-component evaluated
-        # before its producers saw stale inputs in its state update; re-run
-        # it from the original state with the final values (its outputs
-        # cannot change, mirroring the reference interpreter).
-        for sub_name, sub_step, input_keys in corrections:
-            final_inputs = {port_name: port_values.get(key, ABSENT)
-                            for port_name, key in input_keys}
-            if final_inputs != seen_inputs[sub_name]:
-                _, corrected_state = sub_step(
-                    final_inputs, state["subs"].get(sub_name), tick)
-                sub_states[sub_name] = corrected_state
-
-        boundary: Dict[str, Any] = {name: ABSENT for name in output_names}
-        for port_name, is_delayed, channel_name, initial_value, src_key \
-                in boundary_outputs:
-            if is_delayed:
-                boundary[port_name] = delayed_buffers.get(channel_name,
-                                                          initial_value)
-            else:
-                boundary[port_name] = port_values.get(src_key, ABSENT)
-
-        for channel_name, src_key in delayed_commit:
-            delayed_buffers[channel_name] = port_values.get(src_key, ABSENT)
-
-        return boundary, {"subs": sub_states, "delayed": delayed_buffers}
-
-    return CompiledSchedule(component, "composite", step, children)
-
-
 def _compile_gated(component: ClockGatedComponent) -> CompiledSchedule:
     """Gate a compiled inner schedule by a cached clock pattern."""
-    inner = compile_nested(component.inner)
+    inner = compile_component(component.inner)
     inner_step = inner.step
     pattern = component.clock.cached()
     output_names = tuple(component.output_names())
@@ -334,13 +258,13 @@ def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
     if not component.modes():
         raise ModelError(f"MTD {component.name!r} has no modes")
     compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    children: List[Tuple[str, CompiledSchedule]] = []
+    children: List[Tuple[str, Any]] = []
     behaviors: Dict[str, Optional[Tuple[StepFunction, Tuple[str, ...]]]] = {}
     for mode in component.modes():
         if mode.behavior is None:
             behaviors[mode.name] = None
             continue
-        compiled = compile_nested(mode.behavior)
+        compiled = compile_component(mode.behavior)
         children.append((mode.name, compiled))
         behaviors[mode.name] = (compiled.step,
                                 tuple(mode.behavior.input_names()))
@@ -508,7 +432,7 @@ def _observed(step: StepFunction,
 
 
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
-_BACKENDS = ("auto", "batch", "flat", "native", "nested")
+_BACKENDS = ("auto", "batch", "flat", "native")
 
 #: Counter of the :class:`CompiledSimulator` compiles, one per constructed
 #: simulator, recorded while observability is on.
@@ -525,8 +449,9 @@ class CompiledSimulator:
 
     *backend* selects the compilation strategy: ``"auto"`` (default) uses
     the flat schedule IR whenever the component is flattenable and the
-    nested path otherwise; ``"flat"`` / ``"nested"`` force one of the two
-    (``"flat"`` raises :class:`SimulationError` for unflattenable roots).
+    leaf compiler (:func:`compile_nested`) otherwise; ``"flat"`` forces
+    the flat IR (and raises :class:`SimulationError` for unflattenable
+    roots).
     ``"native"`` compiles the flat program to a C tick loop driven through
     ctypes (:mod:`repro.simulation.native`, requires a flattenable root
     and a C compiler) and runs each scenario's whole horizon in one C
@@ -555,7 +480,7 @@ class CompiledSimulator:
             elif backend == "flat":
                 from .schedule_ir import compile_flat
                 self.schedule = compile_flat(component)
-            elif backend in ("batch", "native"):
+            else:  # "native" and its alias "batch"
                 from .schedule_ir import compile_flat
                 from .native import compile_native, native_available
                 flat_schedule = compile_flat(component)
@@ -567,8 +492,6 @@ class CompiledSimulator:
                         "clang); falling back to the flat interpreter",
                         RuntimeWarning, stacklevel=2)
                     self.schedule = flat_schedule
-            else:
-                self.schedule = compile_nested(component)
             if span is not None:
                 span.attributes["kind"] = self.schedule.kind
         registry = current_registry()

@@ -55,8 +55,9 @@ Lowering decisions per op:
   block still guards every arithmetic step (overflow, int-exactness,
   opaque operands, error paths) and bails to the trampoline whenever
   exact Python semantics cannot be replicated in int64/double;
-* ``run`` / ``correct`` -- always the trampoline (nested/MTD/STD
-  fallback leaves and the correction barrier live on Python state).
+* ``run`` / ``correct`` -- always the trampoline (MTD/STD/atomic leaves,
+  composites kept as one step and the correction barrier live on Python
+  state).
 
 The emitted fast path is compute-then-commit: an expression block writes
 slots only after every item evaluated cleanly, so a bail-out replays the

@@ -45,7 +45,7 @@ the op index and the tick; the replay functions are generated from the
 flat engine's own per-op templates
 (:func:`repro.simulation.op_emit.native_replays`, spelling slot access
 ``load`` / ``store`` / ``copy`` on the tagged plane), so they call the
-same nested step functions and compiled expression closures with the same
+same leaf step functions and compiled expression closures with the same
 semantics.  Leaf states roll lazily: the first replay of a new tick makes
 the last tick's next states the previous ones -- ticks without a replay
 leave leaf states untouched, so nothing is lost.  Observed runs (the

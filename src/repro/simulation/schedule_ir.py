@@ -3,13 +3,13 @@
 AutoMoDe's operational-architecture level is a *flattened* network of
 communicating blocks scheduled as one global cluster plan (paper Sec. 2.4):
 the hierarchical DFD/SSD description is a design artefact, while the
-deployed system executes a single linear schedule.  The nested compiled
-engine (:mod:`repro.simulation.compiled`) mirrors the *hierarchy* at run
-time -- every :class:`~repro.core.components.CompositeComponent` is a
-closure that re-marshals a dict environment at each boundary, every tick.
+deployed system executes a single linear schedule.  The reference
+interpreter (:mod:`repro.simulation.engine`) mirrors the *hierarchy* at run
+time -- every :class:`~repro.core.components.CompositeComponent` re-derives
+its plan and re-marshals a dict environment at each boundary, every tick.
 This module mirrors the *deployment* instead: the whole hierarchy is
 compiled once into a :class:`FlatSchedule`, a linear program of opcodes
-over a flat slot environment.
+over a flat slot environment.  It is the only compiler for composites.
 
 **Slot-based environments.**  Every port of every component occurrence in
 the hierarchy is assigned a fixed integer slot.  A tick allocates one flat
@@ -19,12 +19,14 @@ slot copies instead of ``(component, port)`` dict keys, and each leaf's
 input environment is built exactly once from its slots -- no per-composite
 dict construction, key translation or input re-filtering.
 
-**The program.**  Six opcodes suffice for the full semantics of the nested
-engine:
+**The program.**  Seven opcodes cover the full semantics of the
+interpreter's composites and clock gates:
 
 * ``run``   -- execute one leaf step (gather inputs from slots, call the
-  nested-compiled step closure, scatter outputs to slots, forward its
+  leaf's compiled step, scatter outputs to slots, forward its
   instantaneous channels);
+* ``expr``  -- evaluate an expression block's compiled closures straight
+  into its output slots;
 * ``copy``  -- instantaneous channel propagation (boundary forwarding and
   boundary-output collection) as slot-to-slot copies;
 * ``buf_read`` / ``buf_write`` -- delayed channels: seed destination slots
@@ -53,12 +55,15 @@ accepts the nested dict state produced by ``component.initial_state()``
 ``(inputs, state, tick) -> (outputs, state)`` step function for
 :func:`~repro.simulation.engine.run_stepped`.
 
-**Fallbacks.**  Subtrees the flattener cannot hoist -- composites or
-clock-gated wrappers with a custom ``react``, MTDs/STDs/atomic blocks, and
-non-feedthrough composites (which must stay single steps so the correction
-barrier can re-run them atomically) -- are compiled on the nested path
-(:func:`~repro.simulation.compiled.compile_nested`) and embedded as single
-``run`` ops; :meth:`FlatSchedule.ops_summary` labels them ``nested``.
+**Fallbacks.**  Leaves -- MTDs, STDs, atomic blocks, clock gates around
+them and components with a custom ``react`` -- are compiled by the leaf
+compiler (:func:`~repro.simulation.compiled.compile_nested`) and embedded
+as single ``run`` ops.  A non-feedthrough composite fed by a later
+producer must stay a single step, so the correction barrier can re-run it
+atomically: it becomes a ``run`` op whose step is its own flat program
+(:func:`compile_flat`).  :meth:`FlatSchedule.ops_summary` labels every
+composite or gate that stays a single step ``nested``, and
+:attr:`FlatSchedule.fallback_paths` lists them.
 
 Compilation is **iterative** (an explicit stack of emission generators plus
 the worklist helpers of :mod:`repro.core.components`), so hierarchies
@@ -110,7 +115,9 @@ class FlatState:
 
 
 class _Leaf:
-    """One leaf step of the flat program (a nested-compiled schedule)."""
+    """One leaf step of the flat program: a leaf-compiled
+    :class:`~repro.simulation.compiled.CompiledSchedule`, or the
+    :class:`FlatSchedule` of a composite that stays a single step."""
 
     __slots__ = ("index", "component", "schedule", "run_kind", "state_path",
                  "steps_prefix", "mode_path")
@@ -133,8 +140,8 @@ def is_flattenable(component: Component) -> bool:
     Flattenable roots are composites with the default synchronous ``react``
     and clock-gated wrappers (with the default ``react``) around such
     composites, in any nesting.  Everything else -- MTDs, STDs, atomic
-    blocks, subclasses with a custom ``react`` -- executes on the nested
-    compiled path.
+    blocks, subclasses with a custom ``react`` -- is compiled by the leaf
+    compiler (:func:`~repro.simulation.compiled.compile_nested`).
     """
     while isinstance(component, ClockGatedComponent) \
             and type(component).react is ClockGatedComponent.react:
@@ -287,7 +294,7 @@ class _Flattener:
                         in_slots: Dict[str, int], out_slots: Dict[str, int],
                         state_path: Tuple[str, ...], steps_path: str,
                         mode_path: str) -> Iterator[Any]:
-        from .compiled import compile_nested
+        from .compiled import compile_component
 
         self._linear.append((steps_path, "composite"))
         token = self._tokens.get(id(composite))
@@ -332,10 +339,10 @@ class _Flattener:
         # Only then can the tick-start state update have seen stale inputs,
         # i.e. only then is the correction barrier live.  An entry whose
         # producers all precede it in plan order always sees final inputs,
-        # so the nested engine's compare-and-rerun provably never fires for
+        # so the interpreter's compare-and-rerun provably never fires for
         # it: such entries need no correction tracking, and non-feedthrough
-        # composites among them can be flattened instead of falling back to
-        # the nested path.
+        # composites among them can be hoisted instead of running as one
+        # step.
         n_entries = len(plan.entries)
         has_late_producer = [False] * n_entries
         suffix_writes: set = set()
@@ -363,18 +370,19 @@ class _Flattener:
                 if propagate:
                     self.ops.append([OP_COPY, propagate])
                 continue
-            # leaf: run the nested-compiled step as one op.  Non-feedthrough
-            # composites with live late producers deliberately stay nested --
-            # the correction barrier must be able to re-run them atomically
-            # from their tick-start state, exactly like the reference
-            # interpreter's second pass.  (Flattened children are not
-            # behaviour-checked here: their own sections check their
-            # entries, keeping the whole compile O(n) in hierarchy size.)
+            # leaf: run one compiled step as one op.  Non-feedthrough
+            # composites with live late producers are not hoisted: they run
+            # as a flat program of their own, so the correction barrier can
+            # re-run them atomically from their tick-start state, exactly
+            # like the reference interpreter's second pass.  (Flattened
+            # children are not behaviour-checked here: their own sections
+            # check their entries, keeping the whole compile O(n) in
+            # hierarchy size.)
             if not sub.has_behavior():
                 raise SimulationError(
                     f"sub-component {entry.name!r} of {composite.name!r} has "
                     f"no executable behaviour")
-            schedule = compile_nested(sub)
+            schedule = compile_component(sub)
             run_kind = schedule.kind
             if isinstance(sub, (CompositeComponent, ClockGatedComponent)):
                 run_kind = "nested"
@@ -392,12 +400,12 @@ class _Flattener:
                 # straight into the slots.  No step call, no output dict,
                 # and no correction tracking -- the state is a passthrough
                 # and a non-feedthrough expression reads none of the inputs
-                # a late producer could change, so the nested engine's
+                # a late producer could change, so the interpreter's
                 # compare-and-rerun is observably a no-op for it.
                 compiler = sub._evaluator.compile  # noqa: SLF001
                 leaf.run_kind = "expr"
                 # expressions for undeclared ports are still evaluated (the
-                # nested engine does, and evaluation may raise) but their
+                # interpreter does, and evaluation may raise) but their
                 # values have no slot to land in
                 items = tuple((slots.get(name, -1), compiler(expression))
                               for name, expression
@@ -441,7 +449,7 @@ class _Flattener:
 class FlatSchedule:
     """A component hierarchy compiled into one linear slot program.
 
-    Drop-in replacement for the nested
+    Drop-in replacement for a leaf's
     :class:`~repro.simulation.compiled.CompiledSchedule`: ``step`` has the
     same ``(inputs, state, tick) -> (outputs, state)`` signature (state as
     :class:`FlatState`, with nested dict states converted on entry), and
@@ -497,7 +505,7 @@ class FlatSchedule:
 
     def initial_state(self) -> FlatState:
         """The flat initial state (built iteratively: deep-hierarchy safe)."""
-        return FlatState([leaf.component.initial_state()
+        return FlatState([leaf.schedule.initial_state()
                           for leaf in self.leaves],
                          [spec[0] for spec in self.buffer_specs])
 
@@ -520,8 +528,9 @@ class FlatSchedule:
         ``(kind name, human label, runs-on-nested-fallback)``.
 
         Labels match :meth:`ops_summary`; the nested flag marks ``run`` ops
-        whose leaf executes on the nested-compiled fallback path, so
-        profiles can report fallback activity without re-deriving it.
+        whose leaf is a composite or gate kept as one step (see
+        :attr:`fallback_paths`), so profiles can report fallback activity
+        without re-deriving it.
         """
         labels: List[Tuple[str, str, bool]] = []
         for op in self.program:
@@ -574,10 +583,11 @@ class FlatSchedule:
     def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
         """The flattened schedule: ``(hierarchical path, kind)`` per node.
 
-        Identical paths and kinds to
-        :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps` on
-        the same component (the pin test in ``tests/test_flat_schedule.py``
-        enforces this), so path-keyed debug output is engine-independent.
+        The same ``(path, kind)`` format as
+        :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps`:
+        a composite is ``"composite"`` and a gate ``"gated"``, hoisted or
+        kept as one step, so path-keyed debug output is engine-independent
+        (pinned in ``tests/test_flat_schedule.py``).
         """
         if not prefix:
             return list(self._linear)
@@ -593,9 +603,9 @@ class FlatSchedule:
         and the :meth:`op_labels` label.
 
         ``run`` ops name the leaf's hierarchical path and compilation kind
-        (``nested`` marks unflattenable subtrees running on the nested
-        fallback path) and are marked ``(correction-tracked)`` when a
-        barrier may re-run them; ``gate`` ops show their jump target.
+        (``nested`` marks composites and gates kept as one step) and are
+        marked ``(correction-tracked)`` when a barrier may re-run them;
+        ``gate`` ops show their jump target.
         """
         lines = []
         for index, (op, (kind, label, _nested)) in enumerate(
@@ -612,26 +622,32 @@ class FlatSchedule:
         no MTD or STD, so :meth:`mode_paths` is ``{}`` on every tick."""
         return bool(self.mode_plan)
 
-    def mode_paths(self, state: Any) -> Dict[str, Any]:
-        """Active mode/state of every MTD and STD, keyed by hierarchical path.
+    def mode_paths(self, state: Any, path: Optional[str] = None,
+                   out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """Active mode/state of every MTD and STD, keyed by hierarchical path
+        and collected into *out*.
 
         The flat-engine counterpart of
         :func:`repro.simulation.engine.active_mode_paths`: identical paths
         and values, read positionally from the flat state -- and only from
         the leaves :attr:`mode_plan` names, so a machine-free schedule
-        reads nothing.
+        reads nothing.  Each named leaf is read by its own schedule; with
+        *path* the paths are rebased from this root's name onto *path*
+        (a flat program running as a leaf or mode behaviour).
         """
-        if state is None:
-            return {}
+        if out is None:
+            out = {}
         if type(state) is not FlatState:
-            return active_mode_paths(self.component, state)
-        out: Dict[str, Any] = {}
+            return active_mode_paths(self.component, state, path, out)
         leaves = self.leaves
         leaf_states = state.leaf_states
+        cut = len(self.component.name)
         for index in self.mode_plan:
             leaf = leaves[index]
-            active_mode_paths(leaf.component, leaf_states[index],
-                              leaf.mode_path, out)
+            leaf.schedule.mode_paths(
+                leaf_states[index],
+                leaf.mode_path if path is None else path + leaf.mode_path[cut:],
+                out)
         return out
 
     def __repr__(self) -> str:
@@ -644,8 +660,8 @@ def compile_flat(component: Component) -> FlatSchedule:
     """Compile *component* into a :class:`FlatSchedule`.
 
     Raises :class:`SimulationError` if the root is not flattenable (use
-    :func:`~repro.simulation.compiled.compile_component`, which falls back
-    to the nested path automatically).
+    :func:`~repro.simulation.compiled.compile_component`, which compiles
+    unflattenable roots as leaves).
     """
     if not is_flattenable(component):
         raise SimulationError(

@@ -1,4 +1,4 @@
-"""Differential fuzz: interpreter vs nested vs flat vs native vs batch.
+"""Differential fuzz: interpreter vs flat vs native vs batch.
 
 Random flattenable models (expression blocks with randomized base-language
 source, delayed feedback, clock-gated subtrees, MTD leaves) crossed with
@@ -29,13 +29,15 @@ from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
+from repro.notations.std import StateTransitionDiagram
 from repro import obs
 from repro.obs.profile import OpProfile
 from repro.obs.recorder import FlightRecorder
 from repro.scenarios import Scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              Simulator, compile_flat, native_available)
-from repro.simulation.engine import run_stepped
+                              FlatSchedule, Simulator, compile_flat,
+                              native_available)
+from repro.simulation.engine import active_mode_paths, run_stepped
 
 _HAS_NATIVE = native_available()
 
@@ -161,10 +163,10 @@ def _stimulus(rng, ticks):
     return Stream(values)
 
 
-def _battery(rng, model, size):
+def _battery(rng, model, size, max_ticks=7):
     items = []
     for index in range(size):
-        ticks = rng.randint(1, 7)
+        ticks = rng.randint(1, max_ticks)
         stimuli = {}
         for port in model.input_names():
             spec = _stimulus(rng, ticks)
@@ -197,12 +199,11 @@ def test_four_backends_agree_on_random_models_and_batteries(seed):
     battery = _battery(rng, model, size=rng.randint(3, 8))
 
     interpreter = Simulator(model)
-    nested = CompiledSimulator(model, backend="nested")
     flat = CompiledSimulator(model, backend="flat")
     outcomes = run_sharded(model, [Scenario(name, stimuli, ticks)
                                    for name, stimuli, ticks in battery],
                            executor="serial", backend="batch")
-    runners = [("nested", nested.run), ("flat", flat.run)]
+    runners = [("flat", flat.run)]
     if _HAS_NATIVE:
         native = CompiledSimulator(model, backend="native")
         schedule = native.schedule
@@ -246,33 +247,181 @@ def test_four_backend_fuzz_extended(seed):
 # -- mode histories ------------------------------------------------------------
 
 
+def _interpreter_modes(model, scenario):
+    """``(error, mode histories, typed streams)`` of one interpreter run:
+    the histories :func:`active_mode_paths` walks over ``model.react``'s
+    own states after every tick -- the record a ``collect_modes=True``
+    scenario result carries."""
+    histories = {}
+
+    def observed(inputs, state, tick):
+        outputs, state = model.react(inputs, state, tick)
+        for path, mode in active_mode_paths(model, state).items():
+            histories.setdefault(path, []).append(mode)
+        return outputs, state
+
+    try:
+        trace = run_stepped(model, observed, scenario.stimuli,
+                            scenario.ticks, False)
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        return f"{type(exc).__name__}: {exc}", None, None
+    return None, histories, _typed_streams(trace)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_mode_histories_agree_across_backends(seed):
-    """``collect_modes=True`` campaigns record identical per-tick mode
-    histories on every backend: nested walks the whole state tree; flat,
+    """``collect_modes=True`` campaigns record, on every backend, the
+    per-tick mode histories the interpreter's own states walk to: flat,
     native and batch read the leaves their mode plan names."""
     rng = random.Random(9000 + seed)
     model = _build_model(rng, seed)
     battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
                in _battery(rng, model, size=rng.randint(3, 8))]
-    backends = ["nested", "flat", "batch"] + (["native"] if _HAS_NATIVE
-                                              else [])
-    outcomes = {}
-    for backend in backends:
+    expected = [_interpreter_modes(model, scenario) for scenario in battery]
+    for backend in ["flat", "batch"] + (["native"] if _HAS_NATIVE else []):
         results = run_sharded(model, battery, executor="serial",
                               collect_modes=True, backend=backend)
-        outcomes[backend] = [
-            (result.error, result.mode_paths,
-             _typed_streams(result.trace) if result.ok else None)
-            for result in results]
-    for backend in backends[1:]:
-        assert outcomes[backend] == outcomes["nested"], (seed, backend)
+        assert [(result.error, result.mode_paths,
+                 _typed_streams(result.trace) if result.ok else None)
+                for result in results] == expected, (seed, backend)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(8, 40))
 def test_mode_histories_fuzz_extended(seed):
     test_mode_histories_agree_across_backends(seed)
+
+
+# -- composites that run as one step -------------------------------------------
+
+
+def _std_block(rng, name):
+    """A threshold STD over ``a`` with a transition counter ``n``."""
+    low = rng.randint(-3, 2)
+    high = low + rng.randint(1, 4)
+    std = StateTransitionDiagram(name)
+    std.add_input("a")
+    std.add_output("out")
+    std.add_variable("n", 0)
+    std.add_state("Calm", emissions={"out": "a + n"})
+    std.add_state("Hot", emissions={
+        "out": rng.choice(["a * 2", "a - n", "100 / (a - n)"])})
+    std.add_transition("Calm", "Hot", f"a > {high}", actions={"n": "n + 1"})
+    std.add_transition("Hot", "Calm", f"a < {low}")
+    return std
+
+
+def _behavior_dfd(rng, name, with_std):
+    """A mode behaviour DFD ``(a, b) -> out``: a random expression block,
+    optionally followed by an STD."""
+    dfd = DataFlowDiagram(name)
+    dfd.add_input("a")
+    dfd.add_input("b")
+    dfd.add_output("out")
+    leaf = _expression_block(rng, f"{name}E")
+    dfd.add_subcomponent(leaf)
+    dfd.connect("a", f"{name}E.a")
+    dfd.connect("b", f"{name}E.b")
+    if with_std:
+        std = _std_block(rng, f"{name}Seq")
+        dfd.add_subcomponent(std)
+        dfd.connect(f"{name}E.out", f"{name}Seq.a")
+        dfd.connect(f"{name}Seq.out", "out")
+    else:
+        dfd.connect(f"{name}E.out", "out")
+    return dfd
+
+
+def _build_one_step_model(rng, index):
+    """Both composite shapes that compile to a flat program of their own.
+
+    ``M`` is an MTD whose mode behaviours are DFDs, at least one holding
+    an STD.  ``C`` is a non-feedthrough composite (its output comes from a
+    delay, optionally under a clock gate) that is scheduled before ``A``
+    although ``A`` feeds it: a late-produced composite, which the
+    correction barrier re-runs as one step.
+    """
+    mtd = ModeTransitionDiagram("M")
+    mtd.add_input("a")
+    mtd.add_input("b")
+    mtd.add_output("out")
+    mtd.add_output("mode")
+    std_in_low = rng.random() < 0.5
+    mtd.add_mode("Low", _behavior_dfd(rng, "Low", std_in_low), initial=True)
+    mtd.add_mode("High", _behavior_dfd(rng, "High", True))
+    threshold = rng.randint(-2, 4)
+    mtd.add_transition("Low", "High", f"a > {threshold}")
+    mtd.add_transition("High", "Low", f"a <= {threshold}")
+
+    gated = rng.random() < 0.4
+    core = DataFlowDiagram("CCore" if gated else "C")
+    core.add_input("u")
+    core.add_output("y")
+    core.add_output("s")
+    core.add_subcomponent(UnitDelay("Z", initial=rng.randint(0, 3)))
+    core.add_subcomponent(_expression_block(rng, "CE"))
+    core.add_subcomponent(_std_block(rng, "CSeq"))
+    core.connect("u", "Z.in1")
+    core.connect("Z.out", "CE.a")
+    core.connect("Z.out", "CE.b")
+    core.connect("Z.out", "CSeq.a")
+    core.connect("CE.out", "y")
+    core.connect("CSeq.out", "s")
+    child = (ClockGatedComponent(core, every(rng.randint(2, 3)), name="C")
+             if gated else core)
+
+    dfd = DataFlowDiagram(f"OneStep{index}")
+    dfd.add_input("x")
+    dfd.add_input("y")
+    dfd.add_output("out")
+    dfd.add_output("mode")
+    dfd.add_output("s")
+    mix = _expression_block(rng, "A")
+    dfd.add(mtd, child, mix)
+    dfd.connect("x", "M.a")
+    dfd.connect("y", "M.b")
+    dfd.connect("M.out", "A.a")
+    dfd.connect("C.y", "A.b")     # C runs before A ...
+    dfd.connect("A.out", "C.u")   # ... but A feeds it: a late producer
+    dfd.connect("A.out", "out")
+    dfd.connect("M.mode", "mode")
+    dfd.connect("C.s", "s")
+    return dfd
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_step_composites_agree_with_interpreter(seed):
+    """Late-produced composites and composite MTD mode behaviours compile
+    to flat programs of their own; ``auto``, ``flat``, ``native`` and
+    ``batch`` must reproduce the interpreter's typed traces, error strings
+    and ``collect_modes`` histories on them."""
+    rng = random.Random(9500 + seed)
+    model = _build_one_step_model(rng, seed)
+    battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
+               in _battery(rng, model, size=rng.randint(3, 6), max_ticks=14)]
+
+    flat = compile_flat(model)
+    leaves = {leaf.component.name: leaf for leaf in flat.leaves}
+    assert isinstance(leaves["C"].schedule, FlatSchedule)
+    assert flat.fallback_paths == [f"{model.name}/C"]
+    assert [type(behavior) for _mode, behavior
+            in leaves["M"].schedule.children] == [FlatSchedule] * 2
+
+    expected = [_interpreter_modes(model, scenario) for scenario in battery]
+    for backend in ["auto", "flat", "batch"] + (["native"] if _HAS_NATIVE
+                                                else []):
+        simulator = CompiledSimulator(model, backend=backend)
+        for scenario, (error, _modes, streams) in zip(battery, expected):
+            trace, got_error = _scalar_outcome(simulator.run, scenario.stimuli,
+                                               scenario.ticks)
+            got = _typed_streams(trace) if trace is not None else None
+            assert (got_error, got) == (error, streams), (
+                seed, scenario.name, backend)
+        results = run_sharded(model, battery, executor="serial",
+                              collect_modes=True, backend=backend)
+        assert [(result.error, result.mode_paths,
+                 _typed_streams(result.trace) if result.ok else None)
+                for result in results] == expected, (seed, backend)
 
 
 # -- generated step variants ---------------------------------------------------

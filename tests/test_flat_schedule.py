@@ -28,7 +28,7 @@ from repro.scenarios.report import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, FlatState, ScenarioSuite,
                               Simulator, build_gated_ccd, compile_component,
-                              compile_flat, compile_nested, first_difference,
+                              compile_flat, first_difference,
                               is_flattenable)
 
 
@@ -202,19 +202,47 @@ def test_linear_steps_pin_exact_format():
         "    atomic  Outer/G")
 
 
+#: ``linear_steps()`` of the retired nested composite engine on
+#: ``gated_mtd_system(every(3), direct)``, keyed by *direct*.
+NESTED_GATED_MTD_STEPS = {
+    False: [("Sys", "composite"), ("Sys/Pre", "atomic"),
+            ("Sys/Plant", "gated"), ("Sys/Plant/PlantCore", "composite"),
+            ("Sys/Plant/PlantCore/Scale", "atomic"),
+            ("Sys/Plant/PlantCore/Modes", "mtd"),
+            ("Sys/Plant/PlantCore/Modes/LowB", "atomic"),
+            ("Sys/Plant/PlantCore/Modes/HighB", "atomic")],
+    True: [("Sys", "composite"), ("Sys/Pre", "atomic"),
+           ("Sys/Plant", "gated"), ("Sys/Plant/Modes", "mtd"),
+           ("Sys/Plant/Modes/LowB", "atomic"),
+           ("Sys/Plant/Modes/HighB", "atomic")],
+}
+
+
 @pytest.mark.parametrize("direct", [False, True])
 def test_linear_steps_match_nested_engine_exactly(direct):
-    model = gated_mtd_system(every(3), direct=direct)
-    flat = compile_flat(model)
-    nested = compile_nested(model)
-    assert flat.linear_steps() == nested.linear_steps()
-    assert flat.describe() == nested.describe()
+    flat = compile_flat(gated_mtd_system(every(3), direct=direct))
+    expected = NESTED_GATED_MTD_STEPS[direct]
+    assert flat.linear_steps() == expected
+    assert flat.describe() == "\n".join(f"{kind:>10}  {path}"
+                                        for path, kind in expected)
 
 
 def test_linear_steps_match_nested_engine_on_gated_ccd(engine_ccd):
-    gated = build_gated_ccd(engine_ccd)
-    flat = compile_flat(gated)
-    assert flat.linear_steps() == compile_nested(gated).linear_steps()
+    """The retired nested engine's ``linear_steps()`` on the gated Fig. 7
+    CCD."""
+    root = "SimplifiedEngineController_gated"
+    expected = [(root, "composite")]
+    for cluster, blocks in [("IdleSpeed", ["IdleController"]),
+                            ("Monitoring", ["Plausibility"]),
+                            ("SensorProcessing", ["AirMass", "SpeedFilter"]),
+                            ("FuelAndIgnition", ["EnableLatch", "Ignition",
+                                                 "Injection"])]:
+        expected += [(f"{root}/{cluster}", "gated"),
+                     (f"{root}/{cluster}/{cluster}", "composite")]
+        expected += [(f"{root}/{cluster}/{cluster}/{block}", "atomic")
+                     for block in blocks]
+    flat = compile_flat(build_gated_ccd(engine_ccd))
+    assert flat.linear_steps() == expected
 
 
 # -- deep hierarchies (satellite: iterative compile, 5000 levels) --------------
@@ -399,7 +427,8 @@ def test_correction_barrier_preserved_in_flat_program():
 
 def test_late_produced_composite_falls_back_to_nested():
     """A non-feedthrough composite fed by a later-scheduled producer must
-    stay a nested leaf so the correction barrier can re-run it atomically."""
+    stay one leaf so the correction barrier can re-run it atomically: a
+    ``run`` op over the composite's own flat program."""
     child = DataFlowDiagram("Child")
     child.add_input("u")
     child.add_output("y")
@@ -421,8 +450,15 @@ def test_late_produced_composite_falls_back_to_nested():
 
     flat = compile_flat(parent)
     assert flat.fallback_paths == ["Parent/Child"]
-    # the naming contract holds even for fallback subtrees
-    assert flat.linear_steps() == compile_nested(parent).linear_steps()
+    child_leaf, = [leaf for leaf in flat.leaves if leaf.component is child]
+    assert isinstance(child_leaf.schedule, FlatSchedule)
+    assert "Parent/Child [nested] (correction-tracked)" \
+        in "\n".join(flat.ops_summary())
+    # the naming contract holds even for fallback subtrees (the retired
+    # nested engine's linear_steps)
+    assert flat.linear_steps() == [
+        ("Parent", "composite"), ("Parent/Child", "composite"),
+        ("Parent/Child/Z", "atomic"), ("Parent/A", "atomic")]
     reference, _ = assert_engines_agree(parent, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [1, 2, 3, 4, 5]
 
@@ -632,12 +668,17 @@ def test_mode_paths_appear_and_disappear_with_the_active_mode():
     present = ["Sys/Modes/High" in paths for paths in observed]
     assert present == [False, True, True, True, False, False, True, True]
     scenario = [Scenario("switch", {"x": values}, len(values))]
-    histories = [run_sharded(model, scenario, executor="serial",
-                             collect_modes=True, backend=backend)[0]
-                 .mode_paths for backend in ("nested", "flat")]
-    assert histories[0] == histories[1]
-    assert len(histories[1]["Sys/Modes"]) == len(values)
-    assert len(histories[1]["Sys/Modes/High"]) == sum(present)
+    histories = run_sharded(model, scenario, executor="serial",
+                            collect_modes=True, backend="flat")[0].mode_paths
+    # the interpreter walk, tick by tick
+    state, expected = None, {}
+    for tick, value in enumerate(values):
+        _, state = model.react({"x": value}, state, tick)
+        for path, mode in active_mode_paths(model, state).items():
+            expected.setdefault(path, []).append(mode)
+    assert histories == expected
+    assert len(histories["Sys/Modes"]) == len(values)
+    assert len(histories["Sys/Modes/High"]) == sum(present)
 
 
 def test_sharded_collect_modes_observes_flat_states():

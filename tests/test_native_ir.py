@@ -217,8 +217,10 @@ def test_backend_validation_lists_sorted_backends_including_native():
     model = _expression_heavy_model()
     with pytest.raises(SimulationError) as exc_info:
         CompiledSimulator(model, backend="turbo")
-    assert ("choose from ('auto', 'batch', 'flat', 'native', 'nested')"
+    assert ("choose from ('auto', 'batch', 'flat', 'native')"
             in str(exc_info.value))
+    with pytest.raises(SimulationError, match="unknown schedule backend"):
+        CompiledSimulator(model, backend="nested")
 
 
 def test_native_backend_degrades_to_flat_without_compiler(monkeypatch):

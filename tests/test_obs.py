@@ -468,7 +468,7 @@ def test_compiles_are_counted_where_they_happen(engine_modes_mtd):
     it runs."""
     with obs.session() as telemetry:
         CompiledSimulator(engine_modes_mtd)
-        CompiledSimulator(engine_modes_mtd, backend="nested")
+        CompiledSimulator(engine_modes_mtd, backend="auto")
     assert telemetry.registry.counter("compile.simulators").value == 2
 
     batch = _engine_batch(count=8, ticks=5)
