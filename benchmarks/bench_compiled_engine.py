@@ -8,7 +8,9 @@ chain DFD and its clustered, rate-gated CCD form.  The CCD comparison at
 compiled engine must be at least 5x faster while producing a tick-for-tick
 identical trace.  Every gate takes the median of interleaved run-pair
 ratios (:func:`_bench_utils.median_paired_ratio`), so one slow stretch of
-a shared host cannot decide it.
+a shared host cannot decide it.  The compiled side is pinned to
+``backend="flat"``: a tiered ``auto`` simulator run many times would
+switch to the native C loop and time that instead.
 """
 
 import pytest
@@ -63,7 +65,7 @@ def test_p2_compiled_vs_interpreter_ccd_1000_ticks():
     stimuli = {"u": [1.0] * ticks}
 
     reference = Simulator(gated)
-    compiled = CompiledSimulator(gated)
+    compiled = CompiledSimulator(gated, backend="flat")
     reference_trace = reference.run(stimuli, ticks)
     compiled_trace = compiled.run(stimuli, ticks)
     assert first_difference(reference_trace, compiled_trace) is None
@@ -83,7 +85,7 @@ def test_p2_compiled_vs_interpreter_dfd(size, ticks):
     dfd = _chain_dfd(size)
     stimuli = {"u": [1.0] * ticks}
     reference = Simulator(dfd)
-    compiled = CompiledSimulator(dfd)
+    compiled = CompiledSimulator(dfd, backend="flat")
     assert first_difference(reference.run(stimuli, ticks),
                             compiled.run(stimuli, ticks)) is None
     speedup, t_compiled, t_reference = median_paired_ratio(
@@ -104,13 +106,14 @@ def test_p2_scenario_suite_amortizes_compilation():
     ticks = 200
     n_scenarios = 20
     dfd = _chain_dfd(40)
-    suite = ScenarioSuite(dfd)
+    suite = ScenarioSuite(dfd, backend="flat")
     for index in range(n_scenarios):
         suite.add(f"s{index}", {"u": [float(index)] * ticks}, ticks)
 
     def _one_shot_each():
         for index in range(n_scenarios):
-            CompiledSimulator(dfd).run({"u": [float(index)] * ticks}, ticks)
+            CompiledSimulator(dfd, backend="flat").run(
+                {"u": [float(index)] * ticks}, ticks)
 
     ratio, t_one_shot, t_suite = median_paired_ratio(
         _one_shot_each, suite.run_all, PAIRS)

@@ -422,6 +422,12 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     makes the per-worker recompile a cache hit, and compiler-less hosts
     degrade to ``"flat"``.  ``backend="batch"`` is an alias of
     ``"native"``: it compiles and dispatches exactly the same way.
+    With the default ``backend="auto"`` every simulator -- the serial
+    one, each thread's, each worker's -- is tiered: it starts on the
+    flat program and may switch to the native C loop between two of its
+    scenarios (:class:`~repro.simulation.compiled.CompiledSimulator`),
+    with identical results.  A process pool forks only once no
+    promotion of this process is in flight.
     """
     if executor not in _EXECUTORS:
         raise SimulationError(

@@ -48,6 +48,7 @@ tick-for-tick identical to the reference engine; the differential suite in
 
 from __future__ import annotations
 
+import threading
 import warnings
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
 
@@ -438,6 +439,14 @@ _BACKENDS = ("auto", "batch", "flat", "native")
 #: simulator, recorded while observability is on.
 COMPILE_COUNTER = "compile.simulators"
 
+#: Counters of tiered ``auto``: switches to the native C loop, and
+#: promotions the compiler (or the ``ir_verify`` gate) failed.
+PROMOTION_COUNTER = "compile.native_promotions"
+PROMOTION_FAILURE_COUNTER = "compile.native_promotion_failures"
+
+#: Serializes the tiering state changes of simulators shared by threads.
+_TIER_LOCK = threading.Lock()
+
 
 class CompiledSimulator:
     """Drop-in replacement for :class:`Simulator` backed by a compiled schedule.
@@ -458,6 +467,17 @@ class CompiledSimulator:
     call; hosts without a compiler degrade to the flat interpreter with a
     ``RuntimeWarning``.  ``"batch"`` is an alias of ``"native"``; spans
     and events still carry the name the caller passed.
+
+    ``"auto"`` is tiered (:mod:`repro.simulation.native.tiering`): a flat
+    simulator runs its first scenarios at once on the flat program, its
+    second :meth:`run` starts a background lowering to C when the host
+    has a compiler and the program passes the static cost check, and the
+    first :meth:`run` after that lowering finished switches to the native
+    C loop (``compile.native_promotions``; a failed compile leaves it on
+    flat and counts ``compile.native_promotion_failures``).  A simulator
+    that is only constructed, or run once, starts no thread.
+    :attr:`schedule` stays the flat schedule the constructor built;
+    :meth:`join_promotion` waits for an in-flight lowering.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -497,6 +517,55 @@ class CompiledSimulator:
         registry = current_registry()
         if registry is not None:
             registry.counter(COMPILE_COUNTER).inc()
+        #: tiered ``auto``: runs so far, the in-flight promotion and the
+        #: native schedule it produced
+        self._tiering = backend == "auto" and self.schedule.kind == "flat"
+        self._runs = 0
+        self._promotion: Any = None
+        self._native: Any = None
+
+    def _tier_up(self) -> None:
+        """Advance tiered ``auto`` at a scenario boundary: start the
+        promotion on the second run, switch once it is done."""
+        with _TIER_LOCK:
+            promotion = self._promotion
+            if promotion is None:
+                self._runs += 1
+                if self._runs == 2:
+                    from .native.tiering import start_promotion
+                    self._promotion = start_promotion(self.schedule)
+                    self._tiering = self._promotion is not None
+                return
+            if not promotion.done:
+                return
+            self._tiering = False
+            self._promotion = None
+            self._native = promotion.native
+        if promotion.native is not None:
+            counter = PROMOTION_COUNTER
+        elif promotion.error is not None:
+            counter = PROMOTION_FAILURE_COUNTER
+        else:  # the post-lowering cost check declined
+            return
+        registry = current_registry()
+        if registry is not None:
+            registry.counter(counter).inc()
+
+    def join_promotion(self, timeout: Optional[float] = None) -> bool:
+        """Wait for an in-flight promotion to the native C loop (the next
+        :meth:`run` switches); returns whether none is still running."""
+        promotion = self._promotion
+        return promotion is None or promotion.join(timeout)
+
+    def _promote_now(self, force: bool = False) -> None:
+        """Lower and load synchronously, so the next :meth:`run` switches
+        (a test hook; *force* skips the post-lowering cost check)."""
+        from .native.tiering import Promotion
+        promotion = Promotion(self.schedule, force)
+        promotion.work()
+        with _TIER_LOCK:
+            self._promotion = promotion
+            self._tiering = True
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]] = None,
             ticks: int = 10,
@@ -521,9 +590,14 @@ class CompiledSimulator:
         step variant instead of the C loop; spans-only sessions stay in
         C.  The default path is untouched: ``schedule.step`` is the same
         closure whether or not :mod:`repro.obs` was ever enabled.
+
+        Tiered ``auto`` (see the class docstring) switches here, between
+        runs, and a promoted simulator runs like a native one.
         """
+        if self._tiering:
+            self._tier_up()
         telemetry = _obs_active()
-        schedule = self.schedule
+        schedule = self._native or self.schedule
         if schedule.kind == "native" and telemetry is not None \
                 and (telemetry.flight_recording or telemetry.profile_ops):
             schedule = schedule.flat

@@ -8,7 +8,9 @@ through :mod:`ctypes` -- one call per scenario horizon, or per tick
 behind the standard stepped contract (:mod:`.schedule`).  Select it with ``backend="native"`` on
 :class:`~repro.simulation.compiled.CompiledSimulator` /
 :class:`~repro.simulation.compiled.ScenarioSuite`; hosts without a C
-compiler degrade gracefully to the flat interpreter.
+compiler degrade gracefully to the flat interpreter.  The default
+``backend="auto"`` promotes a flat simulator to it between scenarios
+(:mod:`.tiering`).
 
 ``python -m repro.simulation.native --info`` reports the discovered
 compiler and the shared-object cache.

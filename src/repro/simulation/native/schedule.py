@@ -443,24 +443,16 @@ class NativeSchedule:
                 f"fallback={len(self.lowered.fallback_ops)})")
 
 
-def compile_native(schedule: Any,
-                   cache_directory: Optional[str] = None) -> NativeSchedule:
-    """Compile a flat schedule (or a flattenable component) to native code.
+def check_lowerable(schedule: FlatSchedule) -> None:
+    """Refuse a schedule the C backend must not compile.
 
-    The lowering is gated on a clean static-verifier report: a schedule
-    whose :func:`~repro.analysis.lint.ir_verify.lint_flat_schedule` report
-    carries errors is refused with :class:`NativeLoweringError` -- the
-    C fast path keeps slot accesses unguarded on exactly the write-before-
-    read / gate-structure facts the verifier proves, so an unverified
-    program must not reach the compiler.  Also raises
-    :class:`NativeLoweringError` when no C compiler is available
-    (:class:`~repro.simulation.compiled.CompiledSimulator` checks
-    :func:`~.toolchain.native_available` first and degrades to ``"flat"``
-    instead of calling this).
+    Raises :class:`NativeLoweringError` when the schedule's
+    :func:`~repro.analysis.lint.ir_verify.lint_flat_schedule` report
+    carries errors -- the C fast path keeps slot accesses unguarded on
+    exactly the write-before-read / gate-structure facts the verifier
+    proves, so an unverified program must not reach the compiler -- or
+    when no C compiler is available.
     """
-    if not isinstance(schedule, FlatSchedule):
-        from ..schedule_ir import compile_flat
-        schedule = compile_flat(schedule)
     # lazy import: analysis.lint imports the schedule IR for its verifier
     from ...analysis.lint.ir_verify import lint_flat_schedule
     report = lint_flat_schedule(schedule)
@@ -474,6 +466,24 @@ def compile_native(schedule: Any,
         raise NativeLoweringError(
             "no C compiler available (set $CC or install cc/gcc/clang); "
             "use backend='flat' or backend='auto' instead")
+
+
+def compile_native(schedule: Any,
+                   cache_directory: Optional[str] = None) -> NativeSchedule:
+    """Compile a flat schedule (or a flattenable component) to native code.
+
+    The lowering is gated by :func:`check_lowerable`: an unclean
+    ``ir_verify`` report or a host without a C compiler raise
+    :class:`NativeLoweringError`
+    (:class:`~repro.simulation.compiled.CompiledSimulator` checks
+    :func:`~.toolchain.native_available` first and degrades to ``"flat"``
+    instead of calling this).  The compile records a ``compile.native``
+    span and the ``native.compile.*`` / ``native.ops.*`` counters.
+    """
+    if not isinstance(schedule, FlatSchedule):
+        from ..schedule_ir import compile_flat
+        schedule = compile_flat(schedule)
+    check_lowerable(schedule)
     telemetry = _obs_active()
     registry = telemetry.registry if telemetry is not None else None
     with maybe_span("compile.native", component=schedule.component.name,

@@ -12,7 +12,8 @@ host has a compiler (``native_available``), through both of its entry
 points: whole horizons (``CompiledSimulator.run``) and the per-tick
 ``schedule.step`` under ``run_stepped``.  The batch arm runs each battery
 as one serial ``run_sharded(..., backend="batch")`` campaign (the native
-C loop, or flat without a compiler).
+C loop, or flat without a compiler).  A tiered ``auto`` arm switches one
+simulator from flat to native partway through a battery.
 
 Every generation step draws from one seeded ``random.Random``, so a
 reported seed reproduces the exact divergence.  The regressions this fuzz
@@ -25,6 +26,7 @@ import pytest
 
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import every
+from repro.core.types import IntType
 from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
@@ -33,10 +35,11 @@ from repro.notations.std import StateTransitionDiagram
 from repro import obs
 from repro.obs.profile import OpProfile
 from repro.obs.recorder import FlightRecorder
-from repro.scenarios import Scenario, run_sharded
+from repro.scenarios import Scenario, execute_scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              FlatSchedule, Simulator, compile_flat,
-                              native_available)
+                              FlatSchedule, NativeLoweringError, Simulator,
+                              compile_flat, native_available)
+from repro.simulation.native import tiering
 from repro.simulation.engine import active_mode_paths, run_stepped
 
 _HAS_NATIVE = native_available()
@@ -247,7 +250,7 @@ def test_four_backend_fuzz_extended(seed):
 # -- mode histories ------------------------------------------------------------
 
 
-def _interpreter_modes(model, scenario):
+def _interpreter_modes(model, scenario, check_types=False):
     """``(error, mode histories, typed streams)`` of one interpreter run:
     the histories :func:`active_mode_paths` walks over ``model.react``'s
     own states after every tick -- the record a ``collect_modes=True``
@@ -262,7 +265,7 @@ def _interpreter_modes(model, scenario):
 
     try:
         trace = run_stepped(model, observed, scenario.stimuli,
-                            scenario.ticks, False)
+                            scenario.ticks, check_types)
     except Exception as exc:  # noqa: BLE001 - the comparison IS the test
         return f"{type(exc).__name__}: {exc}", None, None
     return None, histories, _typed_streams(trace)
@@ -290,6 +293,61 @@ def test_mode_histories_agree_across_backends(seed):
 @pytest.mark.parametrize("seed", range(8, 40))
 def test_mode_histories_fuzz_extended(seed):
     test_mode_histories_agree_across_backends(seed)
+
+
+# -- tiered auto ---------------------------------------------------------------
+
+
+def _failing_load(*args, **kwargs):
+    raise NativeLoweringError("stubbed compiler failure")
+
+
+@pytest.mark.skipif(not _HAS_NATIVE, reason="no C compiler: auto never tiers")
+@pytest.mark.parametrize("promotion", ["loads", "fails"])
+@pytest.mark.parametrize("check_types", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_tiered_auto_switch_mid_battery_matches_interpreter(
+        seed, check_types, promotion, monkeypatch):
+    """An ``auto`` simulator promoted synchronously before scenario *k* (a
+    test hook, forced past the cost check; its own background promotion
+    is switched off) reproduces the interpreter on every scenario before
+    and after the switch: typed traces, error strings -- type, message and
+    tick -- and ``collect_modes`` histories.  With ``check_types`` the
+    output port is an int range, so output type errors land at random
+    ticks; a failing compiler leaves the simulator on flat."""
+    rng = random.Random(9000 + seed)
+    model = _build_model(rng, seed)
+    battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
+               in _battery(rng, model, size=rng.randint(3, 8))]
+    switch = random.Random(9800 + seed).randrange(len(battery))
+    if check_types:
+        model.port("out").port_type = IntType(-1000, 1000)
+    monkeypatch.setattr(tiering, "start_promotion", lambda flat: None)
+    if promotion == "fails":
+        monkeypatch.setattr(tiering, "load_shared_object", _failing_load)
+    expected = [_interpreter_modes(model, scenario, check_types)
+                for scenario in battery]
+
+    simulator = CompiledSimulator(model, check_types=check_types)
+    outcomes = []
+    with obs.session() as telemetry:
+        for index, scenario in enumerate(battery):
+            if index == switch:
+                simulator._promote_now(force=True)
+            result = execute_scenario(simulator, scenario,
+                                      collect_modes=True)
+            outcomes.append((result.error, result.mode_paths,
+                             _typed_streams(result.trace) if result.ok
+                             else None))
+    for index, (got, want) in enumerate(zip(outcomes, expected)):
+        assert got == want, (seed, battery[index].name, switch, promotion)
+    counters = telemetry.registry.counter_values("compile.native_")
+    promoted = promotion == "loads"
+    assert counters == {"compile.native_promotions" if promoted
+                        else "compile.native_promotion_failures": 1}
+    assert telemetry.registry.counter("native.runs").value \
+        == (len(battery) - switch if promoted else 0)
+    assert simulator.schedule.kind == "flat"
 
 
 # -- composites that run as one step -------------------------------------------
