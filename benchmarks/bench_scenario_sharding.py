@@ -17,9 +17,11 @@ deterministic counts that :mod:`repro.obs` records for a second, traced
 pooled run: one task per scenario (``shard_dispatched`` events and
 ``runner.worker_task`` spans) and one schedule compile per worker that
 ran a task (``compile.simulators``, counted where the compile happens),
-so 32 tasks on 4 workers pay at most 4 compiles.  A chunked run
-(``chunk_size=8``) on a batch that does not divide evenly checks that the
-pool receives exactly the ``chunk_size`` slices, one task each, and a
+so 32 tasks on 4 workers pay at most 4 compiles.  Process and thread
+pools run one worker protocol, so both count gates run on both.  A
+chunked run (``chunk_size=8``) on a batch that does not divide evenly
+checks that the pool receives exactly the ``chunk_size`` slices, one
+task each, and a
 ``backend="batch"`` run checks that the alias dispatches one task per
 scenario like ``"native"``.  Traces are byte-identical to the serial run
 throughout.
@@ -27,8 +29,9 @@ Per-worker compile amortization is measured separately: the pool pays
 ``workers`` compilations where a naive per-scenario pool would pay
 ``len(batch)``.
 
-Process-pool benchmarks carry the ``parallel`` marker so constrained
-sandboxes can deselect them with ``-m "not parallel"``.
+Process-pool benchmarks (and the process half of the parametrized gates)
+carry the ``parallel`` marker so constrained sandboxes can deselect them
+with ``-m "not parallel"``.
 """
 
 import os
@@ -41,8 +44,7 @@ from repro.core.components import ExpressionComponent
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.obs.events import EventLog
-from repro.scenarios import (RandomWalk, Scenario, run_sharded,
-                             shard_scenarios)
+from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import (CompiledSimulator, ScenarioSuite,
                               build_gated_ccd, first_difference)
 from repro.transformations.clustering import cluster_by_clock
@@ -90,24 +92,13 @@ def _batch(count: int = BATCH_SIZE, ticks: int = TICKS):
                      ticks=ticks) for index in range(count)]
 
 
-def test_p3_shard_partitioning_is_balanced():
-    batch = _batch(BATCH_SIZE, ticks=1)
-    shards = shard_scenarios(batch, WORKERS)
-    assert len(shards) == WORKERS
-    sizes = [len(shard) for shard in shards]
-    assert sum(sizes) == BATCH_SIZE
-    assert max(sizes) - min(sizes) <= 1
-    report("P3", f"{BATCH_SIZE} scenarios over {WORKERS} shards: "
-                 f"sizes {sizes}")
-
-
-def _counted_pool_run(gated, batch, **options):
+def _counted_pool_run(gated, batch, executor="process", **options):
     """One pooled run inside a telemetry session: the results plus the
     counts the gates read (scenarios per ``shard_dispatched`` event,
     ``runner.worker_task`` spans, workers that ran a task, compiles)."""
     events = EventLog()
     with obs.session(events=events) as telemetry:
-        results = run_sharded(gated, batch, executor="process",
+        results = run_sharded(gated, batch, executor=executor,
                               max_workers=WORKERS, **options)
     for result in results:
         assert result.ok, (result.name, result.error)
@@ -120,8 +111,12 @@ def _counted_pool_run(gated, batch, **options):
     return results, dispatched, tasks, workers, compiles
 
 
-@pytest.mark.parallel
-def test_p3_sharded_vs_serial_ccd_batch():
+#: Both pooled executors run one worker protocol, so both pass the gates.
+POOLED = [pytest.param("process", marks=pytest.mark.parallel), "thread"]
+
+
+@pytest.mark.parametrize("executor", POOLED)
+def test_p3_sharded_vs_serial_ccd_batch(executor):
     """Acceptance gate on counts: one task per scenario, one compile per
     worker however many tasks it ran; byte-identical traces."""
     gated = _gated_ccd_workload()
@@ -136,18 +131,19 @@ def test_p3_sharded_vs_serial_ccd_batch():
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    timed = run_sharded(gated, batch, executor="process",
+    timed = run_sharded(gated, batch, executor=executor,
                         max_workers=WORKERS)
     t_sharded = time.perf_counter() - start
 
     results, dispatched, tasks, workers, compiles = \
-        _counted_pool_run(gated, batch)
+        _counted_pool_run(gated, batch, executor)
     for result in timed + results:
         assert result.ok, (result.name, result.error)
         assert first_difference(serial_traces[result.name],
                                 result.trace) is None
 
-    report("P3", f"{BATCH_SIZE} scenarios x {TICKS} ticks on gated CCD: "
+    report("P3", f"{BATCH_SIZE} scenarios x {TICKS} ticks on gated CCD, "
+                 f"{executor} pool: "
                  f"{tasks} tasks on {len(workers)} workers, {compiles} "
                  f"compiles; serial {t_serial:.3f}s, pooled (untraced) "
                  f"{t_sharded:.3f}s -> {t_serial / t_sharded:.2f}x, not "
@@ -157,8 +153,8 @@ def test_p3_sharded_vs_serial_ccd_batch():
     assert compiles == len(workers) <= WORKERS
 
 
-@pytest.mark.parallel
-def test_p3_pool_dispatches_one_chunk_per_task():
+@pytest.mark.parametrize("executor", POOLED)
+def test_p3_pool_dispatches_one_chunk_per_task(executor):
     """``chunk_size`` is the only dispatch knob: on a batch that does not
     divide evenly the pool receives the ``chunk_size`` slices, one task
     each, and ``backend="batch"`` (an alias of ``"native"``) dispatches
@@ -171,10 +167,11 @@ def test_p3_pool_dispatches_one_chunk_per_task():
 
     for options in ({"chunk_size": 8}, {"backend": "batch"}):
         results, dispatched, tasks, workers, compiles = \
-            _counted_pool_run(gated, batch, **options)
+            _counted_pool_run(gated, batch, executor, **options)
         for result, expected in zip(results, reference):
             assert first_difference(expected, result.trace) is None
-        report("P3", f"pool with {options}: {len(batch)} scenarios as "
+        report("P3", f"{executor} pool with {options}: {len(batch)} "
+                     f"scenarios as "
                      f"tasks of {dispatched} in {tasks} "
                      f"runner.worker_task spans on {len(workers)} "
                      f"workers, {compiles} compiles")

@@ -14,9 +14,10 @@ The in-process primitives and one switch:
   (per-op counts/times, gate skip rates, correction re-runs and
   nested-fallback activity), rendered by
   :func:`format_profile` / :func:`format_backend_comparison`;
-* :func:`enable` / :func:`disable` / :func:`session` -- the process-global
-  switch.  While off (the default), the engines run their untouched step
-  closures and every probe is one global read; see
+* :func:`enable` / :func:`disable` / :func:`session` -- the switch, one
+  per thread: a session records what its own thread runs.  While off (the
+  default), the engines run their untouched step closures and every probe
+  is one attribute read; see
   :mod:`repro.obs.context` for the contract and
   ``benchmarks/bench_obs_overhead.py`` for the gate.
 

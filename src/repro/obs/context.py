@@ -1,10 +1,10 @@
-"""The ambient telemetry context: one switch, zero overhead when off.
+"""The ambient telemetry context: per-thread switch, zero overhead when off.
 
 Instrumentation sites across the engine stack (compile phases, the
-sharded runner, the native loop, the search loop) consult ONE module
-global through :func:`active` / :func:`current_registry` /
+sharded runner, the native loop, the search loop) consult the calling
+thread's session through :func:`active` / :func:`current_registry` /
 :func:`maybe_span`.  While observability is disabled (the default) every
-such probe is a single global read returning ``None`` -- and, crucially,
+such probe is a single attribute read returning ``None`` -- and, crucially,
 no probe sits on a per-tick or per-op path: hot loops are instrumented by
 **swapping in** an instrumented step variant when telemetry is enabled
 (:meth:`~repro.simulation.schedule_ir.FlatSchedule.instrumented_step`,
@@ -33,14 +33,19 @@ or scoped, restoring the previous state::
     with obs.session(profile_ops=True) as telemetry:
         ...
 
-The context is process-global and intentionally simple: pool workers do
-NOT inherit it -- the sharded runner forwards an enable flag and ships
-worker-local registries back for merging (the cross-process aggregation
-path), so no instrument is ever written from two processes.
+The context is per thread: :func:`enable` / :func:`session` switch on
+telemetry for the calling thread only, and a new thread starts with none.
+So a session records what its own thread runs and nothing from other
+threads.  Pool workers -- threads and processes alike -- never see the
+caller's session: the sharded runner forwards the session's settings,
+each worker task records into a worker-local session, and the runner
+merges what the task ships back, so no instrument is ever written from
+two threads.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
@@ -57,7 +62,9 @@ class Telemetry:
     profiles are created lazily by :meth:`profile_for` the first time an
     instrumentable schedule runs while ``profile_ops`` is set, and the
     instrumented step closures are cached per schedule so repeated runs
-    keep accumulating into one profile.
+    keep accumulating into one profile.  Profiles shipped back by pool
+    workers are merged into the profile of the same label, or kept under
+    their label.
 
     ``events`` is an optional :class:`~repro.obs.events.EventLog` the
     campaign layers (sharded runner, coverage search) emit into; ``None``
@@ -190,8 +197,14 @@ class Telemetry:
                 f"flight_recording={self.flight_recording})")
 
 
-#: THE switch: ``None`` means observability is off everywhere.
-_ACTIVE: Optional[Telemetry] = None
+class _Switch(threading.local):
+    """The per-thread switch: ``telemetry`` is the calling thread's session,
+    or ``None`` (the class default, so every new thread starts off)."""
+
+    telemetry: Optional[Telemetry] = None
+
+
+_ACTIVE = _Switch()
 
 
 def enable(registry: Optional[MetricsRegistry] = None,
@@ -201,39 +214,40 @@ def enable(registry: Optional[MetricsRegistry] = None,
            flight_recording: bool = False,
            ring_ticks: int = 16,
            postmortem_dir: Optional[str] = None) -> Telemetry:
-    """Install (and return) a fresh telemetry session as the active one."""
-    global _ACTIVE
-    _ACTIVE = Telemetry(registry, tracer, profile_ops, events=events,
-                        flight_recording=flight_recording,
-                        ring_ticks=ring_ticks,
-                        postmortem_dir=postmortem_dir)
-    return _ACTIVE
+    """Install (and return) a fresh telemetry session as the calling
+    thread's active one."""
+    telemetry = _ACTIVE.telemetry = Telemetry(
+        registry, tracer, profile_ops, events=events,
+        flight_recording=flight_recording, ring_ticks=ring_ticks,
+        postmortem_dir=postmortem_dir)
+    return telemetry
 
 
 def disable() -> Optional[Telemetry]:
-    """Switch observability off; returns the session that was active."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
+    """Switch observability off for the calling thread; returns the session
+    that was active."""
+    previous = _ACTIVE.telemetry
+    _ACTIVE.telemetry = None
     return previous
 
 
 def is_enabled() -> bool:
-    return _ACTIVE is not None
+    return _ACTIVE.telemetry is not None
 
 
 def active() -> Optional[Telemetry]:
-    """The active telemetry session, or ``None`` (the common fast path)."""
-    return _ACTIVE
+    """The calling thread's telemetry session, or ``None`` (the common
+    fast path)."""
+    return _ACTIVE.telemetry
 
 
 def current_registry() -> Optional[MetricsRegistry]:
-    telemetry = _ACTIVE
+    telemetry = _ACTIVE.telemetry
     return telemetry.registry if telemetry is not None else None
 
 
 def current_tracer() -> Optional[Tracer]:
-    telemetry = _ACTIVE
+    telemetry = _ACTIVE.telemetry
     return telemetry.tracer if telemetry is not None else None
 
 
@@ -242,9 +256,9 @@ def current_events() -> Optional[Any]:
 
     ``None`` both when observability is off and when the session was
     enabled without an event log -- callers emit only when this returns a
-    log, so the disabled cost stays one global read.
+    log, so the disabled cost stays one attribute read.
     """
-    telemetry = _ACTIVE
+    telemetry = _ACTIVE.telemetry
     return telemetry.events if telemetry is not None else None
 
 
@@ -267,11 +281,11 @@ def maybe_span(name: str, **attributes: Any) -> Any:
     """A tracer span when observability is on, a shared no-op otherwise.
 
     The ``with maybe_span(...) as span:`` body must tolerate ``span is
-    None`` (the disabled case).  Cost when disabled: one global read and
-    one call -- which is why this helper only appears on compile-, run-
+    None`` (the disabled case).  Cost when disabled: one attribute read
+    and one call -- which is why this helper only appears on compile-, run-
     and sweep-level paths, never per tick.
     """
-    telemetry = _ACTIVE
+    telemetry = _ACTIVE.telemetry
     if telemetry is None:
         return _NULL_SPAN
     return telemetry.tracer.span(name, **attributes)
@@ -285,15 +299,14 @@ def session(registry: Optional[MetricsRegistry] = None,
             flight_recording: bool = False,
             ring_ticks: int = 16,
             postmortem_dir: Optional[str] = None) -> Iterator[Telemetry]:
-    """Scoped :func:`enable` that restores the previous state on exit."""
-    global _ACTIVE
-    previous = _ACTIVE
-    telemetry = Telemetry(registry, tracer, profile_ops, events=events,
-                          flight_recording=flight_recording,
-                          ring_ticks=ring_ticks,
-                          postmortem_dir=postmortem_dir)
-    _ACTIVE = telemetry
+    """Scoped :func:`enable` that restores the calling thread's previous
+    state on exit."""
+    previous = _ACTIVE.telemetry
+    telemetry = _ACTIVE.telemetry = Telemetry(
+        registry, tracer, profile_ops, events=events,
+        flight_recording=flight_recording, ring_ticks=ring_ticks,
+        postmortem_dir=postmortem_dir)
     try:
         yield telemetry
     finally:
-        _ACTIVE = previous
+        _ACTIVE.telemetry = previous

@@ -17,8 +17,10 @@ timestamps are whatever the clock returns (seconds); Chrome events
 convert to integer microseconds relative to the tracer's first span, so
 traces from different hosts align at zero.
 
-A tracer is deliberately not thread-safe: the runner gives each worker
-its own telemetry and merges afterwards, mirroring the metrics contract.
+A tracer is deliberately not thread-safe: telemetry sessions are per
+thread, so only its own thread writes it, and the runner gives each
+worker task its own session and merges afterwards, mirroring the metrics
+contract.
 """
 
 from __future__ import annotations

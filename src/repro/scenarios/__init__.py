@@ -22,7 +22,7 @@ from .generators import (Constant, Dropout, EventStorm, ModeSequence,
 from .report import (BatchReport, ModeCoverage, PortStats, active_mode_paths,
                      fold_mode_history)
 from .runner import (ScenarioResult, execute_batch, execute_scenario,
-                     run_sharded, shard_scenarios)
+                     run_sharded)
 
 
 def run_with_report(component: Component, scenarios: Sequence[Scenario],
@@ -57,5 +57,5 @@ __all__ = [
     "SquareWave", "StepChange", "StimulusGenerator", "StuckAt",
     "UniformNoise", "active_mode_paths", "execute_batch", "execute_scenario",
     "fold_mode_history", "mode_sequence_sweep", "run_sharded",
-    "run_with_report", "sample_spec", "scenario_grid", "shard_scenarios",
+    "run_with_report", "sample_spec", "scenario_grid",
 ]

@@ -12,9 +12,15 @@ run carries its own state -- so this module shards a batch across a
   functions and unpicklable by design), each worker compiles the schedule
   exactly once in its initializer, and scenarios stream to workers one by
   one (or in chunks) with results streaming back as they complete;
-* **thread pool**: no pickling; each worker thread still compiles its own
-  schedule so no mutable compile-time cache is shared across threads;
-* **serial**: the in-process fallback with the identical result protocol.
+* **thread pool**: no pickling, so models with opaque Python callables
+  work; each worker thread still compiles its own schedule so no mutable
+  compile-time cache is shared across threads;
+* **serial**: an inline executor that runs the whole batch as one task in
+  the calling thread, under the caller's own telemetry session.
+
+All three run one worker protocol -- :func:`_worker_initializer` compiles
+a worker's simulator once, :func:`_worker_task` runs one task -- and one
+dispatch loop in :func:`run_sharded`.
 
 Per-scenario **error isolation**: a failing scenario (bad stimulus, type
 violation, diverging model) yields a :class:`ScenarioResult` carrying the
@@ -32,17 +38,18 @@ import re
 import threading
 import time
 import traceback
-from concurrent.futures import (Executor, ProcessPoolExecutor,
+from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor, as_completed)
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.components import Component
 from ..core.errors import SimulationError
+from ..obs.context import Telemetry, maybe_span
 from ..obs.context import active as _obs_active
-from ..obs.context import current_events, current_registry, maybe_span
 from ..obs.context import session as _obs_session
-from ..obs.events import CampaignEvent, EventLog
+from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..simulation.compiled import CompiledSimulator
 from ..simulation.trace import SimulationTrace
@@ -66,27 +73,6 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def shard_scenarios(scenarios: Sequence[Scenario],
-                    shards: int) -> List[List[Scenario]]:
-    """Partition a batch into *shards* contiguous, near-equal shards.
-
-    Shards are contiguous index ranges, so neighbouring grid points (which
-    tend to have similar cost) land in the same shard; every scenario
-    appears in exactly one shard and empty shards are dropped.
-    """
-    if shards < 1:
-        raise SimulationError("shard count must be >= 1")
-    total = len(scenarios)
-    shards = min(shards, total) if total else 0
-    partition: List[List[Scenario]] = []
-    start = 0
-    for index in range(shards):
-        size = total // shards + (1 if index < total % shards else 0)
-        partition.append(list(scenarios[start:start + size]))
-        start += size
-    return partition
 
 
 # --------------------------------------------------------------------------
@@ -148,18 +134,18 @@ def _emit_scenario_event(events: EventLog, result: ScenarioResult,
     events.emit("scenario_error", **data)
 
 
-def _dump_postmortem(simulator: CompiledSimulator, scenario: Scenario,
+def _dump_postmortem(telemetry: Telemetry, simulator: CompiledSimulator,
+                     scenario: Scenario,
                      result: ScenarioResult) -> Optional[str]:
     """Write a flight-recorder post-mortem bundle for a failed scenario.
 
-    Only fires when the active telemetry session has flight recording on
-    AND the failing simulator's flat program ran through a recording step
-    (flat backend, or the wrapped flat program of a native schedule); the
-    bundle path is collected on the session (``telemetry.bundles``) and
-    returned for the scenario_error event.
+    Only fires when the session has flight recording on AND the failing
+    simulator's flat program ran through a recording step (flat backend,
+    or the wrapped flat program of a native schedule); the bundle path is
+    collected on the session (``telemetry.bundles``) and returned for the
+    scenario_error event.
     """
-    telemetry = _obs_active()
-    if telemetry is None or not telemetry.flight_recording:
+    if not telemetry.flight_recording:
         return None
     schedule = simulator.schedule
     recorder = telemetry.recorders.get(id(getattr(schedule, "flat",
@@ -178,9 +164,7 @@ def _dump_postmortem(simulator: CompiledSimulator, scenario: Scenario,
 
 def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
                      collect_modes: bool = False,
-                     worker: str = "local",
-                     registry: Optional[MetricsRegistry] = None,
-                     events: Optional[EventLog] = None) -> ScenarioResult:
+                     worker: str = "local") -> ScenarioResult:
     """Run one scenario against a compiled simulator with error isolation.
 
     With *collect_modes* the active mode of every MTD and STD is recorded
@@ -197,17 +181,12 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
     campaign opens one ``run`` span per scenario.
 
-    *registry* receives ``runner.scenario.*`` telemetry and *events* the
-    ``scenario_finished`` / ``scenario_error`` campaign events; when
-    ``None`` the ambient ones (:func:`repro.obs.current_registry` /
-    :func:`repro.obs.current_events`) are consulted once -- worker pools
-    pass explicit worker-local instances instead, because the ambient
-    ones are not shared safely across threads.
+    The calling thread's telemetry session (:func:`repro.obs.active`), if
+    any, receives the ``runner.scenario.*`` counters and the
+    ``scenario_finished`` / ``scenario_error`` campaign event.  Sessions
+    are per thread, so in a pool worker that is the task's worker-local
+    session.
     """
-    if registry is None:
-        registry = current_registry()
-    if events is None:
-        events = current_events()
     start = time.perf_counter()
     try:
         schedule = simulator.schedule
@@ -234,21 +213,20 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
         result = ScenarioResult(scenario.name, error=error,
                                 duration=time.perf_counter() - start,
                                 worker=worker)
-    bundle = None if result.ok \
-        else _dump_postmortem(simulator, scenario, result)
-    if registry is not None:
-        _record_scenario(registry, result, scenario.ticks)
-    if events is not None:
-        _emit_scenario_event(events, result, scenario.ticks, bundle)
+    telemetry = _obs_active()
+    if telemetry is not None:
+        bundle = None if result.ok \
+            else _dump_postmortem(telemetry, simulator, scenario, result)
+        _record_scenario(telemetry.registry, result, scenario.ticks)
+        if telemetry.events is not None:
+            _emit_scenario_event(telemetry.events, result, scenario.ticks,
+                                 bundle)
     return result
 
 
 def execute_batch(simulator: CompiledSimulator, scenarios: Sequence[Scenario],
                   collect_modes: bool = False,
-                  worker: str = "local",
-                  registry: Optional[MetricsRegistry] = None,
-                  events: Optional[EventLog] = None
-                  ) -> List[ScenarioResult]:
+                  worker: str = "local") -> List[ScenarioResult]:
     """Run a list of scenarios against one compiled simulator.
 
     Each scenario runs through :func:`execute_scenario` -- with a native
@@ -256,114 +234,157 @@ def execute_batch(simulator: CompiledSimulator, scenarios: Sequence[Scenario],
     per scenario -- so every executor runs every task through this one
     entry point with per-scenario results, telemetry and events.
     """
-    if registry is None:
-        registry = current_registry()
-    if events is None:
-        events = current_events()
-    return [execute_scenario(simulator, scenario, collect_modes, worker,
-                             registry=registry, events=events)
+    return [execute_scenario(simulator, scenario, collect_modes, worker)
             for scenario in scenarios]
 
 
 # --------------------------------------------------------------------------
-# process-pool workers (module level: must be picklable by reference)
+# the worker protocol: one initializer and one task function for every
+# executor (module level: process pools pickle them by reference)
 # --------------------------------------------------------------------------
 
 class _ShardOutcome:
-    """Worker return envelope when telemetry is on: results plus the
-    worker-local telemetry to merge into the parent on receipt -- the
-    metrics registry, the buffered campaign events (resequenced into the
-    parent's :class:`~repro.obs.events.EventLog`), the worker's span trees
-    (adopted into the parent tracer, tagged with the worker identity) and
-    any post-mortem bundle paths the worker dumped.
+    """What an observed pool task returns: its results plus the
+    worker-local telemetry to merge into the caller's session on receipt
+    -- the metrics registry, the buffered campaign events (resequenced
+    into the caller's :class:`~repro.obs.events.EventLog`), the span trees
+    (adopted into the caller's tracer, tagged with the worker identity),
+    the op profiles (merged by label) and any post-mortem bundle paths.
 
-    Workers never talk to the parent's (ambient) telemetry directly --
-    process workers can't see it, thread workers could but would race on
-    it -- so each task builds fresh worker-local instruments, and the
-    order-insensitive folds (:meth:`~MetricsRegistry.merge`, event
-    resequencing + :func:`~repro.obs.events.normalized_stream`) make the
-    aggregates independent of sharding and completion order.
+    Pool workers never see the caller's session -- sessions are per
+    thread, and a process has its own -- so each observed task records
+    into a fresh worker-local one, and the order-insensitive folds
+    (:meth:`~MetricsRegistry.merge`, event resequencing +
+    :func:`~repro.obs.events.normalized_stream`,
+    :meth:`~repro.obs.profile.OpProfile.merge`) make the aggregates
+    independent of sharding and completion order.
     """
 
-    __slots__ = ("results", "registry", "events", "spans", "worker",
-                 "bundles")
+    __slots__ = ("results", "worker", "registry", "events", "spans",
+                 "profiles", "bundles")
 
-    def __init__(self, results: List[ScenarioResult],
-                 registry: MetricsRegistry,
-                 events: Sequence[CampaignEvent] = (),
-                 spans: Sequence[Any] = (), worker: str = "",
-                 bundles: Sequence[str] = ()):
+    def __init__(self, results: List[ScenarioResult], worker: str,
+                 telemetry: Telemetry):
         self.results = results
-        self.registry = registry
-        self.events = list(events)
-        self.spans = list(spans)
         self.worker = worker
-        self.bundles = list(bundles)
+        self.registry = telemetry.registry
+        self.events = telemetry.events.events \
+            if telemetry.events is not None else []
+        self.spans = telemetry.tracer.roots
+        self.profiles = list(telemetry.profiles.values())
+        self.bundles = telemetry.bundles
 
 
-_PROCESS_WORKER: Dict[str, Any] = {}
+#: The calling thread's worker state, set by :func:`_worker_initializer`:
+#: a pool thread's, a pool process's, or the serial caller's.
+_WORKER = threading.local()
 
 
-def _process_initializer(payload: bytes, check_types: bool,
-                         collect_modes: bool,
-                         backend: str = "auto",
-                         observe: bool = False,
-                         obs_config: Optional[Dict[str, Any]] = None) -> None:
-    component = pickle.loads(payload)
-    if observe:
-        # the compile records into a worker-local registry, shipped back
-        # with the worker's first task
-        with _obs_session() as setup:
-            simulator = CompiledSimulator(component, check_types=check_types,
-                                          backend=backend)
-        _PROCESS_WORKER["setup_registry"] = setup.registry
+def _worker_initializer(executor: str, model: Any, check_types: bool,
+                        collect_modes: bool, backend: str,
+                        config: Optional[Dict[str, Any]]) -> None:
+    """Compile this worker's simulator, once per worker.
+
+    *model* is the pickled component for a process pool and the component
+    itself otherwise, so threads keep serving unpicklable models.
+    *config* holds the settings of the caller's telemetry session for an
+    observed pool, and is ``None`` for an unobserved pool and for serial
+    runs: tasks then run under the worker thread's own session, which is
+    none in a pool worker and the caller's in a serial run.  An observed
+    pool worker compiles into a worker-local registry, shipped with its
+    first task.
+    """
+    if executor == "process":
+        model = pickle.loads(model)
+        _WORKER.name = f"pid-{os.getpid()}"
+    elif executor == "thread":
+        _WORKER.name = threading.current_thread().name
     else:
-        simulator = CompiledSimulator(component, check_types=check_types,
-                                      backend=backend)
-    _PROCESS_WORKER["simulator"] = simulator
-    _PROCESS_WORKER["collect_modes"] = collect_modes
-    _PROCESS_WORKER["observe"] = observe
-    _PROCESS_WORKER["obs_config"] = obs_config or {}
+        _WORKER.name = "local"
+    _WORKER.collect_modes = collect_modes
+    _WORKER.config = config
+    with _obs_session() if config is not None else nullcontext() as setup:
+        _WORKER.simulator = CompiledSimulator(model, check_types=check_types,
+                                              backend=backend)
+    _WORKER.setup = setup.registry if setup is not None else None
 
 
-def _process_run_chunk(chunk: List[Scenario]) -> Any:
-    """Run one pool task in a worker process.
+def _worker_task(chunk: List[Scenario]) -> Any:
+    """Run one task -- a list of scenarios -- on this worker's simulator.
 
-    Unobserved, the task returns its results.  Observed, it runs inside a
-    worker-local telemetry session that makes the worker's AMBIENT
-    telemetry the worker-local one for the duration of the task, so every
-    instrumentation site fires -- including the native loop's
-    ``native.*`` counters and the ``run`` spans, which an explicit
-    registry alone would miss -- and everything lands in the one
-    registry/tracer/event-log shipped back in a :class:`_ShardOutcome`.
-    The task is wrapped in a ``runner.worker_task`` span carrying the
-    worker identity, which
+    Without a *config* (see :func:`_worker_initializer`) the task returns
+    its results.  Otherwise it runs inside a worker-local telemetry
+    session built from the caller's settings, so every instrumentation
+    site fires -- the ``run`` spans and the native loop's ``native.*``
+    counters included -- into one registry, tracer and event log, shipped
+    back in a :class:`_ShardOutcome`.  The task is wrapped in a
+    ``runner.worker_task`` span carrying the worker identity, which
     :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a distinct
     Perfetto track per worker.
     """
-    worker = f"pid-{os.getpid()}"
-    simulator = _PROCESS_WORKER["simulator"]
-    collect_modes = _PROCESS_WORKER["collect_modes"]
-    if not _PROCESS_WORKER.get("observe"):
-        return execute_batch(simulator, chunk, collect_modes, worker=worker)
-    config = _PROCESS_WORKER["obs_config"]
-    log = EventLog() if config.get("events") else None
-    with _obs_session(events=log,
-                      flight_recording=config.get("flight_recording", False),
-                      ring_ticks=config.get("ring_ticks", 16),
-                      postmortem_dir=config.get("postmortem_dir")
-                      ) as telemetry:
-        setup = _PROCESS_WORKER.pop("setup_registry", None)
-        if setup is not None:
-            telemetry.registry.merge(setup)
+    simulator, worker = _WORKER.simulator, _WORKER.name
+    config = _WORKER.config
+    if config is None:
+        return execute_batch(simulator, chunk, _WORKER.collect_modes, worker)
+    with _obs_session(**dict(config, events=EventLog() if config["events"]
+                             else None)) as telemetry:
+        if _WORKER.setup is not None:
+            telemetry.registry.merge(_WORKER.setup)
+            _WORKER.setup = None
         with telemetry.tracer.span("runner.worker_task", worker=worker):
-            results = execute_batch(simulator, chunk, collect_modes,
-                                    worker=worker,
-                                    registry=telemetry.registry, events=log)
-    return _ShardOutcome(results, telemetry.registry,
-                         events=log.events if log is not None else (),
-                         spans=telemetry.tracer.roots, worker=worker,
-                         bundles=telemetry.bundles)
+            results = execute_batch(simulator, chunk, _WORKER.collect_modes,
+                                    worker)
+    return _ShardOutcome(results, worker, telemetry)
+
+
+class _InlineExecutor(Executor):
+    """The serial executor: runs the initializer at the first submit and
+    each task at its submit, in the calling thread, and restores that
+    thread's worker state at shutdown."""
+
+    def __init__(self, initializer: Callable[..., None],
+                 initargs: Tuple[Any, ...]):
+        self._start: Optional[Tuple[Any, Any]] = (initializer, initargs)
+        self._saved = dict(vars(_WORKER))
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any,
+               **kwargs: Any) -> Future:
+        if self._start is not None:
+            (initializer, initargs), self._start = self._start, None
+            initializer(*initargs)
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - isolated like a pool's
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        vars(_WORKER).clear()
+        vars(_WORKER).update(self._saved)
+
+
+def _adopt(parent: Optional[Telemetry], outcome: Any) -> List[ScenarioResult]:
+    """Merge what one task shipped into the caller's session *parent*
+    (set whenever an outcome arrives: only observed pools ship one);
+    returns the task's results."""
+    if not isinstance(outcome, _ShardOutcome):
+        return outcome
+    parent.registry.merge(outcome.registry)
+    if parent.events is not None:
+        parent.events.adopt_all(outcome.events, worker=outcome.worker)
+    for span in outcome.spans:
+        span.attributes.setdefault("worker", outcome.worker)
+        parent.tracer.adopt(span)
+    named = parent.named_profiles()
+    for profile in outcome.profiles:
+        if profile.label in named:
+            named[profile.label].merge(profile)
+        else:
+            parent.profiles[profile.label] = named[profile.label] = profile
+    parent.bundles.extend(outcome.bundles)
+    return outcome.results
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +449,15 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     scenarios (:class:`~repro.simulation.compiled.CompiledSimulator`),
     with identical results.  A process pool forks only once no
     promotion of this process is in flight.
+
+    Under the caller's telemetry session (:func:`repro.obs.session`) a
+    serial run records straight into it.  Pool workers, threads and
+    processes alike, record each task into a worker-local session with
+    the caller's settings (events, ``profile_ops``, flight recording) and
+    ship it back; the caller's session then holds one
+    ``runner.run_sharded`` root with one ``runner.worker_task`` span per
+    task, the merged counters and events, and one op profile per program
+    label, under every executor.
     """
     if executor not in _EXECUTORS:
         raise SimulationError(
@@ -444,137 +474,67 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     if max_workers is not None and max_workers < 1:
         raise SimulationError("max_workers must be >= 1")
 
-    parent_telemetry = _obs_active()
-    parent_registry = current_registry()
-    parent_events = current_events()
-    observe = parent_registry is not None
-    obs_config: Optional[Dict[str, Any]] = None
-    if parent_telemetry is not None:
-        obs_config = {
-            "events": parent_telemetry.events is not None,
-            "flight_recording": parent_telemetry.flight_recording,
-            "ring_ticks": parent_telemetry.ring_ticks,
-            "postmortem_dir": parent_telemetry.postmortem_dir,
-        }
-    if parent_events is not None:
-        parent_events.emit("campaign_started", component=component.name,
-                           scenarios=len(batch), executor=executor,
-                           backend=backend, collect_modes=collect_modes)
+    parent = _obs_active()
+    events = parent.events if parent is not None else None
+    if events is not None:
+        events.emit("campaign_started", component=component.name,
+                    scenarios=len(batch), executor=executor,
+                    backend=backend, collect_modes=collect_modes)
 
+    config: Optional[Dict[str, Any]] = None
+    if parent is not None and executor != "serial":
+        config = {"events": parent.events is not None,
+                  "profile_ops": parent.profile_ops,
+                  "flight_recording": parent.flight_recording,
+                  "ring_ticks": parent.ring_ticks,
+                  "postmortem_dir": parent.postmortem_dir}
+    model = _pickle_model(component) if executor == "process" else component
+    initargs = (executor, model, check_types, collect_modes, backend, config)
+    pool: Executor
     if executor == "serial":
-        with maybe_span("runner.run_sharded", scenarios=len(batch),
-                        executor=executor, backend=backend):
-            if parent_events is not None:
-                parent_events.emit("shard_dispatched", shard=0,
-                                   scenarios=len(batch), executor=executor)
-            simulator = CompiledSimulator(component, check_types=check_types,
-                                          backend=backend)
-            results = execute_batch(simulator, batch, collect_modes,
-                                    registry=parent_registry,
-                                    events=parent_events)
-        if parent_events is not None:
-            ok = sum(1 for result in results if result.ok)
-            parent_events.emit("campaign_finished", scenarios=len(results),
-                               ok=ok, failed=len(results) - ok,
-                               executor=executor)
-        if on_result is not None:
-            for result in results:
-                on_result(result)
-        return results
+        workers = 1
+        pool = _InlineExecutor(_worker_initializer, initargs)
+        tasks = [batch]
+    else:
+        workers = min(max_workers or os.cpu_count() or 1, len(batch))
+        pool_class = ProcessPoolExecutor if executor == "process" \
+            else ThreadPoolExecutor
+        pool = pool_class(max_workers=workers,
+                          initializer=_worker_initializer, initargs=initargs)
+        size = chunk_size or 1
+        tasks = [batch[index:index + size]
+                 for index in range(0, len(batch), size)]
 
-    workers = min(max_workers or os.cpu_count() or 1, len(batch))
-
-    if executor == "process":
-        payload = _pickle_model(component)
-        pool: Executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_process_initializer,
-            initargs=(payload, check_types, collect_modes, backend, observe,
-                      obs_config))
-        run_chunk: Callable[[List[Scenario]], Any] = _process_run_chunk
-    else:  # thread pool: per-thread compilation, no pickling
-        local = threading.local()
-        compile_lock = threading.Lock()
-
-        def _thread_initializer() -> None:
-            # the compile records into the caller's ambient telemetry,
-            # which is not synchronized: one thread compiles at a time
-            with compile_lock:
-                local.simulator = CompiledSimulator(component,
-                                                    check_types=check_types,
-                                                    backend=backend)
-
-        # thread workers mirror the process protocol: fresh per-task
-        # registry and event buffer rather than the shared ambient ones,
-        # which are not synchronized and would race under concurrent
-        # appends/increments
-        buffer_events = parent_events is not None
-
-        def run_chunk(chunk: List[Scenario]) -> Any:
-            worker = threading.current_thread().name
-            if not observe:
-                return execute_batch(
-                    local.simulator, chunk, collect_modes, worker=worker)
-            registry = MetricsRegistry()
-            log = EventLog() if buffer_events else None
-            results = execute_batch(
-                local.simulator, chunk, collect_modes,
-                worker=worker, registry=registry, events=log)
-            return _ShardOutcome(results, registry,
-                                 events=log.events if log is not None
-                                 else (), worker=worker)
-
-        pool = ThreadPoolExecutor(max_workers=workers,
-                                  initializer=_thread_initializer)
-
-    size = chunk_size or 1
-    tasks = [batch[index:index + size]
-             for index in range(0, len(batch), size)]
     by_name: Dict[str, ScenarioResult] = {}
     with pool, maybe_span("runner.run_sharded", scenarios=len(batch),
                           executor=executor, backend=backend,
                           workers=workers):
         futures: Dict[Any, List[Scenario]] = {}
         for shard_index, task in enumerate(tasks):
-            if parent_events is not None:
-                parent_events.emit("shard_dispatched", shard=shard_index,
-                                   scenarios=len(task), executor=executor)
-            futures[pool.submit(run_chunk, task)] = task
+            if events is not None:
+                events.emit("shard_dispatched", shard=shard_index,
+                            scenarios=len(task), executor=executor)
+            futures[pool.submit(_worker_task, task)] = task
         for future in as_completed(futures):
-            submitted = futures[future]
             error = future.exception()
-            if error is not None:
+            if error is None:
+                completed = _adopt(parent, future.result())
+            else:
                 # the task itself failed (e.g. unpicklable stimuli, broken
                 # pool): isolate it to the scenarios of this task
-                completed: List[ScenarioResult] = [
+                completed = [
                     ScenarioResult(scenario.name,
                                    error=f"{type(error).__name__}: {error}")
-                    for scenario in submitted]
-                if parent_events is not None:
+                    for scenario in futures[future]]
+                if events is not None:
                     for result in completed:
-                        _emit_scenario_event(parent_events, result, 0)
-            else:
-                outcome = future.result()
-                if isinstance(outcome, _ShardOutcome):
-                    if parent_registry is not None:
-                        parent_registry.merge(outcome.registry)
-                    if parent_events is not None:
-                        parent_events.adopt_all(outcome.events,
-                                                worker=outcome.worker)
-                    if parent_telemetry is not None:
-                        for span in outcome.spans:
-                            span.attributes.setdefault("worker",
-                                                       outcome.worker)
-                            parent_telemetry.tracer.adopt(span)
-                        parent_telemetry.bundles.extend(outcome.bundles)
-                    outcome = outcome.results
-                completed = outcome
+                        _emit_scenario_event(events, result, 0)
             for result in completed:
                 by_name[result.name] = result
                 if on_result is not None:
                     on_result(result)
-    if parent_events is not None:
+    if events is not None:
         ok = sum(1 for result in by_name.values() if result.ok)
-        parent_events.emit("campaign_finished", scenarios=len(by_name),
-                           ok=ok, failed=len(by_name) - ok,
-                           executor=executor)
+        events.emit("campaign_finished", scenarios=len(by_name),
+                    ok=ok, failed=len(by_name) - ok, executor=executor)
     return [by_name[scenario.name] for scenario in batch]

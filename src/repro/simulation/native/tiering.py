@@ -22,9 +22,10 @@ runs in C.  ``run`` ops always re-enter Python through the trampoline and
 
 **Threads.**  The thread holds the :class:`Promotion` and the flat
 schedule, never the simulator, so dropping a simulator mid-promotion
-frees it.  It records nothing into the process-global telemetry (which
-is not thread-safe): the simulator's own thread counts the outcome when
-it switches.  Every ``os.fork`` of the process waits for an in-flight
+frees it.  It records no telemetry: sessions are per thread and a new
+thread starts with none, so the promotion thread has no session by
+construction; the simulator's own thread counts the outcome when it
+switches.  Every ``os.fork`` of the process waits for an in-flight
 promotion (:data:`_FORK_LOCK`), so a pool worker never inherits a lock
 the loader or ``subprocess`` held mid-promotion.
 """

@@ -15,7 +15,7 @@ module owns everything platform-shaped about that:
   fresh object while identical schedules share one compile across
   processes and sessions;
 * **robustness** -- sources and objects reach their shared cache paths
-  only through a per-process temp name plus ``os.replace``, the compiler
+  only through a per-call temp name plus ``os.replace``, the compiler
   runs under :data:`COMPILE_TIMEOUT_S`, and :func:`load_shared_object`
   drops and rebuilds (once) a cached object ``ctypes`` cannot load, such
   as a truncated entry;
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -57,6 +58,9 @@ _CANDIDATES = ("cc", "gcc", "clang")
 
 _UNSET = object()
 _compiler_cache: Any = _UNSET
+#: Per-call temp-name counter: threads of one process compiling the same
+#: key must not share a temp file.
+_TEMP_IDS = itertools.count()
 _banner_cache: Dict[str, str] = {}
 
 
@@ -205,10 +209,12 @@ def ensure_shared_object(source: str,
                          ) -> Tuple[str, bool]:
     """Compile *source* (or reuse the cached object); returns ``(path, hit)``.
 
-    Writes are atomic (the source and the object each go to a per-process
+    Writes are atomic (the source and the object each go to a per-call
     temp name and are ``os.replace``-d into place), so concurrent workers
-    racing on the same key never see a partial file and converge on one
-    valid object.  A cache miss triggers :func:`evict_stale`.
+    -- processes or threads -- racing on the same key never see a partial
+    file and converge on one valid object.  Any file-system or compiler
+    failure raises :class:`NativeLoweringError`.  A cache miss triggers
+    :func:`evict_stale`.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -219,10 +225,10 @@ def ensure_shared_object(source: str,
     so_path = os.path.join(directory, key + ".so")
     if os.path.exists(so_path):
         return so_path, True
-    os.makedirs(directory, exist_ok=True)
     c_path = os.path.join(directory, key + ".c")
-    suffix = f".tmp{os.getpid()}"
+    suffix = f".tmp{os.getpid()}-{next(_TEMP_IDS)}"
     try:
+        os.makedirs(directory, exist_ok=True)
         with open(c_path + suffix, "w", encoding="utf-8") as handle:
             handle.write(source)
         os.replace(c_path + suffix, c_path)
@@ -241,12 +247,21 @@ def ensure_shared_object(source: str,
         raise NativeLoweringError(
             f"C compilation timed out after {COMPILE_TIMEOUT_S}s "
             f"({' '.join(command)})") from exc
+    except OSError as exc:
+        _discard(tmp_path)
+        raise NativeLoweringError(
+            f"cannot run the C compiler ({' '.join(command)}): {exc}") from exc
     if proc.returncode != 0:
         _discard(tmp_path)
         raise NativeLoweringError(
             f"C compilation failed ({' '.join(command)}):\n"
             f"{proc.stderr.strip() or proc.stdout.strip()}")
-    os.replace(tmp_path, so_path)
+    try:
+        os.replace(tmp_path, so_path)
+    except OSError as exc:
+        _discard(tmp_path)
+        raise NativeLoweringError(
+            f"cannot install native object {so_path}: {exc}") from exc
     evict_stale(directory=directory)
     return so_path, False
 

@@ -397,6 +397,49 @@ def test_hung_compiler_times_out_with_typed_error(monkeypatch, tmp_path):
 
 
 @requires_cc
+def test_threads_compiling_one_program_into_a_cold_cache_share_it():
+    """Temp names are unique per call, not per process: two threads that
+    compile one fresh program into an empty cache at the same moment both
+    succeed and load the same shared object."""
+    flat = compile_flat(_expression_heavy_model())
+    assert not os.path.exists(os.environ["REPRO_NATIVE_CACHE"])
+    barrier = threading.Barrier(2)
+    paths, errors = [], []
+
+    def compile_once():
+        barrier.wait()
+        try:
+            paths.append(compile_native(flat).so_path)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=compile_once) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert not errors
+    assert len(paths) == 2 and paths[0] == paths[1]
+    assert os.path.exists(paths[0])
+    assert not [name for name in os.listdir(os.path.dirname(paths[0]))
+                if ".tmp" in name]
+
+
+def test_compiler_that_cannot_start_raises_a_typed_error(monkeypatch,
+                                                         tmp_path):
+    from repro.simulation.native import toolchain
+    _fake_compiler(monkeypatch, toolchain)
+
+    def missing(command, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", command[0])
+
+    monkeypatch.setattr(toolchain.subprocess, "run", missing)
+    with pytest.raises(NativeLoweringError,
+                       match="cannot run the C compiler"):
+        toolchain.ensure_shared_object("int x;\n", str(tmp_path / "cache"))
+
+
+@requires_cc
 def test_truncated_cache_entry_is_dropped_and_rebuilt(monkeypatch):
     from repro.simulation.native import ensure_shared_object, toolchain
     model = _expression_heavy_model()

@@ -12,12 +12,17 @@ Pins the contracts of :mod:`repro.obs`:
   same object whether or not observability was ever enabled;
 * the sharded runner's ``runner.scenario.*`` counters agree exactly
   across serial / thread / process executors (worker-local registries
-  merged in the parent).
+  merged in the parent);
+* sessions are per thread: pool threads record into worker-local
+  sessions, so their spans nest under the caller's ``runner.run_sharded``
+  root and op profiles reach the caller under every executor.
 
 Process-pool tests are marked ``parallel``, matching the runner suite.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -321,6 +326,27 @@ def test_default_step_is_untouched_by_enable_disable():
     assert trace.ticks == 8
 
 
+def test_sessions_are_per_thread():
+    """A session records only its own thread: another thread starts with
+    observability off, and its own session never reaches the caller's."""
+    seen = {}
+
+    def other_thread():
+        seen["before"] = obs.active()
+        with obs.session() as own:
+            CompiledSimulator(gated_accumulator(), backend="flat")
+        seen["own"] = own.registry.counter("compile.simulators").value
+        seen["after"] = obs.active()
+
+    with obs.session() as telemetry:
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        thread.join(60)
+        assert obs.active() is telemetry
+    assert seen == {"before": None, "own": 1, "after": None}
+    assert telemetry.registry.counter_values("compile.") == {}
+
+
 def test_compile_spans_and_plan_cache_counters():
     with obs.session() as telemetry:
         CompiledSimulator(gated_accumulator(), backend="flat")
@@ -494,6 +520,68 @@ def test_process_workers_ship_their_compile_count(engine_modes_mtd):
     workers = {result.worker for result in results}
     assert telemetry.registry.counter("compile.simulators").value \
         == len(workers)
+
+
+def _walks(count, ticks):
+    return [Scenario(f"walk{index}",
+                     {"u": RandomWalk(seed=index, start=0.0, step=1.0)},
+                     ticks=ticks) for index in range(count)]
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C compiler on this host")),
+    "auto", "flat"])
+def test_thread_pool_telemetry_nests_under_the_caller(backend):
+    """Sessions are per thread: thread workers record each task into a
+    worker-local session that the caller merges, so the caller's tracer
+    has one root, every ``run`` span sits in a ``runner.worker_task``
+    span of the worker that ran it, and no count is lost or doubled, even
+    under a tiny switch interval."""
+    batch = _walks(16, ticks=40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with obs.session() as telemetry:
+            results = run_sharded(gated_accumulator(), batch,
+                                  executor="thread", max_workers=2,
+                                  backend=backend)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result.ok for result in results)
+    assert [root.name for root in telemetry.tracer.roots] \
+        == ["runner.run_sharded"]
+    tasks = [span for span in telemetry.tracer.roots[0].children
+             if span.name == "runner.worker_task"]
+    assert len(tasks) == len(batch)
+    assert [sum(1 for span in task.walk() if span.name == "run")
+            for task in tasks] == [1] * len(batch)
+    assert sum(1 for span in telemetry.tracer.walk()
+               if span.name == "run") == len(batch)
+    workers = {result.worker for result in results}
+    assert {task.attributes["worker"] for task in tasks} == workers
+    registry = telemetry.registry
+    if backend == "native":
+        assert registry.counter("native.runs").value == len(batch)
+    assert registry.counter("compile.simulators").value == len(workers)
+    assert registry.counter("runner.scenario.total").value == len(batch)
+
+
+@pytest.mark.parametrize("executor", [
+    "serial", "thread",
+    pytest.param("process", marks=pytest.mark.parallel)])
+def test_op_profiles_reach_the_caller_under_every_executor(executor):
+    """``profile_ops`` works under every executor: pool workers ship their
+    profiles and the caller merges them by label into one profile."""
+    with obs.session(profile_ops=True) as telemetry:
+        results = run_sharded(gated_accumulator(), _walks(6, ticks=250),
+                              executor=executor, max_workers=2,
+                              backend="flat")
+    assert all(result.ok for result in results)
+    profiles = list(telemetry.profiles.values())
+    assert len(profiles) == 1
+    assert profiles[0].ticks == 6 * 250
+    assert list(telemetry.named_profiles().values()) == profiles
 
 
 def test_runner_records_nothing_when_disabled(engine_modes_mtd):

@@ -11,7 +11,7 @@ from repro import obs
 from repro.core.errors import SimulationError
 from repro.io import trace_to_json
 from repro.obs.events import EventLog
-from repro.scenarios import RandomWalk, Scenario, run_sharded, shard_scenarios
+from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import ScenarioSuite, first_difference
 
 
@@ -31,21 +31,6 @@ def _assert_same_traces(reference_results, results):
         assert actual.error is None, (actual.name, actual.error)
         assert first_difference(expected.trace, actual.trace) is None
         assert expected.trace.mode_history == actual.trace.mode_history
-
-
-# -- sharding ---------------------------------------------------------------
-
-
-def test_shard_scenarios_partitions_evenly():
-    batch = _engine_batch(10, ticks=5)
-    shards = shard_scenarios(batch, 3)
-    assert [len(shard) for shard in shards] == [4, 3, 3]
-    flattened = [scenario for shard in shards for scenario in shard]
-    assert [s.name for s in flattened] == [s.name for s in batch]
-    assert shard_scenarios(batch, 20) == [[scenario] for scenario in batch]
-    assert shard_scenarios([], 4) == []
-    with pytest.raises(SimulationError):
-        shard_scenarios(batch, 0)
 
 
 # -- serial / thread executors (run everywhere) -----------------------------
@@ -149,6 +134,11 @@ def test_unpicklable_model_gets_a_clear_error(engine_modes_mtd):
     with pytest.raises(SimulationError, match="thread"):
         run_sharded(block, [Scenario("s", {"in1": 1.0}, 2)],
                     executor="process")
+    # threads and serial runs receive the component itself, not a pickle
+    for executor in ("thread", "serial"):
+        [result] = run_sharded(block, [Scenario("s", {"in1": 1.0}, 2)],
+                               executor=executor)
+        assert result.ok, (executor, result.error)
 
 
 def test_collect_modes_observes_hierarchical_machines(engine_modes_mtd):
