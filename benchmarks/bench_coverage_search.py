@@ -22,9 +22,9 @@ race outright (on this model it needs ~30k executions, the search ~80).
 import itertools
 
 from repro.casestudy import build_engine_modes_mtd
-from repro.scenarios import (ModeSequence, Scenario, run_sharded,
-                             run_with_report, scenario_grid)
-from repro.search import CoverageFrontier, SearchConfig, search_coverage
+from repro.scenarios import (BatchReport, ModeSequence, Scenario,
+                             run_sharded, run_with_report, scenario_grid)
+from repro.search import SearchConfig, search_coverage
 
 from _bench_utils import report
 
@@ -58,17 +58,17 @@ def _exhaustive_battery():
 def _baseline_executions_to_full_coverage(mtd, cap):
     """Scenario executions the exhaustive grid needs (cut off at *cap*)."""
     battery = _exhaustive_battery()
-    frontier = CoverageFrontier(mtd)
+    coverage = BatchReport.for_component(mtd)
     executed = 0
     for start in range(0, min(len(battery), cap), BASELINE_CHUNK):
         chunk = battery[start:start + min(BASELINE_CHUNK, cap - start)]
         for result in run_sharded(mtd, chunk, executor="serial",
                                   collect_modes=True):
             executed += 1
-            frontier.absorb(result)
-            if frontier.transitions_complete():
+            coverage.observe_result(result)
+            if not coverage.untaken_transitions():
                 return executed, True, len(battery)
-    return executed, frontier.transitions_complete(), len(battery)
+    return executed, not coverage.untaken_transitions(), len(battery)
 
 
 def test_p4_search_beats_exhaustive_grid():

@@ -41,9 +41,9 @@ def fold_mode_history(history: Sequence[Any], initial: Optional[Any]
     history is seeded with the machine's declared initial mode: the machine
     was in it before tick 0, and a guard firing at tick 0 is a transition
     out of it.  ``None`` entries (ticks without an observation) are
-    skipped.  This is the single definition of observation semantics --
-    :class:`ModeCoverage` and the search's coverage frontier both fold
-    through it, so batch reporting and search fitness can never disagree.
+    skipped.  This is the single definition of observation semantics:
+    :meth:`BatchReport.visited` folds through it, and batch reporting,
+    search fitness and battery minimization all read that.
     """
     modes: Set[Any] = set()
     pairs: Set[Tuple[Any, Any]] = set()
@@ -72,13 +72,6 @@ class ModeCoverage:
     initial: Optional[str] = None
     visited_modes: Set[str] = field(default_factory=set)
     visited_transitions: Set[Tuple[str, str]] = field(default_factory=set)
-
-    def observe_history(self, history: Sequence[Any]) -> None:
-        """Fold one per-tick mode history into the coverage sets (see
-        :func:`fold_mode_history` for the observation semantics)."""
-        modes, pairs = fold_mode_history(history, self.initial)
-        self.visited_modes |= modes
-        self.visited_transitions |= pairs
 
     def merge(self, other: "ModeCoverage") -> None:
         """Fold another machine's observations into this one (same machine)."""
@@ -269,17 +262,35 @@ class BatchReport:
                 stats = self.input_stats.setdefault(name, PortStats(name))
                 for value in stream:
                     stats.observe(value)
+        for path, (modes, pairs) in self.visited(result).items():
+            coverage = self.coverage[path]
+            coverage.visited_modes |= modes
+            coverage.visited_transitions |= pairs
+
+    def visited(self, result: Any) -> Dict[str, Tuple[Set[Any],
+                                                      Set[Tuple[Any, Any]]]]:
+        """The (modes, change pairs) one result exercised, per declared
+        machine, folded with :func:`fold_mode_history`.
+
+        Failed results exercise nothing.  Results carrying per-machine
+        ``mode_paths`` histories (``collect_modes=True`` runs) reach every
+        declared machine they name; otherwise the root machine's
+        ``trace.mode_history`` recorded by the engines still counts.  The
+        sets are not clipped to the declared modes and pairs.
+        """
+        if getattr(result, "error", None) is not None:
+            return {}
         mode_paths = getattr(result, "mode_paths", None)
-        root_machine = self.coverage.get(self.component_name)
+        trace = getattr(result, "trace", None)
         if mode_paths:
-            for path, history in mode_paths.items():
-                if path in self.coverage:
-                    self.coverage[path].observe_history(history)
-        elif trace is not None and trace.mode_history \
-                and root_machine is not None:
-            # without per-tick state observation the root machine's mode
-            # history recorded by the engines still contributes coverage
-            root_machine.observe_history(trace.mode_history)
+            histories = mode_paths
+        elif trace is not None and trace.mode_history:
+            histories = {self.component_name: trace.mode_history}
+        else:
+            return {}
+        return {path: fold_mode_history(history, self.coverage[path].initial)
+                for path, history in histories.items()
+                if path in self.coverage}
 
     def merge(self, other: "BatchReport") -> "BatchReport":
         """Fold another report over the *same* component into this one.
@@ -341,6 +352,12 @@ class BatchReport:
         covered = sum(len(c.visited_transitions & c.declared_transition_pairs())
                       for c in self.coverage.values())
         return covered / declared
+
+    def untaken_transitions(self) -> List[Tuple[str, Tuple[str, str]]]:
+        """Every declared transition no result has taken yet, as
+        ``(machine_path, (source, target))`` sorted by path, then pair."""
+        return [(path, pair) for path in sorted(self.coverage)
+                for pair in self.coverage[path].untaken_transitions()]
 
     # -- presentation ------------------------------------------------------
     def format_summary(self) -> str:

@@ -8,8 +8,9 @@ until the untaken-transition list is empty (or a budget runs out):
 * :mod:`repro.search.mutation` -- typed mutation/crossover operators over
   scenario stimuli and the generator parameter space, driven by one seeded
   ``random.Random``,
-* :mod:`repro.search.fitness` -- coverage-frontier scoring with
-  per-scenario gain attribution,
+* :mod:`repro.search.fitness` -- per-scenario coverage-gain attribution,
+  folding each result once into the search's :class:`BatchReport` (its
+  only coverage state),
 * :mod:`repro.search.loop` -- the generational driver on top of the
   sharded runner, with stopping criteria and a deterministic
   :class:`SearchReport` (JSON export),
@@ -17,7 +18,7 @@ until the untaken-transition list is empty (or a budget runs out):
   corpus.
 """
 
-from .fitness import CoverageFrontier, CoverageGain
+from .fitness import CoverageGain, absorb
 from .loop import (CorpusEntry, RoundStats, SearchConfig, SearchReport,
                    search_coverage)
 from .minimize import MinimizationOutcome, minimize_battery
@@ -29,11 +30,11 @@ from .mutation import (DEFAULT_MUTATORS, MutationContext, Mutator,
                        mutate_scenario)
 
 __all__ = [
-    "CorpusEntry", "CoverageFrontier", "CoverageGain", "DEFAULT_MUTATORS",
-    "MinimizationOutcome", "MutationContext", "Mutator",
-    "PerturbModeSequence", "PerturbRamp", "PerturbScalar", "PerturbSineWave",
-    "PerturbSquareWave", "PerturbStepChange", "ReseedGenerator",
-    "RetargetPort", "RoundStats", "SearchConfig", "SearchReport",
-    "ToggleFaultInjector", "crossover_scenarios", "exploration_scenario",
-    "minimize_battery", "mutate_scenario", "search_coverage",
+    "CorpusEntry", "CoverageGain", "DEFAULT_MUTATORS", "MinimizationOutcome",
+    "MutationContext", "Mutator", "PerturbModeSequence", "PerturbRamp",
+    "PerturbScalar", "PerturbSineWave", "PerturbSquareWave",
+    "PerturbStepChange", "ReseedGenerator", "RetargetPort", "RoundStats",
+    "SearchConfig", "SearchReport", "ToggleFaultInjector", "absorb",
+    "crossover_scenarios", "exploration_scenario", "minimize_battery",
+    "mutate_scenario", "search_coverage",
 ]

@@ -1,33 +1,28 @@
-"""Coverage-frontier fitness for the scenario search.
+"""Coverage-gain fitness for the scenario search.
 
-The search does not optimise a scalar objective; it chases a *frontier*:
-the set of declared modes and mode transitions (over every MTD and STD in
-the hierarchy, via :func:`repro.analysis.mode_analysis.machine_inventory`)
-that no evaluated scenario has exercised yet, plus the numeric value ranges
-the boundary ports have seen.  A scenario's fitness is the :class:`
-CoverageGain` it contributes *relative to everything absorbed before it* --
-per-scenario attribution in evaluation order, so the corpus keeps exactly
-the scenarios that earned coverage and culls the rest.
+The search does not optimise a scalar objective; it chases the coverage
+its :class:`~repro.scenarios.report.BatchReport` has not seen yet: the
+declared modes and mode transitions (over every MTD and STD in the
+hierarchy) that no evaluated scenario has exercised, plus the numeric value
+ranges the boundary ports have seen.  :func:`absorb` folds one result into
+that report and returns the :class:`CoverageGain` it contributed *relative
+to everything folded before it* -- per-scenario attribution in evaluation
+order, so the corpus keeps exactly the scenarios that earned coverage and
+culls the rest.
 
-Observation semantics are shared with batch reporting -- histories fold
-through :func:`repro.scenarios.report.fold_mode_history` (post-step
-histories are seeded with the machine's declared initial mode; transitions
-are distinct mode-change pairs), so frontier accounting always agrees with
-the :class:`~repro.scenarios.report.BatchReport` the search aggregates
-round by round.
+The report is the search's only coverage state: gains, coverage ratios,
+the stop check and transition targeting all read it, and observation
+semantics are the report's own (:meth:`BatchReport.visited`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ..analysis.mode_analysis import machine_inventory
-from ..core.components import Component
-from ..core.values import is_absent
-from ..scenarios.report import fold_mode_history
+from ..scenarios.report import BatchReport, PortStats
 
-#: One frontier item: ``(machine_path, mode_name)`` or
+#: One coverage item: ``(machine_path, mode_name)`` or
 #: ``(machine_path, (source, target))``.
 ModeItem = Tuple[str, str]
 TransitionItem = Tuple[str, Tuple[str, str]]
@@ -35,14 +30,14 @@ TransitionItem = Tuple[str, Tuple[str, str]]
 
 @dataclass(frozen=True)
 class CoverageGain:
-    """What one scenario added to the frontier when it was absorbed."""
+    """What one scenario added to the search's coverage when absorbed."""
 
     new_modes: Tuple[ModeItem, ...] = ()
     new_transitions: Tuple[TransitionItem, ...] = ()
     port_novelty: float = 0.0
 
     def earned(self) -> bool:
-        """Did the scenario extend the frontier at all?"""
+        """Did the scenario extend the coverage at all?"""
         return bool(self.new_modes or self.new_transitions
                     or self.port_novelty > 0.0)
 
@@ -55,160 +50,53 @@ class CoverageGain:
                 + min(self.port_novelty, 1.0))
 
 
-class CoverageFrontier:
-    """The mutable coverage state a search run accumulates.
+def _extent(stats: Optional[PortStats]) -> Tuple[Any, Any]:
+    return (None, None) if stats is None else (stats.minimum, stats.maximum)
 
-    Declared modes/transitions come from the machine inventory once, at
-    construction; :meth:`absorb` folds in one scenario result and returns
-    the per-scenario :class:`CoverageGain`.
+
+def absorb(report: BatchReport, result: Any) -> CoverageGain:
+    """Fold one result into *report* and return what it added.
+
+    New modes and transitions are the declared ones the result visited
+    that the report had not.  Port novelty is read off each trace port's
+    :class:`~repro.scenarios.report.PortStats` range before and after the
+    fold: a port's first numeric range counts one unit, and each side the
+    result pushed outward counts its extension relative to the known span
+    (floored at 1.0), capped at one unit -- a small, bounded reward that
+    keeps scenarios exploring new value territory alive even when they take
+    no new transition.  Failed results add nothing.
     """
-
-    def __init__(self, component: Component):
-        self.component_name = component.name
-        self._declared_modes: Dict[str, Set[str]] = {}
-        self._declared_transitions: Dict[str, Set[Tuple[str, str]]] = {}
-        self._initial: Dict[str, Optional[str]] = {}
-        self.visited_modes: Dict[str, Set[str]] = {}
-        self.taken_transitions: Dict[str, Set[Tuple[str, str]]] = {}
-        self._port_extents: Dict[str, Tuple[float, float]] = {}
-        for info in machine_inventory(component):
-            self._declared_modes[info.path] = set(info.modes)
-            # like ModeCoverage: self-loops cannot be observed from a state
-            # sequence, coverage is over distinct (source, target) pairs
-            self._declared_transitions[info.path] = {
-                pair for pair in info.transitions if pair[0] != pair[1]}
-            self._initial[info.path] = info.initial
-            self.visited_modes[info.path] = set()
-            self.taken_transitions[info.path] = set()
-
-    # -- observation -------------------------------------------------------
-    def observed(self, result: Any) -> Dict[str, Tuple[Set[str],
-                                                       Set[Tuple[str, str]]]]:
-        """The (modes, transition pairs) one result exercised, per machine.
-
-        Failed results observe nothing.  Results carrying per-machine
-        ``mode_paths`` histories (``collect_modes=True`` runs) contribute to
-        every machine; plain traces contribute their root ``mode_history``
-        to the root machine only.
-        """
-        observed: Dict[str, Tuple[Set[str], Set[Tuple[str, str]]]] = {}
-        if getattr(result, "error", None) is not None:
-            return observed
-        histories: Dict[str, Sequence[Any]] = {}
-        mode_paths = getattr(result, "mode_paths", None)
-        trace = getattr(result, "trace", None)
-        if mode_paths:
-            histories = dict(mode_paths)
-        elif trace is not None and trace.mode_history:
-            histories = {self.component_name: trace.mode_history}
-        for path, history in histories.items():
-            if path not in self._declared_modes:
+    new_modes: List[ModeItem] = []
+    new_transitions: List[TransitionItem] = []
+    visited = report.visited(result)
+    for path in sorted(visited):
+        coverage = report.coverage[path]
+        modes, pairs = visited[path]
+        new_modes.extend((path, mode) for mode in sorted(
+            modes.intersection(coverage.declared_modes)
+            - coverage.visited_modes))
+        new_transitions.extend((path, pair) for pair in sorted(
+            (pairs & coverage.declared_transition_pairs())
+            - coverage.visited_transitions))
+    trace = getattr(result, "trace", None)
+    pools = () if trace is None else (
+        (trace.outputs, report.output_stats),
+        (trace.inputs, report.input_stats))
+    known = [[_extent(stats.get(name)) for name in streams]
+             for streams, stats in pools]
+    report.observe_result(result)
+    novelty = 0.0
+    for (streams, stats), extents in zip(pools, known):
+        for name, (known_low, known_high) in zip(streams, extents):
+            low, high = _extent(stats.get(name))
+            if low is None:
                 continue
-            modes, pairs = fold_mode_history(history, self._initial[path])
-            observed[path] = (modes & self._declared_modes[path],
-                              pairs & self._declared_transitions[path])
-        return observed
-
-    def _range_novelty(self, result: Any, commit: bool) -> float:
-        """Numeric range extension over the boundary ports of one trace.
-
-        Each port contributes the relative amount by which the trace pushed
-        the known [min, max] envelope outward (a first observation of a port
-        counts as one unit) -- a small, bounded reward that keeps scenarios
-        exploring new value territory alive even when they take no new
-        transition.
-        """
-        trace = getattr(result, "trace", None)
-        if trace is None:
-            return 0.0
-        novelty = 0.0
-        extents = self._port_extents
-        for pool in (trace.outputs, trace.inputs):
-            for name, stream in pool.items():
-                numeric = [value for value in stream
-                           if not is_absent(value)
-                           and isinstance(value, (int, float))
-                           and not isinstance(value, bool)]
-                if not numeric:
-                    continue
-                low, high = min(numeric), max(numeric)
-                if name not in extents:
-                    novelty += 1.0
-                    if commit:
-                        extents[name] = (low, high)
-                    continue
-                known_low, known_high = extents[name]
-                span = max(known_high - known_low, 1.0)
-                if low < known_low:
-                    novelty += min((known_low - low) / span, 1.0)
-                if high > known_high:
-                    novelty += min((high - known_high) / span, 1.0)
-                if commit and (low < known_low or high > known_high):
-                    extents[name] = (min(low, known_low),
-                                     max(high, known_high))
-        return novelty
-
-    def _gain(self, result: Any, commit: bool) -> CoverageGain:
-        new_modes: List[ModeItem] = []
-        new_transitions: List[TransitionItem] = []
-        observed = self.observed(result)
-        for path in sorted(observed):
-            modes, pairs = observed[path]
-            fresh_modes = sorted(modes - self.visited_modes[path])
-            fresh_pairs = sorted(pairs - self.taken_transitions[path])
-            new_modes.extend((path, mode) for mode in fresh_modes)
-            new_transitions.extend((path, pair) for pair in fresh_pairs)
-            if commit:
-                self.visited_modes[path] |= modes
-                self.taken_transitions[path] |= pairs
-        novelty = self._range_novelty(result, commit)
-        return CoverageGain(tuple(new_modes), tuple(new_transitions), novelty)
-
-    def peek(self, result: Any) -> CoverageGain:
-        """The gain the result *would* contribute, without committing it."""
-        return self._gain(result, commit=False)
-
-    def absorb(self, result: Any) -> CoverageGain:
-        """Commit one result to the frontier and return its attribution."""
-        return self._gain(result, commit=True)
-
-    # -- queries -----------------------------------------------------------
-    def untaken_transitions(self) -> List[TransitionItem]:
-        """Every declared transition no scenario has taken yet (sorted)."""
-        missing: List[TransitionItem] = []
-        for path in sorted(self._declared_transitions):
-            for pair in sorted(self._declared_transitions[path]
-                               - self.taken_transitions[path]):
-                missing.append((path, pair))
-        return missing
-
-    def unvisited_modes(self) -> List[ModeItem]:
-        missing: List[ModeItem] = []
-        for path in sorted(self._declared_modes):
-            for mode in sorted(self._declared_modes[path]
-                               - self.visited_modes[path]):
-                missing.append((path, mode))
-        return missing
-
-    def transitions_complete(self) -> bool:
-        """The search's primary stopping criterion."""
-        return not self.untaken_transitions()
-
-    def mode_coverage(self) -> float:
-        declared = sum(len(modes) for modes in self._declared_modes.values())
-        if not declared:
-            return 1.0
-        visited = sum(len(self.visited_modes[path]
-                          & self._declared_modes[path])
-                      for path in self._declared_modes)
-        return visited / declared
-
-    def transition_coverage(self) -> float:
-        declared = sum(len(pairs)
-                       for pairs in self._declared_transitions.values())
-        if not declared:
-            return 1.0
-        taken = sum(len(self.taken_transitions[path]
-                        & self._declared_transitions[path])
-                    for path in self._declared_transitions)
-        return taken / declared
+            if known_low is None:
+                novelty += 1.0
+                continue
+            span = max(known_high - known_low, 1.0)
+            if low < known_low:
+                novelty += min((known_low - low) / span, 1.0)
+            if high > known_high:
+                novelty += min((high - known_high) / span, 1.0)
+    return CoverageGain(tuple(new_modes), tuple(new_transitions), novelty)

@@ -7,12 +7,11 @@ transitions, this module *acts* on them.  Each round
 1. evaluates the pending candidate battery through the existing sharded
    executor (:func:`repro.scenarios.runner.run_sharded`, any executor:
    serial, thread or process pool),
-2. folds each result into the cumulative :class:`BatchReport`
-   (:meth:`BatchReport.observe_result` -- no re-scan of prior traces;
+2. folds each result once into the cumulative :class:`BatchReport`
+   through :func:`repro.search.fitness.absorb`, which attributes the
+   coverage it gained to that scenario (no re-scan of prior traces;
    :meth:`BatchReport.merge` aggregates the same way across report
-   objects, e.g. shard reports from other hosts) and attributes coverage
-   gains per scenario through the
-   :class:`~repro.search.fitness.CoverageFrontier`,
+   objects, e.g. shard reports from other hosts),
 3. keeps the scenarios that earned coverage in the corpus and breeds the
    next generation from them (typed mutation, segment crossover,
    guard-vocabulary exploration -- :mod:`repro.search.mutation`),
@@ -46,7 +45,7 @@ from ..obs.context import current_events, current_registry, maybe_span
 from ..scenarios.generators import Scenario
 from ..scenarios.report import BatchReport
 from ..scenarios.runner import run_sharded
-from .fitness import CoverageFrontier, CoverageGain
+from .fitness import CoverageGain, absorb
 from .minimize import minimize_battery
 from .mutation import (DEFAULT_MUTATORS, MutationContext, Mutator,
                        append_witness, crossover_scenarios,
@@ -67,7 +66,6 @@ class SearchConfig:
     exploration_rate: float = 0.2           #: fresh guard-vocabulary blood
     executor: str = "serial"
     max_workers: Optional[int] = None
-    chunk_size: Optional[int] = None
     max_evaluations: Optional[int] = None   #: scenario-execution budget
     wall_clock_budget_s: Optional[float] = None
     max_stale_rounds: Optional[int] = None  #: stop after N gain-free rounds
@@ -156,9 +154,10 @@ class SearchReport:
     """Everything one search run produced.
 
     ``corpus`` is the final (minimized, unless disabled) battery;
-    ``batch_report`` aggregates *every* evaluated scenario, so its coverage
-    equals the frontier's.  :meth:`to_json` is deterministic for a fixed
-    seed -- wall-clock durations live only on the Python objects.
+    ``batch_report`` aggregates *every* evaluated scenario and is the
+    search's coverage state, so the coverage queries read it.
+    :meth:`to_json` is deterministic for a fixed seed -- wall-clock
+    durations live only on the Python objects.
     """
 
     component_name: str
@@ -169,19 +168,18 @@ class SearchReport:
     corpus: List[Scenario]
     dropped: List[str]
     minimized: bool
-    frontier: CoverageFrontier
     batch_report: BatchReport
     duration_s: float = 0.0
 
     # -- queries -----------------------------------------------------------
     def mode_coverage(self) -> float:
-        return self.frontier.mode_coverage()
+        return self.batch_report.overall_mode_coverage()
 
     def transition_coverage(self) -> float:
-        return self.frontier.transition_coverage()
+        return self.batch_report.overall_transition_coverage()
 
     def untaken_transitions(self) -> List[Tuple[str, Tuple[str, str]]]:
-        return self.frontier.untaken_transitions()
+        return self.batch_report.untaken_transitions()
 
     def corpus_names(self) -> List[str]:
         return [scenario.name for scenario in self.corpus]
@@ -266,7 +264,7 @@ class _TransitionTargeter:
     targeter solves the guard over the vocabulary pools (a finite witness
     enumeration, exactly like the global-mode-system product does) and
     appends the witness valuation as a new stimulus phase.  This is the
-    model-based test-sequence-generation step: the frontier names the goal,
+    model-based test-sequence-generation step: the report names the goal,
     the guard names the inputs, the corpus supplies the prefix that reaches
     the source mode.
     """
@@ -314,13 +312,13 @@ class _TransitionTargeter:
         self._witnesses[key] = found
         return found
 
-    def candidates(self, frontier: CoverageFrontier,
+    def candidates(self, report: BatchReport,
                    visitors: Dict[Tuple[str, str], Scenario],
                    rng: random.Random, round_index: int,
                    limit: int) -> List[Scenario]:
         """One extended scenario per targetable untaken transition."""
         targeted: List[Scenario] = []
-        for path, pair in frontier.untaken_transitions():
+        for path, pair in report.untaken_transitions():
             if len(targeted) >= limit:
                 break
             parent = visitors.get((path, pair[0]))
@@ -391,7 +389,6 @@ def search_coverage(component: Component,
     context = MutationContext.for_component(component,
                                             default_ticks=config.ticks,
                                             max_ticks=config.max_ticks)
-    frontier = CoverageFrontier(component)
     targeter = _TransitionTargeter(component, context)
     visitors: Dict[Tuple[str, str], Scenario] = {}
     batch_report = BatchReport.for_component(component)
@@ -423,22 +420,18 @@ def search_coverage(component: Component,
             results = run_sharded(component, pending,
                                   executor=config.executor,
                                   max_workers=config.max_workers,
-                                  chunk_size=config.chunk_size,
                                   collect_modes=True)
         evaluations += len(results)
         registry = current_registry()
         if registry is not None:
             registry.counter("search.rounds").inc()
             registry.counter("search.evaluations").inc(len(results))
-        for result in results:  # incremental: no re-scan of prior rounds
-            batch_report.observe_result(result)
-
         by_name = {scenario.name: scenario for scenario in pending}
         earned = failed = new_modes = new_transitions = 0
         for result in results:
             if not result.ok:
                 failed += 1
-            gain = frontier.absorb(result)
+            gain = absorb(batch_report, result)
             if gain.earned():
                 corpus.append(CorpusEntry(by_name[result.name], gain,
                                           round_index))
@@ -453,8 +446,8 @@ def search_coverage(component: Component,
             index=round_index, evaluated=len(results), failed=failed,
             earned=earned, new_modes=new_modes,
             new_transitions=new_transitions,
-            mode_coverage=frontier.mode_coverage(),
-            transition_coverage=frontier.transition_coverage(),
+            mode_coverage=batch_report.overall_mode_coverage(),
+            transition_coverage=batch_report.overall_transition_coverage(),
             corpus_size=len(corpus),
             duration_s=time.perf_counter() - round_started)
         rounds.append(stats)
@@ -466,7 +459,8 @@ def search_coverage(component: Component,
         stale_rounds = 0 if (new_modes or new_transitions) \
             else stale_rounds + 1
 
-        if config.stop_on_full_transitions and frontier.transitions_complete():
+        if config.stop_on_full_transitions \
+                and not batch_report.untaken_transitions():
             stop_reason = "transitions-covered"
             break
         if config.max_evaluations is not None \
@@ -486,7 +480,7 @@ def search_coverage(component: Component,
         parents = [entry.scenario for entry in
                    sorted(corpus, key=lambda entry: -entry.gain.score())
                    ][:config.corpus_cap]
-        pending = targeter.candidates(frontier, visitors, rng,
+        pending = targeter.candidates(batch_report, visitors, rng,
                                       round_index + 1,
                                       limit=config.population)
         pending.extend(_next_generation(
@@ -499,8 +493,7 @@ def search_coverage(component: Component,
     if config.minimize and final_corpus:
         outcome = minimize_battery(component, final_corpus,
                                    executor=config.executor,
-                                   max_workers=config.max_workers,
-                                   chunk_size=config.chunk_size)
+                                   max_workers=config.max_workers)
         evaluations += outcome.evaluations
         final_corpus = outcome.kept
         dropped = outcome.dropped
@@ -510,5 +503,5 @@ def search_coverage(component: Component,
         component_name=component.name, seed=config.seed,
         stop_reason=stop_reason, evaluations=evaluations, rounds=rounds,
         corpus=final_corpus, dropped=dropped, minimized=minimized,
-        frontier=frontier, batch_report=batch_report,
+        batch_report=batch_report,
         duration_s=time.perf_counter() - started)

@@ -18,12 +18,12 @@ identical mode/transition coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from ..core.components import Component
 from ..scenarios.generators import Scenario
+from ..scenarios.report import BatchReport
 from ..scenarios.runner import run_sharded
-from .fitness import CoverageFrontier
 
 #: One coverage item owned by a scenario: ("mode"|"transition", path, key).
 CoverageItem = Tuple[str, str, Any]
@@ -42,19 +42,21 @@ class MinimizationOutcome:
         return [scenario.name for scenario in self.kept]
 
 
-def _contribution(frontier: CoverageFrontier,
-                  result: Any) -> Set[CoverageItem]:
+def _contribution(report: BatchReport, result: Any) -> Set[CoverageItem]:
+    """The declared modes and transitions one result exercised."""
     items: Set[CoverageItem] = set()
-    for path, (modes, pairs) in frontier.observed(result).items():
-        items.update(("mode", path, mode) for mode in modes)
-        items.update(("transition", path, pair) for pair in pairs)
+    for path, (modes, pairs) in report.visited(result).items():
+        coverage = report.coverage[path]
+        items.update(("mode", path, mode)
+                     for mode in modes.intersection(coverage.declared_modes))
+        items.update(("transition", path, pair)
+                     for pair in pairs & coverage.declared_transition_pairs())
     return items
 
 
 def minimize_battery(component: Component, scenarios: Sequence[Scenario],
                      *, executor: str = "serial",
-                     max_workers: Optional[int] = None,
-                     chunk_size: Optional[int] = None
+                     max_workers: Optional[int] = None
                      ) -> MinimizationOutcome:
     """Re-run *scenarios* once and drop every one that adds no coverage.
 
@@ -68,13 +70,12 @@ def minimize_battery(component: Component, scenarios: Sequence[Scenario],
     outcome = MinimizationOutcome()
     if not battery:
         return outcome
-    frontier = CoverageFrontier(component)
+    report = BatchReport.for_component(component)
     results = run_sharded(component, battery, executor=executor,
-                          max_workers=max_workers, chunk_size=chunk_size,
-                          collect_modes=True)
+                          max_workers=max_workers, collect_modes=True)
     outcome.evaluations = len(results)
     contributions: List[Set[CoverageItem]] = [
-        _contribution(frontier, result) for result in results]
+        _contribution(report, result) for result in results]
     target: Set[CoverageItem] = set()
     for items in contributions:
         target |= items

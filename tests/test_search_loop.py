@@ -1,14 +1,16 @@
-"""The coverage-frontier fitness and the generational search driver."""
+"""Coverage-gain fitness and the generational search driver."""
 
 import json
 
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.scenarios import (ModeSequence, Scenario, run_sharded,
-                             run_with_report)
-from repro.search import (CoverageFrontier, SearchConfig, minimize_battery,
+from repro.core.values import ABSENT
+from repro.scenarios import (BatchReport, ModeSequence, Scenario,
+                             ScenarioResult, run_sharded, run_with_report)
+from repro.search import (SearchConfig, absorb, minimize_battery,
                           search_coverage)
+from repro.simulation.trace import SimulationTrace
 
 #: The deliberately weak seed battery of the acceptance scenario: it never
 #: leaves Off, so every transition starts untaken.
@@ -24,52 +26,29 @@ FULL_SWEEP = Scenario("full-sweep", {
     "t_eng": 60.0}, ticks=40)
 
 
-# -- coverage frontier ------------------------------------------------------
+# -- coverage frontier: per-scenario gain attribution -----------------------
 
 
 def test_frontier_attributes_gain_once(engine_modes_mtd):
-    frontier = CoverageFrontier(engine_modes_mtd)
-    assert not frontier.transitions_complete()
+    report = BatchReport.for_component(engine_modes_mtd)
+    assert report.untaken_transitions()
     results = run_sharded(engine_modes_mtd, [FULL_SWEEP], executor="serial",
                           collect_modes=True)
-    first = frontier.absorb(results[0])
+    first = absorb(report, results[0])
     assert first.earned()
     assert ("EngineOperationModes", ("Off", "Cranking")) \
         in first.new_transitions
     assert first.score() > 0.0
+    assert report.total == 1
     # absorbing the identical result again earns nothing new
-    again = frontier.absorb(results[0])
+    again = absorb(report, results[0])
     assert again.new_modes == () and again.new_transitions == ()
     assert again.port_novelty == 0.0
     assert not again.earned()
 
 
-def test_frontier_peek_does_not_commit(engine_modes_mtd):
-    frontier = CoverageFrontier(engine_modes_mtd)
-    results = run_sharded(engine_modes_mtd, [FULL_SWEEP], executor="serial",
-                          collect_modes=True)
-    peeked = frontier.peek(results[0])
-    assert peeked.earned()
-    assert frontier.transition_coverage() == 0.0
-    absorbed = frontier.absorb(results[0])
-    assert absorbed.new_transitions == peeked.new_transitions
-
-
-def test_frontier_matches_batch_report_accounting(engine_modes_mtd):
-    frontier = CoverageFrontier(engine_modes_mtd)
-    results, report = run_with_report(engine_modes_mtd, [FULL_SWEEP],
-                                      executor="serial")
-    for result in results:
-        frontier.absorb(result)
-    coverage = report.coverage["EngineOperationModes"]
-    assert frontier.mode_coverage() == coverage.mode_coverage()
-    assert frontier.transition_coverage() == coverage.transition_coverage()
-    assert [pair for _, pair in frontier.untaken_transitions()] \
-        == coverage.untaken_transitions()
-
-
 def test_frontier_ignores_failed_results(engine_modes_mtd):
-    frontier = CoverageFrontier(engine_modes_mtd)
+    report = BatchReport.for_component(engine_modes_mtd)
 
     def exploding(tick):
         raise RuntimeError("broken stimulus")
@@ -77,8 +56,70 @@ def test_frontier_ignores_failed_results(engine_modes_mtd):
     results = run_sharded(engine_modes_mtd,
                           [Scenario("bad", {"n": exploding}, ticks=5)],
                           executor="serial", collect_modes=True)
-    assert not frontier.absorb(results[0]).earned()
-    assert frontier.mode_coverage() == 0.0
+    assert not absorb(report, results[0]).earned()
+    assert report.failed == 1
+    assert report.overall_mode_coverage() == 0.0
+
+
+def _traced(name, outputs=None, inputs=None, error=None):
+    """A hand-built result whose trace carries the given port streams."""
+    outputs, inputs = outputs or {}, inputs or {}
+    trace = SimulationTrace("hand-built")
+    ticks = max(map(len, list(outputs.values()) + list(inputs.values())))
+    for tick in range(ticks):
+        trace.record_tick({port: values[tick]
+                           for port, values in inputs.items()},
+                          {port: values[tick]
+                           for port, values in outputs.items()})
+    return ScenarioResult(name, trace=trace, error=error)
+
+
+def test_port_novelty_counts_a_first_numeric_range_once(engine_modes_mtd):
+    report = BatchReport.for_component(engine_modes_mtd)
+    first = absorb(report, _traced("first", outputs={"fuel_factor": [0, 2]},
+                                   inputs={"n": [5.0, ABSENT]}))
+    assert first.port_novelty == 2.0
+    assert first.earned() and first.new_transitions == ()
+    # a range inside the known one adds nothing
+    inside = absorb(report, _traced("inside",
+                                    outputs={"fuel_factor": [1, 2]},
+                                    inputs={"n": [5.0, 5.0]}))
+    assert inside.port_novelty == 0.0
+
+
+def test_port_novelty_extends_relative_to_the_known_span(engine_modes_mtd):
+    report = BatchReport.for_component(engine_modes_mtd)
+    absorb(report, _traced("known", outputs={"fuel_factor": [0.0, 4.0]},
+                           inputs={"n": [0.0, 0.5]}))
+    # fuel_factor's span is 4: one below, two above
+    wider = absorb(report, _traced("wider",
+                                   outputs={"fuel_factor": [-1.0, 6.0]}))
+    assert wider.port_novelty == 0.25 + 0.5
+    # n's span 0.5 is floored at 1.0
+    floored = absorb(report, _traced("floored", inputs={"n": [0.75]}))
+    assert floored.port_novelty == 0.25
+    # each side is capped at one unit; fuel_factor now spans [-1, 6]
+    capped = absorb(report, _traced("capped",
+                                    outputs={"fuel_factor": [-100.0,
+                                                             100.0]}))
+    assert capped.port_novelty == 2.0
+
+
+def test_port_novelty_ignores_non_numeric_and_failed_results(
+        engine_modes_mtd):
+    report = BatchReport.for_component(engine_modes_mtd)
+    symbolic = absorb(report, _traced(
+        "symbolic", outputs={"mode": ["Off", "Idle"],
+                             "fuel_factor": [True, ABSENT]}))
+    assert symbolic.port_novelty == 0.0 and not symbolic.earned()
+    failed = absorb(report, _traced("failed",
+                                    outputs={"fuel_factor": [1.0, 3.0]},
+                                    error="RuntimeError: boom"))
+    assert failed.port_novelty == 0.0 and not failed.earned()
+    # neither committed a range: the first numeric one still counts
+    numeric = absorb(report, _traced("numeric",
+                                     outputs={"fuel_factor": [1.0, 3.0]}))
+    assert numeric.port_novelty == 1.0
 
 
 # -- the acceptance scenario: weak battery to 100% --------------------------
@@ -98,6 +139,30 @@ def test_search_reaches_full_transition_coverage(engine_modes_mtd):
     assert trajectory == sorted(trajectory)
     assert report.batch_report.overall_transition_coverage() == 1.0
     assert report.evaluations >= report.batch_report.total
+
+
+def test_search_trajectory_is_pinned(engine_modes_mtd):
+    # the acceptance search, round by round: any change to gain
+    # attribution, coverage accounting or breeding shows up here
+    report = search_coverage(engine_modes_mtd, WEAK_BATTERY,
+                             SearchConfig(seed=7, max_rounds=12,
+                                          population=16))
+    trajectory = [(stats.evaluated, stats.earned, stats.new_modes,
+                   stats.new_transitions, stats.transition_coverage)
+                  for stats in report.rounds]
+    assert trajectory == [
+        (1, 1, 1, 0, 0.0),
+        (16, 5, 2, 4, 4 / 11),
+        (16, 5, 2, 4, 8 / 11),
+        (16, 1, 1, 1, 9 / 11),
+        (16, 4, 0, 2, 1.0),
+    ]
+    assert report.corpus_names() == [
+        "search-r1-c7", "search-r2-c4", "search-r4-t0", "search-r4-t1"]
+    assert report.dropped == [
+        "weak", "search-r1-t0", "search-r1-c1", "search-r1-c4",
+        "search-r1-c9", "search-r2-t0", "search-r2-c1", "search-r2-c5",
+        "search-r2-c7", "search-r3-t0", "search-r4-c2", "search-r4-c10"]
 
 
 def test_search_minimized_corpus_preserves_coverage(engine_modes_mtd):
