@@ -96,7 +96,7 @@ def _op_events(op: Tuple[Any, ...],
         _, _leaf, in_spec, items, post = op
         events.extend(("r", slot, None) for _name, slot in in_spec)
         events.extend(("w", slot, ("new", (index, slot)))
-                      for slot, _fn in items if slot >= 0)
+                      for slot, _source in items if slot >= 0)
         for src, dst in post:
             events.append(("r", src, None))
             events.append(("w", dst, ("copy", src)))

@@ -11,16 +11,16 @@ Two consumers, two fidelity levels:
 * :class:`TaggedEmitter` -- the native simulation backend's translation
   (:mod:`repro.simulation.native`): one expression becomes a C *statement
   sequence* over tagged values (ABSENT / int64 / double / bool / opaque
-  object), replicating the Python evaluator semantics of
-  :mod:`repro.core.expr_compile` **exactly** -- ABSENT propagation,
+  object), replicating the Python evaluator semantics (the generated
+  source of :mod:`repro.core.expr_compile`) **exactly** -- ABSENT propagation,
   short-circuit ``and``/``or`` returning genuine bools, int-exact
   division, Python's sign-of-divisor modulo -- or bailing out to a
   caller-supplied label whenever exact replication in int64/double is not
   possible (overflow, mixed int/float comparisons beyond 2^53, opaque
   operands, error paths that must raise the interpreter's exceptions).
   The bail-out contract is what makes the native backend safe: the C fast
-  path either produces the closure-identical result or jumps to a label
-  where the caller re-runs the op through the original Python closures.
+  path either produces the Python-identical result or jumps to a label
+  where the caller re-runs the op through its generated Python source.
 
 :func:`lowerable_expression` is the static half of that contract: it
 accepts exactly the expression shapes :class:`TaggedEmitter` can emit.
@@ -147,7 +147,7 @@ def lowerable_expression(expression: Expression,
 
     *input_names* is the set of environment names the surrounding op
     provides (a ``Variable`` outside it would raise ``unknown name`` at run
-    time -- only the Python closure knows the exact message, so such
+    time -- only the Python path knows the exact message, so such
     expressions stay on the fallback path).  *functions* is the owning
     evaluator's function table: a lowerable call must resolve to the
     *built-in* ``abs``/``min``/``max`` -- a same-named custom override
@@ -209,7 +209,7 @@ class TaggedEmitter:
     temp prefixes (``<p>_t`` / ``<p>_i`` / ``<p>_f`` hold tag, int64
     payload and double payload), *bail_label* is the ``goto`` target for
     every run-time situation the C fast path cannot replicate exactly
-    (the caller re-runs the whole op through the Python closures there,
+    (the caller re-runs the whole op through its Python source there,
     so partial results must never have been committed -- the emitter only
     writes temps, never slots).
 

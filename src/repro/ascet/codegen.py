@@ -32,7 +32,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.components import Component, CompositeComponent, ExpressionComponent
 from ..core.errors import CodeGenError
-from ..core.expressions import Expression
+from ..core.expressions import (BinaryOp, Call, Conditional, Expression,
+                                Present, UnaryOp, Variable)
 from ..core.types import Type
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
 from ..platform.can import CANBus
@@ -86,6 +87,28 @@ class GeneratedProject:
                 handle.write(content)
             written.append(full_path)
         return written
+
+
+def _renamed(expression: Expression,
+             renaming: Mapping[str, str]) -> Expression:
+    """*expression* with each variable and ``present`` channel named in
+    *renaming* replaced by its C signal name (whole names only)."""
+    if isinstance(expression, Variable):
+        return Variable(renaming.get(expression.name, expression.name))
+    if isinstance(expression, Present):
+        return Present(renaming.get(expression.channel, expression.channel))
+    if isinstance(expression, UnaryOp):
+        return UnaryOp(expression.op, _renamed(expression.operand, renaming))
+    if isinstance(expression, BinaryOp):
+        return BinaryOp(expression.op, _renamed(expression.left, renaming),
+                        _renamed(expression.right, renaming))
+    if isinstance(expression, Conditional):
+        return Conditional(*(_renamed(child, renaming)
+                             for child in expression.children()))
+    if isinstance(expression, Call):
+        return Call(expression.function, tuple(
+            _renamed(argument, renaming) for argument in expression.arguments))
+    return expression
 
 
 class AscetProjectGenerator:
@@ -222,10 +245,7 @@ class AscetProjectGenerator:
 
     @staticmethod
     def _rewrite(expression: Expression, renaming: Mapping[str, str]) -> str:
-        source = expression_to_c(expression)
-        for name, replacement in sorted(renaming.items(), key=lambda x: -len(x[0])):
-            source = source.replace(name, replacement)
-        return source
+        return expression_to_c(_renamed(expression, renaming))
 
     # -- OS / COM configuration -------------------------------------------------------
     def _os_configuration(self, ecu_name: str) -> str:

@@ -1,81 +1,491 @@
-"""Compilation of base-language ASTs to Python closures.
+"""Base-language expressions as generated Python source.
 
 :class:`~repro.core.expr_eval.ExpressionEvaluator` walks the expression
 tree for every evaluation -- one ``isinstance`` dispatch chain per node per
 tick.  Guards, actions and output expressions are evaluated thousands of
 times against different environments but never change shape, so the walk
-can be done *once*: :func:`compile_expression` lowers an AST into nested
-closures ``environment -> value`` where every dispatch decision, operator
-lookup, function lookup and error-message string has been resolved at
-compile time.  The compiled simulation engine
-(:mod:`repro.simulation.compiled`) runs all of its expression hot paths --
-expression-block outputs, MTD guard tables, STD guard/action/emission
-tables -- through this module.
+is done *once*: one emitter (:class:`ExpressionSource`) turns an AST
+into a Python expression over value reads, and every compiled engine
+executes that source.
 
-Semantics are exactly those of :meth:`ExpressionEvaluator.evaluate`,
-including:
+* The flat step (:mod:`repro.simulation.op_emit`) inlines it into the
+  generated program, with reads spelled as slot accesses (``v[3]``) --
+  no environment dict and no call per node.
+* :func:`compile_expression` (and :meth:`ExpressionEvaluator.compile`)
+  wraps it in one generated function ``environment -> value`` for the
+  leaf compiler's MTD/STD guard tables and atomic expression roots.
 
-* ABSENT propagation (any absent operand makes arithmetic, comparisons,
-  conditionals and calls absent; ``present(ch)`` turns absence into a
-  boolean),
+The source follows :meth:`ExpressionEvaluator.evaluate` exactly:
+
+* ABSENT propagation: every operand (argument) is evaluated before the
+  absence test, so an absent left operand never hides an error on the
+  right; ``present(ch)`` turns absence into a boolean,
 * short-circuit ``and``/``or`` returning genuine bools,
 * int-exact division (``6 / 3 == 2``, an ``int``),
-* the :class:`~repro.core.errors.ExpressionEvalError` messages, raised at
-  evaluation time exactly when the interpreter raises them (an unknown
-  operator with an absent operand still yields ``ABSENT``, mirroring the
-  interpreter's evaluation order),
-* custom-function lookup through the evaluator's function table.
+* custom functions bound by name from the function table given at
+  compile time (later changes to the table are not seen: recompile).
 
-The only divergence is *when* structural errors surface: an unsupported
-expression node type is reported at compile time (the interpreter can only
-notice it during evaluation).
+**Errors.**  The generated source holds no error-message logic.  When it
+raises anything at all, the expression is evaluated again by the
+reference interpreter on the same inputs, which raises the exact
+:class:`~repro.core.errors.ExpressionEvalError` type, message and
+``__cause__`` (or returns its value, should the fast source ever raise
+where the interpreter does not).  An expression reading a name its
+environment lacks, or calling a function the table lacks, always runs on
+the interpreter.  One side effect is observable: the custom functions a
+raising evaluation had called -- the raising one included -- are called
+a second time by the interpreter.
 
-Compiled closures capture resolved function objects and are therefore not
-picklable in general; like compiled schedules, they are meant to be rebuilt
-per process (the sharded scenario runner pickles the *model* and recompiles
-in each worker).  Models stay picklable because nothing in this module is
-stored on components.  Compilation snapshots the function table: functions
-registered on an evaluator after :meth:`ExpressionEvaluator.compile` are
-not seen by previously compiled closures (recompile instead).
+**Depth.**  CPython rejects source nested beyond 200 parentheses.  A
+subexpression taller than :data:`_INLINE_HEIGHT` nodes moves into a
+helper function of its own, called in its place, so evaluation order,
+laziness and results are unchanged at any depth.
+
+Templates (the source with its reads, functions and constants left as
+references) are memoized per live expression object, and the code of
+:func:`compile_expression` per source content, in a memo of its own.
+Generated functions capture resolved function objects and are
+per-process artefacts; models stay picklable because nothing here is
+stored on components.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+import functools
+import math
+import weakref
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import ExpressionEvalError
-from .expr_eval import _ARITHMETIC_OPS, BUILTIN_FUNCTIONS
+from .expr_eval import _ARITHMETIC_OPS, BUILTIN_FUNCTIONS, ExpressionEvaluator
 from .expressions import (BinaryOp, Call, Conditional, Expression, Literal,
                           Present, UnaryOp, Variable)
-from .values import ABSENT, is_present
+from .values import ABSENT
 
 #: A compiled expression: ``environment -> value``.
 CompiledExpression = Callable[[Mapping[str, Any]], Any]
 
-#: Sentinel distinguishing "operand is not a constant" from any constant
-#: value (including None).
-_NO_CONST = object()
+#: Delimiter of the references in a template, ``\x00<kind><index>\x00``:
+#: ``v`` variable read, ``p`` presence test, ``f`` function, ``c``
+#: constant, ``h`` helper call (indexes into the template's tables).
+_REF = "\x00"
+
+#: Height (in nodes) past which a subexpression becomes a helper function;
+#: one node nests at most 4 parentheses deep.
+_INLINE_HEIGHT = 20
+
+#: Templates memoized per live expression object: ``id -> (weak reference,
+#: template)``; an entry leaves with its expression.
+_TEMPLATES: Dict[int, Tuple[Any, "_Template"]] = {}
+
+#: Flags of an emitted value ``(text, flags, height)``: ``_ATOM`` source is
+#: pure and cheap (a read, a literal, a temporary), so it may be repeated
+#: and reordered; ``_ABSENT`` values may be ABSENT; ``_BOOL`` values are a
+#: bool (or ABSENT).
+_ATOM, _ABSENT, _BOOL = 1, 2, 4
+
+_DIVIDE = ("(_fail() if {1} == 0 else ({0} // {1} if isinstance({0}, int) "
+           "and isinstance({1}, int) and {0} % {1} == 0 else {0} / {1}))")
+_DIVIDE_BY_INT = ("({0} // {1} if isinstance({0}, int) and {0} % {1} == 0 "
+                  "else {0} / {1})")
 
 
-def _literal_constant(expression: Expression) -> Any:
-    """The compile-time constant of a literal operand, or ``_NO_CONST``.
+class _Unsupported(Exception):
+    """Raised by generated source where the interpreter raises an error."""
 
-    Guards and actions are overwhelmingly ``variable op constant`` shaped
-    (``n > 700``, ``ped / 400``), so binary nodes specialize on literal
-    operands: the constant is baked into the closure, skipping one closure
-    call and one absence check per evaluation.  A hand-built
-    ``Literal(ABSENT)`` stays on the generic path so absence propagation is
-    untouched.
+
+def _fail(*_operands: Any) -> Any:
+    raise _Unsupported
+
+
+class _Emitter:
+    """Expression AST -> template source, mirroring ``evaluate``."""
+
+    def __init__(self) -> None:
+        self.temps = 0
+        self.helpers: List[str] = []
+        self.tables: Dict[str, List[Any]] = {"v": [], "p": [], "f": [],
+                                             "c": []}
+        self._refs: Dict[Tuple[str, str], str] = {}
+
+    def _ref(self, kind: str, key: Any) -> str:
+        # names share one reference each; constants (maybe unhashable) not
+        ref = self._refs.get((kind, key)) if kind != "c" else None
+        if ref is None:
+            table = self.tables[kind]
+            ref = f"{_REF}{kind}{len(table)}{_REF}"
+            table.append(key)
+            if kind != "c":
+                self._refs[(kind, key)] = ref
+        return ref
+
+    def _temp(self) -> str:
+        self.temps += 1
+        return f"_t{self.temps - 1}"
+
+    def emit(self, node: Expression) -> Tuple[str, int, int]:
+        if isinstance(node, Variable):
+            return self._ref("v", node.name), _ATOM | _ABSENT, 0
+        if isinstance(node, Literal):
+            return self._literal(node.value)
+        if isinstance(node, BinaryOp):
+            value = self._binary(node)
+        elif isinstance(node, Call):
+            function = self._ref("f", node.function)
+            arguments = [self.emit(argument) for argument in node.arguments]
+            value = self._strict(arguments, function + "(" + ", ".join(
+                f"{{{index}}}" for index in range(len(arguments))) + ")")
+        elif isinstance(node, Conditional):
+            value = self._conditional(node)
+        elif isinstance(node, UnaryOp):
+            operand = self.emit(node.operand)
+            if node.op == "-":
+                value = self._strict([operand], "(-{0})")
+            elif node.op == "not":
+                value = self._strict([operand], "(not {0})", boolean=True)
+            else:
+                value = self._strict([operand], "_fail({0})")
+        elif isinstance(node, Present):
+            return f"({self._ref('p', node.channel)})", _ATOM | _BOOL, 0
+        else:
+            raise ExpressionEvalError(
+                f"unsupported expression node {node!r}")
+        if value[2] > _INLINE_HEIGHT:
+            self.helpers.append(value[0])
+            return (f"{_REF}h{len(self.helpers) - 1}{_REF}",
+                    value[1] & ~_ATOM, 1)
+        return value
+
+    def _literal(self, value: Any) -> Tuple[str, int, int]:
+        if value is ABSENT:
+            return "A", _ATOM | _ABSENT, 0
+        kind = type(value)
+        if kind is int or kind is str or kind is bool or value is None \
+                or (kind is float and math.isfinite(value)):
+            text = repr(value)
+            if text[0] == "-":
+                text = f"({text})"
+        else:  # non-finite floats, enum members, struct values...
+            text = self._ref("c", value)
+        return text, _ATOM | _BOOL if kind is bool else _ATOM, 0
+
+    def _strict(self, values: List[Tuple[str, int, int]], build: str,
+                atoms: bool = False,
+                boolean: bool = False) -> Tuple[str, int, int]:
+        """*build* (a ``str.format`` template) over the operands, ABSENT if
+        any operand is: every operand is evaluated, in order, before the
+        absence test.  With *atoms*, *build* repeats its operands, so each
+        one that is not an atom is bound to a temporary first."""
+        height = 0
+        absent = 0
+        for value in values:
+            absent |= value[1] & _ABSENT
+            if value[2] > height:
+                height = value[2]
+        flags = absent | (_BOOL if boolean else 0)
+        if not absent and not atoms:
+            return build.format(*[value[0] for value in values]), flags, \
+                height + 1
+        tests: List[str] = []
+        names: List[str] = []
+        effects = False  # a test after the first binds (evaluates) an operand
+        for text, value_flags, _height in values:
+            if value_flags & _ATOM:
+                names.append(text)
+                if value_flags & _ABSENT:
+                    tests.append(f"{text} is A")
+            else:
+                name = self._temp()
+                names.append(name)
+                effects = effects or bool(tests)
+                tests.append(f"({name} := {text}) is A")
+        text = build.format(*names)
+        if tests:
+            test = (" | ".join([f"({test})" for test in tests]) if effects
+                    else " or ".join(tests))
+            text = f"(A if {test} else {text})"
+        return text, flags, height + 1
+
+    def _bind(self, value: Tuple[str, int, int]) -> Tuple[str, str]:
+        """``(first use, later uses)`` of a value read more than once."""
+        if value[1] & _ATOM:
+            return value[0], value[0]
+        name = self._temp()
+        return f"({name} := {value[0]})", name
+
+    def _binary(self, node: BinaryOp) -> Tuple[str, int, int]:
+        op = node.op
+        left = self.emit(node.left)
+        right = self.emit(node.right)
+        if op == "and" or op == "or":
+            if right[1] & _BOOL:
+                rhs = right[0]
+            elif right[1] & _ABSENT:
+                first, name = self._bind(right)
+                rhs = f"(A if {first} is A else bool({name}))"
+            else:
+                rhs = f"bool({right[0]})"
+            short = "False if not" if op == "and" else "True if"
+            if left[1] & _ABSENT:
+                first, name = self._bind(left)
+                text = f"(A if {first} is A else ({short} {name} else {rhs}))"
+            else:
+                text = f"({short} {left[0]} else {rhs})"
+            return (text, ((left[1] | right[1]) & _ABSENT) | _BOOL,
+                    1 + max(left[2], right[2]))
+        if op == "/":
+            divisor = node.right.value if isinstance(node.right, Literal) \
+                else None
+            if type(divisor) not in (bool, int, float):
+                return self._strict([left, right], _DIVIDE, atoms=True)
+            if divisor == 0:
+                return self._strict([left, right], "_fail({0})")
+            if isinstance(divisor, int):
+                return self._strict([left, right], _DIVIDE_BY_INT,
+                                    atoms=True)
+            return self._strict([left, right], "({0} / {1})")
+        if op not in _ARITHMETIC_OPS:
+            return self._strict([left, right], "_fail({0}, {1})")
+        return self._strict([left, right], f"({{0}} {op} {{1}})")
+
+    def _conditional(self, node: Conditional) -> Tuple[str, int, int]:
+        condition = self.emit(node.condition)
+        then = self.emit(node.then_branch)
+        other = self.emit(node.else_branch)
+        if condition[1] & _ABSENT:
+            first, name = self._bind(condition)
+            text = (f"(A if {first} is A else "
+                    f"({then[0]} if {name} else {other[0]}))")
+        else:
+            text = f"({then[0]} if {condition[0]} else {other[0]})"
+        return (text, ((condition[1] | then[1] | other[1]) & _ABSENT)
+                | (then[1] & other[1] & _BOOL),
+                1 + max(condition[2], then[2], other[2]))
+
+
+class _Template:
+    """One expression as source with unresolved references.
+
+    ``factory`` caches :func:`compile_expression`'s function factory.
     """
-    if isinstance(expression, Literal) and expression.value is not ABSENT:
-        return expression.value
-    return _NO_CONST
+
+    __slots__ = ("text", "helpers", "variables", "presents", "functions",
+                 "constants", "factory")
+
+    def __init__(self, expression: Expression):
+        emitter = _Emitter()
+        self.text = emitter.emit(expression)[0]
+        self.helpers = tuple(emitter.helpers)
+        tables = emitter.tables
+        self.variables: Tuple[str, ...] = tuple(tables["v"])
+        self.presents: Tuple[str, ...] = tuple(tables["p"])
+        self.functions: Tuple[str, ...] = tuple(tables["f"])
+        self.constants: Tuple[Any, ...] = tuple(tables["c"])
+        self.factory: Optional[Callable[..., CompiledExpression]] = None
+
+    def key(self) -> Tuple[Any, ...]:
+        """The source content: equal keys, equal generated source."""
+        return (self.text, self.helpers, self.variables, self.presents,
+                len(self.functions), len(self.constants))
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an expression, carrying its memo key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    if _TEMPLATES.get(ref.key, (None,))[0] is ref:
+        del _TEMPLATES[ref.key]
+
+
+def _template(expression: Expression) -> _Template:
+    """The memoized template of *expression*."""
+    entry = _TEMPLATES.get(id(expression))
+    if entry is not None and entry[0]() is expression:
+        return entry[1]
+    template = _Template(expression)
+    ref = _Ref(expression, _forget)
+    ref.key = id(expression)
+    _TEMPLATES[ref.key] = (ref, template)
+    return template
+
+
+def _spell(text: str, resolved: Mapping[str, List[str]]) -> str:
+    """Template *text* with every reference replaced by its spelling."""
+    parts = text.split(_REF)
+    for index in range(1, len(parts), 2):
+        ref = parts[index]
+        parts[index] = resolved[ref[0]][int(ref[1:])]
+    return "".join(parts)
+
+
+def _detach(error: BaseException, failed: BaseException) -> None:
+    """Cut the links from *error*'s chain to *failed*, the fast source's
+    exception, so the re-raised error looks as if raised directly."""
+    seen = set()
+    while error is not None and id(error) not in seen:
+        seen.add(id(error))
+        if error.__context__ is failed:
+            error.__context__ = None
+        error = error.__cause__ or error.__context__
+
+
+class _Interpret:
+    """``environment -> value`` through the reference interpreter: the
+    error path of generated expression source, which passes the exception
+    it raised as *failed*."""
+
+    __slots__ = ("expression", "names", "functions", "evaluate")
+
+    def __init__(self, expression: Expression, names: Tuple[str, ...],
+                 functions: Tuple[Any, ...]):
+        self.expression = expression
+        self.names = names
+        self.functions = functions
+        self.evaluate: Optional[Callable[..., Any]] = None
+
+    def __call__(self, environment: Mapping[str, Any],
+                 failed: Optional[BaseException] = None) -> Any:
+        if self.evaluate is None:
+            # the table of the functions the expression calls is exactly
+            # what the interpreter looks up: a missing one stays unknown
+            self.evaluate = ExpressionEvaluator({
+                name: function for name, function
+                in zip(self.names, self.functions)
+                if function is not None}).evaluate
+        try:
+            return self.evaluate(self.expression, environment)
+        except BaseException as error:
+            if failed is not None:
+                _detach(error, failed)
+            raise
+
+
+class SourceScope:
+    """The names one piece of generated source binds.
+
+    *bound* is the namespace the source is executed in; *params* is the
+    parameter list of helper functions (and of the calls to them), which
+    must hand them the value reads of the enclosing source.  Helper
+    definitions accumulate in :attr:`defs`, to be placed at module level.
+    """
+
+    def __init__(self, bound: Dict[str, Any], params: str):
+        bound.setdefault("A", ABSENT)
+        bound["_fail"] = _fail
+        self.bound = bound
+        self.params = params
+        self.defs: List[str] = []
+        self._names: Dict[int, str] = {}
+
+    def bind(self, value: Any, prefix: str) -> str:
+        """The name *value* is bound to (one name per object)."""
+        name = self._names.get(id(value))
+        if name is None:
+            name = self._names[id(value)] = f"_{prefix}{len(self._names)}"
+            self.bound[name] = value
+        return name
+
+    def helper(self, text: str) -> str:
+        """Define a helper returning *text*; returns the call to it."""
+        name = f"_h{len(self.defs)}"
+        self.defs.append(f"def {name}({self.params}):\n    return {text}")
+        return f"{name}({self.params})"
+
+
+class ExpressionSource:
+    """An expression lowered to source, its functions resolved.
+
+    :meth:`render` spells it over the reads of one substrate;
+    :attr:`interpret` is its interpreter path, ``environment -> value``.
+    Raises :class:`ExpressionEvalError` for a node type the base language
+    does not have.
+    """
+
+    __slots__ = ("expression", "template", "functions", "_interpret")
+
+    def __init__(self, expression: Expression,
+                 functions: Mapping[str, Callable[..., Any]]):
+        self.expression = expression
+        self.template = _template(expression)
+        self.functions = tuple(map(functions.get, self.template.functions))
+        self._interpret: Optional[_Interpret] = None
+
+    @property
+    def interpret(self) -> _Interpret:
+        if self._interpret is None:
+            self._interpret = _Interpret(
+                self.expression, self.template.functions, self.functions)
+        return self._interpret
+
+    def render(self, read: Callable[[str], Optional[str]],
+               present: Callable[[str], str],
+               scope: SourceScope) -> Optional[str]:
+        """The source of the expression's value, or ``None`` when a name
+        it reads (``read`` gives ``None``) or calls is unknown.
+
+        ``read(name)`` must spell a pure, non-raising read and
+        ``present(name)`` a presence test; both may be repeated.
+        """
+        template = self.template
+        if None in self.functions:
+            return None
+        reads = [read(name) for name in template.variables]
+        if None in reads:
+            return None
+        resolved = {"v": reads,
+                    "p": [present(name) for name in template.presents],
+                    "f": [scope.bind(function, "f")
+                          for function in self.functions],
+                    "c": [scope.bind(value, "c")
+                          for value in template.constants],
+                    "h": []}
+        for helper in template.helpers:
+            resolved["h"].append(scope.helper(_spell(helper, resolved)))
+        return _spell(template.text, resolved)
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(key: Tuple[Any, ...]) -> Callable[..., CompiledExpression]:
+    """``(interpret, *functions, *constants) -> compiled expression`` for
+    one template :attr:`~_Template.key`; memoized per source content, in a
+    memo of its own (not the flat programs' code memo)."""
+    text, helpers, variables, presents, n_functions, n_constants = key
+    reads = [f"_r{index}" for index in range(len(variables))]
+    by_name = dict(zip(variables, reads))
+    params = ", ".join(["e"] + reads)
+    resolved: Dict[str, List[str]] = {
+        "v": reads,
+        "p": [f"{by_name[name]} is not A" if name in by_name
+              else f"e.get({name!r}, A) is not A" for name in presents],
+        "f": [f"_f{index}" for index in range(n_functions)],
+        "c": [f"_c{index}" for index in range(n_constants)],
+        "h": []}
+    lines = ["def _make(" + ", ".join(
+        ["_x"] + resolved["f"] + resolved["c"]) + "):"]
+    for index, helper in enumerate(helpers):
+        lines += [f"    def _h{index}({params}):",
+                  f"        return {_spell(helper, resolved)}"]
+        resolved["h"].append(f"_h{index}({params})")
+    lines += ["    def _expression(e):", "        try:"]
+    lines += [f"            {read} = e[{name!r}]"
+              for name, read in by_name.items()]
+    lines += [f"            return {_spell(text, resolved)}",
+              "        except Exception as error:",
+              "            return _x(e, error)",
+              "    return _expression"]
+    namespace = {"A": ABSENT, "_fail": _fail}
+    exec(compile("\n".join(lines), "<expression>", "exec"),  # noqa: S102
+         namespace)
+    return namespace["_make"]
 
 
 def compile_expression(expression: Expression,
                        functions: Optional[Mapping[str, Callable[..., Any]]]
                        = None) -> CompiledExpression:
-    """Lower *expression* to a closure ``environment -> value``.
+    """Compile *expression* to a function ``environment -> value``.
 
     *functions* extends (and may override) the built-in function table,
     exactly like the :class:`ExpressionEvaluator` constructor argument.
@@ -83,243 +493,11 @@ def compile_expression(expression: Expression,
     table: Dict[str, Callable[..., Any]] = dict(BUILTIN_FUNCTIONS)
     if functions:
         table.update(functions)
-    return _compile(expression, table)
-
-
-def _compile(expression: Expression,
-             functions: Mapping[str, Callable[..., Any]]) -> CompiledExpression:
-    if isinstance(expression, Literal):
-        value = expression.value
-
-        def run_literal(environment: Mapping[str, Any]) -> Any:
-            return value
-        return run_literal
-
-    if isinstance(expression, Variable):
-        name = expression.name
-        message = (f"unknown name {name!r} in expression "
-                   f"{expression.to_source()}")
-
-        def run_variable(environment: Mapping[str, Any]) -> Any:
-            try:
-                return environment[name]
-            except KeyError:
-                raise ExpressionEvalError(message) from None
-        return run_variable
-
-    if isinstance(expression, Present):
-        channel = expression.channel
-
-        def run_present(environment: Mapping[str, Any]) -> Any:
-            return is_present(environment.get(channel, ABSENT))
-        return run_present
-
-    if isinstance(expression, UnaryOp):
-        return _compile_unary(expression, functions)
-    if isinstance(expression, BinaryOp):
-        return _compile_binary(expression, functions)
-
-    if isinstance(expression, Conditional):
-        condition = _compile(expression.condition, functions)
-        then_branch = _compile(expression.then_branch, functions)
-        else_branch = _compile(expression.else_branch, functions)
-
-        def run_conditional(environment: Mapping[str, Any]) -> Any:
-            value = condition(environment)
-            if value is ABSENT:
-                return ABSENT
-            if value:
-                return then_branch(environment)
-            return else_branch(environment)
-        return run_conditional
-
-    if isinstance(expression, Call):
-        return _compile_call(expression, functions)
-
-    raise ExpressionEvalError(f"unsupported expression node {expression!r}")
-
-
-def _compile_unary(expression: UnaryOp,
-                   functions: Mapping[str, Callable[..., Any]]
-                   ) -> CompiledExpression:
-    operand = _compile(expression.operand, functions)
-
-    if expression.op == "-":
-        def run_negate(environment: Mapping[str, Any]) -> Any:
-            value = operand(environment)
-            if value is ABSENT:
-                return ABSENT
-            return -value
-        return run_negate
-
-    if expression.op == "not":
-        def run_not(environment: Mapping[str, Any]) -> Any:
-            value = operand(environment)
-            if value is ABSENT:
-                return ABSENT
-            return not value
-        return run_not
-
-    # The interpreter evaluates the operand (absence still wins) before
-    # discovering the operator is unknown; mirror that order.
-    message = f"unknown unary operator {expression.op!r}"
-
-    def run_unknown_unary(environment: Mapping[str, Any]) -> Any:
-        value = operand(environment)
-        if value is ABSENT:
-            return ABSENT
-        raise ExpressionEvalError(message)
-    return run_unknown_unary
-
-
-def _compile_binary(expression: BinaryOp,
-                    functions: Mapping[str, Callable[..., Any]]
-                    ) -> CompiledExpression:
-    left = _compile(expression.left, functions)
-    right = _compile(expression.right, functions)
-    op_name = expression.op
-
-    if op_name == "and":
-        def run_and(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            if a is ABSENT:
-                return ABSENT
-            if not a:
-                return False
-            b = right(environment)
-            return ABSENT if b is ABSENT else bool(b)
-        return run_and
-
-    if op_name == "or":
-        def run_or(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            if a is ABSENT:
-                return ABSENT
-            if a:
-                return True
-            b = right(environment)
-            return ABSENT if b is ABSENT else bool(b)
-        return run_or
-
-    if op_name == "/":
-        message = f"division by zero in {expression.to_source()}"
-        divisor = _literal_constant(expression.right)
-        if divisor is not _NO_CONST:
-            if isinstance(divisor, (int, float)) and divisor == 0:
-                def run_divide_by_zero(environment: Mapping[str, Any]) -> Any:
-                    a = left(environment)
-                    if a is ABSENT:
-                        return ABSENT
-                    raise ExpressionEvalError(message)
-                return run_divide_by_zero
-
-            divisor_is_int = isinstance(divisor, int)
-
-            def run_divide_by_const(environment: Mapping[str, Any]) -> Any:
-                a = left(environment)
-                if a is ABSENT:
-                    return ABSENT
-                if divisor_is_int and isinstance(a, int) and a % divisor == 0:
-                    return a // divisor
-                return a / divisor
-            return run_divide_by_const
-
-        def run_divide(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            b = right(environment)
-            if a is ABSENT or b is ABSENT:
-                return ABSENT
-            if b == 0:
-                raise ExpressionEvalError(message)
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return a // b
-            return a / b
-        return run_divide
-
-    operation = _ARITHMETIC_OPS.get(op_name)
-    if operation is None:
-        # Unknown operator: the interpreter evaluates both operands first,
-        # so absence still propagates before the lookup failure surfaces.
-        message = f"unknown binary operator {op_name!r}"
-
-        def run_unknown_binary(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            b = right(environment)
-            if a is ABSENT or b is ABSENT:
-                return ABSENT
-            try:
-                raise KeyError(op_name)
-            except KeyError as exc:
-                raise ExpressionEvalError(message) from exc
-        return run_unknown_binary
-
-    right_const = _literal_constant(expression.right)
-    if right_const is not _NO_CONST:
-        def run_binary_const_right(environment: Mapping[str, Any]) -> Any:
-            a = left(environment)
-            if a is ABSENT:
-                return ABSENT
-            try:
-                return operation(a, right_const)
-            except TypeError as exc:
-                raise ExpressionEvalError(
-                    f"cannot apply {op_name!r} to {a!r} and "
-                    f"{right_const!r}") from exc
-        return run_binary_const_right
-
-    left_const = _literal_constant(expression.left)
-    if left_const is not _NO_CONST:
-        def run_binary_const_left(environment: Mapping[str, Any]) -> Any:
-            b = right(environment)
-            if b is ABSENT:
-                return ABSENT
-            try:
-                return operation(left_const, b)
-            except TypeError as exc:
-                raise ExpressionEvalError(
-                    f"cannot apply {op_name!r} to {left_const!r} and "
-                    f"{b!r}") from exc
-        return run_binary_const_left
-
-    def run_binary(environment: Mapping[str, Any]) -> Any:
-        a = left(environment)
-        b = right(environment)
-        if a is ABSENT or b is ABSENT:
-            return ABSENT
-        try:
-            return operation(a, b)
-        except TypeError as exc:
-            raise ExpressionEvalError(
-                f"cannot apply {op_name!r} to {a!r} and {b!r}") from exc
-    return run_binary
-
-
-def _compile_call(expression: Call,
-                  functions: Mapping[str, Callable[..., Any]]
-                  ) -> CompiledExpression:
-    function_name = expression.function
-    function = functions.get(function_name)
-    if function is None:
-        # The interpreter looks the function up before evaluating any
-        # argument, so an unknown function beats argument errors.
-        message = f"unknown function {function_name!r}"
-
-        def run_unknown_function(environment: Mapping[str, Any]) -> Any:
-            try:
-                raise KeyError(function_name)
-            except KeyError as exc:
-                raise ExpressionEvalError(message) from exc
-        return run_unknown_function
-
-    arguments = tuple(_compile(arg, functions) for arg in expression.arguments)
-
-    def run_call(environment: Mapping[str, Any]) -> Any:
-        values = [argument(environment) for argument in arguments]
-        if any(value is ABSENT for value in values):
-            return ABSENT
-        try:
-            return function(*values)
-        except Exception as exc:  # noqa: BLE001 - surface as evaluation error
-            raise ExpressionEvalError(
-                f"error calling {function_name}: {exc}") from exc
-    return run_call
+    source = ExpressionSource(expression, table)
+    if None in source.functions:
+        return source.interpret
+    template = source.template
+    if template.factory is None:
+        template.factory = _factory(template.key())
+    return template.factory(source.interpret, *source.functions,
+                            *template.constants)

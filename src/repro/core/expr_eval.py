@@ -89,12 +89,13 @@ class ExpressionEvaluator:
         self.functions.update(state.get("custom_functions", {}))
 
     def compile(self, expression: Expression) -> Callable[[Mapping[str, Any]], Any]:
-        """Lower *expression* to a closure using this evaluator's functions.
+        """Compile *expression* using this evaluator's functions.
 
-        The returned closure ``environment -> value`` reproduces
-        :meth:`evaluate` exactly (see :mod:`repro.core.expr_compile`); it
-        captures resolved function objects, so it is a per-process artefact
-        -- recompile after pickling rather than shipping closures.
+        The returned function ``environment -> value`` runs generated
+        Python source that reproduces :meth:`evaluate` exactly (see
+        :mod:`repro.core.expr_compile`); it captures resolved function
+        objects, so it is a per-process artefact -- recompile after
+        pickling rather than shipping compiled functions.
         """
         from .expr_compile import compile_expression
         return compile_expression(expression, self.functions)

@@ -21,12 +21,15 @@ precomputed:
   gets an incrementally materialized clock pattern
   (:meth:`~repro.core.clocks.Clock.cached`) shared across runs;
 * each mode-transition diagram gets per-mode transition tables (guards
-  lowered to closures via :mod:`repro.core.expr_compile`) and mode
+  compiled to generated Python functions via
+  :mod:`repro.core.expr_compile`) and mode
   behaviours compiled by :func:`compile_component` (a composite behaviour
   is a flat program of its own);
 * each state-transition diagram gets per-state sorted transition tables
   with compiled guards, actions and emissions;
-* each expression block gets its output expressions lowered to closures;
+* each expression block gets its output expressions compiled the same
+  way (inside a flat program, a pure expression block is no leaf at all:
+  its ``expr`` op inlines the expressions' source into the step);
 * every other component (function/stateful blocks, subclasses with a
   custom ``react``...) is already a single ``react`` call and is executed
   directly.
@@ -211,8 +214,9 @@ def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
     dicts built by the surrounding compiled composite (or simulator loop)
     are fresh per tick, so evaluating against *inputs* directly is
     observationally identical and saves one dict copy per block per tick.
-    On top of that, the output expressions are lowered to closures
-    (:mod:`repro.core.expr_compile`), removing the per-tick AST walk.
+    On top of that, the output expressions are compiled to generated
+    Python functions (:mod:`repro.core.expr_compile`), removing the
+    per-tick AST walk.
     """
     compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
     items = tuple((name, compiler(expression))
@@ -250,7 +254,8 @@ def _compile_gated(component: ClockGatedComponent) -> CompiledSchedule:
 def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
     """Precompute per-mode transition tables and compile mode behaviours.
 
-    Guards are lowered to closures and evaluated against the per-tick input
+    Guards are compiled to generated Python functions
+    (:mod:`repro.core.expr_compile`) and evaluated against the per-tick input
     dict directly: the reference ``react`` builds ``environment =
     dict(inputs)`` each tick, but the evaluator never mutates its
     environment and the input dicts are fresh per tick (see

@@ -42,7 +42,8 @@ step's).  The unit includes no system header either -- parsing them
 dominates a small program's compile -- so ``fabs`` / ``NAN`` /
 ``INFINITY`` map to compiler builtins.  ``tramp(op, tick)`` is the ctypes
 callback through which any op the emitter did not (or at run time
-cannot) lower exactly is replayed through the original Python closures.
+cannot) lower exactly is replayed through the flat engine's generated
+Python source for that op.
 
 Lowering decisions per op:
 
@@ -167,7 +168,7 @@ def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
     kinds, clean = _expr_abstract_kinds(leaf)
     # enum/struct-kind values are Python objects on the tagged plane; the
     # lattice proving one can flow through this block routes the whole op
-    # to the closure path statically rather than bailing every tick.
+    # to the Python replay statically rather than bailing every tick.
     return clean and not (kinds & {"enum", "struct"})
 
 
@@ -193,7 +194,7 @@ def _emit_expr_block(index: int, op: Tuple[Any, ...], leaf: Any,
     results = [emitter.emit(expression) for expression in expressions]
     lines.extend(f"        {decl}" for decl in emitter.decls)
     lines.extend(f"        {line}" for line in emitter.lines)
-    for (slot, _closure), prefix in zip(items, results):
+    for (slot, _source), prefix in zip(items, results):
         if slot >= 0:
             lines.append(f"        tag[{slot}] = {prefix}_t; "
                          f"iv[{slot}] = {prefix}_i; "

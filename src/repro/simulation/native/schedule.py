@@ -44,13 +44,13 @@ replication -- re-enter Python through one ``ctypes`` callback carrying
 the op index and the tick; the replay functions are generated from the
 flat engine's own per-op templates
 (:func:`repro.simulation.op_emit.native_replays`, spelling slot access
-``load`` / ``store`` / ``copy`` on the tagged plane), so they call the
-same leaf step functions and compiled expression closures with the same
-semantics.  Leaf states roll lazily: the first replay of a new tick makes
-the last tick's next states the previous ones -- ticks without a replay
-leave leaf states untouched, so nothing is lost.  Observed runs (the
-sharded runner's mode observation) get one more re-entry at every tick
-end, handing the state after the tick to the observer.
+``load`` / ``store`` / ``copy`` on the tagged plane), so they run the
+same leaf step functions and the same generated expression source with
+the same semantics.  Leaf states roll lazily: the first replay of a new
+tick makes the last tick's next states the previous ones -- ticks without
+a replay leave leaf states untouched, so nothing is lost.  Observed runs
+(the sharded runner's mode observation) get one more re-entry at every
+tick end, handing the state after the tick to the observer.
 
 **Errors.**  A replay (or observer) that raises stores the exception and
 returns nonzero; the C loop stops at that tick and the exception is

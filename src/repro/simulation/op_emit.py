@@ -15,6 +15,14 @@ value substrates spell slot access differently:
   spelled ``load(slot)`` / ``store(slot, x)`` / ``copy(src, dst)``: one
   replay function per op the C code can trampoline (:func:`native_replays`).
 
+**Expressions.**  An ``expr`` op inlines the generated source of each
+output expression (:class:`~repro.core.expr_compile.ExpressionSource`),
+its reads spelled in the substrate's slot access, inside a ``try`` whose
+handler re-evaluates the expression with the reference interpreter on the
+same inputs -- which raises the interpreter's exact error.  Subexpressions
+too deep to inline become module-level helper functions of the generated
+source.
+
 Op profiling and flight recording are emitter parameters, not twin loops:
 profiling times and counts every executed op and counts gate skips and
 correction re-runs; recording sets ``index = k`` before each op inside one
@@ -37,20 +45,22 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
-from ..core.values import ABSENT
+from ..core.expr_compile import ExpressionSource, SourceScope
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
                           OP_EXPR, OP_GATE, OP_RUN, FlatState)
 
 #: Slot spelling of one substrate: ``(read(slot), write(slot, x), copy(src,
-#: dst))`` as source-text builders.
-_Slots = Tuple[Callable[..., str], Callable[..., str], Callable[..., str]]
+#: dst))`` as source-text builders, plus the name through which generated
+#: expression helpers read slots.
+_Slots = Tuple[Callable[..., str], Callable[..., str], Callable[..., str],
+               str]
 
 _LIST: _Slots = (lambda slot: f"v[{slot}]",
                  lambda slot, x: f"v[{slot}] = {x}",
-                 lambda src, dst: f"v[{dst}] = v[{src}]")
+                 lambda src, dst: f"v[{dst}] = v[{src}]", "v")
 _TAGGED: _Slots = (lambda slot: f"load({slot})",
                    lambda slot, x: f"store({slot}, {x})",
-                   lambda src, dst: f"copy({src}, {dst})")
+                   lambda src, dst: f"copy({src}, {dst})", "load")
 
 
 def _env(in_spec: Sequence[Tuple[str, int]],
@@ -63,10 +73,40 @@ def _block(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
+def _expr_lines(in_spec: Sequence[Tuple[str, int]],
+                items: Sequence[Tuple[int, ExpressionSource]], slots: _Slots,
+                scope: SourceScope) -> List[str]:
+    """An ``expr`` op's items, each evaluated by its inline source and, when
+    that raises, by the interpreter on the same inputs."""
+    read, write = slots[0], slots[1]
+    slot_of = dict(in_spec)
+
+    def value(name: str) -> Optional[str]:
+        slot = slot_of.get(name)
+        return None if slot is None else read(slot)
+
+    def present(name: str) -> str:
+        slot = slot_of.get(name)
+        return "False" if slot is None else f"{read(slot)} is not A"
+
+    lines = []
+    for slot, source in items:
+        def assign(x: str, slot: int = slot) -> str:
+            return write(slot, x) if slot >= 0 else x
+        interpret = scope.bind(source.interpret, "x")
+        env = _env(in_spec, read)
+        text = source.render(value, present, scope)
+        lines += ([assign(f"{interpret}({env})")] if text is None else
+                  ["try:", "    " + assign(text), "except Exception as error:",
+                   "    " + assign(f"{interpret}({env}, error)")])
+    return lines
+
+
 def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
-              bound: Dict[str, Any]) -> List[str]:
-    """The body of op *k*; the objects it calls are bound into *bound*."""
-    read, write, copy = slots
+              scope: SourceScope) -> List[str]:
+    """The body of op *k*; the objects it calls are bound into *scope*."""
+    read, write, copy = slots[:3]
+    bound = scope.bound
     code = op[0]
     if code == OP_COPY:
         return [copy(src, dst) for src, dst in op[1]]
@@ -89,12 +129,8 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
         return lines
     if code == OP_EXPR:
         _, _leaf, in_spec, items, post = op
-        lines = [f"env = {_env(in_spec, read)}"]
-        for j, (slot, fn) in enumerate(items):
-            bound[f"x{k}_{j}"] = fn
-            call = f"x{k}_{j}(env)"
-            lines.append(write(slot, call) if slot >= 0 else call)
-        return lines + [copy(src, dst) for src, dst in post]
+        return (_expr_lines(in_spec, items, slots, scope)
+                + [copy(src, dst) for src, dst in post])
     _, leaf, fn, in_spec, out_spec, post, si = op  # OP_RUN
     bound[f"f{k}"] = fn
     lines = [f"sub = {_env(in_spec, read)}",
@@ -126,11 +162,11 @@ def _gate_guards(program: Sequence[Tuple[Any, ...]]
 
 def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
                    profiled: bool, recording: bool,
-                   bound: Dict[str, Any]) -> List[str]:
+                   scope: SourceScope) -> List[str]:
     """The whole op program as depth-1 guarded straight-line source."""
     guards = _gate_guards(program)
     if guards is None:
-        bound["SimulationError"] = SimulationError
+        scope.bound["SimulationError"] = SimulationError
         return ['raise SimulationError("flat program gate regions do not '
                 'nest forward")']
     # a nested gate's flag must read false when its parent region is skipped
@@ -138,7 +174,7 @@ def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
              if op[0] == OP_GATE and guards[k] is not None]
     open_guard = None
     for k, op in enumerate(program):
-        body = _op_lines(k, op, slots, profiled, bound)
+        body = _op_lines(k, op, slots, profiled, scope)
         if profiled:
             body = ["t = clock()"] + body + [f"T[{k}] += clock() - t",
                                              f"C[{k}] += 1"]
@@ -178,11 +214,12 @@ def _code(source: str, filename: str) -> Any:
     return compile(source, filename, "exec")
 
 
-def _define(name: str, params: str, body: List[str], bound: Dict[str, Any],
+def _define(name: str, params: str, body: List[str], scope: SourceScope,
             filename: str) -> Callable[..., Any]:
-    source = "\n".join([f"def {name}({params}):"] + _block(body or ["pass"]))
-    exec(_code(source, filename), bound)  # noqa: S102 - generated
-    return bound[name]
+    source = "\n".join(scope.defs + [f"def {name}({params}):"]
+                       + _block(body or ["pass"]))
+    exec(_code(source, filename), scope.bound)  # noqa: S102 - generated
+    return scope.bound[name]
 
 
 def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
@@ -196,8 +233,10 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     every completed tick is snapshotted and a raising op is recorded with
     its index and the partial slot list before the exception propagates.
     """
-    bound: Dict[str, Any] = {"A": ABSENT, "FlatState": FlatState,
-                             "convert": flat._convert_state}  # noqa: SLF001
+    scope = SourceScope({"FlatState": FlatState,
+                         "convert": flat._convert_state},  # noqa: SLF001
+                        _LIST[3])
+    bound = scope.bound
     head, tail = _profiling(profile, clock, bound)
     if recorder is not None:
         bound.update(begin_run=recorder.begin_run,
@@ -214,7 +253,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     if n_scratch:
         head.append(f"sc = [None] * {n_scratch}")
     ops = _program_lines(flat.program, _LIST, profile is not None,
-                         recorder is not None, bound)
+                         recorder is not None, scope)
     if recorder is not None:
         ops = (["index = 0", "try:"] + _block(ops or ["pass"])
                + ["except Exception as exc:",
@@ -223,7 +262,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     outputs = ", ".join(f"{name!r}: v[{slot}]"
                         for name, slot in flat.output_spec)
     tail.append(f"return {{{outputs}}}, FlatState(ns, nb)")
-    return _define("step", "inputs, state, tick", head + ops + tail, bound,
+    return _define("step", "inputs, state, tick", head + ops + tail, scope,
                    f"<flat step {flat.component.name}>")
 
 
@@ -237,12 +276,13 @@ def native_replays(program: Sequence[Tuple[Any, ...]]
     share no state between concurrent runs); the other opcodes always run
     in C and get ``None``.
     """
-    bound: Dict[str, Any] = {"A": ABSENT}
+    scope = SourceScope({}, _TAGGED[3])
     lines: List[str] = []
     for k, op in enumerate(program):
         if op[0] in (OP_RUN, OP_EXPR, OP_CORRECT):
             lines.append(f"def r{k}(ps, ns, sc, tick, load, store, copy):")
-            lines += _block(_op_lines(k, op, _TAGGED, False, bound)
+            lines += _block(_op_lines(k, op, _TAGGED, False, scope)
                             or ["pass"])
-    exec(_code("\n".join(lines), "<native replay>"), bound)  # noqa: S102
-    return [bound.get(f"r{k}") for k in range(len(program))]
+    source = "\n".join(scope.defs + lines)
+    exec(_code(source, "<native replay>"), scope.bound)  # noqa: S102
+    return [scope.bound.get(f"r{k}") for k in range(len(program))]

@@ -25,8 +25,10 @@ interpreter's composites and clock gates:
 * ``run``   -- execute one leaf step (gather inputs from slots, call the
   leaf's compiled step, scatter outputs to slots, forward its
   instantaneous channels);
-* ``expr``  -- evaluate an expression block's compiled closures straight
-  into its output slots;
+* ``expr``  -- evaluate an expression block's output expressions straight
+  into its output slots, their generated source
+  (:class:`~repro.core.expr_compile.ExpressionSource`) inlined into the
+  step;
 * ``copy``  -- instantaneous channel propagation (boundary forwarding and
   boundary-output collection) as slot-to-slot copies;
 * ``buf_read`` / ``buf_write`` -- delayed channels: seed destination slots
@@ -81,6 +83,7 @@ from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
                                subtree_structure_tokens)
 from ..core.errors import SimulationError
+from ..core.expr_compile import ExpressionSource
 from ..obs.context import maybe_span
 from .engine import ClockGatedComponent, active_mode_paths
 
@@ -116,8 +119,10 @@ class FlatState:
 
 class _Leaf:
     """One leaf step of the flat program: a leaf-compiled
-    :class:`~repro.simulation.compiled.CompiledSchedule`, or the
-    :class:`FlatSchedule` of a composite that stays a single step."""
+    :class:`~repro.simulation.compiled.CompiledSchedule`, the
+    :class:`FlatSchedule` of a composite that stays a single step, or no
+    schedule at all (``None``) for a pure expression block, which its
+    ``expr`` op evaluates inline."""
 
     __slots__ = ("index", "component", "schedule", "run_kind", "state_path",
                  "steps_prefix", "mode_path")
@@ -382,37 +387,42 @@ class _Flattener:
                 raise SimulationError(
                     f"sub-component {entry.name!r} of {composite.name!r} has "
                     f"no executable behaviour")
+            slots = port_slots[entry.name]
+            in_spec = tuple((name, slots[name]) for name in entry.input_names)
+            leaf_args = (state_path + ("subs", entry.name), steps_path,
+                         f"{mode_path}/{entry.name}")
+            if isinstance(sub, ExpressionComponent) \
+                    and type(sub).react is ExpressionComponent.react:
+                # pure expression block: its expressions' source is inlined
+                # into the step, evaluated straight into the slots.  No leaf
+                # schedule, no step call, no output dict, and no correction
+                # tracking -- the state is a passthrough and a
+                # non-feedthrough expression reads none of the inputs a late
+                # producer could change, so the interpreter's
+                # compare-and-rerun is observably a no-op for it.
+                leaf = _Leaf(len(self.leaves), sub, None, "expr", *leaf_args)
+                self.leaves.append(leaf)
+                self._linear.append((f"{steps_path}/{sub.name}", "atomic"))
+                functions = sub._evaluator.functions  # noqa: SLF001
+                # expressions for undeclared ports are still evaluated (the
+                # interpreter does, and evaluation may raise) but their
+                # values have no slot to land in
+                items = tuple((slots.get(name, -1),
+                               ExpressionSource(expression, functions))
+                              for name, expression
+                              in sub.output_expressions.items())
+                self.ops.append([OP_EXPR, leaf.index, in_spec, items,
+                                 propagate])
+                continue
             schedule = compile_component(sub)
             run_kind = schedule.kind
             if isinstance(sub, (CompositeComponent, ClockGatedComponent)):
                 run_kind = "nested"
                 self.fallback_paths.append(f"{steps_path}/{entry.name}")
             leaf = _Leaf(len(self.leaves), sub, schedule, run_kind,
-                         state_path + ("subs", entry.name), steps_path,
-                         f"{mode_path}/{entry.name}")
+                         *leaf_args)
             self.leaves.append(leaf)
             self._linear.extend(schedule.linear_steps(steps_path))
-            slots = port_slots[entry.name]
-            in_spec = tuple((name, slots[name]) for name in entry.input_names)
-            if isinstance(sub, ExpressionComponent) \
-                    and type(sub).react is ExpressionComponent.react:
-                # pure expression block: evaluate the compiled closures
-                # straight into the slots.  No step call, no output dict,
-                # and no correction tracking -- the state is a passthrough
-                # and a non-feedthrough expression reads none of the inputs
-                # a late producer could change, so the interpreter's
-                # compare-and-rerun is observably a no-op for it.
-                compiler = sub._evaluator.compile  # noqa: SLF001
-                leaf.run_kind = "expr"
-                # expressions for undeclared ports are still evaluated (the
-                # interpreter does, and evaluation may raise) but their
-                # values have no slot to land in
-                items = tuple((slots.get(name, -1), compiler(expression))
-                              for name, expression
-                              in sub.output_expressions.items())
-                self.ops.append([OP_EXPR, leaf.index, in_spec, items,
-                                 propagate])
-                continue
             out_spec = tuple((name, slots[name])
                              for name in sub.output_names())
             scratch = -1
@@ -505,7 +515,9 @@ class FlatSchedule:
 
     def initial_state(self) -> FlatState:
         """The flat initial state (built iteratively: deep-hierarchy safe)."""
-        return FlatState([leaf.schedule.initial_state()
+        return FlatState([leaf.component.initial_state()
+                          if leaf.schedule is None
+                          else leaf.schedule.initial_state()
                           for leaf in self.leaves],
                          [spec[0] for spec in self.buffer_specs])
 

@@ -174,6 +174,17 @@ class TestCodegenHelpers:
             "(mode == E_CRASH)"
         assert "msg_present" in expression_to_c(parse_expression("present(x)"))
 
+    def test_rewrite_renames_whole_names_only(self):
+        # inputs n and n_max: renaming n must not rename inside n_max
+        renaming = {"n": "C_n", "n_max": "C_n_max", "max": "C_max"}
+        rewrite = AscetProjectGenerator._rewrite
+        assert rewrite(parse_expression("n + n_max"), renaming) == \
+            "(C_n + C_n_max)"
+        assert rewrite(parse_expression("max(n, 1) > n_max"), renaming) == \
+            "(automode_max(C_n, 1) > C_n_max)"
+        assert rewrite(parse_expression("present(n) and m"), renaming) == \
+            "(msg_present(C_n) && m)"
+
     def test_c_type_selection(self):
         assert c_type_of(INT16, FLOAT) == "sint16"
         assert c_type_of(BOOL8, BOOL) == "boolean"

@@ -1,6 +1,6 @@
-"""Closure compilation of base-language expressions (repro.core.expr_compile).
+"""Base-language expressions as generated source (repro.core.expr_compile).
 
-The compiled closure must be observationally identical to
+The compiled function must be observationally identical to
 :meth:`ExpressionEvaluator.evaluate`: same values (including type -- bools
 stay bools, int-exact division stays int), same ABSENT propagation, and the
 same raised exceptions with the same messages.  The property tests generate
@@ -191,6 +191,16 @@ class TestExactSemantics:
         assert compiled({"a": 7, "b": 2}) == 3.5
         assert compiled({"a": 6.0, "b": 3}) == 2.0
         assert isinstance(compiled({"a": 6.0, "b": 3}), float)
+
+    def test_int_exact_division_by_literal(self):
+        for source in ["a / 2", "a / -3", "a / 2.0", "a / true", "a / 0",
+                       "a / 0.0", "a / false"]:
+            expression = parse_expression(source)
+            for value in [6, 7, -9, 6.0, True, ABSENT, "label"]:
+                assert_same_outcome(expression, {"a": value})
+        compiled = compile_expression(parse_expression("a / 2"))
+        assert compiled({"a": 6}) == 3 and type(compiled({"a": 6})) is int
+        assert compiled({"a": 7}) == 3.5
 
     def test_division_by_zero_message(self):
         expression = parse_expression("a / (b - b)")
