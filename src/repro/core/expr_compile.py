@@ -34,7 +34,9 @@ where the interpreter does not).  An expression reading a name its
 environment lacks, or calling a function the table lacks, always runs on
 the interpreter.  One side effect is observable: the custom functions a
 raising evaluation had called -- the raising one included -- are called
-a second time by the interpreter.
+a second time by the interpreter.  So a stateful or nondeterministic
+function that raised on the first call but not on the second turns the
+error into a value: the one the interpreter's second evaluation returns.
 
 **Depth.**  CPython rejects source nested beyond 200 parentheses.  A
 subexpression taller than :data:`_INLINE_HEIGHT` nodes moves into a
@@ -43,7 +45,7 @@ laziness and results are unchanged at any depth.
 
 Templates (the source with its reads, functions and constants left as
 references) are memoized per live expression object, and the code of
-:func:`compile_expression` per source content, in a memo of its own.
+:func:`compile_expression` per source text, in a memo of its own.
 Generated functions capture resolved function objects and are
 per-process artefacts; models stay picklable because nothing here is
 stored on components.
@@ -133,8 +135,11 @@ class _Emitter:
         elif isinstance(node, Call):
             function = self._ref("f", node.function)
             arguments = [self.emit(argument) for argument in node.arguments]
-            value = self._strict(arguments, function + "(" + ", ".join(
-                f"{{{index}}}" for index in range(len(arguments))) + ")")
+            text, flags, height = self._strict(
+                arguments, function + "(" + ", ".join(
+                    f"{{{index}}}" for index in range(len(arguments))) + ")")
+            # the function itself may return ABSENT, whatever its arguments
+            value = text, flags | _ABSENT, height
         elif isinstance(node, Conditional):
             value = self._conditional(node)
         elif isinstance(node, UnaryOp):
@@ -264,13 +269,10 @@ class _Emitter:
 
 
 class _Template:
-    """One expression as source with unresolved references.
-
-    ``factory`` caches :func:`compile_expression`'s function factory.
-    """
+    """One expression as source with unresolved references."""
 
     __slots__ = ("text", "helpers", "variables", "presents", "functions",
-                 "constants", "factory")
+                 "constants")
 
     def __init__(self, expression: Expression):
         emitter = _Emitter()
@@ -281,12 +283,6 @@ class _Template:
         self.presents: Tuple[str, ...] = tuple(tables["p"])
         self.functions: Tuple[str, ...] = tuple(tables["f"])
         self.constants: Tuple[Any, ...] = tuple(tables["c"])
-        self.factory: Optional[Callable[..., CompiledExpression]] = None
-
-    def key(self) -> Tuple[Any, ...]:
-        """The source content: equal keys, equal generated source."""
-        return (self.text, self.helpers, self.variables, self.presents,
-                len(self.functions), len(self.constants))
 
 
 class _Ref(weakref.ref):
@@ -448,38 +444,11 @@ class ExpressionSource:
 
 
 @functools.lru_cache(maxsize=1024)
-def _factory(key: Tuple[Any, ...]) -> Callable[..., CompiledExpression]:
-    """``(interpret, *functions, *constants) -> compiled expression`` for
-    one template :attr:`~_Template.key`; memoized per source content, in a
-    memo of its own (not the flat programs' code memo)."""
-    text, helpers, variables, presents, n_functions, n_constants = key
-    reads = [f"_r{index}" for index in range(len(variables))]
-    by_name = dict(zip(variables, reads))
-    params = ", ".join(["e"] + reads)
-    resolved: Dict[str, List[str]] = {
-        "v": reads,
-        "p": [f"{by_name[name]} is not A" if name in by_name
-              else f"e.get({name!r}, A) is not A" for name in presents],
-        "f": [f"_f{index}" for index in range(n_functions)],
-        "c": [f"_c{index}" for index in range(n_constants)],
-        "h": []}
-    lines = ["def _make(" + ", ".join(
-        ["_x"] + resolved["f"] + resolved["c"]) + "):"]
-    for index, helper in enumerate(helpers):
-        lines += [f"    def _h{index}({params}):",
-                  f"        return {_spell(helper, resolved)}"]
-        resolved["h"].append(f"_h{index}({params})")
-    lines += ["    def _expression(e):", "        try:"]
-    lines += [f"            {read} = e[{name!r}]"
-              for name, read in by_name.items()]
-    lines += [f"            return {_spell(text, resolved)}",
-              "        except Exception as error:",
-              "            return _x(e, error)",
-              "    return _expression"]
-    namespace = {"A": ABSENT, "_fail": _fail}
-    exec(compile("\n".join(lines), "<expression>", "exec"),  # noqa: S102
-         namespace)
-    return namespace["_make"]
+def _code(source: str) -> Any:
+    """The code object of one :func:`compile_expression` source; memoized
+    per source text, in a memo of its own (not the flat programs' code
+    memo)."""
+    return compile(source, "<expression>", "exec")
 
 
 def compile_expression(expression: Expression,
@@ -494,10 +463,22 @@ def compile_expression(expression: Expression,
     if functions:
         table.update(functions)
     source = ExpressionSource(expression, table)
-    if None in source.functions:
+    reads = {name: f"_r{index}"
+             for index, name in enumerate(source.template.variables)}
+
+    def present(name: str) -> str:
+        read = reads.get(name)
+        return (f"e.get({name!r}, A) is not A" if read is None
+                else f"{read} is not A")
+
+    scope = SourceScope({}, ", ".join(["e", *reads.values()]))
+    text = source.render(reads.get, present, scope)
+    if text is None:
         return source.interpret
-    template = source.template
-    if template.factory is None:
-        template.factory = _factory(template.key())
-    return template.factory(source.interpret, *source.functions,
-                            *template.constants)
+    interpret = scope.bind(source.interpret, "x")
+    lines = scope.defs + ["def _expression(e):", "    try:"]
+    lines += [f"        {read} = e[{name!r}]" for name, read in reads.items()]
+    lines += [f"        return {text}", "    except Exception as error:",
+              f"        return {interpret}(e, error)"]
+    exec(_code("\n".join(lines)), scope.bound)  # noqa: S102 - generated
+    return scope.bound["_expression"]

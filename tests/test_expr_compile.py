@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.core.components import ExpressionComponent
 from repro.core.errors import ExpressionEvalError
 from repro.core.expr_compile import compile_expression
 from repro.core.expr_eval import ExpressionEvaluator
@@ -24,6 +25,9 @@ from repro.core.expr_parser import parse_expression
 from repro.core.expressions import (BinaryOp, Call, Conditional, Literal,
                                     Present, UnaryOp, Variable)
 from repro.core.values import ABSENT
+from repro.io.json_io import trace_to_json
+from repro.notations.dfd import DataFlowDiagram
+from repro.simulation import CompiledSimulator, Simulator
 
 FAST_SEEDS = range(10)
 SLOW_SEEDS = range(10, 60)
@@ -291,6 +295,41 @@ class TestExactSemantics:
         shadowed = parse_expression("sqrt(a)")
         assert evaluator.compile(shadowed)({"a": 9}) == "shadowed"
         assert_same_outcome(shadowed, {"a": 9}, evaluator=evaluator)
+
+    #: Expressions whose custom ``gone`` call returns ABSENT with no
+    #: absent argument: every parent must see the absence.
+    ABSENT_CALL_SOURCES = [
+        "gone(1) == 1", "not gone(1)", "gone(1) and a", "a and gone(1)",
+        "gone(1) or a", "a or gone(1)", "if gone(1) then 1 else 2",
+        "-gone(1)", "gone(1) + a", "gone() == 0", "gone(present(a)) < 3",
+        "abs(gone(a))", "if a then gone(a) else 2"]
+
+    def test_custom_function_returning_absent(self):
+        evaluator = ExpressionEvaluator({"gone": lambda *_: ABSENT})
+        for source in self.ABSENT_CALL_SOURCES:
+            for a in (True, False, 1, ABSENT):
+                assert_same_outcome(parse_expression(source), {"a": a},
+                                    evaluator=evaluator)
+
+    def test_custom_function_returning_absent_in_a_flat_step(self):
+        evaluator = ExpressionEvaluator({"gone": lambda *_: ABSENT})
+        dfd = DataFlowDiagram("Gone")
+        dfd.add_input("u")
+        block = ExpressionComponent(
+            "G", {f"o{index}": source for index, source
+                  in enumerate(self.ABSENT_CALL_SOURCES)},
+            evaluator=evaluator)
+        block.add_input("a")
+        dfd.add_subcomponent(block)
+        dfd.connect("u", "G.a")
+        for index in range(len(self.ABSENT_CALL_SOURCES)):
+            block.add_output(f"o{index}")
+            dfd.add_output(f"y{index}")
+            dfd.connect(f"G.o{index}", f"y{index}")
+        stimuli = {"u": [True, False, 1, ABSENT]}
+        expected = trace_to_json(Simulator(dfd).run(stimuli, 4))
+        actual = CompiledSimulator(dfd, backend="flat").run(stimuli, 4)
+        assert trace_to_json(actual) == expected
 
     def test_compile_snapshots_function_table(self):
         evaluator = ExpressionEvaluator({"f": lambda x: x + 1})
