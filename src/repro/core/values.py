@@ -83,6 +83,14 @@ class Stream:
 
     # -- construction -----------------------------------------------------
     @classmethod
+    def _adopt(cls, values: List[Any]) -> "Stream":
+        """A stream over the list *values* itself, not a copy: for an
+        engine handing over a column it owns and no longer touches."""
+        stream = cls.__new__(cls)
+        stream._values = values
+        return stream
+
+    @classmethod
     def present(cls, values: Iterable[Any]) -> "Stream":
         """Build a stream in which every tick carries a message."""
         return cls(values)

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..analysis.mode_analysis import MachineInfo, machine_inventory
 from ..core.components import Component
 from ..core.errors import SimulationError
-from ..core.values import is_absent
+from ..core.values import ABSENT
 from ..io.json_io import trace_to_json_dict
 from ..simulation.engine import active_mode_paths
 
@@ -124,6 +124,15 @@ class ModeCoverage:
         }
 
 
+#: The exact types the numeric test of :class:`PortStats` passes at once.
+_EXACT_NUMBERS = (float, int)
+
+
+def _numeric(value: Any) -> bool:
+    """Whether *value* widens a numeric range (bools are sampled instead)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class PortStats:
     """Presence and value-range statistics of one port across a batch.
@@ -151,17 +160,36 @@ class PortStats:
         del self.value_sample[self._SAMPLE_CAP:]
 
     def observe(self, value: Any) -> None:
-        self.total_ticks += 1
-        if is_absent(value):
+        self.observe_column((value,))
+
+    def observe_column(self, values: Sequence[Any]) -> None:
+        """Fold one port's per-tick values, in tick order.
+
+        The same left fold as observing value by value: ``min`` / ``max``
+        seeded with the previous bound keep the first of equal values and
+        pass over NaN exactly as a pairwise fold does, and only non-numeric
+        values (bools included) reach the sample -- each run of one
+        repeated object once, which is exact since :meth:`_sample` is
+        idempotent.
+        """
+        self.total_ticks += len(values)
+        present = [value for value in values if value is not ABSENT]
+        self.present_ticks += len(present)
+        numbers = [value for value in present
+                   if type(value) in _EXACT_NUMBERS or _numeric(value)]
+        if numbers:
+            if self.minimum is None:
+                self.minimum, self.maximum = min(numbers), max(numbers)
+            else:
+                self.minimum = min(self.minimum, *numbers)
+                self.maximum = max(self.maximum, *numbers)
+        if len(numbers) == len(present):
             return
-        self.present_ticks += 1
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.minimum = value if self.minimum is None \
-                else min(self.minimum, value)
-            self.maximum = value if self.maximum is None \
-                else max(self.maximum, value)
-        else:
-            self._sample(value)
+        previous: Any = ABSENT
+        for value in present:
+            if value is not previous and not _numeric(value):
+                self._sample(value)
+                previous = value
 
     def merge(self, other: "PortStats") -> None:
         """Fold another batch's statistics of the same port into this one."""
@@ -256,12 +284,10 @@ class BatchReport:
             self.total_ticks += trace.ticks
             for name, stream in trace.outputs.items():
                 stats = self.output_stats.setdefault(name, PortStats(name))
-                for value in stream:
-                    stats.observe(value)
+                stats.observe_column(stream)
             for name, stream in trace.inputs.items():
                 stats = self.input_stats.setdefault(name, PortStats(name))
-                for value in stream:
-                    stats.observe(value)
+                stats.observe_column(stream)
         for path, (modes, pairs) in self.visited(result).items():
             coverage = self.coverage[path]
             coverage.visited_modes |= modes

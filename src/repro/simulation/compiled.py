@@ -36,8 +36,15 @@ precomputed:
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
-be reused across any number of simulation runs.  :class:`ScenarioSuite`
-exploits this for scenario sweeps: one compile, many stimulus sets, with
+be reused across any number of simulation runs.  A flat or native schedule
+runs a scenario's whole horizon at once through one shell,
+:func:`~repro.simulation.engine.run_horizon`: every stimulus is drawn into
+columns first, then one generated Python tick loop (flat) or one C call
+(native) runs all ticks, and the output type checks and the trace follow
+from the columns.  Leaf schedules, and flat programs under ``profile_ops``
+or ``flight_recording``, step tick by tick through
+:func:`~repro.simulation.engine.run_stepped`.  :class:`ScenarioSuite`
+exploits reuse for scenario sweeps: one compile, many stimulus sets, with
 :meth:`ScenarioSuite.verify_against_reference` as the built-in differential
 check against the interpreter.
 
@@ -579,22 +586,29 @@ class CompiledSimulator:
         """Simulate for *ticks* ticks and return the recorded trace.
 
         *observe*, when given, is called with the schedule's state after
-        every tick (the sharded runner's mode observation).  Native
-        schedules run the whole horizon in one C call
-        (:meth:`~repro.simulation.native.NativeSchedule.run`), observed or
-        not.
+        every tick (the sharded runner's mode observation).  Flat and
+        native schedules run the whole horizon at once, observed or not,
+        through :func:`~repro.simulation.engine.run_horizon`: the flat one
+        in one generated tick loop
+        (:meth:`~repro.simulation.schedule_ir.FlatSchedule.run`), the
+        native one in one C call
+        (:meth:`~repro.simulation.native.NativeSchedule.run`).  On both,
+        the output type checks run after the loop, so *observe* may see
+        the ticks after an output type failure that ends the run.  Leaf
+        schedules step tick by tick through
+        :func:`~repro.simulation.engine.run_stepped`.
 
         With observability enabled (:mod:`repro.obs`) the run, observed or
         not, is wrapped in a ``run`` span, and -- when the session asked
         for ``profile_ops`` or ``flight_recording`` and the schedule is a
-        flat program -- executed through a swapped-in step variant
-        (op-profiling or flight-recording; recording wins when both are
-        on).  Op profiles and forensics need the per-tick Python step, so
-        under either flag a native schedule runs its wrapped
+        flat program -- executed tick by tick through a swapped-in step
+        variant (op-profiling or flight-recording; recording wins when
+        both are on).  Op profiles and forensics need the per-tick Python
+        step, so under either flag a native schedule runs its wrapped
         :attr:`~repro.simulation.native.NativeSchedule.flat` program's
-        step variant instead of the C loop; spans-only sessions stay in
-        C.  The default path is untouched: ``schedule.step`` is the same
-        closure whether or not :mod:`repro.obs` was ever enabled.
+        step variant instead of the C loop; spans-only sessions keep the
+        horizon loops.  The default path is untouched: it runs the same
+        generated code whether or not :mod:`repro.obs` was ever enabled.
 
         Tiered ``auto`` (see the class docstring) switches here, between
         runs, and a promoted simulator runs like a native one.
@@ -603,18 +617,18 @@ class CompiledSimulator:
             self._tier_up()
         telemetry = _obs_active()
         schedule = self._native or self.schedule
-        if schedule.kind == "native" and telemetry is not None \
-                and (telemetry.flight_recording or telemetry.profile_ops):
+        swapped = telemetry is not None \
+            and (telemetry.flight_recording or telemetry.profile_ops)
+        if swapped and schedule.kind == "native":
             schedule = schedule.flat
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
                         kind=schedule.kind):
-            if schedule.kind == "native":
+            step = telemetry.step_for(schedule) if swapped else None
+            if step is None and schedule.kind in ("flat", "native"):
                 return schedule.run(stimuli, ticks, self.check_types,
                                     observe)
-            step = schedule.step
-            if telemetry is not None:
-                step = telemetry.step_for(schedule) or step
+            step = step or schedule.step
             if observe is not None:
                 step = _observed(step, observe)
             return run_stepped(self.component, step, stimuli, ticks,

@@ -67,8 +67,8 @@ def prepare_feeds(component: Component,
                   ticks: int) -> "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]":
     """Validate *ticks*/*stimuli* against *component* and normalize feeds.
 
-    The entry validation of :func:`run_stepped`, shared with the native
-    tick loop (:mod:`repro.simulation.native`) so every engine rejects bad
+    The entry validation of :func:`run_stepped`, shared with
+    :func:`run_horizon` so every engine rejects bad
     tick counts and unknown stimulus ports with identical messages and
     materializes generators identically.  Returns one
     ``(port name, tick -> value | None)`` pair per input port, in
@@ -122,9 +122,8 @@ def prefill_stimuli(component: Component,
     The draw is tick-major and port-inner, with the input type checks of
     :func:`run_stepped` in place: the exact draw sequence of a stepped
     run, so shared generator instances see the serial draw order and the
-    first failing ``(tick, port)`` is the same.  The horizon-at-once
-    native tick loop (:mod:`repro.simulation.native`) calls this instead
-    of drawing per tick.
+    first failing ``(tick, port)`` is the same.  :func:`run_horizon`
+    calls this instead of drawing per tick.
     """
     columns: "list[list[Any]]" = [[] for _ in feeds]
     tick = 0
@@ -150,6 +149,61 @@ def check_outputs(component: Component, outputs: Mapping[str, Any],
         if component.has_port(name) and not is_absent(value):
             check_value(value, component.port(name).port_type,
                         context=f"{component.name}.{name}@t{tick}")
+
+
+#: ``enter(columns, runnable, observe) -> (ticks done, error, outputs)``:
+#: one engine's run of ticks ``[0, runnable)`` for :func:`run_horizon`.
+HorizonEntry = Callable[["list[list[Any]]", int,
+                         Optional[Callable[[Any], None]]],
+                        "tuple[int, Optional[BaseException], list[list[Any]]]"]
+
+
+def run_horizon(component: Component, output_names: Sequence[str],
+                enter: HorizonEntry,
+                stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
+                check_types: bool,
+                observe: Optional[Callable[[Any], None]] = None
+                ) -> SimulationTrace:
+    """The whole-horizon run shared by the flat and the native engine.
+
+    Draws every stimulus first (:func:`prepare_feeds`,
+    :func:`prefill_stimuli`), then has *enter* run the runnable ticks in
+    one go: it gets the input columns (``input_names()`` order), the
+    runnable tick count and *observe*, and returns the ticks that ran to
+    their end, the error that stopped it (or ``None``) and one output
+    column per *output_names* entry.  The output type checks then run over
+    the completed ticks, so *observe* may see the ticks after an output
+    type failure that ends the run.  The first error is raised in
+    :func:`run_stepped` order: an output check failing at tick *o*, then
+    an error of *enter* at tick *s > o*, then a stimulus draw or input
+    check failing at tick *p > s* -- the same exception object.  The trace
+    is :func:`run_stepped`'s, built over the columns themselves.
+    """
+    feeds = prepare_feeds(component, stimuli, ticks)
+    prefill = prefill_stimuli(component, feeds, ticks, check_types)
+    completed, error, outputs = enter(prefill.columns, prefill.runnable,
+                                      observe)
+    if check_types:
+        checks = [(name, column, component.port(name).port_type)
+                  for name, column in zip(output_names, outputs)]
+        for tick in range(completed):
+            for name, column, port_type in checks:
+                value = column[tick]
+                if value is not ABSENT:
+                    check_value(value, port_type,
+                                context=f"{component.name}.{name}@t{tick}")
+    if error is not None:
+        raise error
+    if prefill.deferred is not None:
+        raise prefill.deferred
+    trace = SimulationTrace(component.name)
+    trace.ticks = ticks
+    if ticks:
+        for name, column in zip(component.input_names(), prefill.columns):
+            trace.inputs[name] = Stream._adopt(column)  # noqa: SLF001
+        for name, column in zip(output_names, outputs):
+            trace.outputs[name] = Stream._adopt(column)  # noqa: SLF001
+    return trace
 
 
 def run_stepped(component: Component,

@@ -54,11 +54,13 @@ tick end, handing the state after the tick to the observer.
 
 **Errors.**  A replay (or observer) that raises stores the exception and
 returns nonzero; the C loop stops at that tick and the exception is
-re-raised unchanged.  :meth:`NativeSchedule.run` keeps the first error in
-``run_stepped`` order: an output type check failing at tick *o* beats a
-step error at *s > o*, which beats a stimulus or input type failure at
-*p > s* (C only runs the ticks ``[0, p)`` before it) -- same exception
-object, type, message and tick as the flat backend.
+re-raised unchanged.  :meth:`NativeSchedule.run` runs through the
+horizon shell it shares with the flat engine
+(:func:`~repro.simulation.engine.run_horizon`), which keeps the first
+error in ``run_stepped`` order: an output type check failing at tick *o*
+beats a step error at *s > o*, which beats a stimulus or input type
+failure at *p > s* (C only runs the ticks ``[0, p)`` before it) -- same
+exception object, type, message and tick as the flat backend.
 
 :class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
 ``instrumented_step`` / ``recording_step``: op-level profiling and flight
@@ -77,11 +79,10 @@ import threading
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from ...core.values import ABSENT, Stream
+from ...core.values import ABSENT
 from ...obs.context import active as _obs_active
 from ...obs.context import current_registry, maybe_span
-from ..engine import (StimulusSpec, check_outputs, prefill_stimuli,
-                      prepare_feeds)
+from ..engine import StimulusSpec, run_horizon
 from ..op_emit import native_replays
 from ..schedule_ir import FlatSchedule, FlatState
 from ..trace import SimulationTrace
@@ -350,38 +351,26 @@ class NativeSchedule:
         """Simulate *ticks* ticks in one C call; the trace of
         :func:`~repro.simulation.engine.run_stepped` over :attr:`step`.
 
-        *observe*, when given, is called with the state after every tick
-        (from inside the C loop, before the output type checks run over
-        the decoded rows, so an observer may see the ticks after an output
-        type failure that ends the run).  Raises the first error in
-        ``run_stepped`` order (see the module docstring), the same
-        exception object the step raised.
+        Driven by :func:`~repro.simulation.engine.run_horizon`, like the
+        flat engine: *observe*, when given, is called with the state after
+        every tick (from inside the C loop, before the output type checks
+        run over the decoded rows, so an observer may see the ticks after
+        an output type failure that ends the run), and the first error is
+        raised in ``run_stepped`` order (see the module docstring), the
+        same exception object the step raised.
         """
-        component = self.component
-        feeds = prepare_feeds(component, stimuli, ticks)
-        prefill = prefill_stimuli(component, feeds, ticks, check_types)
-        # prefill columns follow input_names(), the input_spec order
-        entry = self._enter(0, prefill.runnable, prefill.columns,
-                            self.flat.initial_state(), observe)
-        names = [name for name, _slot in self.flat.output_spec]
-        if check_types:
-            for tick in range(entry.completed):
-                check_outputs(component, {
-                    name: column[tick]
-                    for name, column in zip(names, entry.outputs)}, tick)
-        if entry.error is not None:
-            raise entry.error
-        if prefill.deferred is not None:
-            raise prefill.deferred
-        trace = SimulationTrace(component.name)
-        trace.ticks = ticks
-        if ticks:
-            for name, column in zip(component.input_names(),
-                                    prefill.columns):
-                trace.inputs[name] = Stream(column)
-            for name, column in zip(names, entry.outputs):
-                trace.outputs[name] = Stream(column)
-        return trace
+        return run_horizon(self.component,
+                           self.flat._output_names,  # noqa: SLF001
+                           self._enter_horizon, stimuli, ticks, check_types,
+                           observe)
+
+    def _enter_horizon(self, columns: List[List[Any]], runnable: int,
+                       observe: Optional[Callable[[Any], None]]
+                       ) -> Tuple[int, Optional[BaseException],
+                                  List[List[Any]]]:
+        entry = self._enter(0, runnable, columns, self.flat.initial_state(),
+                            observe)
+        return entry.completed, entry.error, entry.outputs
 
     # -- one tick ----------------------------------------------------------
 

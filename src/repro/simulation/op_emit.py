@@ -8,9 +8,11 @@ schedule -- the deployed system as one generated program (paper Sec. 2.4),
 produced from the model the way ASCET-SD produces code (Sec. 3.4).  Two
 value substrates spell slot access differently:
 
-* ``flat``   -- the per-tick ``values`` list ``v``: the default
-  :attr:`FlatSchedule.step` and its op-profiling and flight-recording
-  variants (:func:`flat_step`);
+* ``flat``   -- the per-tick ``values`` list ``v``: the per-tick
+  :attr:`FlatSchedule.step`, its op-profiling and flight-recording
+  variants, and the whole-horizon loop behind :meth:`FlatSchedule.run`,
+  which runs every tick of a scenario in one call (all from
+  :func:`flat_step`);
 * ``native`` -- the tagged slot plane of :mod:`repro.simulation.native`,
   spelled ``load(slot)`` / ``store(slot, x)`` / ``copy(src, dst)``: one
   replay function per op the C code can trampoline (:func:`native_replays`).
@@ -23,10 +25,14 @@ same inputs -- which raises the interpreter's exact error.  Subexpressions
 too deep to inline become module-level helper functions of the generated
 source.
 
-Op profiling and flight recording are emitter parameters, not twin loops:
-profiling times and counts every executed op and counts gate skips and
-correction re-runs; recording sets ``index = k`` before each op inside one
-``try`` and hands the partial slot list to the recorder on a raise.
+Op profiling, flight recording and the horizon loop are emitter
+parameters, not twin loops: profiling times and counts every executed op
+and counts gate skips and correction re-runs; recording sets ``index = k``
+before each op inside one ``try`` and hands the partial slot list to the
+recorder on a raise; the horizon variant wraps the same per-tick body in
+a ``for tick`` loop that reads input slots from prefilled columns, appends
+output slots to output columns, rolls the leaf states and delayed buffers
+and returns the first exception with its tick instead of raising it.
 
 **Gates.**  A gate op sets one flag ``g<k> = p<k>(tick)``, itself guarded by
 the flag of its enclosing gate, and every op runs under the flag of its
@@ -223,8 +229,8 @@ def _define(name: str, params: str, body: List[str], scope: SourceScope,
 
 
 def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
-              clock: Callable[[], float] = time.perf_counter
-              ) -> Callable[..., Any]:
+              clock: Callable[[], float] = time.perf_counter,
+              horizon: bool = False) -> Callable[..., Any]:
     """The ``(inputs, state, tick) -> (outputs, state)`` step of *flat*.
 
     With *profile* (an :class:`~repro.obs.profile.OpProfile`) every
@@ -232,6 +238,18 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     :class:`~repro.obs.recorder.FlightRecorder`) tick 0 resets the ring,
     every completed tick is snapshotted and a raising op is recorded with
     its index and the partial slot list before the exception propagates.
+
+    With *horizon* (which takes neither of the two: profiles and
+    recordings are per-tick) the result is instead the whole-horizon loop
+    ``run(columns, runnable, state, outs, observe) -> (ticks done,
+    error)``: ticks ``[0, runnable)`` from *state*, reading input
+    slot values from *columns* (one value list per input port, in
+    ``input_names()`` order), appending every output slot to its list in
+    *outs* (``output_spec`` order), rolling leaf states and delayed buffers
+    itself and calling *observe* -- when not ``None`` -- with the
+    :class:`FlatState` after every tick.  The first exception, from an op
+    or the observer, stops the loop and is returned with the tick it was
+    raised at, the number of ticks that ran to completion.
     """
     scope = SourceScope({"FlatState": FlatState,
                          "convert": flat._convert_state},  # noqa: SLF001
@@ -244,11 +262,22 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                      record_failure=recorder.record_failure)
         head += ["if tick == 0:", "    begin_run()"]
         tail.insert(0, "record_tick(tick, v)")
-    head += ["if type(state) is not FlatState:", "    state = convert(state)",
-             "ps = state.leaf_states", "pb = state.buffers", "ns = ps[:]",
-             "nb = pb[:]", f"v = [A] * {flat.n_slots}"]
-    head += [f"v[{slot}] = inputs.get({name!r}, A)"
-             for name, slot in flat.input_spec]
+    if horizon:
+        # columns follow input_names(), the input_spec order
+        entry = ([f"i{index} = columns[{index}]"
+                  for index in range(len(flat.input_spec))]
+                 + [f"o{index} = outs[{index}].append"
+                    for index in range(len(flat.output_spec))]
+                 + ["ps = state.leaf_states", "pb = state.buffers"])
+        reads = [f"v[{slot}] = i{index}[tick]"
+                 for index, (_name, slot) in enumerate(flat.input_spec)]
+    else:
+        head += ["if type(state) is not FlatState:",
+                 "    state = convert(state)",
+                 "ps = state.leaf_states", "pb = state.buffers"]
+        reads = [f"v[{slot}] = inputs.get({name!r}, A)"
+                 for name, slot in flat.input_spec]
+    head += ["ns = ps[:]", "nb = pb[:]", f"v = [A] * {flat.n_slots}"] + reads
     n_scratch = flat._scratch_count  # noqa: SLF001
     if n_scratch:
         head.append(f"sc = [None] * {n_scratch}")
@@ -259,6 +288,17 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                + ["except Exception as exc:",
                   "    record_failure(tick, index, v, inputs, exc)",
                   "    raise"])
+    if horizon:
+        tail += [f"o{index}(v[{slot}])"
+                 for index, (_name, slot) in enumerate(flat.output_spec)]
+        tail += ["if observe is not None:",
+                 "    observe(FlatState(ns, nb))", "ps = ns", "pb = nb"]
+        loop = ["for tick in range(runnable):"] + _block(head + ops + tail)
+        body = (entry + ["tick = 0", "try:"] + _block(loop)
+                + ["except BaseException as exc:",
+                   "    return tick, exc", "return runnable, None"])
+        return _define("run", "columns, runnable, state, outs, observe",
+                       body, scope, f"<flat horizon {flat.component.name}>")
     outputs = ", ".join(f"{name!r}: v[{slot}]"
                         for name, slot in flat.output_spec)
     tail.append(f"return {{{outputs}}}, FlatState(ns, nb)")

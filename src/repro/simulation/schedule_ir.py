@@ -45,7 +45,8 @@ interpreter's composites and clock gates:
 **Execution.**  The program is not interpreted by an opcode loop: the
 step function is straight-line Python source generated from one body
 template per opcode (:mod:`repro.simulation.op_emit`) and exec-compiled
-once per schedule.  The op-profiling
+once per schedule.  The whole-horizon loop behind
+:meth:`FlatSchedule.run`, the op-profiling
 (:meth:`FlatSchedule.instrumented_step`) and flight-recording
 (:meth:`FlatSchedule.recording_step`) variants and the native backend's
 trampoline replays are generated from the same templates.
@@ -77,7 +78,8 @@ initial state for.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
@@ -85,7 +87,9 @@ from ..core.components import (Component, CompositeComponent,
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource
 from ..obs.context import maybe_span
-from .engine import ClockGatedComponent, active_mode_paths
+from .engine import (ClockGatedComponent, StimulusSpec, active_mode_paths,
+                     run_horizon)
+from .trace import SimulationTrace
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
@@ -496,6 +500,9 @@ class FlatSchedule:
         self.mode_plan = _mode_plan(leaves)
         from .op_emit import flat_step
         self.step = flat_step(self)
+        #: the generated horizon loop, made by the first :meth:`run`
+        self._horizon: Optional[Any] = None
+        self._output_names = [name for name, _slot in output_spec]
 
     # -- boundary specs ----------------------------------------------------
 
@@ -532,6 +539,40 @@ class FlatSchedule:
             buffers.append(delayed.get(channel_name, initial)
                            if isinstance(delayed, Mapping) else initial)
         return FlatState(leaf_states, buffers)
+
+    # -- whole horizons ----------------------------------------------------
+
+    def run(self, stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
+            check_types: bool = False,
+            observe: Optional[Callable[[Any], None]] = None
+            ) -> SimulationTrace:
+        """Simulate *ticks* ticks through one generated horizon loop; the
+        trace of :func:`~repro.simulation.engine.run_stepped` over
+        :attr:`step`, driven by
+        :func:`~repro.simulation.engine.run_horizon` like the native
+        engine (same error order, *observe* called after every tick).
+
+        The loop is generated on the first call and kept on the schedule.
+        Two threads racing to generate it both build the same function
+        from the same source and code object; the last store wins, which
+        is benign.
+        """
+        return run_horizon(self.component, self._output_names,
+                           self._enter_horizon, stimuli, ticks, check_types,
+                           observe)
+
+    def _enter_horizon(self, columns: List[List[Any]], runnable: int,
+                       observe: Optional[Callable[[Any], None]]
+                       ) -> Tuple[int, Optional[BaseException],
+                                  List[List[Any]]]:
+        horizon = self._horizon
+        if horizon is None:
+            from .op_emit import flat_step
+            horizon = self._horizon = flat_step(self, horizon=True)
+        outputs: List[List[Any]] = [[] for _ in self._output_names]
+        completed, error = horizon(columns, runnable, self.initial_state(),
+                                   outputs, observe)
+        return completed, error, outputs
 
     # -- instrumentation ---------------------------------------------------
 

@@ -13,11 +13,16 @@ appear exactly where the semantics require them.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro import obs
 from repro.core.components import ExpressionComponent
 from repro.core.clocks import EventClock, every
+from repro.core.errors import ExpressionEvalError, TypeCheckError
+from repro.core.types import FloatType, IntType
 from repro.core.values import ABSENT, Stream
 from repro.notations.blocks import Gain, UnitDelay
 from repro.notations.dfd import DataFlowDiagram
@@ -30,6 +35,7 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, build_gated_ccd, compile_component,
                               compile_flat, first_difference,
                               is_flattenable)
+from repro.simulation.engine import run_stepped
 
 
 def assert_engines_agree(component, stimuli, ticks):
@@ -783,3 +789,268 @@ def test_slot_names_cover_every_slot_and_match_specs():
         for name, slot in schedule.input_spec + schedule.output_spec:
             assert schedule.slot_names[slot].endswith(f".{name}"), (
                 model.name, name, slot, schedule.slot_names[slot])
+
+
+# -- whole-horizon runs ---------------------------------------------------------
+#
+# ``CompiledSimulator.run`` drives a flat schedule through one generated
+# horizon loop; ``run_stepped`` over ``schedule.step`` is the per-tick path
+# it replaces, and every outcome -- trace, value types, error type,
+# message and the error that wins -- must be the stepped one.
+
+
+def precedence_model():
+    """``y = 100 / (10 - x)`` typed ``float[0..50]`` on ``x: int[0..20]``:
+    ``x = 10`` is a step error, ``y`` above 50 an output type failure and
+    ``x`` above 20 an input type failure."""
+    dfd = DataFlowDiagram("Precedence")
+    dfd.add_input("x", IntType(0, 20))
+    dfd.add_output("y", FloatType(0.0, 50.0))
+    block = ExpressionComponent("D", {"out": "100 / (10 - a)"})
+    block.add_input("a")
+    block.add_output("out")
+    dfd.add(block, UnitDelay("Z", initial=0))
+    dfd.connect("x", "D.a")
+    dfd.connect("D.out", "Z.in1")
+    dfd.connect("D.out", "y")
+    return dfd
+
+
+def sink_model():
+    """A root without outputs: its input feeds a delay nobody reads."""
+    dfd = DataFlowDiagram("Sink")
+    dfd.add_input("u")
+    dfd.add(UnitDelay("Z", initial=0))
+    dfd.connect("u", "Z.in1")
+    return dfd
+
+
+def delayed_feedback():
+    """A running sum fed back over a delayed channel (a buffer, not a
+    leaf state, carries it across ticks)."""
+    dfd = DataFlowDiagram("DelayedSum")
+    dfd.add_input("u")
+    dfd.add_output("y")
+    add = ExpressionComponent("ADD", {"out": "a + b"})
+    add.declare_interface_from_expressions()
+    dfd.add(add)
+    dfd.connect("u", "ADD.a")
+    dfd.connect("ADD.out", "ADD.b", delayed=True, initial_value=0)
+    dfd.connect("ADD.out", "y")
+    return dfd
+
+
+def raising_at(values, tick):
+    """A callable stimulus failing when asked for *tick*."""
+    def stimulus(at):
+        if at == tick:
+            raise ValueError(f"stimulus exhausted at {at}")
+        return values[at]
+    return stimulus
+
+
+def outcome(run):
+    """What a run leaves: the typed trace, or the error's type and text."""
+    try:
+        trace = run()
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+    def typed(streams):
+        return {port: [(type(value), value) for value in stream]
+                for port, stream in streams.items()}
+    return (trace.ticks, typed(trace.inputs), typed(trace.outputs),
+            trace.mode_history)
+
+
+def stepped(simulator, stimuli, ticks, observe=None):
+    """The per-tick reference: ``run_stepped`` over ``schedule.step``."""
+    schedule = simulator.schedule
+    step = schedule.step
+    if observe is not None:
+        def step(inputs, state, tick, inner=schedule.step):
+            outputs, state = inner(inputs, state, tick)
+            observe(state)
+            return outputs, state
+    return run_stepped(simulator.component, step, stimuli, ticks,
+                       simulator.check_types,
+                       initial_state=schedule.initial_state())
+
+
+def assert_horizon_matches_stepped(simulator, stimuli, ticks):
+    assert simulator.schedule.kind == "flat"
+    horizon = outcome(lambda: simulator.run(stimuli, ticks))
+    assert horizon == outcome(lambda: stepped(simulator, stimuli, ticks))
+    return horizon
+
+
+HORIZON_ERROR_CASES = {
+    # division by zero at tick 3, stimulus failure at tick 6
+    "step_error": ({"x": raising_at([1, 2, 3, 10, 4, 5, 6, 7], 6)},
+                   ExpressionEvalError),
+    # y = 100 / (10 - 9) = 100 > 50 at tick 1 beats the error at tick 4
+    "output_check_before_step": ({"x": Stream([1, 9, 2, 3, 10, 4])},
+                                 TypeCheckError),
+    # x = 25 is outside int[0..20] at tick 5, after five healthy ticks
+    "deferred_input_check": ({"x": Stream([1, 2, 3, 4, 5, 25, 6, 7])},
+                             TypeCheckError),
+    # a stimulus draw failing at tick 4 is raised after ticks 0..3 ran
+    "deferred_stimulus": ({"x": raising_at([1, 2, 3, 4, 5, 6], 4)},
+                          ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_ERROR_CASES))
+def test_horizon_raises_the_stepped_error(case):
+    stimuli, expected = HORIZON_ERROR_CASES[case]
+    simulator = CompiledSimulator(precedence_model(), check_types=True,
+                                  backend="flat")
+    result = assert_horizon_matches_stepped(simulator, stimuli, 8)
+    assert result[0] is expected
+
+
+def test_horizon_step_error_stops_the_observer_at_the_failing_tick():
+    simulator = CompiledSimulator(precedence_model(), backend="flat")
+    stimuli = {"x": Stream([1, 2, 3, 10, 4])}
+    seen, reference = [], []
+    with pytest.raises(ExpressionEvalError):
+        simulator.run(stimuli, 5, observe=seen.append)
+    with pytest.raises(ExpressionEvalError):
+        stepped(simulator, stimuli, 5, observe=reference.append)
+    assert len(seen) == len(reference) == 3
+
+
+def test_horizon_of_zero_ticks_records_nothing():
+    simulator = CompiledSimulator(precedence_model(), backend="flat")
+    seen = []
+    trace = simulator.run({"x": [1, 2]}, 0, observe=seen.append)
+    assert (trace.ticks, trace.inputs, trace.outputs) == (0, {}, {})
+    assert seen == []
+    assert_horizon_matches_stepped(simulator, {"x": [1, 2]}, 0)
+
+
+def test_horizon_of_a_root_without_outputs():
+    simulator = CompiledSimulator(sink_model(), backend="flat")
+    assert simulator.schedule.output_spec == ()
+    _ticks, inputs, outputs, _modes = assert_horizon_matches_stepped(
+        simulator, {"u": [1, 2.5, ABSENT, 4]}, 6)
+    assert outputs == {}
+    assert [value for _type, value in inputs["u"]] \
+        == [1, 2.5, ABSENT, 4, ABSENT, ABSENT]
+
+
+@pytest.mark.parametrize("model", [
+    lambda: gated_mtd_system(every(2), direct=False),
+    lambda: _deep_gated_chain(6),
+    accumulator_in_composite,
+    delayed_feedback,
+], ids=["gated_mtd", "nested_gates", "correction_barrier", "delayed"])
+def test_horizon_runs_gated_correction_and_buffered_programs(model):
+    component = model()
+    simulator = CompiledSimulator(component, backend="flat")
+    summary = "\n".join(simulator.schedule.ops_summary())
+    assert any(kind in summary for kind in ("gate", "correct", "buf_"))
+    rng = random.Random(7)
+    stimuli = {name: [rng.choice([ABSENT, 0.0, 0.5, 2.0, 3.5])
+                      for _ in range(30)]
+               for name in component.input_names()}
+    assert_horizon_matches_stepped(simulator, stimuli, 30)
+    reference = Simulator(component).run(stimuli, 30)
+    assert first_difference(reference, simulator.run(stimuli, 30)) is None
+
+
+def test_horizon_observer_sees_every_tick_state():
+    model = gated_mtd_system(every(2), direct=False)
+    simulator = CompiledSimulator(model, backend="flat")
+    stimuli = {"x": [5.0, 0.0, 3.0, 0.0, 0.0, 2.8, 0.0, 4.0, 1.0]}
+    seen, reference = [], []
+    simulator.run(stimuli, 9, observe=seen.append)
+    stepped(simulator, stimuli, 9, observe=reference.append)
+    assert len(seen) == 9
+    assert all(type(state) is FlatState for state in seen)
+    assert [(state.leaf_states, state.buffers) for state in seen] \
+        == [(state.leaf_states, state.buffers) for state in reference]
+
+
+def test_horizon_loop_is_generated_on_first_run_and_kept():
+    simulator = CompiledSimulator(precedence_model(), backend="flat")
+    schedule = simulator.schedule
+    assert schedule._horizon is None  # noqa: SLF001 - lazy by contract
+    simulator.run({"x": [1, 2]}, 2)
+    horizon = schedule._horizon  # noqa: SLF001
+    assert horizon is not None
+    simulator.run({"x": [3]}, 1)
+    assert schedule._horizon is horizon  # noqa: SLF001
+
+
+def test_threads_racing_to_generate_the_horizon_agree():
+    model = gated_mtd_system(every(2), direct=False)
+    stimuli = {"x": [5.0, 0.0, 3.0, 0.0, 0.0, 2.8, 0.0, 4.0]}
+    expected = outcome(lambda: Simulator(model).run(stimuli, 8))
+    simulator = CompiledSimulator(model, backend="flat")
+    results, barrier = [], threading.Barrier(6)
+
+    def worker():
+        barrier.wait(timeout=60)
+        for _ in range(20):
+            results.append(outcome(lambda: simulator.run(stimuli, 8)))
+
+    threads = [threading.Thread(target=worker) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 120
+    assert all(result == expected for result in results)
+
+
+@pytest.fixture()
+def step_forbidden(monkeypatch):
+    """Every flat schedule built from here on raises when stepped."""
+    built = []
+    original = FlatSchedule.__init__
+
+    def forbidding_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+
+        def step(inputs, state, tick):
+            raise AssertionError("the per-tick step ran")
+        self.step = step
+        built.append(self)
+
+    monkeypatch.setattr(FlatSchedule, "__init__", forbidding_init)
+    return built
+
+
+def test_default_flat_campaign_never_steps_per_tick(step_forbidden):
+    model = gated_mtd_system(every(2), direct=False)
+    scenarios = [Scenario(f"s{index}", {"x": [float(index), 3.0, 0.0]}, 6)
+                 for index in range(4)]
+    results = run_sharded(model, scenarios, executor="serial",
+                          collect_modes=True, backend="flat")
+    assert step_forbidden and all(result.ok for result in results)
+    assert all(len(result.trace.outputs["out"]) == 6 for result in results)
+    assert all(result.mode_paths for result in results)
+
+
+def test_spans_only_session_stays_on_the_horizon(step_forbidden):
+    model = accumulator_in_composite()
+    simulator = CompiledSimulator(model, backend="flat")
+    with obs.session() as telemetry:
+        trace = simulator.run({"u": [1] * 5}, 5)
+    assert trace.output("y").values() == [2, 4, 6, 8, 10]
+    assert [span.name for span in telemetry.tracer.roots] == ["run"]
+
+
+def test_profiled_session_steps_per_tick():
+    simulator = CompiledSimulator(accumulator_in_composite(), backend="flat")
+    with obs.session(profile_ops=True) as telemetry:
+        simulator.run({"u": [1] * 5}, 5)
+    profile, = telemetry.profiles.values()
+    assert profile.ticks == 5
+    assert simulator.schedule._horizon is None  # noqa: SLF001

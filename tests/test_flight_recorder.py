@@ -31,7 +31,8 @@ from repro.notations.dfd import DataFlowDiagram
 from repro.obs import EventLog, FlightRecorder, read_bundle
 from repro.obs.recorder import _render_env
 from repro.scenarios import Scenario, run_sharded
-from repro.simulation import CompiledSimulator, first_difference
+from repro.simulation import (CompiledSimulator, FlatSchedule,
+                              first_difference)
 from repro.simulation.engine import run_stepped
 
 
@@ -191,6 +192,32 @@ def test_forced_scenario_error_dumps_replayable_bundle(tmp_path):
     assert recorder.failure["tick"] == failing["tick"]
     assert _render_env(recorder.failure["values"],
                        schedule.slot_names) == failing["partial_slots"]
+
+
+def test_recorded_campaign_steps_per_tick_and_keeps_its_bundle(
+        tmp_path, monkeypatch):
+    """An unrecorded campaign runs each scenario's horizon in one loop; a
+    recorded one steps per tick and leaves the same results and bundle."""
+    model = divider_model()
+    unrecorded = run_sharded(model, forensic_batch(), executor="serial")
+
+    def no_horizon(self, *args):
+        raise AssertionError("a recorded run took the horizon loop")
+
+    monkeypatch.setattr(FlatSchedule, "_enter_horizon", no_horizon)
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        recorded = run_sharded(model, forensic_batch(), executor="serial")
+        bundles = list(telemetry.bundles)
+    assert [result.error for result in recorded] \
+        == [result.error for result in unrecorded]
+    for mine, theirs in zip(recorded, unrecorded):
+        if mine.ok:
+            assert first_difference(mine.trace, theirs.trace) is None
+    bundle = read_bundle(bundles[0])
+    assert bundle["failing"]["tick"] == 5
+    assert bundle["failing"]["inputs"] == {"u": 5.0, "d": 0.0}
+    assert [snapshot["tick"] for snapshot in bundle["ring"]] == [1, 2, 3, 4]
 
 
 def test_batch_backend_falls_back_to_recorded_flat_path(tmp_path):

@@ -1,6 +1,7 @@
 """The batch coverage/aggregation layer and trace JSON export."""
 
 import json
+from enum import IntEnum
 
 import pytest
 
@@ -256,6 +257,64 @@ def test_port_stats_sample_is_order_insensitive():
     merged.merge(backward)
     merged.merge(forward)
     assert merged.value_sample == forward.value_sample
+
+
+def _reference_fold(stats, values):
+    """The per-value fold ``PortStats.observe_column`` must equal."""
+    for value in values:
+        stats.total_ticks += 1
+        if value is ABSENT:
+            continue
+        stats.present_ticks += 1
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            stats.minimum = value if stats.minimum is None \
+                else min(stats.minimum, value)
+            stats.maximum = value if stats.maximum is None \
+                else max(stats.maximum, value)
+        else:
+            stats._sample(value)
+
+
+class _Level(IntEnum):
+    OFF = 0
+    ON = 1
+
+
+_NAN = float("nan")
+
+#: Columns folded one after another into one PortStats, so every case
+#: after the first also folds into a non-empty one.
+_FOLD_CASES = {
+    "absent_runs": [[ABSENT, ABSENT, ABSENT], [ABSENT, 2, ABSENT, ABSENT]],
+    "int_float_ties": [[1, 1.0, 2.0, 2, 1], [1.0, 2, 1]],
+    "nan_after_bounds": [[3, -1.5, 7], [_NAN, 0.5, _NAN, 9.0, -4]],
+    "nan_first": [[_NAN, 1, 2], [0, _NAN]],
+    "bools_sampled": [[True, 1, False, True, 0.5], [False, ABSENT, True]],
+    "int_enum": [[_Level.ON, 1, _Level.OFF, 0], [0.0, _Level.OFF, 1.0]],
+    "many_strings": [[f"s{index % 17:02d}" for index in range(40)],
+                     [f"t{index}" for index in range(15, 0, -1)]],
+    "consecutive_duplicates": [["a", "a", "a", 1, "a", "b", "b", ABSENT,
+                                "b", "a"], ["b", "b", "c", "c"]],
+    "mixed": [["x", 2, ABSENT, True, _Level.ON, _NAN, "x", 2.0, "y"],
+              [ABSENT, "z", -1, "x", False]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_port_stats_column_fold_equals_the_per_value_fold(case):
+    from repro.scenarios import PortStats
+    column, per_value, reference = (PortStats("p"), PortStats("p"),
+                                    PortStats("p"))
+    for values in _FOLD_CASES[case]:
+        column.observe_column(values)
+        for value in values:
+            per_value.observe(value)
+        _reference_fold(reference, values)
+        # repr tells 1 from 1.0, an IntEnum member from its int and shows
+        # NaN, which == would not match
+        expected = repr(reference.to_json_dict())
+        assert repr(column.to_json_dict()) == expected
+        assert repr(per_value.to_json_dict()) == expected
 
 
 def test_run_with_report_aggregates_incrementally(engine_modes_mtd):
