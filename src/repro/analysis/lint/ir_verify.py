@@ -347,8 +347,7 @@ def _check_corrections(schedule: FlatSchedule,
             tracked[op[6]] = (index, op[1], op[3])
 
     def leaf_label(leaf_index: int) -> str:
-        leaf = schedule.leaves[leaf_index]
-        return f"{leaf.steps_prefix}/{leaf.component.name}"
+        return schedule.leaves[leaf_index].path
 
     for index, op in enumerate(program):
         if op[0] != OP_CORRECT:

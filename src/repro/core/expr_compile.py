@@ -13,7 +13,8 @@ executes that source.
   no environment dict and no call per node.
 * :func:`compile_expression` (and :meth:`ExpressionEvaluator.compile`)
   wraps it in one generated function ``environment -> value`` for the
-  leaf compiler's MTD/STD guard tables and atomic expression roots.
+  leaf compiler's MTD/STD guard tables and expression-block mode
+  behaviours.
 
 The source follows :meth:`ExpressionEvaluator.evaluate` exactly:
 

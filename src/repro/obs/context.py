@@ -103,25 +103,21 @@ class Telemetry:
         self.bundles: list = []
 
     def profile_for(self, schedule: Any) -> Optional[OpProfile]:
-        """The (lazily created) op profile of *schedule*, or ``None``.
+        """The (lazily created) op profile of the flat *schedule*, or
+        ``None`` when op profiling is off.
 
-        Returns ``None`` when op profiling is off or the schedule does not
-        expose an op program (``op_labels()``): leaf-compiled roots (MTDs,
-        STDs, atomic blocks) run unprofiled, they are already observable
-        through spans and metrics.
+        Every root a simulator runs is a flat program (a bare MTD, STD or
+        atomic root is a one-op program), so every run is profiled over
+        its ``op_labels()``.
         """
         if not self.profile_ops:
-            return None
-        labels = getattr(schedule, "op_labels", None)
-        if labels is None:
             return None
         key = id(schedule)
         profile = self.profiles.get(key)
         if profile is None:
-            label = getattr(getattr(schedule, "component", None), "name",
-                            type(schedule).__name__)
-            profile = OpProfile(f"{label}[{getattr(schedule, 'kind', '?')}]",
-                                labels())
+            profile = OpProfile(
+                f"{schedule.component.name}[{schedule.kind}]",
+                schedule.op_labels())
             self.profiles[key] = profile
         return profile
 
@@ -129,7 +125,7 @@ class Telemetry:
         """A cached instrumented step for *schedule*, or ``None`` when op
         profiling does not apply (callers then use ``schedule.step``)."""
         profile = self.profile_for(schedule)
-        if profile is None or not hasattr(schedule, "instrumented_step"):
+        if profile is None:
             return None
         key = id(schedule)
         step = self._steps.get(key)
@@ -138,14 +134,11 @@ class Telemetry:
         return step
 
     def recorder_for(self, schedule: Any) -> Optional[Any]:
-        """The (lazily created) flight recorder of *schedule*, or ``None``.
-
-        Returns ``None`` when flight recording is off or the schedule has
-        no ``recording_step`` (leaf-compiled roots run unrecorded:
-        forensics lives on the flat program, which native schedules wrap).
+        """The (lazily created) flight recorder of the flat *schedule*, or
+        ``None`` when flight recording is off (forensics lives on the flat
+        program, which native schedules wrap).
         """
-        if not self.flight_recording \
-                or not hasattr(schedule, "recording_step"):
+        if not self.flight_recording:
             return None
         key = id(schedule)
         recorder = self.recorders.get(key)

@@ -170,13 +170,12 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     With *collect_modes* the active mode of every MTD and STD is recorded
     after each tick through the schedule's ``mode_paths`` (same paths and
     values as :func:`~repro.simulation.engine.active_mode_paths` on a
-    nested state tree).  Flat and native schedules read only the leaves of
-    their compiled
-    :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan`; when a
-    schedule reports no ``needs_mode_observation`` (a model without
-    machines) the scenario runs exactly like an unobserved one, with empty
-    histories.  Leaf-compiled roots walk their state through their
-    compiled children.  Either way
+    nested state tree).  Every schedule is flat or native and reads only
+    the leaves of its compiled
+    :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan` -- a bare
+    MTD or STD root is a one-leaf plan; when a schedule reports no
+    ``needs_mode_observation`` (a model without machines) the scenario
+    runs exactly like an unobserved one, with empty histories.  Either way
     the scenario runs through
     :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
     campaign opens one ``run`` span per scenario.

@@ -5,8 +5,8 @@
 * :mod:`repro.simulation.compiled` -- the compiled engine: one-time schedule
   compilation (the leaf compiler for MTDs, STDs, expression and atomic
   blocks), batch scenario runs, differential verification
-* :mod:`repro.simulation.schedule_ir` -- the flat schedule IR, the only
-  compiler for composites: cross-hierarchy flattening onto one global step
+* :mod:`repro.simulation.schedule_ir` -- the flat schedule IR, the
+  compiler of every root: cross-hierarchy flattening onto one global step
   program with slot-based environments, gating predicates and correction
   barriers
 * :mod:`repro.simulation.native` -- the native C backend: the flat program

@@ -10,16 +10,14 @@ concept is exercised against many scenarios.
 
 This module splits execution into two phases.
 
-**Compile** (:func:`compile_component`): flattenable hierarchies -- default
-composites, optionally wrapped in clock gates -- are lowered onto the flat
-schedule IR of :mod:`repro.simulation.schedule_ir` (one global step program
-over slot-based environments).  Everything else is a *leaf*, compiled once
-by :func:`compile_nested` into a step closure with every schedule decision
-precomputed:
+**Compile** (:func:`~repro.simulation.schedule_ir.compile_flat`): every
+root -- composites and clock gates hoisted, in any nesting, down to their
+leaves -- is lowered onto the flat schedule IR of
+:mod:`repro.simulation.schedule_ir` (one global step program over
+slot-based environments); a bare leaf root is a one-op program.  Each
+*leaf* is compiled once by :func:`compile_nested` into a step closure with
+every schedule decision precomputed:
 
-* each :class:`~repro.simulation.engine.ClockGatedComponent` around a leaf
-  gets an incrementally materialized clock pattern
-  (:meth:`~repro.core.clocks.Clock.cached`) shared across runs;
 * each mode-transition diagram gets per-mode transition tables (guards
   compiled to generated Python functions via
   :mod:`repro.core.expr_compile`) and mode
@@ -36,17 +34,17 @@ precomputed:
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
-be reused across any number of simulation runs.  A flat or native schedule
-runs a scenario's whole horizon at once through one shell,
-:func:`~repro.simulation.engine.run_horizon`: every stimulus is drawn into
-columns first, then one generated Python tick loop (flat) or one C call
-(native) runs all ticks, and the output type checks and the trace follow
-from the columns.  Leaf schedules, and flat programs under ``profile_ops``
-or ``flight_recording``, step tick by tick through
-:func:`~repro.simulation.engine.run_stepped`.  :class:`ScenarioSuite`
-exploits reuse for scenario sweeps: one compile, many stimulus sets, with
-:meth:`ScenarioSuite.verify_against_reference` as the built-in differential
-check against the interpreter.
+be reused across any number of simulation runs.  Every schedule a
+simulator runs is flat or native, and runs a scenario's whole horizon at
+once through one shell, :func:`~repro.simulation.engine.run_horizon`:
+every stimulus is drawn into columns first, then one generated Python
+tick loop (flat) or one C call (native) runs all ticks, and the output
+type checks and the trace follow from the columns.  Only under
+``profile_ops`` or ``flight_recording`` does a flat program step tick by
+tick through :func:`~repro.simulation.engine.run_stepped`.
+:class:`ScenarioSuite` exploits reuse for scenario sweeps: one compile,
+many stimulus sets, with :meth:`ScenarioSuite.verify_against_reference`
+as the built-in differential check against the interpreter.
 
 The schedule is compiled from a snapshot of the model: structural changes
 made to the model after compilation are not picked up (recompile instead).
@@ -70,8 +68,8 @@ from ..obs.context import current_registry, maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
-from .engine import (ClockGatedComponent, Simulator, StimulusSpec,
-                     active_mode_paths, build_gated_ccd, run_stepped)
+from .engine import (Simulator, StimulusSpec, active_mode_paths,
+                     build_gated_ccd, run_stepped)
 from .trace import SimulationTrace, first_difference
 
 #: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
@@ -82,10 +80,9 @@ class CompiledSchedule:
     """A leaf component compiled into an executable schedule.
 
     ``step`` is the executable form; ``kind`` names the compilation strategy
-    (``"gated"``, ``"mtd"``, ``"std"`` or ``"atomic"``) and ``children``
-    holds the compiled sub-schedules (a gate's inner schedule, an MTD's
-    mode behaviours), so tests and tools can inspect what the compiler
-    produced.
+    (``"mtd"``, ``"std"`` or ``"atomic"``) and ``children`` holds the
+    compiled sub-schedules (an MTD's mode behaviours), so tests and tools
+    can inspect what the compiler produced.
     """
 
     __slots__ = ("component", "kind", "step", "children")
@@ -100,30 +97,23 @@ class CompiledSchedule:
     def initial_state(self) -> Any:
         return self.component.initial_state()
 
-    #: A leaf schedule has no mode plan: observing modes always walks its
-    #: state (:meth:`mode_paths`).
-    needs_mode_observation = True
-
     def mode_paths(self, state: Any, path: Optional[str] = None,
                    out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Active mode/state of every MTD and STD, keyed by hierarchical
         path (the paths of :func:`~repro.simulation.engine.active_mode_paths`)
         and collected into *out*.
 
-        Gates and MTDs recurse through their compiled children, so a mode
-        behaviour holding a flat program's state is read by that program;
-        every other leaf runs ``react`` and is walked by
+        MTDs recurse through their compiled children, so a mode behaviour
+        holding a flat program's state is read by that program; every
+        other leaf is walked by
         :func:`~repro.simulation.engine.active_mode_paths`.
         """
         if out is None:
             out = {}
         if path is None:
             path = self.component.name
-        if self.kind not in ("gated", "mtd") or not isinstance(state, Mapping):
+        if self.kind != "mtd" or not isinstance(state, Mapping):
             return active_mode_paths(self.component, state, path, out)
-        if self.kind == "gated":
-            return self.children[0][1].mode_paths(state.get("inner"), path,
-                                                  out)
         current = state.get("mode") or self.component.initial_mode
         out[path] = current
         for mode_name, behavior in self.children:
@@ -154,16 +144,19 @@ class CompiledSchedule:
 def compile_component(component: Component, verify: bool = False):
     """Compile *component* into a reusable execution schedule.
 
-    Composite hierarchies (and clock-gated wrappers around them) with the
-    default synchronous ``react`` compile to the flat schedule IR
+    Composites and clock gates with the default synchronous ``react``
+    compile to the flat schedule IR
     (:class:`~repro.simulation.schedule_ir.FlatSchedule`): one global,
     topologically ordered step program over slot-based environments, with
     gating predicates and correction barriers preserving the interpreter's
     semantics exactly.  Everything else -- MTDs, STDs, atomic blocks,
-    gates around them, subclasses with a custom ``react`` -- is a leaf
-    compiled by :func:`compile_nested`.  Both schedule kinds share the
-    ``(inputs, state, tick) -> (outputs, state)`` step contract and the
-    ``linear_steps()`` / ``describe()`` naming contract.
+    subclasses with a custom ``react`` -- is a leaf compiled by
+    :func:`compile_nested`.  Both schedule kinds share the ``(inputs,
+    state, tick) -> (outputs, state)`` step contract and the
+    ``linear_steps()`` / ``describe()`` naming contract.  This is the
+    dispatch of MTD mode behaviours and of the flattener's ``run`` ops;
+    :class:`CompiledSimulator` compiles every root flat
+    (:func:`~repro.simulation.schedule_ir.compile_flat`).
 
     With ``verify=True`` the static-analysis engine
     (:mod:`repro.analysis.lint`) runs first -- model-level lint of the
@@ -188,14 +181,11 @@ def compile_component(component: Component, verify: bool = False):
 def compile_nested(component: Component) -> CompiledSchedule:
     """Compile the leaf *component* into a step closure.
 
-    The leaf compiler of the flat program and of unflattenable roots:
-    clock gates around leaves, MTDs, STDs and expression blocks get
-    specialized steps; anything else -- composites included, which
-    :func:`compile_component` flattens instead -- runs its own ``react``.
+    The leaf compiler of the flat program: MTDs, STDs and expression
+    blocks get specialized steps; anything else -- composites and gates
+    included, which :func:`compile_component` flattens instead -- runs its
+    own ``react``.
     """
-    if isinstance(component, ClockGatedComponent) \
-            and type(component).react is ClockGatedComponent.react:
-        return _compile_gated(component)
     if isinstance(component, ModeTransitionDiagram) \
             and type(component).react is ModeTransitionDiagram.react:
         return _compile_mtd(component)
@@ -234,28 +224,6 @@ def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
         return {name: compiled(inputs) for name, compiled in items}, state
 
     return CompiledSchedule(component, "atomic", step)
-
-
-def _compile_gated(component: ClockGatedComponent) -> CompiledSchedule:
-    """Gate a compiled inner schedule by a cached clock pattern."""
-    inner = compile_component(component.inner)
-    inner_step = inner.step
-    pattern = component.clock.cached()
-    output_names = tuple(component.output_names())
-    initial_state = component.initial_state
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
-        if not pattern.at(tick):
-            return {name: ABSENT for name in output_names}, state
-        inner_outputs, inner_state = inner_step(inputs, state["inner"], tick)
-        return dict(inner_outputs), {"inner": inner_state,
-                                     "pattern_cache": state.get("pattern_cache")}
-
-    return CompiledSchedule(component, "gated", step,
-                            [(component.inner.name, inner)])
 
 
 def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
@@ -444,6 +412,21 @@ def _observed(step: StepFunction,
     return observed_step
 
 
+def _recording_modes(observe: Optional[Callable[[Any], None]],
+                     history: List[Any]) -> Callable[[Any], None]:
+    """*observe* (or nothing), after appending the ``"mode"`` of a
+    bare-leaf root's state to *history*: the ``mode_history`` rule of
+    :func:`~repro.simulation.engine.run_stepped`, which a flat state never
+    meets itself."""
+    def observe_modes(state: Any) -> None:
+        leaf_state = state.leaf_states[0]
+        if isinstance(leaf_state, dict) and "mode" in leaf_state:
+            history.append(leaf_state["mode"])
+        if observe is not None:
+            observe(state)
+    return observe_modes
+
+
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
 _BACKENDS = ("auto", "batch", "flat", "native")
 
@@ -468,19 +451,18 @@ class CompiledSimulator:
     sweeps cheap.  Semantics, including every error path, match the
     reference engine.
 
-    *backend* selects the compilation strategy: ``"auto"`` (default) uses
-    the flat schedule IR whenever the component is flattenable and the
-    leaf compiler (:func:`compile_nested`) otherwise; ``"flat"`` forces
-    the flat IR (and raises :class:`SimulationError` for unflattenable
-    roots).
-    ``"native"`` compiles the flat program to a C tick loop driven through
-    ctypes (:mod:`repro.simulation.native`, requires a flattenable root
-    and a C compiler) and runs each scenario's whole horizon in one C
-    call; hosts without a compiler degrade to the flat interpreter with a
-    ``RuntimeWarning``.  ``"batch"`` is an alias of ``"native"``; spans
-    and events still carry the name the caller passed.
+    Every root with behaviour compiles to one flat program
+    (:func:`~repro.simulation.schedule_ir.compile_flat`; a bare MTD, STD
+    or atomic root is a one-op program).  *backend* selects how it runs:
+    ``"flat"`` in generated Python; ``"native"`` lowered to a C tick loop
+    driven through ctypes (:mod:`repro.simulation.native`, requires a C
+    compiler) that runs each scenario's whole horizon in one C call --
+    hosts without a compiler degrade to the flat interpreter with a
+    ``RuntimeWarning``; ``"batch"`` is an alias of ``"native"`` (spans and
+    events still carry the name the caller passed); ``"auto"`` (default)
+    is flat at once, then tiered.
 
-    ``"auto"`` is tiered (:mod:`repro.simulation.native.tiering`): a flat
+    ``"auto"`` is tiered (:mod:`repro.simulation.native.tiering`): a
     simulator runs its first scenarios at once on the flat program, its
     second :meth:`run` starts a background lowering to C when the host
     has a compiler and the program passes the static cost check, and the
@@ -505,17 +487,12 @@ class CompiledSimulator:
         self.component = component
         self.check_types = check_types
         self.backend = backend
+        from .schedule_ir import compile_flat
         with maybe_span("compile.component", component=component.name,
                         backend=backend) as span:
-            if backend == "auto":
-                self.schedule = compile_component(component)
-            elif backend == "flat":
-                from .schedule_ir import compile_flat
-                self.schedule = compile_flat(component)
-            else:  # "native" and its alias "batch"
-                from .schedule_ir import compile_flat
+            flat_schedule = self.schedule = compile_flat(component)
+            if backend in ("native", "batch"):
                 from .native import compile_native, native_available
-                flat_schedule = compile_flat(component)
                 if native_available():
                     self.schedule = compile_native(flat_schedule)
                 else:
@@ -523,15 +500,19 @@ class CompiledSimulator:
                         f"backend {backend!r} requires a C compiler (cc/gcc/"
                         "clang); falling back to the flat interpreter",
                         RuntimeWarning, stacklevel=2)
-                    self.schedule = flat_schedule
             if span is not None:
                 span.attributes["kind"] = self.schedule.kind
         registry = current_registry()
         if registry is not None:
             registry.counter(COMPILE_COUNTER).inc()
+        #: a bare MTD, atomic or custom-``react`` root may carry a
+        #: ``"mode"`` (an STD's or expression block's state never does)
+        leaves = flat_schedule.leaves
+        self._mode_history = (len(leaves) == 1 and not leaves[0].state_path
+                              and leaves[0].run_kind in ("mtd", "atomic"))
         #: tiered ``auto``: runs so far, the in-flight promotion and the
         #: native schedule it produced
-        self._tiering = backend == "auto" and self.schedule.kind == "flat"
+        self._tiering = backend == "auto"
         self._runs = 0
         self._promotion: Any = None
         self._native: Any = None
@@ -586,23 +567,23 @@ class CompiledSimulator:
         """Simulate for *ticks* ticks and return the recorded trace.
 
         *observe*, when given, is called with the schedule's state after
-        every tick (the sharded runner's mode observation).  Flat and
-        native schedules run the whole horizon at once, observed or not,
-        through :func:`~repro.simulation.engine.run_horizon`: the flat one
-        in one generated tick loop
-        (:meth:`~repro.simulation.schedule_ir.FlatSchedule.run`), the
-        native one in one C call
-        (:meth:`~repro.simulation.native.NativeSchedule.run`).  On both,
-        the output type checks run after the loop, so *observe* may see
-        the ticks after an output type failure that ends the run.  Leaf
-        schedules step tick by tick through
-        :func:`~repro.simulation.engine.run_stepped`.
+        every tick (the sharded runner's mode observation).  The whole
+        horizon runs at once, observed or not, through
+        :func:`~repro.simulation.engine.run_horizon`: a flat schedule in
+        one generated tick loop
+        (:meth:`~repro.simulation.schedule_ir.FlatSchedule.run`), a native
+        one in one C call
+        (:meth:`~repro.simulation.native.NativeSchedule.run`).  The output
+        type checks run after the loop, so *observe* may see the ticks
+        after an output type failure that ends the run.  A bare-leaf root
+        whose state carries a ``"mode"`` records ``trace.mode_history`` as
+        :func:`~repro.simulation.engine.run_stepped` does, through an
+        observer wrapped around *observe*.
 
         With observability enabled (:mod:`repro.obs`) the run, observed or
         not, is wrapped in a ``run`` span, and -- when the session asked
-        for ``profile_ops`` or ``flight_recording`` and the schedule is a
-        flat program -- executed tick by tick through a swapped-in step
-        variant (op-profiling or flight-recording; recording wins when
+        for ``profile_ops`` or ``flight_recording`` -- executed tick by
+        tick through the flat program's swapped-in step variant (op-profiling or flight-recording; recording wins when
         both are on).  Op profiles and forensics need the per-tick Python
         step, so under either flag a native schedule runs its wrapped
         :attr:`~repro.simulation.native.NativeSchedule.flat` program's
@@ -621,19 +602,26 @@ class CompiledSimulator:
             and (telemetry.flight_recording or telemetry.profile_ops)
         if swapped and schedule.kind == "native":
             schedule = schedule.flat
+        history: Optional[List[Any]] = None
+        if self._mode_history:
+            history = []
+            observe = _recording_modes(observe, history)
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
                         kind=schedule.kind):
-            step = telemetry.step_for(schedule) if swapped else None
-            if step is None and schedule.kind in ("flat", "native"):
-                return schedule.run(stimuli, ticks, self.check_types,
-                                    observe)
-            step = step or schedule.step
-            if observe is not None:
-                step = _observed(step, observe)
-            return run_stepped(self.component, step, stimuli, ticks,
-                               self.check_types,
-                               initial_state=schedule.initial_state())
+            if swapped:
+                step = telemetry.step_for(schedule)
+                if observe is not None:
+                    step = _observed(step, observe)
+                trace = run_stepped(self.component, step, stimuli, ticks,
+                                    self.check_types,
+                                    initial_state=schedule.initial_state())
+            else:
+                trace = schedule.run(stimuli, ticks, self.check_types,
+                                     observe)
+        if history is not None:
+            trace.mode_history = history
+        return trace
 
 
 def simulate_compiled(component: Component,

@@ -9,6 +9,9 @@ keeps the ``(inputs, state, tick) -> (outputs, state)`` contract of the
 flat engine -- :class:`~repro.simulation.schedule_ir.FlatState` in and out,
 nested dict states converted on entry -- as a one-tick call of the same
 loop, so :func:`~repro.simulation.engine.run_stepped` callers keep working.
+Every root with behaviour compiles to a flat program, so every root has a
+native schedule: a bare MTD, STD or atomic root is one fallback ``run``
+op, replayed through the trampoline (below) at every tick.
 
 **The tick protocol.**  Python marshals the boundary once per call, not
 once per tick, into one tagged plane per call (slots, delayed buffers,
@@ -459,7 +462,8 @@ def check_lowerable(schedule: FlatSchedule) -> None:
 
 def compile_native(schedule: Any,
                    cache_directory: Optional[str] = None) -> NativeSchedule:
-    """Compile a flat schedule (or a flattenable component) to native code.
+    """Compile a flat schedule (or any component, flattened first) to
+    native code.
 
     The lowering is gated by :func:`check_lowerable`: an unclean
     ``ir_verify`` report or a host without a C compiler raise

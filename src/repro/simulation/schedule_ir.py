@@ -58,12 +58,14 @@ accepts the nested dict state produced by ``component.initial_state()``
 ``(inputs, state, tick) -> (outputs, state)`` step function for
 :func:`~repro.simulation.engine.run_stepped`.
 
-**Fallbacks.**  Leaves -- MTDs, STDs, atomic blocks, clock gates around
-them and components with a custom ``react`` -- are compiled by the leaf
-compiler (:func:`~repro.simulation.compiled.compile_nested`) and embedded
-as single ``run`` ops.  A non-feedthrough composite fed by a later
-producer must stay a single step, so the correction barrier can re-run it
-atomically: it becomes a ``run`` op whose step is its own flat program
+**Fallbacks.**  Leaves -- MTDs, STDs, atomic blocks and components with
+a custom ``react`` -- are compiled by the leaf compiler
+(:func:`~repro.simulation.compiled.compile_nested`) and embedded as single
+``run`` ops; a clock gate around a leaf is a ``gate`` region like any
+other.  Every root compiles, a bare leaf root to a one-op program.  A
+non-feedthrough composite or gate fed by a later producer must stay a
+single step, so the correction barrier can re-run it atomically: it
+becomes a ``run`` op whose step is its own flat program
 (:func:`compile_flat`).  :meth:`FlatSchedule.ops_summary` labels every
 composite or gate that stays a single step ``nested``, and
 :attr:`FlatSchedule.fallback_paths` lists them.
@@ -129,32 +131,30 @@ class _Leaf:
     ``expr`` op evaluates inline."""
 
     __slots__ = ("index", "component", "schedule", "run_kind", "state_path",
-                 "steps_prefix", "mode_path")
+                 "path", "mode_path")
 
     def __init__(self, index: int, component: Component, schedule: Any,
-                 run_kind: str, state_path: Tuple[str, ...],
-                 steps_prefix: str, mode_path: str):
+                 run_kind: str, state_path: Tuple[str, ...], path: str,
+                 mode_path: str):
         self.index = index
         self.component = component
         self.schedule = schedule
         self.run_kind = run_kind
         self.state_path = state_path
-        self.steps_prefix = steps_prefix
+        self.path = path
         self.mode_path = mode_path
 
 
 def is_flattenable(component: Component) -> bool:
-    """True if *component* roots a hierarchy the flattener can hoist.
+    """True if the flattener hoists *component* into its parent's program.
 
-    Flattenable roots are composites with the default synchronous ``react``
-    and clock-gated wrappers (with the default ``react``) around such
-    composites, in any nesting.  Everything else -- MTDs, STDs, atomic
-    blocks, subclasses with a custom ``react`` -- is compiled by the leaf
-    compiler (:func:`~repro.simulation.compiled.compile_nested`).
+    Hoisted nodes are composites and clock gates (a ``gate`` region around
+    whatever they wrap) with the default synchronous ``react``.  Everything
+    else -- MTDs, STDs, atomic blocks, subclasses with a custom ``react``
+    -- is a leaf, one ``expr`` or ``run`` op (see :func:`compile_flat`).
     """
-    while isinstance(component, ClockGatedComponent) \
-            and type(component).react is ClockGatedComponent.react:
-        component = component.inner
+    if isinstance(component, ClockGatedComponent):
+        return type(component).react is ClockGatedComponent.react
     return (isinstance(component, CompositeComponent)
             and type(component).react is CompositeComponent.react)
 
@@ -228,7 +228,7 @@ class _Flattener:
         out_slots = {name: self._new_slot(f"{root.name}.{name}")
                      for name in root.output_names()}
         stack: List[Iterator[Any]] = [self._emit_node(
-            root, in_slots, out_slots, (), root.name, root.name)]
+            root, in_slots, out_slots, (), "", root.name)]
         while stack:
             try:
                 child = next(stack[-1])
@@ -277,34 +277,102 @@ class _Flattener:
 
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], state_path: Tuple[str, ...],
-                   steps_path: str, mode_path: str) -> Iterator[Any]:
-        """Emit ops for a flattenable node (gated wrapper chain or composite).
+                   steps_prefix: str, mode_path: str) -> Iterator[Any]:
+        """Emit ops for one node: a gated wrapper, a composite or a leaf.
 
         The wrapper's boundary ports *are* the inner component's (same
         names, forwarded 1:1), so gating aliases the slots instead of
         copying: when the gate clock is silent the region is jumped over
         and the (shared) output slots simply stay absent.
         """
-        if isinstance(component, ClockGatedComponent):
+        steps_path = (f"{steps_prefix}/{component.name}" if steps_prefix
+                      else component.name)
+        if not is_flattenable(component):
+            self._emit_leaf(component, in_slots, out_slots, state_path,
+                            steps_prefix, mode_path)
+        elif isinstance(component, ClockGatedComponent):
             self._linear.append((steps_path, "gated"))
             pattern = component.clock.cached()
             gate = [OP_GATE, pattern.at, -1]
             self.ops.append(gate)
-            inner = component.inner
-            yield self._emit_node(inner, in_slots, out_slots,
-                                  state_path + ("inner",),
-                                  f"{steps_path}/{inner.name}", mode_path)
+            yield self._emit_node(component.inner, in_slots, out_slots,
+                                  state_path + ("inner",), steps_path,
+                                  mode_path)
             gate[2] = len(self.ops)  # jump target: first op after the region
         else:
             yield self._emit_composite(component, in_slots, out_slots,
                                        state_path, steps_path, mode_path)
 
+    def _emit_leaf(self, component: Component, in_slots: Dict[str, int],
+                   out_slots: Dict[str, int], state_path: Tuple[str, ...],
+                   steps_prefix: str, mode_path: str,
+                   propagate: Tuple[Tuple[int, int], ...] = (),
+                   tracked: bool = False) -> Optional[Tuple[Any, ...]]:
+        """Emit one leaf as one ``expr`` op (a pure expression block) or
+        ``run`` op; returns the correction-barrier entry of a *tracked*
+        ``run`` op (one a late producer may feed after it ran).
+
+        A composite or gate reaching here runs as a flat program of its
+        own, so the barrier can re-run it atomically from its tick-start
+        state, like the reference interpreter's second pass.
+        """
+        from .compiled import compile_component
+
+        path = (f"{steps_prefix}/{component.name}" if steps_prefix
+                else component.name)
+        if not component.has_behavior():
+            raise SimulationError(
+                f"component {path!r} has no executable behaviour")
+        in_spec = tuple((name, in_slots[name])
+                        for name in component.input_names())
+        if isinstance(component, ExpressionComponent) \
+                and type(component).react is ExpressionComponent.react:
+            # pure expression block: its expressions' source is inlined
+            # into the step, evaluated straight into the slots.  No leaf
+            # schedule, no step call, no output dict, and no correction
+            # tracking -- the state is a passthrough and a non-feedthrough
+            # expression reads none of the inputs a late producer could
+            # change, so the interpreter's compare-and-rerun is observably
+            # a no-op for it.
+            leaf = _Leaf(len(self.leaves), component, None, "expr",
+                         state_path, path, mode_path)
+            self.leaves.append(leaf)
+            self._linear.append((path, "atomic"))
+            functions = component._evaluator.functions  # noqa: SLF001
+            # expressions for undeclared ports are still evaluated (the
+            # interpreter does, and evaluation may raise) but their
+            # values have no slot to land in
+            items = tuple((out_slots.get(name, -1),
+                           ExpressionSource(expression, functions))
+                          for name, expression
+                          in component.output_expressions.items())
+            self.ops.append([OP_EXPR, leaf.index, in_spec, items, propagate])
+            return None
+        schedule = compile_component(component)
+        run_kind = schedule.kind
+        if isinstance(component, (CompositeComponent, ClockGatedComponent)):
+            run_kind = "nested"
+        leaf = _Leaf(len(self.leaves), component, schedule, run_kind,
+                     state_path, path, mode_path)
+        self.leaves.append(leaf)
+        if run_kind == "nested":
+            self.fallback_paths.append(path)
+        self._linear.extend(schedule.linear_steps(steps_prefix))
+        out_spec = tuple((name, out_slots[name])
+                         for name in component.output_names())
+        scratch, correction = -1, None
+        if tracked:
+            scratch = self.scratch_count
+            self.scratch_count += 1
+            correction = (scratch, leaf.index, schedule.step, in_spec)
+        self.ops.append([OP_RUN, leaf.index, schedule.step, in_spec,
+                         out_spec, propagate, scratch])
+        return correction
+
     def _emit_composite(self, composite: CompositeComponent,
                         in_slots: Dict[str, int], out_slots: Dict[str, int],
                         state_path: Tuple[str, ...], steps_path: str,
                         mode_path: str) -> Iterator[Any]:
-        from .compiled import compile_component
-
         self._linear.append((steps_path, "composite"))
         token = self._tokens.get(id(composite))
         if token is None:
@@ -350,8 +418,8 @@ class _Flattener:
         # producers all precede it in plan order always sees final inputs,
         # so the interpreter's compare-and-rerun provably never fires for
         # it: such entries need no correction tracking, and non-feedthrough
-        # composites among them can be hoisted instead of running as one
-        # step.
+        # composites and gates among them can be hoisted instead of running
+        # as one step.
         n_entries = len(plan.entries)
         has_late_producer = [False] * n_entries
         suffix_writes: set = set()
@@ -367,76 +435,23 @@ class _Flattener:
             sub = subs[entry.name]
             propagate = tuple((slot_of(src), slot_of(dst))
                               for src, dst in entry.propagate)
-            if is_flattenable(sub) \
-                    and (entry.has_feedthrough or not has_late_producer[index]):
-                slots = port_slots[entry.name]
-                yield self._emit_node(
-                    sub,
-                    {name: slots[name] for name in sub.input_names()},
-                    {name: slots[name] for name in sub.output_names()},
-                    state_path + ("subs", entry.name),
-                    f"{steps_path}/{entry.name}", f"{mode_path}/{entry.name}")
+            slots = port_slots[entry.name]
+            sub_in = {name: slots[name] for name in sub.input_names()}
+            sub_out = {name: slots[name] for name in sub.output_names()}
+            sub_state = state_path + ("subs", entry.name)
+            sub_mode = f"{mode_path}/{entry.name}"
+            tracked = not entry.has_feedthrough and has_late_producer[index]
+            if is_flattenable(sub) and not tracked:
+                yield self._emit_node(sub, sub_in, sub_out, sub_state,
+                                      steps_path, sub_mode)
                 if propagate:
                     self.ops.append([OP_COPY, propagate])
                 continue
-            # leaf: run one compiled step as one op.  Non-feedthrough
-            # composites with live late producers are not hoisted: they run
-            # as a flat program of their own, so the correction barrier can
-            # re-run them atomically from their tick-start state, exactly
-            # like the reference interpreter's second pass.  (Flattened
-            # children are not behaviour-checked here: their own sections
-            # check their entries, keeping the whole compile O(n) in
-            # hierarchy size.)
-            if not sub.has_behavior():
-                raise SimulationError(
-                    f"sub-component {entry.name!r} of {composite.name!r} has "
-                    f"no executable behaviour")
-            slots = port_slots[entry.name]
-            in_spec = tuple((name, slots[name]) for name in entry.input_names)
-            leaf_args = (state_path + ("subs", entry.name), steps_path,
-                         f"{mode_path}/{entry.name}")
-            if isinstance(sub, ExpressionComponent) \
-                    and type(sub).react is ExpressionComponent.react:
-                # pure expression block: its expressions' source is inlined
-                # into the step, evaluated straight into the slots.  No leaf
-                # schedule, no step call, no output dict, and no correction
-                # tracking -- the state is a passthrough and a
-                # non-feedthrough expression reads none of the inputs a late
-                # producer could change, so the interpreter's
-                # compare-and-rerun is observably a no-op for it.
-                leaf = _Leaf(len(self.leaves), sub, None, "expr", *leaf_args)
-                self.leaves.append(leaf)
-                self._linear.append((f"{steps_path}/{sub.name}", "atomic"))
-                functions = sub._evaluator.functions  # noqa: SLF001
-                # expressions for undeclared ports are still evaluated (the
-                # interpreter does, and evaluation may raise) but their
-                # values have no slot to land in
-                items = tuple((slots.get(name, -1),
-                               ExpressionSource(expression, functions))
-                              for name, expression
-                              in sub.output_expressions.items())
-                self.ops.append([OP_EXPR, leaf.index, in_spec, items,
-                                 propagate])
-                continue
-            schedule = compile_component(sub)
-            run_kind = schedule.kind
-            if isinstance(sub, (CompositeComponent, ClockGatedComponent)):
-                run_kind = "nested"
-                self.fallback_paths.append(f"{steps_path}/{entry.name}")
-            leaf = _Leaf(len(self.leaves), sub, schedule, run_kind,
-                         *leaf_args)
-            self.leaves.append(leaf)
-            self._linear.extend(schedule.linear_steps(steps_path))
-            out_spec = tuple((name, slots[name])
-                             for name in sub.output_names())
-            scratch = -1
-            if not entry.has_feedthrough and has_late_producer[index]:
-                scratch = self.scratch_count
-                self.scratch_count += 1
-                corrections.append((scratch, leaf.index, schedule.step,
-                                    in_spec))
-            self.ops.append([OP_RUN, leaf.index, schedule.step, in_spec,
-                             out_spec, propagate, scratch])
+            correction = self._emit_leaf(sub, sub_in, sub_out, sub_state,
+                                         steps_path, sub_mode, propagate,
+                                         tracked)
+            if correction is not None:
+                corrections.append(correction)
 
         # correction barrier for this composite's non-feedthrough entries
         if corrections:
@@ -463,14 +478,13 @@ class _Flattener:
 class FlatSchedule:
     """A component hierarchy compiled into one linear slot program.
 
-    Drop-in replacement for a leaf's
-    :class:`~repro.simulation.compiled.CompiledSchedule`: ``step`` has the
-    same ``(inputs, state, tick) -> (outputs, state)`` signature (state as
-    :class:`FlatState`, with nested dict states converted on entry), and
-    :meth:`linear_steps` / :meth:`describe` keep the hierarchical-path
-    naming contract of ``CompiledSchedule.linear_steps`` exactly, so debug
-    output and path-keyed reports are stable across engines.  The IR itself
-    is inspectable through :meth:`ops_summary`.
+    ``step`` has the leaf schedules' ``(inputs, state, tick) -> (outputs,
+    state)`` signature (state as :class:`FlatState`, with nested dict
+    states converted on entry), and :meth:`linear_steps` /
+    :meth:`describe` keep the hierarchical-path naming contract of
+    :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps`
+    exactly, so debug output and path-keyed reports are stable across
+    engines.  The IR itself is inspectable through :meth:`ops_summary`.
     """
 
     kind = "flat"
@@ -592,8 +606,7 @@ class FlatSchedule:
             nested = False
             if code in (OP_RUN, OP_EXPR):
                 leaf = self.leaves[op[1]]
-                label = (f"{leaf.steps_prefix}/{leaf.component.name} "
-                         f"[{leaf.run_kind}]")
+                label = f"{leaf.path} [{leaf.run_kind}]"
                 nested = leaf.run_kind == "nested"
             elif code == OP_GATE:
                 label = f"gate -> {op[2]}"
@@ -712,16 +725,11 @@ class FlatSchedule:
 def compile_flat(component: Component) -> FlatSchedule:
     """Compile *component* into a :class:`FlatSchedule`.
 
-    Raises :class:`SimulationError` if the root is not flattenable (use
-    :func:`~repro.simulation.compiled.compile_component`, which compiles
-    unflattenable roots as leaves).
+    Every root with behaviour compiles: a composite or gate hierarchy into
+    its hoisted program, a bare leaf (an MTD, STD, atomic block or custom
+    ``react``) into a one-op program whose leaf state is the root's.
+    Raises :class:`SimulationError` for a component without behaviour.
     """
-    if not is_flattenable(component):
-        raise SimulationError(
-            f"component {component.name!r} ({type(component).__name__}) is "
-            "not flattenable: the flat schedule IR requires a composite "
-            "hierarchy (or clock-gated composite) with the default "
-            "synchronous react")
     with maybe_span("compile.flatten", component=component.name) as span:
         schedule = _Flattener(component).flatten()
         if span is not None:

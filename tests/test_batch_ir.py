@@ -178,13 +178,6 @@ def test_compiled_simulator_batch_backend_single_run():
                            sim.run(stimuli, 4))
 
 
-def test_batch_backend_rejects_unflattenable_roots():
-    with pytest.raises(SimulationError, match="not flattenable"):
-        CompiledSimulator(modes_mtd(), backend="batch")
-    with pytest.raises(SimulationError, match="not flattenable"):
-        ScenarioSuite(modes_mtd(), backend="batch")
-
-
 def test_batch_backend_degrades_to_flat_without_compiler(monkeypatch):
     model = expression_pipeline()
     monkeypatch.setenv("CC", "/nonexistent/compiler")

@@ -99,8 +99,8 @@ def gated_mtd_system(clock, direct=False):
 
     ``direct=False`` gates a composite that *contains* the MTD (the gate
     becomes a flat-IR gating predicate over hoisted leaf ops);
-    ``direct=True`` gates the MTD itself (the whole wrapper stays a nested
-    ``gated`` leaf).  Both must match the interpreter tick for tick.
+    ``direct=True`` gates the MTD itself (the gate is a region around the
+    MTD's one ``run`` op).  Both must match the interpreter tick for tick.
     """
     if direct:
         gated = ClockGatedComponent(modes_mtd(), clock, name="Plant")
@@ -148,8 +148,8 @@ def test_compile_component_selects_flat_for_flattenable_roots():
     assert compile_component(mtd).kind == "mtd"
 
     gated_mtd = ClockGatedComponent(modes_mtd(), every(2))
-    assert not is_flattenable(gated_mtd)
-    assert compile_component(gated_mtd).kind == "gated"
+    assert is_flattenable(gated_mtd)
+    assert isinstance(compile_component(gated_mtd), FlatSchedule)
 
 
 def test_custom_react_composite_is_not_flattened():
@@ -169,14 +169,6 @@ def test_custom_react_composite_is_not_flattened():
     reference = Simulator(model).run({"u": [1, 2, 3]}, 3)
     compiled = CompiledSimulator(model).run({"u": [1, 2, 3]}, 3)
     assert first_difference(reference, compiled) is None
-
-
-def test_compile_flat_rejects_unflattenable_roots():
-    from repro.core.errors import SimulationError
-    with pytest.raises(SimulationError, match="not flattenable"):
-        compile_flat(modes_mtd())
-    with pytest.raises(SimulationError, match="unknown schedule backend"):
-        CompiledSimulator(accumulator_in_composite(), backend="turbo")
 
 
 # -- naming contract (satellite: linear_steps/describe stay stable) ------------
@@ -413,9 +405,9 @@ def test_gating_predicate_is_a_flat_op_for_gated_composites():
 
     flat_direct = compile_flat(gated_mtd_system(every(2), direct=True))
     summary = "\n".join(flat_direct.ops_summary())
-    assert "gate" not in summary      # gated MTD stays one nested leaf
-    assert "[nested]" in summary
-    assert flat_direct.fallback_paths == ["Sys/Plant"]
+    assert "gate" in summary          # gated MTD -> GATE op around it
+    assert "Sys/Plant/Modes [mtd]" in summary
+    assert flat_direct.fallback_paths == []
 
 
 # -- correction barriers and nested fallback -----------------------------------

@@ -1,0 +1,526 @@
+"""Every root compiles to one flat program.
+
+A bare MTD, STD, atomic or custom-``react`` root is a one-op program
+(``state_path ()``), and a clock gate around any leaf is a ``gate``
+region, so :class:`~repro.simulation.CompiledSimulator` runs every root
+on the flat engine (or its native lowering) through one horizon shell.
+This module pins that against the reference interpreter:
+
+* every case-study root on ``flat``, ``native`` and tiered ``auto``
+  (promoted at once), with and without type checks: values, value types,
+  ``mode_history``, ``collect_modes`` histories, and the error type,
+  message and tick;
+* gates around an MTD, an STD and a custom-``react`` leaf: as the root,
+  hoisted into a composite, kept as one correction-tracked step, and as an
+  MTD mode behaviour -- traces, ``mode_paths`` and the ``linear_steps()``
+  / ``describe()`` naming the leaf compiler gave them;
+* telemetry on leaf roots: op profiles and flight-recorder bundles.
+"""
+
+import random
+
+import pytest
+
+from repro import obs
+from repro.casestudy import (build_closed_loop, build_comfort_closing,
+                             build_crank_sequencer_std,
+                             build_door_lock_control, build_engine_ccd,
+                             build_engine_modes_mtd, build_momentum_controller,
+                             build_reengineered_fda)
+from repro.core.clocks import EventClock, every
+from repro.core.components import Component, ExpressionComponent
+from repro.core.types import BoolType, EnumType, FloatType, IntType
+from repro.core.values import ABSENT, Stream
+from repro.notations.dfd import DataFlowDiagram
+from repro.notations.mtd import ModeTransitionDiagram
+from repro.notations.std import StateTransitionDiagram
+from repro.obs import read_bundle
+from repro.scenarios import (ModeSequence, RandomWalk, Scenario,
+                             execute_scenario, run_sharded)
+from repro.scenarios.report import active_mode_paths
+from repro.simulation import (ClockGatedComponent, CompiledSimulator,
+                              Simulator, build_gated_ccd, compile_flat,
+                              is_flattenable, native_available)
+from repro.simulation.engine import run_stepped
+from repro.simulation.schedule_ir import OP_GATE, OP_RUN
+
+
+@pytest.fixture(autouse=True)
+def _obs_off():
+    obs.disable()
+    yield
+    obs.disable()
+
+
+def outcome(run):
+    """What a run leaves: the typed trace, or the error's type and text."""
+    try:
+        trace = run()
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+
+    def typed(streams):
+        return [(port, [(type(value), value) for value in stream])
+                for port, stream in streams.items()]
+    return (trace.ticks, typed(trace.inputs), typed(trace.outputs),
+            trace.mode_history)
+
+
+def reference_modes(component, stimuli, ticks, check_types=False):
+    """The interpreter's ``collect_modes`` histories: the state walk after
+    every tick of a stepped reference run (``None`` when it raises)."""
+    histories = {}
+
+    def step(inputs, state, tick):
+        outputs, state = component.react(inputs, state, tick)
+        for path, mode in active_mode_paths(component, state).items():
+            histories.setdefault(path, []).append(mode)
+        return outputs, state
+    try:
+        run_stepped(component, step, stimuli, ticks, check_types)
+    except Exception:  # noqa: BLE001 - failing runs report no histories
+        return None
+    return histories
+
+
+def assert_matches_interpreter(simulator, battery):
+    """Every scenario: the same outcome as the interpreter, and the same
+    ``collect_modes`` histories when it completes."""
+    component = simulator.component
+    reference = Simulator(component, check_types=simulator.check_types)
+    for scenario in battery:
+        expected = outcome(lambda: reference.run(scenario.stimuli,
+                                                 scenario.ticks))
+        actual = outcome(lambda: simulator.run(scenario.stimuli,
+                                               scenario.ticks))
+        assert actual == expected, scenario.name
+        result = execute_scenario(simulator, scenario, collect_modes=True)
+        assert result.mode_paths == reference_modes(
+            component, scenario.stimuli, scenario.ticks,
+            simulator.check_types), scenario.name
+
+
+# -- every case-study root on every backend ------------------------------------
+
+
+CASE_STUDY_ROOTS = {
+    "engine_ccd": lambda: build_gated_ccd(build_engine_ccd()),
+    "engine_modes": build_engine_modes_mtd,
+    "crank_sequencer": build_crank_sequencer_std,
+    "door_lock": build_door_lock_control,
+    "comfort_closing": build_comfort_closing,
+    "momentum": build_momentum_controller,
+    "closed_loop": build_closed_loop,
+    "reengineered_fda": build_reengineered_fda,
+}
+
+
+def port_stimulus(port, rng, widen=False):
+    """A seeded stimulus over *port*'s declared range; *widen* lets it
+    leave the range (type errors under ``check_types``)."""
+    kind = port.port_type
+    if isinstance(kind, EnumType):
+        pool = list(kind.literals)
+    elif isinstance(kind, BoolType):
+        pool = [False, True]
+    elif isinstance(kind, IntType) and kind.low is not None \
+            and kind.high is not None:
+        pool = list(range(kind.low, kind.high + 1 + widen))
+    else:
+        pool = None
+    if pool is not None:
+        return ModeSequence([(rng.choice(pool), rng.randint(1, 6))
+                             for _ in range(rng.randint(3, 9))])
+    low, high = -50.0, 50.0
+    if isinstance(kind, FloatType) and kind.low is not None \
+            and kind.high is not None:
+        low, high = float(kind.low), float(kind.high)
+    span = high - low
+    if widen:
+        low, high = low - span / 4, high + span / 4
+    return RandomWalk(rng.randrange(1 << 30), start=rng.uniform(low, high),
+                      step=span / 6, low=low, high=high)
+
+
+def raising_at(tick, value):
+    def stimulus(at):
+        if at == tick:
+            raise ValueError(f"stimulus exhausted at tick {at}")
+        return value
+    return stimulus
+
+
+def case_study_battery(root, seed=0):
+    rng = random.Random(f"{root.name}/{seed}")
+    ports = root.input_ports()
+    battery = [Scenario(f"walk{index}",
+                        {port.name: port_stimulus(port, rng, widen=index == 2)
+                         for port in ports}, ticks=40)
+               for index in range(4)]
+    stimuli = {port.name: port_stimulus(port, rng) for port in ports}
+    first = ports[0]
+    if isinstance(first.port_type, (FloatType, IntType)) \
+            and not isinstance(first.port_type, BoolType):
+        stimuli[first.name] = raising_at(23, first.port_type.default())
+        battery.append(Scenario("raising", stimuli, ticks=40))
+    return battery
+
+
+BACKENDS = ["flat", "native", "auto"]
+
+
+@pytest.mark.parametrize("check_types", [False, True],
+                         ids=["unchecked", "checked"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CASE_STUDY_ROOTS))
+def test_case_study_root_runs_flat_and_matches_the_interpreter(
+        name, backend, check_types):
+    if backend == "native" and not native_available():
+        pytest.skip("backend='native' needs a C compiler")
+    root = CASE_STUDY_ROOTS[name]()
+    simulator = CompiledSimulator(root, check_types=check_types,
+                                  backend=backend)
+    assert simulator.schedule.kind == ("native" if backend == "native"
+                                       else "flat")
+    if backend == "auto" and native_available():
+        simulator._promote_now(force=True)
+    battery = case_study_battery(root)
+    assert_matches_interpreter(simulator, battery)
+    if backend == "auto" and native_available():
+        assert simulator._native is not None, "the promotion switched"
+    if name in ("engine_modes", "door_lock"):
+        assert any(outcome(lambda: simulator.run(s.stimuli, s.ticks))[3]
+                   for s in battery), "an MTD root records mode_history"
+
+
+@pytest.mark.parametrize("name", sorted(CASE_STUDY_ROOTS))
+def test_case_study_root_compiles_to_one_flat_program(name):
+    root = CASE_STUDY_ROOTS[name]()
+    flat = compile_flat(root)
+    if not is_flattenable(root):
+        assert len(flat.program) == 1 and len(flat.leaves) == 1
+        assert flat.leaves[0].state_path == ()
+        assert flat.leaves[0].path == root.name
+    assert flat.fallback_paths == []
+
+
+# -- gates around leaves ---------------------------------------------------------
+
+
+class HeldModes(ModeTransitionDiagram):
+    """An MTD declared non-feedthrough: a loop through it is causal, and a
+    later producer of its input leaves it correction-tracked."""
+
+    def instantaneous_dependencies(self):
+        return {name: set() for name in self.output_names()}
+
+
+class HeldSequencer(StateTransitionDiagram):
+    """An STD declared non-feedthrough (see :class:`HeldModes`)."""
+
+    def instantaneous_dependencies(self):
+        return {name: set() for name in self.output_names()}
+
+
+class Tally(Component):
+    """A custom ``react`` whose dict state carries a ``"mode"``: it counts
+    the ticks with ``x > 2``, emits the count before this tick and raises
+    on a negative ``x``.  *held* declares it non-feedthrough (it is)."""
+
+    def __init__(self, name="Tally", held=False):
+        super().__init__(name)
+        self.held = held
+        self.add_input("x")
+        self.add_output("out")
+
+    def initial_state(self):
+        return {"mode": "even", "count": 0}
+
+    def react(self, inputs, state, tick):
+        if state is None:
+            state = self.initial_state()
+        x = inputs.get("x", ABSENT)
+        if x is not ABSENT and x < 0:
+            raise ValueError(f"negative input {x} at tick {tick}")
+        count = state["count"] + (x is not ABSENT and x > 2)
+        return ({"out": state["count"]},
+                {"mode": "odd" if count % 2 else "even", "count": count})
+
+    def instantaneous_dependencies(self):
+        if self.held:
+            return {"out": set()}
+        return super().instantaneous_dependencies()
+
+
+def modes_leaf(held=False):
+    mtd = (HeldModes if held else ModeTransitionDiagram)("Modes")
+    mtd.add_input("x")
+    mtd.add_output("out")
+    mtd.add_output("mode")
+    low = ExpressionComponent("LowB", {"out": "x * 1"})
+    low.declare_interface_from_expressions()
+    high = ExpressionComponent("HighB", {"out": "x * 10"})
+    high.declare_interface_from_expressions()
+    mtd.add_mode("Low", low, initial=True)
+    mtd.add_mode("High", high)
+    mtd.add_transition("Low", "High", "x > 2")
+    mtd.add_transition("High", "Low", "x < 1")
+    return mtd
+
+
+def sequencer_leaf(held=False):
+    std = (HeldSequencer if held else StateTransitionDiagram)("Seq")
+    std.add_input("x")
+    std.add_output("out")
+    std.add_output("state")
+    std.add_variable("n", 0)
+    std.add_state("Idle", initial=True, emissions={"out": "n"})
+    std.add_state("Busy", emissions={"out": "n * 2"})
+    std.add_transition("Idle", "Busy", "x > 4", actions={"n": "n + 1"})
+    std.add_transition("Busy", "Idle", "x < 3")
+    return std
+
+
+def tally_leaf(held=False):
+    return Tally(held=held)
+
+
+LEAVES = {"mtd": modes_leaf, "std": sequencer_leaf, "react": tally_leaf}
+
+
+def gated(leaf, clock):
+    return ClockGatedComponent(leaf, clock, name="G")
+
+
+def gated_root(make_leaf, clock):
+    return gated(make_leaf(), clock)
+
+
+def hoisted_system(make_leaf, clock):
+    """``Pre`` feeds the gated leaf: no later producer, so the gate is a
+    hoisted region of the parent's program."""
+    system = DataFlowDiagram("Sys")
+    system.add_input("x")
+    system.add_output("out")
+    pre = ExpressionComponent("Pre", {"out": "in1 + 0"})
+    pre.declare_interface_from_expressions()
+    system.add(pre, gated(make_leaf(), clock))
+    system.connect("x", "Pre.in1")
+    system.connect("Pre.out", "G.x")
+    system.connect("G.out", "out")
+    return system
+
+
+def late_producer_system(make_leaf, clock):
+    """The gated leaf (non-feedthrough) feeds ``A``, which feeds it back:
+    ``A`` is a later producer, so the gate stays one correction-tracked
+    step, a flat program of its own."""
+    system = DataFlowDiagram("Loop")
+    system.add_input("u")
+    system.add_output("y")
+    system.add_output("g")
+    add = ExpressionComponent(
+        "A", {"out": "u0 + (if present(fb) then fb else 0)"})
+    add.declare_interface_from_expressions()
+    system.add(add, gated(make_leaf(held=True), clock))
+    system.connect("u", "A.u0")
+    system.connect("G.out", "A.fb")
+    system.connect("A.out", "G.x")
+    system.connect("A.out", "y")
+    system.connect("G.out", "g")
+    return system
+
+
+def behaviour_host(make_leaf, clock):
+    """An MTD whose ``Busy`` mode runs the gated leaf."""
+    leaf = make_leaf()
+    host = ModeTransitionDiagram("Host")
+    host.add_input("x")
+    host.add_input("go")
+    for name in leaf.output_names():
+        host.add_output(name)
+    idle = ExpressionComponent("IdleB", {"out": "x * 0"})
+    idle.declare_interface_from_expressions()
+    host.add_mode("Idle", idle, initial=True)
+    host.add_mode("Busy", gated(leaf, clock))
+    host.add_transition("Idle", "Busy", "go > 0")
+    host.add_transition("Busy", "Idle", "go < 0")
+    return host
+
+
+CONTEXTS = {"root": gated_root, "hoisted": hoisted_system,
+            "late_producer": late_producer_system,
+            "behaviour": behaviour_host}
+
+
+def gated_leaf_stimuli(model, ticks, seed):
+    rng = random.Random(seed)
+    stimuli = {}
+    for name in model.input_names():
+        if name == "go":
+            stimuli[name] = Stream([rng.choice([-1, 0, 1])
+                                    for _ in range(ticks)])
+        else:
+            stimuli[name] = Stream([ABSENT if rng.random() < 0.15
+                                    else rng.randint(0, 6)
+                                    for _ in range(ticks)])
+    return stimuli
+
+
+def gated_leaf_battery(model, seed):
+    batch = [Scenario(f"s{index}", gated_leaf_stimuli(model, 30,
+                                                      seed * 10 + index), 30)
+             for index in range(3)]
+    # a negative input raises in the custom react leaf (nowhere else)
+    negative = gated_leaf_stimuli(model, 30, seed)
+    first = model.input_names()[0]
+    negative[first] = Stream(list(negative[first])[:17] + [-1] * 13)
+    return batch + [Scenario("negative", negative, 30)]
+
+
+CLOCKS = {"every2": lambda: every(2, phase=1),
+          "events": lambda: EventClock([0, 1, 4, 5, 6, 11, 17, 18, 25])}
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+@pytest.mark.parametrize("leaf", sorted(LEAVES))
+def test_gated_leaf_matches_the_interpreter(leaf, context, clock):
+    model = CONTEXTS[context](LEAVES[leaf], CLOCKS[clock]())
+    for backend in ("flat", "auto") + (("native",) if native_available()
+                                       else ()):
+        simulator = CompiledSimulator(model, backend=backend)
+        assert_matches_interpreter(simulator, gated_leaf_battery(model, 3))
+
+
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+@pytest.mark.parametrize("leaf", sorted(LEAVES))
+def test_gated_leaf_mode_paths_track_the_reference_state(leaf, context):
+    """Stepping side by side, ``mode_paths`` of the flat state equals the
+    walker on the interpreter's state at every tick."""
+    model = CONTEXTS[context](LEAVES[leaf], every(3))
+    flat = compile_flat(model)
+    stimuli = gated_leaf_stimuli(model, 24, 11)
+    reference_state, flat_state = None, flat.initial_state()
+    seen = set()
+    for tick in range(24):
+        inputs = {name: stream[tick] for name, stream in stimuli.items()}
+        _, reference_state = model.react(inputs, reference_state, tick)
+        _, flat_state = flat.step(inputs, flat_state, tick)
+        paths = flat.mode_paths(flat_state)
+        assert paths == active_mode_paths(model, reference_state), tick
+        seen |= set(paths)
+    if leaf != "react":
+        assert seen, "the machine's path was observed"
+
+
+#: ``linear_steps()`` of every gated-leaf model, as the leaf compiler
+#: named them before gates around leaves became ``gate`` regions.
+GATED_LEAF_STEPS = {
+    ("mtd", "root"): [
+        ("G", "gated"), ("G/Modes", "mtd"), ("G/Modes/LowB", "atomic"),
+        ("G/Modes/HighB", "atomic")],
+    ("mtd", "hoisted"): [
+        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
+        ("Sys/G/Modes", "mtd"), ("Sys/G/Modes/LowB", "atomic"),
+        ("Sys/G/Modes/HighB", "atomic")],
+    ("mtd", "late_producer"): [
+        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Modes", "mtd"),
+        ("Loop/G/Modes/LowB", "atomic"), ("Loop/G/Modes/HighB", "atomic"),
+        ("Loop/A", "atomic")],
+    ("mtd", "behaviour"): [
+        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
+        ("Host/G/Modes", "mtd"), ("Host/G/Modes/LowB", "atomic"),
+        ("Host/G/Modes/HighB", "atomic")],
+    ("std", "root"): [("G", "gated"), ("G/Seq", "std")],
+    ("std", "hoisted"): [
+        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
+        ("Sys/G/Seq", "std")],
+    ("std", "late_producer"): [
+        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Seq", "std"),
+        ("Loop/A", "atomic")],
+    ("std", "behaviour"): [
+        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
+        ("Host/G/Seq", "std")],
+    ("react", "root"): [("G", "gated"), ("G/Tally", "atomic")],
+    ("react", "hoisted"): [
+        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
+        ("Sys/G/Tally", "atomic")],
+    ("react", "late_producer"): [
+        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Tally", "atomic"),
+        ("Loop/A", "atomic")],
+    ("react", "behaviour"): [
+        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
+        ("Host/G/Tally", "atomic")],
+}
+
+
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+@pytest.mark.parametrize("leaf", sorted(LEAVES))
+def test_gated_leaf_keeps_its_linear_steps(leaf, context):
+    model = CONTEXTS[context](LEAVES[leaf], every(2))
+    schedule = CompiledSimulator(model).schedule
+    expected = GATED_LEAF_STEPS[leaf, context]
+    assert schedule.linear_steps() == expected
+    assert schedule.describe() == "\n".join(f"{kind:>10}  {path}"
+                                            for path, kind in expected)
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAVES))
+def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
+    make_leaf = LEAVES[leaf]
+    root = compile_flat(gated_root(make_leaf, every(2)))
+    assert [op[0] for op in root.program] == [OP_GATE, OP_RUN]
+    assert root.fallback_paths == []
+    assert root.leaves[0].state_path == ("inner",)
+
+    hoisted = compile_flat(hoisted_system(make_leaf, every(2)))
+    assert "gate" in "\n".join(hoisted.ops_summary())
+    assert hoisted.fallback_paths == []
+
+    late = compile_flat(late_producer_system(make_leaf, every(2)))
+    summary = "\n".join(late.ops_summary())
+    assert "Loop/G [nested] (correction-tracked)" in summary
+    assert late.fallback_paths == ["Loop/G"]
+
+
+# -- telemetry on leaf roots -----------------------------------------------------
+
+
+def test_profiled_mtd_root_keeps_its_mode_history():
+    root = build_engine_modes_mtd()
+    battery = case_study_battery(root)
+    reference = Simulator(root)
+    with obs.session(profile_ops=True) as telemetry:
+        simulator = CompiledSimulator(root, backend="flat")
+        traces = [simulator.run(s.stimuli, s.ticks) for s in battery[:2]]
+    (profile,) = telemetry.profiles.values()
+    assert profile.label == f"{root.name}[flat]"
+    assert profile.op_kinds == ("run",)
+    assert profile.counts == [80]
+    assert profile.ticks == 80
+    for scenario, trace in zip(battery, traces):
+        expected = reference.run(scenario.stimuli, scenario.ticks)
+        assert trace.mode_history == expected.mode_history
+        assert len(set(trace.mode_history)) > 1
+        assert outcome(lambda: trace) == outcome(lambda: expected)
+
+
+def test_recorded_custom_react_root_dumps_a_bundle_naming_op_0(tmp_path):
+    root = Tally()
+    batch = [Scenario("calm", {"x": [3, 1, 4]}, 3),
+             Scenario("boom", {"x": [3, 1, 4, 5, -2, 6]}, 6)]
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        results = run_sharded(root, batch, executor="serial")
+        bundles = list(telemetry.bundles)
+    assert [result.ok for result in results] == [True, False]
+    assert results[1].error == "ValueError: negative input -2 at tick 4"
+    assert results[0].trace.mode_history == \
+        Simulator(root).run({"x": [3, 1, 4]}, 3).mode_history
+    (path,) = bundles
+    failing = read_bundle(path)["failing"]
+    assert (failing["tick"], failing["op_index"], failing["op_kind"]) \
+        == (4, 0, "run")
+    assert failing["op_label"] == "Tally [atomic]"
+    assert failing["inputs"] == {"x": -2}

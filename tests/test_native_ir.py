@@ -50,22 +50,6 @@ def _isolated_cache(tmp_path, monkeypatch):
 # -- helpers -------------------------------------------------------------------
 
 
-def _wrapped(component):
-    """A flattenable pass-through composite around an unflattenable root,
-    so MTD/SSD case studies exercise the run-op trampoline path."""
-    dfd = DataFlowDiagram(f"{component.name}Wrap")
-    for name in component.input_names():
-        dfd.add_input(name)
-    for name in component.output_names():
-        dfd.add_output(name)
-    dfd.add_subcomponent(component)
-    for name in component.input_names():
-        dfd.connect(name, f"{component.name}.{name}")
-    for name in component.output_names():
-        dfd.connect(f"{component.name}.{name}", name)
-    return dfd
-
-
 def _filtered(scenario, component):
     return {name: values for name, values in scenario.items()
             if name in component.input_names()}
@@ -121,9 +105,10 @@ def _outcome(runner, stimuli, ticks):
 _PORTFOLIO = [
     ("engine_ccd", lambda: build_gated_ccd(build_engine_ccd()),
      lambda c: _filtered(driving_scenario(120), c), 120),
-    ("door_lock", lambda: _wrapped(build_door_lock_control()),
+    # the bare MTD root is one run op, replayed through the trampoline
+    ("door_lock", build_door_lock_control,
      lambda c: _filtered(crash_scenario(8), c), 8),
-    ("reengineered_fda", lambda: _wrapped(build_reengineered_fda()),
+    ("reengineered_fda", build_reengineered_fda,
      lambda c: _filtered(driving_scenario(120), c), 120),
     ("momentum", lambda: build_closed_loop(),
      lambda c: _filtered(acceleration_scenario(60), c), 60),

@@ -356,13 +356,6 @@ def test_batch_backend_empty_battery_and_chunk_override():
     _assert_same_traces(serial, chunked)
 
 
-def test_batch_backend_rejects_unflattenable_root(engine_modes_mtd):
-    batch = _engine_batch(2, ticks=5)
-    with pytest.raises(SimulationError, match="not flattenable"):
-        run_sharded(engine_modes_mtd, batch, executor="serial",
-                    backend="batch")
-
-
 def test_execute_batch_falls_back_without_batch_schedule(engine_modes_mtd):
     from repro.scenarios import execute_batch
     from repro.simulation import CompiledSimulator
