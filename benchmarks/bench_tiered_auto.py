@@ -13,13 +13,9 @@ it holds on any host:
 * every other case-study model of ``portfolio`` and ``fault_campaign``'s
   gated engine CCD stays flat: each declines before any lowering, so the
   second run starts no promotion and no thread, and no native compile is
-  counted;
-* ``comfort_closing``, a bare expression root that compiles to one
-  ``expr`` op, passes that static check, so its second run starts exactly
-  one lowering; its enum-literal outputs do not lower to C (one fallback
-  op, none lowered), so the post-lowering check declines: no promotion,
-  no promotion failure, no native compile, no C entry, and traces equal
-  to ``backend="flat"``;
+  counted.  That includes ``comfort_closing``, a bare expression root
+  whose one ``expr`` op has string-literal outputs: the pre-lowering
+  check counts it as a fallback op, as the emitter would;
 * ``compile.simulators`` still counts one compile per simulator: one
   for a tiered serial campaign, one per worker for a process pool
   (the :mod:`bench_scenario_sharding` gate).
@@ -43,10 +39,7 @@ from repro.io import trace_to_json
 from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import (CompiledSimulator, build_gated_ccd,
                               native_available)
-from repro.simulation.native.emit import lower_program
 from repro.simulation.native.tiering import join_promotions
-from repro.simulation.native.toolchain import EMITTER_VERSION
-from repro.simulation.schedule_ir import OP_EXPR
 
 from _bench_utils import median_paired_ratio, report
 from bench_scenario_sharding import _counted_pool_run, _gated_ccd_workload
@@ -124,8 +117,9 @@ def _declining_models():
     engine_ccd = build_gated_ccd(build_engine_ccd())
     return [("portfolio", root, False) for root in (
         engine_ccd, build_engine_modes_mtd(), build_crank_sequencer_std(),
-        build_door_lock_control(), build_momentum_controller(),
-        build_closed_loop(), build_reengineered_fda())] \
+        build_door_lock_control(), build_comfort_closing(),
+        build_momentum_controller(), build_closed_loop(),
+        build_reengineered_fda())] \
         + [("fault_campaign", engine_ccd, True)]
 
 
@@ -153,29 +147,6 @@ def test_p9_case_study_models_never_promote():
     assert threading.active_count() == threads, "a declined model started " \
         "a thread"
     report("P9", "\n".join(summary))
-
-
-def test_p9_comfort_closing_lowers_once_and_declines_after_lowering():
-    root = build_comfort_closing()
-    batch = _case_study_batch(root)
-    flat = CompiledSimulator(root, backend="flat")
-    with obs.session() as telemetry:
-        tiered = CompiledSimulator(root)
-        outcomes, started = _run_joined(tiered, batch)
-    counters = telemetry.registry.counter_values("")
-    assert started, "the one-op program passes the static check"
-    assert outcomes == _run_joined(flat, batch)[0]
-    assert (counters.get("compile.native_promotions", 0),
-            counters.get("compile.native_promotion_failures", 0),
-            counters.get("native.compile.total", 0),
-            counters.get("native.runs", 0)) == (0, 0, 0, 0)
-    assert counters["compile.simulators"] == 1
-    assert tiered._native is None and not tiered._tiering
-    assert [op[0] for op in tiered.schedule.program] == [OP_EXPR]
-    lowered = lower_program(tiered.schedule, EMITTER_VERSION)
-    assert (lowered.fallback_ops, lowered.lowered_ops) == ([0], [])
-    report("P9", f"portfolio/{root.name}: one lowering started, declined "
-                 "after lowering (1 fallback op, 0 lowered), 0 C entries")
 
 
 @pytest.mark.parallel

@@ -34,7 +34,11 @@ every schedule decision precomputed:
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
-be reused across any number of simulation runs.  Every schedule a
+be reused across any number of simulation runs.  Its state is its own: a
+run starts from the schedule's ``initial_state()`` (a flat program's
+:class:`~repro.simulation.schedule_ir.FlatState`, an MTD leaf's mode
+states built from its compiled mode behaviours), never from the
+interpreter's nested ``component.initial_state()``.  Every schedule a
 simulator runs is flat or native, and runs a scenario's whole horizon at
 once through one shell, :func:`~repro.simulation.engine.run_horizon`:
 every stimulus is drawn into columns first, then one generated Python
@@ -79,23 +83,29 @@ StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any
 class CompiledSchedule:
     """A leaf component compiled into an executable schedule.
 
-    ``step`` is the executable form; ``kind`` names the compilation strategy
-    (``"mtd"``, ``"std"`` or ``"atomic"``) and ``children`` holds the
-    compiled sub-schedules (an MTD's mode behaviours), so tests and tools
-    can inspect what the compiler produced.
+    ``step`` is the executable form, over the state :meth:`initial_state`
+    starts; ``kind`` names the compilation strategy (``"mtd"``, ``"std"``
+    or ``"atomic"``) and ``children`` holds the compiled sub-schedules (an
+    MTD's mode behaviours), so tests and tools can inspect what the
+    compiler produced.
     """
 
-    __slots__ = ("component", "kind", "step", "children")
+    __slots__ = ("component", "kind", "step", "children", "_initial")
 
     def __init__(self, component: Component, kind: str, step: StepFunction,
-                 children: Optional[List[Tuple[str, Any]]] = None):
+                 children: Optional[List[Tuple[str, Any]]] = None,
+                 initial: Optional[Callable[[], Any]] = None):
         self.component = component
         self.kind = kind
         self.step = step
         self.children = children or []
+        self._initial = initial or component.initial_state
 
     def initial_state(self) -> Any:
-        return self.component.initial_state()
+        """The state :attr:`step` starts from: the component's own, except
+        that an MTD's mode behaviours start from their compiled schedules'
+        (a composite behaviour's is a flat program's state)."""
+        return self._initial()
 
     def mode_paths(self, state: Any, path: Optional[str] = None,
                    out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -112,33 +122,19 @@ class CompiledSchedule:
             out = {}
         if path is None:
             path = self.component.name
-        if self.kind != "mtd" or not isinstance(state, Mapping):
+        if self.kind != "mtd":
             return active_mode_paths(self.component, state, path, out)
-        current = state.get("mode") or self.component.initial_mode
+        current = state["mode"] or self.component.initial_mode
         out[path] = current
         for mode_name, behavior in self.children:
             if mode_name == current:
-                mode_states = state.get("mode_states") or {}
-                behavior.mode_paths(mode_states.get(current),
+                behavior.mode_paths(state["mode_states"][current],
                                     f"{path}/{current}", out)
         return out
 
-    def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
-        """The flattened schedule: ``(hierarchical path, kind)`` per node."""
-        path = f"{prefix}/{self.component.name}" if prefix else self.component.name
-        steps = [(path, self.kind)]
-        for _, child in self.children:
-            steps.extend(child.linear_steps(path))
-        return steps
-
-    def describe(self) -> str:
-        """Human-readable rendering of the flattened schedule."""
-        return "\n".join(f"{kind:>10}  {path}"
-                         for path, kind in self.linear_steps())
-
     def __repr__(self) -> str:
         return (f"CompiledSchedule({self.component.name!r}, kind={self.kind!r}, "
-                f"steps={len(self.linear_steps())})")
+                f"children={len(self.children)})")
 
 
 def compile_component(component: Component, verify: bool = False):
@@ -152,8 +148,8 @@ def compile_component(component: Component, verify: bool = False):
     semantics exactly.  Everything else -- MTDs, STDs, atomic blocks,
     subclasses with a custom ``react`` -- is a leaf compiled by
     :func:`compile_nested`.  Both schedule kinds share the ``(inputs,
-    state, tick) -> (outputs, state)`` step contract and the
-    ``linear_steps()`` / ``describe()`` naming contract.  This is the
+    state, tick) -> (outputs, state)`` step contract, each over the state
+    its own ``initial_state()`` starts.  This is the
     dispatch of MTD mode behaviours and of the flattener's ``run`` ops;
     :class:`CompiledSimulator` compiles every root flat
     (:func:`~repro.simulation.schedule_ir.compile_flat`).
@@ -257,12 +253,16 @@ def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
     mode_port = (component.MODE_PORT if component.MODE_PORT in output_names
                  else None)
     initial_mode = component.initial_mode
-    initial_state = component.initial_state
+
+    def initial_state() -> Dict[str, Any]:
+        mode_states = dict.fromkeys(behaviors)
+        for mode_name, compiled in children:
+            mode_states[mode_name] = compiled.initial_state()
+        return {"mode": initial_mode, "mode_states": mode_states,
+                "last_transition": None}
 
     def step(inputs: Mapping[str, Any], state: Any,
              tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
         current = state["mode"] or initial_mode
         mode_states = dict(state["mode_states"])
 
@@ -290,7 +290,7 @@ def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
         return outputs, {"mode": current, "mode_states": mode_states,
                          "last_transition": fired_description}
 
-    return CompiledSchedule(component, "mtd", step, children)
+    return CompiledSchedule(component, "mtd", step, children, initial_state)
 
 
 #: Action-target classification for compiled STD transitions.
@@ -342,12 +342,9 @@ def _compile_std(component: StateTransitionDiagram) -> CompiledSchedule:
             if port_name in output_set)
 
     initial_state_name = component.initial_state_name
-    initial_state = component.initial_state
 
     def step(inputs: Mapping[str, Any], state: Any,
              tick: int) -> Tuple[Dict[str, Any], Any]:
-        if state is None:
-            state = initial_state()
         current = state["state"] or initial_state_name
         variables = state["vars"]
         if has_variables:
@@ -508,7 +505,7 @@ class CompiledSimulator:
         #: a bare MTD, atomic or custom-``react`` root may carry a
         #: ``"mode"`` (an STD's or expression block's state never does)
         leaves = flat_schedule.leaves
-        self._mode_history = (len(leaves) == 1 and not leaves[0].state_path
+        self._mode_history = (bool(leaves) and leaves[0].component is component
                               and leaves[0].run_kind in ("mtd", "atomic"))
         #: tiered ``auto``: runs so far, the in-flight promotion and the
         #: native schedule it produced

@@ -216,20 +216,25 @@ def run_stepped(component: Component,
 
     Validates the stimuli against *component*'s interface, then repeatedly
     applies *step* -- ``component.react`` for the interpreter, a compiled
-    schedule for :class:`~repro.simulation.compiled.CompiledSimulator` --
-    recording a trace (and mode history for mode-carrying states).  Keeping
-    one loop guarantees both engines agree on stimulus handling, type
-    checking and trace bookkeeping by construction.
+    schedule's step under op profiling or flight recording -- recording a
+    trace (and mode history for mode-carrying states).  The trace holds
+    exactly the declared boundary ports, one value per tick each: a
+    declared output the step leaves out of its outputs is recorded
+    absent, and a key the component does not declare is neither
+    type-checked nor recorded -- the trace :func:`run_horizon` builds from
+    its output columns.
 
     *initial_state* overrides ``component.initial_state()`` as the state
-    fed to the first step.  Compiled schedules pass their own
-    representation here (the flat engine's slot-based state); this also
-    keeps very deep hierarchies runnable, where the recursive
-    ``initial_state()`` walk would hit the Python recursion limit.
+    fed to the first step.  A compiled step runs only from its schedule's
+    own state, so its callers pass ``schedule.initial_state()`` here (the
+    flat engine's slot-based state); this also keeps very deep
+    hierarchies runnable, where the recursive ``initial_state()`` walk
+    would hit the Python recursion limit.
     """
     feeds = prepare_feeds(component, stimuli, ticks)
 
     trace = SimulationTrace(component.name)
+    output_names = component.output_names()
     state = component.initial_state() if initial_state is None else initial_state
     for tick in range(ticks):
         inputs: Dict[str, Any] = {}
@@ -240,6 +245,7 @@ def run_stepped(component: Component,
                             context=f"{component.name}.{name}@t{tick}")
             inputs[name] = value
         outputs, state = step(inputs, state, tick)
+        outputs = {name: outputs.get(name, ABSENT) for name in output_names}
         if check_types:
             check_outputs(component, outputs, tick)
         trace.record_tick(inputs, outputs)

@@ -154,16 +154,24 @@ def _expr_abstract_kinds(leaf: Any) -> Any:
     return kinds, clean
 
 
-def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
-    """Static routing decision for one ``expr`` op."""
+def expr_syntax_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
+    """The syntactic half of the routing decision for one ``expr`` op:
+    every item expression passes
+    :func:`~repro.ascet.c_expr.lowerable_expression` over the op's inputs
+    (shared with the pre-lowering cost check of :mod:`.tiering`)."""
     component = leaf.component
     expressions = list(component.output_expressions.values())
     if len(expressions) != len(op[3]):
         return False
     input_names = {name for name, _slot in op[2]}
     functions = component._evaluator.functions  # noqa: SLF001
-    if not all(lowerable_expression(expression, input_names, functions)
-               for expression in expressions):
+    return all(lowerable_expression(expression, input_names, functions)
+               for expression in expressions)
+
+
+def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
+    """Static routing decision for one ``expr`` op."""
+    if not expr_syntax_lowerable(op, leaf):
         return False
     kinds, clean = _expr_abstract_kinds(leaf)
     # enum/struct-kind values are Python objects on the tagged plane; the
@@ -215,7 +223,7 @@ def _move(dst: Any, src: Any) -> str:
 
 def _tick_prologue(flat: FlatSchedule) -> List[str]:
     """Roll the buffers, clear the slots, scatter the input row."""
-    slots, n_buffers = flat.n_slots, len(flat.buffer_specs)
+    slots, n_buffers = flat.n_slots, len(flat.buffer_initials)
     lines = []
     if n_buffers:  # the last tick's next buffers are this tick's previous
         nxt = slots + n_buffers
@@ -245,7 +253,7 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     lowered = LoweredProgram(source="")
     body: List[str] = []
     prev_base = flat.n_slots                     # first previous buffer
-    next_base = prev_base + len(flat.buffer_specs)  # first next buffer
+    next_base = prev_base + len(flat.buffer_initials)  # first next buffer
 
     for index, (op, (kind, label, _nested)) in enumerate(
             zip(program, flat.op_labels())):
@@ -276,7 +284,7 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     lines = [_HEADER.format(version=emitter_version)]
     lines += _tick_prologue(flat) + body + _tick_epilogue(flat)
     lines.append(_RUN.format(n_gates=len(lowered.gate_indexes),
-                             inputs=next_base + len(flat.buffer_specs),
+                             inputs=next_base + len(flat.buffer_initials),
                              n_inputs=len(flat.input_spec),
                              n_outputs=len(flat.output_spec)))
     lowered.source = "\n".join(lines)

@@ -7,8 +7,9 @@ point, ``repro_run``, runs a whole horizon of ticks; :meth:`NativeSchedule.run`
 drives a scenario through it in one call, and :attr:`NativeSchedule.step`
 keeps the ``(inputs, state, tick) -> (outputs, state)`` contract of the
 flat engine -- :class:`~repro.simulation.schedule_ir.FlatState` in and out,
-nested dict states converted on entry -- as a one-tick call of the same
-loop, so :func:`~repro.simulation.engine.run_stepped` callers keep working.
+starting from :meth:`NativeSchedule.initial_state` -- as a one-tick call
+of the same loop, so :func:`~repro.simulation.engine.run_stepped` callers
+keep working.
 Every root with behaviour compiles to a flat program, so every root has a
 native schedule: a bare MTD, STD or atomic root is one fallback ``run``
 op, replayed through the trampoline (below) at every tick.
@@ -210,7 +211,7 @@ class _Entry(NamedTuple):
 class NativeSchedule:
     """A flat schedule executing through a compiled C tick loop.
 
-    Introspection (``linear_steps`` / ``describe`` / ``ops_summary`` /
+    Introspection (``ops_summary`` / ``fallback_paths`` /
     ``needs_mode_observation`` / ``mode_paths`` and the boundary specs)
     delegates to the wrapped :attr:`flat` schedule: the native backend
     changes the execution substrate, not the program.
@@ -275,7 +276,7 @@ class NativeSchedule:
         table and the leaf-state roll are private to this call.
         """
         flat = self.flat
-        n_buffers = len(flat.buffer_specs)
+        n_buffers = len(flat.buffer_initials)
         n_inputs = len(columns)
         n_outputs = len(flat.output_spec)
         n_scratch = flat._scratch_count  # noqa: SLF001
@@ -380,8 +381,6 @@ class NativeSchedule:
     def step(self, inputs: Mapping[str, Any], state: Any,
              tick: int) -> Tuple[Dict[str, Any], Any]:
         """One tick through the same C loop (the ``run_stepped`` contract)."""
-        if type(state) is not FlatState:
-            state = self.flat._convert_state(state)  # noqa: SLF001
         entry = self._enter(tick, 1, [(inputs.get(name, ABSENT),)
                                       for name, _slot in self.flat.input_spec],
                             state, None)
@@ -411,12 +410,6 @@ class NativeSchedule:
 
     def initial_state(self) -> FlatState:
         return self.flat.initial_state()
-
-    def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
-        return self.flat.linear_steps(prefix)
-
-    def describe(self) -> str:
-        return self.flat.describe()
 
     def ops_summary(self) -> List[str]:
         return self.flat.ops_summary()

@@ -13,12 +13,20 @@ trace-identical.
 
 **The static cost check.**  Promotion only pays when most of the program
 runs in C.  ``run`` ops always re-enter Python through the trampoline and
-``expr`` ops are the ones C can lower, so:
+``expr`` ops are the ones C can lower, so both checks promote only when
+``fallback ops x PROMOTION_RATIO <= lowered ops``:
 
-* before lowering (O(ops), no thread started): decline when
-  ``run ops x PROMOTION_RATIO > expr ops``;
-* after lowering (in the thread, before the C compiler runs): promote
-  only when ``fallback ops x PROMOTION_RATIO <= lowered ops``.
+* before lowering (no thread started), :func:`worth_lowering` counts
+  ``run`` ops plus the ``expr`` ops whose expressions fail the emitter's
+  syntactic test (:func:`~.emit.expr_syntax_lowerable`: a string literal,
+  an unknown function...) as fallback, the other ``expr`` ops as
+  lowered.  It decides on the ``run`` ops first, so a program that
+  cannot pass even with every ``expr`` op lowered (a bare machine root)
+  checks no expression;
+* after lowering (in the thread, before the C compiler runs),
+  :func:`worth_loading` counts the emitter's actual routing, which also
+  sends ``expr`` ops an enum or struct value may flow through to the
+  trampoline.
 
 **Threads.**  The thread holds the :class:`Promotion` and the flat
 schedule, never the simulator, so dropping a simulator mid-promotion
@@ -34,10 +42,10 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..schedule_ir import OP_EXPR, OP_RUN, FlatSchedule
-from .emit import LoweredProgram, lower_program
+from .emit import LoweredProgram, expr_syntax_lowerable, lower_program
 from .schedule import NativeSchedule, check_lowerable
 from .toolchain import (EMITTER_VERSION, cache_dir, find_compiler,
                         load_shared_object)
@@ -56,15 +64,21 @@ if hasattr(os, "register_at_fork"):
 THREAD_PREFIX = "repro-promote-"
 
 
-def worth_lowering(program: Sequence[Tuple[Any, ...]]) -> bool:
-    """The pre-lowering check: few ``run`` ops against ``expr`` ops."""
-    runs = exprs = 0
-    for op in program:
+def worth_lowering(flat: FlatSchedule) -> bool:
+    """The pre-lowering check: few ``run`` and syntactically unlowerable
+    ``expr`` ops against the lowerable ``expr`` ops."""
+    runs = 0
+    exprs = []
+    for op in flat.program:
         if op[0] == OP_RUN:
             runs += 1
         elif op[0] == OP_EXPR:
-            exprs += 1
-    return runs * PROMOTION_RATIO <= exprs
+            exprs.append(op)
+    if runs * PROMOTION_RATIO > len(exprs):
+        return False
+    failing = sum(1 for op in exprs
+                  if not expr_syntax_lowerable(op, flat.leaves[op[1]]))
+    return (runs + failing) * PROMOTION_RATIO <= len(exprs) - failing
 
 
 def worth_loading(lowered: LoweredProgram) -> bool:
@@ -129,7 +143,7 @@ def start_promotion(flat: FlatSchedule) -> Optional[Promotion]:
     """A started :class:`Promotion` of *flat*, or ``None`` -- without a
     thread -- when the host has no C compiler or the pre-lowering check
     declines."""
-    if find_compiler() is None or not worth_lowering(flat.program):
+    if find_compiler() is None or not worth_lowering(flat):
         return None
     return Promotion(flat).start()
 

@@ -231,7 +231,8 @@ def _define(name: str, params: str, body: List[str], scope: SourceScope,
 def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
               clock: Callable[[], float] = time.perf_counter,
               horizon: bool = False) -> Callable[..., Any]:
-    """The ``(inputs, state, tick) -> (outputs, state)`` step of *flat*.
+    """The ``(inputs, state, tick) -> (outputs, state)`` step of *flat*,
+    over the :class:`FlatState` that starts as ``flat.initial_state()``.
 
     With *profile* (an :class:`~repro.obs.profile.OpProfile`) every
     executed op is timed and counted; with *recorder* (a
@@ -251,9 +252,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     or the observer, stops the loop and is returned with the tick it was
     raised at, the number of ticks that ran to completion.
     """
-    scope = SourceScope({"FlatState": FlatState,
-                         "convert": flat._convert_state},  # noqa: SLF001
-                        _LIST[3])
+    scope = SourceScope({"FlatState": FlatState}, _LIST[3])
     bound = scope.bound
     head, tail = _profiling(profile, clock, bound)
     if recorder is not None:
@@ -272,9 +271,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
         reads = [f"v[{slot}] = i{index}[tick]"
                  for index, (_name, slot) in enumerate(flat.input_spec)]
     else:
-        head += ["if type(state) is not FlatState:",
-                 "    state = convert(state)",
-                 "ps = state.leaf_states", "pb = state.buffers"]
+        head += ["ps = state.leaf_states", "pb = state.buffers"]
         reads = [f"v[{slot}] = inputs.get({name!r}, A)"
                  for name, slot in flat.input_spec]
     head += ["ns = ps[:]", "nb = pb[:]", f"v = [A] * {flat.n_slots}"] + reads

@@ -52,11 +52,13 @@ once per schedule.  The whole-horizon loop behind
 trampoline replays are generated from the same templates.
 
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
-states plus one flat list of delayed-channel buffers.  The step also
-accepts the nested dict state produced by ``component.initial_state()``
-(converted on entry), so it remains a drop-in
-``(inputs, state, tick) -> (outputs, state)`` step function for
-:func:`~repro.simulation.engine.run_stepped`.
+states plus one flat list of delayed-channel buffers.  A compiled program
+starts only from :meth:`FlatSchedule.initial_state`, and the step is an
+``(inputs, state, tick) -> (outputs, state)`` function over that state
+alone: :func:`~repro.simulation.engine.run_stepped` callers pass it as
+``initial_state``.  A leaf's state is its compiled schedule's -- an MTD
+mode behaviour that is a composite starts as a :class:`FlatState` too --
+so the interpreter's nested dict states never reach a compiled program.
 
 **Fallbacks.**  Leaves -- MTDs, STDs, atomic blocks and components with
 a custom ``react`` -- are compiled by the leaf compiler
@@ -89,8 +91,7 @@ from ..core.components import (Component, CompositeComponent,
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource
 from ..obs.context import maybe_span
-from .engine import (ClockGatedComponent, StimulusSpec, active_mode_paths,
-                     run_horizon)
+from .engine import ClockGatedComponent, StimulusSpec, run_horizon
 from .trace import SimulationTrace
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
@@ -130,17 +131,15 @@ class _Leaf:
     schedule at all (``None``) for a pure expression block, which its
     ``expr`` op evaluates inline."""
 
-    __slots__ = ("index", "component", "schedule", "run_kind", "state_path",
-                 "path", "mode_path")
+    __slots__ = ("index", "component", "schedule", "run_kind", "path",
+                 "mode_path")
 
     def __init__(self, index: int, component: Component, schedule: Any,
-                 run_kind: str, state_path: Tuple[str, ...], path: str,
-                 mode_path: str):
+                 run_kind: str, path: str, mode_path: str):
         self.index = index
         self.component = component
         self.schedule = schedule
         self.run_kind = run_kind
-        self.state_path = state_path
         self.path = path
         self.mode_path = mode_path
 
@@ -157,16 +156,6 @@ def is_flattenable(component: Component) -> bool:
         return type(component).react is ClockGatedComponent.react
     return (isinstance(component, CompositeComponent)
             and type(component).react is CompositeComponent.react)
-
-
-def _dig(state: Any, path: Tuple[str, ...]) -> Any:
-    """Navigate a nested engine state dict along *path* (None-tolerant)."""
-    current = state
-    for key in path:
-        if not isinstance(current, Mapping):
-            return None
-        current = current.get(key)
-    return current
 
 
 def _mode_plan(leaves: List[_Leaf]) -> Tuple[int, ...]:
@@ -198,11 +187,10 @@ class _Flattener:
         self.slot_names: List[str] = []
         self.ops: List[List[Any]] = []
         self.leaves: List[_Leaf] = []
-        #: per delayed channel: (initial value, owner state path, channel name)
-        self.buffer_specs: List[Tuple[Any, Tuple[str, ...], str]] = []
+        #: per delayed channel: its initial value
+        self.buffer_initials: List[Any] = []
         self.scratch_count = 0
         self.fallback_paths: List[str] = []
-        self._linear: List[Tuple[str, str]] = []
         self._deps_cache: Dict[int, Any] = {}
         self._tokens: Dict[int, Any] = {}
 
@@ -228,7 +216,7 @@ class _Flattener:
         out_slots = {name: self._new_slot(f"{root.name}.{name}")
                      for name in root.output_names()}
         stack: List[Iterator[Any]] = [self._emit_node(
-            root, in_slots, out_slots, (), "", root.name)]
+            root, in_slots, out_slots, "", root.name)]
         while stack:
             try:
                 child = next(stack[-1])
@@ -242,9 +230,9 @@ class _Flattener:
         output_spec = tuple((name, out_slots[name])
                             for name in root.output_names())
         return FlatSchedule(root, program, self.n_slots, input_spec,
-                            output_spec, self.leaves, self.buffer_specs,
-                            self.scratch_count, self._linear,
-                            self.fallback_paths, tuple(self.slot_names))
+                            output_spec, self.leaves, self.buffer_initials,
+                            self.scratch_count, self.fallback_paths,
+                            tuple(self.slot_names))
 
     def _merge_copies(self, ops: List[List[Any]]) -> List[List[Any]]:
         """Peephole pass: fuse adjacent ``copy`` ops into one.
@@ -276,8 +264,8 @@ class _Flattener:
         return merged
 
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
-                   out_slots: Dict[str, int], state_path: Tuple[str, ...],
-                   steps_prefix: str, mode_path: str) -> Iterator[Any]:
+                   out_slots: Dict[str, int], prefix: str, mode_path: str
+                   ) -> Iterator[Any]:
         """Emit ops for one node: a gated wrapper, a composite or a leaf.
 
         The wrapper's boundary ports *are* the inner component's (same
@@ -285,27 +273,22 @@ class _Flattener:
         copying: when the gate clock is silent the region is jumped over
         and the (shared) output slots simply stay absent.
         """
-        steps_path = (f"{steps_prefix}/{component.name}" if steps_prefix
-                      else component.name)
+        path = f"{prefix}/{component.name}" if prefix else component.name
         if not is_flattenable(component):
-            self._emit_leaf(component, in_slots, out_slots, state_path,
-                            steps_prefix, mode_path)
+            self._emit_leaf(component, in_slots, out_slots, prefix, mode_path)
         elif isinstance(component, ClockGatedComponent):
-            self._linear.append((steps_path, "gated"))
             pattern = component.clock.cached()
             gate = [OP_GATE, pattern.at, -1]
             self.ops.append(gate)
             yield self._emit_node(component.inner, in_slots, out_slots,
-                                  state_path + ("inner",), steps_path,
-                                  mode_path)
+                                  path, mode_path)
             gate[2] = len(self.ops)  # jump target: first op after the region
         else:
             yield self._emit_composite(component, in_slots, out_slots,
-                                       state_path, steps_path, mode_path)
+                                       path, mode_path)
 
     def _emit_leaf(self, component: Component, in_slots: Dict[str, int],
-                   out_slots: Dict[str, int], state_path: Tuple[str, ...],
-                   steps_prefix: str, mode_path: str,
+                   out_slots: Dict[str, int], prefix: str, mode_path: str,
                    propagate: Tuple[Tuple[int, int], ...] = (),
                    tracked: bool = False) -> Optional[Tuple[Any, ...]]:
         """Emit one leaf as one ``expr`` op (a pure expression block) or
@@ -318,8 +301,7 @@ class _Flattener:
         """
         from .compiled import compile_component
 
-        path = (f"{steps_prefix}/{component.name}" if steps_prefix
-                else component.name)
+        path = f"{prefix}/{component.name}" if prefix else component.name
         if not component.has_behavior():
             raise SimulationError(
                 f"component {path!r} has no executable behaviour")
@@ -334,10 +316,9 @@ class _Flattener:
             # expression reads none of the inputs a late producer could
             # change, so the interpreter's compare-and-rerun is observably
             # a no-op for it.
-            leaf = _Leaf(len(self.leaves), component, None, "expr",
-                         state_path, path, mode_path)
+            leaf = _Leaf(len(self.leaves), component, None, "expr", path,
+                         mode_path)
             self.leaves.append(leaf)
-            self._linear.append((path, "atomic"))
             functions = component._evaluator.functions  # noqa: SLF001
             # expressions for undeclared ports are still evaluated (the
             # interpreter does, and evaluation may raise) but their
@@ -352,12 +333,11 @@ class _Flattener:
         run_kind = schedule.kind
         if isinstance(component, (CompositeComponent, ClockGatedComponent)):
             run_kind = "nested"
-        leaf = _Leaf(len(self.leaves), component, schedule, run_kind,
-                     state_path, path, mode_path)
+        leaf = _Leaf(len(self.leaves), component, schedule, run_kind, path,
+                     mode_path)
         self.leaves.append(leaf)
         if run_kind == "nested":
             self.fallback_paths.append(path)
-        self._linear.extend(schedule.linear_steps(steps_prefix))
         out_spec = tuple((name, out_slots[name])
                          for name in component.output_names())
         scratch, correction = -1, None
@@ -371,9 +351,7 @@ class _Flattener:
 
     def _emit_composite(self, composite: CompositeComponent,
                         in_slots: Dict[str, int], out_slots: Dict[str, int],
-                        state_path: Tuple[str, ...], steps_path: str,
-                        mode_path: str) -> Iterator[Any]:
-        self._linear.append((steps_path, "composite"))
+                        path: str, mode_path: str) -> Iterator[Any]:
         token = self._tokens.get(id(composite))
         if token is None:
             self._tokens.update(subtree_structure_tokens(composite))
@@ -387,7 +365,7 @@ class _Flattener:
             sub = composite.subcomponent(entry.name)
             subs[entry.name] = sub
             port_slots[entry.name] = self._port_slots(
-                sub, f"{steps_path}/{entry.name}")
+                sub, f"{path}/{entry.name}")
 
         def slot_of(key: Tuple[Optional[str], str]) -> int:
             comp, port = key
@@ -400,8 +378,8 @@ class _Flattener:
         buf_index: Dict[str, int] = {}
         seed_pairs = []
         for channel_name, dst_key, initial in plan.delayed_seed:
-            buf_index[channel_name] = index = len(self.buffer_specs)
-            self.buffer_specs.append((initial, state_path, channel_name))
+            buf_index[channel_name] = index = len(self.buffer_initials)
+            self.buffer_initials.append(initial)
             seed_pairs.append((index, slot_of(dst_key)))
         if seed_pairs:
             self.ops.append([OP_BUF_READ, tuple(seed_pairs)])
@@ -438,18 +416,15 @@ class _Flattener:
             slots = port_slots[entry.name]
             sub_in = {name: slots[name] for name in sub.input_names()}
             sub_out = {name: slots[name] for name in sub.output_names()}
-            sub_state = state_path + ("subs", entry.name)
             sub_mode = f"{mode_path}/{entry.name}"
             tracked = not entry.has_feedthrough and has_late_producer[index]
             if is_flattenable(sub) and not tracked:
-                yield self._emit_node(sub, sub_in, sub_out, sub_state,
-                                      steps_path, sub_mode)
+                yield self._emit_node(sub, sub_in, sub_out, path, sub_mode)
                 if propagate:
                     self.ops.append([OP_COPY, propagate])
                 continue
-            correction = self._emit_leaf(sub, sub_in, sub_out, sub_state,
-                                         steps_path, sub_mode, propagate,
-                                         tracked)
+            correction = self._emit_leaf(sub, sub_in, sub_out, path,
+                                         sub_mode, propagate, tracked)
             if correction is not None:
                 corrections.append(correction)
 
@@ -479,12 +454,10 @@ class FlatSchedule:
     """A component hierarchy compiled into one linear slot program.
 
     ``step`` has the leaf schedules' ``(inputs, state, tick) -> (outputs,
-    state)`` signature (state as :class:`FlatState`, with nested dict
-    states converted on entry), and :meth:`linear_steps` /
-    :meth:`describe` keep the hierarchical-path naming contract of
-    :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps`
-    exactly, so debug output and path-keyed reports are stable across
-    engines.  The IR itself is inspectable through :meth:`ops_summary`.
+    state)`` signature over a :class:`FlatState` that starts as
+    :meth:`initial_state`.  The IR is inspectable through
+    :meth:`ops_summary` (one line per op, named by hierarchical path),
+    :meth:`op_labels` and :attr:`fallback_paths`.
     """
 
     kind = "flat"
@@ -492,23 +465,21 @@ class FlatSchedule:
     def __init__(self, component: Component, program: Tuple[Tuple[Any, ...], ...],
                  n_slots: int, input_spec: Tuple[Tuple[str, int], ...],
                  output_spec: Tuple[Tuple[str, int], ...],
-                 leaves: List[_Leaf],
-                 buffer_specs: List[Tuple[Any, Tuple[str, ...], str]],
-                 scratch_count: int, linear: List[Tuple[str, str]],
-                 fallback_paths: List[str],
+                 leaves: List[_Leaf], buffer_initials: List[Any],
+                 scratch_count: int, fallback_paths: List[str],
                  slot_names: Tuple[str, ...] = ()):
         self.component = component
         self.program = program
         self.n_slots = n_slots
         self.leaves = leaves
-        self.buffer_specs = buffer_specs
+        #: the initial value of every delayed-channel buffer
+        self.buffer_initials = buffer_initials
         self.fallback_paths = fallback_paths
         #: hierarchical ``path.port`` label per slot (forensics decoding)
         self.slot_names = slot_names
         self._input_spec = input_spec
         self._output_spec = output_spec
         self._scratch_count = scratch_count
-        self._linear = linear
         #: indices of the leaves carrying an MTD or STD, in leaf order
         #: (see :meth:`mode_paths`); empty for machine-free models
         self.mode_plan = _mode_plan(leaves)
@@ -540,19 +511,7 @@ class FlatSchedule:
                           if leaf.schedule is None
                           else leaf.schedule.initial_state()
                           for leaf in self.leaves],
-                         [spec[0] for spec in self.buffer_specs])
-
-    def _convert_state(self, state: Any) -> FlatState:
-        """Adopt a nested engine state dict (or ``None``) as a FlatState."""
-        if state is None:
-            return self.initial_state()
-        leaf_states = [_dig(state, leaf.state_path) for leaf in self.leaves]
-        buffers = []
-        for initial, state_path, channel_name in self.buffer_specs:
-            delayed = _dig(state, state_path + ("delayed",))
-            buffers.append(delayed.get(channel_name, initial)
-                           if isinstance(delayed, Mapping) else initial)
-        return FlatState(leaf_states, buffers)
+                         list(self.buffer_initials))
 
     # -- whole horizons ----------------------------------------------------
 
@@ -646,24 +605,6 @@ class FlatSchedule:
 
     # -- introspection -----------------------------------------------------
 
-    def linear_steps(self, prefix: str = "") -> List[Tuple[str, str]]:
-        """The flattened schedule: ``(hierarchical path, kind)`` per node.
-
-        The same ``(path, kind)`` format as
-        :meth:`~repro.simulation.compiled.CompiledSchedule.linear_steps`:
-        a composite is ``"composite"`` and a gate ``"gated"``, hoisted or
-        kept as one step, so path-keyed debug output is engine-independent
-        (pinned in ``tests/test_flat_schedule.py``).
-        """
-        if not prefix:
-            return list(self._linear)
-        return [(f"{prefix}/{path}", kind) for path, kind in self._linear]
-
-    def describe(self) -> str:
-        """Human-readable rendering of the flattened schedule."""
-        return "\n".join(f"{kind:>10}  {path}"
-                         for path, kind in self.linear_steps())
-
     def ops_summary(self) -> List[str]:
         """One line per op of the flat program (the IR view): index, kind
         and the :meth:`op_labels` label.
@@ -703,8 +644,6 @@ class FlatSchedule:
         """
         if out is None:
             out = {}
-        if type(state) is not FlatState:
-            return active_mode_paths(self.component, state, path, out)
         leaves = self.leaves
         leaf_states = state.leaf_states
         cut = len(self.component.name)

@@ -16,7 +16,13 @@ from ..core.values import ABSENT, Stream, is_absent, is_present
 
 
 class SimulationTrace:
-    """Recorded input and output streams of one simulation run."""
+    """Recorded input and output streams of one simulation run.
+
+    Every engine records exactly the simulated component's declared
+    boundary ports -- ``input_names()`` and ``output_names()`` -- with one
+    value per tick each (:data:`~repro.core.values.ABSENT` where a port
+    carries no message), so every stream is as long as the trace.
+    """
 
     def __init__(self, component_name: str):
         self.component_name = component_name

@@ -391,12 +391,13 @@ def test_scenario_suite_rejects_duplicate_names(door_lock_control):
 def test_compiled_schedule_is_flat_and_inspectable(engine_ccd):
     from repro.simulation import build_gated_ccd, compile_component
     schedule = compile_component(build_gated_ccd(engine_ccd))
-    steps = schedule.linear_steps()
-    kinds = {kind for _, kind in steps}
-    assert steps[0][1] == "composite"
-    assert "gated" in kinds
-    assert len(steps) > len(engine_ccd.subcomponents())
-    assert schedule.describe().count("\n") == len(steps) - 1
+    assert schedule.kind == "flat"
+    summary = schedule.ops_summary()
+    assert len(summary) == len(schedule.program)
+    kinds = [line.split()[1] for line in summary]
+    # one gate region per cluster, every cluster hoisted
+    assert kinds.count("gate") == len(engine_ccd.subcomponents())
+    assert schedule.fallback_paths == []
 
 
 # -- compiled STDs -------------------------------------------------------------
@@ -431,9 +432,11 @@ def random_std(rng, name="RandSTD"):
 
 def test_compiled_std_kind_registered(crank_sequencer_std):
     from repro.simulation import compile_component
+    from repro.simulation import compile_flat
     schedule = compile_component(crank_sequencer_std)
     assert schedule.kind == "std"
-    assert schedule.linear_steps() == [("CrankSequencer", "std")]
+    assert compile_flat(crank_sequencer_std).ops_summary() == [
+        "   0       run  CrankSequencer [std]"]
 
 
 def test_crank_sequencer_full_start_cycle(crank_sequencer_std):

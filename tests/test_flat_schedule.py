@@ -5,8 +5,8 @@ The differential suites in ``tests/test_compiled_equivalence.py`` and the
 golden traces already run on the flat path (it is what
 :func:`repro.simulation.compile_component` now produces for flattenable
 roots); this module pins the *contracts* of the new layer: which roots
-flatten, that ``linear_steps``/``describe`` keep the nested naming format,
-that compilation is iterative (5000-level regression), that clock-gated
+flatten, that ``ops_summary`` names every op of the program by its
+hierarchical path, that compilation is iterative (5000-level regression), that clock-gated
 subtrees hold state and suppress emissions across skip ticks exactly like
 the interpreter, and that the nested fallback and correction barrier
 appear exactly where the semantics require them.
@@ -171,76 +171,87 @@ def test_custom_react_composite_is_not_flattened():
     assert first_difference(reference, compiled) is None
 
 
-# -- naming contract (satellite: linear_steps/describe stay stable) ------------
+# -- the IR view: ops_summary names every op by hierarchical path -------------
 
 
 def test_linear_steps_pin_exact_format():
+    """The linear program's steps as :meth:`ops_summary` renders them:
+    right-aligned index and kind, two spaces, the op's label (a leaf's
+    hierarchical path and compilation kind) -- the format debug tooling
+    greps for."""
     schedule = compile_flat(accumulator_in_composite())
-    assert schedule.linear_steps() == [
-        ("Outer", "composite"),
-        ("Outer/Inner", "composite"),
-        ("Outer/Inner/Z", "atomic"),
-        ("Outer/Inner/ADD", "atomic"),
-        ("Outer/G", "atomic"),
+    assert schedule.ops_summary() == [
+        "   0      copy  copy (2 pairs)",
+        "   1       run  Outer/Inner/Z [atomic] (correction-tracked)",
+        "   2      expr  Outer/Inner/ADD [expr]",
+        "   3   correct  correction barrier (1)",
+        "   4      copy  copy (2 pairs)",
+        "   5       run  Outer/G [atomic]",
+        "   6      copy  copy (1 pair)",
     ]
-    assert schedule.linear_steps("Top") == [
-        ("Top/Outer", "composite"),
-        ("Top/Outer/Inner", "composite"),
-        ("Top/Outer/Inner/Z", "atomic"),
-        ("Top/Outer/Inner/ADD", "atomic"),
-        ("Top/Outer/G", "atomic"),
-    ]
-    # describe() pins the exact rendering: right-aligned kind, two spaces,
-    # hierarchical path -- the format debug tooling greps for.
-    assert schedule.describe() == (
-        " composite  Outer\n"
-        " composite  Outer/Inner\n"
-        "    atomic  Outer/Inner/Z\n"
-        "    atomic  Outer/Inner/ADD\n"
-        "    atomic  Outer/G")
+    assert schedule.fallback_paths == []
 
 
-#: ``linear_steps()`` of the retired nested composite engine on
-#: ``gated_mtd_system(every(3), direct)``, keyed by *direct*.
-NESTED_GATED_MTD_STEPS = {
-    False: [("Sys", "composite"), ("Sys/Pre", "atomic"),
-            ("Sys/Plant", "gated"), ("Sys/Plant/PlantCore", "composite"),
-            ("Sys/Plant/PlantCore/Scale", "atomic"),
-            ("Sys/Plant/PlantCore/Modes", "mtd"),
-            ("Sys/Plant/PlantCore/Modes/LowB", "atomic"),
-            ("Sys/Plant/PlantCore/Modes/HighB", "atomic")],
-    True: [("Sys", "composite"), ("Sys/Pre", "atomic"),
-           ("Sys/Plant", "gated"), ("Sys/Plant/Modes", "mtd"),
-           ("Sys/Plant/Modes/LowB", "atomic"),
-           ("Sys/Plant/Modes/HighB", "atomic")],
+#: ``ops_summary()`` of ``gated_mtd_system(every(3), direct)``, keyed by
+#: *direct*: the gate region holds the plant's ops, the MTD is one ``run``.
+GATED_MTD_OPS = {
+    False: ["   0      copy  copy (1 pair)",
+            "   1      expr  Sys/Pre [expr]",
+            "   2      gate  gate -> 7",
+            "   3      copy  copy (1 pair)",
+            "   4       run  Sys/Plant/PlantCore/Scale [atomic]",
+            "   5       run  Sys/Plant/PlantCore/Modes [mtd]",
+            "   6      copy  copy (2 pairs)",
+            "   7      copy  copy (4 pairs)"],
+    True: ["   0      copy  copy (1 pair)",
+           "   1      expr  Sys/Pre [expr]",
+           "   2      gate  gate -> 4",
+           "   3       run  Sys/Plant/Modes [mtd]",
+           "   4      copy  copy (4 pairs)"],
 }
 
 
 @pytest.mark.parametrize("direct", [False, True])
-def test_linear_steps_match_nested_engine_exactly(direct):
+def test_gated_mtd_system_ops_summary_pins_the_program(direct):
     flat = compile_flat(gated_mtd_system(every(3), direct=direct))
-    expected = NESTED_GATED_MTD_STEPS[direct]
-    assert flat.linear_steps() == expected
-    assert flat.describe() == "\n".join(f"{kind:>10}  {path}"
-                                        for path, kind in expected)
+    assert flat.ops_summary() == GATED_MTD_OPS[direct]
+    assert flat.fallback_paths == []
 
 
-def test_linear_steps_match_nested_engine_on_gated_ccd(engine_ccd):
-    """The retired nested engine's ``linear_steps()`` on the gated Fig. 7
-    CCD."""
+def test_gated_ccd_ops_summary_pins_the_program(engine_ccd):
+    """The gated Fig. 7 CCD: one hoisted gate region per cluster."""
     root = "SimplifiedEngineController_gated"
-    expected = [(root, "composite")]
-    for cluster, blocks in [("IdleSpeed", ["IdleController"]),
-                            ("Monitoring", ["Plausibility"]),
-                            ("SensorProcessing", ["AirMass", "SpeedFilter"]),
-                            ("FuelAndIgnition", ["EnableLatch", "Ignition",
-                                                 "Injection"])]:
-        expected += [(f"{root}/{cluster}", "gated"),
-                     (f"{root}/{cluster}/{cluster}", "composite")]
-        expected += [(f"{root}/{cluster}/{cluster}/{block}", "atomic")
-                     for block in blocks]
+    idle, monitoring, sensors, fuel = (
+        f"{root}/{cluster}/{cluster}" for cluster in
+        ("IdleSpeed", "Monitoring", "SensorProcessing", "FuelAndIgnition"))
     flat = compile_flat(build_gated_ccd(engine_ccd))
-    assert flat.linear_steps() == expected
+    assert flat.ops_summary() == [
+        "   0      copy  copy (5 pairs)",
+        "   1      gate  gate -> 5",
+        "   2      copy  copy (2 pairs)",
+        f"   3      expr  {idle}/IdleController [expr]",
+        "   4      copy  copy (1 pair)",
+        "   5      copy  copy (1 pair)",
+        "   6      gate  gate -> 10",
+        "   7      copy  copy (1 pair)",
+        f"   8      expr  {monitoring}/Plausibility [expr]",
+        "   9      copy  copy (1 pair)",
+        "  10      copy  copy (1 pair)",
+        "  11      gate  gate -> 16",
+        "  12      copy  copy (3 pairs)",
+        f"  13      expr  {sensors}/AirMass [expr]",
+        f"  14       run  {sensors}/SpeedFilter [atomic]",
+        "  15      copy  copy (2 pairs)",
+        "  16      copy  copy (2 pairs)",
+        "  17      gate  gate -> 23",
+        "  18      copy  copy (5 pairs)",
+        f"  19       run  {fuel}/EnableLatch [atomic]",
+        f"  20      expr  {fuel}/Ignition [expr]",
+        f"  21      expr  {fuel}/Injection [expr]",
+        "  22      copy  copy (2 pairs)",
+        "  23      copy  copy (5 pairs)",
+    ]
+    assert flat.fallback_paths == []
 
 
 # -- deep hierarchies (satellite: iterative compile, 5000 levels) --------------
@@ -450,13 +461,12 @@ def test_late_produced_composite_falls_back_to_nested():
     assert flat.fallback_paths == ["Parent/Child"]
     child_leaf, = [leaf for leaf in flat.leaves if leaf.component is child]
     assert isinstance(child_leaf.schedule, FlatSchedule)
-    assert "Parent/Child [nested] (correction-tracked)" \
-        in "\n".join(flat.ops_summary())
-    # the naming contract holds even for fallback subtrees (the retired
-    # nested engine's linear_steps)
-    assert flat.linear_steps() == [
-        ("Parent", "composite"), ("Parent/Child", "composite"),
-        ("Parent/Child/Z", "atomic"), ("Parent/A", "atomic")]
+    assert flat.ops_summary() == [
+        "   0      copy  copy (1 pair)",
+        "   1       run  Parent/Child [nested] (correction-tracked)",
+        "   2      expr  Parent/A [expr]",
+        "   3   correct  correction barrier (1)",
+        "   4      copy  copy (1 pair)"]
     reference, _ = assert_engines_agree(parent, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [1, 2, 3, 4, 5]
 
@@ -484,23 +494,13 @@ def test_non_feedthrough_composite_without_late_producer_is_flattened():
 
     flat = compile_flat(parent)
     assert flat.fallback_paths == []
-    assert ("Parent/Child", "composite") in flat.linear_steps()
+    # the child's delay is an op of the parent's program
+    assert "   3       run  Parent/Child/Z [atomic]" in flat.ops_summary()
     reference, _ = assert_engines_agree(parent, {"u": [1, 2, 3, 4]}, 4)
     assert reference.output("y").values() == [0, 2, 4, 6]
 
 
 # -- state representation and mode observability -------------------------------
-
-
-def test_flat_step_accepts_nested_initial_state():
-    model = accumulator_in_composite()
-    flat = compile_flat(model)
-    inputs = {"u": 1}
-    from_nested = flat.step(inputs, model.initial_state(), 0)
-    from_flat = flat.step(inputs, flat.initial_state(), 0)
-    from_none = flat.step(inputs, None, 0)
-    assert from_nested[0] == from_flat[0] == from_none[0]
-    assert isinstance(from_nested[1], FlatState)
 
 
 def assert_mode_paths_track_reference(model, steps):
@@ -762,16 +762,6 @@ def test_op_labels_align_with_program_and_summary():
             assert f" {kind} " in f" {line} " or kind in line
             if nested:
                 assert "[nested]" in label
-
-
-def test_describe_matches_linear_steps():
-    for model in _introspection_models():
-        schedule = compile_flat(model)
-        lines = schedule.describe().splitlines()
-        steps = schedule.linear_steps()
-        assert len(lines) == len(steps)
-        for line, (path, kind) in zip(lines, steps):
-            assert path in line and kind in line
 
 
 def test_slot_names_cover_every_slot_and_match_specs():

@@ -1,7 +1,7 @@
 """Every root compiles to one flat program.
 
 A bare MTD, STD, atomic or custom-``react`` root is a one-op program
-(``state_path ()``), and a clock gate around any leaf is a ``gate``
+(its one leaf is the root), and a clock gate around any leaf is a ``gate``
 region, so :class:`~repro.simulation.CompiledSimulator` runs every root
 on the flat engine (or its native lowering) through one horizon shell.
 This module pins that against the reference interpreter:
@@ -12,8 +12,8 @@ This module pins that against the reference interpreter:
   message and tick;
 * gates around an MTD, an STD and a custom-``react`` leaf: as the root,
   hoisted into a composite, kept as one correction-tracked step, and as an
-  MTD mode behaviour -- traces, ``mode_paths`` and the ``linear_steps()``
-  / ``describe()`` naming the leaf compiler gave them;
+  MTD mode behaviour -- traces, ``mode_paths`` and the ``ops_summary()``
+  of the program (and of a mode behaviour's own program);
 * telemetry on leaf roots: op profiles and flight-recorder bundles.
 """
 
@@ -39,8 +39,9 @@ from repro.scenarios import (ModeSequence, RandomWalk, Scenario,
                              execute_scenario, run_sharded)
 from repro.scenarios.report import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              Simulator, build_gated_ccd, compile_flat,
-                              is_flattenable, native_available)
+                              FlatState, Simulator, build_gated_ccd,
+                              compile_flat, is_flattenable,
+                              native_available)
 from repro.simulation.engine import run_stepped
 from repro.simulation.schedule_ir import OP_GATE, OP_RUN
 
@@ -199,7 +200,7 @@ def test_case_study_root_compiles_to_one_flat_program(name):
     flat = compile_flat(root)
     if not is_flattenable(root):
         assert len(flat.program) == 1 and len(flat.leaves) == 1
-        assert flat.leaves[0].state_path == ()
+        assert flat.leaves[0].component is root
         assert flat.leaves[0].path == root.name
     assert flat.fallback_paths == []
 
@@ -414,65 +415,63 @@ def test_gated_leaf_mode_paths_track_the_reference_state(leaf, context):
         assert seen, "the machine's path was observed"
 
 
-#: ``linear_steps()`` of every gated-leaf model, as the leaf compiler
-#: named them before gates around leaves became ``gate`` regions.
-GATED_LEAF_STEPS = {
-    ("mtd", "root"): [
-        ("G", "gated"), ("G/Modes", "mtd"), ("G/Modes/LowB", "atomic"),
-        ("G/Modes/HighB", "atomic")],
-    ("mtd", "hoisted"): [
-        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
-        ("Sys/G/Modes", "mtd"), ("Sys/G/Modes/LowB", "atomic"),
-        ("Sys/G/Modes/HighB", "atomic")],
-    ("mtd", "late_producer"): [
-        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Modes", "mtd"),
-        ("Loop/G/Modes/LowB", "atomic"), ("Loop/G/Modes/HighB", "atomic"),
-        ("Loop/A", "atomic")],
-    ("mtd", "behaviour"): [
-        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
-        ("Host/G/Modes", "mtd"), ("Host/G/Modes/LowB", "atomic"),
-        ("Host/G/Modes/HighB", "atomic")],
-    ("std", "root"): [("G", "gated"), ("G/Seq", "std")],
-    ("std", "hoisted"): [
-        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
-        ("Sys/G/Seq", "std")],
-    ("std", "late_producer"): [
-        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Seq", "std"),
-        ("Loop/A", "atomic")],
-    ("std", "behaviour"): [
-        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
-        ("Host/G/Seq", "std")],
-    ("react", "root"): [("G", "gated"), ("G/Tally", "atomic")],
-    ("react", "hoisted"): [
-        ("Sys", "composite"), ("Sys/Pre", "atomic"), ("Sys/G", "gated"),
-        ("Sys/G/Tally", "atomic")],
-    ("react", "late_producer"): [
-        ("Loop", "composite"), ("Loop/G", "gated"), ("Loop/G/Tally", "atomic"),
-        ("Loop/A", "atomic")],
-    ("react", "behaviour"): [
-        ("Host", "mtd"), ("Host/IdleB", "atomic"), ("Host/G", "gated"),
-        ("Host/G/Tally", "atomic")],
-}
+def _gated_ops(machine, kind):
+    """The ``ops_summary()`` of a gate around the leaf *machine* of *kind*
+    as a root, and in the contexts that hoist it or keep it one step."""
+    return {
+        "root": ["   0      gate  gate -> 2",
+                 f"   1       run  G/{machine} [{kind}]"],
+        "hoisted": ["   0      copy  copy (1 pair)",
+                    "   1      expr  Sys/Pre [expr]",
+                    "   2      gate  gate -> 4",
+                    f"   3       run  Sys/G/{machine} [{kind}]",
+                    "   4      copy  copy (2 pairs)"],
+        "late_producer": ["   0      copy  copy (1 pair)",
+                          "   1       run  Loop/G [nested] "
+                          "(correction-tracked)",
+                          "   2      expr  Loop/A [expr]",
+                          "   3   correct  correction barrier (1)",
+                          "   4      copy  copy (2 pairs)"],
+        "behaviour": ["   0       run  Host [mtd]"],
+    }
+
+
+#: ``ops_summary()`` of every gated-leaf model, keyed by (leaf, context).
+GATED_LEAF_OPS = {
+    (leaf, context): ops
+    for leaf, machine, kind in [("mtd", "Modes", "mtd"),
+                                ("std", "Seq", "std"),
+                                ("react", "Tally", "atomic")]
+    for context, ops in _gated_ops(machine, kind).items()}
 
 
 @pytest.mark.parametrize("context", sorted(CONTEXTS))
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
 def test_gated_leaf_keeps_its_linear_steps(leaf, context):
+    """The linear program of every gated-leaf model, as
+    :meth:`~repro.simulation.FlatSchedule.ops_summary` renders it; a
+    gate that is an MTD's mode behaviour is a program of its own, the
+    same as the root's."""
     model = CONTEXTS[context](LEAVES[leaf], every(2))
     schedule = CompiledSimulator(model).schedule
-    expected = GATED_LEAF_STEPS[leaf, context]
-    assert schedule.linear_steps() == expected
-    assert schedule.describe() == "\n".join(f"{kind:>10}  {path}"
-                                            for path, kind in expected)
+    assert schedule.ops_summary() == GATED_LEAF_OPS[leaf, context]
+    expected_fallbacks = ["Loop/G"] if context == "late_producer" else []
+    assert schedule.fallback_paths == expected_fallbacks
+    if context == "behaviour":
+        behaviours = dict(schedule.leaves[0].schedule.children)
+        assert behaviours["Idle"].kind == "atomic"
+        assert behaviours["Busy"].ops_summary() \
+            == GATED_LEAF_OPS[leaf, "root"]
 
 
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
 def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
     make_leaf = LEAVES[leaf]
-    root = compile_flat(gated_root(make_leaf, every(2)))
+    model = gated_root(make_leaf, every(2))
+    root = compile_flat(model)
     assert [op[0] for op in root.program] == [OP_GATE, OP_RUN]
     assert root.fallback_paths == []
-    assert root.leaves[0].state_path == ("inner",)
+    assert root.leaves[0].component is model.inner
 
     hoisted = compile_flat(hoisted_system(make_leaf, every(2)))
     assert "gate" in "\n".join(hoisted.ops_summary())
@@ -482,6 +481,126 @@ def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
     summary = "\n".join(late.ops_summary())
     assert "Loop/G [nested] (correction-tracked)" in summary
     assert late.fallback_paths == ["Loop/G"]
+
+
+# -- composite mode behaviours ----------------------------------------------------
+
+
+def composite_behaviour_host():
+    """An MTD whose ``Busy`` mode runs a DFD -- an STD plus an accumulator
+    over a delayed self-loop -- and first becomes active after tick 0."""
+    work = DataFlowDiagram("Work")
+    work.add_input("x")
+    work.add_output("out")
+    work.add_output("state")
+    accumulate = ExpressionComponent("Acc", {"out": "a + b"})
+    accumulate.declare_interface_from_expressions()
+    work.add(sequencer_leaf(), accumulate)
+    work.connect("x", "Seq.x")
+    work.connect("Seq.out", "Acc.a")
+    work.connect("Acc.out", "Acc.b", delayed=True, initial_value=0)
+    work.connect("Acc.out", "out")
+    work.connect("Seq.state", "state")
+
+    host = ModeTransitionDiagram("Host")
+    host.add_input("x")
+    host.add_input("go")
+    host.add_output("out")
+    host.add_output("state")
+    host.add_output("mode")
+    idle = ExpressionComponent("IdleB", {"out": "x * 0"})
+    idle.declare_interface_from_expressions()
+    host.add_mode("Idle", idle, initial=True)
+    host.add_mode("Busy", work)
+    host.add_transition("Idle", "Busy", "go > 0")
+    host.add_transition("Busy", "Idle", "go < 0")
+    return host
+
+
+COMPOSITE_BEHAVIOUR_GO = [0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_composite_mode_behaviour_entered_after_tick_0(backend):
+    """The behaviour's flat program starts from its own state, built by the
+    compiled MTD: entered at tick 3, left at tick 7 and re-entered at tick
+    10 with its state (STD variable, delayed buffer) carried over."""
+    if backend == "native" and not native_available():
+        pytest.skip("backend='native' needs a C compiler")
+    model = composite_behaviour_host()
+    simulator = CompiledSimulator(model, backend=backend)
+    if backend == "auto" and native_available():
+        simulator._promote_now(force=True)
+    ticks = len(COMPOSITE_BEHAVIOUR_GO)
+    scripted = Scenario("scripted", {"x": [5, 6, 7, 6, 2, 6, 5, 1, 0, 0,
+                                           6, 1, 6, 6],
+                                     "go": COMPOSITE_BEHAVIOUR_GO}, ticks)
+    battery = [scripted] + [Scenario(f"random{seed}",
+                                     gated_leaf_stimuli(model, 30, seed), 30)
+                            for seed in range(3)]
+    assert_matches_interpreter(simulator, battery)
+    if backend == "auto" and native_available():
+        assert simulator._native is not None, "the promotion switched"
+
+    mode_states = simulator.schedule.initial_state().leaf_states[0][
+        "mode_states"]
+    assert mode_states["Idle"] is None
+    assert isinstance(mode_states["Busy"], FlatState)
+    trace = simulator.run(scripted.stimuli, ticks)
+    assert trace.mode_history == ["Idle"] * 3 + ["Busy"] * 4 \
+        + ["Idle"] * 3 + ["Busy"] * 4
+    histories = execute_scenario(simulator, scripted,
+                                 collect_modes=True).mode_paths
+    # the STD's path is read only while Busy is active: ticks 3-6, 10-13
+    assert histories["Host/Busy/Seq"] == ["Busy", "Idle", "Busy", "Busy",
+                                          "Busy", "Idle", "Busy", "Busy"]
+
+
+# -- the trace records exactly the declared ports ---------------------------------
+
+
+class LateKey(Component):
+    """Emits ``out`` at every tick and the declared ``late`` only from
+    tick 1 on."""
+
+    def __init__(self):
+        super().__init__("Late")
+        self.add_input("x")
+        self.add_output("out")
+        self.add_output("late")
+
+    def react(self, inputs, state, tick):
+        outputs = {"out": inputs["x"]}
+        if tick >= 1:
+            outputs["late"] = 7
+        return outputs, state
+
+
+def undeclared_key_block():
+    """``extra`` is computed but is no declared port."""
+    block = ExpressionComponent("E", {"out": "x", "extra": "x + 1"})
+    block.add_input("x")
+    block.add_output("out")
+    return block
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_engine_records_exactly_the_declared_outputs(backend):
+    if backend == "native" and not native_available():
+        pytest.skip("backend='native' needs a C compiler")
+    expected = {"E": {"out": [1, 2, 3]},
+                "Late": {"out": [1, 2, 3], "late": [ABSENT, 7, 7]}}
+    for root in (undeclared_key_block(), LateKey()):
+        simulator = CompiledSimulator(root, backend=backend)
+        if backend == "auto" and native_available():
+            simulator._promote_now(force=True)
+        scenario = Scenario("ramp", {"x": [1, 2, 3]}, 3)
+        assert_matches_interpreter(simulator, [scenario])
+        for trace in (Simulator(root).run(scenario.stimuli, 3),
+                      simulator.run(scenario.stimuli, 3)):
+            assert {name: stream.values()
+                    for name, stream in trace.outputs.items()} \
+                == expected[root.name]
 
 
 # -- telemetry on leaf roots -----------------------------------------------------

@@ -34,7 +34,7 @@ def _doctor(schedule, program, n_slots=None):
         schedule.component, tuple(program),
         schedule.n_slots if n_slots is None else n_slots,
         schedule.input_spec, schedule.output_spec, schedule.leaves,
-        schedule.buffer_specs, schedule._scratch_count, schedule._linear,
+        schedule.buffer_initials, schedule._scratch_count,
         schedule.fallback_paths, schedule.slot_names)
 
 
@@ -197,7 +197,7 @@ def test_mutation_crossing_gate_regions():
     assert findings[0].severity is Severity.ERROR
     assert "gate regions must nest" in findings[0].message
     with pytest.raises(SimulationError, match="do not nest forward"):
-        mutant.step({}, None, 0)
+        mutant.step({}, mutant.initial_state(), 0)
 
 
 def test_mutation_correction_missing_dropped_barrier(feedback_schedule):

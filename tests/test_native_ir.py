@@ -656,7 +656,7 @@ def test_objects_and_huge_ints_ride_delayed_buffers_across_ticks():
     flat = CompiledSimulator(model, backend="flat")
     native = CompiledSimulator(model, backend="native")
     assert native.schedule.kind == "native"
-    assert len(native.schedule.flat.buffer_specs) == 2
+    assert len(native.schedule.flat.buffer_initials) == 2
 
     def typed(trace):
         return {port: [(type(v), v) for v in stream.values()]

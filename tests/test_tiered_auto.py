@@ -18,16 +18,16 @@ import weakref
 import pytest
 
 from repro import obs
+from repro.casestudy import build_comfort_closing, build_engine_modes_mtd
 from repro.core.components import ExpressionComponent
 from repro.core.errors import ExpressionEvalError
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.scenarios import RandomWalk, Scenario, run_sharded
-from repro.simulation import (CompiledSimulator, first_difference,
-                              native_available)
+from repro.simulation import (CompiledSimulator, compile_flat,
+                              first_difference, native_available)
 from repro.simulation.native import NativeLoweringError, tiering
 from repro.simulation.native.tiering import join_promotions
-from repro.simulation.schedule_ir import OP_EXPR, OP_RUN
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C compiler on this host")
@@ -80,11 +80,40 @@ def _promotion_threads():
 # -- the static cost check -----------------------------------------------------
 
 
+def _with_text_block(dfd):
+    """*dfd* plus an expression block with string literals: an ``expr`` op
+    the emitter's syntactic test sends to the trampoline."""
+    block = ExpressionComponent(
+        "Text", {"out": "if in1 > 0 then 'on' else 'off'"})
+    block.declare_interface_from_expressions()
+    dfd.add_subcomponent(block)
+    dfd.connect("u", "Text.in1")
+    return dfd
+
+
 def test_cost_check_counts_run_against_expr_ops():
-    program = [(OP_EXPR,)] * 10 + [(OP_RUN,)]
-    assert tiering.worth_lowering(program)
-    assert not tiering.worth_lowering(program + [(OP_RUN,)])
-    assert tiering.worth_lowering([])
+    assert tiering.worth_lowering(compile_flat(_chain(10, delays=1)))
+    assert not tiering.worth_lowering(compile_flat(_chain(10, delays=2)))
+    assert tiering.worth_lowering(compile_flat(_chain(0)))
+
+
+def test_cost_check_counts_unlowerable_expr_ops_as_fallback(monkeypatch):
+    # 1 run + 1 text op against 10 lowerable ops: 20 > 10
+    assert not tiering.worth_lowering(
+        compile_flat(_with_text_block(_chain(10, delays=1))))
+    # ... against 20 lowerable ops: 20 <= 20
+    assert tiering.worth_lowering(
+        compile_flat(_with_text_block(_chain(20, delays=1))))
+    # comfort_closing: one expr op, string literals only
+    assert not tiering.worth_lowering(compile_flat(build_comfort_closing()))
+    # the run ops decide first: a machine root checks no expression
+    checked = []
+    monkeypatch.setattr(tiering, "expr_syntax_lowerable",
+                        lambda op, leaf: checked.append(op) or True)
+    assert not tiering.worth_lowering(compile_flat(build_engine_modes_mtd()))
+    assert not tiering.worth_lowering(
+        compile_flat(_with_text_block(_chain(5, delays=1))))
+    assert checked == []
 
 
 # -- the switch ------------------------------------------------------------------
