@@ -8,16 +8,18 @@ environment, and this module discharges them *statically*, by abstract
 interpretation of the op program:
 
 * every slot is proven written-before-read under **every** gate/clock
-  configuration -- gate regions are analysed as *may-skip*, so a slot
-  assigned only inside a gated region is at best *maybe-written* after the
-  join (``ir-read-before-write`` / ``ir-never-written``);
+  and mode configuration -- ``gate`` and ``select`` regions are analysed
+  as *may-skip*, so a slot assigned only inside a region is at best
+  *maybe-written* after the join (``ir-read-before-write`` /
+  ``ir-never-written``); a ``select`` reads its mode controller's index
+  slot;
 * reads that may observe an absent slot because a gate skipped its writer
   are collected as the codegen proof obligation "these slots must be
   ABSENT-initialized" (``ir-may-skip-read``, one aggregated info finding
   -- absence is *legal* in this semantics, the obligation is on code
   generators, not on models);
 * dead stores (``ir-dead-store``), same-tick write-write conflicts
-  (``ir-write-write``), malformed gate jumps and gate regions that cross
+  (``ir-write-write``), malformed region jumps and regions that cross
   instead of nesting (``ir-gate-structure``) and
   gate regions whose clock provably never fires (``ir-unreachable-op``);
 * correction barriers: every scratch-tracked run op must be covered by a
@@ -40,8 +42,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ...core.clocks import EventClock
 from ...core.validation import Severity
 from ...simulation.schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY,
-                                       OP_CORRECT, OP_EXPR, OP_GATE, OP_RUN,
-                                       FlatSchedule)
+                                       OP_CORRECT, OP_EXPR, OP_RUN, OP_SELECT,
+                                       REGION_OPS, FlatSchedule)
 from .findings import Finding, LintReport
 from .registry import get_rule
 
@@ -112,6 +114,8 @@ def _op_events(op: Tuple[Any, ...],
     elif code == OP_CORRECT:
         for _si, _leaf, _fn, in_spec in op[1]:
             events.extend(("r", slot, None) for _name, slot in in_spec)
+    elif code == OP_SELECT:  # the mode controller's index slot
+        events.append(("r", op[1][0], None))
     return events
 
 
@@ -178,14 +182,15 @@ def lint_flat_schedule(schedule: FlatSchedule,
     for index, op in enumerate(program):
         while open_gates and open_gates[-1][1] <= index:
             open_gates.pop()
-        if op[0] != OP_GATE:
+        if op[0] not in REGION_OPS:
             continue
         target = op[2]
+        kind = "select" if op[0] == OP_SELECT else "gate"
         if not index < target <= n_ops:
             bad_gates.add(index)
             report.add(_finding(
                 "ir-gate-structure",
-                f"gate at op {index} jumps to {target}, outside the legal "
+                f"{kind} at op {index} jumps to {target}, outside the legal "
                 f"range ({index + 1}..{n_ops})",
                 element=f"op {index}", op=index, target=target))
             continue
@@ -194,8 +199,8 @@ def lint_flat_schedule(schedule: FlatSchedule,
             bad_gates.add(index)
             report.add(_finding(
                 "ir-gate-structure",
-                f"gate at op {index} jumps to {target}, past the end "
-                f"({outer_target}) of the region of the enclosing gate at "
+                f"{kind} at op {index} jumps to {target}, past the end "
+                f"({outer_target}) of the enclosing region at "
                 f"op {outer}: gate regions must nest",
                 element=f"op {index}", op=index, target=target,
                 enclosing=outer))
@@ -242,10 +247,6 @@ def lint_flat_schedule(schedule: FlatSchedule,
     for index in range(n_ops):
         join_regions(index)
         op = program[index]
-        if op[0] == OP_GATE:
-            if index not in bad_gates:
-                region_stack.append((op[2], states[:], origins[:]))
-            continue
         for kind, slot, origin in _op_events(op, index):
             if kind in ("r", "cr"):
                 state = states[slot]
@@ -271,6 +272,8 @@ def lint_flat_schedule(schedule: FlatSchedule,
                 origins[slot] = origin
                 read_since_write[slot] = False
                 last_write_op[slot] = index
+        if op[0] in REGION_OPS and index not in bad_gates:
+            region_stack.append((op[2], states[:], origins[:]))
     join_regions(n_ops)
     for slot in output_slots:
         if states[slot] == _UNWRITTEN and not writes_by_slot.get(slot) \

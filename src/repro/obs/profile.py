@@ -65,9 +65,10 @@ class OpProfile:
                    in zip(self.counts, self.nested_ops) if nested)
 
     def gate_stats(self) -> Tuple[int, int]:
-        """(gate evaluations, gate skips) across all gate ops."""
-        checks = sum(count for count, kind
-                     in zip(self.counts, self.op_kinds) if kind == "gate")
+        """(region evaluations, region skips) across all ``gate`` and
+        ``select`` ops."""
+        checks = sum(count for count, kind in zip(self.counts, self.op_kinds)
+                     if kind in ("gate", "select"))
         return checks, sum(self.gate_skips)
 
     def op_time_s(self) -> float:

@@ -3,12 +3,12 @@
 * :mod:`repro.simulation.engine` -- the reference tick-based interpreter and
   rate gating
 * :mod:`repro.simulation.compiled` -- the compiled engine: one-time schedule
-  compilation (the leaf compiler for MTDs, STDs, expression and atomic
-  blocks), batch scenario runs, differential verification
+  compilation (the leaf compiler for MTD mode controllers, STDs and
+  atomic blocks), batch scenario runs, differential verification
 * :mod:`repro.simulation.schedule_ir` -- the flat schedule IR, the
   compiler of every root: cross-hierarchy flattening onto one global step
-  program with slot-based environments, gating predicates and correction
-  barriers
+  program with slot-based environments, gating predicates, mode
+  ``select`` regions and correction barriers
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
   lowered to one compiled C tick loop driven through ctypes, one C call
   per scenario (requires a platform C compiler; check
@@ -24,7 +24,7 @@
 from .causality import (CausalityAnalysis, CausalityResult, analyze_causality,
                         assert_causal, instantaneous_path_exists)
 from .compiled import (CompiledSchedule, CompiledSimulator, ScenarioSuite,
-                       compile_ccd, compile_component, compile_nested,
+                       compile_ccd, compile_component,
                        simulate_ccd_compiled, simulate_compiled)
 from .engine import (ClockGatedComponent, Simulator, build_gated_ccd,
                      normalize_stimulus, prepare_feeds, simulate, simulate_ccd)
@@ -42,7 +42,7 @@ __all__ = [
     "NativeLoweringError", "NativeSchedule", "ScenarioSuite",
     "SimulationTrace", "Simulator", "align_lengths", "analyze_causality",
     "assert_causal", "build_gated_ccd", "compile_ccd", "compile_component",
-    "compile_flat", "compile_native", "compile_nested", "constant",
+    "compile_flat", "compile_native", "constant",
     "first_difference", "instantaneous_path_exists", "is_flattenable",
     "native_available", "normalize_stimulus", "prepare_feeds",
     "presence_ratio", "pulse", "ramp", "resample", "simulate",

@@ -11,23 +11,22 @@ concept is exercised against many scenarios.
 This module splits execution into two phases.
 
 **Compile** (:func:`~repro.simulation.schedule_ir.compile_flat`): every
-root -- composites and clock gates hoisted, in any nesting, down to their
-leaves -- is lowered onto the flat schedule IR of
+root -- composites, clock gates and MTDs hoisted, in any nesting, down to
+their leaves -- is lowered onto the flat schedule IR of
 :mod:`repro.simulation.schedule_ir` (one global step program over
 slot-based environments); a bare leaf root is a one-op program.  Each
-*leaf* is compiled once by :func:`compile_nested` into a step closure with
-every schedule decision precomputed:
+*leaf* is compiled once by :func:`compile_component` into a step closure
+with every schedule decision precomputed:
 
-* each mode-transition diagram gets per-mode transition tables (guards
-  compiled to generated Python functions via
-  :mod:`repro.core.expr_compile`) and mode
-  behaviours compiled by :func:`compile_component` (a composite behaviour
-  is a flat program of its own);
+* each mode-transition diagram is split as in the paper's Sec. 3.3: its
+  mode controller (:func:`compile_mode_controller`, per-mode transition
+  tables with guards compiled to generated Python functions via
+  :mod:`repro.core.expr_compile`) is a leaf, and each mode behaviour is
+  hoisted into a ``select`` region of the same program;
 * each state-transition diagram gets per-state sorted transition tables
   with compiled guards, actions and emissions;
-* each expression block gets its output expressions compiled the same
-  way (inside a flat program, a pure expression block is no leaf at all:
-  its ``expr`` op inlines the expressions' source into the step);
+* a pure expression block is no leaf at all: its ``expr`` op inlines the
+  expressions' source into the step;
 * every other component (function/stateful blocks, subclasses with a
   custom ``react``...) is already a single ``react`` call and is executed
   directly.
@@ -36,8 +35,7 @@ every schedule decision precomputed:
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore
 be reused across any number of simulation runs.  Its state is its own: a
 run starts from the schedule's ``initial_state()`` (a flat program's
-:class:`~repro.simulation.schedule_ir.FlatState`, an MTD leaf's mode
-states built from its compiled mode behaviours), never from the
+:class:`~repro.simulation.schedule_ir.FlatState`), never from the
 interpreter's nested ``component.initial_state()``.  Every schedule a
 simulator runs is flat or native, and runs a scenario's whole horizon at
 once through one shell, :func:`~repro.simulation.engine.run_horizon`:
@@ -64,7 +62,7 @@ import threading
 import warnings
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
 
-from ..core.components import Component, ExpressionComponent
+from ..core.components import Component
 from ..core.errors import ModelError, SimulationError
 from ..core.values import ABSENT, is_present
 from ..obs.context import active as _obs_active
@@ -81,78 +79,56 @@ StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any
 
 
 class CompiledSchedule:
-    """A leaf component compiled into an executable schedule.
+    """A leaf component compiled into an executable step.
 
     ``step`` is the executable form, over the state :meth:`initial_state`
-    starts; ``kind`` names the compilation strategy (``"mtd"``, ``"std"``
-    or ``"atomic"``) and ``children`` holds the compiled sub-schedules (an
-    MTD's mode behaviours), so tests and tools can inspect what the
-    compiler produced.
+    starts; ``kind`` names the compilation strategy (``"mtd"`` for an
+    MTD's mode controller, ``"std"`` or ``"atomic"``), so tests and tools
+    can inspect what the compiler produced.
     """
 
-    __slots__ = ("component", "kind", "step", "children", "_initial")
+    __slots__ = ("component", "kind", "step", "_initial")
 
     def __init__(self, component: Component, kind: str, step: StepFunction,
-                 children: Optional[List[Tuple[str, Any]]] = None,
                  initial: Optional[Callable[[], Any]] = None):
         self.component = component
         self.kind = kind
         self.step = step
-        self.children = children or []
         self._initial = initial or component.initial_state
 
     def initial_state(self) -> Any:
         """The state :attr:`step` starts from: the component's own, except
-        that an MTD's mode behaviours start from their compiled schedules'
-        (a composite behaviour's is a flat program's state)."""
+        that a mode controller's is ``{"mode": initial mode}``."""
         return self._initial()
 
     def mode_paths(self, state: Any, path: Optional[str] = None,
                    out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Active mode/state of every MTD and STD, keyed by hierarchical
-        path (the paths of :func:`~repro.simulation.engine.active_mode_paths`)
-        and collected into *out*.
-
-        MTDs recurse through their compiled children, so a mode behaviour
-        holding a flat program's state is read by that program; every
-        other leaf is walked by
-        :func:`~repro.simulation.engine.active_mode_paths`.
-        """
-        if out is None:
-            out = {}
-        if path is None:
-            path = self.component.name
-        if self.kind != "mtd":
-            return active_mode_paths(self.component, state, path, out)
-        current = state["mode"] or self.component.initial_mode
-        out[path] = current
-        for mode_name, behavior in self.children:
-            if mode_name == current:
-                behavior.mode_paths(state["mode_states"][current],
-                                    f"{path}/{current}", out)
-        return out
+        """Active mode/state of the leaf's machines, keyed by hierarchical
+        path and collected into *out*: the walk of
+        :func:`~repro.simulation.engine.active_mode_paths` (a mode
+        controller's state names only its own mode)."""
+        return active_mode_paths(self.component, state, path, out)
 
     def __repr__(self) -> str:
-        return (f"CompiledSchedule({self.component.name!r}, kind={self.kind!r}, "
-                f"children={len(self.children)})")
+        return f"CompiledSchedule({self.component.name!r}, kind={self.kind!r})"
 
 
 def compile_component(component: Component, verify: bool = False):
     """Compile *component* into a reusable execution schedule.
 
-    Composites and clock gates with the default synchronous ``react``
-    compile to the flat schedule IR
+    Composites, clock gates and MTDs with their default ``react`` compile
+    to the flat schedule IR
     (:class:`~repro.simulation.schedule_ir.FlatSchedule`): one global,
     topologically ordered step program over slot-based environments, with
-    gating predicates and correction barriers preserving the interpreter's
-    semantics exactly.  Everything else -- MTDs, STDs, atomic blocks,
-    subclasses with a custom ``react`` -- is a leaf compiled by
-    :func:`compile_nested`.  Both schedule kinds share the ``(inputs,
-    state, tick) -> (outputs, state)`` step contract, each over the state
-    its own ``initial_state()`` starts.  This is the
-    dispatch of MTD mode behaviours and of the flattener's ``run`` ops;
-    :class:`CompiledSimulator` compiles every root flat
-    (:func:`~repro.simulation.schedule_ir.compile_flat`).
+    gating predicates, mode ``select`` regions and correction barriers
+    preserving the interpreter's semantics exactly.  Every other component
+    is a leaf :class:`CompiledSchedule`: an STD gets per-state transition
+    tables, anything else -- atomic blocks, subclasses with a custom
+    ``react`` -- runs its own ``react``.  Both schedule kinds share the
+    ``(inputs, state, tick) -> (outputs, state)`` step contract, each over
+    the state its own ``initial_state()`` starts.  This is the dispatch of
+    the flattener's ``run`` ops; :class:`CompiledSimulator` compiles every
+    root flat (:func:`~repro.simulation.schedule_ir.compile_flat`).
 
     With ``verify=True`` the static-analysis engine
     (:mod:`repro.analysis.lint`) runs first -- model-level lint of the
@@ -171,126 +147,47 @@ def compile_component(component: Component, verify: bool = False):
             lint_flat_schedule(schedule).raise_on_errors()
         return schedule
     with maybe_span("compile.nested", component=component.name):
-        return compile_nested(component)
+        if isinstance(component, StateTransitionDiagram) \
+                and type(component).react is StateTransitionDiagram.react:
+            return _compile_std(component)
+        return CompiledSchedule(component, "atomic", component.react)
 
 
-def compile_nested(component: Component) -> CompiledSchedule:
-    """Compile the leaf *component* into a step closure.
+def compile_mode_controller(component: ModeTransitionDiagram
+                            ) -> CompiledSchedule:
+    """The mode controller of an MTD (paper Sec. 3.3): per-mode transition
+    tables with guards compiled to generated Python functions
+    (:mod:`repro.core.expr_compile`).
 
-    The leaf compiler of the flat program: MTDs, STDs and expression
-    blocks get specialized steps; anything else -- composites and gates
-    included, which :func:`compile_component` flattens instead -- runs its
-    own ``react``.
-    """
-    if isinstance(component, ModeTransitionDiagram) \
-            and type(component).react is ModeTransitionDiagram.react:
-        return _compile_mtd(component)
-    if isinstance(component, StateTransitionDiagram) \
-            and type(component).react is StateTransitionDiagram.react:
-        return _compile_std(component)
-    if isinstance(component, ExpressionComponent) \
-            and type(component).react is ExpressionComponent.react:
-        return _compile_expression(component)
-    return _compile_atomic(component)
-
-
-def _compile_atomic(component: Component) -> CompiledSchedule:
-    """A component with its own ``react`` is already a single step."""
-    return CompiledSchedule(component, "atomic", component.react)
-
-
-def _compile_expression(component: ExpressionComponent) -> CompiledSchedule:
-    """Specialized atomic step for expression blocks.
-
-    The reference ``react`` copies the inputs into a fresh environment dict
-    every tick; the evaluator never mutates its environment, and the input
-    dicts built by the surrounding compiled composite (or simulator loop)
-    are fresh per tick, so evaluating against *inputs* directly is
-    observationally identical and saves one dict copy per block per tick.
-    On top of that, the output expressions are compiled to generated
-    Python functions (:mod:`repro.core.expr_compile`), removing the
-    per-tick AST walk.
-    """
-    compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    items = tuple((name, compiler(expression))
-                  for name, expression in component.output_expressions.items())
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        return {name: compiled(inputs) for name, compiled in items}, state
-
-    return CompiledSchedule(component, "atomic", step)
-
-
-def _compile_mtd(component: ModeTransitionDiagram) -> CompiledSchedule:
-    """Precompute per-mode transition tables and compile mode behaviours.
-
-    Guards are compiled to generated Python functions
-    (:mod:`repro.core.expr_compile`) and evaluated against the per-tick input
-    dict directly: the reference ``react`` builds ``environment =
-    dict(inputs)`` each tick, but the evaluator never mutates its
-    environment and the input dicts are fresh per tick (see
-    :func:`_compile_expression`), so the copy is pure overhead.
+    Its step emits the active mode's name (``#mode``) and its position in
+    ``modes()`` (``#index``, the condition of the flattener's ``select``
+    regions) over the state ``{"mode": name}``.  Guards are evaluated
+    against the per-tick input dict directly: the reference ``react``
+    copies it first, but the evaluator never mutates its environment.
     """
     if not component.modes():
         raise ModelError(f"MTD {component.name!r} has no modes")
     compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    children: List[Tuple[str, Any]] = []
-    behaviors: Dict[str, Optional[Tuple[StepFunction, Tuple[str, ...]]]] = {}
-    for mode in component.modes():
-        if mode.behavior is None:
-            behaviors[mode.name] = None
-            continue
-        compiled = compile_component(mode.behavior)
-        children.append((mode.name, compiled))
-        behaviors[mode.name] = (compiled.step,
-                                tuple(mode.behavior.input_names()))
+    results = {mode.name: ({"#mode": mode.name, "#index": position},
+                           {"mode": mode.name})
+               for position, mode in enumerate(component.modes())}
     transition_table = {
-        mode.name: tuple((compiler(t.guard), t.target, t.describe())
+        mode.name: tuple((compiler(t.guard), results[t.target])
                          for t in component.transitions_from(mode.name))
         for mode in component.modes()}
-    output_names = tuple(component.output_names())
-    mode_port = (component.MODE_PORT if component.MODE_PORT in output_names
-                 else None)
     initial_mode = component.initial_mode
-
-    def initial_state() -> Dict[str, Any]:
-        mode_states = dict.fromkeys(behaviors)
-        for mode_name, compiled in children:
-            mode_states[mode_name] = compiled.initial_state()
-        return {"mode": initial_mode, "mode_states": mode_states,
-                "last_transition": None}
 
     def step(inputs: Mapping[str, Any], state: Any,
              tick: int) -> Tuple[Dict[str, Any], Any]:
-        current = state["mode"] or initial_mode
-        mode_states = dict(state["mode_states"])
-
-        fired_description = None
-        for guard, target, description in transition_table[current]:
+        current = state["mode"]
+        for guard, result in transition_table[current]:
             value = guard(inputs)
             if is_present(value) and bool(value):
-                fired_description = description
-                current = target
-                break
+                return result
+        return results[current]
 
-        outputs: Dict[str, Any] = {name: ABSENT for name in output_names}
-        behavior = behaviors[current]
-        if behavior is not None:
-            behavior_step, behavior_inputs = behavior
-            sub_inputs = {name: inputs.get(name, ABSENT)
-                          for name in behavior_inputs}
-            mode_outputs, new_mode_state = behavior_step(
-                sub_inputs, mode_states.get(current), tick)
-            mode_states[current] = new_mode_state
-            outputs.update(mode_outputs)
-        if mode_port is not None:
-            outputs[mode_port] = current
-
-        return outputs, {"mode": current, "mode_states": mode_states,
-                         "last_transition": fired_description}
-
-    return CompiledSchedule(component, "mtd", step, children, initial_state)
+    return CompiledSchedule(component, "mtd", step,
+                            lambda: {"mode": initial_mode})
 
 
 #: Action-target classification for compiled STD transitions.

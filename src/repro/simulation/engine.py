@@ -259,11 +259,14 @@ def active_mode_paths(component: Component, state: Any,
                       out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Extract the active mode/state of every MTD and STD from a state tree.
 
-    Both engines use the same state shapes (``{"subs": ...}`` for
+    The walker reads the interpreter's state shapes (``{"subs": ...}`` for
     composites, ``{"inner": ...}`` for clock-gated wrappers, ``{"mode":
-    ...}`` / ``{"state": ...}`` for MTDs/STDs), so the walker works on
-    reference and compiled states alike.  Paths match
-    :func:`repro.analysis.mode_analysis.machine_inventory`.
+    ..., "mode_states": ...}`` / ``{"state": ...}`` for MTDs/STDs).  A
+    compiled leaf's state shares them, except an MTD's: its mode
+    controller's state is ``{"mode": ...}`` alone, so only the MTD's own
+    path is read from it, and its mode behaviours' leaves are read by
+    :meth:`~repro.simulation.schedule_ir.FlatSchedule.mode_paths`.  Paths
+    match :func:`repro.analysis.mode_analysis.machine_inventory`.
     """
     if out is None:
         out = {}

@@ -47,8 +47,9 @@ Python source for that op.
 
 Lowering decisions per op:
 
-* ``copy`` / ``buf_read`` / ``buf_write`` / ``gate`` -- always native
-  (tag-triple moves and a table jump);
+* ``copy`` / ``buf_read`` / ``buf_write`` / ``gate`` / ``select`` --
+  always native (tag-triple moves, a table jump, and a tag/payload test
+  of the mode controller's index slot with a jump);
 * ``expr`` -- native when every item expression passes
   :func:`~repro.ascet.c_expr.lowerable_expression` *and* the lint
   interval×kind lattice proves no enum/struct value flows through it
@@ -75,7 +76,7 @@ from typing import Any, List, Tuple
 
 from ...ascet.c_expr import TaggedEmitter, lowerable_expression
 from ..schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_EXPR,
-                           OP_GATE, FlatSchedule)
+                           OP_SELECT, REGION_OPS, FlatSchedule)
 
 _HEADER = """\
 /* generated by repro.simulation.native (emitter v{version}) -- do not edit */
@@ -268,12 +269,16 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
         elif code == OP_BUF_WRITE:
             body += ["    " + _move(next_base + buf, src)
                      for src, buf in op[1]]
-        elif code == OP_GATE:
-            gate_index = len(lowered.gate_indexes)
-            lowered.gate_indexes.append(index)
+        elif code in REGION_OPS:
             target = op[2]
             label = "Lend" if target >= len(program) else f"L{target}"
-            body.append(f"    if (!gate[{gate_index}]) goto {label};")
+            if code == OP_SELECT:  # an int index: tag 1, payload position
+                slot, position = op[1]
+                test = f"(tag[{slot}] == 1 && iv[{slot}] == {position}LL)"
+            else:
+                test = f"gate[{len(lowered.gate_indexes)}]"
+                lowered.gate_indexes.append(index)
+            body.append(f"    if (!{test}) goto {label};")
         elif code == OP_EXPR and _expr_is_lowerable(op, flat.leaves[op[1]]):
             lowered.lowered_ops.append(index)
             _emit_expr_block(index, op, flat.leaves[op[1]], body)

@@ -34,11 +34,13 @@ a ``for tick`` loop that reads input slots from prefilled columns, appends
 output slots to output columns, rolls the leaf states and delayed buffers
 and returns the first exception with its tick instead of raising it.
 
-**Gates.**  A gate op sets one flag ``g<k> = p<k>(tick)``, itself guarded by
-the flag of its enclosing gate, and every op runs under the flag of its
-innermost enclosing gate at depth 1 -- so arbitrarily deep gate nesting (a
-1200-level gated chain) never reaches CPython's indentation limit.  A
-program whose gate regions do not nest forward (only a doctored one: the
+**Regions.**  A gate op sets one flag ``g<k> = p<k>(tick)`` and a select
+op one flag ``g<k> = v[slot] == position`` (its mode controller wrote the
+active mode's position into ``slot``), each guarded by the flag of its
+enclosing region, and every op runs under the flag of its innermost
+enclosing region at depth 1 -- so arbitrarily deep nesting (a 1200-level
+gated chain) never reaches CPython's indentation limit.  A
+program whose regions do not nest forward (only a doctored one: the
 flattener never emits it and ``ir_verify`` reports it as
 ``ir-gate-structure``) compiles to a step that raises
 :class:`~repro.core.errors.SimulationError`.
@@ -53,7 +55,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource, SourceScope
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                          OP_EXPR, OP_GATE, OP_RUN, FlatState)
+                          OP_EXPR, OP_RUN, OP_SELECT, REGION_OPS,
+                          FlatState)
 
 #: Slot spelling of one substrate: ``(read(slot), write(slot, x), copy(src,
 #: dst))`` as source-text builders, plus the name through which generated
@@ -120,9 +123,13 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
         return [write(dst, f"pb[{index}]") for index, dst in op[1]]
     if code == OP_BUF_WRITE:
         return [f"nb[{index}] = {read(src)}" for src, index in op[1]]
-    if code == OP_GATE:
-        bound[f"p{k}"] = op[1]
-        return [f"g{k} = p{k}(tick)"] + (
+    if code in REGION_OPS:
+        if code == OP_SELECT:  # the mode controller wrote the index slot
+            flag = f"{read(op[1][0])} == {op[1][1]}"
+        else:
+            bound[f"p{k}"] = op[1]
+            flag = f"p{k}(tick)"
+        return [f"g{k} = {flag}"] + (
             [f"if not g{k}: S[{k}] += 1"] if profiled else [])
     if code == OP_CORRECT:
         count = ["P.correction_reruns += 1"] if profiled else []
@@ -149,8 +156,8 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
 
 def _gate_guards(program: Sequence[Tuple[Any, ...]]
                  ) -> Optional[List[Optional[str]]]:
-    """The flag of each op's innermost enclosing gate (``None`` at top
-    level), or ``None`` when the gate regions do not nest forward."""
+    """The flag of each op's innermost enclosing region (``None`` at top
+    level), or ``None`` when the regions do not nest forward."""
     n_ops = len(program)
     guards: List[Optional[str]] = []
     open_gates: List[Tuple[str, int]] = []  # (flag, jump target)
@@ -158,7 +165,7 @@ def _gate_guards(program: Sequence[Tuple[Any, ...]]
         while open_gates and open_gates[-1][1] <= k:
             open_gates.pop()
         guards.append(open_gates[-1][0] if open_gates else None)
-        if op[0] == OP_GATE:
+        if op[0] in REGION_OPS:
             target = min(op[2], n_ops)
             if target <= k or (open_gates and target > open_gates[-1][1]):
                 return None
@@ -177,7 +184,7 @@ def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
                 'nest forward")']
     # a nested gate's flag must read false when its parent region is skipped
     lines = [f"g{k} = False" for k, op in enumerate(program)
-             if op[0] == OP_GATE and guards[k] is not None]
+             if op[0] in REGION_OPS and guards[k] is not None]
     open_guard = None
     for k, op in enumerate(program):
         body = _op_lines(k, op, slots, profiled, scope)

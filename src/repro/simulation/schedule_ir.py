@@ -19,12 +19,12 @@ slot copies instead of ``(component, port)`` dict keys, and each leaf's
 input environment is built exactly once from its slots -- no per-composite
 dict construction, key translation or input re-filtering.
 
-**The program.**  Seven opcodes cover the full semantics of the
-interpreter's composites and clock gates:
+**The program.**  Eight opcodes cover the full semantics of the
+interpreter's composites, clock gates and mode-transition diagrams:
 
 * ``run``   -- execute one leaf step (gather inputs from slots, call the
   leaf's compiled step, scatter outputs to slots, forward its
-  instantaneous channels);
+  instantaneous channels); an MTD's mode controller is one;
 * ``expr``  -- evaluate an expression block's output expressions straight
   into its output slots, their generated source
   (:class:`~repro.core.expr_compile.ExpressionSource`) inlined into the
@@ -37,6 +37,10 @@ interpreter's composites and clock gates:
   :class:`~repro.simulation.engine.ClockGatedComponent` subtree: when the
   clock is silent at this tick, jump over the subtree's ops (outputs stay
   absent, leaf states and buffers are carried over unchanged);
+* ``select`` -- the region of one MTD mode behaviour (paper Sec. 3.3),
+  laid out like ``gate``: ``[OP_SELECT, (index_slot, position), target]``
+  jumps over the behaviour's ops unless the mode controller wrote the
+  mode's *position* in ``modes()`` into *index_slot* this tick;
 * ``correct`` -- the per-composite correction barrier: non-feedthrough
   entries whose inputs changed after they ran are re-stepped from their
   tick-start state with the final values, mirroring the reference
@@ -56,20 +60,21 @@ states plus one flat list of delayed-channel buffers.  A compiled program
 starts only from :meth:`FlatSchedule.initial_state`, and the step is an
 ``(inputs, state, tick) -> (outputs, state)`` function over that state
 alone: :func:`~repro.simulation.engine.run_stepped` callers pass it as
-``initial_state``.  A leaf's state is its compiled schedule's -- an MTD
-mode behaviour that is a composite starts as a :class:`FlatState` too --
-so the interpreter's nested dict states never reach a compiled program.
+``initial_state``.  A leaf's state is its compiled schedule's -- a mode
+controller's is ``{"mode": name}``, and a mode behaviour's leaves are
+leaves of the same program -- so the interpreter's nested dict states
+never reach a compiled program.
 
-**Fallbacks.**  Leaves -- MTDs, STDs, atomic blocks and components with
-a custom ``react`` -- are compiled by the leaf compiler
-(:func:`~repro.simulation.compiled.compile_nested`) and embedded as single
-``run`` ops; a clock gate around a leaf is a ``gate`` region like any
-other.  Every root compiles, a bare leaf root to a one-op program.  A
-non-feedthrough composite or gate fed by a later producer must stay a
-single step, so the correction barrier can re-run it atomically: it
-becomes a ``run`` op whose step is its own flat program
-(:func:`compile_flat`).  :meth:`FlatSchedule.ops_summary` labels every
-composite or gate that stays a single step ``nested``, and
+**Fallbacks.**  Leaves -- STDs, atomic blocks and components with a
+custom ``react`` (an MTD subclass with one included) -- are compiled by
+the leaf compiler (:func:`~repro.simulation.compiled.compile_component`)
+and embedded as single ``run`` ops; a clock gate around a leaf is a
+``gate`` region like any other.  Every root compiles, a bare leaf root to
+a one-op program.  A non-feedthrough composite, gate or MTD fed by a
+later producer must stay a single step, so the correction barrier can
+re-run it atomically: it becomes a ``run`` op whose step is its own flat
+program (:func:`compile_flat`).  :meth:`FlatSchedule.ops_summary` labels
+every node that stays a single step ``nested``, and
 :attr:`FlatSchedule.fallback_paths` lists them.
 
 Compilation is **iterative** (an explicit stack of emission generators plus
@@ -90,17 +95,21 @@ from ..core.components import (Component, CompositeComponent,
                                subtree_structure_tokens)
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource
+from ..notations.mtd import ModeTransitionDiagram
 from ..obs.context import maybe_span
 from .engine import ClockGatedComponent, StimulusSpec, run_horizon
 from .trace import SimulationTrace
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
- OP_CORRECT) = range(7)
+ OP_CORRECT, OP_SELECT) = range(8)
 
 _OP_NAMES = {OP_RUN: "run", OP_EXPR: "expr", OP_COPY: "copy",
              OP_BUF_READ: "buf_read", OP_BUF_WRITE: "buf_write",
-             OP_GATE: "gate", OP_CORRECT: "correct"}
+             OP_GATE: "gate", OP_CORRECT: "correct", OP_SELECT: "select"}
+
+#: The region opcodes: ``[code, condition, jump target]``.
+REGION_OPS = (OP_GATE, OP_SELECT)
 
 
 class FlatState:
@@ -126,34 +135,41 @@ class FlatState:
 
 class _Leaf:
     """One leaf step of the flat program: a leaf-compiled
-    :class:`~repro.simulation.compiled.CompiledSchedule`, the
-    :class:`FlatSchedule` of a composite that stays a single step, or no
-    schedule at all (``None``) for a pure expression block, which its
-    ``expr`` op evaluates inline."""
+    :class:`~repro.simulation.compiled.CompiledSchedule` (an MTD's is its
+    mode controller), the :class:`FlatSchedule` of a composite that stays
+    a single step, or no schedule at all (``None``) for a pure expression
+    block, which its ``expr`` op evaluates inline.  ``modes`` holds the
+    ``(controller leaf, mode name)`` of every enclosing ``select``
+    region."""
 
     __slots__ = ("index", "component", "schedule", "run_kind", "path",
-                 "mode_path")
+                 "mode_path", "modes")
 
     def __init__(self, index: int, component: Component, schedule: Any,
-                 run_kind: str, path: str, mode_path: str):
+                 run_kind: str, path: str, mode_path: str,
+                 modes: Tuple[Tuple[int, str], ...]):
         self.index = index
         self.component = component
         self.schedule = schedule
         self.run_kind = run_kind
         self.path = path
         self.mode_path = mode_path
+        self.modes = modes
 
 
 def is_flattenable(component: Component) -> bool:
     """True if the flattener hoists *component* into its parent's program.
 
-    Hoisted nodes are composites and clock gates (a ``gate`` region around
-    whatever they wrap) with the default synchronous ``react``.  Everything
-    else -- MTDs, STDs, atomic blocks, subclasses with a custom ``react``
-    -- is a leaf, one ``expr`` or ``run`` op (see :func:`compile_flat`).
+    Hoisted nodes are composites, clock gates (a ``gate`` region around
+    whatever they wrap) and MTDs (a mode controller plus one ``select``
+    region per mode behaviour) with their default ``react``.  Everything
+    else -- STDs, atomic blocks, subclasses with a custom ``react`` -- is a
+    leaf, one ``expr`` or ``run`` op (see :func:`compile_flat`).
     """
     if isinstance(component, ClockGatedComponent):
         return type(component).react is ClockGatedComponent.react
+    if isinstance(component, ModeTransitionDiagram):
+        return type(component).react is ModeTransitionDiagram.react
     return (isinstance(component, CompositeComponent)
             and type(component).react is CompositeComponent.react)
 
@@ -191,6 +207,8 @@ class _Flattener:
         self.buffer_initials: List[Any] = []
         self.scratch_count = 0
         self.fallback_paths: List[str] = []
+        #: ``(controller leaf, mode name)`` of the open ``select`` regions
+        self._modes: List[Tuple[int, str]] = []
         self._deps_cache: Dict[int, Any] = {}
         self._tokens: Dict[int, Any] = {}
 
@@ -241,10 +259,10 @@ class _Flattener:
         parent's channel propagation emits back-to-back copy ops; copies
         execute strictly in order, so fusing the pair lists is behaviour-
         preserving and saves one dispatch per composite boundary per tick.
-        Gate jump targets are recomputed from op identity.
+        Region jump targets are recomputed from op identity.
         """
         merged: List[List[Any]] = []
-        gates = [op for op in ops if op[0] == OP_GATE]
+        gates = [op for op in ops if op[0] in REGION_OPS]
         gate_targets = {gate[2] for gate in gates}
         targets: Dict[int, Any] = {}  # original op index -> op at that index
         for index, op in enumerate(ops):
@@ -266,12 +284,14 @@ class _Flattener:
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], prefix: str, mode_path: str
                    ) -> Iterator[Any]:
-        """Emit ops for one node: a gated wrapper, a composite or a leaf.
+        """Emit ops for one node: a gated wrapper, an MTD, a composite or
+        a leaf.
 
         The wrapper's boundary ports *are* the inner component's (same
         names, forwarded 1:1), so gating aliases the slots instead of
         copying: when the gate clock is silent the region is jumped over
-        and the (shared) output slots simply stay absent.
+        and the (shared) output slots simply stay absent.  An MTD's mode
+        behaviours alias its slots the same way.
         """
         path = f"{prefix}/{component.name}" if prefix else component.name
         if not is_flattenable(component):
@@ -283,9 +303,54 @@ class _Flattener:
             yield self._emit_node(component.inner, in_slots, out_slots,
                                   path, mode_path)
             gate[2] = len(self.ops)  # jump target: first op after the region
+        elif isinstance(component, ModeTransitionDiagram):
+            yield self._emit_mtd(component, in_slots, out_slots, path,
+                                 mode_path)
         else:
             yield self._emit_composite(component, in_slots, out_slots,
                                        path, mode_path)
+
+    def _new_leaf(self, component: Component, schedule: Any, run_kind: str,
+                  path: str, mode_path: str) -> _Leaf:
+        leaf = _Leaf(len(self.leaves), component, schedule, run_kind, path,
+                     mode_path, tuple(self._modes))
+        self.leaves.append(leaf)
+        return leaf
+
+    def _emit_mtd(self, mtd: ModeTransitionDiagram, in_slots: Dict[str, int],
+                  out_slots: Dict[str, int], path: str, mode_path: str
+                  ) -> Iterator[Any]:
+        """The paper's Sec. 3.3 split of an MTD, done at compile time: its
+        mode controller (one ``run`` op writing the mode name and its
+        position in ``modes()``), one ``select`` region per mode behaviour,
+        hoisted into the MTD's own slots, then the mode port, which wins
+        over a behaviour's own ``mode`` output as in ``react``."""
+        from .compiled import compile_mode_controller
+
+        controller = compile_mode_controller(mtd)
+        leaf = self._new_leaf(mtd, controller, "mtd", path, mode_path)
+        index_slot = self._new_slot(f"{path}.#index")
+        out_spec: Tuple[Tuple[str, int], ...] = (("#index", index_slot),)
+        mode_port = out_slots.get(mtd.MODE_PORT)
+        if mode_port is not None:
+            mode_slot = self._new_slot(f"{path}.#mode")
+            out_spec += (("#mode", mode_slot),)
+        in_spec = tuple((name, in_slots[name]) for name in mtd.input_names())
+        self.ops.append([OP_RUN, leaf.index, controller.step, in_spec,
+                         out_spec, (), -1])
+        for position, mode in enumerate(mtd.modes()):
+            if mode.behavior is None:
+                continue
+            select = [OP_SELECT, (index_slot, position), -1]
+            self.ops.append(select)
+            self._modes.append((leaf.index, mode.name))
+            yield self._emit_node(mode.behavior, in_slots, out_slots,
+                                  f"{path}/{mode.name}",
+                                  f"{mode_path}/{mode.name}")
+            self._modes.pop()
+            select[2] = len(self.ops)
+        if mode_port is not None:
+            self.ops.append([OP_COPY, ((mode_slot, mode_port),)])
 
     def _emit_leaf(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], prefix: str, mode_path: str,
@@ -295,8 +360,8 @@ class _Flattener:
         ``run`` op; returns the correction-barrier entry of a *tracked*
         ``run`` op (one a late producer may feed after it ran).
 
-        A composite or gate reaching here runs as a flat program of its
-        own, so the barrier can re-run it atomically from its tick-start
+        A composite, gate or MTD reaching here runs as a flat program of
+        its own, so the barrier can re-run it atomically from its tick-start
         state, like the reference interpreter's second pass.
         """
         from .compiled import compile_component
@@ -316,9 +381,7 @@ class _Flattener:
             # expression reads none of the inputs a late producer could
             # change, so the interpreter's compare-and-rerun is observably
             # a no-op for it.
-            leaf = _Leaf(len(self.leaves), component, None, "expr", path,
-                         mode_path)
-            self.leaves.append(leaf)
+            leaf = self._new_leaf(component, None, "expr", path, mode_path)
             functions = component._evaluator.functions  # noqa: SLF001
             # expressions for undeclared ports are still evaluated (the
             # interpreter does, and evaluation may raise) but their
@@ -330,12 +393,8 @@ class _Flattener:
             self.ops.append([OP_EXPR, leaf.index, in_spec, items, propagate])
             return None
         schedule = compile_component(component)
-        run_kind = schedule.kind
-        if isinstance(component, (CompositeComponent, ClockGatedComponent)):
-            run_kind = "nested"
-        leaf = _Leaf(len(self.leaves), component, schedule, run_kind, path,
-                     mode_path)
-        self.leaves.append(leaf)
+        run_kind = "nested" if is_flattenable(component) else schedule.kind
+        leaf = self._new_leaf(component, schedule, run_kind, path, mode_path)
         if run_kind == "nested":
             self.fallback_paths.append(path)
         out_spec = tuple((name, out_slots[name])
@@ -554,7 +613,7 @@ class FlatSchedule:
         ``(kind name, human label, runs-on-nested-fallback)``.
 
         Labels match :meth:`ops_summary`; the nested flag marks ``run`` ops
-        whose leaf is a composite or gate kept as one step (see
+        whose leaf is a composite, gate or MTD kept as one step (see
         :attr:`fallback_paths`), so profiles can report fallback activity
         without re-deriving it.
         """
@@ -567,8 +626,8 @@ class FlatSchedule:
                 leaf = self.leaves[op[1]]
                 label = f"{leaf.path} [{leaf.run_kind}]"
                 nested = leaf.run_kind == "nested"
-            elif code == OP_GATE:
-                label = f"gate -> {op[2]}"
+            elif code in REGION_OPS:
+                label = f"{kind} -> {op[2]}"
             elif code == OP_CORRECT:
                 label = f"correction barrier ({len(op[1])})"
             else:
@@ -580,7 +639,7 @@ class FlatSchedule:
     def instrumented_step(self, profile: Any,
                           clock: Any = time.perf_counter):
         """A variant of :attr:`step` recording into *profile*: per executed
-        op its count and wall time, per gate its skips, per correction
+        op its count and wall time, per region its skips, per correction
         barrier its re-runs, per tick the total step time.
 
         Generated from the same per-op templates as :attr:`step`
@@ -610,9 +669,9 @@ class FlatSchedule:
         and the :meth:`op_labels` label.
 
         ``run`` ops name the leaf's hierarchical path and compilation kind
-        (``nested`` marks composites and gates kept as one step) and are
-        marked ``(correction-tracked)`` when a barrier may re-run them;
-        ``gate`` ops show their jump target.
+        (``nested`` marks composites, gates and MTDs kept as one step) and
+        are marked ``(correction-tracked)`` when a barrier may re-run them;
+        ``gate`` and ``select`` ops show their jump target.
         """
         lines = []
         for index, (op, (kind, label, _nested)) in enumerate(
@@ -638,9 +697,10 @@ class FlatSchedule:
         :func:`repro.simulation.engine.active_mode_paths`: identical paths
         and values, read positionally from the flat state -- and only from
         the leaves :attr:`mode_plan` names, so a machine-free schedule
-        reads nothing.  Each named leaf is read by its own schedule; with
-        *path* the paths are rebased from this root's name onto *path*
-        (a flat program running as a leaf or mode behaviour).
+        reads nothing.  Each named leaf is read by its own schedule, unless
+        an enclosing mode controller is in another mode; with *path* the
+        paths are rebased from this root's name onto *path* (a flat program
+        running as one step).
         """
         if out is None:
             out = {}
@@ -649,6 +709,9 @@ class FlatSchedule:
         cut = len(self.component.name)
         for index in self.mode_plan:
             leaf = leaves[index]
+            if any(leaf_states[controller]["mode"] != mode
+                   for controller, mode in leaf.modes):
+                continue
             leaf.schedule.mode_paths(
                 leaf_states[index],
                 leaf.mode_path if path is None else path + leaf.mode_path[cut:],
@@ -664,8 +727,8 @@ class FlatSchedule:
 def compile_flat(component: Component) -> FlatSchedule:
     """Compile *component* into a :class:`FlatSchedule`.
 
-    Every root with behaviour compiles: a composite or gate hierarchy into
-    its hoisted program, a bare leaf (an MTD, STD, atomic block or custom
+    Every root with behaviour compiles: a composite, gate or MTD hierarchy
+    into its hoisted program, a bare leaf (an STD, atomic block or custom
     ``react``) into a one-op program whose leaf state is the root's.
     Raises :class:`SimulationError` for a component without behaviour.
     """

@@ -449,8 +449,9 @@ def _build_one_step_model(rng, index):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_one_step_composites_agree_with_interpreter(seed):
-    """Late-produced composites and composite MTD mode behaviours compile
-    to flat programs of their own; ``auto``, ``flat``, ``native`` and
+    """Late-produced composites compile to flat programs of their own and
+    composite MTD mode behaviours to ``select`` regions of the root's
+    program; ``auto``, ``flat``, ``native`` and
     ``batch`` must reproduce the interpreter's typed traces, error strings
     and ``collect_modes`` histories on them."""
     rng = random.Random(9500 + seed)
@@ -462,8 +463,11 @@ def test_one_step_composites_agree_with_interpreter(seed):
     leaves = {leaf.component.name: leaf for leaf in flat.leaves}
     assert isinstance(leaves["C"].schedule, FlatSchedule)
     assert flat.fallback_paths == [f"{model.name}/C"]
-    assert [type(behavior) for _mode, behavior
-            in leaves["M"].schedule.children] == [FlatSchedule] * 2
+    controller = leaves["M"]
+    assert controller.schedule.kind == "mtd"
+    assert {leaf.modes for leaf in flat.leaves
+            if leaf.path.startswith(f"{model.name}/M/")} \
+        == {((controller.index, "Low"),), ((controller.index, "High"),)}
 
     expected = [_interpreter_modes(model, scenario) for scenario in battery]
     for backend in ["auto", "flat", "batch"] + (["native"] if _HAS_NATIVE
@@ -593,3 +597,170 @@ def test_fuzz_models_are_lint_clean_and_never_hit_unknown_names(seed):
 @pytest.mark.parametrize("seed", range(8, 40))
 def test_generated_step_variants_fuzz_extended(seed):
     test_generated_step_variants_agree_with_interpreter(seed)
+
+
+# -- random MTDs: mode controllers and select regions --------------------------
+
+
+#: Guard templates over ``a`` and ``b``; the last one divides by zero
+#: when ``a`` hits the threshold.
+_GUARDS = ["a > {t}", "b < {t}", "a == {t} or b == {t}",
+           "present(b) and b > {t}", "100 / (a - {t}) > 3"]
+
+_BEHAVIOURS = ["expr", "std", "loop", "mtd", "empty"]
+
+
+def _loop_dfd(rng, name):
+    """A mode behaviour ``(a, b) -> out`` whose expression block reads its
+    own output over a delayed self-loop, optionally through an STD."""
+    dfd = DataFlowDiagram(name)
+    dfd.add_input("a")
+    dfd.add_input("b")
+    dfd.add_output("out")
+    leaf = _expression_block(rng, f"{name}E")
+    dfd.add_subcomponent(leaf)
+    dfd.connect("a", f"{name}E.a")
+    dfd.connect(f"{name}E.out", f"{name}E.b", delayed=True,
+                initial_value=rng.randint(0, 3))
+    if rng.random() < 0.5:
+        dfd.add_subcomponent(_std_block(rng, f"{name}Seq"))
+        dfd.connect(f"{name}E.out", f"{name}Seq.a")
+        dfd.connect(f"{name}Seq.out", "out")
+    else:
+        dfd.connect(f"{name}E.out", "out")
+    return dfd
+
+
+def _mode_behaviour(rng, name, kind, with_mode, depth):
+    if kind == "std":
+        return _std_block(rng, name)
+    if kind == "loop":
+        return _loop_dfd(rng, name)
+    if kind == "mtd" and depth == 0:
+        return _random_mtd(rng, name, depth + 1, with_mode)
+    if kind == "empty":
+        return None
+    block = _expression_block(rng, name)
+    if with_mode:  # a behaviour declaring the port the MTD's mode wins
+        block.output_expressions["mode"] = block.output_expressions["out"]
+        block.add_output("mode")
+    return block
+
+
+def _random_mtd(rng, name, depth=0, with_mode=None):
+    """An MTD ``(a, b) -> out [, mode]`` with 2-4 modes whose behaviours
+    are drawn from :data:`_BEHAVIOURS`, one of them declaring ``mode``
+    when the MTD does, and 1-2 prioritized guarded transitions per mode."""
+    if with_mode is None:
+        with_mode = rng.random() < 0.7
+    mtd = ModeTransitionDiagram(name)
+    mtd.add_input("a")
+    mtd.add_input("b")
+    mtd.add_output("out")
+    if with_mode:
+        mtd.add_output("mode")
+    names = [f"{name}M{index}" for index in range(rng.randint(2, 4))]
+    kinds = rng.sample(_BEHAVIOURS, len(names))
+    moded = rng.randrange(len(names)) if with_mode else None
+    if moded is not None:
+        kinds[moded] = "expr"
+    for index, (mode, kind) in enumerate(zip(names, kinds)):
+        # a nested MTD may declare ``mode`` too
+        declares_mode = index == moded or (kind == "mtd" and with_mode
+                                           and rng.random() < 0.5)
+        mtd.add_mode(mode, _mode_behaviour(rng, f"{mode}B", kind,
+                                           declares_mode, depth))
+    for source in names:
+        for _ in range(rng.randint(1, 2)):
+            guard = rng.choice(_GUARDS).format(t=rng.randint(-2, 4))
+            mtd.add_transition(source, rng.choice(names), guard,
+                               priority=rng.randint(0, 2))
+    return mtd
+
+
+def _mtd_context(rng, mtd, context):
+    """*mtd* as the root, hoisted into a DFD that feeds its output back
+    over a delayed channel, or behind a clock gate."""
+    if context == "gated":
+        return ClockGatedComponent(mtd, every(rng.randint(2, 3),
+                                              phase=rng.randint(0, 1)),
+                                   name="G")
+    if context == "root":
+        return mtd
+    dfd = DataFlowDiagram("Host")
+    dfd.add_input("x")
+    dfd.add_input("y")
+    dfd.add_output("out")
+    pre = _expression_block(rng, "Pre")
+    dfd.add(pre, mtd)
+    dfd.connect("x", "Pre.a")
+    dfd.connect("y", "Pre.b")
+    dfd.connect("Pre.out", f"{mtd.name}.a")
+    dfd.connect(f"{mtd.name}.out", f"{mtd.name}.b", delayed=True,
+                initial_value=0)
+    dfd.connect(f"{mtd.name}.out", "out")
+    if "mode" in mtd.output_names():
+        dfd.add_output("mode")
+        dfd.connect(f"{mtd.name}.mode", "mode")
+    return dfd
+
+
+def _ticked_outcome(run):
+    """``(error, ticks completed, typed streams and mode_history)`` of
+    ``run(observe)``, where *observe* is called after every tick."""
+    done = []
+    try:
+        trace = run(lambda *_: done.append(None))
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        return f"{type(exc).__name__}: {exc}", len(done), None
+    return None, None, (_typed_streams(trace), trace.mode_history)
+
+
+def _interpreter_mtd_outcome(model, scenario):
+    def run(observe):
+        def step(inputs, state, tick):
+            outputs, state = model.react(inputs, state, tick)
+            observe()
+            return outputs, state
+        return run_stepped(model, step, scenario.stimuli, scenario.ticks,
+                           False)
+    return _ticked_outcome(run)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_mtds_agree_with_interpreter(seed):
+    """Random MTDs -- expression, STD, self-looped composite, nested MTD
+    and empty mode behaviours, one also declaring ``mode`` -- as the root,
+    hoisted into a DFD and behind a clock gate: ``flat``, ``native`` and
+    promoted ``auto`` reproduce the interpreter's typed traces,
+    ``mode_history``, errors with the tick they end the run at, and
+    ``collect_modes`` histories."""
+    rng = random.Random(9900 + seed)
+    for context in ("root", "hoisted", "gated"):
+        model = _mtd_context(rng, _random_mtd(rng, "M"), context)
+        battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
+                   in _battery(rng, model, size=4, max_ticks=16)]
+        expected = [(_interpreter_mtd_outcome(model, scenario),
+                     _interpreter_modes(model, scenario)[1])
+                    for scenario in battery]
+        for backend in ["flat"] + (["native", "auto"] if _HAS_NATIVE
+                                   else []):
+            simulator = CompiledSimulator(model, backend=backend)
+            if backend == "auto":
+                simulator._promote_now(force=True)
+            for scenario, (outcome, histories) in zip(battery, expected):
+                got = _ticked_outcome(lambda observe: simulator.run(
+                    scenario.stimuli, scenario.ticks, observe=observe))
+                label = (seed, context, backend, scenario.name)
+                assert got == outcome, label
+                result = execute_scenario(simulator, scenario,
+                                          collect_modes=True)
+                assert result.mode_paths == histories, label
+            if backend == "auto":
+                assert simulator._native is not None, label
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4, 30))
+def test_random_mtd_fuzz_extended(seed):
+    test_random_mtds_agree_with_interpreter(seed)

@@ -100,7 +100,8 @@ def gated_mtd_system(clock, direct=False):
     ``direct=False`` gates a composite that *contains* the MTD (the gate
     becomes a flat-IR gating predicate over hoisted leaf ops);
     ``direct=True`` gates the MTD itself (the gate is a region around the
-    MTD's one ``run`` op).  Both must match the interpreter tick for tick.
+    MTD's mode controller and ``select`` regions).  Both must match the
+    interpreter tick for tick.
     """
     if direct:
         gated = ClockGatedComponent(modes_mtd(), clock, name="Plant")
@@ -144,8 +145,11 @@ def test_compile_component_selects_flat_for_flattenable_roots():
     assert isinstance(compile_component(gated), FlatSchedule)
 
     mtd = modes_mtd()
-    assert not is_flattenable(mtd)
-    assert compile_component(mtd).kind == "mtd"
+    assert is_flattenable(mtd)
+    schedule = compile_component(mtd)
+    assert isinstance(schedule, FlatSchedule)
+    assert schedule.leaves[0].component is mtd
+    assert schedule.leaves[0].schedule.kind == "mtd"
 
     gated_mtd = ClockGatedComponent(modes_mtd(), every(2))
     assert is_flattenable(gated_mtd)
@@ -193,21 +197,32 @@ def test_linear_steps_pin_exact_format():
 
 
 #: ``ops_summary()`` of ``gated_mtd_system(every(3), direct)``, keyed by
-#: *direct*: the gate region holds the plant's ops, the MTD is one ``run``.
+#: *direct*: the gate region holds the plant's ops; the MTD is its mode
+#: controller's ``run``, one ``select`` region per mode behaviour and the
+#: copy of the mode port.
 GATED_MTD_OPS = {
     False: ["   0      copy  copy (1 pair)",
             "   1      expr  Sys/Pre [expr]",
-            "   2      gate  gate -> 7",
+            "   2      gate  gate -> 11",
             "   3      copy  copy (1 pair)",
             "   4       run  Sys/Plant/PlantCore/Scale [atomic]",
             "   5       run  Sys/Plant/PlantCore/Modes [mtd]",
-            "   6      copy  copy (2 pairs)",
-            "   7      copy  copy (4 pairs)"],
+            "   6    select  select -> 8",
+            "   7      expr  Sys/Plant/PlantCore/Modes/Low/LowB [expr]",
+            "   8    select  select -> 10",
+            "   9      expr  Sys/Plant/PlantCore/Modes/High/HighB [expr]",
+            "  10      copy  copy (5 pairs)",
+            "  11      copy  copy (4 pairs)"],
     True: ["   0      copy  copy (1 pair)",
            "   1      expr  Sys/Pre [expr]",
-           "   2      gate  gate -> 4",
+           "   2      gate  gate -> 9",
            "   3       run  Sys/Plant/Modes [mtd]",
-           "   4      copy  copy (4 pairs)"],
+           "   4    select  select -> 6",
+           "   5      expr  Sys/Plant/Modes/Low/LowB [expr]",
+           "   6    select  select -> 8",
+           "   7      expr  Sys/Plant/Modes/High/HighB [expr]",
+           "   8      copy  copy (1 pair)",
+           "   9      copy  copy (4 pairs)"],
 }
 
 
@@ -411,7 +426,7 @@ def test_gating_predicate_is_a_flat_op_for_gated_composites():
     flat = compile_flat(gated_mtd_system(every(2), direct=False))
     summary = "\n".join(flat.ops_summary())
     assert "gate" in summary          # flattened gated composite -> GATE op
-    assert "[mtd]" in summary         # the MTD inside it is a hoisted leaf
+    assert "[mtd]" in summary         # the MTD's hoisted mode controller
     assert flat.fallback_paths == []
 
     flat_direct = compile_flat(gated_mtd_system(every(2), direct=True))
@@ -644,7 +659,9 @@ def test_mode_plan_walks_std_inside_mtd_mode():
     model = std_in_mode_mtd()
     flat, observed = assert_mode_paths_track_reference(
         model, [{"x": value} for value in [0, 3, 5, 5, 3.5, 2, 0.5, 0, 6]])
-    assert planned_paths(flat) == ["Sys/Modes"]
+    # the STD is hoisted into the High region: a leaf of the plan, read
+    # only while its controller is in High
+    assert planned_paths(flat) == ["Sys/Modes", "Sys/Modes/High"]
     assert "Sys/Modes/High" in set().union(*observed)
 
 

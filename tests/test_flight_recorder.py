@@ -28,6 +28,7 @@ from repro import obs
 from repro.core.components import ExpressionComponent
 from repro.notations.blocks import Gain
 from repro.notations.dfd import DataFlowDiagram
+from repro.notations.mtd import ModeTransitionDiagram
 from repro.obs import EventLog, FlightRecorder, read_bundle
 from repro.obs.recorder import _render_env
 from repro.scenarios import Scenario, run_sharded
@@ -192,6 +193,43 @@ def test_forced_scenario_error_dumps_replayable_bundle(tmp_path):
     assert recorder.failure["tick"] == failing["tick"]
     assert _render_env(recorder.failure["values"],
                        schedule.slot_names) == failing["partial_slots"]
+
+
+def dividing_mode_mtd():
+    """An MTD whose ``Hi`` behaviour ``B`` divides by ``d``."""
+    mtd = ModeTransitionDiagram("M")
+    mtd.add_input("x")
+    mtd.add_input("d")
+    mtd.add_output("y")
+    mtd.add_output("mode")
+    for mode, name, source in (("Lo", "A", "x"), ("Hi", "B", "x / d")):
+        block = ExpressionComponent(name, {"y": source})
+        block.declare_interface_from_expressions()
+        mtd.add_mode(mode, block)
+    mtd.add_transition("Lo", "Hi", "x > 2")
+    mtd.add_transition("Hi", "Lo", "x < 1")
+    return mtd
+
+
+def test_bundle_names_the_failing_mode_behaviour_op(tmp_path):
+    """A mode behaviour is a ``select`` region of the MTD's program, so a
+    raise inside it is pinned to the behaviour's own op, with the mode
+    controller's output among the partial slots."""
+    stimuli = {"x": [0.0, 1.0, 3.0, 3.0, 3.0, 3.0],
+               "d": [1.0, 1.0, 1.0, 2.0, 0.0, 1.0]}
+    with obs.session(flight_recording=True,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        result, = run_sharded(dividing_mode_mtd(),
+                              [Scenario("boom", stimuli, 6)],
+                              executor="serial")
+        bundles = list(telemetry.bundles)
+    assert not result.ok and "division by zero" in result.error
+    failing = read_bundle(bundles[0])["failing"]
+    assert failing["tick"] == 4
+    assert (failing["op_kind"], failing["op_label"]) == ("expr",
+                                                         "M/Hi/B [expr]")
+    assert failing["partial_slots"]["M.#mode"] == "Hi"
+    assert failing["inputs"] == {"x": 3.0, "d": 0.0}
 
 
 def test_recorded_campaign_steps_per_tick_and_keeps_its_bundle(

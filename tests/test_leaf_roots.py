@@ -1,9 +1,11 @@
 """Every root compiles to one flat program.
 
-A bare MTD, STD, atomic or custom-``react`` root is a one-op program
-(its one leaf is the root), and a clock gate around any leaf is a ``gate``
-region, so :class:`~repro.simulation.CompiledSimulator` runs every root
-on the flat engine (or its native lowering) through one horizon shell.
+A bare STD, atomic or custom-``react`` root is a one-op program (its one
+leaf is the root), a bare MTD root its mode controller's ``run`` op plus
+one ``select`` region per mode behaviour (the controller's leaf is the
+root), and a clock gate around any leaf is a ``gate`` region, so
+:class:`~repro.simulation.CompiledSimulator` runs every root on the flat
+engine (or its native lowering) through one horizon shell.
 This module pins that against the reference interpreter:
 
 * every case-study root on ``flat``, ``native`` and tiered ``auto``
@@ -13,7 +15,7 @@ This module pins that against the reference interpreter:
 * gates around an MTD, an STD and a custom-``react`` leaf: as the root,
   hoisted into a composite, kept as one correction-tracked step, and as an
   MTD mode behaviour -- traces, ``mode_paths`` and the ``ops_summary()``
-  of the program (and of a mode behaviour's own program);
+  of the program;
 * telemetry on leaf roots: op profiles and flight-recorder bundles.
 """
 
@@ -39,11 +41,12 @@ from repro.scenarios import (ModeSequence, RandomWalk, Scenario,
                              execute_scenario, run_sharded)
 from repro.scenarios.report import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              FlatState, Simulator, build_gated_ccd,
+                              Simulator, build_gated_ccd,
                               compile_flat, is_flattenable,
                               native_available)
 from repro.simulation.engine import run_stepped
-from repro.simulation.schedule_ir import OP_GATE, OP_RUN
+from repro.simulation.schedule_ir import (OP_COPY, OP_EXPR, OP_GATE, OP_RUN,
+                                          OP_SELECT)
 
 
 @pytest.fixture(autouse=True)
@@ -418,6 +421,45 @@ def test_gated_leaf_mode_paths_track_the_reference_state(leaf, context):
 def _gated_ops(machine, kind):
     """The ``ops_summary()`` of a gate around the leaf *machine* of *kind*
     as a root, and in the contexts that hoist it or keep it one step."""
+    host = ["   0       run  Host [mtd]",
+            "   1    select  select -> 3",
+            "   2      expr  Host/Idle/IdleB [expr]"]
+    if kind == "mtd":  # the gate's region holds the whole hoisted MTD
+        return {
+            "root": ["   0      gate  gate -> 7",
+                     "   1       run  G/Modes [mtd]",
+                     "   2    select  select -> 4",
+                     "   3      expr  G/Modes/Low/LowB [expr]",
+                     "   4    select  select -> 6",
+                     "   5      expr  G/Modes/High/HighB [expr]",
+                     "   6      copy  copy (1 pair)"],
+            "hoisted": ["   0      copy  copy (1 pair)",
+                        "   1      expr  Sys/Pre [expr]",
+                        "   2      gate  gate -> 9",
+                        "   3       run  Sys/G/Modes [mtd]",
+                        "   4    select  select -> 6",
+                        "   5      expr  Sys/G/Modes/Low/LowB [expr]",
+                        "   6    select  select -> 8",
+                        "   7      expr  Sys/G/Modes/High/HighB [expr]",
+                        "   8      copy  copy (1 pair)",
+                        "   9      copy  copy (2 pairs)"],
+            "late_producer": ["   0      copy  copy (1 pair)",
+                              "   1       run  Loop/G [nested] "
+                              "(correction-tracked)",
+                              "   2      expr  Loop/A [expr]",
+                              "   3   correct  correction barrier (1)",
+                              "   4      copy  copy (2 pairs)"],
+            "behaviour": host + [
+                "   3    select  select -> 11",
+                "   4      gate  gate -> 11",
+                "   5       run  Host/Busy/G/Modes [mtd]",
+                "   6    select  select -> 8",
+                "   7      expr  Host/Busy/G/Modes/Low/LowB [expr]",
+                "   8    select  select -> 10",
+                "   9      expr  Host/Busy/G/Modes/High/HighB [expr]",
+                "  10      copy  copy (1 pair)",
+                "  11      copy  copy (1 pair)"],
+        }
     return {
         "root": ["   0      gate  gate -> 2",
                  f"   1       run  G/{machine} [{kind}]"],
@@ -432,7 +474,10 @@ def _gated_ops(machine, kind):
                           "   2      expr  Loop/A [expr]",
                           "   3   correct  correction barrier (1)",
                           "   4      copy  copy (2 pairs)"],
-        "behaviour": ["   0       run  Host [mtd]"],
+        "behaviour": host + ["   3    select  select -> 6",
+                             "   4      gate  gate -> 6",
+                             f"   5       run  Host/Busy/G/{machine} "
+                             f"[{kind}]"],
     }
 
 
@@ -450,18 +495,19 @@ GATED_LEAF_OPS = {
 def test_gated_leaf_keeps_its_linear_steps(leaf, context):
     """The linear program of every gated-leaf model, as
     :meth:`~repro.simulation.FlatSchedule.ops_summary` renders it; a
-    gate that is an MTD's mode behaviour is a program of its own, the
-    same as the root's."""
+    gate that is an MTD's mode behaviour is hoisted into the host's
+    ``Busy`` region, behind the host's mode controller."""
     model = CONTEXTS[context](LEAVES[leaf], every(2))
     schedule = CompiledSimulator(model).schedule
     assert schedule.ops_summary() == GATED_LEAF_OPS[leaf, context]
     expected_fallbacks = ["Loop/G"] if context == "late_producer" else []
     assert schedule.fallback_paths == expected_fallbacks
     if context == "behaviour":
-        behaviours = dict(schedule.leaves[0].schedule.children)
-        assert behaviours["Idle"].kind == "atomic"
-        assert behaviours["Busy"].ops_summary() \
-            == GATED_LEAF_OPS[leaf, "root"]
+        controller = schedule.leaves[0]
+        assert controller.component is model
+        assert controller.schedule.kind == "mtd"
+        assert [leaf.modes for leaf in schedule.leaves[1:3]] \
+            == [((0, "Idle"),), ((0, "Busy"),)]
 
 
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
@@ -469,7 +515,10 @@ def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
     make_leaf = LEAVES[leaf]
     model = gated_root(make_leaf, every(2))
     root = compile_flat(model)
-    assert [op[0] for op in root.program] == [OP_GATE, OP_RUN]
+    # an MTD adds its two select regions and its mode port's copy
+    mtd_ops = [OP_SELECT, OP_EXPR] * 2 + [OP_COPY] if leaf == "mtd" else []
+    assert [op[0] for op in root.program] == [OP_GATE, OP_RUN] + mtd_ops
+    assert root.program[0][2] == len(root.program)
     assert root.fallback_paths == []
     assert root.leaves[0].component is model.inner
 
@@ -522,9 +571,9 @@ COMPOSITE_BEHAVIOUR_GO = [0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0]
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_composite_mode_behaviour_entered_after_tick_0(backend):
-    """The behaviour's flat program starts from its own state, built by the
-    compiled MTD: entered at tick 3, left at tick 7 and re-entered at tick
-    10 with its state (STD variable, delayed buffer) carried over."""
+    """The behaviour is hoisted into the host's ``Busy`` region: entered
+    at tick 3, left at tick 7 and re-entered at tick 10 with its state
+    (STD variable, delayed buffer) carried over by the skipped region."""
     if backend == "native" and not native_available():
         pytest.skip("backend='native' needs a C compiler")
     model = composite_behaviour_host()
@@ -542,10 +591,14 @@ def test_composite_mode_behaviour_entered_after_tick_0(backend):
     if backend == "auto" and native_available():
         assert simulator._native is not None, "the promotion switched"
 
-    mode_states = simulator.schedule.initial_state().leaf_states[0][
-        "mode_states"]
-    assert mode_states["Idle"] is None
-    assert isinstance(mode_states["Busy"], FlatState)
+    assert simulator.schedule.initial_state().leaf_states[0] \
+        == {"mode": "Idle"}
+    schedule = compile_flat(model)
+    assert [(leaf.path, leaf.modes) for leaf in schedule.leaves] == [
+        ("Host", ()), ("Host/Idle/IdleB", ((0, "Idle"),)),
+        ("Host/Busy/Work/Seq", ((0, "Busy"),)),
+        ("Host/Busy/Work/Acc", ((0, "Busy"),))]
+    assert len(schedule.buffer_initials) == 1
     trace = simulator.run(scripted.stimuli, ticks)
     assert trace.mode_history == ["Idle"] * 3 + ["Busy"] * 4 \
         + ["Idle"] * 3 + ["Busy"] * 4
@@ -615,8 +668,12 @@ def test_profiled_mtd_root_keeps_its_mode_history():
         traces = [simulator.run(s.stimuli, s.ticks) for s in battery[:2]]
     (profile,) = telemetry.profiles.values()
     assert profile.label == f"{root.name}[flat]"
-    assert profile.op_kinds == ("run",)
-    assert profile.counts == [80]
+    # the mode controller, one select region per mode, the mode port
+    assert profile.op_kinds == ("run",) + ("select", "expr") * 6 + ("copy",)
+    assert profile.counts[0] == profile.counts[-1] == 80
+    assert sum(profile.counts[2:-1:2]) == 80  # one behaviour per tick
+    # every select is checked each tick and skipped in all other modes
+    assert profile.gate_stats() == (6 * 80, 5 * 80)
     assert profile.ticks == 80
     for scenario, trace in zip(battery, traces):
         expected = reference.run(scenario.stimuli, scenario.ticks)

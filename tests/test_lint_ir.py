@@ -22,9 +22,11 @@ from repro.core.components import ExpressionComponent
 from repro.core.validation import Severity
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
+from repro.notations.mtd import ModeTransitionDiagram
 from repro.simulation.engine import ClockGatedComponent, build_gated_ccd
 from repro.simulation.schedule_ir import (OP_COPY, OP_CORRECT, OP_GATE,
-                                          OP_RUN, FlatSchedule, compile_flat)
+                                          OP_RUN, OP_SELECT, FlatSchedule,
+                                          compile_flat)
 
 
 def _doctor(schedule, program, n_slots=None):
@@ -90,6 +92,42 @@ def _gated_model(clock):
     dfd.connect("y", "Stage.b")
     dfd.connect("Stage.out", "out")
     return dfd
+
+
+def _gated_mtd_model():
+    """``Pre`` feeds an MTD behind a clock gate: a gate region holding the
+    mode controller's ``run`` op and two ``select`` regions."""
+    mtd = ModeTransitionDiagram("Modes")
+    mtd.add_input("x")
+    mtd.add_output("out")
+    mtd.add_output("mode")
+    for name, source in (("Low", "x * 1"), ("High", "x * 10")):
+        block = ExpressionComponent(f"{name}B", {"out": source})
+        block.declare_interface_from_expressions()
+        mtd.add_mode(name, block)
+    mtd.add_transition("Low", "High", "x > 2")
+    mtd.add_transition("High", "Low", "x < 1")
+    dfd = DataFlowDiagram("Sys")
+    dfd.add_input("x")
+    dfd.add_output("out")
+    pre = ExpressionComponent("Pre", {"out": "in1 + 0"})
+    pre.declare_interface_from_expressions()
+    dfd.add(pre, ClockGatedComponent(mtd, every(2), name="G"))
+    dfd.connect("x", "Pre.in1")
+    dfd.connect("Pre.out", "G.x")
+    dfd.connect("G.out", "out")
+    return dfd
+
+
+@pytest.fixture
+def mtd_schedule():
+    schedule = compile_flat(_gated_mtd_model())
+    assert [op[0] for op in schedule.program].count(OP_SELECT) == 2
+    return schedule
+
+
+def _selects(program):
+    return [index for index, op in enumerate(program) if op[0] == OP_SELECT]
 
 
 # -- mutation self-tests: every rule detects its seeded defect --------------
@@ -200,6 +238,54 @@ def test_mutation_crossing_gate_regions():
         mutant.step({}, mutant.initial_state(), 0)
 
 
+def test_clean_mtd_schedule_has_no_ir_errors_or_warnings(mtd_schedule):
+    report = lint_flat_schedule(mtd_schedule)
+    assert not _ir_noise(report), report.describe()
+
+
+def test_mutation_select_crossing_a_gate_region(mtd_schedule):
+    """The last select's region runs past the end of the enclosing gate's:
+    both jumps are in range, but the regions cross."""
+    from repro.core.errors import SimulationError
+    program = [list(op) for op in mtd_schedule.program]
+    gate_index = next(i for i, op in enumerate(program) if op[0] == OP_GATE)
+    gate_end = program[gate_index][2]
+    assert gate_end < len(program)  # room for the select to overrun
+    last = _selects(program)[-1]
+    program[last][2] = gate_end + 1
+    mutant = _doctor(mtd_schedule, program)
+    report = lint_flat_schedule(mutant)
+    findings = report.by_rule("ir-gate-structure")
+    assert [f.location["op"] for f in findings] == [last], report.describe()
+    assert findings[0].severity is Severity.ERROR
+    assert findings[0].message.startswith(f"select at op {last}")
+    with pytest.raises(SimulationError, match="do not nest forward"):
+        mutant.step({}, mutant.initial_state(), 0)
+
+
+@pytest.mark.parametrize("target", ["self", "past_end"])
+def test_mutation_select_target_out_of_range(mtd_schedule, target):
+    program = [list(op) for op in mtd_schedule.program]
+    first = _selects(program)[0]
+    program[first][2] = first if target == "self" else len(program) + 1
+    report = lint_flat_schedule(_doctor(mtd_schedule, program))
+    findings = report.by_rule("ir-gate-structure")
+    assert [f.location["op"] for f in findings] == [first], report.describe()
+    assert findings[0].severity is Severity.ERROR
+
+
+def test_mutation_select_reads_a_never_written_index(mtd_schedule):
+    fresh = mtd_schedule.n_slots
+    program = [list(op) for op in mtd_schedule.program]
+    first = _selects(program)[0]
+    program[first][1] = (fresh, program[first][1][1])
+    report = lint_flat_schedule(_doctor(mtd_schedule, program,
+                                        n_slots=fresh + 1))
+    never = report.by_rule("ir-never-written")
+    assert [(f.location["op"], f.location["slot"]) for f in never] \
+        == [(first, fresh)], report.describe()
+
+
 def test_mutation_correction_missing_dropped_barrier(feedback_schedule):
     program = [op for op in feedback_schedule.program
                if op[0] != OP_CORRECT]
@@ -281,3 +367,13 @@ def test_no_false_positives_on_fuzz_models(seed):
     report = lint_model(model)
     assert not report.errors(), report.describe()
     assert not _ir_noise(report), report.describe()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_no_false_positives_on_random_mtds(seed):
+    from test_batch_differential import _mtd_context, _random_mtd
+    rng = random.Random(9900 + seed)
+    for context in ("root", "hoisted", "gated"):
+        model = _mtd_context(rng, _random_mtd(rng, "M"), context)
+        report = lint_flat_schedule(compile_flat(model))
+        assert not _ir_noise(report), (context, report.describe())

@@ -357,6 +357,19 @@ def test_compile_spans_and_plan_cache_counters():
     assert sum(counters.values()) > 0
 
 
+def test_gate_stats_count_select_checks_with_their_skips():
+    """``select`` regions are checked like gates: a profile counts their
+    evaluations beside the skips it sums over every op."""
+    labels = [("run", "M [mtd]", False), ("select", "s", False),
+              ("expr", "e", False), ("gate", "g", False)]
+    profile = OpProfile("m[flat]", labels)
+    profile.counts[:] = [5, 5, 2, 5]
+    profile.gate_skips[1] = 3
+    profile.gate_skips[3] = 1
+    assert profile.gate_stats() == (10, 4)
+    assert profile.to_json_dict()["gate_checks"] == 10
+
+
 def test_op_profile_merge_requires_same_shape():
     labels = [("expr", "a", False), ("gate", "g", False)]
     first = OpProfile("m[flat]", labels)
@@ -372,8 +385,8 @@ def test_op_profile_merge_requires_same_shape():
 
 
 def _flattenable_engine(engine_modes_mtd):
-    """The engine-mode MTD wrapped in a composite so the root flattens
-    (batch backend requirement); the MTD itself stays a nested leaf."""
+    """The engine-mode MTD wrapped in a composite, hoisted into it as its
+    mode controller and one select region per mode."""
     dfd = DataFlowDiagram("EngineSystem")
     dfd.add_subcomponent(engine_modes_mtd)
     for port in ("n", "ped", "t_eng"):
