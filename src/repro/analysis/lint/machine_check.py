@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from ...core.components import Component
 from ...core.errors import ExpressionEvalError
@@ -79,15 +80,20 @@ def _vocabulary(machine: Machine) -> Dict[str, List[Any]]:
             for name, values in _guard_constants(machine, names).items()}
 
 
-def _guard_fires(machine: Machine, guard: Any,
-                 valuation: Mapping[str, Any]) -> bool:
-    environment = {name: valuation.get(name, ABSENT)
-                   for name in machine.input_names()}
+def _guard_names(machine: Machine) -> List[str]:
+    """The names a guard's environment binds: the inputs, then the STD
+    variables that are not also inputs."""
+    names = list(machine.input_names())
     if isinstance(machine, StateTransitionDiagram):
-        for name in machine.variables():
-            environment.setdefault(name, valuation.get(name, ABSENT))
+        inputs = set(names)
+        names += [name for name in machine.variables() if name not in inputs]
+    return names
+
+
+def _guard_fires(guard: Callable[[Mapping[str, Any]], Any],
+                 environment: Mapping[str, Any]) -> bool:
     try:
-        value = machine._evaluator.evaluate(guard, environment)  # noqa: SLF001
+        value = guard(environment)
     except ExpressionEvalError:
         return False
     return is_present(value) and bool(value)
@@ -116,29 +122,42 @@ def _check_unreachable(machine: Machine, path: str) -> List[Finding]:
 
 
 def _check_guard_overlap(machine: Machine, path: str) -> List[Finding]:
-    transitions = machine.transitions()
-    if len(transitions) < 2:
+    by_source: Dict[str, List[Any]] = {}
+    for transition in machine.transitions():
+        by_source.setdefault(transition.source, []).append(transition)
+    pairs = [(source, first, second)
+             for source, outgoing in by_source.items()
+             for first, second in itertools.combinations(outgoing, 2)
+             if first.priority == second.priority
+             and first.target != second.target]
+    if not pairs:
         return []
     valuations = _scenario_valuations(_vocabulary(machine),
                                       _OVERLAP_VALUATION_LIMIT)
+    names = _guard_names(machine)
+    environments = [{name: valuation.get(name, ABSENT) for name in names}
+                    for valuation in valuations]
+    # each transition's guard is compiled once (the generated source
+    # reproduces the interpreter exactly) and run at most once per valuation
+    fired: Dict[int, Tuple[Callable[[Mapping[str, Any]], Any],
+                           List[Optional[bool]]]] = {}
+
+    def fires(transition: Any, at: int) -> bool:
+        entry = fired.get(id(transition))
+        if entry is None:
+            entry = fired[id(transition)] = (
+                machine._evaluator.compile(transition.guard),  # noqa: SLF001
+                [None] * len(environments))
+        guard, row = entry
+        if row[at] is None:
+            row[at] = _guard_fires(guard, environments[at])
+        return bool(row[at])
+
     findings: List[Finding] = []
-    by_source: Dict[str, List[Any]] = {}
-    for transition in transitions:
-        by_source.setdefault(transition.source, []).append(transition)
-    for source, outgoing in by_source.items():
-        for first, second in itertools.combinations(outgoing, 2):
-            if first.priority != second.priority:
-                continue
-            if first.target == second.target:
-                continue
-            witness = None
-            for valuation in valuations:
-                if _guard_fires(machine, first.guard, valuation) \
-                        and _guard_fires(machine, second.guard, valuation):
-                    witness = valuation
-                    break
-            if witness is None:
-                continue
+    for source, first, second in pairs:
+        witness = next((valuation for at, valuation in enumerate(valuations)
+                        if fires(first, at) and fires(second, at)), None)
+        if witness is not None:
             findings.append(_finding(
                 "machine-guard-overlap",
                 f"transitions {first.describe()} and {second.describe()} "

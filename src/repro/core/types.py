@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import TypeCheckError
 from .values import ABSENT, is_absent
@@ -289,6 +289,54 @@ def check_value(value: Any, expected: Type, context: str = "") -> None:
         where = f" on {context}" if context else ""
         raise TypeCheckError(
             f"value {value!r} is not a member of type {expected!r}{where}")
+
+
+def column_checker(expected: Type) -> Callable[[Sequence[Any]], int]:
+    """``check(column) -> tick``: the first tick of *column* whose present
+    value :func:`check_value` rejects (``len(column)`` when none does).
+
+    A rejected value fails ``expected.contains`` or makes it raise;
+    ``check_value`` on it raises the same error.  Built once per port
+    type, checks whole columns: ``any`` accepts every column, and an exact
+    :class:`FloatType` accepts an all-``float`` column from its sum, minimum
+    and maximum in C (a NaN makes the sum NaN) before falling back to the
+    per-value test.
+    """
+    contains = expected.contains
+
+    def first_rejected(column: Sequence[Any]) -> int:
+        tick = 0
+        try:
+            for tick, value in enumerate(column):
+                if value is not ABSENT and not contains(value):
+                    return tick
+        except Exception:  # noqa: BLE001 - check_value raises it again
+            return tick
+        return len(column)
+
+    if type(expected) is AnyType:
+        return len
+    if type(expected) is not FloatType:
+        return first_rejected
+    low = -math.inf if expected.low is None else expected.low
+    high = math.inf if expected.high is None else expected.high
+
+    def first_rejected_float(column: Sequence[Any]) -> int:
+        present = column
+        kinds = set(map(type, column))
+        if type(ABSENT) in kinds:
+            kinds.discard(type(ABSENT))
+            present = [value for value in column if value is not ABSENT]
+        if not present:
+            return len(column)
+        if kinds == {float}:
+            total = sum(present)
+            if total == total and low <= min(present) \
+                    and max(present) <= high:
+                return len(column)
+        return first_rejected(column)
+
+    return first_rejected_float
 
 
 def infer_type(value: Any) -> Type:

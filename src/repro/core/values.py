@@ -8,11 +8,13 @@ the absence of a message.  This module provides
 * :data:`ABSENT` -- the singleton absence value,
 * :func:`is_present` / :func:`is_absent` -- presence predicates,
 * :class:`Stream` -- a finite recorded stream of possibly-absent messages,
-  the unit of observation used by traces, clocks and equivalence checks.
+  the unit of observation used by traces, clocks and equivalence checks,
+* :func:`fit_column` -- a value history cut or padded to a horizon.
 """
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 
@@ -55,6 +57,14 @@ def is_present(value: Any) -> bool:
 def is_absent(value: Any) -> bool:
     """Return ``True`` iff *value* is the absence value."""
     return value is ABSENT
+
+
+def fit_column(values: Iterable[Any], ticks: int) -> List[Any]:
+    """A new list of exactly *ticks* values: the first *ticks* of
+    *values*, absent beyond their end."""
+    column = list(islice(values, ticks))
+    column.extend(repeat(ABSENT, ticks - len(column)))
+    return column
 
 
 def present_or(value: Any, default: Any) -> Any:

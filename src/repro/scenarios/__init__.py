@@ -18,7 +18,8 @@ from .generators import (Constant, Dropout, EventStorm, ModeSequence,
                          OutOfRange, RandomWalk, Ramp, Scenario,
                          SeededGenerator, SineWave, SquareWave, StepChange,
                          StimulusGenerator, StuckAt, UniformNoise,
-                         mode_sequence_sweep, sample_spec, scenario_grid)
+                         materialize_spec, mode_sequence_sweep, sample_spec,
+                         scenario_grid)
 from .report import (BatchReport, ModeCoverage, PortStats, active_mode_paths,
                      fold_mode_history)
 from .runner import (ScenarioResult, execute_batch, execute_scenario,
@@ -56,6 +57,7 @@ __all__ = [
     "Scenario", "ScenarioResult", "SeededGenerator", "SineWave",
     "SquareWave", "StepChange", "StimulusGenerator", "StuckAt",
     "UniformNoise", "active_mode_paths", "execute_batch", "execute_scenario",
-    "fold_mode_history", "mode_sequence_sweep", "run_sharded",
+    "fold_mode_history", "materialize_spec", "mode_sequence_sweep",
+    "run_sharded",
     "run_with_report", "sample_spec", "scenario_grid",
 ]

@@ -7,19 +7,26 @@ validation needs, so this module provides a small DSL of stimulus
 generators that
 
 * plug directly into both simulation engines -- every generator is a valid
-  :data:`~repro.simulation.engine.StimulusSpec` (it is callable and it
-  offers :meth:`StimulusGenerator.materialize`, which
-  :func:`~repro.simulation.engine.normalize_stimulus` prefers),
+  :data:`~repro.simulation.engine.StimulusSpec`.  Columns are the
+  protocol: :meth:`StimulusGenerator.materialize` builds a generator's
+  whole history for a horizon in one loop, and the engines feed each
+  input port from such a column
+  (:func:`~repro.simulation.engine.prepare_feeds`).  ``sample(tick)`` (and
+  calling the generator) is the per-tick view of the same history,
 * are **deterministic**: randomized generators draw from one
   ``random.Random(seed)`` stream with a fixed number of draws per tick, so
   the same generator always produces the same history -- re-runs,
   differential checks against the reference engine and sharded parallel
-  execution all see identical stimuli,
+  execution all see identical stimuli, whether a history is sampled or
+  materialized first,
 * are **picklable**: transient caches are dropped on pickling and rebuilt
   from the seed, which is what lets the sharded runner ship scenario
   batches to worker processes (pickle the spec, not the values),
 * **compose**: fault injectors (stuck-at, dropout, out-of-range) wrap any
-  other stimulus specification, including plain lists and scalars.
+  other stimulus specification, including plain lists and scalars, and
+  build their column from the inner one (:func:`materialize_spec`).  A
+  plain callable -- no generator -- stays a per-tick stimulus: it is
+  called tick by tick, and only at the ticks its injectors let through.
 
 Scenario batteries are assembled from :class:`Scenario` records; the
 :func:`scenario_grid` and :func:`mode_sequence_sweep` helpers expand
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
-from ..core.values import ABSENT, Stream
+from ..core.values import ABSENT, Stream, fit_column
 
 
 def _window_bound(label: str, value: Any) -> int:
@@ -75,13 +82,44 @@ def sample_spec(spec: Any, tick: int) -> Any:
     return spec
 
 
+def materialize_spec(spec: Any, ticks: int) -> List[Any]:
+    """The column of any stimulus specification over ``0 .. ticks-1``.
+
+    The column view of :func:`sample_spec` -- ``materialize_spec(spec, n)
+    == [sample_spec(spec, t) for t in range(n)]`` -- and always a new
+    list: streams and sequences are cut or padded with absence,
+    generators build their column in one loop, plain callables are called
+    tick by tick and scalars are repeated.
+    """
+    if isinstance(spec, (Stream, list, tuple)):
+        return fit_column(spec, ticks)
+    if isinstance(spec, StimulusGenerator):
+        return spec.materialize(ticks)
+    if callable(spec):
+        return [spec(tick) for tick in range(ticks)]
+    return [spec] * ticks
+
+
+def _columnar(spec: Any) -> bool:
+    """Whether a fault injector may build its column from *spec*'s.
+
+    Not when a plain callable is at the bottom of the injector chain: the
+    column would call it at ticks that :meth:`~StimulusGenerator.sample`
+    never asks for (inside a stuck-at window, at a dropped tick), so such
+    an injector samples tick by tick.
+    """
+    while isinstance(spec, (StuckAt, Dropout, OutOfRange)):
+        spec = spec.inner
+    return isinstance(spec, StimulusGenerator) or not callable(spec)
+
+
 class StimulusGenerator:
     """Base class of the generator DSL.
 
     A generator is a deterministic map ``tick -> value``.  Sub-classes
-    implement :meth:`sample`; :meth:`materialize` turns the generator into
-    an explicit value list for a known horizon (the engines use this to
-    avoid per-tick virtual calls on the hot path).
+    implement :meth:`sample`; the built-in ones also override
+    :meth:`materialize` with one loop over the horizon, which is all the
+    engines call.
     """
 
     def sample(self, tick: int) -> Any:
@@ -91,7 +129,8 @@ class StimulusGenerator:
         return self.sample(tick)
 
     def materialize(self, ticks: int) -> List[Any]:
-        """The explicit per-tick history over ``0 .. ticks-1``."""
+        """The explicit per-tick history over ``0 .. ticks-1``: a new list
+        of *ticks* values, equal to sampling every tick."""
         return [self.sample(tick) for tick in range(ticks)]
 
     def __repr__(self) -> str:
@@ -105,12 +144,14 @@ class SeededGenerator(StimulusGenerator):
     """A generator drawing from one seeded pseudo-random stream.
 
     Draws happen in tick order with a *fixed* number of draws per tick
-    (sub-classes guarantee this in :meth:`_draw`), and every drawn tick is
+    (sub-classes guarantee this in :meth:`_draws`), and every drawn tick is
     cached, so querying any tick twice -- or re-running the generator after
-    a pickle round-trip -- yields identical values.  Cache extension is
-    locked: one generator instance may be shared by many scenarios of a
-    thread-sharded batch (e.g. via the ``base`` stimuli of a scenario
-    grid), and concurrent extension would otherwise interleave draws.
+    a pickle round-trip -- yields identical values, and :meth:`sample` and
+    :meth:`materialize` read the same history in either order.  Cache
+    extension is locked: one generator instance may be shared by many
+    scenarios of a thread-sharded batch (e.g. via the ``base`` stimuli of a
+    scenario grid), and concurrent extension would otherwise interleave
+    draws.
     """
 
     def __init__(self, seed: int):
@@ -122,19 +163,27 @@ class SeededGenerator(StimulusGenerator):
         self._cache: List[Any] = []
         self._lock = threading.Lock()
 
-    def _draw(self, rng: random.Random) -> Any:
-        """Draw the value of the next tick (fixed draw count per call)."""
+    def _draws(self, rng: random.Random, count: int) -> List[Any]:
+        """Draw the values of the next *count* ticks, in tick order, with
+        the same fixed number of draws per tick."""
         raise NotImplementedError
+
+    def _drawn(self, ticks: int) -> List[Any]:
+        """The cache itself, drawn through at least tick ``ticks - 1``."""
+        cache = self._cache
+        if len(cache) < ticks:
+            with self._lock:
+                if len(cache) < ticks:
+                    cache.extend(self._draws(self._rng, ticks - len(cache)))
+        return cache
 
     def sample(self, tick: int) -> Any:
         if tick < 0:
             raise SimulationError("stimulus generators are defined for ticks >= 0")
-        cache = self._cache
-        if tick >= len(cache):
-            with self._lock:
-                while len(cache) <= tick:
-                    cache.append(self._draw(self._rng))
-        return cache[tick]
+        return self._drawn(tick + 1)[tick]
+
+    def materialize(self, ticks: int) -> List[Any]:
+        return self._drawn(ticks)[:ticks]
 
     # transient RNG/cache state is rebuilt from the seed after unpickling,
     # so a shipped generator replays exactly the same history
@@ -160,6 +209,9 @@ class Constant(StimulusGenerator):
     def sample(self, tick: int) -> Any:
         return self.value
 
+    def materialize(self, ticks: int) -> List[Any]:
+        return [self.value] * ticks
+
 
 class Ramp(StimulusGenerator):
     """``start + slope * tick``, optionally clamped to ``[low, high]``."""
@@ -179,6 +231,15 @@ class Ramp(StimulusGenerator):
             value = min(self.high, value)
         return value
 
+    def materialize(self, ticks: int) -> List[Any]:
+        start, slope, low, high = self.start, self.slope, self.low, self.high
+        column = [start + slope * tick for tick in range(ticks)]
+        if low is not None:
+            column = [max(low, value) for value in column]
+        if high is not None:
+            column = [min(high, value) for value in column]
+        return column
+
 
 class StepChange(StimulusGenerator):
     """*before* until ``at`` (exclusive), *after* from then on."""
@@ -190,6 +251,10 @@ class StepChange(StimulusGenerator):
 
     def sample(self, tick: int) -> Any:
         return self.after if tick >= self.at else self.before
+
+    def materialize(self, ticks: int) -> List[Any]:
+        at, before, after = self.at, self.before, self.after
+        return [after if tick >= at else before for tick in range(ticks)]
 
 
 class SquareWave(StimulusGenerator):
@@ -211,6 +276,12 @@ class SquareWave(StimulusGenerator):
         position = (tick + self.phase) % self.period
         return self.high if position < self.duty * self.period else self.low
 
+    def materialize(self, ticks: int) -> List[Any]:
+        phase, period, low, high = self.phase, self.period, self.low, self.high
+        edge = self.duty * period
+        return [high if (tick + phase) % period < edge else low
+                for tick in range(ticks)]
+
 
 class SineWave(StimulusGenerator):
     """``offset + amplitude * sin(2*pi*(tick + phase) / period)``."""
@@ -227,6 +298,13 @@ class SineWave(StimulusGenerator):
     def sample(self, tick: int) -> Any:
         return self.offset + self.amplitude * math.sin(
             2.0 * math.pi * (tick + self.phase) / self.period)
+
+    def materialize(self, ticks: int) -> List[Any]:
+        offset, amplitude, phase, period = (self.offset, self.amplitude,
+                                            self.phase, self.period)
+        sin, turn = math.sin, 2.0 * math.pi
+        return [offset + amplitude * sin(turn * (tick + phase) / period)
+                for tick in range(ticks)]
 
 
 class ModeSequence(StimulusGenerator):
@@ -258,6 +336,17 @@ class ModeSequence(StimulusGenerator):
             position -= duration
         return self.segments[-1][0] if self.hold_last else ABSENT
 
+    def materialize(self, ticks: int) -> List[Any]:
+        column: List[Any] = []
+        for value, duration in self.segments:
+            if len(column) >= ticks:
+                break
+            column.extend([value] * duration)
+        tail = self.segments[-1][0] if self.hold_last else ABSENT
+        column.extend([tail] * (ticks - len(column)))
+        del column[ticks:]
+        return column
+
     def total_ticks(self) -> int:
         """The combined duration of all segments."""
         return sum(duration for _, duration in self.segments)
@@ -275,8 +364,11 @@ class UniformNoise(SeededGenerator):
         self.high = high
         super().__init__(seed)
 
-    def _draw(self, rng: random.Random) -> Any:
-        return rng.uniform(self.low, self.high)
+    def _draws(self, rng: random.Random, count: int) -> List[Any]:
+        # rng.uniform(low, high) is low + (high - low) * rng.random()
+        low, random_ = self.low, rng.random
+        width = self.high - low
+        return [low + width * random_() for _ in range(count)]
 
 
 class RandomWalk(SeededGenerator):
@@ -294,14 +386,24 @@ class RandomWalk(SeededGenerator):
         super()._reset()
         self._value = self.start
 
-    def _draw(self, rng: random.Random) -> Any:
-        value = self._value + rng.uniform(-self.step, self.step)
-        if self.low is not None:
-            value = max(self.low, value)
-        if self.high is not None:
-            value = min(self.high, value)
+    def _draws(self, rng: random.Random, count: int) -> List[Any]:
+        # each step is rng.uniform(-step, step), i.e. -step + 2step * random;
+        # the clamps are max(low, value) and min(high, value) spelled out
+        low, high, random_ = self.low, self.high, rng.random
+        first = -self.step
+        width = self.step - first
+        value = self._value
+        column: List[Any] = []
+        append = column.append
+        for _ in range(count):
+            value = value + (first + width * random_())
+            if low is not None and not value > low:
+                value = low
+            if high is not None and not value < high:
+                value = high
+            append(value)
         self._value = value
-        return value
+        return column
 
 
 class EventStorm(SeededGenerator):
@@ -324,11 +426,19 @@ class EventStorm(SeededGenerator):
         self.quiet = quiet
         super().__init__(seed)
 
-    def _draw(self, rng: random.Random) -> Any:
-        # always consume exactly two draws so the stream stays aligned
-        present = rng.random() < self.rate
-        index = rng.randrange(len(self.values))
-        return self.values[index] if present else self.quiet
+    def _draws(self, rng: random.Random, count: int) -> List[Any]:
+        # always consume exactly two draws per tick so the stream stays
+        # aligned
+        random_, randrange = rng.random, rng.randrange
+        rate, values, quiet = self.rate, self.values, self.quiet
+        size = len(values)
+        column: List[Any] = []
+        append = column.append
+        for _ in range(count):
+            present = random_() < rate
+            index = randrange(size)
+            append(values[index] if present else quiet)
+        return column
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +467,15 @@ class StuckAt(StimulusGenerator):
             return self.value
         return sample_spec(self.inner, tick)
 
+    def materialize(self, ticks: int) -> List[Any]:
+        if not _columnar(self.inner):
+            return super().materialize(ticks)
+        column = materialize_spec(self.inner, ticks)
+        stop = ticks if self.until is None else min(self.until, ticks)
+        start = min(self.from_tick, stop)
+        column[start:stop] = [self.value] * (stop - start)
+        return column
+
 
 class Dropout(SeededGenerator):
     """Message-loss fault: each tick of the wrapped specification is
@@ -369,12 +488,21 @@ class Dropout(SeededGenerator):
         self.probability = probability
         super().__init__(seed)
 
-    def _draw(self, rng: random.Random) -> Any:
-        return rng.random() < self.probability
+    def _draws(self, rng: random.Random, count: int) -> List[Any]:
+        random_, probability = rng.random, self.probability
+        return [random_() < probability for _ in range(count)]
 
     def sample(self, tick: int) -> Any:
         dropped = super().sample(tick)
         return ABSENT if dropped else sample_spec(self.inner, tick)
+
+    def materialize(self, ticks: int) -> List[Any]:
+        if not _columnar(self.inner):
+            return StimulusGenerator.materialize(self, ticks)
+        dropped = self._drawn(ticks)
+        return [ABSENT if drop else value
+                for drop, value in zip(dropped,
+                                       materialize_spec(self.inner, ticks))]
 
 
 class OutOfRange(StimulusGenerator):
@@ -396,6 +524,15 @@ class OutOfRange(StimulusGenerator):
         if tick in self.at_ticks:
             return self.value
         return sample_spec(self.inner, tick)
+
+    def materialize(self, ticks: int) -> List[Any]:
+        if not _columnar(self.inner):
+            return super().materialize(ticks)
+        column = materialize_spec(self.inner, ticks)
+        for tick in self.at_ticks:
+            if tick < ticks:
+                column[tick] = self.value
+        return column
 
 
 # --------------------------------------------------------------------------

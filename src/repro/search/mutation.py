@@ -29,7 +29,7 @@ from ..core.values import ABSENT
 from ..scenarios.generators import (Constant, Dropout, ModeSequence,
                                     OutOfRange, Ramp, Scenario,
                                     SeededGenerator, SineWave, SquareWave,
-                                    StepChange, StuckAt, sample_spec)
+                                    StepChange, StuckAt, materialize_spec)
 
 #: Seed space for re-seeding operators (well inside C-long range so pickled
 #: generators behave identically everywhere).
@@ -365,8 +365,8 @@ def exploration_scenario(ports: Sequence[str], rng: random.Random,
 def _as_mode_sequence(spec: Any, ticks: int) -> ModeSequence:
     """Rewrite any stimulus as an equivalent piecewise-constant sequence.
 
-    Mode sequences keep their segments; everything else is sampled over the
-    scenario horizon and run-length compressed.  This is what lets the
+    Mode sequences keep their segments; everything else is materialized
+    over the scenario horizon and run-length compressed.  This is what lets the
     targeted extension *append* to an arbitrary stimulus.
     """
     if isinstance(spec, ModeSequence):
@@ -374,8 +374,7 @@ def _as_mode_sequence(spec: Any, ticks: int) -> ModeSequence:
     if isinstance(spec, Constant):
         return ModeSequence([(spec.value, max(1, ticks))])
     segments: List[Tuple[Any, int]] = []
-    for tick in range(max(1, ticks)):
-        value = sample_spec(spec, tick)
+    for value in materialize_spec(spec, max(1, ticks)):
         if segments and segments[-1][0] == value:
             segments[-1] = (value, segments[-1][1] + 1)
         else:

@@ -10,10 +10,19 @@ Stimuli are given per input port as
 * a :class:`~repro.core.values.Stream` (explicit per-tick values),
 * a plain sequence (treated as present at every tick),
 * a scalar (constant, present at every tick),
-* a callable ``tick -> value`` for programmatic stimuli, or
 * a stimulus generator (any object with a ``materialize(ticks)`` method,
-  e.g. from :mod:`repro.scenarios.generators`), which is materialized once
-  for the simulation horizon so the per-tick hot path is a list index.
+  e.g. from :mod:`repro.scenarios.generators`), or
+* a callable ``tick -> value`` for programmatic stimuli.
+
+Columns are the stimulus protocol: :func:`prepare_feeds` turns every
+specification but a plain callable into one column of exactly *ticks*
+values -- a generator materialized once for the horizon, a stream or
+sequence cut or padded with absence, a scalar repeated -- and
+:func:`prefill_stimuli` type-checks each column in one pass with a
+checker built once per port type
+(:func:`~repro.core.types.column_checker`).  Plain callables are the
+per-tick path: they are called tick by tick, in tick-major, port-inner
+order, exactly as a stepped run calls them.
 
 Rate gating: a :class:`ClockGatedComponent` wrapper restricts a component's
 reaction to the ticks of an abstract clock -- the LA-level view in which a
@@ -22,14 +31,15 @@ cluster of rate ``every(n, true)`` only exchanges messages every *n*-th tick.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Union)
 
 from ..core.clocks import Clock
 from ..core.components import (Component, CompositeComponent,
                                register_transparent_wrapper)
 from ..core.errors import SimulationError
-from ..core.types import check_value
-from ..core.values import ABSENT, Stream, is_absent
+from ..core.types import check_value, column_checker
+from ..core.values import ABSENT, Stream, fit_column
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
@@ -38,41 +48,53 @@ from .trace import SimulationTrace
 StimulusSpec = Union[Stream, Sequence[Any], Callable[[int], Any], int, float, bool, str]
 
 
-def normalize_stimulus(spec: StimulusSpec, ticks: int) -> Callable[[int], Any]:
-    """Turn any accepted stimulus specification into a ``tick -> value`` map.
+#: One input port's feed: a column of exactly *ticks* values, or a plain
+#: callable ``tick -> value`` drawn tick by tick.
+Feed = Union[List[Any], Callable[[int], Any]]
 
-    Sequences (and materialized generators) shorter than the simulation
-    horizon are absent beyond their end.  Generator materialization is the
-    normalization shared by both engines: reference and compiled runs see
-    the exact same per-tick values for the same generator.
-    """
+
+def _feed(spec: StimulusSpec, ticks: int) -> Feed:
+    """The feed of one stimulus specification over *ticks* ticks: always a
+    new list, so no trace column aliases a generator's cache or the
+    caller's sequence."""
     if isinstance(spec, Stream):
-        values = spec.values()
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
+        return fit_column(spec, ticks)
     materialize = getattr(spec, "materialize", None)
     if materialize is not None and not isinstance(spec, (list, tuple)):
-        values = list(materialize(ticks))
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
+        return fit_column(materialize(ticks), ticks)
     if callable(spec):
         return spec  # type: ignore[return-value]
     if isinstance(spec, (list, tuple)):
-        values = list(spec)
-        return lambda tick: values[tick] if 0 <= tick < len(values) else ABSENT
-    # scalar constant
-    return lambda tick: spec
+        return fit_column(spec, ticks)
+    return [spec] * ticks  # scalar constant
+
+
+def normalize_stimulus(spec: StimulusSpec, ticks: int) -> Callable[[int], Any]:
+    """Turn any accepted stimulus specification into a ``tick -> value`` map.
+
+    The per-tick view over the feed :func:`prepare_feeds` builds: a plain
+    callable is returned as it is; any other specification is its column
+    (generators materialized once for the horizon, sequences absent
+    beyond their end), absent outside ``[0, ticks)``.
+    """
+    feed = _feed(spec, ticks)
+    if not isinstance(feed, list):
+        return feed
+    return lambda tick: feed[tick] if 0 <= tick < ticks else ABSENT
 
 
 def prepare_feeds(component: Component,
                   stimuli: Optional[Mapping[str, StimulusSpec]],
-                  ticks: int) -> "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]":
-    """Validate *ticks*/*stimuli* against *component* and normalize feeds.
+                  ticks: int) -> "tuple[tuple[str, Feed], ...]":
+    """Validate *ticks*/*stimuli* against *component* and build the feeds.
 
     The entry validation of :func:`run_stepped`, shared with
     :func:`run_horizon` so every engine rejects bad
     tick counts and unknown stimulus ports with identical messages and
-    materializes generators identically.  Returns one
-    ``(port name, tick -> value | None)`` pair per input port, in
-    ``input_names()`` order.
+    materializes generators identically.  Returns one ``(port name,
+    feed)`` pair per input port, in ``input_names()`` order: a column of
+    exactly *ticks* values (all absent for an unstimulated port), or a
+    plain callable.
     """
     # bool is an int subclass: ticks=True would silently mean one tick, so
     # reject it the way ScenarioSuite.add does -- every entry point (run,
@@ -89,9 +111,9 @@ def prepare_feeds(component: Component,
         raise SimulationError(
             f"stimuli refer to unknown input ports {sorted(unknown)} of "
             f"component {component.name!r}")
-    generators = {name: normalize_stimulus(spec, ticks)
-                  for name, spec in stimuli.items()}
-    return tuple((name, generators.get(name)) for name in input_names)
+    feeds = {name: _feed(spec, ticks) for name, spec in stimuli.items()}
+    return tuple((name, feeds[name] if name in feeds else [ABSENT] * ticks)
+                 for name in input_names)
 
 
 class Prefill:
@@ -114,41 +136,69 @@ class Prefill:
         self.deferred = deferred
 
 
+def _first_rejected(component: Component,
+                    columns: "Sequence[tuple[int, str, List[Any]]]",
+                    horizon: int) -> "tuple[int, int, Optional[Exception]]":
+    """The first present value of ``(port index, port name, column)``
+    columns of *horizon* values that its port's type rejects, tick-major
+    and port-inner: ``(tick, port index, the error check_value raises on
+    it)``, or ``(horizon, -1, None)`` when every value type-checks."""
+    tick, port, error = horizon, -1, None
+    for index, name, column in columns:
+        rejected = column_checker(component.port(name).port_type)(column)
+        if rejected < tick:
+            tick, port, value, where = rejected, index, column[rejected], name
+    if port >= 0:
+        try:
+            check_value(value, component.port(where).port_type,
+                        context=f"{component.name}.{where}@t{tick}")
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            error = exc
+    return tick, port, error
+
+
 def prefill_stimuli(component: Component,
-                    feeds: "tuple[tuple[str, Optional[Callable[[int], Any]]], ...]",
+                    feeds: "tuple[tuple[str, Feed], ...]",
                     ticks: int, check_types: bool) -> Prefill:
     """Draw every feed (from :func:`prepare_feeds`) for *ticks* ticks.
 
-    The draw is tick-major and port-inner, with the input type checks of
-    :func:`run_stepped` in place: the exact draw sequence of a stepped
-    run, so shared generator instances see the serial draw order and the
-    first failing ``(tick, port)`` is the same.  :func:`run_horizon`
-    calls this instead of drawing per tick.
+    Columns are type-checked one column at a time.  Plain callables are
+    called tick-major and port-inner with the input type checks of
+    :func:`run_stepped` in place, and only up to the first rejected column
+    value.  The deferred failure is the one a stepped run meets first: the
+    minimum, in tick-major, port-inner order, over the columns' first
+    rejected values and the callables' first raising draw or rejected
+    value.  :func:`run_horizon` calls this instead of drawing per tick.
     """
-    columns: "list[list[Any]]" = [[] for _ in feeds]
-    tick = 0
-    try:
-        for tick in range(ticks):
-            for (name, generator), column in zip(feeds, columns):
-                value = generator(tick) if generator is not None else ABSENT
-                if check_types and not is_absent(value):
-                    check_value(value, component.port(name).port_type,
-                                context=f"{component.name}.{name}@t{tick}")
-                column.append(value)
-    except Exception as exc:  # noqa: BLE001 - deferred to its tick
+    columns: "list[list[Any]]" = [feed if isinstance(feed, list) else []
+                                  for _name, feed in feeds]
+    runnable, port, deferred = ticks, -1, None
+    if check_types:
+        runnable, port, deferred = _first_rejected(
+            component, [(index, name, feed)
+                        for index, (name, feed) in enumerate(feeds)
+                        if isinstance(feed, list)], ticks)
+    calls = [(index, name, feed, component.port(name).port_type)
+             for index, (name, feed) in enumerate(feeds)
+             if not isinstance(feed, list)]
+    if calls:
+        tick = 0
+        try:
+            for tick in range(min(runnable + 1, ticks)):
+                for index, name, feed, port_type in calls:
+                    if tick == runnable and index > port:
+                        break
+                    value = feed(tick)
+                    if check_types and value is not ABSENT:
+                        check_value(value, port_type,
+                                    context=f"{component.name}.{name}@t{tick}")
+                    columns[index].append(value)
+        except Exception as exc:  # noqa: BLE001 - deferred to its tick
+            runnable, deferred = tick, exc
+    if runnable < ticks:
         for column in columns:
-            del column[tick:]
-        return Prefill(columns, tick, exc)
-    return Prefill(columns, ticks, None)
-
-
-def check_outputs(component: Component, outputs: Mapping[str, Any],
-                  tick: int) -> None:
-    """The output type checks of one tick (``check_types=True`` runs)."""
-    for name, value in outputs.items():
-        if component.has_port(name) and not is_absent(value):
-            check_value(value, component.port(name).port_type,
-                        context=f"{component.name}.{name}@t{tick}")
+            del column[runnable:]
+    return Prefill(columns, runnable, deferred)
 
 
 #: ``enter(columns, runnable, observe) -> (ticks done, error, outputs)``:
@@ -184,14 +234,11 @@ def run_horizon(component: Component, output_names: Sequence[str],
     completed, error, outputs = enter(prefill.columns, prefill.runnable,
                                       observe)
     if check_types:
-        checks = [(name, column, component.port(name).port_type)
-                  for name, column in zip(output_names, outputs)]
-        for tick in range(completed):
-            for name, column, port_type in checks:
-                value = column[tick]
-                if value is not ABSENT:
-                    check_value(value, port_type,
-                                context=f"{component.name}.{name}@t{tick}")
+        _tick, _port, failing = _first_rejected(
+            component, [(index, name, column) for index, (name, column)
+                        in enumerate(zip(output_names, outputs))], completed)
+        if failing is not None:
+            raise failing
     if error is not None:
         raise error
     if prefill.deferred is not None:
@@ -235,19 +282,28 @@ def run_stepped(component: Component,
 
     trace = SimulationTrace(component.name)
     output_names = component.output_names()
+    # port types hoisted out of the tick loop; columns are read by index
+    reads = [(name, feed.__getitem__ if isinstance(feed, list) else feed,
+              component.port(name).port_type) for name, feed in feeds]
+    writes = [(name, component.port(name).port_type)
+              for name in output_names]
     state = component.initial_state() if initial_state is None else initial_state
     for tick in range(ticks):
         inputs: Dict[str, Any] = {}
-        for name, generator in feeds:
-            value = generator(tick) if generator is not None else ABSENT
-            if check_types and not is_absent(value):
-                check_value(value, component.port(name).port_type,
+        for name, read, port_type in reads:
+            value = read(tick)
+            if check_types and value is not ABSENT:
+                check_value(value, port_type,
                             context=f"{component.name}.{name}@t{tick}")
             inputs[name] = value
         outputs, state = step(inputs, state, tick)
         outputs = {name: outputs.get(name, ABSENT) for name in output_names}
         if check_types:
-            check_outputs(component, outputs, tick)
+            for name, port_type in writes:
+                value = outputs[name]
+                if value is not ABSENT:
+                    check_value(value, port_type,
+                                context=f"{component.name}.{name}@t{tick}")
         trace.record_tick(inputs, outputs)
         if isinstance(state, dict) and "mode" in state:
             trace.mode_history.append(state["mode"])

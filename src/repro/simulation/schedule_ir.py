@@ -468,6 +468,8 @@ class _Flattener:
 
         # sub-components in plan order
         corrections = []
+        #: copy pairs the untracked entries' propagation already ran
+        forwarded: set = set()
         for index, entry in enumerate(plan.entries):
             sub = subs[entry.name]
             propagate = tuple((slot_of(src), slot_of(dst))
@@ -477,6 +479,8 @@ class _Flattener:
             sub_out = {name: slots[name] for name in sub.output_names()}
             sub_mode = f"{mode_path}/{entry.name}"
             tracked = not entry.has_feedthrough and has_late_producer[index]
+            if not tracked:
+                forwarded.update(propagate)
             if is_flattenable(sub) and not tracked:
                 yield self._emit_node(sub, sub_in, sub_out, path, sub_mode)
                 if propagate:
@@ -491,14 +495,19 @@ class _Flattener:
         if corrections:
             self.ops.append([OP_CORRECT, tuple(corrections)])
 
-        # boundary-output collection, then delayed commits
+        # boundary-output collection, then delayed commits.  A pair an
+        # untracked entry's propagation already ran is not repeated: only
+        # its producer writes the source, the barrier writes no slot (it
+        # rolls leaf states), and nothing else targets a boundary output.
         out_copy, out_buf = [], []
         for port_name, is_delayed, channel_name, _initial, src_key \
                 in plan.boundary_outputs:
             if is_delayed:
                 out_buf.append((buf_index[channel_name], out_slots[port_name]))
             else:
-                out_copy.append((slot_of(src_key), out_slots[port_name]))
+                pair = (slot_of(src_key), out_slots[port_name])
+                if pair not in forwarded:
+                    out_copy.append(pair)
         if out_copy:
             self.ops.append([OP_COPY, tuple(out_copy)])
         if out_buf:

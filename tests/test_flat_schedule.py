@@ -182,16 +182,17 @@ def test_linear_steps_pin_exact_format():
     """The linear program's steps as :meth:`ops_summary` renders them:
     right-aligned index and kind, two spaces, the op's label (a leaf's
     hierarchical path and compilation kind) -- the format debug tooling
-    greps for."""
+    greps for.  No boundary-output copy repeats a pair that its
+    producer's propagation already ran (``ADD.out -> y`` in ``Inner``,
+    ``G.out -> y`` in ``Outer``)."""
     schedule = compile_flat(accumulator_in_composite())
     assert schedule.ops_summary() == [
         "   0      copy  copy (2 pairs)",
         "   1       run  Outer/Inner/Z [atomic] (correction-tracked)",
         "   2      expr  Outer/Inner/ADD [expr]",
         "   3   correct  correction barrier (1)",
-        "   4      copy  copy (2 pairs)",
+        "   4      copy  copy (1 pair)",
         "   5       run  Outer/G [atomic]",
-        "   6      copy  copy (1 pair)",
     ]
     assert schedule.fallback_paths == []
 
@@ -211,8 +212,8 @@ GATED_MTD_OPS = {
             "   7      expr  Sys/Plant/PlantCore/Modes/Low/LowB [expr]",
             "   8    select  select -> 10",
             "   9      expr  Sys/Plant/PlantCore/Modes/High/HighB [expr]",
-            "  10      copy  copy (5 pairs)",
-            "  11      copy  copy (4 pairs)"],
+            "  10      copy  copy (3 pairs)",
+            "  11      copy  copy (2 pairs)"],
     True: ["   0      copy  copy (1 pair)",
            "   1      expr  Sys/Pre [expr]",
            "   2      gate  gate -> 9",
@@ -222,7 +223,7 @@ GATED_MTD_OPS = {
            "   6    select  select -> 8",
            "   7      expr  Sys/Plant/Modes/High/HighB [expr]",
            "   8      copy  copy (1 pair)",
-           "   9      copy  copy (4 pairs)"],
+           "   9      copy  copy (2 pairs)"],
 }
 
 
@@ -242,29 +243,25 @@ def test_gated_ccd_ops_summary_pins_the_program(engine_ccd):
     flat = compile_flat(build_gated_ccd(engine_ccd))
     assert flat.ops_summary() == [
         "   0      copy  copy (5 pairs)",
-        "   1      gate  gate -> 5",
+        "   1      gate  gate -> 4",
         "   2      copy  copy (2 pairs)",
         f"   3      expr  {idle}/IdleController [expr]",
         "   4      copy  copy (1 pair)",
-        "   5      copy  copy (1 pair)",
-        "   6      gate  gate -> 10",
-        "   7      copy  copy (1 pair)",
-        f"   8      expr  {monitoring}/Plausibility [expr]",
-        "   9      copy  copy (1 pair)",
-        "  10      copy  copy (1 pair)",
-        "  11      gate  gate -> 16",
-        "  12      copy  copy (3 pairs)",
-        f"  13      expr  {sensors}/AirMass [expr]",
-        f"  14       run  {sensors}/SpeedFilter [atomic]",
-        "  15      copy  copy (2 pairs)",
-        "  16      copy  copy (2 pairs)",
-        "  17      gate  gate -> 23",
-        "  18      copy  copy (5 pairs)",
-        f"  19       run  {fuel}/EnableLatch [atomic]",
-        f"  20      expr  {fuel}/Ignition [expr]",
-        f"  21      expr  {fuel}/Injection [expr]",
-        "  22      copy  copy (2 pairs)",
-        "  23      copy  copy (5 pairs)",
+        "   5      gate  gate -> 8",
+        "   6      copy  copy (1 pair)",
+        f"   7      expr  {monitoring}/Plausibility [expr]",
+        "   8      copy  copy (1 pair)",
+        "   9      gate  gate -> 13",
+        "  10      copy  copy (3 pairs)",
+        f"  11      expr  {sensors}/AirMass [expr]",
+        f"  12       run  {sensors}/SpeedFilter [atomic]",
+        "  13      copy  copy (2 pairs)",
+        "  14      gate  gate -> 19",
+        "  15      copy  copy (5 pairs)",
+        f"  16       run  {fuel}/EnableLatch [atomic]",
+        f"  17      expr  {fuel}/Ignition [expr]",
+        f"  18      expr  {fuel}/Injection [expr]",
+        "  19      copy  copy (2 pairs)",
     ]
     assert flat.fallback_paths == []
 
@@ -480,8 +477,7 @@ def test_late_produced_composite_falls_back_to_nested():
         "   0      copy  copy (1 pair)",
         "   1       run  Parent/Child [nested] (correction-tracked)",
         "   2      expr  Parent/A [expr]",
-        "   3   correct  correction barrier (1)",
-        "   4      copy  copy (1 pair)"]
+        "   3   correct  correction barrier (1)"]
     reference, _ = assert_engines_agree(parent, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [1, 2, 3, 4, 5]
 

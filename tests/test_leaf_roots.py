@@ -442,13 +442,13 @@ def _gated_ops(machine, kind):
                         "   6    select  select -> 8",
                         "   7      expr  Sys/G/Modes/High/HighB [expr]",
                         "   8      copy  copy (1 pair)",
-                        "   9      copy  copy (2 pairs)"],
+                        "   9      copy  copy (1 pair)"],
             "late_producer": ["   0      copy  copy (1 pair)",
                               "   1       run  Loop/G [nested] "
                               "(correction-tracked)",
                               "   2      expr  Loop/A [expr]",
                               "   3   correct  correction barrier (1)",
-                              "   4      copy  copy (2 pairs)"],
+                              "   4      copy  copy (1 pair)"],
             "behaviour": host + [
                 "   3    select  select -> 11",
                 "   4      gate  gate -> 11",
@@ -467,13 +467,13 @@ def _gated_ops(machine, kind):
                     "   1      expr  Sys/Pre [expr]",
                     "   2      gate  gate -> 4",
                     f"   3       run  Sys/G/{machine} [{kind}]",
-                    "   4      copy  copy (2 pairs)"],
+                    "   4      copy  copy (1 pair)"],
         "late_producer": ["   0      copy  copy (1 pair)",
                           "   1       run  Loop/G [nested] "
                           "(correction-tracked)",
                           "   2      expr  Loop/A [expr]",
                           "   3   correct  correction barrier (1)",
-                          "   4      copy  copy (2 pairs)"],
+                          "   4      copy  copy (1 pair)"],
         "behaviour": host + ["   3    select  select -> 6",
                              "   4      gate  gate -> 6",
                              f"   5       run  Host/Busy/G/{machine} "

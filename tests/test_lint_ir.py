@@ -12,8 +12,12 @@ import random
 import pytest
 
 from repro.analysis.lint import lint_flat_schedule, lint_model
-from repro.casestudy.door_lock import build_door_lock_faa
-from repro.casestudy.engine_control import build_engine_ccd
+from repro.casestudy.door_lock import (build_comfort_closing,
+                                       build_door_lock_control,
+                                       build_door_lock_faa)
+from repro.casestudy.engine_control import (build_crank_sequencer_std,
+                                            build_engine_ccd,
+                                            build_engine_modes_mtd)
 from repro.casestudy.momentum import (build_closed_loop,
                                       build_momentum_controller)
 from repro.casestudy.reengineered import build_reengineered_fda
@@ -24,9 +28,9 @@ from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
 from repro.simulation.engine import ClockGatedComponent, build_gated_ccd
-from repro.simulation.schedule_ir import (OP_COPY, OP_CORRECT, OP_GATE,
-                                          OP_RUN, OP_SELECT, FlatSchedule,
-                                          compile_flat)
+from repro.simulation.schedule_ir import (OP_COPY, OP_CORRECT, OP_EXPR,
+                                          OP_GATE, OP_RUN, OP_SELECT,
+                                          FlatSchedule, compile_flat)
 
 
 def _doctor(schedule, program, n_slots=None):
@@ -377,3 +381,46 @@ def test_no_false_positives_on_random_mtds(seed):
         model = _mtd_context(rng, _random_mtd(rng, "M"), context)
         report = lint_flat_schedule(compile_flat(model))
         assert not _ir_noise(report), (context, report.describe())
+
+
+# -- no emitted program forwards one value to one slot twice -----------------
+
+
+def _repeated_copies(schedule):
+    """Copy pairs a program runs more than once: copy ops' pairs and the
+    post-propagation pairs of ``run`` and ``expr`` ops."""
+    pairs = []
+    for op in schedule.program:
+        if op[0] == OP_COPY:
+            pairs.extend(op[1])
+        elif op[0] == OP_RUN:
+            pairs.extend(op[5])
+        elif op[0] == OP_EXPR:
+            pairs.extend(op[4])
+    return sorted({pair for pair in pairs if pairs.count(pair) > 1})
+
+
+@pytest.mark.parametrize("build", [
+    build_momentum_controller, build_closed_loop, build_engine_ccd,
+    lambda: build_gated_ccd(build_engine_ccd()), build_reengineered_fda,
+    build_door_lock_control, build_comfort_closing, build_engine_modes_mtd,
+    build_crank_sequencer_std,
+], ids=["momentum", "closed_loop", "engine_ccd", "gated_engine_ccd",
+        "reengineered_fda", "door_lock", "comfort_closing", "engine_modes",
+        "crank_sequencer"])
+def test_no_casestudy_program_repeats_a_copy_pair(build):
+    schedule = compile_flat(build())
+    assert not _repeated_copies(schedule), schedule.ops_summary()
+    assert not _ir_noise(lint_flat_schedule(schedule))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_no_fuzz_program_repeats_a_copy_pair(seed):
+    from test_batch_differential import _build_model, _mtd_context, _random_mtd
+    models = [_build_model(random.Random(9000 + seed), seed)]
+    rng = random.Random(9900 + seed)
+    models += [_mtd_context(rng, _random_mtd(rng, "M"), context)
+               for context in ("root", "hoisted", "gated")]
+    for model in models:
+        schedule = compile_flat(model)
+        assert not _repeated_copies(schedule), schedule.ops_summary()
