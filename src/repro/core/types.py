@@ -8,7 +8,8 @@ see :mod:`repro.core.impl_types`.
 The module implements:
 
 * the abstract type lattice (:class:`Type` and concrete subclasses),
-* membership tests (:meth:`Type.contains`),
+* membership tests (:meth:`Type.contains`, per value, and
+  :meth:`Type.first_rejected`, per value column),
 * assignability / subtyping (:func:`is_assignable`),
 * least-upper-bound computation used by the DFD type inference
   (:func:`unify`).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from .errors import TypeCheckError
 from .values import ABSENT, is_absent
@@ -32,6 +33,24 @@ class Type:
     def contains(self, value: Any) -> bool:
         """Return True if *value* is a legal message of this type."""
         raise NotImplementedError
+
+    def first_rejected(self, column: Sequence[Any]) -> int:
+        """The first tick of *column* whose present value :func:`check_value`
+        rejects -- one that fails :meth:`contains` or makes it raise --
+        or ``len(column)`` when none does.
+
+        The column form of :meth:`contains`; a type that overrides it
+        with a faster whole-column test must agree with :meth:`contains`.
+        """
+        contains = self.contains
+        tick = 0
+        try:
+            for tick, value in enumerate(column):
+                if value is not ABSENT and not contains(value):
+                    return tick
+        except Exception:  # noqa: BLE001 - check_value raises it again
+            return tick
+        return len(column)
 
     def default(self) -> Any:
         """A canonical default value of the type (used for delay initials)."""
@@ -54,6 +73,9 @@ class AnyType(Type):
 
     def contains(self, value: Any) -> bool:
         return True
+
+    def first_rejected(self, column: Sequence[Any]) -> int:
+        return len(column)
 
     def default(self) -> Any:
         return 0
@@ -124,6 +146,24 @@ class FloatType(Type):
         if self.high is not None and value > self.high:
             return False
         return True
+
+    def first_rejected(self, column: Sequence[Any]) -> int:
+        # an all-float column is accepted from its sum, minimum and maximum
+        # in C: a NaN makes the sum NaN, and exact floats are never bools
+        present = column
+        kinds = set(map(type, column))
+        if type(ABSENT) in kinds:
+            kinds.discard(type(ABSENT))
+            present = [value for value in column if value is not ABSENT]
+        if not present:
+            return len(column)
+        if kinds == {float}:
+            total = sum(present)
+            if total == total \
+                    and (self.low is None or self.low <= min(present)) \
+                    and (self.high is None or max(present) <= self.high):
+                return len(column)
+        return super().first_rejected(column)
 
     def default(self) -> Any:
         if self.low is not None and self.low > 0:
@@ -289,54 +329,6 @@ def check_value(value: Any, expected: Type, context: str = "") -> None:
         where = f" on {context}" if context else ""
         raise TypeCheckError(
             f"value {value!r} is not a member of type {expected!r}{where}")
-
-
-def column_checker(expected: Type) -> Callable[[Sequence[Any]], int]:
-    """``check(column) -> tick``: the first tick of *column* whose present
-    value :func:`check_value` rejects (``len(column)`` when none does).
-
-    A rejected value fails ``expected.contains`` or makes it raise;
-    ``check_value`` on it raises the same error.  Built once per port
-    type, checks whole columns: ``any`` accepts every column, and an exact
-    :class:`FloatType` accepts an all-``float`` column from its sum, minimum
-    and maximum in C (a NaN makes the sum NaN) before falling back to the
-    per-value test.
-    """
-    contains = expected.contains
-
-    def first_rejected(column: Sequence[Any]) -> int:
-        tick = 0
-        try:
-            for tick, value in enumerate(column):
-                if value is not ABSENT and not contains(value):
-                    return tick
-        except Exception:  # noqa: BLE001 - check_value raises it again
-            return tick
-        return len(column)
-
-    if type(expected) is AnyType:
-        return len
-    if type(expected) is not FloatType:
-        return first_rejected
-    low = -math.inf if expected.low is None else expected.low
-    high = math.inf if expected.high is None else expected.high
-
-    def first_rejected_float(column: Sequence[Any]) -> int:
-        present = column
-        kinds = set(map(type, column))
-        if type(ABSENT) in kinds:
-            kinds.discard(type(ABSENT))
-            present = [value for value in column if value is not ABSENT]
-        if not present:
-            return len(column)
-        if kinds == {float}:
-            total = sum(present)
-            if total == total and low <= min(present) \
-                    and max(present) <= high:
-                return len(column)
-        return first_rejected(column)
-
-    return first_rejected_float
 
 
 def infer_type(value: Any) -> Type:

@@ -117,9 +117,11 @@ class StimulusGenerator:
     """Base class of the generator DSL.
 
     A generator is a deterministic map ``tick -> value``.  Sub-classes
-    implement :meth:`sample`; the built-in ones also override
-    :meth:`materialize` with one loop over the horizon, which is all the
-    engines call.
+    implement :meth:`sample`; :meth:`materialize`, which is all the
+    engines call, builds the column from it in one loop.  Generators whose
+    ``sample`` is not a cheap formula override it: seeded ones read their
+    draw cache, mode sequences expand their segments, and fault injectors
+    transform their inner column.
     """
 
     def sample(self, tick: int) -> Any:
@@ -209,9 +211,6 @@ class Constant(StimulusGenerator):
     def sample(self, tick: int) -> Any:
         return self.value
 
-    def materialize(self, ticks: int) -> List[Any]:
-        return [self.value] * ticks
-
 
 class Ramp(StimulusGenerator):
     """``start + slope * tick``, optionally clamped to ``[low, high]``."""
@@ -231,15 +230,6 @@ class Ramp(StimulusGenerator):
             value = min(self.high, value)
         return value
 
-    def materialize(self, ticks: int) -> List[Any]:
-        start, slope, low, high = self.start, self.slope, self.low, self.high
-        column = [start + slope * tick for tick in range(ticks)]
-        if low is not None:
-            column = [max(low, value) for value in column]
-        if high is not None:
-            column = [min(high, value) for value in column]
-        return column
-
 
 class StepChange(StimulusGenerator):
     """*before* until ``at`` (exclusive), *after* from then on."""
@@ -251,10 +241,6 @@ class StepChange(StimulusGenerator):
 
     def sample(self, tick: int) -> Any:
         return self.after if tick >= self.at else self.before
-
-    def materialize(self, ticks: int) -> List[Any]:
-        at, before, after = self.at, self.before, self.after
-        return [after if tick >= at else before for tick in range(ticks)]
 
 
 class SquareWave(StimulusGenerator):
@@ -276,12 +262,6 @@ class SquareWave(StimulusGenerator):
         position = (tick + self.phase) % self.period
         return self.high if position < self.duty * self.period else self.low
 
-    def materialize(self, ticks: int) -> List[Any]:
-        phase, period, low, high = self.phase, self.period, self.low, self.high
-        edge = self.duty * period
-        return [high if (tick + phase) % period < edge else low
-                for tick in range(ticks)]
-
 
 class SineWave(StimulusGenerator):
     """``offset + amplitude * sin(2*pi*(tick + phase) / period)``."""
@@ -298,13 +278,6 @@ class SineWave(StimulusGenerator):
     def sample(self, tick: int) -> Any:
         return self.offset + self.amplitude * math.sin(
             2.0 * math.pi * (tick + self.phase) / self.period)
-
-    def materialize(self, ticks: int) -> List[Any]:
-        offset, amplitude, phase, period = (self.offset, self.amplitude,
-                                            self.phase, self.period)
-        sin, turn = math.sin, 2.0 * math.pi
-        return [offset + amplitude * sin(turn * (tick + phase) / period)
-                for tick in range(ticks)]
 
 
 class ModeSequence(StimulusGenerator):
@@ -365,10 +338,7 @@ class UniformNoise(SeededGenerator):
         super().__init__(seed)
 
     def _draws(self, rng: random.Random, count: int) -> List[Any]:
-        # rng.uniform(low, high) is low + (high - low) * rng.random()
-        low, random_ = self.low, rng.random
-        width = self.high - low
-        return [low + width * random_() for _ in range(count)]
+        return [rng.uniform(self.low, self.high) for _ in range(count)]
 
 
 class RandomWalk(SeededGenerator):
@@ -427,17 +397,13 @@ class EventStorm(SeededGenerator):
         super().__init__(seed)
 
     def _draws(self, rng: random.Random, count: int) -> List[Any]:
-        # always consume exactly two draws per tick so the stream stays
-        # aligned
-        random_, randrange = rng.random, rng.randrange
-        rate, values, quiet = self.rate, self.values, self.quiet
-        size = len(values)
         column: List[Any] = []
-        append = column.append
         for _ in range(count):
-            present = random_() < rate
-            index = randrange(size)
-            append(values[index] if present else quiet)
+            # always consume exactly two draws per tick so the stream
+            # stays aligned
+            present = rng.random() < self.rate
+            index = rng.randrange(len(self.values))
+            column.append(self.values[index] if present else self.quiet)
         return column
 
 

@@ -18,9 +18,9 @@ Columns are the stimulus protocol: :func:`prepare_feeds` turns every
 specification but a plain callable into one column of exactly *ticks*
 values -- a generator materialized once for the horizon, a stream or
 sequence cut or padded with absence, a scalar repeated -- and
-:func:`prefill_stimuli` type-checks each column in one pass with a
-checker built once per port type
-(:func:`~repro.core.types.column_checker`).  Plain callables are the
+:func:`prefill_stimuli` type-checks each column in one pass: the port
+type finds the column's first rejected value itself
+(:meth:`~repro.core.types.Type.first_rejected`).  Plain callables are the
 per-tick path: they are called tick by tick, in tick-major, port-inner
 order, exactly as a stepped run calls them.
 
@@ -38,7 +38,7 @@ from ..core.clocks import Clock
 from ..core.components import (Component, CompositeComponent,
                                register_transparent_wrapper)
 from ..core.errors import SimulationError
-from ..core.types import check_value, column_checker
+from ..core.types import check_value
 from ..core.values import ABSENT, Stream, fit_column
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
@@ -145,7 +145,7 @@ def _first_rejected(component: Component,
     it)``, or ``(horizon, -1, None)`` when every value type-checks."""
     tick, port, error = horizon, -1, None
     for index, name, column in columns:
-        rejected = column_checker(component.port(name).port_type)(column)
+        rejected = component.port(name).port_type.first_rejected(column)
         if rejected < tick:
             tick, port, value, where = rejected, index, column[rejected], name
     if port >= 0:

@@ -19,7 +19,7 @@ import pytest
 from repro.core.components import ExpressionComponent
 from repro.core.errors import TypeCheckError
 from repro.core.types import (AnyType, BoolType, EnumType, FloatType, IntType,
-                              check_value, column_checker)
+                              check_value)
 from repro.core.values import ABSENT, Stream, fit_column
 from repro.notations.dfd import DataFlowDiagram
 from repro.scenarios import (Constant, Dropout, EventStorm, ModeSequence,
@@ -241,7 +241,7 @@ _VALUES = [0.0, 5.5, 10.0, 10.5, -0.1, -1.5, 2.5, float("nan"), math.inf,
     FloatType(), FloatType(0.0, 10.0), FloatType(0, 10), FloatType(low=-1.5),
     FloatType(high=float("nan")), IntType(0, 5), BoolType(),
     EnumType("E", ["a", "b"]), AnyType()], ids=repr)
-def test_column_checker_finds_the_first_value_check_value_rejects(port_type):
+def test_first_rejected_is_the_first_value_check_value_rejects(port_type):
     rng = random.Random(repr(port_type))
     floats = [value for value in _VALUES if type(value) is float]
     columns = [[rng.choice(_VALUES) for _ in range(rng.randrange(13))]
@@ -250,7 +250,6 @@ def test_column_checker_finds_the_first_value_check_value_rejects(port_type):
                 for _ in range(300)]
     columns += [[rng.uniform(0.0, 10.0) for _ in range(20)],
                 [ABSENT, 1.0, ABSENT], [ABSENT] * 4, []]
-    check = column_checker(port_type)
     for column in columns:
         expected = len(column)
         for tick, value in enumerate(column):
@@ -259,7 +258,7 @@ def test_column_checker_finds_the_first_value_check_value_rejects(port_type):
             except Exception:  # noqa: BLE001 - the reference rejection
                 expected = tick
                 break
-        assert check(column) == expected, column
+        assert port_type.first_rejected(column) == expected, column
 
 
 # -- the first failing (tick, port) on every backend -------------------------
