@@ -24,17 +24,25 @@ Compiler-less hosts skip cleanly (``native_available``).
 of wall-clock, so it holds on any host: one C entry per run, Python
 re-entries equal to the executions of the program's fallback ops (the
 unit-delay leaf and its correction barrier, counted on the flat engine's
-op profile), byte-identical traces.  It runs in the gating CI job.
+op profile), byte-identical traces.  It runs in the gating CI job, as
+does :func:`test_p8_mode_collection_count_gate`: on the paper's
+machine-heavy case-study models, a ``collect_modes=True`` campaign makes
+exactly the trampolines of an unobserved one -- mode histories leave the
+C loop as output rows, not through a per-tick re-entry.
 """
+
+import pickle
 
 import pytest
 
 from repro import obs
+from repro.casestudy import build_engine_modes_mtd, build_reengineered_fda
 from repro.core.clocks import every
 from repro.core.components import ExpressionComponent
 from repro.io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
+from repro.scenarios import RandomWalk, Scenario, execute_scenario
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, native_available)
 from repro.simulation.engine import run_stepped
@@ -162,6 +170,69 @@ def test_p8_native_count_gate():
                  f"{counters['native.runs']:.0f} C entries, "
                  f"{counters['native.trampolines'] / counters['native.ticks']:.2f}"
                  f" trampolines per tick ({len(fallback_ops)} fallback ops)")
+
+
+#: The machine-heavy case-study models of the mode-collection gate.
+MODE_MODELS = {"engine_modes": build_engine_modes_mtd,
+               "reengineered_fda": build_reengineered_fda}
+
+
+def _mode_battery(model, scenarios: int = 4, ticks: int = 200):
+    """Seeded random walks over every input port's declared range."""
+    battery = []
+    for index in range(scenarios):
+        stimuli = {}
+        for number, port in enumerate(model.input_ports()):
+            kind = port.port_type
+            low = kind.low if kind.low is not None else 0.0
+            high = kind.high if kind.high is not None else 100.0
+            stimuli[port.name] = RandomWalk(
+                seed=100 * index + number, start=(low + high) / 2,
+                step=(high - low) / 8, low=low, high=high)
+        battery.append(Scenario(f"walk{index}", stimuli, ticks))
+    return battery
+
+
+@pytest.mark.parametrize("name", sorted(MODE_MODELS))
+def test_p8_mode_collection_count_gate(name):
+    """Count gate: a native ``collect_modes=True`` campaign re-enters
+    Python exactly as often as an unobserved one -- once per fallback-op
+    execution -- with byte-identical traces and mode histories."""
+    model = MODE_MODELS[name]()
+    battery = _mode_battery(model)
+    flat = CompiledSimulator(model, backend="flat")
+    native = CompiledSimulator(model, backend="native")
+    fallback_ops = native.schedule.lowered.fallback_ops
+
+    with obs.session(profile_ops=True) as flat_telemetry:
+        expected = [execute_scenario(flat, scenario, collect_modes=True)
+                    for scenario in battery]
+    (profile,) = flat_telemetry.profiles.values()
+    executions = sum(profile.counts[index] for index in fallback_ops)
+
+    trampolines, results = {}, {}
+    for collect in (False, True):
+        with obs.session() as telemetry:
+            results[collect] = [
+                execute_scenario(native, scenario, collect_modes=collect)
+                for scenario in battery]
+        trampolines[collect] = telemetry.registry.counter_values(
+            "native.")["native.trampolines"]
+    assert trampolines[True] == trampolines[False] == executions, (
+        "collecting modes must add no Python re-entry")
+    for plain, collected, reference in zip(results[False], results[True],
+                                           expected):
+        assert plain.ok and collected.ok and reference.ok
+        assert trace_to_json(collected.trace) == trace_to_json(plain.trace) \
+            == trace_to_json(reference.trace)
+        assert collected.mode_paths, "the machines' histories were recorded"
+        assert pickle.dumps(collected.mode_paths) \
+            == pickle.dumps(reference.mode_paths)
+    ticks = sum(scenario.ticks for scenario in battery)
+    report("P8", f"mode-collection count gate ({name}): "
+                 f"{trampolines[True] / ticks:.2f} trampolines per tick "
+                 f"with and without collect_modes "
+                 f"({len(fallback_ops)} fallback ops)")
 
 
 def test_p8_native_vs_flat_gate():

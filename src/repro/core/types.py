@@ -139,7 +139,8 @@ class FloatType(Type):
     def contains(self, value: Any) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-        if math.isnan(float(value)):
+        # only a float can be NaN; float() of a huge int would overflow
+        if isinstance(value, float) and math.isnan(value):
             return False
         if self.low is not None and value < self.low:
             return False

@@ -31,9 +31,9 @@ def run_with_report(component: Component, scenarios: Sequence[Scenario],
                                             BatchReport]:
     """Run a batch (sharded) and aggregate it into a :class:`BatchReport`.
 
-    Keyword arguments are forwarded to :func:`run_sharded`; per-tick mode
-    observation is enabled by default so the report carries hierarchical
-    mode/transition coverage.  Aggregation is incremental: each result is
+    Keyword arguments are forwarded to :func:`run_sharded`; mode
+    collection (``collect_modes``) is on by default so the report carries
+    hierarchical mode/transition coverage.  Aggregation is incremental: each result is
     folded into the report as it streams back from the pool
     (:meth:`BatchReport.observe_result`), so arbitrarily large batches never
     require a second pass over the traces.

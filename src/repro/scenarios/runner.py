@@ -167,16 +167,14 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
                      worker: str = "local") -> ScenarioResult:
     """Run one scenario against a compiled simulator with error isolation.
 
-    With *collect_modes* the active mode of every MTD and STD is recorded
-    after each tick through the schedule's ``mode_paths`` (same paths and
-    values as :func:`~repro.simulation.engine.active_mode_paths` on a
-    nested state tree).  Every schedule is flat or native and reads only
-    the leaves of its compiled
-    :attr:`~repro.simulation.schedule_ir.FlatSchedule.mode_plan` -- a bare
-    MTD or STD root is a one-leaf plan; when a schedule reports no
-    ``needs_mode_observation`` (a model without machines) the scenario
-    runs exactly like an unobserved one, with empty histories.  Either way
-    the scenario runs through
+    With *collect_modes* the result carries the run's mode histories: the
+    active mode of every MTD and STD after each tick it was active (same
+    paths and values as
+    :func:`~repro.simulation.engine.active_mode_paths` on a nested state
+    tree), which every compiled run records on its trace
+    (``trace.mode_paths``, decoded from the run's readout columns, so
+    collecting them costs the run nothing); a model without machines has
+    empty histories.  Either way the scenario runs through
     :meth:`~repro.simulation.compiled.CompiledSimulator.run`, so a traced
     campaign opens one ``run`` span per scenario.
 
@@ -188,24 +186,11 @@ def execute_scenario(simulator: CompiledSimulator, scenario: Scenario,
     """
     start = time.perf_counter()
     try:
-        schedule = simulator.schedule
-        if collect_modes and schedule.needs_mode_observation:
-            extract_modes = schedule.mode_paths
-            histories: Dict[str, List[Any]] = {}
-
-            def observe(state: Any) -> None:
-                for path, mode in extract_modes(state).items():
-                    histories.setdefault(path, []).append(mode)
-
-            trace = simulator.run(scenario.stimuli, scenario.ticks,
-                                  observe=observe)
-            mode_paths: Optional[Dict[str, List[Any]]] = histories
-        else:
-            trace = simulator.run(scenario.stimuli, scenario.ticks)
-            mode_paths = {} if collect_modes else None
+        trace = simulator.run(scenario.stimuli, scenario.ticks)
         result = ScenarioResult(scenario.name, trace=trace,
                                 duration=time.perf_counter() - start,
-                                worker=worker, mode_paths=mode_paths)
+                                worker=worker, mode_paths=trace.mode_paths
+                                if collect_modes else None)
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
         detail = traceback.format_exc(limit=3).strip().splitlines()[-1]
         error = f"{type(exc).__name__}: {exc}" if str(exc) else detail

@@ -48,6 +48,12 @@ tick through :func:`~repro.simulation.engine.run_stepped`.
 many stimulus sets, with :meth:`ScenarioSuite.verify_against_reference`
 as the built-in differential check against the interpreter.
 
+Mode coverage is data a run produces, not a callback: every leaf that
+carries an MTD or STD writes its new state into a readout slot, the
+horizon loops return those slots as columns beside the outputs, and one
+decoder turns them into the trace's mode histories after the run
+(:meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`).
+
 The schedule is compiled from a snapshot of the model: structural changes
 made to the model after compilation are not picked up (recompile instead).
 Observable behaviour -- traces, including ``mode_history`` -- is
@@ -70,8 +76,7 @@ from ..obs.context import current_registry, maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
-from .engine import (Simulator, StimulusSpec, active_mode_paths,
-                     build_gated_ccd, run_stepped)
+from .engine import Simulator, StimulusSpec, build_gated_ccd, run_stepped
 from .trace import SimulationTrace, first_difference
 
 #: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
@@ -100,14 +105,6 @@ class CompiledSchedule:
         """The state :attr:`step` starts from: the component's own, except
         that a mode controller's is ``{"mode": initial mode}``."""
         return self._initial()
-
-    def mode_paths(self, state: Any, path: Optional[str] = None,
-                   out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Active mode/state of the leaf's machines, keyed by hierarchical
-        path and collected into *out*: the walk of
-        :func:`~repro.simulation.engine.active_mode_paths` (a mode
-        controller's state names only its own mode)."""
-        return active_mode_paths(self.component, state, path, out)
 
     def __repr__(self) -> str:
         return f"CompiledSchedule({self.component.name!r}, kind={self.kind!r})"
@@ -295,32 +292,6 @@ def _compile_std(component: StateTransitionDiagram) -> CompiledSchedule:
     return CompiledSchedule(component, "std", step)
 
 
-def _observed(step: StepFunction,
-              observe: Callable[[Any], None]) -> StepFunction:
-    """*step*, calling *observe* with the new state after every tick."""
-    def observed_step(inputs: Mapping[str, Any], state: Any,
-                      tick: int) -> Tuple[Dict[str, Any], Any]:
-        outputs, new_state = step(inputs, state, tick)
-        observe(new_state)
-        return outputs, new_state
-    return observed_step
-
-
-def _recording_modes(observe: Optional[Callable[[Any], None]],
-                     history: List[Any]) -> Callable[[Any], None]:
-    """*observe* (or nothing), after appending the ``"mode"`` of a
-    bare-leaf root's state to *history*: the ``mode_history`` rule of
-    :func:`~repro.simulation.engine.run_stepped`, which a flat state never
-    meets itself."""
-    def observe_modes(state: Any) -> None:
-        leaf_state = state.leaf_states[0]
-        if isinstance(leaf_state, dict) and "mode" in leaf_state:
-            history.append(leaf_state["mode"])
-        if observe is not None:
-            observe(state)
-    return observe_modes
-
-
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
 _BACKENDS = ("auto", "batch", "flat", "native")
 
@@ -399,11 +370,6 @@ class CompiledSimulator:
         registry = current_registry()
         if registry is not None:
             registry.counter(COMPILE_COUNTER).inc()
-        #: a bare MTD, atomic or custom-``react`` root may carry a
-        #: ``"mode"`` (an STD's or expression block's state never does)
-        leaves = flat_schedule.leaves
-        self._mode_history = (bool(leaves) and leaves[0].component is component
-                              and leaves[0].run_kind in ("mtd", "atomic"))
         #: tiered ``auto``: runs so far, the in-flight promotion and the
         #: native schedule it produced
         self._tiering = backend == "auto"
@@ -455,31 +421,30 @@ class CompiledSimulator:
             self._tiering = True
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]] = None,
-            ticks: int = 10,
-            observe: Optional[Callable[[Any], None]] = None
-            ) -> SimulationTrace:
+            ticks: int = 10) -> SimulationTrace:
         """Simulate for *ticks* ticks and return the recorded trace.
 
-        *observe*, when given, is called with the schedule's state after
-        every tick (the sharded runner's mode observation).  The whole
-        horizon runs at once, observed or not, through
+        The whole horizon runs at once through
         :func:`~repro.simulation.engine.run_horizon`: a flat schedule in
         one generated tick loop
         (:meth:`~repro.simulation.schedule_ir.FlatSchedule.run`), a native
         one in one C call
-        (:meth:`~repro.simulation.native.NativeSchedule.run`).  The output
-        type checks run after the loop, so *observe* may see the ticks
-        after an output type failure that ends the run.  A bare-leaf root
-        whose state carries a ``"mode"`` records ``trace.mode_history`` as
-        :func:`~repro.simulation.engine.run_stepped` does, through an
-        observer wrapped around *observe*.
+        (:meth:`~repro.simulation.native.NativeSchedule.run`).  Either
+        way the trace carries the run's mode histories, decoded from the
+        readout columns after the run
+        (:meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`):
+        ``trace.mode_paths``, and ``trace.mode_history`` for a bare-leaf
+        root whose state carries a ``"mode"``, as
+        :func:`~repro.simulation.engine.run_stepped` records it.
 
-        With observability enabled (:mod:`repro.obs`) the run, observed or
-        not, is wrapped in a ``run`` span, and -- when the session asked
-        for ``profile_ops`` or ``flight_recording`` -- executed tick by
-        tick through the flat program's swapped-in step variant (op-profiling or flight-recording; recording wins when
-        both are on).  Op profiles and forensics need the per-tick Python
-        step, so under either flag a native schedule runs its wrapped
+        With observability enabled (:mod:`repro.obs`) the run is wrapped
+        in a ``run`` span, and -- when the session asked for
+        ``profile_ops`` or ``flight_recording`` -- executed tick by tick
+        through the flat program's swapped-in step variant (op-profiling
+        or flight-recording; recording wins when both are on), whose
+        per-tick leaf states are decoded the same way.  Op profiles and
+        forensics need the per-tick Python step, so under either flag a
+        native schedule runs its wrapped
         :attr:`~repro.simulation.native.NativeSchedule.flat` program's
         step variant instead of the C loop; spans-only sessions keep the
         horizon loops.  The default path is untouched: it runs the same
@@ -496,25 +461,26 @@ class CompiledSimulator:
             and (telemetry.flight_recording or telemetry.profile_ops)
         if swapped and schedule.kind == "native":
             schedule = schedule.flat
-        history: Optional[List[Any]] = None
-        if self._mode_history:
-            history = []
-            observe = _recording_modes(observe, history)
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
                         kind=schedule.kind):
-            if swapped:
-                step = telemetry.step_for(schedule)
-                if observe is not None:
-                    step = _observed(step, observe)
-                trace = run_stepped(self.component, step, stimuli, ticks,
-                                    self.check_types,
-                                    initial_state=schedule.initial_state())
-            else:
-                trace = schedule.run(stimuli, ticks, self.check_types,
-                                     observe)
-        if history is not None:
-            trace.mode_history = history
+            if not swapped:
+                return schedule.run(stimuli, ticks, self.check_types)
+            step = telemetry.step_for(schedule)
+            states: List[List[Any]] = []
+
+            def stepping(inputs: Mapping[str, Any], state: Any,
+                         tick: int) -> Tuple[Dict[str, Any], Any]:
+                outputs, state = step(inputs, state, tick)
+                states.append(state.leaf_states)
+                return outputs, state
+
+            trace = run_stepped(self.component, stepping, stimuli, ticks,
+                                self.check_types,
+                                initial_state=schedule.initial_state())
+        schedule.decode_modes(trace, [
+            [leaf_states[index] for leaf_states in states]
+            for index, _slot in schedule.readout_spec])
         return trace
 
 

@@ -201,38 +201,35 @@ def prefill_stimuli(component: Component,
     return Prefill(columns, runnable, deferred)
 
 
-#: ``enter(columns, runnable, observe) -> (ticks done, error, outputs)``:
-#: one engine's run of ticks ``[0, runnable)`` for :func:`run_horizon`.
-HorizonEntry = Callable[["list[list[Any]]", int,
-                         Optional[Callable[[Any], None]]],
+#: ``enter(columns, runnable) -> (ticks done, error, columns)``: one
+#: engine's run of ticks ``[0, runnable)`` for :func:`run_horizon`.
+HorizonEntry = Callable[["list[list[Any]]", int],
                         "tuple[int, Optional[BaseException], list[list[Any]]]"]
 
 
 def run_horizon(component: Component, output_names: Sequence[str],
                 enter: HorizonEntry,
                 stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
-                check_types: bool,
-                observe: Optional[Callable[[Any], None]] = None
-                ) -> SimulationTrace:
+                check_types: bool
+                ) -> "tuple[SimulationTrace, list[list[Any]]]":
     """The whole-horizon run shared by the flat and the native engine.
 
     Draws every stimulus first (:func:`prepare_feeds`,
     :func:`prefill_stimuli`), then has *enter* run the runnable ticks in
-    one go: it gets the input columns (``input_names()`` order), the
-    runnable tick count and *observe*, and returns the ticks that ran to
-    their end, the error that stopped it (or ``None``) and one output
-    column per *output_names* entry.  The output type checks then run over
-    the completed ticks, so *observe* may see the ticks after an output
-    type failure that ends the run.  The first error is raised in
-    :func:`run_stepped` order: an output check failing at tick *o*, then
-    an error of *enter* at tick *s > o*, then a stimulus draw or input
-    check failing at tick *p > s* -- the same exception object.  The trace
-    is :func:`run_stepped`'s, built over the columns themselves.
+    one go: it gets the input columns (``input_names()`` order) and the
+    runnable tick count, and returns the ticks that ran to their end, the
+    error that stopped it (or ``None``) and one column per *output_names*
+    entry, followed by the engine's readout columns.  The output type
+    checks then run over the completed ticks.  The first error is raised
+    in :func:`run_stepped` order: an output check failing at tick *o*,
+    then an error of *enter* at tick *s > o*, then a stimulus draw or
+    input check failing at tick *p > s* -- the same exception object.
+    Returns :func:`run_stepped`'s trace, built over the columns
+    themselves, and the readout columns.
     """
     feeds = prepare_feeds(component, stimuli, ticks)
     prefill = prefill_stimuli(component, feeds, ticks, check_types)
-    completed, error, outputs = enter(prefill.columns, prefill.runnable,
-                                      observe)
+    completed, error, outputs = enter(prefill.columns, prefill.runnable)
     if check_types:
         _tick, _port, failing = _first_rejected(
             component, [(index, name, column) for index, (name, column)
@@ -250,7 +247,7 @@ def run_horizon(component: Component, output_names: Sequence[str],
             trace.inputs[name] = Stream._adopt(column)  # noqa: SLF001
         for name, column in zip(output_names, outputs):
             trace.outputs[name] = Stream._adopt(column)  # noqa: SLF001
-    return trace
+    return trace, outputs[len(output_names):]
 
 
 def run_stepped(component: Component,
@@ -317,11 +314,10 @@ def active_mode_paths(component: Component, state: Any,
 
     The walker reads the interpreter's state shapes (``{"subs": ...}`` for
     composites, ``{"inner": ...}`` for clock-gated wrappers, ``{"mode":
-    ..., "mode_states": ...}`` / ``{"state": ...}`` for MTDs/STDs).  A
-    compiled leaf's state shares them, except an MTD's: its mode
-    controller's state is ``{"mode": ...}`` alone, so only the MTD's own
-    path is read from it, and its mode behaviours' leaves are read by
-    :meth:`~repro.simulation.schedule_ir.FlatSchedule.mode_paths`.  Paths
+    ..., "mode_states": ...}`` / ``{"state": ...}`` for MTDs/STDs).  It is
+    the oracle of the compiled engines' mode histories
+    (:meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`),
+    which also walk a custom-``react`` leaf's own state with it.  Paths
     match :func:`repro.analysis.mode_analysis.machine_inventory`.
     """
     if out is None:

@@ -7,18 +7,18 @@ entry point that runs a whole horizon of ticks:
 
     long long repro_run(long long t0, long long ticks, unsigned char *tag,
                         long long *iv, double *fv, const unsigned char *gates,
-                        repro_tramp_fn tramp, long long observe);
+                        repro_tramp_fn tramp);
 
 ``tag`` / ``iv`` / ``fv`` are one tagged plane (value tag, int64 payload,
 double payload per cell; the :data:`~repro.ascet.c_expr.TAG_OBJ` payload
 indexes a Python object table that lives for the whole call, so opaque
 values still *move* natively -- across ticks too, through the delayed
 buffers).  With ``S`` slots, ``B`` delayed buffers, ``I`` inputs and
-``O`` outputs the plane holds, in this order: the slots, the previous
-buffers, the next buffers, ``ticks x I`` input rows and ``ticks x O``
-output rows (rows tick-major, columns in ``input_spec`` /
-``output_spec`` order).  Per tick ``k`` of ``[0, ticks)`` (absolute tick
-``t0 + k``) the loop
+``O`` outputs plus readouts the plane holds, in this order: the slots,
+the previous buffers, the next buffers, ``ticks x I`` input rows and
+``ticks x O`` output rows (rows tick-major, columns in ``input_spec``
+order, and ``output_spec`` then ``readout_spec`` order).  Per tick ``k``
+of ``[0, ticks)`` (absolute tick ``t0 + k``) the loop
 
 1. rolls the delayed buffers: the last tick's next buffers become this
    tick's previous ones and stay the seed of the next ones, so unwritten
@@ -28,11 +28,12 @@ output rows (rows tick-major, columns in ``input_spec`` /
 2. clears the slots to all-ABSENT (ABSENT is tag 0) and scatters input
    row ``k`` into the input slots;
 3. runs the op program, reading its gate flags from row ``k`` of the
-   ``gates`` bitmap (``ticks x gates``, evaluated by the caller from the
-   gate predicates -- clock patterns depend on the tick only);
-4. gathers the output slots into output row ``k``;
-5. when ``observe`` is nonzero, calls ``tramp(-1, t0 + k)`` so the caller
-   can observe the state after the tick.
+   ``gates`` plane (``ticks x gates``, the flat program's
+   :meth:`~repro.simulation.schedule_ir.FlatSchedule.gates` -- clock
+   patterns depend on the tick only);
+4. gathers the output slots, then the readout slots (the states the
+   machine leaves' replays wrote, ABSENT where a region was skipped),
+   into output row ``k``.
 
 Steps 1-4 are one ``static`` function, ``repro_tick``, optimized like
 any straight-line step; the loop around it is a few index moves per tick
@@ -64,9 +65,8 @@ Lowering decisions per op:
 The emitted fast path is compute-then-commit: an expression block writes
 slots only after every item evaluated cleanly, so a bail-out replays the
 whole op from unmodified inputs.  The return value is ``0`` once every
-tick ran, or nonzero as soon as a trampoline call reports a pending
-Python exception (``op_index + 1`` for an op replay, ``-1`` for the
-tick-end observation); the loop stops at that tick.
+tick ran, or ``op_index + 1`` as soon as an op replay reports a pending
+Python exception; the loop stops at that tick.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ _RUN = """\
 __attribute__((optimize("O0")))
 long long repro_run(long long t0, long long ticks, unsigned char *tag,
                     long long *iv, double *fv, const unsigned char *gates,
-                    repro_tramp_fn tramp, long long observe)
+                    repro_tramp_fn tramp)
 {{
     const long long out = {inputs} + ticks * {n_inputs};
     for (long long tick = 0; tick < ticks; ++tick) {{
@@ -109,7 +109,6 @@ long long repro_run(long long t0, long long ticks, unsigned char *tag,
             t0 + tick, gates + tick * {n_gates}, {inputs} + tick * {n_inputs},
             out + tick * {n_outputs}, tag, iv, fv, tramp);
         if (failed) return failed;
-        if (observe && tramp(-1LL, t0 + tick)) return -1LL;
     }}
     return 0LL;
 }}
@@ -124,7 +123,8 @@ class LoweredProgram:
     (they may still bail to the trampoline at run time); ``fallback_ops``
     are the indexes lowered as unconditional trampoline calls (``run`` /
     ``correct`` / non-lowerable ``expr``); ``gate_indexes`` maps the k-th
-    column of the C ``gates`` bitmap to its op index.
+    column of the C ``gates`` plane to its op index (the order of
+    :attr:`~repro.simulation.schedule_ir.FlatSchedule.gate_predicates`).
     """
 
     source: str
@@ -241,10 +241,11 @@ def _tick_prologue(flat: FlatSchedule) -> List[str]:
 
 
 def _tick_epilogue(flat: FlatSchedule) -> List[str]:
-    """Gather the output row."""
+    """Gather the output row: the outputs, then the readouts."""
+    gathered = flat.output_spec + flat.readout_spec  # (key, slot) pairs
     return (["Lend: ;"]
             + ["    " + _move(f"out + {column}", slot)
-               for column, (_name, slot) in enumerate(flat.output_spec)]
+               for column, (_key, slot) in enumerate(gathered)]
             + ["    return 0;", "}"])
 
 
@@ -291,6 +292,7 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     lines.append(_RUN.format(n_gates=len(lowered.gate_indexes),
                              inputs=next_base + len(flat.buffer_initials),
                              n_inputs=len(flat.input_spec),
-                             n_outputs=len(flat.output_spec)))
+                             n_outputs=len(flat.output_spec
+                                           + flat.readout_spec)))
     lowered.source = "\n".join(lines)
     return lowered

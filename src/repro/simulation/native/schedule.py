@@ -24,14 +24,18 @@ input rows, output rows -- the layout :mod:`.emit` documents):
   port-inner -- a column of only exact ``float`` values, or only exact
   ``int`` values within int64, in one strided slice assignment per plane,
   any other column value by value;
-* gate predicates -- functions of the tick only -- are evaluated into a
-  ``ticks x gates`` bitmap, cached per schedule and extended when a
-  longer horizon asks for it;
+* gate predicates -- functions of the tick only -- are evaluated into the
+  ``ticks x gates`` plane the flat horizon loop reads too
+  (:meth:`~repro.simulation.schedule_ir.FlatSchedule.gates`, cached per
+  flat program and extended when a longer horizon asks for it);
 * the initial delayed buffers seed the next-buffer cells; C rolls
   previous / next buffers itself at every tick boundary;
-* the C loop runs every tick and writes the output rows, which are
-  decoded into the same :class:`~repro.simulation.trace.SimulationTrace`
-  ``run_stepped`` records.
+* the C loop runs every tick and writes the output rows -- the outputs,
+  then the readout slots the machine leaves' replays wrote their states
+  into -- which are decoded into the same
+  :class:`~repro.simulation.trace.SimulationTrace` ``run_stepped``
+  records, with the mode histories of
+  :meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`.
 
 Values without a native representation (out-of-int64 integers, enum
 members, structs, any non-exact-typed object) travel as
@@ -52,11 +56,10 @@ flat engine's own per-op templates
 same leaf step functions and the same generated expression source with
 the same semantics.  Leaf states roll lazily: the first replay of a new
 tick makes the last tick's next states the previous ones -- ticks without
-a replay leave leaf states untouched, so nothing is lost.  Observed runs
-(the sharded runner's mode observation) get one more re-entry at every
-tick end, handing the state after the tick to the observer.
+a replay leave leaf states untouched, so nothing is lost.  Mode histories
+cost no re-entry: they leave C as output rows.
 
-**Errors.**  A replay (or observer) that raises stores the exception and
+**Errors.**  A replay that raises stores the exception and
 returns nonzero; the C loop stops at that tick and the exception is
 re-raised unchanged.  :meth:`NativeSchedule.run` runs through the
 horizon shell it shares with the flat engine
@@ -103,9 +106,9 @@ _F64 = ctypes.c_double
 
 _TRAMP_TYPE = ctypes.CFUNCTYPE(_I64, _I64, _I64)
 
-#: ``repro_run(t0, ticks, tag, iv, fv, gates, tramp, observe)``
+#: ``repro_run(t0, ticks, tag, iv, fv, gates, tramp)``
 _ARGTYPES = [_I64, _I64, ctypes.POINTER(_U8), ctypes.POINTER(_I64),
-             ctypes.POINTER(_F64), ctypes.c_char_p, _TRAMP_TYPE, _I64]
+             ctypes.POINTER(_F64), ctypes.c_char_p, _TRAMP_TYPE]
 
 
 def _tagged_plane(size: int, objects: List[Any]) -> Tuple[Any, ...]:
@@ -202,8 +205,9 @@ class _Entry(NamedTuple):
     """What one C call leaves behind."""
 
     completed: int                 # ticks that ran to their end
-    error: Optional[BaseException]  # the replay/observer error that stopped it
-    outputs: List[List[Any]]       # per output_spec entry, completed ticks
+    error: Optional[BaseException]  # the replay error that stopped it
+    outputs: List[List[Any]]       # per output_spec, then readout_spec
+                                   # entry: the completed ticks
     leaf_states: List[Any]         # leaf states after the last completed tick
     buffers: List[Any]             # delayed buffers after the last tick run
 
@@ -211,9 +215,8 @@ class _Entry(NamedTuple):
 class NativeSchedule:
     """A flat schedule executing through a compiled C tick loop.
 
-    Introspection (``ops_summary`` / ``fallback_paths`` /
-    ``needs_mode_observation`` / ``mode_paths`` and the boundary specs)
-    delegates to the wrapped :attr:`flat` schedule: the native backend
+    Introspection (``ops_summary`` / ``fallback_paths`` and the boundary
+    specs) delegates to the wrapped :attr:`flat` schedule: the native backend
     changes the execution substrate, not the program.
     """
 
@@ -234,41 +237,12 @@ class NativeSchedule:
         self._fn = lib.repro_run
         self._fn.restype = _I64
         self._fn.argtypes = _ARGTYPES
-        self._replay = native_replays(flat.program)
-        self._gate_predicates = tuple(flat.program[index][1]
-                                      for index in lowered.gate_indexes)
-        #: tick-major gate bitmap of the longest horizon asked for so far
-        self._gate_plane = b""
+        self._replay = native_replays(flat)
 
     # -- the C entry -------------------------------------------------------
 
-    def _gates(self, t0: int, ticks: int) -> bytes:
-        """The gate bitmap of ticks ``[t0, t0 + ticks)``.
-
-        Horizons from tick 0 share one cached plane (gate predicates are
-        functions of the tick only); replacing it with a longer one is a
-        single reference store, so concurrent runs may race on the cache
-        but never see a torn plane.
-        """
-        predicates = self._gate_predicates
-        if not predicates:
-            return b""
-        if t0:
-            return bytes(1 if predicate(tick) else 0
-                         for tick in range(t0, t0 + ticks)
-                         for predicate in predicates)
-        plane = self._gate_plane
-        known = len(plane) // len(predicates)
-        if known < ticks:
-            plane += bytes(1 if predicate(tick) else 0
-                           for tick in range(known, ticks)
-                           for predicate in predicates)
-            self._gate_plane = plane
-        return plane
-
     def _enter(self, t0: int, ticks: int, columns: Sequence[Sequence[Any]],
-               state: FlatState,
-               observe: Optional[Callable[[Any], None]]) -> _Entry:
+               state: FlatState) -> _Entry:
         """Run ticks ``[t0, t0 + ticks)`` in one C call.
 
         *columns* holds one value sequence per ``input_spec`` entry;
@@ -278,10 +252,11 @@ class NativeSchedule:
         flat = self.flat
         n_buffers = len(flat.buffer_initials)
         n_inputs = len(columns)
-        n_outputs = len(flat.output_spec)
+        n_outputs = len(flat.output_spec) + len(flat.readout_spec)
         n_scratch = flat._scratch_count  # noqa: SLF001
         # the plane layout of the emitted C (see .emit): slots, previous
-        # buffers, next buffers, input rows, output rows
+        # buffers, next buffers, input rows, output rows (outputs, then
+        # readouts)
         next_base = flat.n_slots + n_buffers
         in_base = next_base + n_buffers
         out_base = in_base + ticks * n_inputs
@@ -293,9 +268,6 @@ class NativeSchedule:
         for column, values in enumerate(columns):
             _encode_column(tag, iv, fv, store, in_base + column, n_inputs,
                            values)
-
-        def next_buffers() -> List[Any]:
-            return [load(next_base + index) for index in range(n_buffers)]
 
         replay = self._replay
         ps = state.leaf_states
@@ -309,9 +281,6 @@ class NativeSchedule:
         def trampoline(op: int, tick: int) -> int:
             nonlocal ps, ns, sc, current, calls, error, stopped
             try:
-                if op < 0:
-                    observe(FlatState(ns, next_buffers()))
-                    return 0
                 if tick != current:
                     # the first replay of a new tick rolls the leaf states
                     ps = ns
@@ -327,8 +296,8 @@ class NativeSchedule:
                 return 1
 
         tramp = _TRAMP_TYPE(trampoline)
-        failed = self._fn(t0, ticks, tag, iv, fv, self._gates(t0, ticks),
-                          tramp, observe is not None)
+        failed = self._fn(t0, ticks, tag, iv, fv, flat.gates(t0, ticks),
+                          tramp)
         if failed and error is None:  # pragma: no cover - defensive
             error = NativeLoweringError(
                 f"native run failed (code {failed}) without a pending "
@@ -344,36 +313,35 @@ class NativeSchedule:
         return _Entry(completed, error,
                       _decode_columns(tag, iv, fv, objects, out_base,
                                       n_outputs, completed),
-                      ns, next_buffers())
+                      ns, [load(next_base + index)
+                           for index in range(n_buffers)])
 
     # -- whole horizons ----------------------------------------------------
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
-            check_types: bool = False,
-            observe: Optional[Callable[[Any], None]] = None
-            ) -> SimulationTrace:
+            check_types: bool = False) -> SimulationTrace:
         """Simulate *ticks* ticks in one C call; the trace of
-        :func:`~repro.simulation.engine.run_stepped` over :attr:`step`.
+        :func:`~repro.simulation.engine.run_stepped` over :attr:`step`,
+        with the mode histories the wrapped flat program decodes from the
+        readout rows
+        (:meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`).
 
         Driven by :func:`~repro.simulation.engine.run_horizon`, like the
-        flat engine: *observe*, when given, is called with the state after
-        every tick (from inside the C loop, before the output type checks
-        run over the decoded rows, so an observer may see the ticks after
-        an output type failure that ends the run), and the first error is
-        raised in ``run_stepped`` order (see the module docstring), the
-        same exception object the step raised.
+        flat engine: the first error is raised in ``run_stepped`` order
+        (see the module docstring), the same exception object the step
+        raised.
         """
-        return run_horizon(self.component,
-                           self.flat._output_names,  # noqa: SLF001
-                           self._enter_horizon, stimuli, ticks, check_types,
-                           observe)
+        flat = self.flat
+        trace, readouts = run_horizon(
+            self.component, flat._output_names,  # noqa: SLF001
+            self._enter_horizon, stimuli, ticks, check_types)
+        flat.decode_modes(trace, readouts)
+        return trace
 
-    def _enter_horizon(self, columns: List[List[Any]], runnable: int,
-                       observe: Optional[Callable[[Any], None]]
+    def _enter_horizon(self, columns: List[List[Any]], runnable: int
                        ) -> Tuple[int, Optional[BaseException],
                                   List[List[Any]]]:
-        entry = self._enter(0, runnable, columns, self.flat.initial_state(),
-                            observe)
+        entry = self._enter(0, runnable, columns, self.flat.initial_state())
         return entry.completed, entry.error, entry.outputs
 
     # -- one tick ----------------------------------------------------------
@@ -383,7 +351,7 @@ class NativeSchedule:
         """One tick through the same C loop (the ``run_stepped`` contract)."""
         entry = self._enter(tick, 1, [(inputs.get(name, ABSENT),)
                                       for name, _slot in self.flat.input_spec],
-                            state, None)
+                            state)
         if entry.error is not None:
             raise entry.error
         outputs = {name: column[0] for (name, _slot), column
@@ -413,13 +381,6 @@ class NativeSchedule:
 
     def ops_summary(self) -> List[str]:
         return self.flat.ops_summary()
-
-    @property
-    def needs_mode_observation(self) -> bool:
-        return self.flat.needs_mode_observation
-
-    def mode_paths(self, state: Any) -> Dict[str, Any]:
-        return self.flat.mode_paths(state)
 
     def __repr__(self) -> str:
         return (f"NativeSchedule({self.component.name!r}, "

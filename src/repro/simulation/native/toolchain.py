@@ -41,7 +41,7 @@ from ...core.errors import SimulationError
 #: Bump whenever the C emitter's output semantics change: the version is
 #: part of every cache key and :func:`evict_stale` drops entries of older
 #: versions.
-EMITTER_VERSION = 2
+EMITTER_VERSION = 3
 
 #: Cache-entry filename prefix carrying the emitter version.
 _PREFIX = f"nv{EMITTER_VERSION}-"

@@ -30,11 +30,18 @@ parameters, not twin loops: profiling times and counts every executed op
 and counts gate skips and correction re-runs; recording sets ``index = k``
 before each op inside one ``try`` and hands the partial slot list to the
 recorder on a raise; the horizon variant wraps the same per-tick body in
-a ``for tick`` loop that reads input slots from prefilled columns, appends
-output slots to output columns, rolls the leaf states and delayed buffers
-and returns the first exception with its tick instead of raising it.
+a ``for tick`` loop that reads input slots from prefilled columns and gate
+flags from the schedule's cached gate plane, appends output and readout
+slots to their columns, rolls the leaf states and delayed buffers and
+returns the first exception with its tick instead of raising it.
 
-**Regions.**  A gate op sets one flag ``g<k> = p<k>(tick)`` and a select
+**Readouts.**  The ``run`` template of a leaf in the schedule's
+``readout_spec`` (and the correction barrier's re-run of it) also writes
+the leaf's new state into its readout slot, in both substrates, so the
+horizon loop and the native C loop carry mode histories out as columns.
+
+**Regions.**  A gate op sets one flag ``g<k> = p<k>(tick)`` (in the
+horizon loop, ``g<k> = gp[gt + column]`` from the gate plane) and a select
 op one flag ``g<k> = v[slot] == position`` (its mode controller wrote the
 active mode's position into ``slot``), each guarded by the flag of its
 enclosing region, and every op runs under the flag of its innermost
@@ -55,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource, SourceScope
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
-                          OP_EXPR, OP_RUN, OP_SELECT, REGION_OPS,
+                          OP_EXPR, OP_GATE, OP_RUN, OP_SELECT, REGION_OPS,
                           FlatState)
 
 #: Slot spelling of one substrate: ``(read(slot), write(slot, x), copy(src,
@@ -112,8 +119,14 @@ def _expr_lines(in_spec: Sequence[Tuple[str, int]],
 
 
 def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
-              scope: SourceScope) -> List[str]:
-    """The body of op *k*; the objects it calls are bound into *scope*."""
+              scope: SourceScope, readout: Dict[int, int],
+              plane: Optional[Dict[int, int]] = None) -> List[str]:
+    """The body of op *k*; the objects it calls are bound into *scope*.
+
+    A leaf in *readout* also writes its new state into its readout slot;
+    with *plane* (gate op index -> gate plane column) a gate reads its
+    flag from the plane row ``gp[gt:]`` instead of calling its predicate.
+    """
     read, write, copy = slots[:3]
     bound = scope.bound
     code = op[0]
@@ -126,6 +139,8 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
     if code in REGION_OPS:
         if code == OP_SELECT:  # the mode controller wrote the index slot
             flag = f"{read(op[1][0])} == {op[1][1]}"
+        elif plane is not None:
+            flag = f"gp[gt + {plane[k]}]"
         else:
             bound[f"p{k}"] = op[1]
             flag = f"p{k}(tick)"
@@ -138,7 +153,9 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
             bound[f"c{k}_{j}"] = fn
             lines += [f"fin = {_env(in_spec, read)}", f"if fin != sc[{si}]:"]
             lines += _block(
-                [f"_, ns[{leaf}] = c{k}_{j}(fin, ps[{leaf}], tick)"] + count)
+                [f"_, ns[{leaf}] = c{k}_{j}(fin, ps[{leaf}], tick)"]
+                + ([write(readout[leaf], f"ns[{leaf}]")]
+                   if leaf in readout else []) + count)
         return lines
     if code == OP_EXPR:
         _, _leaf, in_spec, items, post = op
@@ -148,6 +165,8 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
     bound[f"f{k}"] = fn
     lines = [f"sub = {_env(in_spec, read)}",
              f"out, ns[{leaf}] = f{k}(sub, ps[{leaf}], tick)"]
+    if leaf in readout:
+        lines.append(write(readout[leaf], f"ns[{leaf}]"))
     lines += [write(slot, f"out.get({name!r}, A)") for name, slot in out_spec]
     if si >= 0:
         lines.append(f"sc[{si}] = sub")
@@ -174,8 +193,9 @@ def _gate_guards(program: Sequence[Tuple[Any, ...]]
 
 
 def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
-                   profiled: bool, recording: bool,
-                   scope: SourceScope) -> List[str]:
+                   profiled: bool, recording: bool, scope: SourceScope,
+                   readout: Dict[int, int],
+                   plane: Optional[Dict[int, int]] = None) -> List[str]:
     """The whole op program as depth-1 guarded straight-line source."""
     guards = _gate_guards(program)
     if guards is None:
@@ -187,7 +207,7 @@ def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
              if op[0] in REGION_OPS and guards[k] is not None]
     open_guard = None
     for k, op in enumerate(program):
-        body = _op_lines(k, op, slots, profiled, scope)
+        body = _op_lines(k, op, slots, profiled, scope, readout, plane)
         if profiled:
             body = ["t = clock()"] + body + [f"T[{k}] += clock() - t",
                                              f"C[{k}] += 1"]
@@ -249,15 +269,15 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
 
     With *horizon* (which takes neither of the two: profiles and
     recordings are per-tick) the result is instead the whole-horizon loop
-    ``run(columns, runnable, state, outs, observe) -> (ticks done,
-    error)``: ticks ``[0, runnable)`` from *state*, reading input
-    slot values from *columns* (one value list per input port, in
-    ``input_names()`` order), appending every output slot to its list in
-    *outs* (``output_spec`` order), rolling leaf states and delayed buffers
-    itself and calling *observe* -- when not ``None`` -- with the
-    :class:`FlatState` after every tick.  The first exception, from an op
-    or the observer, stops the loop and is returned with the tick it was
-    raised at, the number of ticks that ran to completion.
+    ``run(columns, runnable, state, outs, gp) -> (ticks done, error)``:
+    ticks ``[0, runnable)`` from *state*, reading input slot values from
+    *columns* (one value list per input port, in ``input_names()`` order)
+    and gate flags from the gate plane *gp* (``flat.gates(0,
+    runnable)``), appending every output slot and then every readout slot
+    to its list in *outs* (``output_spec``, then ``readout_spec`` order)
+    and rolling leaf states and delayed buffers itself.  The first
+    exception stops the loop and is returned with the tick it was raised
+    at, the number of ticks that ran to completion.
     """
     scope = SourceScope({"FlatState": FlatState}, _LIST[3])
     bound = scope.bound
@@ -268,15 +288,22 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                      record_failure=recorder.record_failure)
         head += ["if tick == 0:", "    begin_run()"]
         tail.insert(0, "record_tick(tick, v)")
+    readout = dict(flat.readout_spec)
+    gathered = flat.output_spec + flat.readout_spec  # (key, slot) pairs
+    plane = None
     if horizon:
         # columns follow input_names(), the input_spec order
         entry = ([f"i{index} = columns[{index}]"
                   for index in range(len(flat.input_spec))]
                  + [f"o{index} = outs[{index}].append"
-                    for index in range(len(flat.output_spec))]
+                    for index in range(len(gathered))]
                  + ["ps = state.leaf_states", "pb = state.buffers"])
         reads = [f"v[{slot}] = i{index}[tick]"
                  for index, (_name, slot) in enumerate(flat.input_spec)]
+        gates = [k for k, op in enumerate(flat.program) if op[0] == OP_GATE]
+        plane = {k: column for column, k in enumerate(gates)}
+        if gates:
+            reads.append(f"gt = tick * {len(gates)}")
     else:
         head += ["ps = state.leaf_states", "pb = state.buffers"]
         reads = [f"v[{slot}] = inputs.get({name!r}, A)"
@@ -286,7 +313,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     if n_scratch:
         head.append(f"sc = [None] * {n_scratch}")
     ops = _program_lines(flat.program, _LIST, profile is not None,
-                         recorder is not None, scope)
+                         recorder is not None, scope, readout, plane)
     if recorder is not None:
         ops = (["index = 0", "try:"] + _block(ops or ["pass"])
                + ["except Exception as exc:",
@@ -294,14 +321,13 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                   "    raise"])
     if horizon:
         tail += [f"o{index}(v[{slot}])"
-                 for index, (_name, slot) in enumerate(flat.output_spec)]
-        tail += ["if observe is not None:",
-                 "    observe(FlatState(ns, nb))", "ps = ns", "pb = nb"]
+                 for index, (_name, slot) in enumerate(gathered)]
+        tail += ["ps = ns", "pb = nb"]
         loop = ["for tick in range(runnable):"] + _block(head + ops + tail)
         body = (entry + ["tick = 0", "try:"] + _block(loop)
                 + ["except BaseException as exc:",
                    "    return tick, exc", "return runnable, None"])
-        return _define("run", "columns, runnable, state, outs, observe",
+        return _define("run", "columns, runnable, state, outs, gp",
                        body, scope, f"<flat horizon {flat.component.name}>")
     outputs = ", ".join(f"{name!r}: v[{slot}]"
                         for name, slot in flat.output_spec)
@@ -310,9 +336,9 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                    f"<flat step {flat.component.name}>")
 
 
-def native_replays(program: Sequence[Tuple[Any, ...]]
-                   ) -> List[Optional[Callable[..., None]]]:
-    """Per-op replay functions ``(ps, ns, sc, tick, load, store, copy)``.
+def native_replays(flat: Any) -> List[Optional[Callable[..., None]]]:
+    """Per-op replay functions ``(ps, ns, sc, tick, load, store, copy)``
+    of *flat*'s program.
 
     ``run`` / ``expr`` / ``correct`` ops get one function each, executing
     the op through the *load* / *store* / *copy* accessors of the tagged
@@ -321,11 +347,13 @@ def native_replays(program: Sequence[Tuple[Any, ...]]
     in C and get ``None``.
     """
     scope = SourceScope({}, _TAGGED[3])
+    readout = dict(flat.readout_spec)
+    program = flat.program
     lines: List[str] = []
     for k, op in enumerate(program):
         if op[0] in (OP_RUN, OP_EXPR, OP_CORRECT):
             lines.append(f"def r{k}(ps, ns, sc, tick, load, store, copy):")
-            lines += _block(_op_lines(k, op, _TAGGED, False, scope)
+            lines += _block(_op_lines(k, op, _TAGGED, False, scope, readout)
                             or ["pass"])
     source = "\n".join(scope.defs + lines)
     exec(_code(source, "<native replay>"), scope.bound)  # noqa: S102

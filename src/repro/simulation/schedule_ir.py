@@ -65,6 +65,18 @@ controller's is ``{"mode": name}``, and a mode behaviour's leaves are
 leaves of the same program -- so the interpreter's nested dict states
 never reach a compiled program.
 
+**Mode histories.**  Every leaf that carries an MTD or STD -- a mode
+controller, an STD, a custom-``react`` or nested leaf with a machine
+inside -- and a bare MTD or atomic root has a readout slot
+(:attr:`FlatSchedule.readout_spec`): its ``run`` op, and the correction
+barrier's re-run of it, writes the leaf's new state there.  The horizon
+loops return the readout slots as columns beside the outputs, ABSENT on
+the ticks the leaf's region was skipped, and
+:meth:`FlatSchedule.decode_modes` turns them into the trace's mode
+histories after the run: the paths and values of
+:func:`~repro.simulation.engine.active_mode_paths`, without a per-tick
+observer.
+
 **Fallbacks.**  Leaves -- STDs, atomic blocks and components with a
 custom ``react`` (an MTD subclass with one included) -- are compiled by
 the leaf compiler (:func:`~repro.simulation.compiled.compile_component`)
@@ -87,7 +99,7 @@ initial state for.
 from __future__ import annotations
 
 import time
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+from typing import (Any, Dict, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from ..core.components import (Component, CompositeComponent,
@@ -95,9 +107,11 @@ from ..core.components import (Component, CompositeComponent,
                                subtree_structure_tokens)
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource
+from ..core.values import ABSENT
 from ..notations.mtd import ModeTransitionDiagram
 from ..obs.context import maybe_span
-from .engine import ClockGatedComponent, StimulusSpec, run_horizon
+from .engine import (ClockGatedComponent, StimulusSpec, active_mode_paths,
+                     run_horizon)
 from .trace import SimulationTrace
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
@@ -174,19 +188,6 @@ def is_flattenable(component: Component) -> bool:
             and type(component).react is CompositeComponent.react)
 
 
-def _mode_plan(leaves: List[_Leaf]) -> Tuple[int, ...]:
-    """Compile mode observation: the index of every leaf whose
-    :func:`~repro.analysis.mode_analysis.machine_inventory` is non-empty.
-
-    Only these leaves can contribute a path to
-    :func:`~repro.simulation.engine.active_mode_paths`, which follows the
-    same traversal; machine-free leaves are never read.
-    """
-    from ..analysis.mode_analysis import machine_inventory
-    return tuple(leaf.index for leaf in leaves
-                 if machine_inventory(leaf.component))
-
-
 class _Flattener:
     """One compile pass: hierarchy -> (ops, slots, leaves, buffers).
 
@@ -247,10 +248,17 @@ class _Flattener:
                            for name in root.input_names())
         output_spec = tuple((name, out_slots[name])
                             for name in root.output_names())
+        # a leaf carrying an MTD or STD (the traversal of active_mode_paths)
+        # and a bare root, whose state may carry trace.mode_history's "mode"
+        from ..analysis.mode_analysis import machine_inventory
+        readout_spec = tuple(
+            (leaf.index, self._new_slot(f"{leaf.path}.#state"))
+            for leaf in self.leaves if machine_inventory(leaf.component)
+            or (leaf.component is root and leaf.schedule is not None))
         return FlatSchedule(root, program, self.n_slots, input_spec,
                             output_spec, self.leaves, self.buffer_initials,
                             self.scratch_count, self.fallback_paths,
-                            tuple(self.slot_names))
+                            tuple(self.slot_names), readout_spec)
 
     def _merge_copies(self, ops: List[List[Any]]) -> List[List[Any]]:
         """Peephole pass: fuse adjacent ``copy`` ops into one.
@@ -535,7 +543,8 @@ class FlatSchedule:
                  output_spec: Tuple[Tuple[str, int], ...],
                  leaves: List[_Leaf], buffer_initials: List[Any],
                  scratch_count: int, fallback_paths: List[str],
-                 slot_names: Tuple[str, ...] = ()):
+                 slot_names: Tuple[str, ...] = (),
+                 readout_spec: Tuple[Tuple[int, int], ...] = ()):
         self.component = component
         self.program = program
         self.n_slots = n_slots
@@ -545,12 +554,19 @@ class FlatSchedule:
         self.fallback_paths = fallback_paths
         #: hierarchical ``path.port`` label per slot (forensics decoding)
         self.slot_names = slot_names
+        #: ``(leaf index, slot)`` of every leaf whose ``run`` op (and
+        #: correction re-run) writes its new state into a readout slot, in
+        #: leaf order: the leaves carrying an MTD or STD, and a bare root
+        #: (see :meth:`decode_modes`)
+        self.readout_spec = readout_spec
         self._input_spec = input_spec
         self._output_spec = output_spec
         self._scratch_count = scratch_count
-        #: indices of the leaves carrying an MTD or STD, in leaf order
-        #: (see :meth:`mode_paths`); empty for machine-free models
-        self.mode_plan = _mode_plan(leaves)
+        #: the gate predicates, in program order (the gate plane's columns)
+        self.gate_predicates = tuple(op[1] for op in program
+                                     if op[0] == OP_GATE)
+        #: tick-major gate plane of the longest horizon asked for so far
+        self._gate_plane = b""
         from .op_emit import flat_step
         self.step = flat_step(self)
         #: the generated horizon loop, made by the first :meth:`run`
@@ -584,36 +600,136 @@ class FlatSchedule:
     # -- whole horizons ----------------------------------------------------
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]], ticks: int,
-            check_types: bool = False,
-            observe: Optional[Callable[[Any], None]] = None
-            ) -> SimulationTrace:
+            check_types: bool = False) -> SimulationTrace:
         """Simulate *ticks* ticks through one generated horizon loop; the
         trace of :func:`~repro.simulation.engine.run_stepped` over
         :attr:`step`, driven by
         :func:`~repro.simulation.engine.run_horizon` like the native
-        engine (same error order, *observe* called after every tick).
+        engine (same error order), with the mode histories
+        :meth:`decode_modes` reads from the readout columns.
 
         The loop is generated on the first call and kept on the schedule.
         Two threads racing to generate it both build the same function
         from the same source and code object; the last store wins, which
         is benign.
         """
-        return run_horizon(self.component, self._output_names,
-                           self._enter_horizon, stimuli, ticks, check_types,
-                           observe)
+        trace, readouts = run_horizon(self.component, self._output_names,
+                                      self._enter_horizon, stimuli, ticks,
+                                      check_types)
+        self.decode_modes(trace, readouts)
+        return trace
 
-    def _enter_horizon(self, columns: List[List[Any]], runnable: int,
-                       observe: Optional[Callable[[Any], None]]
+    def _enter_horizon(self, columns: List[List[Any]], runnable: int
                        ) -> Tuple[int, Optional[BaseException],
                                   List[List[Any]]]:
         horizon = self._horizon
         if horizon is None:
             from .op_emit import flat_step
             horizon = self._horizon = flat_step(self, horizon=True)
-        outputs: List[List[Any]] = [[] for _ in self._output_names]
+        outputs: List[List[Any]] = [
+            [] for _ in range(len(self._output_spec) + len(self.readout_spec))]
         completed, error = horizon(columns, runnable, self.initial_state(),
-                                   outputs, observe)
+                                   outputs, self.gates(0, runnable))
         return completed, error, outputs
+
+    def gates(self, t0: int, ticks: int) -> bytes:
+        """The gate plane of ticks ``[t0, t0 + ticks)``: one byte per tick
+        and gate (:attr:`gate_predicates` order), tick-major, 1 where the
+        gate's clock is present.
+
+        Horizons from tick 0 share one cached plane (gate predicates are
+        functions of the tick only); replacing it with a longer one is a
+        single reference store, so concurrent runs may race on the cache
+        but never see a torn plane.
+        """
+        predicates = self.gate_predicates
+        if not predicates:
+            return b""
+        if t0:
+            return bytes(1 if predicate(tick) else 0
+                         for tick in range(t0, t0 + ticks)
+                         for predicate in predicates)
+        plane = self._gate_plane
+        known = len(plane) // len(predicates)
+        if known < ticks:
+            plane += bytes(1 if predicate(tick) else 0
+                           for tick in range(known, ticks)
+                           for predicate in predicates)
+            self._gate_plane = plane
+        return plane
+
+    # -- mode histories ----------------------------------------------------
+
+    def decode_modes(self, trace: SimulationTrace,
+                     columns: List[List[Any]]) -> None:
+        """Record the mode histories of a run into *trace*.
+
+        *columns* holds one column per :attr:`readout_spec` leaf: the
+        leaf's state after every tick, :data:`~repro.core.values.ABSENT`
+        where its region was skipped (the state carries over from the tick
+        before, or from the leaf's initial state).  ``trace.mode_paths``
+        gets the ``collect_modes`` histories, and a bare root whose state
+        carries a ``"mode"`` gets ``trace.mode_history``, as
+        :func:`~repro.simulation.engine.run_stepped` records it.
+        """
+        states = []
+        for (index, _slot), column in zip(self.readout_spec, columns):
+            state = self.leaves[index].schedule.initial_state()
+            carried = []
+            for value in column:
+                if value is not ABSENT:
+                    state = value
+                carried.append(state)
+            states.append(carried)
+        trace.mode_paths = self._histories(states, None, {})
+        if states and self.leaves[0].component is self.component:
+            trace.mode_history = [state["mode"] for state in states[0]
+                                  if isinstance(state, dict)
+                                  and "mode" in state]
+
+    def _histories(self, states: List[List[Any]], path: Optional[str],
+                   out: Dict[str, List[Any]]) -> Dict[str, List[Any]]:
+        """Per machine path, its mode or state at every tick it was active
+        -- what :func:`~repro.simulation.engine.active_mode_paths` walks
+        to after every tick -- collected into *out* in leaf order from the
+        per-tick leaf *states* of the :attr:`readout_spec` leaves.
+
+        A leaf is active while every enclosing mode controller is in the
+        leaf's mode.  Mode controllers and STDs are read directly, a
+        nested leaf by its own program, any other leaf (a custom
+        ``react``) by the walk.  With *path*, paths are rebased from this
+        root's name onto *path* (a flat program running as one step).
+        """
+        column_of = {index: column for (index, _slot), column
+                     in zip(self.readout_spec, states)}
+        for index, column in column_of.items():
+            leaf = self.leaves[index]
+            live = range(len(column))
+            for controller, mode in leaf.modes:
+                modes = column_of[controller]
+                live = [tick for tick in live if modes[tick]["mode"] == mode]
+            if not live:
+                continue
+            base = leaf.mode_path if path is None \
+                else path + leaf.mode_path[len(self.component.name):]
+            if leaf.run_kind == "mtd":
+                out[base] = [column[tick]["mode"] for tick in live]
+            elif leaf.run_kind == "std":
+                initial = leaf.component.initial_state_name
+                out[base] = [column[tick]["state"] or initial
+                             for tick in live]
+            elif leaf.run_kind == "nested":
+                inner = leaf.schedule
+                inner._histories([[column[tick].leaf_states[i]
+                                   for tick in live]
+                                  for i, _slot in inner.readout_spec],
+                                 base, out)
+            else:
+                for tick in live:
+                    for key, mode in active_mode_paths(
+                            leaf.component, column[tick], base).items():
+                        out.setdefault(key, []).append(mode)
+        return out
 
     # -- instrumentation ---------------------------------------------------
 
@@ -689,43 +805,6 @@ class FlatSchedule:
                 label += " (correction-tracked)"
             lines.append(f"{index:>4} {kind:>9}  {label}")
         return lines
-
-    @property
-    def needs_mode_observation(self) -> bool:
-        """Whether a run must observe modes per tick: only when
-        :attr:`mode_plan` names a leaf.  An empty plan means the model has
-        no MTD or STD, so :meth:`mode_paths` is ``{}`` on every tick."""
-        return bool(self.mode_plan)
-
-    def mode_paths(self, state: Any, path: Optional[str] = None,
-                   out: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Active mode/state of every MTD and STD, keyed by hierarchical path
-        and collected into *out*.
-
-        The flat-engine counterpart of
-        :func:`repro.simulation.engine.active_mode_paths`: identical paths
-        and values, read positionally from the flat state -- and only from
-        the leaves :attr:`mode_plan` names, so a machine-free schedule
-        reads nothing.  Each named leaf is read by its own schedule, unless
-        an enclosing mode controller is in another mode; with *path* the
-        paths are rebased from this root's name onto *path* (a flat program
-        running as one step).
-        """
-        if out is None:
-            out = {}
-        leaves = self.leaves
-        leaf_states = state.leaf_states
-        cut = len(self.component.name)
-        for index in self.mode_plan:
-            leaf = leaves[index]
-            if any(leaf_states[controller]["mode"] != mode
-                   for controller, mode in leaf.modes):
-                continue
-            leaf.schedule.mode_paths(
-                leaf_states[index],
-                leaf.mode_path if path is None else path + leaf.mode_path[cut:],
-                out)
-        return out
 
     def __repr__(self) -> str:
         return (f"FlatSchedule({self.component.name!r}, "

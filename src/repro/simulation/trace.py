@@ -22,6 +22,13 @@ class SimulationTrace:
     boundary ports -- ``input_names()`` and ``output_names()`` -- with one
     value per tick each (:data:`~repro.core.values.ABSENT` where a port
     carries no message), so every stream is as long as the trace.
+
+    ``mode_history`` holds the root's ``"mode"`` after every tick when
+    the root's state carries one.  The compiled engines also record
+    ``mode_paths``: per MTD and STD path, its active mode or state at
+    every tick it was active, as
+    :func:`~repro.simulation.engine.active_mode_paths` walks them (the
+    interpreter leaves it ``None``).
     """
 
     def __init__(self, component_name: str):
@@ -29,6 +36,7 @@ class SimulationTrace:
         self.inputs: Dict[str, Stream] = {}
         self.outputs: Dict[str, Stream] = {}
         self.mode_history: List[Any] = []
+        self.mode_paths: Optional[Dict[str, List[Any]]] = None
         self.ticks = 0
 
     # -- recording -----------------------------------------------------------

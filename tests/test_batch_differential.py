@@ -705,26 +705,33 @@ def _mtd_context(rng, mtd, context):
     return dfd
 
 
-def _ticked_outcome(run):
-    """``(error, ticks completed, typed streams and mode_history)`` of
-    ``run(observe)``, where *observe* is called after every tick."""
-    done = []
+def _ticked_outcome(run, ticks):
+    """``(error, the smallest horizon that raises, typed streams and
+    mode_history)`` of ``run(ticks)``, where ``run(horizon)`` simulates
+    the first *horizon* ticks of one scenario."""
     try:
-        trace = run(lambda *_: done.append(None))
+        trace = run(ticks)
     except Exception as exc:  # noqa: BLE001 - the comparison IS the test
-        return f"{type(exc).__name__}: {exc}", len(done), None
+        return f"{type(exc).__name__}: {exc}", _failing_horizon(run), None
     return None, None, (_typed_streams(trace), trace.mode_history)
 
 
+def _failing_horizon(run):
+    """The smallest horizon ``run`` raises at: the tick the error ends a
+    run at, plus one."""
+    horizon = 0
+    while True:
+        try:
+            run(horizon)
+        except Exception:  # noqa: BLE001 - probing for the first failure
+            return horizon
+        horizon += 1
+
+
 def _interpreter_mtd_outcome(model, scenario):
-    def run(observe):
-        def step(inputs, state, tick):
-            outputs, state = model.react(inputs, state, tick)
-            observe()
-            return outputs, state
-        return run_stepped(model, step, scenario.stimuli, scenario.ticks,
-                           False)
-    return _ticked_outcome(run)
+    return _ticked_outcome(
+        lambda ticks: run_stepped(model, model.react, scenario.stimuli,
+                                  ticks, False), scenario.ticks)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -749,8 +756,8 @@ def test_random_mtds_agree_with_interpreter(seed):
             if backend == "auto":
                 simulator._promote_now(force=True)
             for scenario, (outcome, histories) in zip(battery, expected):
-                got = _ticked_outcome(lambda observe: simulator.run(
-                    scenario.stimuli, scenario.ticks, observe=observe))
+                got = _ticked_outcome(lambda ticks: simulator.run(
+                    scenario.stimuli, ticks), scenario.ticks)
                 label = (seed, context, backend, scenario.name)
                 assert got == outcome, label
                 result = execute_scenario(simulator, scenario,

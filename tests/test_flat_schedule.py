@@ -20,7 +20,7 @@ import pytest
 
 from repro import obs
 from repro.core.components import ExpressionComponent
-from repro.core.clocks import EventClock, every
+from repro.core.clocks import EventClock, PatternCache, every
 from repro.core.errors import ExpressionEvalError, TypeCheckError
 from repro.core.types import FloatType, IntType
 from repro.core.values import ABSENT, Stream
@@ -34,7 +34,7 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, FlatState, ScenarioSuite,
                               Simulator, build_gated_ccd, compile_component,
                               compile_flat, first_difference,
-                              is_flattenable)
+                              is_flattenable, native_available)
 from repro.simulation.engine import run_stepped
 
 
@@ -514,24 +514,42 @@ def test_non_feedthrough_composite_without_late_producer_is_flattened():
 # -- state representation and mode observability -------------------------------
 
 
+def compiled_simulators(model):
+    """The model on ``flat``, and -- with a C compiler -- ``native`` and
+    promoted ``auto``."""
+    simulators = [CompiledSimulator(model, backend="flat")]
+    if native_available():
+        simulators.append(CompiledSimulator(model, backend="native"))
+        promoted = CompiledSimulator(model, backend="auto")
+        promoted._promote_now(force=True)  # noqa: SLF001 - test hook
+        simulators.append(promoted)
+    return simulators
+
+
 def assert_mode_paths_track_reference(model, steps):
-    """Step the interpreter and the flat schedule side by side: at every
-    tick ``mode_paths`` must equal the walker on the reference state.
-    Returns the flat schedule and its per-tick observations."""
-    flat = compile_flat(model)
-    reference_state, flat_state = None, flat.initial_state()
-    observed = []
+    """Run the interpreter and every compiled backend over the per-tick
+    inputs *steps*: the histories a compiled run decodes
+    (``trace.mode_paths``) must equal the walker on the reference state
+    after every tick, gathered per path.  Returns the flat schedule and
+    the walker's per-tick paths."""
+    reference_state, observed, histories = None, [], {}
     for tick, inputs in enumerate(steps):
         _, reference_state = model.react(inputs, reference_state, tick)
-        _, flat_state = flat.step(inputs, flat_state, tick)
-        paths = flat.mode_paths(flat_state)
-        assert paths == active_mode_paths(model, reference_state), tick
+        paths = active_mode_paths(model, reference_state)
         observed.append(paths)
-    return flat, observed
+        for path, mode in paths.items():
+            histories.setdefault(path, []).append(mode)
+    stimuli = {name: [inputs.get(name, ABSENT) for inputs in steps]
+               for name in model.input_names()}
+    simulators = compiled_simulators(model)
+    for simulator in simulators:
+        trace = simulator.run(stimuli, len(steps))
+        assert trace.mode_paths == histories, simulator.backend
+    return simulators[0].schedule, observed
 
 
 def planned_paths(flat):
-    return [flat.leaves[index].mode_path for index in flat.mode_plan]
+    return [flat.leaves[index].mode_path for index, _slot in flat.readout_spec]
 
 
 GATED_MTD_STIMULI = [{"x": value} for value in
@@ -643,8 +661,7 @@ def test_machine_free_schedule_has_an_empty_mode_plan():
     flat, observed = assert_mode_paths_track_reference(
         model, [{"u": float(tick)} for tick in range(12)])
     assert len(flat.leaves) == 61
-    assert flat.mode_plan == ()
-    assert not flat.needs_mode_observation
+    assert flat.readout_spec == ()
     assert observed == [{}] * 12
     result, = run_sharded(model, [Scenario("walk", {"u": [1.0] * 12}, 12)],
                           executor="serial", collect_modes=True)
@@ -858,7 +875,8 @@ def outcome(run):
 
 
 def stepped(simulator, stimuli, ticks, observe=None):
-    """The per-tick reference: ``run_stepped`` over ``schedule.step``."""
+    """The per-tick reference: ``run_stepped`` over ``schedule.step``,
+    handing *observe* the state after every tick."""
     schedule = simulator.schedule
     step = schedule.step
     if observe is not None:
@@ -869,6 +887,17 @@ def stepped(simulator, stimuli, ticks, observe=None):
     return run_stepped(simulator.component, step, stimuli, ticks,
                        simulator.check_types,
                        initial_state=schedule.initial_state())
+
+
+def failing_horizon(run):
+    """The smallest horizon ``run(ticks)`` raises at."""
+    horizon = 0
+    while True:
+        try:
+            run(horizon)
+        except Exception:  # noqa: BLE001 - probing for the first failure
+            return horizon
+        horizon += 1
 
 
 def assert_horizon_matches_stepped(simulator, stimuli, ticks):
@@ -903,23 +932,24 @@ def test_horizon_raises_the_stepped_error(case):
     assert result[0] is expected
 
 
-def test_horizon_step_error_stops_the_observer_at_the_failing_tick():
+def test_horizon_step_error_ends_the_run_at_the_failing_tick():
     simulator = CompiledSimulator(precedence_model(), backend="flat")
     stimuli = {"x": Stream([1, 2, 3, 10, 4])}
-    seen, reference = [], []
     with pytest.raises(ExpressionEvalError):
-        simulator.run(stimuli, 5, observe=seen.append)
+        simulator.run(stimuli, 5)
     with pytest.raises(ExpressionEvalError):
-        stepped(simulator, stimuli, 5, observe=reference.append)
-    assert len(seen) == len(reference) == 3
+        stepped(simulator, stimuli, 5)
+    # x = 10 divides by zero at tick 3: ticks 0..2 run clean
+    assert failing_horizon(lambda ticks: simulator.run(stimuli, ticks)) \
+        == failing_horizon(lambda ticks: stepped(simulator, stimuli, ticks)) \
+        == 4
 
 
 def test_horizon_of_zero_ticks_records_nothing():
     simulator = CompiledSimulator(precedence_model(), backend="flat")
-    seen = []
-    trace = simulator.run({"x": [1, 2]}, 0, observe=seen.append)
+    trace = simulator.run({"x": [1, 2]}, 0)
     assert (trace.ticks, trace.inputs, trace.outputs) == (0, {}, {})
-    assert seen == []
+    assert (trace.mode_paths, trace.mode_history) == ({}, [])
     assert_horizon_matches_stepped(simulator, {"x": [1, 2]}, 0)
 
 
@@ -953,17 +983,52 @@ def test_horizon_runs_gated_correction_and_buffered_programs(model):
     assert first_difference(reference, simulator.run(stimuli, 30)) is None
 
 
-def test_horizon_observer_sees_every_tick_state():
+def test_horizon_readouts_match_every_tick_state():
+    """The horizon loop's readout column of the gated MTD's controller
+    holds its state after each tick it ran and ABSENT on each tick its
+    gate skipped; decoded, it is the history of the stepped states."""
     model = gated_mtd_system(every(2), direct=False)
     simulator = CompiledSimulator(model, backend="flat")
+    schedule = simulator.schedule
     stimuli = {"x": [5.0, 0.0, 3.0, 0.0, 0.0, 2.8, 0.0, 4.0, 1.0]}
-    seen, reference = [], []
-    simulator.run(stimuli, 9, observe=seen.append)
+    reference = []
     stepped(simulator, stimuli, 9, observe=reference.append)
-    assert len(seen) == 9
-    assert all(type(state) is FlatState for state in seen)
-    assert [(state.leaf_states, state.buffers) for state in seen] \
-        == [(state.leaf_states, state.buffers) for state in reference]
+    assert all(type(state) is FlatState for state in reference)
+    (index, _slot), = schedule.readout_spec
+    completed, error, columns = schedule._enter_horizon(  # noqa: SLF001
+        [stimuli["x"]], 9)
+    assert (completed, error) == (9, None)
+    readout = columns[len(schedule.output_spec)]
+    assert readout == [state.leaf_states[index] if tick % 2 == 0 else ABSENT
+                       for tick, state in enumerate(reference)]
+    trace = simulator.run(stimuli, 9)
+    assert trace.mode_paths == {"Sys/Plant/Modes": [
+        state.leaf_states[index]["mode"] for state in reference]}
+
+
+def test_gated_horizon_reads_its_gates_from_the_cached_plane(monkeypatch):
+    """The gate predicates run once per tick of the longest horizon so
+    far: later horizon runs read the cached gate plane, traces unchanged."""
+    calls = []
+    at = PatternCache.at
+
+    def counting(self, tick):
+        calls.append(tick)
+        return at(self, tick)
+
+    monkeypatch.setattr(PatternCache, "at", counting)
+    model = chain_ccd(60)
+    simulator = CompiledSimulator(model, backend="flat")
+    stimuli = {"u": [float(tick % 7) for tick in range(40)]}
+    traces = [simulator.run(stimuli, 40)]
+    assert len(calls) == 40 * len(simulator.schedule.gate_predicates)
+    calls.clear()
+    traces += [simulator.run(stimuli, 40), simulator.run(stimuli, 25)]
+    assert calls == []
+    reference = Simulator(model)
+    for trace in traces:
+        assert first_difference(reference.run(stimuli, trace.ticks),
+                                trace) is None
 
 
 def test_horizon_loop_is_generated_on_first_run_and_kept():

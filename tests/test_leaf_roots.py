@@ -256,8 +256,8 @@ class Tally(Component):
         return super().instantaneous_dependencies()
 
 
-def modes_leaf(held=False):
-    mtd = (HeldModes if held else ModeTransitionDiagram)("Modes")
+def modes_leaf(held=False, kind=None):
+    mtd = (kind or (HeldModes if held else ModeTransitionDiagram))("Modes")
     mtd.add_input("x")
     mtd.add_output("out")
     mtd.add_output("mode")
@@ -397,25 +397,98 @@ def test_gated_leaf_matches_the_interpreter(leaf, context, clock):
         assert_matches_interpreter(simulator, gated_leaf_battery(model, 3))
 
 
+def compiled_simulators(model):
+    """The model on ``flat``, and -- with a C compiler -- ``native`` and
+    promoted ``auto``."""
+    simulators = [CompiledSimulator(model, backend="flat")]
+    if native_available():
+        simulators.append(CompiledSimulator(model, backend="native"))
+        promoted = CompiledSimulator(model, backend="auto")
+        promoted._promote_now(force=True)
+        simulators.append(promoted)
+    return simulators
+
+
 @pytest.mark.parametrize("context", sorted(CONTEXTS))
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
 def test_gated_leaf_mode_paths_track_the_reference_state(leaf, context):
-    """Stepping side by side, ``mode_paths`` of the flat state equals the
-    walker on the interpreter's state at every tick."""
+    """The histories every compiled backend decodes from its readout
+    columns equal the walker on the interpreter's state after every
+    tick."""
     model = CONTEXTS[context](LEAVES[leaf], every(3))
-    flat = compile_flat(model)
     stimuli = gated_leaf_stimuli(model, 24, 11)
-    reference_state, flat_state = None, flat.initial_state()
-    seen = set()
-    for tick in range(24):
-        inputs = {name: stream[tick] for name, stream in stimuli.items()}
-        _, reference_state = model.react(inputs, reference_state, tick)
-        _, flat_state = flat.step(inputs, flat_state, tick)
-        paths = flat.mode_paths(flat_state)
-        assert paths == active_mode_paths(model, reference_state), tick
-        seen |= set(paths)
+    expected = reference_modes(model, stimuli, 24)
+    for simulator in compiled_simulators(model):
+        assert simulator.run(stimuli, 24).mode_paths == expected, \
+            simulator.backend
     if leaf != "react":
-        assert seen, "the machine's path was observed"
+        assert expected, "the machine's path was observed"
+
+
+class CountingModes(ModeTransitionDiagram):
+    """An MTD subclass with a custom ``react`` (it counts its reactions):
+    a leaf, whose mode histories come from walking its own state."""
+
+    def react(self, inputs, state, tick):
+        outputs, state = super().react(inputs, state, tick)
+        return outputs, dict(state, reactions=state.get("reactions", 0) + 1)
+
+
+def correction_tracked_std():
+    """An STD fed by a later producer: its ``run`` op is correction-tracked
+    and the barrier re-runs it with the final input."""
+    system = DataFlowDiagram("Loop")
+    system.add_input("u")
+    system.add_output("y")
+    add = ExpressionComponent(
+        "A", {"out": "u0 + (if present(fb) then fb else 0)"})
+    add.declare_interface_from_expressions()
+    system.add(add, sequencer_leaf(held=True))
+    system.connect("u", "A.u0")
+    system.connect("Seq.out", "A.fb")
+    system.connect("A.out", "Seq.x")
+    system.connect("A.out", "y")
+    return system
+
+
+#: Machines in every place a mode history is decoded from.
+HISTORY_CASES = {
+    "alternate_ticks_gate": lambda: hoisted_system(modes_leaf, every(2)),
+    "std_in_inactive_select": lambda: behaviour_host(sequencer_leaf,
+                                                     every(1)),
+    "correction_tracked_std": correction_tracked_std,
+    "nested_fallback_leaf": lambda: late_producer_system(sequencer_leaf,
+                                                         every(2)),
+    "custom_react_mtd": lambda: hoisted_system(
+        lambda: modes_leaf(kind=CountingModes), every(1)),
+    "mode_carrying_atomic_root": Tally,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_CASES))
+def test_mode_histories_match_the_interpreter_walk(case):
+    model = HISTORY_CASES[case]()
+    summary = "\n".join(compile_flat(model).ops_summary())
+    assert {"alternate_ticks_gate": "gate",
+            "std_in_inactive_select": "select",
+            "correction_tracked_std": "Loop/Seq [std] (correction-tracked)",
+            "nested_fallback_leaf": "[nested] (correction-tracked)",
+            "custom_react_mtd": "Sys/G/Modes [atomic]",
+            "mode_carrying_atomic_root": "Tally [atomic]"}[case] in summary
+    reference = Simulator(model)
+    for seed in range(3):
+        stimuli = gated_leaf_stimuli(model, 24, seed)
+        expected = reference_modes(model, stimuli, 24)
+        mode_history = reference.run(stimuli, 24).mode_history
+        assert expected or mode_history, case
+        for simulator in compiled_simulators(model):
+            trace = simulator.run(stimuli, 24)
+            assert trace.mode_paths == expected, (case, simulator.backend)
+            assert trace.mode_history == mode_history, (case,
+                                                        simulator.backend)
+    if case == "std_in_inactive_select":
+        history = expected["Host/Busy"]
+        assert 0 < len(history) < 24, "the STD was skipped while Idle"
 
 
 def _gated_ops(machine, kind):

@@ -606,12 +606,16 @@ def test_first_error_in_stepped_order_wins(case):
 def test_step_error_stops_the_loop_and_reraises_the_replay_exception():
     model = _precedence_model()
     native = CompiledSimulator(model, backend="native")
-    observed = []
+    flat = CompiledSimulator(model, backend="flat")
+    stimuli = {"x": Stream([1, 10, 2])}
     with pytest.raises(ExpressionEvalError) as error:
-        native.schedule.run({"x": Stream([1, 10, 2])}, 3,
-                            observe=observed.append)
-    # the tick-end observation saw tick 0 only: tick 1 raised mid-tick
-    assert len(observed) == 1
+        native.schedule.run(stimuli, 3)
+    # tick 1 raised mid-tick: a two-tick horizon is the smallest that
+    # raises, on both engines
+    for simulator in (native, flat):
+        with pytest.raises(ExpressionEvalError):
+            simulator.run(stimuli, 2)
+        assert simulator.run(stimuli, 1).ticks == 1
     assert "division by zero" in str(error.value)
     # the object the replay raised, not a copy: its traceback runs
     # through the generated replay function

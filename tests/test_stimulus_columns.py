@@ -367,6 +367,29 @@ def test_first_failure_matches_the_interpreter(case, backend):
     assert expected[0] in (TypeCheckError, ValueError)
 
 
+@pytest.mark.parametrize("backend", ["interpreter", "flat", "native",
+                                     "auto"])
+def test_a_huge_int_input_fails_its_type_check_not_float(backend):
+    """An int beyond any double, fed to a ``float[0..10]`` port, is
+    rejected with the interpreter's TypeCheckError naming port and tick
+    (``float()`` of it would raise OverflowError), on every engine."""
+    if backend in ("native", "auto") and not native_available():
+        pytest.skip(f"backend={backend!r} needs a C compiler to lower")
+    model = _sum_model()
+    if backend == "interpreter":
+        simulator = Simulator(model, check_types=True)
+    else:
+        simulator = CompiledSimulator(model, check_types=True,
+                                      backend=backend)
+        if backend == "auto":
+            simulator._promote_now(force=True)
+    with pytest.raises(TypeCheckError) as error:
+        simulator.run({"a": _values(t3=10 ** 400), "b": _values()}, 8)
+    assert str(error.value).endswith(" on Sum.a@t3")
+    if backend == "auto":
+        assert simulator._native is not None
+
+
 @pytest.mark.parametrize("case, asked", [
     ("callable_after_generator", [0, 1, 2]),
     ("callable_first_after_generator", [0, 1, 2, 3]),
