@@ -7,27 +7,33 @@ A 32-scenario batch of seeded random-walk stimuli is run
 * serially through :meth:`ScenarioSuite.run_all` (one shared compiled
   schedule), and
 * sharded across a 4-worker process pool via :func:`run_sharded`, one task
-  per scenario (the model is pickled once per worker; each worker compiles
-  its own schedule).
+  per scenario (every task carries the pickled model; each worker
+  compiles its own schedule on its first task of the model and keeps it
+  for later tasks and campaigns).
 
 The wall-clock speed-up of an untraced pooled run is printed but not
-gated: the serial batch takes about as long as starting the pool, so on a
+gated: the serial batch takes about as long as a pool campaign, so on a
 small host the ratio measures the host.  The acceptance gates are on
-deterministic counts that :mod:`repro.obs` records for a second, traced
-pooled run: one task per scenario (``shard_dispatched`` events and
-``runner.worker_task`` spans) and one schedule compile per worker that
-ran a task (``compile.simulators``, counted where the compile happens),
-so 32 tasks on 4 workers pay at most 4 compiles.  Process and thread
-pools run one worker protocol, so both count gates run on both.  A
-chunked run (``chunk_size=8``) on a batch that does not divide evenly
-checks that the pool receives exactly the ``chunk_size`` slices, one
-task each, and a
+deterministic counts that :mod:`repro.obs` records for traced pooled
+runs: one task per scenario (``shard_dispatched`` events and
+``runner.worker_task`` spans) and compiles counted where they happen
+(``compile.simulators``).  Pools are warm and shared by every campaign
+of the same executor and size, so each gate's model carries a name no
+other test uses, and its first campaign compiles exactly once per worker
+that ran a task: 32 tasks on 4 workers pay at most 4 compiles.  An
+identical second campaign runs on the same pool: a process worker that
+already compiled the model compiles nothing (only a pool worker that ran
+no task of the first campaign may compile, once), while thread workers
+compile once per campaign.  Process and thread pools run one task
+function, so both count gates run on both.  A chunked run
+(``chunk_size=8``) on a batch that does not divide evenly checks that the
+pool receives exactly the ``chunk_size`` slices, one task each, and a
 ``backend="batch"`` run checks that the alias dispatches one task per
 scenario like ``"native"``.  Traces are byte-identical to the serial run
 throughout.
 Per-worker compile amortization is measured separately: the pool pays
-``workers`` compilations where a naive per-scenario pool would pay
-``len(batch)``.
+at most ``workers`` compilations where a naive per-scenario pool would
+pay ``len(batch)``.
 
 Process-pool benchmarks (and the process half of the parametrized gates)
 carry the ``parallel`` marker so constrained sandboxes can deselect them
@@ -41,6 +47,7 @@ import pytest
 
 from repro import obs
 from repro.core.components import ExpressionComponent
+from repro.io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.obs.events import EventLog
@@ -56,9 +63,9 @@ BATCH_SIZE = 32
 TICKS = 250
 
 
-def _chain_dfd(length: int) -> DataFlowDiagram:
+def _chain_dfd(length: int, name: str = "") -> DataFlowDiagram:
     """The banded-rate chain of bench_compiled_engine (clusterable CCD)."""
-    dfd = DataFlowDiagram(f"Chain{length}")
+    dfd = DataFlowDiagram(name or f"Chain{length}")
     dfd.add_input("u")
     dfd.add_output("y")
     previous = None
@@ -80,8 +87,10 @@ def _chain_dfd(length: int) -> DataFlowDiagram:
     return dfd
 
 
-def _gated_ccd_workload(length: int = 60):
-    ccd, _ = cluster_by_clock(_chain_dfd(length))
+def _gated_ccd_workload(length: int = 60, name: str = ""):
+    """The gated chain CCD; a count gate names its model uniquely, so no
+    other test's campaign has warmed a worker's cache with it."""
+    ccd, _ = cluster_by_clock(_chain_dfd(length, name))
     return build_gated_ccd(ccd)
 
 
@@ -117,9 +126,13 @@ POOLED = [pytest.param("process", marks=pytest.mark.parallel), "thread"]
 
 @pytest.mark.parametrize("executor", POOLED)
 def test_p3_sharded_vs_serial_ccd_batch(executor):
-    """Acceptance gate on counts: one task per scenario, one compile per
-    worker however many tasks it ran; byte-identical traces."""
-    gated = _gated_ccd_workload()
+    """Acceptance gate on counts: one task per scenario; the first
+    campaign of a model compiles once per worker that ran a task, however
+    many tasks it ran; an identical second campaign runs on the same pool
+    and compiles only where the worker cache cannot hold the model (a
+    thread pool's new campaign, a process worker new to the model);
+    byte-identical traces."""
+    gated = _gated_ccd_workload(name=f"P3Sharded_{executor}")
     batch = _batch()
 
     suite = ScenarioSuite(gated)
@@ -130,13 +143,29 @@ def test_p3_sharded_vs_serial_ccd_batch(executor):
     serial_traces = suite.run_all()
     t_serial = time.perf_counter() - start
 
+    results, dispatched, tasks, workers, compiles = \
+        _counted_pool_run(gated, batch, executor)
+    assert dispatched == [1] * BATCH_SIZE
+    assert tasks == BATCH_SIZE
+    assert compiles == len(workers) <= WORKERS
+
+    again, dispatched, tasks, rerun_workers, recompiles = \
+        _counted_pool_run(gated, batch, executor)
+    assert dispatched == [1] * BATCH_SIZE
+    assert tasks == BATCH_SIZE
+    # one shared pool: no worker was started for the second campaign
+    assert len(workers | rerun_workers) <= WORKERS
+    if executor == "process":
+        assert recompiles == len(rerun_workers - workers)
+    else:
+        assert recompiles == len(rerun_workers)
+    assert [trace_to_json(result.trace) for result in again] \
+        == [trace_to_json(result.trace) for result in results]
+
     start = time.perf_counter()
     timed = run_sharded(gated, batch, executor=executor,
                         max_workers=WORKERS)
     t_sharded = time.perf_counter() - start
-
-    results, dispatched, tasks, workers, compiles = \
-        _counted_pool_run(gated, batch, executor)
     for result in timed + results:
         assert result.ok, (result.name, result.error)
         assert first_difference(serial_traces[result.name],
@@ -145,12 +174,10 @@ def test_p3_sharded_vs_serial_ccd_batch(executor):
     report("P3", f"{BATCH_SIZE} scenarios x {TICKS} ticks on gated CCD, "
                  f"{executor} pool: "
                  f"{tasks} tasks on {len(workers)} workers, {compiles} "
-                 f"compiles; serial {t_serial:.3f}s, pooled (untraced) "
+                 f"compiles, then {recompiles} on an identical campaign; "
+                 f"serial {t_serial:.3f}s, warm pool (untraced) "
                  f"{t_sharded:.3f}s -> {t_serial / t_sharded:.2f}x, not "
                  f"gated ({os.cpu_count()} CPUs)")
-    assert dispatched == [1] * BATCH_SIZE
-    assert tasks == BATCH_SIZE
-    assert compiles == len(workers) <= WORKERS
 
 
 @pytest.mark.parametrize("executor", POOLED)
@@ -159,7 +186,7 @@ def test_p3_pool_dispatches_one_chunk_per_task(executor):
     divide evenly the pool receives the ``chunk_size`` slices, one task
     each, and ``backend="batch"`` (an alias of ``"native"``) dispatches
     one task per scenario like every other backend."""
-    gated = _gated_ccd_workload()
+    gated = _gated_ccd_workload(name=f"P3Chunks_{executor}")
     batch = _batch(BATCH_SIZE - 2, ticks=60)
     simulator = CompiledSimulator(gated)
     reference = [simulator.run(scenario.stimuli, scenario.ticks)
@@ -185,7 +212,8 @@ def test_p3_pool_dispatches_one_chunk_per_task(executor):
 
 @pytest.mark.parallel
 def test_p3_per_worker_compile_amortization():
-    """Workers compile once each: batch cost amortizes the compile."""
+    """Workers compile at most once each: batch cost amortizes the
+    compile."""
     gated = _gated_ccd_workload()
     batch = _batch(BATCH_SIZE, ticks=60)
 

@@ -7,20 +7,36 @@ parallel -- the compiled schedule is immutable after compilation and every
 run carries its own state -- so this module shards a batch across a
 :mod:`concurrent.futures` pool:
 
-* **process pool** (default): the *model* is pickled once into every worker
-  (compiled step closures are deliberately never pickled -- they are nested
-  functions and unpicklable by design), each worker compiles the schedule
-  exactly once in its initializer, and scenarios stream to workers one by
-  one (or in chunks) with results streaming back as they complete;
+* **process pool** (default): each task carries the pickled *model*
+  (compiled step closures are deliberately never pickled -- they are
+  nested functions and unpicklable by design), and scenarios stream to
+  workers one by one (or in chunks) with results streaming back as they
+  complete;
 * **thread pool**: no pickling, so models with opaque Python callables
   work; each worker thread still compiles its own schedule so no mutable
   compile-time cache is shared across threads;
 * **serial**: an inline executor that runs the whole batch as one task in
   the calling thread, under the caller's own telemetry session.
 
-All three run one worker protocol -- :func:`_worker_initializer` compiles
-a worker's simulator once, :func:`_worker_task` runs one task -- and one
+All three run one task function -- :func:`_worker_task`, given the
+campaign's :class:`_TaskSpec` and one chunk of scenarios -- and one
 dispatch loop in :func:`run_sharded`.
+
+**Warm pools.**  Thread and process pools are shared: one per
+``(executor, size)``, created at first use and kept until the
+interpreter exits (``concurrent.futures`` joins their workers then), so
+a campaign does not pay for starting and stopping a pool.  Each worker
+keeps its last few compiled simulators (:data:`SIMULATOR_CACHE_SIZE`),
+keyed by the model, ``check_types`` and ``backend``.  A process pool
+keys the model by the digest of its pickle, so an unchanged model
+compiles once per worker process however many campaigns run it, and a
+model changed after a campaign compiles afresh; a thread pool keys it
+per campaign, so its workers compile once per campaign.  A pool broken
+by a crashed worker is dropped from the registry, so the next campaign
+forks a fresh one.  A pool's workers keep the environment the process
+had when the pool was first used (``REPRO_NATIVE_CACHE``, say); results
+do not depend on it, because the shared-object cache is
+content-addressed.
 
 Per-scenario **error isolation**: a failing scenario (bad stimulus, type
 violation, diverging model) yields a :class:`ScenarioResult` carrying the
@@ -32,17 +48,21 @@ order and are tick-for-tick identical to a serial
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import re
 import threading
 import time
 import traceback
-from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor, as_completed)
-from contextlib import nullcontext
+from collections import OrderedDict
+from concurrent.futures import (BrokenExecutor, Executor, Future,
+                                ProcessPoolExecutor, ThreadPoolExecutor,
+                                as_completed)
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.util import Finalize
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..core.components import Component
 from ..core.errors import SimulationError
@@ -223,8 +243,8 @@ def execute_batch(simulator: CompiledSimulator, scenarios: Sequence[Scenario],
 
 
 # --------------------------------------------------------------------------
-# the worker protocol: one initializer and one task function for every
-# executor (module level: process pools pickle them by reference)
+# the worker protocol: one task function for every executor (module level:
+# process pools pickle it by reference)
 # --------------------------------------------------------------------------
 
 class _ShardOutcome:
@@ -259,94 +279,109 @@ class _ShardOutcome:
         self.bundles = telemetry.bundles
 
 
-#: The calling thread's worker state, set by :func:`_worker_initializer`:
-#: a pool thread's, a pool process's, or the serial caller's.
-_WORKER = threading.local()
-
-
-def _worker_initializer(executor: str, model: Any, check_types: bool,
-                        collect_modes: bool, backend: str,
-                        config: Optional[Dict[str, Any]]) -> None:
-    """Compile this worker's simulator, once per worker.
+class _TaskSpec(NamedTuple):
+    """The campaign settings every task carries.
 
     *model* is the pickled component for a process pool and the component
-    itself otherwise, so threads keep serving unpicklable models.
+    itself otherwise, so threads keep serving unpicklable models.  *key*
+    names the model in the worker's simulator cache: the digest of the
+    pickle for a process pool, a fresh object per campaign for a thread
+    pool, and ``None`` (no cache: compile per task) for a serial run.
     *config* holds the settings of the caller's telemetry session for an
     observed pool, and is ``None`` for an unobserved pool and for serial
     runs: tasks then run under the worker thread's own session, which is
-    none in a pool worker and the caller's in a serial run.  An observed
-    pool worker compiles into a worker-local registry, shipped with its
-    first task.
+    none in a pool worker and the caller's in a serial run.
     """
+
+    executor: str
+    key: Any
+    model: Any
+    check_types: bool
+    collect_modes: bool
+    backend: str
+    config: Optional[Dict[str, Any]]
+
+
+#: Compiled simulators each worker keeps, least recently used dropped
+#: first.
+SIMULATOR_CACHE_SIZE = 4
+
+#: The calling thread's simulator cache: a pool thread's or a pool
+#: process's.
+_WORKER = threading.local()
+
+
+def _simulator(spec: _TaskSpec) -> CompiledSimulator:
+    """This worker's simulator for *spec*: cached, or compiled here, in
+    the task's session, so ``compile.simulators`` counts it where it
+    happens."""
+    cache: Optional[OrderedDict] = None
+    if spec.key is not None:
+        cache = getattr(_WORKER, "cache", None)
+        if cache is None:
+            cache = _WORKER.cache = OrderedDict()
+        key = (spec.key, spec.check_types, spec.backend)
+        simulator = cache.get(key)
+        if simulator is not None:
+            cache.move_to_end(key)
+            return simulator
+    model = pickle.loads(spec.model) if spec.executor == "process" \
+        else spec.model
+    simulator = CompiledSimulator(model, check_types=spec.check_types,
+                                  backend=spec.backend)
+    if cache is not None:
+        cache[key] = simulator
+        if len(cache) > SIMULATOR_CACHE_SIZE:
+            cache.popitem(last=False)
+    return simulator
+
+
+def _worker_name(executor: str) -> str:
     if executor == "process":
-        model = pickle.loads(model)
-        _WORKER.name = f"pid-{os.getpid()}"
-    elif executor == "thread":
-        _WORKER.name = threading.current_thread().name
-    else:
-        _WORKER.name = "local"
-    _WORKER.collect_modes = collect_modes
-    _WORKER.config = config
-    with _obs_session() if config is not None else nullcontext() as setup:
-        _WORKER.simulator = CompiledSimulator(model, check_types=check_types,
-                                              backend=backend)
-    _WORKER.setup = setup.registry if setup is not None else None
+        return f"pid-{os.getpid()}"
+    if executor == "thread":
+        return threading.current_thread().name
+    return "local"
 
 
-def _worker_task(chunk: List[Scenario]) -> Any:
+def _worker_task(spec: _TaskSpec, chunk: List[Scenario]) -> Any:
     """Run one task -- a list of scenarios -- on this worker's simulator.
 
-    Without a *config* (see :func:`_worker_initializer`) the task returns
-    its results.  Otherwise it runs inside a worker-local telemetry
-    session built from the caller's settings, so every instrumentation
-    site fires -- the ``run`` spans and the native loop's ``native.*``
-    counters included -- into one registry, tracer and event log, shipped
-    back in a :class:`_ShardOutcome`.  The task is wrapped in a
-    ``runner.worker_task`` span carrying the worker identity, which
+    Without a *config* (see :class:`_TaskSpec`) the task returns its
+    results.  Otherwise it runs inside a worker-local telemetry session
+    built from the caller's settings, so every instrumentation site fires
+    -- a compile on a cache miss, the ``run`` spans and the native loop's
+    ``native.*`` counters included -- into one registry, tracer and event
+    log, shipped back in a :class:`_ShardOutcome`.  The task is wrapped in
+    a ``runner.worker_task`` span carrying the worker identity, which
     :meth:`~repro.obs.tracing.Tracer.to_chrome_trace` maps to a distinct
     Perfetto track per worker.
     """
-    simulator, worker = _WORKER.simulator, _WORKER.name
-    config = _WORKER.config
+    worker = _worker_name(spec.executor)
+    config = spec.config
     if config is None:
-        return execute_batch(simulator, chunk, _WORKER.collect_modes, worker)
+        return execute_batch(_simulator(spec), chunk, spec.collect_modes,
+                             worker)
     with _obs_session(**dict(config, events=EventLog() if config["events"]
                              else None)) as telemetry:
-        if _WORKER.setup is not None:
-            telemetry.registry.merge(_WORKER.setup)
-            _WORKER.setup = None
         with telemetry.tracer.span("runner.worker_task", worker=worker):
-            results = execute_batch(simulator, chunk, _WORKER.collect_modes,
-                                    worker)
+            results = execute_batch(_simulator(spec), chunk,
+                                    spec.collect_modes, worker)
     return _ShardOutcome(results, worker, telemetry)
 
 
 class _InlineExecutor(Executor):
-    """The serial executor: runs the initializer at the first submit and
-    each task at its submit, in the calling thread, and restores that
-    thread's worker state at shutdown."""
-
-    def __init__(self, initializer: Callable[..., None],
-                 initargs: Tuple[Any, ...]):
-        self._start: Optional[Tuple[Any, Any]] = (initializer, initargs)
-        self._saved = dict(vars(_WORKER))
+    """The serial executor: runs each task at its submit, in the calling
+    thread."""
 
     def submit(self, fn: Callable[..., Any], /, *args: Any,
                **kwargs: Any) -> Future:
-        if self._start is not None:
-            (initializer, initargs), self._start = self._start, None
-            initializer(*initargs)
         future: Future = Future()
         try:
             future.set_result(fn(*args, **kwargs))
         except Exception as exc:  # noqa: BLE001 - isolated like a pool's
             future.set_exception(exc)
         return future
-
-    def shutdown(self, wait: bool = True, *,
-                 cancel_futures: bool = False) -> None:
-        vars(_WORKER).clear()
-        vars(_WORKER).update(self._saved)
 
 
 def _adopt(parent: Optional[Telemetry], outcome: Any) -> List[ScenarioResult]:
@@ -404,6 +439,66 @@ def _pickle_model(component: Component) -> bytes:
             "executor='thread' or executor='serial' instead") from exc
 
 
+#: The warm pools, one per ``(executor, size)``.
+_POOLS: Dict[Tuple[str, int], Executor] = {}
+_POOLS_LOCK = threading.Lock()
+_INLINE = _InlineExecutor()
+
+
+def _shared_pool(executor: str, size: int) -> Executor:
+    """The pool for ``(executor, size)``, created at first use and never
+    shut down: ``concurrent.futures`` joins its workers when the
+    interpreter exits.  A serial run gets the inline executor."""
+    if executor == "serial":
+        return _INLINE
+    with _POOLS_LOCK:
+        pool = _POOLS.get((executor, size))
+        if pool is None:
+            if executor == "process":
+                pool = ProcessPoolExecutor(max_workers=size)
+                # a multiprocessing child joins its children on the way
+                # out, before the concurrent.futures exit hook would stop
+                # this pool's workers: stop them first, and before the
+                # call queue's own finalizer (priority 10) closes it
+                Finalize(pool, pool.shutdown, exitpriority=20)
+            else:
+                pool = ThreadPoolExecutor(max_workers=size)
+            _POOLS[executor, size] = pool
+        return pool
+
+
+def _discard_pool(executor: str, size: int, pool: Executor) -> None:
+    """Drop a broken *pool*, so the next campaign starts a fresh one."""
+    with _POOLS_LOCK:
+        if _POOLS.get((executor, size)) is pool:
+            del _POOLS[executor, size]
+    pool.shutdown(wait=False)
+
+
+def _submit(executor: str, size: int, spec: _TaskSpec,
+            task: List[Scenario]) -> Tuple[Future, Executor]:
+    """Submit one task to the shared pool; returns its future and the pool
+    that runs it.  A pool that broke while idle is replaced first."""
+    pool = _shared_pool(executor, size)
+    try:
+        return pool.submit(_worker_task, spec, task), pool
+    except BrokenExecutor:
+        _discard_pool(executor, size, pool)
+        pool = _shared_pool(executor, size)
+        return pool.submit(_worker_task, spec, task), pool
+
+
+def _forget_pools() -> None:
+    """A forked child owns none of its parent's pools."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
 def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                 max_workers: Optional[int] = None, executor: str = "process",
                 check_types: bool = False, collect_modes: bool = False,
@@ -417,14 +512,22 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     consumption.  Each pool task is a list of scenarios: one scenario per
     task by default, or ``chunk_size`` contiguous scenarios to amortize
     inter-process transfer for very large batches of cheap scenarios.
-    *max_workers* defaults to one worker per CPU, capped at the batch
-    size.
+
+    Pools are warm (module docstring): the campaign runs on the shared
+    pool of ``max_workers`` workers (default: one per CPU), created by
+    the first campaign that asks for that executor and size and kept
+    until the interpreter exits; spans and events report
+    ``min(max_workers, len(batch))`` workers.  Every task carries the
+    model, and a worker compiles it only when its simulator cache misses:
+    a process worker once per model, ``check_types`` and ``backend``
+    across campaigns, a thread worker once per campaign, a serial run
+    once per call.  A compile failure is isolated like any failing task.
 
     *backend* selects the worker simulators' schedule backend (forwarded
     to :class:`~repro.simulation.compiled.CompiledSimulator`).  With
     ``backend="native"`` every worker drives the compiled C tick loop,
     one C call per scenario; the content-addressed shared-object cache
-    makes the per-worker recompile a cache hit, and compiler-less hosts
+    makes a worker's compile a cache hit, and compiler-less hosts
     degrade to ``"flat"``.  ``backend="batch"`` is an alias of
     ``"native"``: it compiles and dispatches exactly the same way.
     With the default ``backend="auto"`` every simulator -- the serial
@@ -472,51 +575,57 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                   "flight_recording": parent.flight_recording,
                   "ring_ticks": parent.ring_ticks,
                   "postmortem_dir": parent.postmortem_dir}
-    model = _pickle_model(component) if executor == "process" else component
-    initargs = (executor, model, check_types, collect_modes, backend, config)
-    pool: Executor
-    if executor == "serial":
-        workers = 1
-        pool = _InlineExecutor(_worker_initializer, initargs)
-        tasks = [batch]
+    size = 1 if executor == "serial" else max_workers or os.cpu_count() or 1
+    workers = min(size, len(batch))
+    if executor == "process":
+        model: Any = _pickle_model(component)
+        key: Any = hashlib.blake2b(model, digest_size=16).digest()
     else:
-        workers = min(max_workers or os.cpu_count() or 1, len(batch))
-        pool_class = ProcessPoolExecutor if executor == "process" \
-            else ThreadPoolExecutor
-        pool = pool_class(max_workers=workers,
-                          initializer=_worker_initializer, initargs=initargs)
-        size = chunk_size or 1
-        tasks = [batch[index:index + size]
-                 for index in range(0, len(batch), size)]
+        model, key = component, None if executor == "serial" else object()
+    spec = _TaskSpec(executor, key, model, check_types, collect_modes,
+                     backend, config)
+    chunk = len(batch) if executor == "serial" else chunk_size or 1
+    tasks = [batch[index:index + chunk]
+             for index in range(0, len(batch), chunk)]
 
     by_name: Dict[str, ScenarioResult] = {}
-    with pool, maybe_span("runner.run_sharded", scenarios=len(batch),
-                          executor=executor, backend=backend,
-                          workers=workers):
-        futures: Dict[Any, List[Scenario]] = {}
-        for shard_index, task in enumerate(tasks):
-            if events is not None:
-                events.emit("shard_dispatched", shard=shard_index,
-                            scenarios=len(task), executor=executor)
-            futures[pool.submit(_worker_task, task)] = task
-        for future in as_completed(futures):
-            error = future.exception()
-            if error is None:
-                completed = _adopt(parent, future.result())
-            else:
-                # the task itself failed (e.g. unpicklable stimuli, broken
-                # pool): isolate it to the scenarios of this task
-                completed = [
-                    ScenarioResult(scenario.name,
-                                   error=f"{type(error).__name__}: {error}")
-                    for scenario in futures[future]]
+    futures: Dict[Future, Tuple[List[Scenario], Executor]] = {}
+    with maybe_span("runner.run_sharded", scenarios=len(batch),
+                    executor=executor, backend=backend, workers=workers):
+        try:
+            for shard_index, task in enumerate(tasks):
                 if events is not None:
-                    for result in completed:
-                        _emit_scenario_event(events, result, 0)
-            for result in completed:
-                by_name[result.name] = result
-                if on_result is not None:
-                    on_result(result)
+                    events.emit("shard_dispatched", shard=shard_index,
+                                scenarios=len(task), executor=executor)
+                future, pool = _submit(executor, size, spec, task)
+                futures[future] = (task, pool)
+            for future in as_completed(futures):
+                error = future.exception()
+                if error is None:
+                    completed = _adopt(parent, future.result())
+                else:
+                    # the task itself failed (e.g. unpicklable stimuli,
+                    # broken pool): isolate it to the scenarios of this task
+                    task, pool = futures[future]
+                    if isinstance(error, BrokenExecutor):
+                        _discard_pool(executor, size, pool)
+                    completed = [
+                        ScenarioResult(scenario.name,
+                                       error=f"{type(error).__name__}: "
+                                             f"{error}")
+                        for scenario in task]
+                    if events is not None:
+                        for result in completed:
+                            _emit_scenario_event(events, result, 0)
+                for result in completed:
+                    by_name[result.name] = result
+                    if on_result is not None:
+                        on_result(result)
+        except BaseException:
+            # leave no task of this campaign queued on the shared pool
+            for future in futures:
+                future.cancel()
+            raise
     if events is not None:
         ok = sum(1 for result in by_name.values() if result.ok)
         events.emit("campaign_finished", scenarios=len(by_name),

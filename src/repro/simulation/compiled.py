@@ -565,10 +565,12 @@ class ScenarioSuite:
         """Shard the batch across a worker pool (same traces as
         :meth:`run_all`, in the same order).
 
-        Delegates to :func:`repro.scenarios.runner.run_sharded`: worker
-        processes receive the pickled *model* and recompile the schedule
-        once each, so stimuli must be picklable for ``executor="process"``
-        (the generators of :mod:`repro.scenarios.generators` are).  A
+        Delegates to :func:`repro.scenarios.runner.run_sharded`, on its
+        shared warm pool: each task carries the pickled *model*, and a
+        worker process compiles the schedule on its first task of the
+        model and reuses it for later tasks and suites, so stimuli must
+        be picklable for ``executor="process"`` (the generators of
+        :mod:`repro.scenarios.generators` are).  A
         failing scenario raises :class:`SimulationError` here, mirroring
         :meth:`run_all`'s behaviour of propagating the first error.
         """

@@ -27,6 +27,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.casestudy import build_engine_modes_mtd
 from repro.core.clocks import every
 from repro.core.components import ExpressionComponent
 from repro.notations.blocks import Gain, UnitDelay
@@ -522,12 +523,14 @@ def test_compiles_are_counted_where_they_happen(engine_modes_mtd):
 
 
 @pytest.mark.parallel
-def test_process_workers_ship_their_compile_count(engine_modes_mtd):
-    """A process worker compiles in its initializer, outside any task; the
-    count reaches the caller with the worker's first task."""
+def test_process_workers_ship_their_compile_count():
+    """A process worker compiles on its first task of a model, inside
+    that task's session; the count reaches the caller with the task.
+    Pools are warm, so the model's name is new to every pool worker."""
+    model = build_engine_modes_mtd("ShipsCompileCount")
     batch = _engine_batch(count=8, ticks=5)
     with obs.session() as telemetry:
-        results = run_sharded(engine_modes_mtd, batch, executor="process",
+        results = run_sharded(model, batch, executor="process",
                               max_workers=2)
     assert all(result.ok for result in results)
     workers = {result.worker for result in results}

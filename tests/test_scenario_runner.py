@@ -5,14 +5,30 @@ the suite with ``-m "not parallel"``; the serial and thread executors keep
 the runner covered everywhere.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
 import pytest
 
+import repro
 from repro import obs
+from repro.casestudy import build_engine_modes_mtd
+from repro.core.components import Component
 from repro.core.errors import SimulationError
+from repro.core.values import ABSENT
 from repro.io import trace_to_json
 from repro.obs.events import EventLog
-from repro.scenarios import RandomWalk, Scenario, run_sharded
-from repro.simulation import ScenarioSuite, first_difference
+from repro.scenarios import RandomWalk, Scenario, run_sharded, runner
+from repro.simulation import (ScenarioSuite, first_difference,
+                              native_available)
+
+#: The ``src`` directory holding :mod:`repro`, for subprocesses.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _engine_batch(count=8, ticks=40):
@@ -378,3 +394,240 @@ def test_batch_backend_process_matches_serial():
     _assert_same_traces(serial, sharded)
     for expected, actual in zip(serial, sharded):
         assert expected.mode_paths == actual.mode_paths
+
+
+# -- warm pools (marked parallel where a process pool runs) -----------------
+
+
+class Crasher(Component):
+    """Passes ``x`` through and ends its own process at tick 3 of a run
+    fed a negative ``x``: a worker crash no Python handler can catch.
+    Only ever run it in a process pool."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.add_input("x")
+        self.add_output("out")
+
+    def react(self, inputs, state, tick):
+        x = inputs.get("x", ABSENT)
+        if x is not ABSENT and x < 0 and tick >= 3:
+            os._exit(3)
+        return {"out": x}, state
+
+
+def _crasher_batch(count, prefix):
+    return [Scenario(f"{prefix}{index}",
+                     {"x": RandomWalk(seed=index, start=5.0, step=1.0,
+                                      low=0.0, high=10.0)}, ticks=12)
+            for index in range(count)]
+
+
+BACKENDS = ["auto", pytest.param("native", marks=pytest.mark.skipif(
+    not native_available(), reason="no C compiler on this host"))]
+
+
+@pytest.mark.parallel
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_broken_pool_is_replaced_for_the_next_campaign(backend):
+    """A worker crash breaks the shared pool; the campaign that saw it
+    isolates its failed tasks, and the next campaign on the same
+    ``(executor, size)`` runs on a fresh pool with every scenario ok."""
+    model = Crasher(f"Crasher_{backend}")
+    crashing = _crasher_batch(6, "c")
+    crashing.insert(3, Scenario("crash", {"x": -1.0}, ticks=12))
+    pool = runner._shared_pool("process", 2)
+    first = run_sharded(model, crashing, executor="process", max_workers=2,
+                        backend=backend)
+    by_name = {result.name: result for result in first}
+    assert by_name["crash"].error.startswith("BrokenProcessPool")
+    assert runner._POOLS.get(("process", 2)) is not pool
+
+    healthy = _crasher_batch(8, "h")
+    serial = run_sharded(model, healthy, executor="serial", backend=backend)
+    second = run_sharded(model, healthy, executor="process", max_workers=2,
+                         backend=backend)
+    assert all(result.ok for result in second), \
+        [(result.name, result.error) for result in second]
+    _assert_same_traces(serial, second)
+    assert not {result.worker for result in first} \
+        & {result.worker for result in second}
+
+
+@pytest.mark.parallel
+def test_pool_broken_while_idle_is_replaced_at_submit():
+    """A warm pool whose worker dies between campaigns (killed from
+    outside) is replaced when the next campaign submits to it."""
+    model = build_engine_modes_mtd("IdleBreak")
+    batch = _engine_batch(4, ticks=10)
+    first = run_sharded(model, batch, executor="process", max_workers=2)
+    pool = runner._POOLS["process", 2]
+    os.kill(int(first[0].worker[len("pid-"):]), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    # the executor's own flag: wait until its manager has seen the death
+    while not pool._broken:
+        assert time.monotonic() < deadline, "the pool never broke"
+        time.sleep(0.01)
+    second = run_sharded(model, batch, executor="process", max_workers=2)
+    _assert_same_traces(first, second)
+    assert runner._POOLS["process", 2] is not pool
+
+
+@pytest.mark.parametrize("executor", [
+    "thread", pytest.param("process", marks=pytest.mark.parallel)])
+def test_failed_dispatch_leaves_no_stale_tasks(executor):
+    """An ``on_result`` callback that raises ends the campaign with its
+    error after cancelling the campaign's pending tasks; the next
+    campaign on the same pool returns traces byte-identical to a serial
+    run."""
+    model = build_engine_modes_mtd(f"StaleTasks_{executor}")
+    batch = _engine_batch(12, ticks=40)
+
+    def consumer(result):
+        raise RuntimeError(f"consumer failed on {result.name}")
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        run_sharded(model, batch, executor=executor, max_workers=2,
+                    on_result=consumer)
+    serial = run_sharded(model, batch, executor="serial")
+    again = run_sharded(model, batch, executor=executor, max_workers=2)
+    assert [trace_to_json(result.trace) for result in again] \
+        == [trace_to_json(result.trace) for result in serial]
+
+
+def test_failed_dispatch_cancels_pending_tasks():
+    """The tasks still queued when ``on_result`` raises never run: only
+    the finished task and those already running on the two workers do."""
+    model = build_engine_modes_mtd("CancelPending")
+    release = threading.Event()
+    started = []
+
+    def held(name):
+        def stimulus(tick):
+            if tick == 0:
+                started.append(name)
+                if name != "held0":
+                    release.wait(30)
+            return 1000.0
+        return stimulus
+
+    batch = [Scenario(f"held{index}", {"n": held(f"held{index}"),
+                                       "ped": 10.0, "t_eng": 50.0}, ticks=5)
+             for index in range(12)]
+
+    def consumer(result):
+        raise RuntimeError("consumer failed")
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        run_sharded(model, batch, executor="thread", max_workers=2,
+                    on_result=consumer)
+    release.set()
+    run_sharded(model, _engine_batch(2, ticks=5), executor="thread",
+                max_workers=2)
+    assert len(started) <= 3, started
+
+
+def test_concurrent_campaigns_share_one_new_pool():
+    """Campaigns started at once from several threads, under a tiny
+    switch interval, create one pool for their ``(executor, size)`` and
+    each get their own traces."""
+    size = 7  # no other test asks for a 7-worker thread pool
+    assert ("thread", size) not in runner._POOLS
+    model = build_engine_modes_mtd("ConcurrentCampaigns")
+    batch = _engine_batch(6, ticks=30)
+    serial = run_sharded(model, batch, executor="serial")
+    outcomes = {}
+
+    def campaign(index):
+        outcomes[index] = run_sharded(model, batch, executor="thread",
+                                      max_workers=size)
+
+    callers = [threading.Thread(target=campaign, args=(index,))
+               for index in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(outcomes) == [0, 1, 2, 3]
+    pools = set()
+    for results in outcomes.values():
+        _assert_same_traces(serial, results)
+        pools |= {result.worker.rsplit("_", 1)[0] for result in results}
+    assert len(pools) == 1, pools
+
+
+def _forked_campaign(queue):
+    results = run_sharded(build_engine_modes_mtd("ForkedChild"),
+                          _engine_batch(4, ticks=10), executor="process",
+                          max_workers=2)
+    queue.put(([result.ok for result in results],
+               sorted({result.worker for result in results})))
+
+
+@pytest.mark.parallel
+def test_forked_child_runs_its_own_pool_and_exits():
+    """A process forked after a campaign does not inherit the warm pool
+    (its workers belong to the parent): its own campaign starts a pool,
+    and it exits with that pool's workers joined."""
+    run_sharded(build_engine_modes_mtd("ForkingParent"),
+                _engine_batch(4, ticks=10), executor="process",
+                max_workers=2)
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_forked_campaign, args=(queue,))
+    child.start()
+    workers = []
+    try:
+        oks, workers = queue.get(timeout=60)
+        child.join(60)
+        assert not child.is_alive(), "the child never exited"
+        assert child.exitcode == 0
+        assert oks and all(oks)
+        for worker in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(worker[len("pid-"):]), 0)
+    finally:
+        if child.is_alive():
+            child.kill()
+            for worker in workers:
+                try:
+                    os.kill(int(worker[len("pid-"):]), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+_EXIT_SCRIPT = """
+from repro.casestudy import build_engine_modes_mtd
+from repro.scenarios import Scenario, run_sharded
+
+batch = [Scenario(f"s{index}", {"n": 800.0 * index, "ped": 20.0,
+                                "t_eng": 60.0}, ticks=20)
+         for index in range(6)]
+results = run_sharded(build_engine_modes_mtd(), batch, executor="process",
+                      max_workers=2)
+assert all(result.ok for result in results)
+print(" ".join(sorted({result.worker[len("pid-"):] for result in results})))
+"""
+
+
+@pytest.mark.parallel
+def test_warm_pool_workers_exit_with_the_interpreter():
+    """A process that ran a process-pool campaign exits on its own, and
+    the exit joins the warm pool's workers: none outlives it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    pids = [int(pid) for pid in completed.stdout.split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
