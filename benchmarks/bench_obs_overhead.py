@@ -1,29 +1,29 @@
 """[P8] Observability overhead gate: zero cost when off, honest when on.
 
 Not a paper figure: gates the structural contract of :mod:`repro.obs` on
-the deep gated-controller workload of ``bench_flatten``.
+the deep gated-controller workload of ``bench_flatten``.  Two tests:
 
-* **Disabled** (the default), the engines must run their untouched step
-  closures: the gate asserts object identity of ``schedule.step`` across
-  an enable/run/disable cycle, and that a full :class:`CompiledSimulator`
-  run -- whose only extra work is the disabled ambient probes -- costs at
-  most 5% over driving the raw step closure through ``run_stepped``
-  directly.  The ratio is the median over interleaved (raw, simulator)
-  pairs whose order alternates, so host noise lands on both sides of each
-  ratio rather than on one side of a best-of comparison.
-* **Enabled** with ``profile_ops``, the attribution must be honest: the
-  op-level profile accounts the bulk of the measured run inside op timers
-  (``op_time_s <= total_time_s``, with the difference being the step
-  loop's own dispatch), gate skip counts match the clock structure, and
-  the Chrome trace-event export is well-formed (integer microsecond
-  ``ts``/``dur``, epoch-relative, one event per span).
-* **Aggregation**: merging process-pool worker registries must equal the
-  serial registry on the executor-invariant ``runner.scenario.*``
+* ``test_p8_obs_structural_gate`` holds the deterministic checks and runs
+  in the gating CI job.  **Disabled**, the engines run their untouched
+  default horizon loop: it is the same object before, during and after a
+  profiling and a flight-recording session, and no run generates a
+  per-tick step.  **Enabled** with ``profile_ops``, the observed loop
+  counts every tick and every gate evaluation and skip of the nested
+  ``every(2)`` gates, and the Chrome trace-event export is well-formed
+  (integer microsecond ``ts``/``dur``, epoch-relative, one event per
+  span).  **Forensics**: with ``flight_recording`` on, a scenario failing
+  inside an op at tick 40 dumps a post-mortem bundle naming that tick,
+  the failing op and the trailing ring of ticks 32-39.
+* ``test_p8_obs_overhead_gate`` holds the wall-clock half.  A
+  :class:`CompiledSimulator` run in a disabled session -- whose only
+  extra work over a bare ``schedule.run`` of the same schedule is the
+  disabled ambient probes -- must cost at most 5% more: the median over
+  interleaved (bare, simulator) pairs whose order alternates, so host
+  noise lands on both sides of each ratio rather than on one side of a
+  best-of comparison.  The op timers must account for the bulk of a
+  profiled run, and merging process-pool worker registries must equal
+  the serial registry on the executor-invariant ``runner.scenario.*``
   projection (multi-core hosts; single-CPU hosts verify serial==thread).
-* **Forensics**: with ``flight_recording`` on, a scenario failing inside
-  an op must dump a post-mortem bundle naming the exact failing tick --
-  and the default step closure must STILL be the same object afterwards
-  (the recorder, like the profiler, lives in a swapped-in step variant).
 
 Artifacts: ``BENCH_obs_overhead.json`` (gate numbers plus the embedded
 telemetry), ``OBS_trace.json`` (Chrome trace, loadable in Perfetto),
@@ -40,7 +40,6 @@ from repro import obs
 from repro.obs import read_bundle
 from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import CompiledSimulator, first_difference
-from repro.simulation.engine import run_stepped
 
 from _bench_utils import median_paired_ratio, report, write_bench_json
 from bench_flatten import deep_gated_controller
@@ -48,10 +47,14 @@ from bench_flatten import deep_gated_controller
 #: Workload shape: nesting depth and simulation horizon of the gate.
 DEPTH = 6
 TICKS = 2000
-#: Disabled-mode overhead ceiling (median paired ratio vs the raw step
-#: driver) and the number of interleaved pairs it is the median of.
+#: Disabled-mode overhead ceiling (median paired ratio of a simulator run
+#: over a bare schedule run) and the number of interleaved pairs it is the
+#: median of.
 OVERHEAD_CEILING = 1.05
 PAIRS = 21
+#: The poisoned tick of the forensics battery and the ring it keeps.
+POISONED_TICK = 40
+RING_TICKS = 8
 
 
 def _out_path(name: str) -> str:
@@ -67,41 +70,100 @@ def _controller_batch(count=8, ticks=120):
                      ticks=ticks) for index in range(count)]
 
 
+def _poisoned(tick):
+    # a string reaching "in1 + 1" raises INSIDE the expression op
+    return "boom" if tick == POISONED_TICK else 1.0
+
+
+def _forensic_campaign(model):
+    """A battery with one scenario poisoned at :data:`POISONED_TICK`, run
+    in a flight-recording session: the results and the bundle paths."""
+    forensic_batch = _controller_batch(count=3, ticks=80)
+    forensic_batch.insert(1, Scenario("boom", {"u": _poisoned}, ticks=80))
+    with obs.session(flight_recording=True, ring_ticks=RING_TICKS,
+                     postmortem_dir=_out_path("postmortems")) as session:
+        results = run_sharded(model, forensic_batch, executor="serial")
+    return results, list(session.bundles)
+
+
+def test_p8_obs_structural_gate():
+    """Deterministic gate: the default loop is untouched, profiles count
+    every tick and gate, and the post-mortem bundle names tick 40."""
+    assert obs.active() is None
+    model = deep_gated_controller(DEPTH)
+    stimuli = {"u": [1.0] * TICKS}
+    simulator = CompiledSimulator(model, backend="flat")
+    schedule = simulator.schedule
+    reference = simulator.run(stimuli, TICKS)
+    default_horizon = schedule._horizon  # noqa: SLF001
+    assert default_horizon is not None
+
+    # -- enabled: op-level profile + spans -----------------------------------
+    with obs.session(profile_ops=True) as telemetry:
+        observed = simulator.run(stimuli, TICKS)
+    (profile,) = telemetry.profiles.values()
+    assert first_difference(reference, observed) is None
+    assert obs.active() is None  # session restored the disabled state
+    assert schedule._horizon is default_horizon  # noqa: SLF001
+    assert profile.ticks == TICKS
+    # six nested every(2) gates: all six are evaluated on even ticks; on
+    # odd ticks the outermost is silent and skips the other five
+    assert profile.gate_stats() == (7 * TICKS // 2, TICKS // 2)
+
+    # Chrome trace consistency: one complete event per span, integer
+    # microseconds, epoch-relative
+    chrome = telemetry.tracer.to_chrome_trace()
+    complete = [event for event in chrome["traceEvents"]
+                if event["ph"] == "X"]
+    assert len(complete) == len(list(telemetry.tracer.walk()))
+    assert {event["name"] for event in complete} == {"run"}
+    assert all(isinstance(event["ts"], int)
+               and isinstance(event["dur"], int)
+               and event["dur"] >= 0 for event in complete)
+    assert min(event["ts"] for event in complete) == 0
+
+    # -- forensics: the bundle names the poisoned tick and op ----------------
+    results, bundles = _forensic_campaign(model)
+    assert [result.ok for result in results] == [True, False, True, True]
+    assert len(bundles) == 1 and os.path.exists(bundles[0])
+    bundle = read_bundle(bundles[0])
+    assert bundle["failing"]["tick"] == POISONED_TICK
+    assert bundle["failing"]["op_label"] == "L6/Pre [expr]"
+    assert [snapshot["tick"] for snapshot in bundle["ring"]] \
+        == list(range(POISONED_TICK - RING_TICKS, POISONED_TICK))
+
+    # -- disabled: the default loop survived both sessions -------------------
+    simulator.run(stimuli, TICKS)
+    assert schedule._horizon is default_horizon  # noqa: SLF001
+    assert "step" not in vars(schedule)
+    assert obs.active() is None
+
+
 def test_p8_obs_overhead_gate():
-    """Acceptance gate: <= 5% disabled overhead, honest enabled profiles."""
+    """Wall-clock gate: <= 5% disabled overhead, honest enabled profiles."""
     assert obs.active() is None
     model = deep_gated_controller(DEPTH)
     stimuli = {"u": [1.0] * TICKS}
 
     simulator = CompiledSimulator(model, backend="flat")
     schedule = simulator.schedule
-    original_step = schedule.step
 
-    # the baseline: the raw step closure driven by run_stepped, with no
-    # simulator wrapper at all -- the truly untouched hot path
-    def raw_run():
-        run_stepped(model, original_step, stimuli, TICKS, False,
-                    initial_state=schedule.initial_state())
+    # the baseline: the same schedule's horizon run with no simulator
+    # wrapper at all -- the untouched hot path
+    def bare_run():
+        schedule.run(stimuli, TICKS)
 
     def off_run():
         simulator.run(stimuli, TICKS)
 
-    raw_run(), off_run()  # warm-up
-    off_ratio, baseline, disabled = median_paired_ratio(raw_run, off_run,
+    bare_run(), off_run()  # warm-up
+    off_ratio, baseline, disabled = median_paired_ratio(bare_run, off_run,
                                                         pairs=PAIRS)
 
     # -- enabled: op-level profile + spans -----------------------------------
-    reference = simulator.run(stimuli, TICKS)
     with obs.session(profile_ops=True) as telemetry:
-        observed_sim = CompiledSimulator(model, backend="flat")
-        observed = observed_sim.run(stimuli, TICKS)
-    assert first_difference(reference, observed) is None
-    assert simulator.schedule.step is original_step
-    assert observed_sim.schedule.step is not None
-    assert obs.active() is None  # session restored the disabled state
-
+        CompiledSimulator(model, backend="flat").run(stimuli, TICKS)
     (profile,) = telemetry.profiles.values()
-    assert profile.ticks == TICKS
     op_time = profile.op_time_s()
     assert 0 < op_time <= profile.total_time_s
     attribution = op_time / profile.total_time_s
@@ -109,21 +171,8 @@ def test_p8_obs_overhead_gate():
         f"op timers account for only {100 * attribution:.1f}% of the "
         "instrumented run; per-op attribution is broken")
     checks, skips = profile.gate_stats()
-    assert checks > 0 and 0 < skips < checks  # every(2) gates really fired
-
-    # Chrome trace consistency: one complete event per span, integer
-    # microseconds, epoch-relative, compile + run both present
-    chrome = telemetry.tracer.to_chrome_trace()
-    complete = [event for event in chrome["traceEvents"]
-                if event["ph"] == "X"]
-    spans = list(telemetry.tracer.walk())
-    assert len(complete) == len(spans)
-    names = {event["name"] for event in complete}
+    names = {span.name for span in telemetry.tracer.walk()}
     assert {"compile.component", "compile.flatten", "run"} <= names
-    assert all(isinstance(event["ts"], int)
-               and isinstance(event["dur"], int)
-               and event["dur"] >= 0 for event in complete)
-    assert min(event["ts"] for event in complete) == 0
 
     # -- aggregation: merged worker registries == serial ---------------------
     batch = _controller_batch()
@@ -144,32 +193,10 @@ def test_p8_obs_overhead_gate():
         f"merged {pooled_executor} worker registries diverge from serial: "
         f"{pooled_counters} != {serial_counters}")
 
-    # -- forensics: flight recorder present, default path untouched ----------
-    def poisoned(tick):
-        # a string reaching "in1 + 1" raises INSIDE the expression op
-        return "boom" if tick == 40 else 1.0
-
-    forensic_batch = _controller_batch(count=3, ticks=80)
-    forensic_batch.insert(1, Scenario("boom", {"u": poisoned}, ticks=80))
-    postmortem_dir = _out_path("postmortems")
-    with obs.session(flight_recording=True, ring_ticks=8,
-                     postmortem_dir=postmortem_dir) as forensic_session:
-        forensic_results = run_sharded(model, forensic_batch,
-                                       executor="serial")
-        bundles = list(forensic_session.bundles)
-    assert [result.ok for result in forensic_results] \
-        == [True, False, True, True]
-    assert len(bundles) == 1 and os.path.exists(bundles[0])
+    # -- forensics artifacts -------------------------------------------------
+    _results, bundles = _forensic_campaign(model)
     bundle = read_bundle(bundles[0])
     failing_tick = bundle["failing"]["tick"]
-    assert failing_tick == 40, (
-        f"post-mortem bundle names tick {failing_tick}, expected the "
-        "poisoned tick 40")
-    assert bundle["ring"], "post-mortem ring is empty"
-    # the recorder ran in a swapped-in step variant; the default closure
-    # of the simulator compiled OUTSIDE the session is still the same
-    # object, and a fresh compile produces an untouched one too
-    assert simulator.schedule.step is original_step
     assert obs.active() is None
 
     # -- artifacts -----------------------------------------------------------
@@ -185,7 +212,7 @@ def test_p8_obs_overhead_gate():
     path = write_bench_json("obs_overhead", {
         "workload": {"model": model.name, "depth": DEPTH, "ticks": TICKS},
         "disabled": {
-            "baseline_raw_step_s": baseline,
+            "baseline_schedule_run_s": baseline,
             "compiled_simulator_s": disabled,
             "overhead_ratio": off_ratio,
             "ceiling": OVERHEAD_CEILING,
@@ -213,7 +240,7 @@ def test_p8_obs_overhead_gate():
 
     report("P8", "\n".join([
         f"deep gated controller, depth {DEPTH}, {TICKS} ticks:",
-        f"  disabled: median raw step {baseline:.4f}s, simulator "
+        f"  disabled: median schedule.run {baseline:.4f}s, simulator "
         f"{disabled:.4f}s; median of {PAIRS} pair ratios "
         f"{100 * (off_ratio - 1):+.1f}% (ceiling "
         f"{100 * (OVERHEAD_CEILING - 1):.0f}%)",
@@ -223,8 +250,7 @@ def test_p8_obs_overhead_gate():
         f"  aggregation: serial == {pooled_executor} on "
         f"{len(serial_counters)} runner.scenario.* counters",
         f"  forensics: {len(bundles)} bundle(s), failing tick "
-        f"{failing_tick}, ring {len(bundle['ring'])} tick(s), "
-        f"default step untouched",
+        f"{failing_tick}, ring {len(bundle['ring'])} tick(s)",
         f"  artifacts: {path}, {trace_path}, {metrics_path}, {bundles[0]}",
     ]))
 

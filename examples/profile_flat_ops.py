@@ -13,14 +13,14 @@ battery under ``repro.obs`` twice:
   (scenario counters, the native loop's C entries and trampoline
   re-entries).  The batch backend runs the native C tick loop (flat on
   hosts without a C compiler); op profiling would route it back through
-  the flat program's profiled step, so the second pass leaves it off.
+  the flat program's profiled loop, so the second pass leaves it off.
 
 It saves the second pass as a Chrome trace (``profile_flat_ops_trace.json``)
 loadable in Perfetto / ``chrome://tracing``.
 
 Observability is strictly opt-in: rerun this workload without the
-``obs.session(...)`` blocks and the engines execute their untouched step
-closures -- zero instrumentation cost is the contract, gated by
+``obs.session(...)`` blocks and the engines execute their untouched
+horizon loops -- zero instrumentation cost is the contract, tracked by
 ``benchmarks/bench_obs_overhead.py``.
 
 Run with:  python examples/profile_flat_ops.py

@@ -29,7 +29,7 @@ And the campaign flight-recorder layer on top:
   :func:`normalized_stream` projection, and :class:`CampaignProgress`
   for live progress rendering;
 * :class:`FlightRecorder` -- last-K-tick slot snapshots of flat schedules
-  via a swapped-in recording step; post-mortem bundles on scenario error
+  via the observed horizon loop; post-mortem bundles on scenario error
   (``obs.enable(flight_recording=True)``);
 * :mod:`repro.obs.regress` -- bench-regression tracking over
   ``BENCH_*.json`` artifacts (``python -m repro.obs.regress --check``).

@@ -6,13 +6,14 @@ thread's session through :func:`active` / :func:`current_registry` /
 :func:`maybe_span`.  While observability is disabled (the default) every
 such probe is a single attribute read returning ``None`` -- and, crucially,
 no probe sits on a per-tick or per-op path: hot loops are instrumented by
-**swapping in** an instrumented step variant when telemetry is enabled
-(:meth:`~repro.simulation.schedule_ir.FlatSchedule.instrumented_step`,
-generated from the same per-op templates with profiling on), never by
-branching inside the default one.  The default step functions are the
-uninstrumented generated variants;
-``benchmarks/bench_obs_overhead.py`` gates the residual overhead of the
-disabled probes at <= 5% and asserts the step object identity.
+running an observed variant of the horizon loop when a session asks for
+op profiles or flight recording (:meth:`Telemetry.observed_horizon`,
+generated from the same per-op templates with the probes written in),
+never by branching inside the default one.  The default horizon loops
+are the uninstrumented generated variants;
+``benchmarks/bench_obs_overhead.py`` asserts the default loop's object
+identity across sessions and tracks the residual cost of the disabled
+probes against the ceiling of 5%.
 
 Usage::
 
@@ -58,29 +59,29 @@ class Telemetry:
     """One enabled observability session: registry + tracer + op profiles
     + (optionally) a campaign event log and flight recording.
 
-    ``profiles`` maps a schedule identity to its :class:`OpProfile`;
-    profiles are created lazily by :meth:`profile_for` the first time an
-    instrumentable schedule runs while ``profile_ops`` is set, and the
-    instrumented step closures are cached per schedule so repeated runs
-    keep accumulating into one profile.  Profiles shipped back by pool
-    workers are merged into the profile of the same label, or kept under
-    their label.
+    With ``profile_ops`` or ``flight_recording`` set, every flat program
+    run in the session runs on its observed horizon loop
+    (:meth:`observed_horizon`), generated once per schedule with the
+    schedule's :class:`OpProfile` (:attr:`profiles`) and flight recorder
+    (:attr:`recorders`) written in; both are kept for the session, so
+    repeated runs keep accumulating into one profile.  All three caches
+    are keyed by the schedule itself and so keep it alive for the
+    session: a schedule made later never inherits a dead one's entries.
+    Profiles shipped back by pool workers are merged into the profile of
+    the same label, or kept under their label.
 
     ``events`` is an optional :class:`~repro.obs.events.EventLog` the
     campaign layers (sharded runner, coverage search) emit into; ``None``
-    (the default) means no event stream is recorded.  With
-    ``flight_recording`` set, flat schedules run on a swapped-in
-    :meth:`~repro.simulation.schedule_ir.FlatSchedule.recording_step`
-    keeping the last ``ring_ticks`` slot snapshots per schedule
-    (:attr:`recorders`); on scenario error the runner dumps a post-mortem
-    bundle under ``postmortem_dir`` (default: ``$OBS_POSTMORTEM_DIR`` or
-    the working directory) and appends its path to :attr:`bundles`.
+    (the default) means no event stream is recorded.  A flight recorder
+    keeps the last ``ring_ticks`` slot snapshots of its schedule's run;
+    on scenario error the runner dumps a post-mortem bundle under
+    ``postmortem_dir`` (default: ``$OBS_POSTMORTEM_DIR`` or the working
+    directory) and appends its path to :attr:`bundles`.
     """
 
-    __slots__ = ("registry", "tracer", "profile_ops", "profiles", "_steps",
-                 "events", "flight_recording", "ring_ticks",
-                 "postmortem_dir", "recorders", "_recording_steps",
-                 "bundles")
+    __slots__ = ("registry", "tracer", "profile_ops", "profiles", "events",
+                 "flight_recording", "ring_ticks", "postmortem_dir",
+                 "recorders", "_horizons", "bundles")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
@@ -92,85 +93,43 @@ class Telemetry:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.profile_ops = profile_ops
-        self.profiles: Dict[int, OpProfile] = {}
-        self._steps: Dict[int, Any] = {}
+        self.profiles: Dict[Any, OpProfile] = {}
         self.events = events
         self.flight_recording = flight_recording
         self.ring_ticks = ring_ticks
         self.postmortem_dir = postmortem_dir
-        self.recorders: Dict[int, Any] = {}
-        self._recording_steps: Dict[int, Any] = {}
+        self.recorders: Dict[Any, Any] = {}
+        self._horizons: Dict[Any, Any] = {}
         self.bundles: list = []
 
-    def profile_for(self, schedule: Any) -> Optional[OpProfile]:
-        """The (lazily created) op profile of the flat *schedule*, or
-        ``None`` when op profiling is off.
+    def observed_horizon(self, schedule: Any) -> Optional[Any]:
+        """The horizon loop this session runs the flat *schedule* on, or
+        ``None`` when the session observes no ops (the schedule then
+        runs its default loop).
 
-        Every root a simulator runs is a flat program (a bare MTD, STD or
-        atomic root is a one-op program), so every run is profiled over
-        its ``op_labels()``.
+        Generated on first use by :func:`repro.simulation.op_emit.flat_step`
+        from the same per-op templates as the default loop, with the
+        schedule's op profile (under ``profile_ops``, over its
+        ``op_labels()``) and flight recorder (under ``flight_recording``)
+        written in -- one variant when both are on.  The default loop is
+        never touched, which is the whole zero-overhead-when-off
+        mechanism.
         """
-        if not self.profile_ops:
-            return None
-        key = id(schedule)
-        profile = self.profiles.get(key)
-        if profile is None:
-            profile = OpProfile(
-                f"{schedule.component.name}[{schedule.kind}]",
-                schedule.op_labels())
-            self.profiles[key] = profile
-        return profile
-
-    def instrumented_step(self, schedule: Any) -> Optional[Any]:
-        """A cached instrumented step for *schedule*, or ``None`` when op
-        profiling does not apply (callers then use ``schedule.step``)."""
-        profile = self.profile_for(schedule)
-        if profile is None:
-            return None
-        key = id(schedule)
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = schedule.instrumented_step(profile)
-        return step
-
-    def recorder_for(self, schedule: Any) -> Optional[Any]:
-        """The (lazily created) flight recorder of the flat *schedule*, or
-        ``None`` when flight recording is off (forensics lives on the flat
-        program, which native schedules wrap).
-        """
-        if not self.flight_recording:
-            return None
-        key = id(schedule)
-        recorder = self.recorders.get(key)
-        if recorder is None:
-            from .recorder import FlightRecorder
-            recorder = FlightRecorder(schedule, capacity=self.ring_ticks)
-            self.recorders[key] = recorder
-        return recorder
-
-    def recording_step(self, schedule: Any) -> Optional[Any]:
-        """A cached flight-recording step for *schedule*, or ``None``."""
-        recorder = self.recorder_for(schedule)
-        if recorder is None:
-            return None
-        key = id(schedule)
-        step = self._recording_steps.get(key)
-        if step is None:
-            step = self._recording_steps[key] \
-                = schedule.recording_step(recorder)
-        return step
-
-    def step_for(self, schedule: Any) -> Optional[Any]:
-        """The step variant this session swaps in for *schedule*.
-
-        Flight recording takes precedence over op profiling (forensics
-        beats timing when both are requested; the recording step has no
-        profile hooks).  ``None`` means run the default closure.
-        """
-        step = self.recording_step(schedule)
-        if step is not None:
-            return step
-        return self.instrumented_step(schedule)
+        horizon = self._horizons.get(schedule)
+        if horizon is None and (self.profile_ops or self.flight_recording):
+            from ..simulation.op_emit import flat_step
+            profile = recorder = None
+            if self.profile_ops:
+                profile = self.profiles[schedule] = OpProfile(
+                    f"{schedule.component.name}[{schedule.kind}]",
+                    schedule.op_labels())
+            if self.flight_recording:
+                from .recorder import FlightRecorder
+                recorder = self.recorders[schedule] = FlightRecorder(
+                    schedule, capacity=self.ring_ticks)
+            horizon = self._horizons[schedule] = flat_step(
+                schedule, profile, recorder, horizon=True)
+        return horizon
 
     def resolved_postmortem_dir(self) -> str:
         """Where post-mortem bundles land for this session."""

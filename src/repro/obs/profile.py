@@ -7,10 +7,11 @@ correction-barrier re-runs -- everything needed to answer *where do the
 ticks go*.  Native schedules are profiled on their wrapped flat program
 (:meth:`repro.simulation.compiled.CompiledSimulator.run`).
 
-Profiles are recorded only by the **instrumented** step variant
-(``FlatSchedule.instrumented_step``), which :mod:`repro.simulation.op_emit` generates from the same per-op
-templates as the default steps with timers and counters written in; the
-default step functions never see this module, which is what keeps the
+Profiles are recorded only by the **observed** horizon loop
+(:meth:`repro.obs.context.Telemetry.observed_horizon`), which
+:mod:`repro.simulation.op_emit` generates from the same per-op templates
+as the default loop with timers and counters written in; the default
+loops never see this module, which is what keeps the
 zero-overhead-when-off contract structural rather than a promise about
 cheap branches.
 

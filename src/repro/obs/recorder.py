@@ -5,15 +5,17 @@ string ("division by zero in 'ratio'") is the *what*; the forensics
 question is the *state*: which values sat in which slots for the last few
 ticks, which op was executing, what the stimulus looked like.  The
 :class:`FlightRecorder` answers it with a bounded ring buffer of the last
-K tick slot-environment snapshots, captured by
-:meth:`~repro.simulation.schedule_ir.FlatSchedule.recording_step` -- a
-**swapped-in** step variant generated on demand by
-:mod:`repro.simulation.op_emit` from the same per-op templates as the
-default step, with the op index tracked inside one ``try`` and the
-recorder hooks written in, exactly like ``instrumented_step``: the default
-step closure is never touched and the overhead-when-off bench asserts its
-identity, so recording costs nothing until a telemetry session asks for it
-(``obs.enable(flight_recording=True)``).
+K tick slot-environment snapshots, captured by the flat program's
+**observed** horizon loop
+(:meth:`~repro.obs.context.Telemetry.observed_horizon`) -- a variant
+generated on demand by :mod:`repro.simulation.op_emit` from the same
+per-op templates as the default loop, with the op index tracked inside
+one ``try`` per tick and the recorder hooks written in, beside the op
+profiler's timers when both are on.  The run being recorded is the run
+that happens: the same loop over the same columns, no per-tick step.
+The default loop is never touched and the overhead-when-off bench
+asserts its identity, so recording costs nothing until a telemetry
+session asks for it (``obs.enable(flight_recording=True)``).
 
 On scenario error the runner dumps a **post-mortem bundle**: a JSON
 artifact holding the ring contents with slot names decoded from the
@@ -63,10 +65,11 @@ def _render_env(values: List[Any], names: Tuple[str, ...]) -> Dict[str, Any]:
 class FlightRecorder:
     """Ring buffer of the last K tick snapshots of one flat schedule.
 
-    One recorder per schedule per telemetry session (cached by
-    :meth:`~repro.obs.context.Telemetry.recording_step`); the swapped-in
-    step clears the ring at tick 0, so within a battery each scenario's
-    forensics window is its own.
+    One recorder per schedule per telemetry session (made by
+    :meth:`~repro.obs.context.Telemetry.observed_horizon`); the observed
+    loop clears the ring when it starts, so within a battery each
+    scenario's forensics window is its own -- a scenario that fails
+    before its first tick leaves it empty.
     """
 
     __slots__ = ("schedule", "capacity", "snapshots", "failure")
@@ -78,14 +81,14 @@ class FlightRecorder:
         self.capacity = capacity
         #: (tick, copy of the slot list at end of tick), oldest first.
         self.snapshots: Deque[Tuple[int, List[Any]]] = deque(maxlen=capacity)
-        #: Set by the recording step when an op raises; see
+        #: Set by the observed loop when an op raises; see
         #: :meth:`record_failure`.
         self.failure: Optional[Dict[str, Any]] = None
 
-    # -- hooks called by the recording step --------------------------------
+    # -- hooks called by the observed loop ----------------------------------
 
     def begin_run(self) -> None:
-        """A new scenario starts (tick 0): the window belongs to it."""
+        """A new scenario starts: the window belongs to it."""
         self.snapshots.clear()
         self.failure = None
 

@@ -14,14 +14,14 @@ The validation subsystem built on top of the simulation engines:
 from typing import Any, Sequence, Tuple
 
 from ..core.components import Component
+from ..simulation.engine import active_mode_paths
 from .generators import (Constant, Dropout, EventStorm, ModeSequence,
                          OutOfRange, RandomWalk, Ramp, Scenario,
                          SeededGenerator, SineWave, SquareWave, StepChange,
                          StimulusGenerator, StuckAt, UniformNoise,
                          materialize_spec, mode_sequence_sweep, sample_spec,
                          scenario_grid)
-from .report import (BatchReport, ModeCoverage, PortStats, active_mode_paths,
-                     fold_mode_history)
+from .report import BatchReport, ModeCoverage, PortStats, fold_mode_history
 from .runner import (ScenarioResult, execute_batch, execute_scenario,
                      run_sharded)
 

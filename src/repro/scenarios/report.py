@@ -25,12 +25,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.mode_analysis import MachineInfo, machine_inventory
+from ..analysis.mode_analysis import machine_inventory
 from ..core.components import Component
 from ..core.errors import SimulationError
 from ..core.values import ABSENT
 from ..io.json_io import trace_to_json_dict
-from ..simulation.engine import active_mode_paths
 
 
 def fold_mode_history(history: Sequence[Any], initial: Optional[Any]

@@ -160,16 +160,16 @@ def _dump_postmortem(telemetry: Telemetry, simulator: CompiledSimulator,
     """Write a flight-recorder post-mortem bundle for a failed scenario.
 
     Only fires when the session has flight recording on AND the failing
-    simulator's flat program ran through a recording step (flat backend,
-    or the wrapped flat program of a native schedule); the bundle path is
-    collected on the session (``telemetry.bundles``) and returned for the
-    scenario_error event.
+    simulator's flat program ran through its recording horizon loop (flat
+    backend, or the wrapped flat program of a native schedule) and
+    recorded a tick or a failure; the bundle path is collected on the
+    session (``telemetry.bundles``) and returned for the scenario_error
+    event.
     """
     if not telemetry.flight_recording:
         return None
     schedule = simulator.schedule
-    recorder = telemetry.recorders.get(id(getattr(schedule, "flat",
-                                                  schedule)))
+    recorder = telemetry.recorders.get(getattr(schedule, "flat", schedule))
     if recorder is None \
             or (recorder.failure is None and not recorder.snapshots):
         return None

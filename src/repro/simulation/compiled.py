@@ -41,9 +41,9 @@ simulator runs is flat or native, and runs a scenario's whole horizon at
 once through one shell, :func:`~repro.simulation.engine.run_horizon`:
 every stimulus is drawn into columns first, then one generated Python
 tick loop (flat) or one C call (native) runs all ticks, and the output
-type checks and the trace follow from the columns.  Only under
-``profile_ops`` or ``flight_recording`` does a flat program step tick by
-tick through :func:`~repro.simulation.engine.run_stepped`.
+type checks and the trace follow from the columns.  Under ``profile_ops``
+or ``flight_recording`` the flat loop is an observed variant generated
+from the same templates; no compiled run steps tick by tick.
 :class:`ScenarioSuite` exploits reuse for scenario sweeps: one compile,
 many stimulus sets, with :meth:`ScenarioSuite.verify_against_reference`
 as the built-in differential check against the interpreter.
@@ -76,7 +76,7 @@ from ..obs.context import current_registry, maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.std import StateTransitionDiagram
-from .engine import Simulator, StimulusSpec, build_gated_ccd, run_stepped
+from .engine import Simulator, StimulusSpec, build_gated_ccd
 from .trace import SimulationTrace, first_difference
 
 #: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
@@ -434,21 +434,20 @@ class CompiledSimulator:
         readout columns after the run
         (:meth:`~repro.simulation.schedule_ir.FlatSchedule.decode_modes`):
         ``trace.mode_paths``, and ``trace.mode_history`` for a bare-leaf
-        root whose state carries a ``"mode"``, as
-        :func:`~repro.simulation.engine.run_stepped` records it.
+        root whose state carries a ``"mode"``, as the reference
+        :class:`~repro.simulation.engine.Simulator` records it.
 
         With observability enabled (:mod:`repro.obs`) the run is wrapped
-        in a ``run`` span, and -- when the session asked for
-        ``profile_ops`` or ``flight_recording`` -- executed tick by tick
-        through the flat program's swapped-in step variant (op-profiling
-        or flight-recording; recording wins when both are on), whose
-        per-tick leaf states are decoded the same way.  Op profiles and
-        forensics need the per-tick Python step, so under either flag a
-        native schedule runs its wrapped
-        :attr:`~repro.simulation.native.NativeSchedule.flat` program's
-        step variant instead of the C loop; spans-only sessions keep the
-        horizon loops.  The default path is untouched: it runs the same
-        generated code whether or not :mod:`repro.obs` was ever enabled.
+        in a ``run`` span.  A session with ``profile_ops`` or
+        ``flight_recording`` runs the same horizon shell on an observed
+        variant of the flat loop
+        (:meth:`~repro.obs.context.Telemetry.observed_horizon`: the op
+        profile and the flight recorder are written into the generated
+        loop), so a native schedule runs its wrapped
+        :attr:`~repro.simulation.native.NativeSchedule.flat` program
+        there; spans-only sessions keep the C loop.  The default path is
+        untouched: it runs the same generated code whether or not
+        :mod:`repro.obs` was ever enabled.
 
         Tiered ``auto`` (see the class docstring) switches here, between
         runs, and a promoted simulator runs like a native one.
@@ -457,31 +456,13 @@ class CompiledSimulator:
             self._tier_up()
         telemetry = _obs_active()
         schedule = self._native or self.schedule
-        swapped = telemetry is not None \
-            and (telemetry.flight_recording or telemetry.profile_ops)
-        if swapped and schedule.kind == "native":
+        if schedule.kind == "native" and telemetry is not None \
+                and (telemetry.flight_recording or telemetry.profile_ops):
             schedule = schedule.flat
         with maybe_span("run", component=self.component.name,
                         backend=self.backend, ticks=ticks,
                         kind=schedule.kind):
-            if not swapped:
-                return schedule.run(stimuli, ticks, self.check_types)
-            step = telemetry.step_for(schedule)
-            states: List[List[Any]] = []
-
-            def stepping(inputs: Mapping[str, Any], state: Any,
-                         tick: int) -> Tuple[Dict[str, Any], Any]:
-                outputs, state = step(inputs, state, tick)
-                states.append(state.leaf_states)
-                return outputs, state
-
-            trace = run_stepped(self.component, stepping, stimuli, ticks,
-                                self.check_types,
-                                initial_state=schedule.initial_state())
-        schedule.decode_modes(trace, [
-            [leaf_states[index] for leaf_states in states]
-            for index, _slot in schedule.readout_spec])
-        return trace
+            return schedule.run(stimuli, ticks, self.check_types)
 
 
 def simulate_compiled(component: Component,

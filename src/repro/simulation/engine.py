@@ -260,8 +260,10 @@ def run_stepped(component: Component,
 
     Validates the stimuli against *component*'s interface, then repeatedly
     applies *step* -- ``component.react`` for the interpreter, a compiled
-    schedule's step under op profiling or flight recording -- recording a
-    trace (and mode history for mode-carrying states).  The trace holds
+    schedule's per-tick ``step`` for callers that pin the per-tick path
+    (compiled simulators never do: they run whole horizons through
+    :func:`run_horizon`) -- recording a trace (and mode history for
+    mode-carrying states).  The trace holds
     exactly the declared boundary ports, one value per tick each: a
     declared output the step leaves out of its outputs is recorded
     absent, and a key the component does not declare is neither

@@ -69,12 +69,11 @@ beats a step error at *s > o*, which beats a stimulus or input type
 failure at *p > s* (C only runs the ticks ``[0, p)`` before it) -- same
 exception object, type, message and tick as the flat backend.
 
-:class:`NativeSchedule` deliberately does **not** offer ``op_labels`` /
-``instrumented_step`` / ``recording_step``: op-level profiling and flight
-recording are variants of the generated *Python* step, so under
-``profile_ops`` or ``flight_recording``
+:class:`NativeSchedule` deliberately does **not** offer ``op_labels``:
+op-level profiling and flight recording are variants of the generated
+*Python* horizon loop, so under ``profile_ops`` or ``flight_recording``
 :meth:`repro.simulation.compiled.CompiledSimulator.run` runs the wrapped
-:attr:`NativeSchedule.flat` program's step variant instead of the C loop.
+:attr:`NativeSchedule.flat` program's observed loop instead of the C loop.
 Untraced and spans-only runs stay in C and report the ``native.runs`` /
 ``native.ticks`` / ``native.trampolines`` counters.
 """

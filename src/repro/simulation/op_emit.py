@@ -9,9 +9,9 @@ produced from the model the way ASCET-SD produces code (Sec. 3.4).  Two
 value substrates spell slot access differently:
 
 * ``flat``   -- the per-tick ``values`` list ``v``: the per-tick
-  :attr:`FlatSchedule.step`, its op-profiling and flight-recording
-  variants, and the whole-horizon loop behind :meth:`FlatSchedule.run`,
-  which runs every tick of a scenario in one call (all from
+  :attr:`FlatSchedule.step`, and the whole-horizon loop behind
+  :meth:`FlatSchedule.run`, which runs every tick of a scenario in one
+  call, with its op-profiling and flight-recording variant (all from
   :func:`flat_step`);
 * ``native`` -- the tagged slot plane of :mod:`repro.simulation.native`,
   spelled ``load(slot)`` / ``store(slot, x)`` / ``copy(src, dst)``: one
@@ -25,15 +25,17 @@ same inputs -- which raises the interpreter's exact error.  Subexpressions
 too deep to inline become module-level helper functions of the generated
 source.
 
-Op profiling, flight recording and the horizon loop are emitter
-parameters, not twin loops: profiling times and counts every executed op
-and counts gate skips and correction re-runs; recording sets ``index = k``
-before each op inside one ``try`` and hands the partial slot list to the
-recorder on a raise; the horizon variant wraps the same per-tick body in
-a ``for tick`` loop that reads input slots from prefilled columns and gate
-flags from the schedule's cached gate plane, appends output and readout
-slots to their columns, rolls the leaf states and delayed buffers and
-returns the first exception with its tick instead of raising it.
+The horizon loop, op profiling and flight recording are emitter
+parameters, not twin loops: the horizon variant wraps the per-tick body
+in a ``for tick`` loop that reads input slots from prefilled columns and
+gate flags from the schedule's cached gate plane, appends output and
+readout slots to their columns, rolls the leaf states and delayed
+buffers and returns the first exception with its tick instead of raising
+it.  Only that loop is observed: profiling times and counts every
+executed op and counts gate skips and correction re-runs; recording
+resets the ring on entry, sets ``index = k`` before each op inside one
+``try`` per tick and hands the partial slot list and the tick's inputs
+to the recorder on a raise.
 
 **Readouts.**  The ``run`` template of a leaf in the schedule's
 ``readout_spec`` (and the correction barrier's re-run of it) also writes
@@ -224,14 +226,14 @@ def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
     return lines
 
 
-def _profiling(profile: Any, clock: Callable[[], float],
-               bound: Dict[str, Any]) -> Tuple[List[str], List[str]]:
+def _profiling(profile: Any, bound: Dict[str, Any]
+               ) -> Tuple[List[str], List[str]]:
     """Bind *profile*'s counters into *bound*; returns the tick-timer lines
-    opening and closing the generated function (none without a profile)."""
+    opening and closing each tick (none without a profile)."""
     if profile is None:
         return [], []
     bound.update(P=profile, T=profile.times, C=profile.counts,
-                 S=profile.gate_skips, clock=clock)
+                 S=profile.gate_skips, clock=time.perf_counter)
     return (["t_tick = clock()"],
             ["P.ticks += 1", "P.total_time_s += clock() - t_tick"])
 
@@ -256,38 +258,36 @@ def _define(name: str, params: str, body: List[str], scope: SourceScope,
 
 
 def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
-              clock: Callable[[], float] = time.perf_counter,
               horizon: bool = False) -> Callable[..., Any]:
     """The ``(inputs, state, tick) -> (outputs, state)`` step of *flat*,
     over the :class:`FlatState` that starts as ``flat.initial_state()``.
 
-    With *profile* (an :class:`~repro.obs.profile.OpProfile`) every
-    executed op is timed and counted; with *recorder* (a
-    :class:`~repro.obs.recorder.FlightRecorder`) tick 0 resets the ring,
-    every completed tick is snapshotted and a raising op is recorded with
-    its index and the partial slot list before the exception propagates.
-
-    With *horizon* (which takes neither of the two: profiles and
-    recordings are per-tick) the result is instead the whole-horizon loop
+    With *horizon* the result is instead the whole-horizon loop
     ``run(columns, runnable, state, outs, gp) -> (ticks done, error)``:
     ticks ``[0, runnable)`` from *state*, reading input slot values from
-    *columns* (one value list per input port, in ``input_names()`` order)
-    and gate flags from the gate plane *gp* (``flat.gates(0,
+    *columns* (one value list per input port, in ``input_names()``
+    order) and gate flags from the gate plane *gp* (``flat.gates(0,
     runnable)``), appending every output slot and then every readout slot
     to its list in *outs* (``output_spec``, then ``readout_spec`` order)
     and rolling leaf states and delayed buffers itself.  The first
     exception stops the loop and is returned with the tick it was raised
     at, the number of ticks that ran to completion.
+
+    Only the horizon loop takes *profile* and *recorder*.  With *profile*
+    (an :class:`~repro.obs.profile.OpProfile`) every executed op is timed
+    and counted; with *recorder* (a
+    :class:`~repro.obs.recorder.FlightRecorder`) the loop resets the ring
+    on entry, snapshots every completed tick and records a raising op
+    with its index, the partial slot list and the tick's inputs before
+    the exception stops the loop.  Either makes it an observed loop,
+    which takes one more argument, *check*: when true, it stops after the
+    first tick whose outputs their port types reject, so it observes
+    exactly the ticks a type-checked stepped run executes.
     """
     scope = SourceScope({"FlatState": FlatState}, _LIST[3])
     bound = scope.bound
-    head, tail = _profiling(profile, clock, bound)
-    if recorder is not None:
-        bound.update(begin_run=recorder.begin_run,
-                     record_tick=recorder.record_tick,
-                     record_failure=recorder.record_failure)
-        head += ["if tick == 0:", "    begin_run()"]
-        tail.insert(0, "record_tick(tick, v)")
+    head, tail = _profiling(profile, bound)
+    observed = profile is not None or recorder is not None
     readout = dict(flat.readout_spec)
     gathered = flat.output_spec + flat.readout_spec  # (key, slot) pairs
     plane = None
@@ -315,25 +315,45 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     ops = _program_lines(flat.program, _LIST, profile is not None,
                          recorder is not None, scope, readout, plane)
     if recorder is not None:
+        bound.update(begin_run=recorder.begin_run,
+                     record_tick=recorder.record_tick,
+                     record_failure=recorder.record_failure)
+        entry.append("begin_run()")
+        tail.insert(0, "record_tick(tick, v)")
+        inputs = "{" + ", ".join(f"{name!r}: i{index}[tick]" for index, (
+            name, _slot) in enumerate(flat.input_spec)) + "}"
         ops = (["index = 0", "try:"] + _block(ops or ["pass"])
                + ["except Exception as exc:",
-                  "    record_failure(tick, index, v, inputs, exc)",
+                  f"    record_failure(tick, index, v, {inputs}, exc)",
                   "    raise"])
-    if horizon:
-        tail += [f"o{index}(v[{slot}])"
-                 for index, (_name, slot) in enumerate(gathered)]
-        tail += ["ps = ns", "pb = nb"]
-        loop = ["for tick in range(runnable):"] + _block(head + ops + tail)
-        body = (entry + ["tick = 0", "try:"] + _block(loop)
-                + ["except BaseException as exc:",
-                   "    return tick, exc", "return runnable, None"])
-        return _define("run", "columns, runnable, state, outs, gp",
-                       body, scope, f"<flat horizon {flat.component.name}>")
-    outputs = ", ".join(f"{name!r}: v[{slot}]"
-                        for name, slot in flat.output_spec)
-    tail.append(f"return {{{outputs}}}, FlatState(ns, nb)")
-    return _define("step", "inputs, state, tick", head + ops + tail, scope,
-                   f"<flat step {flat.component.name}>")
+    if not horizon:
+        outputs = ", ".join(f"{name!r}: v[{slot}]"
+                            for name, slot in flat.output_spec)
+        tail.append(f"return {{{outputs}}}, FlatState(ns, nb)")
+        return _define("step", "inputs, state, tick", head + ops + tail,
+                       scope, f"<flat step {flat.component.name}>")
+    tail += [f"o{index}(v[{slot}])"
+             for index, (_name, slot) in enumerate(gathered)]
+    tail += ["ps = ns", "pb = nb"]
+    params = "columns, runnable, state, outs, gp"
+    if observed and flat.output_spec:
+        # r<k>((x,)) is 0 exactly when output k's port type rejects x
+        component = flat.component
+        bound.update((f"r{index}", component.port(name).port_type
+                      .first_rejected)
+                     for index, (name, _slot) in enumerate(flat.output_spec))
+        accepted = " and ".join(f"r{index}((v[{slot}],))" for index, (
+            _name, slot) in enumerate(flat.output_spec))
+        tail += [f"if check and not ({accepted}):",
+                 "    return tick + 1, None"]
+    if observed:
+        params += ", check"
+    loop = ["for tick in range(runnable):"] + _block(head + ops + tail)
+    body = (entry + ["tick = 0", "try:"] + _block(loop)
+            + ["except BaseException as exc:",
+               "    return tick, exc", "return runnable, None"])
+    return _define("run", params, body, scope,
+                   f"<flat horizon {flat.component.name}>")
 
 
 def native_replays(flat: Any) -> List[Optional[Callable[..., None]]]:

@@ -50,10 +50,11 @@ interpreter's composites, clock gates and mode-transition diagrams:
 step function is straight-line Python source generated from one body
 template per opcode (:mod:`repro.simulation.op_emit`) and exec-compiled
 once per schedule.  The whole-horizon loop behind
-:meth:`FlatSchedule.run`, the op-profiling
-(:meth:`FlatSchedule.instrumented_step`) and flight-recording
-(:meth:`FlatSchedule.recording_step`) variants and the native backend's
-trampoline replays are generated from the same templates.
+:meth:`FlatSchedule.run`, its observed variant (op profiling and flight
+recording, :meth:`~repro.obs.context.Telemetry.observed_horizon`) and
+the native backend's trampoline replays are generated from the same
+templates; the per-tick step is generated only when something asks for
+it (a nested leaf's ``run`` op, a ``run_stepped`` caller).
 
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
 states plus one flat list of delayed-channel buffers.  A compiled program
@@ -98,7 +99,7 @@ initial state for.
 
 from __future__ import annotations
 
-import time
+import functools
 from typing import (Any, Dict, Iterator, List, Mapping, Optional,
                     Tuple)
 
@@ -109,6 +110,7 @@ from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource
 from ..core.values import ABSENT
 from ..notations.mtd import ModeTransitionDiagram
+from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from .engine import (ClockGatedComponent, StimulusSpec, active_mode_paths,
                      run_horizon)
@@ -567,11 +569,18 @@ class FlatSchedule:
                                      if op[0] == OP_GATE)
         #: tick-major gate plane of the longest horizon asked for so far
         self._gate_plane = b""
-        from .op_emit import flat_step
-        self.step = flat_step(self)
         #: the generated horizon loop, made by the first :meth:`run`
         self._horizon: Optional[Any] = None
         self._output_names = [name for name, _slot in output_spec]
+
+    @functools.cached_property
+    def step(self) -> Any:
+        """The per-tick ``(inputs, state, tick) -> (outputs, state)`` step,
+        generated on first access: :meth:`run` never calls it, only a
+        nested leaf's ``run`` op and
+        :func:`~repro.simulation.engine.run_stepped` callers do."""
+        from .op_emit import flat_step
+        return flat_step(self)
 
     # -- boundary specs ----------------------------------------------------
 
@@ -611,11 +620,24 @@ class FlatSchedule:
         The loop is generated on the first call and kept on the schedule.
         Two threads racing to generate it both build the same function
         from the same source and code object; the last store wins, which
-        is benign.
+        is benign.  Under a telemetry session with ``profile_ops`` or
+        ``flight_recording`` the run takes the session's observed variant
+        of the loop instead
+        (:meth:`~repro.obs.context.Telemetry.observed_horizon`), which
+        stops after the first tick whose outputs fail their type check,
+        as a stepped run does.
         """
+        enter = self._enter_horizon
+        telemetry = _obs_active()
+        observed = None if telemetry is None \
+            else telemetry.observed_horizon(self)
+        if observed is not None:
+            def enter(columns: List[List[Any]], runnable: int
+                      ) -> Tuple[int, Optional[BaseException],
+                                 List[List[Any]]]:
+                return self._enter(observed, columns, runnable, check_types)
         trace, readouts = run_horizon(self.component, self._output_names,
-                                      self._enter_horizon, stimuli, ticks,
-                                      check_types)
+                                      enter, stimuli, ticks, check_types)
         self.decode_modes(trace, readouts)
         return trace
 
@@ -626,10 +648,17 @@ class FlatSchedule:
         if horizon is None:
             from .op_emit import flat_step
             horizon = self._horizon = flat_step(self, horizon=True)
+        return self._enter(horizon, columns, runnable)
+
+    def _enter(self, horizon: Any, columns: List[List[Any]], runnable: int,
+               *check: bool) -> Tuple[int, Optional[BaseException],
+                                      List[List[Any]]]:
+        """Run *horizon* over ticks ``[0, runnable)`` into fresh output
+        and readout columns (*check* is an observed loop's flag)."""
         outputs: List[List[Any]] = [
             [] for _ in range(len(self._output_spec) + len(self.readout_spec))]
         completed, error = horizon(columns, runnable, self.initial_state(),
-                                   outputs, self.gates(0, runnable))
+                                   outputs, self.gates(0, runnable), *check)
         return completed, error, outputs
 
     def gates(self, t0: int, ticks: int) -> bytes:
@@ -760,32 +789,6 @@ class FlatSchedule:
                 label = f"{kind} ({pairs} pair{'s' if pairs != 1 else ''})"
             labels.append((kind, label, nested))
         return labels
-
-    def instrumented_step(self, profile: Any,
-                          clock: Any = time.perf_counter):
-        """A variant of :attr:`step` recording into *profile*: per executed
-        op its count and wall time, per region its skips, per correction
-        barrier its re-runs, per tick the total step time.
-
-        Generated from the same per-op templates as :attr:`step`
-        (:mod:`repro.simulation.op_emit`), which is left untouched --
-        swapping the step function in and out is the whole
-        zero-overhead-when-off mechanism.
-        """
-        from .op_emit import flat_step
-        return flat_step(self, profile=profile, clock=clock)
-
-    def recording_step(self, recorder: Any):
-        """A flight-recording variant of :attr:`step` feeding *recorder*.
-
-        Generated from the same per-op templates as :attr:`step`: tick 0
-        resets the recorder's window (a new scenario owns it), every
-        completed tick is snapshotted into the ring, and when an op raises
-        the failing tick, op index, partial slot environment and inputs are
-        recorded before the exception propagates unchanged.
-        """
-        from .op_emit import flat_step
-        return flat_step(self, recorder=recorder)
 
     # -- introspection -----------------------------------------------------
 

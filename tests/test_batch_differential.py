@@ -33,8 +33,6 @@ from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
 from repro.notations.std import StateTransitionDiagram
 from repro import obs
-from repro.obs.profile import OpProfile
-from repro.obs.recorder import FlightRecorder
 from repro.scenarios import Scenario, execute_scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, NativeLoweringError, Simulator,
@@ -486,7 +484,7 @@ def test_one_step_composites_agree_with_interpreter(seed):
                 for result in results] == expected, (seed, backend)
 
 
-# -- generated step variants ---------------------------------------------------
+# -- generated loop variants ---------------------------------------------------
 
 
 def _stepped_outcome(model, step, stimuli, ticks, initial_state=None):
@@ -512,31 +510,57 @@ def _lane_outcome(outcome):
             outcome.error)
 
 
+#: The observing sessions: each runs the observed variant of the horizon
+#: loop, profiled, recording, or both in one variant.
+_OBSERVING = (("profiled", {"profile_ops": True}),
+              ("recording", {"flight_recording": True}),
+              ("both", {"profile_ops": True, "flight_recording": True}))
+
+
+def _observed_ticks(telemetry, profiled_before):
+    """The ticks the last run of the observing session *telemetry* ran to
+    their end, by each of its instruments, and the recorded failing tick
+    (or ``None``)."""
+    counts, failing = [], None
+    if telemetry.profile_ops:
+        counts.append(sum(profile.ticks for profile
+                          in telemetry.profiles.values()) - profiled_before)
+    if telemetry.flight_recording:
+        recorder, = telemetry.recorders.values()
+        counts.append(len(recorder.snapshots))
+        if recorder.failure is not None:
+            failing = recorder.failure["tick"]
+    return counts, failing
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_step_variants_agree_with_interpreter(seed):
-    """The op-profiled and flight-recording flat steps are generated
-    variants of the default program, and profiled batch-backend runs take
-    the profiled step; each must reproduce the interpreter's typed trace,
-    or its error type, message and tick."""
+    """The op-profiled and flight-recording variants of the horizon loop
+    are generated from the default program, and profiled batch-backend
+    runs take the profiled flat loop; each must reproduce the
+    interpreter's typed trace, or its error type, message and tick, and
+    observe exactly the ticks the interpreter completed."""
     rng = random.Random(9000 + seed)
     model = _build_model(rng, seed)
     battery = _battery(rng, model, size=rng.randint(3, 8))
 
-    schedule = compile_flat(model)
-    profile = OpProfile("fuzz", schedule.op_labels())
-    recorder = FlightRecorder(schedule)
-    variants = [("instrumented", schedule.instrumented_step(profile)),
-                ("recording", schedule.recording_step(recorder))]
-    expected = {}
-    for name, stimuli, ticks in battery:
-        expected[name] = _stepped_outcome(model, model.react, stimuli, ticks)
-        for label, step in variants:
-            recorder.begin_run()
-            got = _stepped_outcome(model, step, stimuli, ticks,
-                                   initial_state=schedule.initial_state())
-            assert got == expected[name], (seed, name, label)
-            if label == "recording" and recorder.failure is not None:
-                assert recorder.failure["tick"] == got[2], (seed, name)
+    expected = {name: _stepped_outcome(model, model.react, stimuli, ticks)
+                for name, stimuli, ticks in battery}
+    simulator = CompiledSimulator(model, backend="flat")
+    for label, config in _OBSERVING:
+        with obs.session(**config) as telemetry:
+            for name, stimuli, ticks in battery:
+                before = sum(profile.ticks for profile
+                             in telemetry.profiles.values())
+                trace, error = _scalar_outcome(simulator.run, stimuli, ticks)
+                got = (_typed_streams(trace) if trace is not None else None,
+                       error)
+                assert got == expected[name][:2], (seed, name, label)
+                completed = expected[name][2]
+                counts, failing = _observed_ticks(telemetry, before)
+                assert counts == [completed] * len(counts), (seed, name,
+                                                             label)
+                assert failing in (None, completed), (seed, name, label)
 
     # profiled batch-backend runs: full horizons as one campaign, then
     # each failing scenario cut just before and just after the

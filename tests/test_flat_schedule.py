@@ -29,13 +29,14 @@ from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
 from repro.notations.std import StateTransitionDiagram
 from repro.scenarios import Scenario, run_sharded
-from repro.scenarios.report import active_mode_paths
+from repro.simulation.engine import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               FlatSchedule, FlatState, ScenarioSuite,
                               Simulator, build_gated_ccd, compile_component,
                               compile_flat, first_difference,
                               is_flattenable, native_available)
 from repro.simulation.engine import run_stepped
+from repro.simulation.native import NativeSchedule
 
 
 def assert_engines_agree(component, stimuli, ticks):
@@ -335,24 +336,25 @@ def test_deep_gated_chain_compiles_and_runs():
 
 
 def test_deep_gated_chain_runs_through_generated_step_variants():
-    """1199 nested gate regions: the generated profiled and flight-recording
-    steps keep every op at a fixed indentation (one flag per gate, each op
-    guarded by its innermost flag), so they compile and agree with the
-    default step."""
-    from repro.obs.profile import OpProfile
-    from repro.obs.recorder import FlightRecorder
-    from repro.simulation.engine import run_stepped
-
+    """1199 nested gate regions: the per-tick step and the observed horizon
+    loop (op-profiled and flight-recording in one variant) keep every op
+    at a fixed indentation (one flag per gate, each op guarded by its
+    innermost flag), so they compile and agree with the default loop."""
     model = _deep_gated_chain(1200)
-    schedule = compile_flat(model)
+    simulator = CompiledSimulator(model, backend="flat")
+    schedule = simulator.schedule
     stimuli = {"u": [1.0, 1.0, 2.0, 2.0]}
-    profile = OpProfile("chain", schedule.op_labels())
-    recorder = FlightRecorder(schedule, capacity=2)
-    for step in (schedule.step, schedule.instrumented_step(profile),
-                 schedule.recording_step(recorder)):
-        trace = run_stepped(model, step, stimuli, 4, False,
-                            initial_state=schedule.initial_state())
-        assert trace.output("y").values() == [2.0, ABSENT, 3.0, ABSENT]
+    expected = [2.0, ABSENT, 3.0, ABSENT]
+    stepped_trace = run_stepped(model, schedule.step, stimuli, 4, False,
+                                initial_state=schedule.initial_state())
+    assert stepped_trace.output("y").values() == expected
+    assert simulator.run(stimuli, 4).output("y").values() == expected
+    with obs.session(profile_ops=True, flight_recording=True,
+                     ring_ticks=2) as telemetry:
+        trace = simulator.run(stimuli, 4)
+    assert trace.output("y").values() == expected
+    profile, = telemetry.profiles.values()
+    recorder, = telemetry.recorders.values()
     assert profile.ticks == 4
     checks, skips = profile.gate_stats()
     # every gate is evaluated on even ticks; on odd ticks the outermost
@@ -1071,19 +1073,23 @@ def test_threads_racing_to_generate_the_horizon_agree():
 
 @pytest.fixture()
 def step_forbidden(monkeypatch):
-    """Every flat schedule built from here on raises when stepped."""
+    """Every flat schedule built from here on raises when stepped, and so
+    does every native schedule."""
     built = []
     original = FlatSchedule.__init__
 
+    def step(inputs, state, tick):
+        raise AssertionError("the per-tick step ran")
+
     def forbidding_init(self, *args, **kwargs):
         original(self, *args, **kwargs)
-
-        def step(inputs, state, tick):
-            raise AssertionError("the per-tick step ran")
         self.step = step
         built.append(self)
 
     monkeypatch.setattr(FlatSchedule, "__init__", forbidding_init)
+    monkeypatch.setattr(NativeSchedule, "step",
+                        lambda self, inputs, state, tick: step(inputs, state,
+                                                                tick))
     return built
 
 
@@ -1098,6 +1104,31 @@ def test_default_flat_campaign_never_steps_per_tick(step_forbidden):
     assert all(result.mode_paths for result in results)
 
 
+def test_default_campaign_never_generates_a_per_tick_step(monkeypatch):
+    """The per-tick step is generated on first access, and a default
+    campaign never asks for it: only horizon loops are generated."""
+    from repro.simulation import op_emit
+    generated = []
+    original = op_emit.flat_step
+
+    def recording(flat, *args, **kwargs):
+        generated.append(kwargs.get("horizon", False))
+        return original(flat, *args, **kwargs)
+
+    monkeypatch.setattr(op_emit, "flat_step", recording)
+    model = gated_mtd_system(every(2), direct=False)
+    scenarios = [Scenario(f"s{index}", {"x": [float(index), 3.0, 0.0]}, 6)
+                 for index in range(4)]
+    results = run_sharded(model, scenarios, executor="serial",
+                          collect_modes=True)
+    assert all(result.ok for result in results)
+    assert generated == [True]
+    schedule = compile_flat(model)
+    assert generated == [True]
+    assert schedule.step is schedule.step
+    assert generated == [True, False]
+
+
 def test_spans_only_session_stays_on_the_horizon(step_forbidden):
     model = accumulator_in_composite()
     simulator = CompiledSimulator(model, backend="flat")
@@ -1107,10 +1138,72 @@ def test_spans_only_session_stays_on_the_horizon(step_forbidden):
     assert [span.name for span in telemetry.tracer.roots] == ["run"]
 
 
-def test_profiled_session_steps_per_tick():
+def test_profiled_session_takes_the_horizon_loop(step_forbidden):
     simulator = CompiledSimulator(accumulator_in_composite(), backend="flat")
     with obs.session(profile_ops=True) as telemetry:
-        simulator.run({"u": [1] * 5}, 5)
+        trace = simulator.run({"u": [1] * 5}, 5)
+    assert trace.output("y").values() == [2, 4, 6, 8, 10]
     profile, = telemetry.profiles.values()
     assert profile.ticks == 5
+    # the session's observed loop ran, not the default one
     assert simulator.schedule._horizon is None  # noqa: SLF001
+
+
+OBSERVING_SESSIONS = {"profile": {"profile_ops": True},
+                      "record": {"flight_recording": True},
+                      "both": {"profile_ops": True,
+                               "flight_recording": True}}
+
+
+@pytest.mark.parametrize("backend", ["flat", "native", "auto"])
+@pytest.mark.parametrize("session", sorted(OBSERVING_SESSIONS))
+def test_observed_runs_never_step_per_tick(step_forbidden, backend, session,
+                                           tmp_path):
+    """Op profiling and flight recording run the observed variant of the
+    horizon loop on every backend (a native or promoted simulator on its
+    wrapped flat program), never a per-tick step."""
+    if backend != "flat" and not native_available():
+        pytest.skip("no C compiler")
+    model = gated_mtd_system(every(2), direct=False)
+    stimuli = {"x": [5.0, 0.0, 3.0, 0.0, 0.0, 2.8, 0.0, 4.0]}
+    expected = outcome(lambda: Simulator(model).run(stimuli, 8))
+    simulator = CompiledSimulator(model, backend=backend)
+    if backend == "auto":
+        simulator._promote_now(force=True)  # noqa: SLF001 - test hook
+        simulator.run(stimuli, 8)
+        assert simulator._native is not None  # noqa: SLF001
+    assert step_forbidden and not simulator.schedule.fallback_paths
+    config = OBSERVING_SESSIONS[session]
+    with obs.session(postmortem_dir=str(tmp_path), ring_ticks=3,
+                     **config) as telemetry:
+        traces = [simulator.run(stimuli, 8) for _ in range(2)]
+    assert all(outcome(lambda: trace) == expected for trace in traces)
+    assert "native.runs" not in telemetry.registry.counter_values("")
+    if "profile_ops" in config:
+        profile, = telemetry.profiles.values()
+        assert profile.ticks == 16
+    if "flight_recording" in config:
+        recorder, = telemetry.recorders.values()
+        assert [tick for tick, _ in recorder.snapshots] == [5, 6, 7]
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_ERROR_CASES))
+def test_observed_loop_covers_exactly_the_stepped_ticks(case):
+    """Profiled and recorded, a type-checked run raises the stepped error
+    and observes exactly the ticks a stepped run executes: an output
+    type failure at tick o stops the loop after tick o."""
+    stimuli, expected = HORIZON_ERROR_CASES[case]
+    simulator = CompiledSimulator(precedence_model(), check_types=True,
+                                  backend="flat")
+    executed = []
+    reference = outcome(lambda: stepped(simulator, stimuli, 8,
+                                        observe=executed.append))
+    with obs.session(profile_ops=True, flight_recording=True,
+                     ring_ticks=16) as telemetry:
+        observed = outcome(lambda: simulator.run(stimuli, 8))
+    assert observed == reference and observed[0] is expected
+    profile, = telemetry.profiles.values()
+    recorder, = telemetry.recorders.values()
+    assert profile.ticks == len(executed)
+    assert [tick for tick, _ in recorder.snapshots] \
+        == list(range(len(executed)))

@@ -2,20 +2,21 @@
 
 Pins the contracts of :mod:`repro.obs.recorder`:
 
-* the recording step is trace-equivalent to the default step on healthy
-  runs, and the default ``schedule.step`` closure is structurally
-  untouched (same object) whether or not recording was ever enabled;
+* a recorded run takes the observed horizon loop, is trace-equivalent to
+  an unrecorded one on healthy runs, and leaves the default horizon loop
+  structurally untouched (same object);
 * a scenario failing inside an op dumps a post-mortem bundle: the exact
   failing tick, op index/kind/label, the partial slot environment with
   ``slot_names``-decoded keys, the trailing ring of slot snapshots, the
   stimuli and the active span path;
-* the ring is bounded (``ring_ticks``) and holds exactly the ticks
-  preceding the failure;
+* the ring is bounded (``ring_ticks``), holds exactly the ticks preceding
+  the failure, ends at a failing output check like a stepped run, and is
+  empty for a scenario that never ran a tick;
 * bundles **replay**: a fresh recorder over the same stimuli reproduces
   the ring and the failure tick exactly;
 * flight recording overrides the native C loop of ``backend="batch"``
   and ``backend="native"`` (forensics needs per-tick slot environments):
-  recorded runs take the wrapped flat program's recording step, without
+  recorded runs take the wrapped flat program's observed loop, without
   changing results.
 """
 
@@ -26,15 +27,15 @@ import pytest
 
 from repro import obs
 from repro.core.components import ExpressionComponent
+from repro.core.types import FloatType
 from repro.notations.blocks import Gain
 from repro.notations.dfd import DataFlowDiagram
 from repro.notations.mtd import ModeTransitionDiagram
-from repro.obs import EventLog, FlightRecorder, read_bundle
+from repro.obs import EventLog, read_bundle
 from repro.obs.recorder import _render_env
 from repro.scenarios import Scenario, run_sharded
 from repro.simulation import (CompiledSimulator, FlatSchedule,
                               first_difference)
-from repro.simulation.engine import run_stepped
 
 
 @pytest.fixture(autouse=True)
@@ -79,57 +80,56 @@ def forensic_batch(ticks=12):
             Scenario("healthy2", {"u": 3.0, "d": 4.0}, ticks=ticks)]
 
 
-# -- the recording step ----------------------------------------------------
+# -- the recording loop ------------------------------------------------------
 
 
-def test_recording_step_is_trace_equivalent_on_healthy_runs():
-    model = divider_model()
-    simulator = CompiledSimulator(model)
-    schedule = simulator.schedule
-    default_step = schedule.step
-    reference = run_stepped(model, default_step, {"u": ramp, "d": 2.0}, 10,
-                            False, initial_state=schedule.initial_state())
+def recorded(simulator, stimuli, ticks, ring_ticks=4):
+    """Run *simulator* once in a flight-recording session; returns the
+    trace (or the raised exception) and the schedule's recorder."""
+    with obs.session(flight_recording=True, ring_ticks=ring_ticks) \
+            as telemetry:
+        try:
+            result = simulator.run(stimuli, ticks)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            result = exc
+    return result, telemetry.recorders[simulator.schedule]
 
-    recorder = FlightRecorder(schedule, capacity=4)
-    recording = schedule.recording_step(recorder)
-    recorded = run_stepped(model, recording, {"u": ramp, "d": 2.0}, 10,
-                           False, initial_state=schedule.initial_state())
-    assert first_difference(reference, recorded) is None
-    # zero overhead when off is STRUCTURAL: the default closure is the
-    # same object, recording happened in a separately built variant
-    assert schedule.step is default_step
+
+def test_recorded_run_is_trace_equivalent_on_healthy_runs():
+    simulator = CompiledSimulator(divider_model(), backend="flat")
+    reference = simulator.run({"u": ramp, "d": 2.0}, 10)
+    default_horizon = simulator.schedule._horizon  # noqa: SLF001
+    trace, recorder = recorded(simulator, {"u": ramp, "d": 2.0}, 10)
+    assert first_difference(reference, trace) is None
+    # zero overhead when off is STRUCTURAL: the default loop is the same
+    # object, recording happened in a separately built variant
+    assert simulator.schedule._horizon is default_horizon  # noqa: SLF001
     # healthy run: bounded ring, no failure
     assert recorder.failure is None
     assert [tick for tick, _ in recorder.snapshots] == [6, 7, 8, 9]
 
 
 def test_ring_clears_between_runs():
-    schedule = CompiledSimulator(divider_model()).schedule
-    recorder = FlightRecorder(schedule, capacity=4)
-    recording = schedule.recording_step(recorder)
-    model = divider_model()
-    run_stepped(model, recording, {"u": 1.0, "d": 2.0}, 8, False,
-                initial_state=schedule.initial_state())
-    first_ring = [tick for tick, _ in recorder.snapshots]
-    run_stepped(model, recording, {"u": 1.0, "d": 2.0}, 3, False,
-                initial_state=schedule.initial_state())
+    simulator = CompiledSimulator(divider_model(), backend="flat")
+    with obs.session(flight_recording=True, ring_ticks=4) as telemetry:
+        simulator.run({"u": 1.0, "d": 2.0}, 8)
+        recorder = telemetry.recorders[simulator.schedule]
+        first_ring = [tick for tick, _ in recorder.snapshots]
+        simulator.run({"u": 1.0, "d": 2.0}, 3)
     assert first_ring == [4, 5, 6, 7]
     assert [tick for tick, _ in recorder.snapshots] == [0, 1, 2]
 
 
 def test_recorder_captures_exact_failure_tick_and_op():
-    model = divider_model()
-    schedule = CompiledSimulator(model).schedule
-    recorder = FlightRecorder(schedule, capacity=4)
-    recording = schedule.recording_step(recorder)
-    with pytest.raises(Exception, match="division by zero"):
-        run_stepped(model, recording, FAILING_STIMULI, 12, False,
-                    initial_state=schedule.initial_state())
+    simulator = CompiledSimulator(divider_model(), backend="flat")
+    error, recorder = recorded(simulator, FAILING_STIMULI, 12)
+    assert "division by zero" in str(error)
     failure = recorder.failure
     assert failure is not None
     assert failure["tick"] == 5
     assert "division by zero" in failure["error"]
-    kind, label, _ = schedule.op_labels()[failure["op_index"]]
+    assert failure["inputs"] == {"u": 5.0, "d": 0.0}
+    kind, label, _ = simulator.schedule.op_labels()[failure["op_index"]]
     assert kind == "expr" and "DIV" in label
     # the ring holds exactly the ticks preceding the failure
     assert [tick for tick, _ in recorder.snapshots] == [1, 2, 3, 4]
@@ -180,12 +180,10 @@ def test_forced_scenario_error_dumps_replayable_bundle(tmp_path):
 
     # REPLAY: a fresh recorder over the bundled stimuli reproduces the
     # ring and the failure tick exactly
-    schedule = CompiledSimulator(model).schedule
-    recorder = FlightRecorder(schedule, capacity=4)
-    recording = schedule.recording_step(recorder)
-    with pytest.raises(Exception, match="division by zero"):
-        run_stepped(model, recording, FAILING_STIMULI, 12, False,
-                    initial_state=schedule.initial_state())
+    simulator = CompiledSimulator(model, backend="flat")
+    schedule = simulator.schedule
+    error, recorder = recorded(simulator, FAILING_STIMULI, 12)
+    assert "division by zero" in str(error)
     replayed = [{"tick": tick,
                  "slots": _render_env(values, schedule.slot_names)}
                 for tick, values in recorder.snapshots]
@@ -232,24 +230,26 @@ def test_bundle_names_the_failing_mode_behaviour_op(tmp_path):
     assert failing["inputs"] == {"x": 3.0, "d": 0.0}
 
 
-def test_recorded_campaign_steps_per_tick_and_keeps_its_bundle(
+def test_recorded_campaign_takes_the_horizon_loop_and_keeps_its_bundle(
         tmp_path, monkeypatch):
-    """An unrecorded campaign runs each scenario's horizon in one loop; a
-    recorded one steps per tick and leaves the same results and bundle."""
+    """Recorded or not, a campaign runs each scenario's horizon in one
+    loop and never a per-tick step; recording leaves the same results and
+    writes the bundle of the failing scenario."""
     model = divider_model()
+
+    def no_step(self):
+        raise AssertionError("a run asked for the per-tick step")
+
+    monkeypatch.setattr(FlatSchedule, "step", property(no_step))
     unrecorded = run_sharded(model, forensic_batch(), executor="serial")
-
-    def no_horizon(self, *args):
-        raise AssertionError("a recorded run took the horizon loop")
-
-    monkeypatch.setattr(FlatSchedule, "_enter_horizon", no_horizon)
     with obs.session(flight_recording=True, ring_ticks=4,
                      postmortem_dir=str(tmp_path)) as telemetry:
-        recorded = run_sharded(model, forensic_batch(), executor="serial")
+        recorded_results = run_sharded(model, forensic_batch(),
+                                       executor="serial")
         bundles = list(telemetry.bundles)
-    assert [result.error for result in recorded] \
+    assert [result.error for result in recorded_results] \
         == [result.error for result in unrecorded]
-    for mine, theirs in zip(recorded, unrecorded):
+    for mine, theirs in zip(recorded_results, unrecorded):
         if mine.ok:
             assert first_difference(mine.trace, theirs.trace) is None
     bundle = read_bundle(bundles[0])
@@ -325,13 +325,75 @@ def test_no_bundle_without_flight_recording(tmp_path):
 
 
 def test_default_step_identity_survives_recorded_session():
+    """A recorded session neither replaces the default horizon loop nor
+    generates a per-tick step."""
     model = divider_model()
-    simulator = CompiledSimulator(model)
-    default_step = simulator.schedule.step
+    simulator = CompiledSimulator(model, backend="flat")
+    simulator.run({"u": 1.0, "d": 2.0}, 6)
+    default_horizon = simulator.schedule._horizon  # noqa: SLF001
     with obs.session(flight_recording=True, ring_ticks=4,
                      postmortem_dir="."):
         simulator.run({"u": 1.0, "d": 2.0}, 6)
-    assert simulator.schedule.step is default_step
+    assert simulator.schedule._horizon is default_horizon  # noqa: SLF001
+    assert "step" not in vars(simulator.schedule)
+
+
+def bounded_model():
+    """``y = u / d`` on an input ``u`` and an output ``y`` both typed
+    ``float[0..10]``."""
+    model = DataFlowDiagram("Bounded")
+    model.add_input("u", FloatType(0.0, 10.0))
+    model.add_input("d")
+    model.add_output("y", FloatType(0.0, 10.0))
+    div = ExpressionComponent("DIV", {"out": "a / b"})
+    div.declare_interface_from_expressions()
+    model.add(div)
+    model.connect("u", "DIV.a")
+    model.connect("d", "DIV.b")
+    model.connect("DIV.out", "y")
+    return model
+
+
+def test_a_scenario_that_never_ran_dumps_no_bundle(tmp_path):
+    """A scenario whose first input fails its type check runs no tick, so
+    its window is empty: no bundle holds the previous scenario's ticks."""
+    batch = [Scenario("healthy", {"u": 1.0, "d": 1.0}, 8),
+             Scenario("bad_at_0", {"u": 99.0, "d": 1.0}, 8)]
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        results = run_sharded(bounded_model(), batch, executor="serial",
+                              check_types=True)
+        bundles = list(telemetry.bundles)
+    assert [result.ok for result in results] == [True, False]
+    assert "Bounded.u@t0" in results[1].error
+    assert bundles == [] and os.listdir(str(tmp_path)) == []
+
+
+@pytest.mark.parametrize("late_error", [False, True],
+                         ids=["output_check", "later_op_error"])
+def test_observed_window_ends_at_the_failing_output_check(tmp_path,
+                                                          late_error):
+    """The output check fails at tick 5 of 27: the ring and the profile
+    end there, and an op that would raise at tick 10 is never named."""
+    d = [1.0] * 27
+    d[5] = 0.05  # y = 20.0
+    if late_error:
+        d[10] = 0.0
+    scenario = Scenario("late", {"u": 1.0, "d": d}, 27)
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        result, = run_sharded(bounded_model(), [scenario],
+                              executor="serial", check_types=True)
+        bundles = list(telemetry.bundles)
+    assert "Bounded.y@t5" in result.error
+    bundle = read_bundle(bundles[0])
+    assert [snapshot["tick"] for snapshot in bundle["ring"]] == [2, 3, 4, 5]
+    assert bundle["failing"] is None
+    with obs.session(profile_ops=True) as telemetry:
+        run_sharded(bounded_model(), [scenario], executor="serial",
+                    check_types=True)
+    profile, = telemetry.profiles.values()
+    assert profile.ticks == 6
 
 
 def test_bundle_json_is_deterministic(tmp_path):

@@ -39,7 +39,7 @@ from repro.notations.std import StateTransitionDiagram
 from repro.obs import read_bundle
 from repro.scenarios import (ModeSequence, RandomWalk, Scenario,
                              execute_scenario, run_sharded)
-from repro.scenarios.report import active_mode_paths
+from repro.simulation.engine import active_mode_paths
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               Simulator, build_gated_ccd,
                               compile_flat, is_flattenable,

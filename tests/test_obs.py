@@ -317,14 +317,43 @@ def test_instrumented_flat_step_is_trace_equivalent():
 
 def test_default_step_is_untouched_by_enable_disable():
     simulator = CompiledSimulator(gated_accumulator(), backend="flat")
-    original_step = simulator.schedule.step
     stimuli = {"u": [1.0] * 8}
+    simulator.run(stimuli, 8)
+    original_horizon = simulator.schedule._horizon  # noqa: SLF001
+    original_step = simulator.schedule.step
     with obs.session(profile_ops=True):
         simulator.run(stimuli, 8)
+    assert simulator.schedule._horizon is original_horizon  # noqa: SLF001
     assert simulator.schedule.step is original_step
     assert obs.active() is None
     trace = simulator.run(stimuli, 8)
     assert trace.ticks == 8
+
+
+def offset_model(k):
+    """One expression block: ``y = u + k``."""
+    model = DataFlowDiagram(f"Offset{k}")
+    model.add_input("u")
+    model.add_output("y")
+    block = ExpressionComponent("ADD", {"out": f"u + {k}"})
+    block.declare_interface_from_expressions()
+    model.add(block)
+    model.connect("u", "ADD.u")
+    model.connect("ADD.out", "y")
+    return model
+
+
+def test_profiled_session_never_runs_a_dropped_schedules_program():
+    """Profiles and observed loops are keyed by the schedule itself: a
+    schedule compiled after another was dropped may get its memory
+    address, but never its observed loop."""
+    with obs.session(profile_ops=True) as telemetry:
+        for k in range(200):
+            trace = CompiledSimulator(offset_model(k),
+                                      backend="flat").run({"u": [1]}, 1)
+            assert trace.output("y").values() == [1 + k], k
+    assert len(telemetry.profiles) == 200
+    assert all(profile.ticks == 1 for profile in telemetry.profiles.values())
 
 
 def test_sessions_are_per_thread():
