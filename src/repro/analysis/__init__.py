@@ -14,7 +14,7 @@ from .conflicts import (ActuatorConflict, ConflictAnalysis, analyze_conflicts,
                         suggest_coordinator_name)
 from .lint import (Finding, LintReport, findings_from_report,
                    lint_component, lint_flat_schedule, lint_model,
-                   lint_schedule, to_sarif, verify_component)
+                   to_sarif, verify_component)
 from .consistency import (check_faa_fda_coverage, check_fda_la_allocation,
                           check_interface_refinement, check_la_ta_deployment)
 from .metrics import (ModelMetrics, compare_metrics, format_comparison,
@@ -30,8 +30,8 @@ from .well_definedness import (OSEK_FIXED_PRIORITY, PROFILES, TIME_TRIGGERED,
 
 __all__ = [
     "Finding", "LintReport", "findings_from_report",
-    "lint_component", "lint_flat_schedule", "lint_model", "lint_schedule",
-    "to_sarif", "verify_component",
+    "lint_component", "lint_flat_schedule", "lint_model", "to_sarif",
+    "verify_component",
     "ActuatorConflict", "ConflictAnalysis", "GlobalModeSystem",
     "GlobalTransition", "MachineInfo", "ModelMetrics", "OSEK_FIXED_PRIORITY",
     "PROFILES", "RateTransitionFinding", "TIME_TRIGGERED", "TargetProfile",

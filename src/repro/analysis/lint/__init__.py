@@ -10,7 +10,7 @@ repro.analysis.lint`` CLI.
 """
 
 from .engine import (lint_causality, lint_component, lint_conflicts,
-                     lint_model, lint_schedule, lint_well_definedness,
+                     lint_model, lint_well_definedness,
                      verify_component)
 from .expr_check import (AbstractValue, abstract_of_type, abstract_of_value,
                          check_expression, environment_of_ports,
@@ -42,7 +42,6 @@ __all__ = [
     "lint_machine",
     "lint_machines",
     "lint_model",
-    "lint_schedule",
     "lint_well_definedness",
     "register",
     "rule_ids",

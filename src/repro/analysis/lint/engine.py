@@ -4,13 +4,12 @@
   whole-hierarchy causality, expression abstract interpretation of every
   :class:`ExpressionComponent`, and the machine-level checks of every
   MTD/STD (including mode behaviours and clock-gated inners);
-* :func:`lint_schedule` -- IR dataflow verification of a compiled
-  :class:`FlatSchedule`;
+* :func:`~.ir_verify.lint_flat_schedule` -- IR dataflow verification of a
+  compiled :class:`~repro.simulation.schedule_ir.FlatSchedule`;
 * :func:`lint_model` -- both: the hierarchy *and*, when the model is
   flattenable, the schedule it compiles to;
 * :func:`verify_component` -- :func:`lint_model` that raises
-  :class:`~repro.core.errors.ValidationError` on any error finding (this
-  is what ``compile_component(..., verify=True)`` calls);
+  :class:`~repro.core.errors.ValidationError` on any error finding;
 * :func:`lint_well_definedness` / :func:`lint_conflicts` /
   :func:`lint_causality` -- the legacy LA/FAA analyses adopted into the
   unified :class:`Finding` schema (stable rule ids preserved), so every
@@ -27,7 +26,7 @@ from ...core.errors import SimulationError
 from ...notations.ccd import ClusterCommunicationDiagram
 from ...notations.mtd import ModeTransitionDiagram
 from ...simulation.causality import analyze_causality
-from ...simulation.schedule_ir import FlatSchedule, compile_flat, is_flattenable
+from ...simulation.schedule_ir import compile_flat, is_flattenable
 from .expr_check import lint_expression_component
 from .findings import Finding, LintReport, findings_from_report
 from .ir_verify import lint_flat_schedule
@@ -86,26 +85,19 @@ def lint_component(component: Component,
     return report
 
 
-def lint_schedule(schedule: FlatSchedule,
-                  subject: Optional[str] = None) -> LintReport:
-    """IR dataflow verification of one compiled flat schedule."""
-    return lint_flat_schedule(schedule, subject=subject)
-
-
-def lint_model(component: Component,
-               include_schedule: bool = True) -> LintReport:
+def lint_model(component: Component) -> LintReport:
     """Full lint: the hierarchy plus (when flattenable) its compiled IR."""
     report = lint_component(component)
-    if include_schedule and component.has_behavior() \
-            and not report.errors() and is_flattenable(component):
+    if component.has_behavior() and not report.errors() \
+            and is_flattenable(component):
         try:
             schedule = compile_flat(component)
         except SimulationError:
             # not compilable as-is (e.g. unsupported leaf): model-level
             # findings still stand, the IR layer simply has no subject
             return report
-        report.merge(lint_schedule(schedule,
-                                   subject=f"{report.subject} [flat IR]"))
+        report.merge(lint_flat_schedule(
+            schedule, subject=f"{report.subject} [flat IR]"))
     return report
 
 

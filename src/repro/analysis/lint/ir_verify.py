@@ -71,7 +71,7 @@ def _op_events(op: Tuple[Any, ...],
     Mirrors the execution order of the generated ``FlatSchedule.step``
     exactly: run/expr ops read their input spec, write their outputs, then run
     their post-propagation copies pair by pair; copy ops interleave reads
-    and writes pair by pair (fused chains are order-dependent).
+    and writes pair by pair.
 
     Write events carry an *origin*: ``("new", token)`` for a freshly
     computed value, ``("copy", src)`` for a forwarded one.  The dataflow

@@ -13,8 +13,7 @@ executes that source.
   no environment dict and no call per node.
 * :func:`compile_expression` (and :meth:`ExpressionEvaluator.compile`)
   wraps it in one generated function ``environment -> value`` for the
-  leaf compiler's MTD/STD guard tables and expression-block mode
-  behaviours.
+  flattener's mode-controller and STD transition tables.
 
 The source follows :meth:`ExpressionEvaluator.evaluate` exactly:
 

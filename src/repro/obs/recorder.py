@@ -66,10 +66,10 @@ class FlightRecorder:
     """Ring buffer of the last K tick snapshots of one flat schedule.
 
     One recorder per schedule per telemetry session (made by
-    :meth:`~repro.obs.context.Telemetry.observed_horizon`); the observed
-    loop clears the ring when it starts, so within a battery each
-    scenario's forensics window is its own -- a scenario that fails
-    before its first tick leaves it empty.
+    :meth:`~repro.obs.context.Telemetry.observed_horizon`); every run of
+    the schedule clears the ring before it checks its stimuli, so within
+    a battery each scenario's forensics window is its own -- a scenario
+    that fails before its first tick leaves it empty.
     """
 
     __slots__ = ("schedule", "capacity", "snapshots", "failure")
@@ -85,10 +85,11 @@ class FlightRecorder:
         #: :meth:`record_failure`.
         self.failure: Optional[Dict[str, Any]] = None
 
-    # -- hooks called by the observed loop ----------------------------------
+    # -- hooks called by the run and its observed loop ---------------------
 
     def begin_run(self) -> None:
-        """A new scenario starts: the window belongs to it."""
+        """A new scenario starts: the window belongs to it (called by
+        :meth:`~repro.simulation.schedule_ir.FlatSchedule.run`)."""
         self.snapshots.clear()
         self.failure = None
 

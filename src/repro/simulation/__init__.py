@@ -2,13 +2,14 @@
 
 * :mod:`repro.simulation.engine` -- the reference tick-based interpreter and
   rate gating
-* :mod:`repro.simulation.compiled` -- the compiled engine: one-time schedule
-  compilation (the leaf compiler for MTD mode controllers, STDs and
-  atomic blocks), batch scenario runs, differential verification
+* :mod:`repro.simulation.compiled` -- the compiled engine: compile once
+  (:func:`compile_component` is the flat program, optionally lint-gated),
+  batch scenario runs, differential verification
 * :mod:`repro.simulation.schedule_ir` -- the flat schedule IR, the
-  compiler of every root: cross-hierarchy flattening onto one global step
-  program with slot-based environments, gating predicates, mode
-  ``select`` regions and correction barriers
+  compiler of every root and every leaf: cross-hierarchy flattening onto
+  one global step program with slot-based environments, gating
+  predicates, mode ``select`` regions and correction barriers, with the
+  mode controller and STD steps its ``run`` ops call
 * :mod:`repro.simulation.native` -- the native C backend: the flat program
   lowered to one compiled C tick loop driven through ctypes, one C call
   per scenario (requires a platform C compiler; check
@@ -23,9 +24,9 @@
 
 from .causality import (CausalityAnalysis, CausalityResult, analyze_causality,
                         assert_causal, instantaneous_path_exists)
-from .compiled import (CompiledSchedule, CompiledSimulator, ScenarioSuite,
-                       compile_ccd, compile_component,
-                       simulate_ccd_compiled, simulate_compiled)
+from .compiled import (CompiledSimulator, ScenarioSuite, compile_ccd,
+                       compile_component, simulate_ccd_compiled,
+                       simulate_compiled)
 from .engine import (ClockGatedComponent, Simulator, build_gated_ccd,
                      normalize_stimulus, prepare_feeds, simulate, simulate_ccd)
 from .schedule_ir import FlatSchedule, FlatState, compile_flat, is_flattenable
@@ -38,7 +39,7 @@ from .trace import (SimulationTrace, first_difference, streams_equal,
 
 __all__ = [
     "CausalityAnalysis", "CausalityResult", "ClockGatedComponent",
-    "CompiledSchedule", "CompiledSimulator", "FlatSchedule", "FlatState",
+    "CompiledSimulator", "FlatSchedule", "FlatState",
     "NativeLoweringError", "NativeSchedule", "ScenarioSuite",
     "SimulationTrace", "Simulator", "align_lengths", "analyze_causality",
     "assert_causal", "build_gated_ccd", "compile_ccd", "compile_component",

@@ -10,23 +10,23 @@ concept is exercised against many scenarios.
 
 This module splits execution into two phases.
 
-**Compile** (:func:`~repro.simulation.schedule_ir.compile_flat`): every
-root -- composites, clock gates and MTDs hoisted, in any nesting, down to
-their leaves -- is lowered onto the flat schedule IR of
-:mod:`repro.simulation.schedule_ir` (one global step program over
-slot-based environments); a bare leaf root is a one-op program.  Each
-*leaf* is compiled once by :func:`compile_component` into a step closure
-with every schedule decision precomputed:
+**Compile** (:func:`~repro.simulation.schedule_ir.compile_flat`, also
+reached as :func:`compile_component`): every root -- composites, clock
+gates and MTDs hoisted, in any nesting, down to their leaves -- is lowered
+onto the flat schedule IR of :mod:`repro.simulation.schedule_ir` (one
+global step program over slot-based environments); a bare leaf root is a
+one-op program.  The flattener compiles every leaf itself, with every
+schedule decision precomputed:
 
 * each mode-transition diagram is split as in the paper's Sec. 3.3: its
-  mode controller (:func:`compile_mode_controller`, per-mode transition
-  tables with guards compiled to generated Python functions via
-  :mod:`repro.core.expr_compile`) is a leaf, and each mode behaviour is
-  hoisted into a ``select`` region of the same program;
+  mode controller (per-mode transition tables with guards compiled to
+  generated Python functions via :mod:`repro.core.expr_compile`) is a
+  leaf, and each mode behaviour is hoisted into a ``select`` region of the
+  same program;
 * each state-transition diagram gets per-state sorted transition tables
   with compiled guards, actions and emissions;
-* a pure expression block is no leaf at all: its ``expr`` op inlines the
-  expressions' source into the step;
+* a pure expression block is no leaf step at all: its ``expr`` op inlines
+  the expressions' source into the step;
 * every other component (function/stateful blocks, subclasses with a
   custom ``react``...) is already a single ``react`` call and is executed
   directly.
@@ -66,230 +66,41 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.components import Component
-from ..core.errors import ModelError, SimulationError
-from ..core.values import ABSENT, is_present
+from ..core.errors import SimulationError
 from ..obs.context import active as _obs_active
 from ..obs.context import current_registry, maybe_span
 from ..notations.ccd import ClusterCommunicationDiagram
-from ..notations.mtd import ModeTransitionDiagram
-from ..notations.std import StateTransitionDiagram
 from .engine import Simulator, StimulusSpec, build_gated_ccd
+from .schedule_ir import FlatSchedule, compile_flat
 from .trace import SimulationTrace, first_difference
 
-#: A compiled step: ``(inputs, state, tick) -> (outputs, next_state)``.
-StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any]]
 
+def compile_component(component: Component,
+                      verify: bool = False) -> FlatSchedule:
+    """Compile *component* into its flat program (:func:`compile_flat`).
 
-class CompiledSchedule:
-    """A leaf component compiled into an executable step.
-
-    ``step`` is the executable form, over the state :meth:`initial_state`
-    starts; ``kind`` names the compilation strategy (``"mtd"`` for an
-    MTD's mode controller, ``"std"`` or ``"atomic"``), so tests and tools
-    can inspect what the compiler produced.
-    """
-
-    __slots__ = ("component", "kind", "step", "_initial")
-
-    def __init__(self, component: Component, kind: str, step: StepFunction,
-                 initial: Optional[Callable[[], Any]] = None):
-        self.component = component
-        self.kind = kind
-        self.step = step
-        self._initial = initial or component.initial_state
-
-    def initial_state(self) -> Any:
-        """The state :attr:`step` starts from: the component's own, except
-        that a mode controller's is ``{"mode": initial mode}``."""
-        return self._initial()
-
-    def __repr__(self) -> str:
-        return f"CompiledSchedule({self.component.name!r}, kind={self.kind!r})"
-
-
-def compile_component(component: Component, verify: bool = False):
-    """Compile *component* into a reusable execution schedule.
-
-    Composites, clock gates and MTDs with their default ``react`` compile
-    to the flat schedule IR
-    (:class:`~repro.simulation.schedule_ir.FlatSchedule`): one global,
-    topologically ordered step program over slot-based environments, with
-    gating predicates, mode ``select`` regions and correction barriers
-    preserving the interpreter's semantics exactly.  Every other component
-    is a leaf :class:`CompiledSchedule`: an STD gets per-state transition
-    tables, anything else -- atomic blocks, subclasses with a custom
-    ``react`` -- runs its own ``react``.  Both schedule kinds share the
-    ``(inputs, state, tick) -> (outputs, state)`` step contract, each over
-    the state its own ``initial_state()`` starts.  This is the dispatch of
-    the flattener's ``run`` ops; :class:`CompiledSimulator` compiles every
-    root flat (:func:`~repro.simulation.schedule_ir.compile_flat`).
+    Every root with behaviour compiles to one
+    :class:`~repro.simulation.schedule_ir.FlatSchedule`: a composite, gate
+    or MTD hierarchy into its hoisted program, a bare STD, atomic block or
+    custom-``react`` component into a one-op program.
 
     With ``verify=True`` the static-analysis engine
-    (:mod:`repro.analysis.lint`) runs first -- model-level lint of the
-    hierarchy plus, on the flat path, IR dataflow verification of the
-    compiled program -- and any error finding raises
+    (:mod:`repro.analysis.lint`) runs too -- model-level lint of the
+    hierarchy first, then IR dataflow verification of the compiled
+    program -- and any error finding raises
     :class:`~repro.core.errors.ValidationError` before a schedule is
     returned.
     """
-    from .schedule_ir import compile_flat, is_flattenable
     if verify:
         from ..analysis.lint import lint_component, lint_flat_schedule
         lint_component(component).raise_on_errors()
-    if is_flattenable(component):
-        schedule = compile_flat(component)
-        if verify:
-            lint_flat_schedule(schedule).raise_on_errors()
-        return schedule
-    with maybe_span("compile.nested", component=component.name):
-        if isinstance(component, StateTransitionDiagram) \
-                and type(component).react is StateTransitionDiagram.react:
-            return _compile_std(component)
-        return CompiledSchedule(component, "atomic", component.react)
-
-
-def compile_mode_controller(component: ModeTransitionDiagram
-                            ) -> CompiledSchedule:
-    """The mode controller of an MTD (paper Sec. 3.3): per-mode transition
-    tables with guards compiled to generated Python functions
-    (:mod:`repro.core.expr_compile`).
-
-    Its step emits the active mode's name (``#mode``) and its position in
-    ``modes()`` (``#index``, the condition of the flattener's ``select``
-    regions) over the state ``{"mode": name}``.  Guards are evaluated
-    against the per-tick input dict directly: the reference ``react``
-    copies it first, but the evaluator never mutates its environment.
-    """
-    if not component.modes():
-        raise ModelError(f"MTD {component.name!r} has no modes")
-    compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    results = {mode.name: ({"#mode": mode.name, "#index": position},
-                           {"mode": mode.name})
-               for position, mode in enumerate(component.modes())}
-    transition_table = {
-        mode.name: tuple((compiler(t.guard), results[t.target])
-                         for t in component.transitions_from(mode.name))
-        for mode in component.modes()}
-    initial_mode = component.initial_mode
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        current = state["mode"]
-        for guard, result in transition_table[current]:
-            value = guard(inputs)
-            if is_present(value) and bool(value):
-                return result
-        return results[current]
-
-    return CompiledSchedule(component, "mtd", step,
-                            lambda: {"mode": initial_mode})
-
-
-#: Action-target classification for compiled STD transitions.
-_ASSIGN_VARIABLE, _ASSIGN_OUTPUT, _ASSIGN_INVALID = 0, 1, 2
-
-
-def _compile_std(component: StateTransitionDiagram) -> CompiledSchedule:
-    """Precompute per-state sorted transition tables with compiled guards,
-    actions and emissions.
-
-    Tick-for-tick identical to :meth:`StateTransitionDiagram.react`,
-    including the invalid-action-target :class:`ModelError` path (classified
-    at compile time, raised when the offending transition fires) and the
-    ``state``-port emission precedence (explicit actions beat state
-    emissions beat the automatic state-name emission).
-    """
-    if not component.states():
-        raise ModelError(f"STD {component.name!r} has no states")
-    compiler = component._evaluator.compile  # noqa: SLF001 - same evaluator
-    component_name = component.name
-    output_names = tuple(component.output_names())
-    output_set = frozenset(output_names)
-    variable_names = frozenset(component.variables())
-    has_variables = bool(variable_names)
-    state_port = (component.STATE_PORT if component.STATE_PORT in output_set
-                  else None)
-
-    transition_table: Dict[str, Tuple[Any, ...]] = {}
-    emission_table: Dict[str, Tuple[Tuple[str, Any], ...]] = {}
-    for std_state in component.states():
-        rows = []
-        for transition in component.transitions_from(std_state.name):
-            actions = []
-            for target_name, expression in transition.actions.items():
-                if target_name in variable_names:
-                    kind = _ASSIGN_VARIABLE
-                elif target_name in output_set:
-                    kind = _ASSIGN_OUTPUT
-                else:
-                    kind = _ASSIGN_INVALID
-                actions.append((kind, target_name, compiler(expression)))
-            rows.append((compiler(transition.guard), transition.target,
-                         tuple(actions)))
-        transition_table[std_state.name] = tuple(rows)
-        # react() skips emissions to non-output names; filter at compile time
-        emission_table[std_state.name] = tuple(
-            (port_name, compiler(expression))
-            for port_name, expression in std_state.emissions.items()
-            if port_name in output_set)
-
-    initial_state_name = component.initial_state_name
-
-    def step(inputs: Mapping[str, Any], state: Any,
-             tick: int) -> Tuple[Dict[str, Any], Any]:
-        current = state["state"] or initial_state_name
-        variables = state["vars"]
-        if has_variables:
-            variables = dict(variables)
-            environment = dict(variables)
-            environment.update(inputs)
-        else:
-            # No local variables: guards/actions/emissions see the inputs
-            # only, and the (empty) vars dict is never mutated.
-            environment = inputs
-        outputs: Dict[str, Any] = {name: ABSENT for name in output_names}
-
-        fired = None
-        for guard, target, actions in transition_table[current]:
-            value = guard(environment)
-            if is_present(value) and bool(value):
-                fired = (target, actions)
-                break
-
-        variables_changed = False
-        if fired is not None:
-            target, actions = fired
-            for kind, target_name, compiled in actions:
-                result = compiled(environment)
-                if kind == _ASSIGN_VARIABLE:
-                    variables[target_name] = result
-                    variables_changed = True
-                elif kind == _ASSIGN_OUTPUT:
-                    outputs[target_name] = result
-                else:
-                    raise ModelError(
-                        f"action target {target_name!r} of STD "
-                        f"{component_name!r} is neither a local variable nor "
-                        "an output port")
-            current = target
-
-        if variables_changed:
-            emission_environment = dict(variables)
-            emission_environment.update(inputs)
-        else:
-            emission_environment = environment
-        for port_name, compiled in emission_table[current]:
-            if outputs[port_name] is ABSENT:
-                outputs[port_name] = compiled(emission_environment)
-
-        if state_port is not None and outputs[state_port] is ABSENT:
-            outputs[state_port] = current
-
-        return outputs, {"state": current, "vars": variables}
-
-    return CompiledSchedule(component, "std", step)
+    schedule = compile_flat(component)
+    if verify:
+        lint_flat_schedule(schedule).raise_on_errors()
+    return schedule
 
 
 #: Schedule backends accepted by :class:`CompiledSimulator` (sorted).
@@ -352,7 +163,6 @@ class CompiledSimulator:
         self.component = component
         self.check_types = check_types
         self.backend = backend
-        from .schedule_ir import compile_flat
         with maybe_span("compile.component", component=component.name,
                         backend=backend) as span:
             flat_schedule = self.schedule = compile_flat(component)

@@ -33,9 +33,9 @@ readout slots to their columns, rolls the leaf states and delayed
 buffers and returns the first exception with its tick instead of raising
 it.  Only that loop is observed: profiling times and counts every
 executed op and counts gate skips and correction re-runs; recording
-resets the ring on entry, sets ``index = k`` before each op inside one
-``try`` per tick and hands the partial slot list and the tick's inputs
-to the recorder on a raise.
+snapshots every completed tick, sets ``index = k`` before each op inside
+one ``try`` per tick and hands the partial slot list and the tick's
+inputs to the recorder on a raise.
 
 **Readouts.**  The ``run`` template of a leaf in the schedule's
 ``readout_spec`` (and the correction barrier's re-run of it) also writes
@@ -276,8 +276,9 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     Only the horizon loop takes *profile* and *recorder*.  With *profile*
     (an :class:`~repro.obs.profile.OpProfile`) every executed op is timed
     and counted; with *recorder* (a
-    :class:`~repro.obs.recorder.FlightRecorder`) the loop resets the ring
-    on entry, snapshots every completed tick and records a raising op
+    :class:`~repro.obs.recorder.FlightRecorder`, whose ring
+    :meth:`FlatSchedule.run` resets) the loop snapshots every completed
+    tick and records a raising op
     with its index, the partial slot list and the tick's inputs before
     the exception stops the loop.  Either makes it an observed loop,
     which takes one more argument, *check*: when true, it stops after the
@@ -315,10 +316,8 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
     ops = _program_lines(flat.program, _LIST, profile is not None,
                          recorder is not None, scope, readout, plane)
     if recorder is not None:
-        bound.update(begin_run=recorder.begin_run,
-                     record_tick=recorder.record_tick,
+        bound.update(record_tick=recorder.record_tick,
                      record_failure=recorder.record_failure)
-        entry.append("begin_run()")
         tail.insert(0, "record_tick(tick, v)")
         inputs = "{" + ", ".join(f"{name!r}: i{index}[tick]" for index, (
             name, _slot) in enumerate(flat.input_spec)) + "}"

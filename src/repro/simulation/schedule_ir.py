@@ -9,7 +9,8 @@ time -- every :class:`~repro.core.components.CompositeComponent` re-derives
 its plan and re-marshals a dict environment at each boundary, every tick.
 This module mirrors the *deployment* instead: the whole hierarchy is
 compiled once into a :class:`FlatSchedule`, a linear program of opcodes
-over a flat slot environment.  It is the only compiler for composites.
+over a flat slot environment.  It is the only compiler: every root and
+every leaf is compiled here.
 
 **Slot-based environments.**  Every port of every component occurrence in
 the hierarchy is assigned a fixed integer slot.  A tick allocates one flat
@@ -61,7 +62,7 @@ states plus one flat list of delayed-channel buffers.  A compiled program
 starts only from :meth:`FlatSchedule.initial_state`, and the step is an
 ``(inputs, state, tick) -> (outputs, state)`` function over that state
 alone: :func:`~repro.simulation.engine.run_stepped` callers pass it as
-``initial_state``.  A leaf's state is its compiled schedule's -- a mode
+``initial_state``.  A leaf's state is the one its step runs over -- a mode
 controller's is ``{"mode": name}``, and a mode behaviour's leaves are
 leaves of the same program -- so the interpreter's nested dict states
 never reach a compiled program.
@@ -78,17 +79,20 @@ histories after the run: the paths and values of
 :func:`~repro.simulation.engine.active_mode_paths`, without a per-tick
 observer.
 
-**Fallbacks.**  Leaves -- STDs, atomic blocks and components with a
-custom ``react`` (an MTD subclass with one included) -- are compiled by
-the leaf compiler (:func:`~repro.simulation.compiled.compile_component`)
-and embedded as single ``run`` ops; a clock gate around a leaf is a
-``gate`` region like any other.  Every root compiles, a bare leaf root to
-a one-op program.  A non-feedthrough composite, gate or MTD fed by a
-later producer must stay a single step, so the correction barrier can
-re-run it atomically: it becomes a ``run`` op whose step is its own flat
-program (:func:`compile_flat`).  :meth:`FlatSchedule.ops_summary` labels
-every node that stays a single step ``nested``, and
-:attr:`FlatSchedule.fallback_paths` lists them.
+**Leaves.**  The flattener compiles every leaf itself, into one op: a
+pure expression block into an ``expr`` op, every other leaf into a ``run``
+op over a step it builds -- an MTD's mode controller and an STD get
+per-mode / per-state transition tables with guards, actions and emissions
+compiled to generated Python functions (:mod:`repro.core.expr_compile`),
+and an atomic block or a component with a custom ``react`` (an MTD or
+STD subclass with one included) runs its own ``react``.  A clock gate
+around a leaf is a ``gate`` region like any other, and every root
+compiles, a bare leaf root to a one-op program.  A non-feedthrough
+composite, gate or MTD fed by a later producer must stay a single step,
+so the correction barrier can re-run it atomically: it becomes a ``run``
+op whose step is its own flat program (:func:`compile_flat`).
+:meth:`FlatSchedule.ops_summary` labels every node that stays a single
+step ``nested``, and :attr:`FlatSchedule.fallback_paths` lists them.
 
 Compilation is **iterative** (an explicit stack of emission generators plus
 the worklist helpers of :mod:`repro.core.components`), so hierarchies
@@ -100,21 +104,25 @@ initial state for.
 from __future__ import annotations
 
 import functools
-from typing import (Any, Dict, Iterator, List, Mapping, Optional,
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from ..core.components import (Component, CompositeComponent,
                                ExpressionComponent,
                                subtree_structure_tokens)
-from ..core.errors import SimulationError
+from ..core.errors import ModelError, SimulationError
 from ..core.expr_compile import ExpressionSource
-from ..core.values import ABSENT
+from ..core.values import ABSENT, is_present
 from ..notations.mtd import ModeTransitionDiagram
+from ..notations.std import StateTransitionDiagram
 from ..obs.context import active as _obs_active
 from ..obs.context import maybe_span
 from .engine import (ClockGatedComponent, StimulusSpec, active_mode_paths,
                      run_horizon)
 from .trace import SimulationTrace
+
+#: A leaf step: ``(inputs, state, tick) -> (outputs, next_state)``.
+StepFunction = Callable[[Mapping[str, Any], Any, int], Tuple[Dict[str, Any], Any]]
 
 #: Opcodes of the flat program (tuple-encoded; see :mod:`.op_emit`).
 (OP_RUN, OP_EXPR, OP_COPY, OP_BUF_READ, OP_BUF_WRITE, OP_GATE,
@@ -150,24 +158,32 @@ class FlatState:
 
 
 class _Leaf:
-    """One leaf step of the flat program: a leaf-compiled
-    :class:`~repro.simulation.compiled.CompiledSchedule` (an MTD's is its
-    mode controller), the :class:`FlatSchedule` of a composite that stays
-    a single step, or no schedule at all (``None``) for a pure expression
-    block, which its ``expr`` op evaluates inline.  ``modes`` holds the
+    """One leaf of the flat program and the step its ``run`` op calls.
+
+    ``step`` is the leaf's ``(inputs, state, tick) -> (outputs, state)``
+    step over the state ``initial_state()`` starts: an MTD's mode
+    controller, an STD's transition tables, a component's own ``react``,
+    or the step of ``nested``, the flat program of a composite, gate or
+    MTD that stays a single step.  A pure expression block has no step
+    (``None``): its ``expr`` op evaluates it inline.  ``modes`` holds the
     ``(controller leaf, mode name)`` of every enclosing ``select``
     region."""
 
-    __slots__ = ("index", "component", "schedule", "run_kind", "path",
-                 "mode_path", "modes")
+    __slots__ = ("index", "component", "run_kind", "step", "initial_state",
+                 "nested", "path", "mode_path", "modes")
 
-    def __init__(self, index: int, component: Component, schedule: Any,
-                 run_kind: str, path: str, mode_path: str,
+    def __init__(self, index: int, component: Component, run_kind: str,
+                 step: Optional[StepFunction],
+                 initial_state: Callable[[], Any],
+                 nested: Optional["FlatSchedule"],
+                 path: str, mode_path: str,
                  modes: Tuple[Tuple[int, str], ...]):
         self.index = index
         self.component = component
-        self.schedule = schedule
         self.run_kind = run_kind
+        self.step = step
+        self.initial_state = initial_state
+        self.nested = nested
         self.path = path
         self.mode_path = mode_path
         self.modes = modes
@@ -188,6 +204,142 @@ def is_flattenable(component: Component) -> bool:
         return type(component).react is ModeTransitionDiagram.react
     return (isinstance(component, CompositeComponent)
             and type(component).react is CompositeComponent.react)
+
+
+def _mode_controller_step(mtd: ModeTransitionDiagram) -> StepFunction:
+    """The step of an MTD's mode controller (paper Sec. 3.3): per-mode
+    transition tables with guards compiled to generated Python functions
+    (:mod:`repro.core.expr_compile`).
+
+    It emits the active mode's name (``#mode``) and its position in
+    ``modes()`` (``#index``, the condition of the ``select`` regions) over
+    the state ``{"mode": name}``.  Guards are evaluated against the
+    per-tick input dict directly: the reference ``react`` copies it first,
+    but the evaluator never mutates its environment.
+    """
+    if not mtd.modes():
+        raise ModelError(f"MTD {mtd.name!r} has no modes")
+    compiler = mtd._evaluator.compile  # noqa: SLF001 - same evaluator
+    results = {mode.name: ({"#mode": mode.name, "#index": position},
+                           {"mode": mode.name})
+               for position, mode in enumerate(mtd.modes())}
+    transition_table = {
+        mode.name: tuple((compiler(t.guard), results[t.target])
+                         for t in mtd.transitions_from(mode.name))
+        for mode in mtd.modes()}
+
+    def step(inputs: Mapping[str, Any], state: Any,
+             tick: int) -> Tuple[Dict[str, Any], Any]:
+        current = state["mode"]
+        for guard, result in transition_table[current]:
+            value = guard(inputs)
+            if is_present(value) and bool(value):
+                return result
+        return results[current]
+
+    return step
+
+
+#: Action-target classification for compiled STD transitions.
+_ASSIGN_VARIABLE, _ASSIGN_OUTPUT, _ASSIGN_INVALID = 0, 1, 2
+
+
+def _std_step(std: StateTransitionDiagram) -> StepFunction:
+    """The step of an STD: per-state sorted transition tables with
+    compiled guards, actions and emissions, over the STD's own state.
+
+    Tick-for-tick identical to :meth:`StateTransitionDiagram.react`,
+    including the invalid-action-target :class:`ModelError` path (classified
+    at compile time, raised when the offending transition fires) and the
+    ``state``-port emission precedence (explicit actions beat state
+    emissions beat the automatic state-name emission).
+    """
+    compiler = std._evaluator.compile  # noqa: SLF001 - same evaluator
+    std_name = std.name
+    output_names = tuple(std.output_names())
+    output_set = frozenset(output_names)
+    variable_names = frozenset(std.variables())
+    has_variables = bool(variable_names)
+    state_port = std.STATE_PORT if std.STATE_PORT in output_set else None
+
+    transition_table: Dict[str, Tuple[Any, ...]] = {}
+    emission_table: Dict[str, Tuple[Tuple[str, Any], ...]] = {}
+    for std_state in std.states():
+        rows = []
+        for transition in std.transitions_from(std_state.name):
+            actions = []
+            for target_name, expression in transition.actions.items():
+                if target_name in variable_names:
+                    kind = _ASSIGN_VARIABLE
+                elif target_name in output_set:
+                    kind = _ASSIGN_OUTPUT
+                else:
+                    kind = _ASSIGN_INVALID
+                actions.append((kind, target_name, compiler(expression)))
+            rows.append((compiler(transition.guard), transition.target,
+                         tuple(actions)))
+        transition_table[std_state.name] = tuple(rows)
+        # react() skips emissions to non-output names; filter at compile time
+        emission_table[std_state.name] = tuple(
+            (port_name, compiler(expression))
+            for port_name, expression in std_state.emissions.items()
+            if port_name in output_set)
+
+    initial_state_name = std.initial_state_name
+
+    def step(inputs: Mapping[str, Any], state: Any,
+             tick: int) -> Tuple[Dict[str, Any], Any]:
+        current = state["state"] or initial_state_name
+        variables = state["vars"]
+        if has_variables:
+            variables = dict(variables)
+            environment = dict(variables)
+            environment.update(inputs)
+        else:
+            # No local variables: guards/actions/emissions see the inputs
+            # only, and the (empty) vars dict is never mutated.
+            environment = inputs
+        outputs: Dict[str, Any] = {name: ABSENT for name in output_names}
+
+        fired = None
+        for guard, target, actions in transition_table[current]:
+            value = guard(environment)
+            if is_present(value) and bool(value):
+                fired = (target, actions)
+                break
+
+        variables_changed = False
+        if fired is not None:
+            target, actions = fired
+            for kind, target_name, compiled in actions:
+                result = compiled(environment)
+                if kind == _ASSIGN_VARIABLE:
+                    variables[target_name] = result
+                    variables_changed = True
+                elif kind == _ASSIGN_OUTPUT:
+                    outputs[target_name] = result
+                else:
+                    raise ModelError(
+                        f"action target {target_name!r} of STD "
+                        f"{std_name!r} is neither a local variable nor "
+                        "an output port")
+            current = target
+
+        if variables_changed:
+            emission_environment = dict(variables)
+            emission_environment.update(inputs)
+        else:
+            emission_environment = environment
+        for port_name, compiled in emission_table[current]:
+            if outputs[port_name] is ABSENT:
+                outputs[port_name] = compiled(emission_environment)
+
+        if state_port is not None and outputs[state_port] is ABSENT:
+            outputs[state_port] = current
+
+        return outputs, {"state": current, "vars": variables}
+
+    return step
 
 
 class _Flattener:
@@ -245,7 +397,7 @@ class _Flattener:
                 stack.pop()
             else:
                 stack.append(child)
-        program = tuple(tuple(op) for op in self._merge_copies(self.ops))
+        program = tuple(tuple(op) for op in self.ops)
         input_spec = tuple((name, in_slots[name])
                            for name in root.input_names())
         output_spec = tuple((name, out_slots[name])
@@ -256,40 +408,11 @@ class _Flattener:
         readout_spec = tuple(
             (leaf.index, self._new_slot(f"{leaf.path}.#state"))
             for leaf in self.leaves if machine_inventory(leaf.component)
-            or (leaf.component is root and leaf.schedule is not None))
+            or (leaf.component is root and leaf.step is not None))
         return FlatSchedule(root, program, self.n_slots, input_spec,
                             output_spec, self.leaves, self.buffer_initials,
                             self.scratch_count, self.fallback_paths,
                             tuple(self.slot_names), readout_spec)
-
-    def _merge_copies(self, ops: List[List[Any]]) -> List[List[Any]]:
-        """Peephole pass: fuse adjacent ``copy`` ops into one.
-
-        Boundary-output collection of a flattened child followed by the
-        parent's channel propagation emits back-to-back copy ops; copies
-        execute strictly in order, so fusing the pair lists is behaviour-
-        preserving and saves one dispatch per composite boundary per tick.
-        Region jump targets are recomputed from op identity.
-        """
-        merged: List[List[Any]] = []
-        gates = [op for op in ops if op[0] in REGION_OPS]
-        gate_targets = {gate[2] for gate in gates}
-        targets: Dict[int, Any] = {}  # original op index -> op at that index
-        for index, op in enumerate(ops):
-            targets[index] = op
-            if op[0] == OP_COPY and merged and merged[-1][0] == OP_COPY \
-                    and index not in gate_targets:
-                merged[-1][1] = merged[-1][1] + op[1]
-                targets[index] = merged[-1]
-                continue
-            merged.append(op)
-        targets[len(ops)] = None  # jump past the end
-        positions = {id(op): index for index, op in enumerate(merged)}
-        for gate in gates:
-            target_op = targets[gate[2]]
-            gate[2] = (len(merged) if target_op is None
-                       else positions[id(target_op)])
-        return merged
 
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], prefix: str, mode_path: str
@@ -320,9 +443,12 @@ class _Flattener:
             yield self._emit_composite(component, in_slots, out_slots,
                                        path, mode_path)
 
-    def _new_leaf(self, component: Component, schedule: Any, run_kind: str,
-                  path: str, mode_path: str) -> _Leaf:
-        leaf = _Leaf(len(self.leaves), component, schedule, run_kind, path,
+    def _new_leaf(self, component: Component, run_kind: str, path: str,
+                  mode_path: str, step: Optional[StepFunction] = None,
+                  initial_state: Optional[Callable[[], Any]] = None,
+                  nested: Optional["FlatSchedule"] = None) -> _Leaf:
+        leaf = _Leaf(len(self.leaves), component, run_kind, step,
+                     initial_state or component.initial_state, nested, path,
                      mode_path, tuple(self._modes))
         self.leaves.append(leaf)
         return leaf
@@ -335,10 +461,10 @@ class _Flattener:
         position in ``modes()``), one ``select`` region per mode behaviour,
         hoisted into the MTD's own slots, then the mode port, which wins
         over a behaviour's own ``mode`` output as in ``react``."""
-        from .compiled import compile_mode_controller
-
-        controller = compile_mode_controller(mtd)
-        leaf = self._new_leaf(mtd, controller, "mtd", path, mode_path)
+        initial_mode = mtd.initial_mode
+        leaf = self._new_leaf(mtd, "mtd", path, mode_path,
+                              _mode_controller_step(mtd),
+                              lambda: {"mode": initial_mode})
         index_slot = self._new_slot(f"{path}.#index")
         out_spec: Tuple[Tuple[str, int], ...] = (("#index", index_slot),)
         mode_port = out_slots.get(mtd.MODE_PORT)
@@ -346,8 +472,8 @@ class _Flattener:
             mode_slot = self._new_slot(f"{path}.#mode")
             out_spec += (("#mode", mode_slot),)
         in_spec = tuple((name, in_slots[name]) for name in mtd.input_names())
-        self.ops.append([OP_RUN, leaf.index, controller.step, in_spec,
-                         out_spec, (), -1])
+        self.ops.append([OP_RUN, leaf.index, leaf.step, in_spec, out_spec,
+                         (), -1])
         for position, mode in enumerate(mtd.modes()):
             if mode.behavior is None:
                 continue
@@ -370,12 +496,12 @@ class _Flattener:
         ``run`` op; returns the correction-barrier entry of a *tracked*
         ``run`` op (one a late producer may feed after it ran).
 
-        A composite, gate or MTD reaching here runs as a flat program of
-        its own, so the barrier can re-run it atomically from its tick-start
-        state, like the reference interpreter's second pass.
+        The ``run`` op's step: an STD's transition tables, any other
+        component's own ``react`` -- and for a composite, gate or MTD
+        reaching here, the step of a flat program of its own, so the
+        barrier can re-run it atomically from its tick-start state, like
+        the reference interpreter's second pass.
         """
-        from .compiled import compile_component
-
         path = f"{prefix}/{component.name}" if prefix else component.name
         if not component.has_behavior():
             raise SimulationError(
@@ -391,7 +517,7 @@ class _Flattener:
             # expression reads none of the inputs a late producer could
             # change, so the interpreter's compare-and-rerun is observably
             # a no-op for it.
-            leaf = self._new_leaf(component, None, "expr", path, mode_path)
+            leaf = self._new_leaf(component, "expr", path, mode_path)
             functions = component._evaluator.functions  # noqa: SLF001
             # expressions for undeclared ports are still evaluated (the
             # interpreter does, and evaluation may raise) but their
@@ -402,20 +528,27 @@ class _Flattener:
                           in component.output_expressions.items())
             self.ops.append([OP_EXPR, leaf.index, in_spec, items, propagate])
             return None
-        schedule = compile_component(component)
-        run_kind = "nested" if is_flattenable(component) else schedule.kind
-        leaf = self._new_leaf(component, schedule, run_kind, path, mode_path)
-        if run_kind == "nested":
+        if is_flattenable(component):
+            nested = compile_flat(component)
+            leaf = self._new_leaf(component, "nested", path, mode_path,
+                                  nested.step, nested.initial_state, nested)
             self.fallback_paths.append(path)
+        elif isinstance(component, StateTransitionDiagram) \
+                and type(component).react is StateTransitionDiagram.react:
+            leaf = self._new_leaf(component, "std", path, mode_path,
+                                  _std_step(component))
+        else:
+            leaf = self._new_leaf(component, "atomic", path, mode_path,
+                                  component.react)
         out_spec = tuple((name, out_slots[name])
                          for name in component.output_names())
         scratch, correction = -1, None
         if tracked:
             scratch = self.scratch_count
             self.scratch_count += 1
-            correction = (scratch, leaf.index, schedule.step, in_spec)
-        self.ops.append([OP_RUN, leaf.index, schedule.step, in_spec,
-                         out_spec, propagate, scratch])
+            correction = (scratch, leaf.index, leaf.step, in_spec)
+        self.ops.append([OP_RUN, leaf.index, leaf.step, in_spec, out_spec,
+                         propagate, scratch])
         return correction
 
     def _emit_composite(self, composite: CompositeComponent,
@@ -531,7 +664,7 @@ class _Flattener:
 class FlatSchedule:
     """A component hierarchy compiled into one linear slot program.
 
-    ``step`` has the leaf schedules' ``(inputs, state, tick) -> (outputs,
+    ``step`` has the leaf steps' ``(inputs, state, tick) -> (outputs,
     state)`` signature over a :class:`FlatState` that starts as
     :meth:`initial_state`.  The IR is inspectable through
     :meth:`ops_summary` (one line per op, named by hierarchical path),
@@ -600,10 +733,7 @@ class FlatSchedule:
 
     def initial_state(self) -> FlatState:
         """The flat initial state (built iteratively: deep-hierarchy safe)."""
-        return FlatState([leaf.component.initial_state()
-                          if leaf.schedule is None
-                          else leaf.schedule.initial_state()
-                          for leaf in self.leaves],
+        return FlatState([leaf.initial_state() for leaf in self.leaves],
                          list(self.buffer_initials))
 
     # -- whole horizons ----------------------------------------------------
@@ -625,13 +755,19 @@ class FlatSchedule:
         of the loop instead
         (:meth:`~repro.obs.context.Telemetry.observed_horizon`), which
         stops after the first tick whose outputs fail their type check,
-        as a stepped run does.
+        as a stepped run does.  The session's flight recorder is reset
+        before the stimuli are checked, so a run they reject leaves an
+        empty window, not the previous run's ticks.
         """
         enter = self._enter_horizon
         telemetry = _obs_active()
         observed = None if telemetry is None \
             else telemetry.observed_horizon(self)
         if observed is not None:
+            recorder = telemetry.recorders.get(self)
+            if recorder is not None:
+                recorder.begin_run()
+
             def enter(columns: List[List[Any]], runnable: int
                       ) -> Tuple[int, Optional[BaseException],
                                  List[List[Any]]]:
@@ -703,7 +839,7 @@ class FlatSchedule:
         """
         states = []
         for (index, _slot), column in zip(self.readout_spec, columns):
-            state = self.leaves[index].schedule.initial_state()
+            state = self.leaves[index].initial_state()
             carried = []
             for value in column:
                 if value is not ABSENT:
@@ -748,7 +884,7 @@ class FlatSchedule:
                 out[base] = [column[tick]["state"] or initial
                              for tick in live]
             elif leaf.run_kind == "nested":
-                inner = leaf.schedule
+                inner = leaf.nested
                 inner._histories([[column[tick].leaf_states[i]
                                    for tick in live]
                                   for i, _slot in inner.readout_spec],

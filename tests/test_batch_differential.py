@@ -459,10 +459,10 @@ def test_one_step_composites_agree_with_interpreter(seed):
 
     flat = compile_flat(model)
     leaves = {leaf.component.name: leaf for leaf in flat.leaves}
-    assert isinstance(leaves["C"].schedule, FlatSchedule)
+    assert isinstance(leaves["C"].nested, FlatSchedule)
     assert flat.fallback_paths == [f"{model.name}/C"]
     controller = leaves["M"]
-    assert controller.schedule.kind == "mtd"
+    assert controller.run_kind == "mtd"
     assert {leaf.modes for leaf in flat.leaves
             if leaf.path.startswith(f"{model.name}/M/")} \
         == {((controller.index, "Low"),), ((controller.index, "High"),)}

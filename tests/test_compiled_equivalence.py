@@ -431,10 +431,7 @@ def random_std(rng, name="RandSTD"):
 
 
 def test_compiled_std_kind_registered(crank_sequencer_std):
-    from repro.simulation import compile_component
     from repro.simulation import compile_flat
-    schedule = compile_component(crank_sequencer_std)
-    assert schedule.kind == "std"
     assert compile_flat(crank_sequencer_std).ops_summary() == [
         "   0       run  CrankSequencer [std]"]
 
@@ -542,7 +539,8 @@ def test_std_subclass_with_custom_react_falls_back_to_atomic():
     std.add_state("A", initial=True)
     std.add_state("B")
     std.add_transition("A", "B", "x > 0")
-    assert compile_component(std).kind == "atomic"
+    assert compile_component(std).ops_summary() == [
+        "   0       run  Custom [atomic]"]
     assert_engines_agree(std, {"x": [0, 1, 2]}, 3)
 
 

@@ -3,8 +3,8 @@ gating predicates, correction barriers and mode observability.
 
 The differential suites in ``tests/test_compiled_equivalence.py`` and the
 golden traces already run on the flat path (it is what
-:func:`repro.simulation.compile_component` now produces for flattenable
-roots); this module pins the *contracts* of the new layer: which roots
+:func:`repro.simulation.compile_component` returns for every root);
+this module pins the *contracts* of the new layer: which roots
 flatten, that ``ops_summary`` names every op of the program by its
 hierarchical path, that compilation is iterative (5000-level regression), that clock-gated
 subtrees hold state and suppress emissions across skip ticks exactly like
@@ -136,41 +136,76 @@ def gated_mtd_system(clock, direct=False):
 # -- backend selection ---------------------------------------------------------
 
 
-def test_compile_component_selects_flat_for_flattenable_roots():
-    model = accumulator_in_composite()
-    assert is_flattenable(model)
-    assert isinstance(compile_component(model), FlatSchedule)
-
-    gated = ClockGatedComponent(accumulator_in_composite(), every(2))
-    assert is_flattenable(gated)
-    assert isinstance(compile_component(gated), FlatSchedule)
-
-    mtd = modes_mtd()
-    assert is_flattenable(mtd)
-    schedule = compile_component(mtd)
-    assert isinstance(schedule, FlatSchedule)
-    assert schedule.leaves[0].component is mtd
-    assert schedule.leaves[0].schedule.kind == "mtd"
-
-    gated_mtd = ClockGatedComponent(modes_mtd(), every(2))
-    assert is_flattenable(gated_mtd)
-    assert isinstance(compile_component(gated_mtd), FlatSchedule)
+class TracingSTD(StateTransitionDiagram):
+    def react(self, inputs, state, tick):
+        return super().react(inputs, state, tick)
 
 
-def test_custom_react_composite_is_not_flattened():
-    class TracingDFD(DataFlowDiagram):
-        def react(self, inputs, state, tick):
-            return super().react(inputs, state, tick)
+class TracingDFD(DataFlowDiagram):
+    def react(self, inputs, state, tick):
+        return super().react(inputs, state, tick)
 
+
+def toggle_std(cls=StateTransitionDiagram):
+    std = cls("Toggle")
+    std.add_input("x")
+    std.add_output("state")
+    std.add_state("A", initial=True)
+    std.add_state("B")
+    std.add_transition("A", "B", "x > 0")
+    std.add_transition("B", "A", "x <= 0")
+    return std
+
+
+def traced_gain_dfd():
     model = TracingDFD("Custom")
     model.add_input("u")
     model.add_output("y")
-    gain = Gain("G", 3.0)
-    model.add_subcomponent(gain)
+    model.add_subcomponent(Gain("G", 3.0))
     model.connect("u", "G.in1")
     model.connect("G.out", "y")
+    return model
+
+
+#: Every kind of root, and the ``ops_summary()`` line naming the kind of
+#: the leaf its flat program runs: hoisted roots name their leaves by
+#: path, a bare leaf root is a one-op program.
+COMPILED_ROOTS = {
+    "composite": (accumulator_in_composite,
+                  "   6       run  Outer/G [atomic]"),
+    "gate": (lambda: ClockGatedComponent(accumulator_in_composite(),
+                                         every(2)),
+             "   7       run  Outer_gated/Outer/G [atomic]"),
+    "mtd": (modes_mtd, "   0       run  Modes [mtd]"),
+    "gated_mtd": (lambda: ClockGatedComponent(modes_mtd(), every(2)),
+                  "   1       run  Modes_gated/Modes [mtd]"),
+    "std": (toggle_std, "   0       run  Toggle [std]"),
+    "atomic": (lambda: Gain("G", 3.0), "   0       run  G [atomic]"),
+    "custom_react_std": (lambda: toggle_std(TracingSTD),
+                         "   0       run  Toggle [atomic]"),
+    "custom_react_dfd": (traced_gain_dfd, "   0       run  Custom [atomic]"),
+}
+
+
+@pytest.mark.parametrize("root", sorted(COMPILED_ROOTS))
+def test_compile_component_returns_the_flat_program(root):
+    """One compile contract: every root with behaviour compiles to its
+    flat program, lint-gated or not."""
+    build, leaf_line = COMPILED_ROOTS[root]
+    model = build()
+    schedule = compile_component(model)
+    assert isinstance(schedule, FlatSchedule)
+    assert leaf_line in schedule.ops_summary()
+    assert schedule.ops_summary() == compile_flat(model).ops_summary()
+    verified = compile_component(model, verify=True)
+    assert isinstance(verified, FlatSchedule)
+    assert verified.ops_summary() == schedule.ops_summary()
+    assert is_flattenable(model) == (len(schedule.program) > 1)
+
+
+def test_custom_react_composite_is_not_flattened():
+    model = traced_gain_dfd()
     assert not is_flattenable(model)
-    assert compile_component(model).kind == "atomic"
     reference = Simulator(model).run({"u": [1, 2, 3]}, 3)
     compiled = CompiledSimulator(model).run({"u": [1, 2, 3]}, 3)
     assert first_difference(reference, compiled) is None
@@ -188,12 +223,13 @@ def test_linear_steps_pin_exact_format():
     ``G.out -> y`` in ``Outer``)."""
     schedule = compile_flat(accumulator_in_composite())
     assert schedule.ops_summary() == [
-        "   0      copy  copy (2 pairs)",
-        "   1       run  Outer/Inner/Z [atomic] (correction-tracked)",
-        "   2      expr  Outer/Inner/ADD [expr]",
-        "   3   correct  correction barrier (1)",
-        "   4      copy  copy (1 pair)",
-        "   5       run  Outer/G [atomic]",
+        "   0      copy  copy (1 pair)",
+        "   1      copy  copy (1 pair)",
+        "   2       run  Outer/Inner/Z [atomic] (correction-tracked)",
+        "   3      expr  Outer/Inner/ADD [expr]",
+        "   4   correct  correction barrier (1)",
+        "   5      copy  copy (1 pair)",
+        "   6       run  Outer/G [atomic]",
     ]
     assert schedule.fallback_paths == []
 
@@ -205,7 +241,7 @@ def test_linear_steps_pin_exact_format():
 GATED_MTD_OPS = {
     False: ["   0      copy  copy (1 pair)",
             "   1      expr  Sys/Pre [expr]",
-            "   2      gate  gate -> 11",
+            "   2      gate  gate -> 12",
             "   3      copy  copy (1 pair)",
             "   4       run  Sys/Plant/PlantCore/Scale [atomic]",
             "   5       run  Sys/Plant/PlantCore/Modes [mtd]",
@@ -213,8 +249,9 @@ GATED_MTD_OPS = {
             "   7      expr  Sys/Plant/PlantCore/Modes/Low/LowB [expr]",
             "   8    select  select -> 10",
             "   9      expr  Sys/Plant/PlantCore/Modes/High/HighB [expr]",
-            "  10      copy  copy (3 pairs)",
-            "  11      copy  copy (2 pairs)"],
+            "  10      copy  copy (1 pair)",
+            "  11      copy  copy (2 pairs)",
+            "  12      copy  copy (2 pairs)"],
     True: ["   0      copy  copy (1 pair)",
            "   1      expr  Sys/Pre [expr]",
            "   2      gate  gate -> 9",
@@ -474,7 +511,7 @@ def test_late_produced_composite_falls_back_to_nested():
     flat = compile_flat(parent)
     assert flat.fallback_paths == ["Parent/Child"]
     child_leaf, = [leaf for leaf in flat.leaves if leaf.component is child]
-    assert isinstance(child_leaf.schedule, FlatSchedule)
+    assert isinstance(child_leaf.nested, FlatSchedule)
     assert flat.ops_summary() == [
         "   0      copy  copy (1 pair)",
         "   1       run  Parent/Child [nested] (correction-tracked)",

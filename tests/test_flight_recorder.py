@@ -369,6 +369,21 @@ def test_a_scenario_that_never_ran_dumps_no_bundle(tmp_path):
     assert bundles == [] and os.listdir(str(tmp_path)) == []
 
 
+def test_a_scenario_with_rejected_stimuli_dumps_no_bundle(tmp_path):
+    """Stimuli for an unknown port are rejected before any tick runs: the
+    ring is reset first, so no bundle carries the previous scenario's
+    ticks under the rejected scenario's name."""
+    batch = [Scenario("healthy", {"u": 1.0, "d": 2.0}, 8),
+             Scenario("typo", {"u": 1.0, "dd": 2.0}, 8)]
+    with obs.session(flight_recording=True, ring_ticks=4,
+                     postmortem_dir=str(tmp_path)) as telemetry:
+        results = run_sharded(divider_model(), batch, executor="serial")
+        bundles = list(telemetry.bundles)
+    assert [result.ok for result in results] == [True, False]
+    assert "dd" in results[1].error
+    assert bundles == [] and os.listdir(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("late_error", [False, True],
                          ids=["output_check", "later_op_error"])
 def test_observed_window_ends_at_the_failing_output_check(tmp_path,

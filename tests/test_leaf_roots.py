@@ -578,7 +578,7 @@ def test_gated_leaf_keeps_its_linear_steps(leaf, context):
     if context == "behaviour":
         controller = schedule.leaves[0]
         assert controller.component is model
-        assert controller.schedule.kind == "mtd"
+        assert controller.run_kind == "mtd"
         assert [leaf.modes for leaf in schedule.leaves[1:3]] \
             == [((0, "Idle"),), ((0, "Busy"),)]
 

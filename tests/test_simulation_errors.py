@@ -116,9 +116,10 @@ def test_mtd_without_modes_rejected_by_both_engines():
         Simulator(mtd)
     with pytest.raises(SimulationError, match="no executable behaviour"):
         CompiledSimulator(mtd)
-    # the compiler's own guard fires when bypassing the simulator front door
+    # bypassing the simulator front door, the mode controller's own guard
+    # fires (an MTD is hoisted, not refused as a leaf)
     from repro.simulation import compile_component
-    with pytest.raises(ModelError, match="has no modes"):
+    with pytest.raises(ModelError, match="MTD 'Empty' has no modes"):
         compile_component(mtd)
 
 
@@ -159,9 +160,11 @@ def test_std_without_states_rejected_by_both_engines():
         Simulator(std)
     with pytest.raises(SimulationError, match="no executable behaviour"):
         CompiledSimulator(std)
-    # the compiler's own guard fires when bypassing the simulator front door
+    # bypassing the simulator front door, the flattener refuses the leaf
     from repro.simulation import compile_component
-    with pytest.raises(ModelError, match="has no states"):
+    with pytest.raises(SimulationError,
+                       match="component 'EmptySTD' has no executable "
+                             "behaviour"):
         compile_component(std)
 
 
