@@ -18,14 +18,18 @@ deterministic counts that :mod:`repro.obs` records for traced pooled
 runs: one task per scenario (``shard_dispatched`` events and
 ``runner.worker_task`` spans) and compiles counted where they happen
 (``compile.simulators``).  Pools are warm and shared by every campaign
-of the same executor and size, so each gate's model carries a name no
-other test uses, and its first campaign compiles exactly once per worker
-that ran a task: 32 tasks on 4 workers pay at most 4 compiles.  An
-identical second campaign runs on the same pool: a process worker that
-already compiled the model compiles nothing (only a pool worker that ran
-no task of the first campaign may compile, once), while thread workers
-compile once per campaign.  Process and thread pools run one task
-function, so both count gates run on both.  A chunked run
+of the same executor and size, and every thread keeps its compiled
+simulators keyed by the model's content, so each gate's model carries a
+name no other test uses, and its first campaign compiles exactly once
+per worker that ran a task: 32 tasks on 4 workers pay at most 4
+compiles.  An identical second campaign runs on the same pool: a worker
+that already compiled the model compiles nothing (only a pool worker
+that ran no task of the first campaign may compile, once).  Process and
+thread pools run one task function, so both count gates run on both.
+The simulator-cache gate runs three identical serial ``run_with_report``
+campaigns on the gated CCD: one compile, at most one promotion to
+native (exactly one with a C compiler), and once the promotion is
+joined every scenario of a later campaign is one C entry.  A chunked run
 (``chunk_size=8``) on a batch that does not divide evenly checks that the
 pool receives exactly the ``chunk_size`` slices, one task each, and a
 ``backend="batch"`` run checks that the alias dispatches one task per
@@ -51,9 +55,11 @@ from repro.io import trace_to_json
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.obs.events import EventLog
-from repro.scenarios import RandomWalk, Scenario, run_sharded
+from repro.scenarios import RandomWalk, Scenario, run_sharded, run_with_report
 from repro.simulation import (CompiledSimulator, ScenarioSuite,
-                              build_gated_ccd, first_difference)
+                              build_gated_ccd, first_difference,
+                              native_available)
+from repro.simulation.native.tiering import join_promotions
 from repro.transformations.clustering import cluster_by_clock
 
 from _bench_utils import report
@@ -129,9 +135,8 @@ def test_p3_sharded_vs_serial_ccd_batch(executor):
     """Acceptance gate on counts: one task per scenario; the first
     campaign of a model compiles once per worker that ran a task, however
     many tasks it ran; an identical second campaign runs on the same pool
-    and compiles only where the worker cache cannot hold the model (a
-    thread pool's new campaign, a process worker new to the model);
-    byte-identical traces."""
+    and compiles only on a worker new to the model; byte-identical
+    traces."""
     gated = _gated_ccd_workload(name=f"P3Sharded_{executor}")
     batch = _batch()
 
@@ -155,10 +160,7 @@ def test_p3_sharded_vs_serial_ccd_batch(executor):
     assert tasks == BATCH_SIZE
     # one shared pool: no worker was started for the second campaign
     assert len(workers | rerun_workers) <= WORKERS
-    if executor == "process":
-        assert recompiles == len(rerun_workers - workers)
-    else:
-        assert recompiles == len(rerun_workers)
+    assert recompiles == len(rerun_workers - workers)
     assert [trace_to_json(result.trace) for result in again] \
         == [trace_to_json(result.trace) for result in results]
 
@@ -243,3 +245,33 @@ def test_p3_per_worker_compile_amortization():
                  f"compile-per-scenario pool; batch wall-clock "
                  f"{t_sharded:.3f}s")
     assert pool_compiles < naive_compiles
+
+
+def test_p3_simulator_cache_count_gate():
+    """Three identical serial ``run_with_report`` campaigns on the gated
+    CCD compile it once, promote the cached tiered simulator at most once
+    (exactly once with a C compiler), and once the promotion is joined
+    run every scenario of a later campaign as one C entry, with
+    byte-identical traces throughout."""
+    gated = _gated_ccd_workload(name="P3SimulatorCache")
+    batch = _batch(16, ticks=TICKS)
+    counts, traces = [], []
+    for _ in range(3):
+        with obs.session() as telemetry:
+            results, _report = run_with_report(gated, batch,
+                                               executor="serial")
+        join_promotions(timeout=120)
+        counters = telemetry.registry.counter_values("")
+        counts.append((counters.get("compile.simulators", 0),
+                       counters.get("compile.native_promotions", 0),
+                       counters.get("native.runs", 0)))
+        traces.append([trace_to_json(result.trace) for result in results])
+    report("P3", f"3 serial campaigns of {len(batch)} scenarios on the "
+                 f"gated CCD: (compiles, promotions, C entries) per "
+                 f"campaign {counts}")
+    compiles, promotions, _entries = map(sum, zip(*counts))
+    assert compiles == counts[0][0] == 1
+    assert promotions == (1 if native_available() else 0)
+    later = [entries for _, _, entries in counts[1:]]
+    assert later == [len(batch) if native_available() else 0] * 2
+    assert traces[0] == traces[1] == traces[2]

@@ -482,6 +482,14 @@ class CompositeComponent(Component):
         self._channels: List[Channel] = []
         self._plan_cache: Optional[ExecutionPlan] = None
 
+    # The execution plan is derived state: a pickle carries only the
+    # structure, so a model pickles to the same bytes before and after a
+    # compile (the sharded runner keys its simulator cache by those bytes).
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_plan_cache"] = None
+        return state
+
     # -- structure -------------------------------------------------------------
     def add_subcomponent(self, component: Component) -> Component:
         if component.name in self._subcomponents:

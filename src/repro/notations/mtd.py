@@ -79,6 +79,13 @@ class ModeTransitionDiagram(Component):
         self._initial_mode: Optional[str] = None
         self._evaluator = evaluator or ExpressionEvaluator()
 
+    # The sorted outgoing tables are derived state, left out of a pickle
+    # (see ``CompositeComponent.__getstate__``).
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_outgoing_cache"] = {}
+        return state
+
     # -- construction ------------------------------------------------------------
     def add_mode(self, name: str, behavior: Optional[Component] = None,
                  initial: bool = False, description: str = "") -> Mode:

@@ -75,6 +75,13 @@ class StateTransitionDiagram(Component):
         self._variables: Dict[str, Any] = {}
         self._evaluator = evaluator or ExpressionEvaluator()
 
+    # The sorted outgoing tables are derived state, left out of a pickle
+    # (see ``CompositeComponent.__getstate__``).
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_outgoing_cache"] = {}
+        return state
+
     # -- construction -----------------------------------------------------------
     def add_state(self, name: str, initial: bool = False, description: str = "",
                   emissions: Optional[Mapping[str, Any]] = None) -> STDState:

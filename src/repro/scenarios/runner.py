@@ -12,11 +12,12 @@ run carries its own state -- so this module shards a batch across a
   nested functions and unpicklable by design), and scenarios stream to
   workers one by one (or in chunks) with results streaming back as they
   complete;
-* **thread pool**: no pickling, so models with opaque Python callables
-  work; each worker thread still compiles its own schedule so no mutable
-  compile-time cache is shared across threads;
+* **thread pool**: the model itself travels, so models with opaque
+  Python callables work; each worker thread compiles its own simulator,
+  so no simulator is shared across threads;
 * **serial**: an inline executor that runs the whole batch as one task in
-  the calling thread, under the caller's own telemetry session.
+  the calling thread, on the calling thread's own simulator and under the
+  caller's own telemetry session.
 
 All three run one task function -- :func:`_worker_task`, given the
 campaign's :class:`_TaskSpec` and one chunk of scenarios -- and one
@@ -25,15 +26,22 @@ dispatch loop in :func:`run_sharded`.
 **Warm pools.**  Thread and process pools are shared: one per
 ``(executor, size)``, created at first use and kept until the
 interpreter exits (``concurrent.futures`` joins their workers then), so
-a campaign does not pay for starting and stopping a pool.  Each worker
-keeps its last few compiled simulators (:data:`SIMULATOR_CACHE_SIZE`),
-keyed by the model, ``check_types`` and ``backend``.  A process pool
-keys the model by the digest of its pickle, so an unchanged model
-compiles once per worker process however many campaigns run it, and a
-model changed after a campaign compiles afresh; a thread pool keys it
-per campaign, so its workers compile once per campaign.  A pool broken
-by a crashed worker is dropped from the registry, so the next campaign
-forks a fresh one.  A pool's workers keep the environment the process
+a campaign does not pay for starting and stopping a pool.  Every thread
+that runs tasks -- a process worker, a pool thread, the caller of a
+serial run -- keeps its last few compiled simulators
+(:data:`SIMULATOR_CACHE_SIZE`) under one key rule: the digest of the
+model's pickle plus ``check_types`` and ``backend``.  A model's pickle
+depends only on its content (derived compile caches are left out), so an
+unchanged model is compiled once per model per thread or process however
+many campaigns run it, and a model edited between campaigns compiles
+afresh.  A cached ``auto`` simulator keeps its tiering state: the first
+campaign pays for the promotion to native and later ones run the C loop.
+A model that cannot be pickled (a custom ``react`` closure, say) gets a
+token of its own campaign instead, so serial and thread runs compile it
+once per campaign.  No simulator is ever shared between threads, and a
+forked child starts with an empty cache.  A pool broken by a crashed
+worker is dropped from the registry, so the next campaign forks a fresh
+one.  A pool's workers keep the environment the process
 had when the pool was first used (``REPRO_NATIVE_CACHE``, say); results
 do not depend on it, because the shared-object cache is
 content-addressed.
@@ -284,9 +292,10 @@ class _TaskSpec(NamedTuple):
 
     *model* is the pickled component for a process pool and the component
     itself otherwise, so threads keep serving unpicklable models.  *key*
-    names the model in the worker's simulator cache: the digest of the
-    pickle for a process pool, a fresh object per campaign for a thread
-    pool, and ``None`` (no cache: compile per task) for a serial run.
+    names the model in the running thread's simulator cache, under every
+    executor: the 16-byte digest of the model's pickle, or a token of
+    the campaign for a model that cannot be pickled (:func:`_model_key`);
+    the cache key adds ``check_types`` and ``backend``.
     *config* holds the settings of the caller's telemetry session for an
     observed pool, and is ``None`` for an unobserved pool and for serial
     runs: tasks then run under the worker thread's own session, which is
@@ -302,37 +311,35 @@ class _TaskSpec(NamedTuple):
     config: Optional[Dict[str, Any]]
 
 
-#: Compiled simulators each worker keeps, least recently used dropped
-#: first.
-SIMULATOR_CACHE_SIZE = 4
+#: Compiled simulators each thread keeps, least recently used dropped
+#: first.  A pass over 8 models on 2 backends uses 16 keys; an LRU that
+#: cycles through more keys than it holds misses on every lookup.
+SIMULATOR_CACHE_SIZE = 32
 
-#: The calling thread's simulator cache: a pool thread's or a pool
-#: process's.
+#: The calling thread's simulator cache: a pool thread's, a pool
+#: process's, or a serial caller's.
 _WORKER = threading.local()
 
 
 def _simulator(spec: _TaskSpec) -> CompiledSimulator:
-    """This worker's simulator for *spec*: cached, or compiled here, in
+    """This thread's simulator for *spec*: cached, or compiled here, in
     the task's session, so ``compile.simulators`` counts it where it
     happens."""
-    cache: Optional[OrderedDict] = None
-    if spec.key is not None:
-        cache = getattr(_WORKER, "cache", None)
-        if cache is None:
-            cache = _WORKER.cache = OrderedDict()
-        key = (spec.key, spec.check_types, spec.backend)
-        simulator = cache.get(key)
-        if simulator is not None:
-            cache.move_to_end(key)
-            return simulator
+    cache: Optional[OrderedDict] = getattr(_WORKER, "cache", None)
+    if cache is None:
+        cache = _WORKER.cache = OrderedDict()
+    key = (spec.key, spec.check_types, spec.backend)
+    simulator = cache.get(key)
+    if simulator is not None:
+        cache.move_to_end(key)
+        return simulator
     model = pickle.loads(spec.model) if spec.executor == "process" \
         else spec.model
     simulator = CompiledSimulator(model, check_types=spec.check_types,
                                   backend=spec.backend)
-    if cache is not None:
-        cache[key] = simulator
-        if len(cache) > SIMULATOR_CACHE_SIZE:
-            cache.popitem(last=False)
+    cache[key] = simulator
+    if len(cache) > SIMULATOR_CACHE_SIZE:
+        cache.popitem(last=False)
     return simulator
 
 
@@ -428,15 +435,27 @@ def _validate_batch(scenarios: Sequence[Scenario]) -> List[Scenario]:
     return batch
 
 
-def _pickle_model(component: Component) -> bytes:
+def _model_key(component: Component, executor: str) -> Tuple[Any, Any]:
+    """The campaign's model key and the model its tasks carry.
+
+    The key is the 16-byte ``blake2b`` digest of the model's pickle,
+    under every executor.  A model that cannot be pickled gets a fresh
+    token instead, so it compiles once per campaign and thread; a
+    process pool cannot ship it at all and raises.
+    """
     try:
-        return pickle.dumps(component)
+        payload = pickle.dumps(component)
     except Exception as exc:  # noqa: BLE001 - report the real cause
-        raise SimulationError(
-            f"model {component.name!r} cannot be shipped to worker processes "
-            f"({type(exc).__name__}: {exc}); models with opaque Python "
-            "callables are process-shard-incompatible -- use "
-            "executor='thread' or executor='serial' instead") from exc
+        if executor == "process":
+            raise SimulationError(
+                f"model {component.name!r} cannot be shipped to worker "
+                f"processes ({type(exc).__name__}: {exc}); models with "
+                "opaque Python callables are process-shard-incompatible -- "
+                "use executor='thread' or executor='serial' instead") \
+                from exc
+        return object(), component
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return digest, payload if executor == "process" else component
 
 
 #: The warm pools, one per ``(executor, size)``.
@@ -495,8 +514,16 @@ def _forget_pools() -> None:
     _POOLS_LOCK = threading.Lock()
 
 
+def _forget_simulators() -> None:
+    """A forked child compiles its own simulators: one inherited from the
+    forking thread may carry a promotion whose thread the child lacks."""
+    global _WORKER
+    _WORKER = threading.local()
+
+
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_forget_simulators)
 
 
 def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
@@ -518,10 +545,14 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     the first campaign that asks for that executor and size and kept
     until the interpreter exits; spans and events report
     ``min(max_workers, len(batch))`` workers.  Every task carries the
-    model, and a worker compiles it only when its simulator cache misses:
-    a process worker once per model, ``check_types`` and ``backend``
-    across campaigns, a thread worker once per campaign, a serial run
-    once per call.  A compile failure is isolated like any failing task.
+    model and one cache key -- the digest of the model's pickle plus
+    ``check_types`` and ``backend`` -- and the thread that runs it (a
+    process worker, a pool thread, the caller of a serial run) compiles
+    only when its simulator cache misses: once per model per thread or
+    process across campaigns, or once per campaign for a model that
+    cannot be pickled.  A cached ``auto`` simulator keeps its promotion
+    to native across campaigns.  A compile failure is isolated like any
+    failing task.
 
     *backend* selects the worker simulators' schedule backend (forwarded
     to :class:`~repro.simulation.compiled.CompiledSimulator`).  With
@@ -577,11 +608,7 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
                   "postmortem_dir": parent.postmortem_dir}
     size = 1 if executor == "serial" else max_workers or os.cpu_count() or 1
     workers = min(size, len(batch))
-    if executor == "process":
-        model: Any = _pickle_model(component)
-        key: Any = hashlib.blake2b(model, digest_size=16).digest()
-    else:
-        model, key = component, None if executor == "serial" else object()
+    key, model = _model_key(component, executor)
     spec = _TaskSpec(executor, key, model, check_types, collect_modes,
                      backend, config)
     chunk = len(batch) if executor == "serial" else chunk_size or 1

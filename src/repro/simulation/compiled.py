@@ -147,7 +147,11 @@ class CompiledSimulator:
     flat and counts ``compile.native_promotion_failures``).  A simulator
     that is only constructed, or run once, starts no thread.
     :attr:`schedule` stays the flat schedule the constructor built;
-    :meth:`join_promotion` waits for an in-flight lowering.
+    :meth:`join_promotion` waits for an in-flight lowering.  The tiering
+    state belongs to the simulator, so it persists across campaigns: the
+    sharded runner (:func:`~repro.scenarios.runner.run_sharded`) caches
+    one simulator per model per thread or process, whose first campaign
+    pays for the promotion and whose later campaigns run the C loop.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -357,10 +361,14 @@ class ScenarioSuite:
         :meth:`run_all`, in the same order).
 
         Delegates to :func:`repro.scenarios.runner.run_sharded`, on its
-        shared warm pool: each task carries the pickled *model*, and a
-        worker process compiles the schedule on its first task of the
-        model and reuses it for later tasks and suites, so stimuli must
-        be picklable for ``executor="process"`` (the generators of
+        shared warm pool: each task carries the model (pickled for
+        ``executor="process"``) and one cache key, the digest of the
+        model's pickle plus ``check_types`` and ``backend``, so each
+        worker thread or process compiles the model once, on its first
+        task of it, and reuses that simulator for later tasks and suites.
+        The pool compiles its own simulators: this suite's
+        :attr:`simulator` runs only :meth:`run_all`.  Stimuli must be
+        picklable for ``executor="process"`` (the generators of
         :mod:`repro.scenarios.generators` are).  A
         failing scenario raises :class:`SimulationError` here, mirroring
         :meth:`run_all`'s behaviour of propagating the first error.

@@ -243,8 +243,11 @@ def _code(source: str, filename: str) -> Any:
     """The code object of generated *source*, compiled once per process.
 
     Code objects are immutable and every ``exec`` runs one in a fresh
-    namespace of bound objects, so recompiling a model (a fresh simulator
-    per campaign) reuses the bytecode of its identical generated source.
+    namespace of bound objects, so recompiling a model reuses the
+    bytecode of its identical generated source: the sharded runner
+    compiles each model once per thread or process, and every further
+    simulator of the model (another thread's, a rebuilt model's) shares
+    its code objects.
     """
     return compile(source, filename, "exec")
 

@@ -63,8 +63,10 @@ class FakeClock:
 # -- models -----------------------------------------------------------------
 
 
-def gated_accumulator():
-    """A flattenable hierarchy with a clock gate and a delay buffer."""
+def gated_accumulator(name="Outer"):
+    """A flattenable hierarchy with a clock gate and a delay buffer.  A
+    test that counts compiles under a runner names it uniquely: every
+    thread caches its simulators by the model's content."""
     inner = DataFlowDiagram("Inner")
     inner.add_input("u")
     inner.add_output("y")
@@ -78,7 +80,7 @@ def gated_accumulator():
     inner.connect("ADD.out", "y")
     gated = ClockGatedComponent(inner, every(2), name="Slow")
 
-    outer = DataFlowDiagram("Outer")
+    outer = DataFlowDiagram(name)
     outer.add_input("u")
     outer.add_output("y")
     gain = Gain("G", 2.0)
@@ -531,19 +533,21 @@ def test_traced_campaign_opens_one_run_span_per_scenario(engine_modes_mtd,
         assert runs == [(model.name, 12)] * len(batch), model.name
 
 
-def test_compiles_are_counted_where_they_happen(engine_modes_mtd):
+def test_compiles_are_counted_where_they_happen():
     """``compile.simulators`` counts every ``CompiledSimulator`` built:
     once for a serial campaign, once per pool thread however many tasks
-    it runs."""
+    it runs.  Simulators are cached per thread across campaigns, so the
+    model's name is new to the caller's and the pool threads' caches."""
+    model = build_engine_modes_mtd("CountedWhereTheyHappen")
     with obs.session() as telemetry:
-        CompiledSimulator(engine_modes_mtd)
-        CompiledSimulator(engine_modes_mtd, backend="auto")
+        CompiledSimulator(model)
+        CompiledSimulator(model, backend="auto")
     assert telemetry.registry.counter("compile.simulators").value == 2
 
     batch = _engine_batch(count=8, ticks=5)
     for executor, workers in (("serial", 1), ("thread", 2)):
         with obs.session() as telemetry:
-            results = run_sharded(engine_modes_mtd, batch, executor=executor,
+            results = run_sharded(model, batch, executor=executor,
                                   max_workers=workers)
         assert all(result.ok for result in results)
         compiles = telemetry.registry.counter("compile.simulators").value
@@ -588,8 +592,8 @@ def test_thread_pool_telemetry_nests_under_the_caller(backend):
     sys.setswitchinterval(1e-6)
     try:
         with obs.session() as telemetry:
-            results = run_sharded(gated_accumulator(), batch,
-                                  executor="thread", max_workers=2,
+            results = run_sharded(gated_accumulator("NestsUnderCaller"),
+                                  batch, executor="thread", max_workers=2,
                                   backend=backend)
     finally:
         sys.setswitchinterval(interval)

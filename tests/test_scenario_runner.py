@@ -5,8 +5,10 @@ the suite with ``-m "not parallel"``; the serial and thread executors keep
 the runner covered everywhere.
 """
 
+import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -16,16 +18,24 @@ import time
 import pytest
 
 import repro
-from repro import obs
+from repro import casestudy, obs
 from repro.casestudy import build_engine_modes_mtd
-from repro.core.components import Component
+from repro.core.components import (Component, ExpressionComponent,
+                                   FunctionComponent)
 from repro.core.errors import SimulationError
+from repro.core.expr_parser import parse_expression
 from repro.core.values import ABSENT
 from repro.io import trace_to_json
+from repro.notations.blocks import Gain
+from repro.notations.dfd import DataFlowDiagram
+from repro.notations.std import StateTransitionDiagram
 from repro.obs.events import EventLog
-from repro.scenarios import RandomWalk, Scenario, run_sharded, runner
-from repro.simulation import (ScenarioSuite, first_difference,
-                              native_available)
+from repro.scenarios import (RandomWalk, Scenario, run_sharded,
+                             run_with_report, runner)
+from repro.simulation import (CompiledSimulator, ScenarioSuite,
+                              first_difference, native_available)
+from repro.simulation.native import tiering
+from repro.simulation.native.tiering import join_promotions
 
 #: The ``src`` directory holding :mod:`repro`, for subprocesses.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -631,3 +641,225 @@ def test_warm_pool_workers_exit_with_the_interpreter():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# -- the simulator cache: one compile per model per thread or process -------
+
+
+def _tiered_model(name, length=24):
+    """A chain the tiered ``auto`` backend promotes to native: *length*
+    expression blocks, then a Gain (``y``) and a threshold STD
+    (``level``), the only two ``run`` ops."""
+    dfd = DataFlowDiagram(name)
+    dfd.add_input("u")
+    dfd.add_output("y")
+    dfd.add_output("level")
+    previous = "u"
+    for index in range(length):
+        block = ExpressionComponent(f"B{index}", {"out": "in1 + 1"})
+        block.declare_interface_from_expressions()
+        dfd.add_subcomponent(block)
+        dfd.connect(previous, f"B{index}.in1")
+        previous = f"B{index}.out"
+    dfd.add_subcomponent(Gain("G", 2.0))
+    dfd.connect(previous, "G.in1")
+    dfd.connect("G.out", "y")
+    std = StateTransitionDiagram("Level")
+    std.add_input("a")
+    std.add_output("out")
+    std.add_state("Low", emissions={"out": "a"})
+    std.add_state("High", emissions={"out": "a - 100"})
+    std.add_transition("Low", "High", "a > 60")
+    std.add_transition("High", "Low", "a < 40")
+    dfd.add_subcomponent(std)
+    dfd.connect("G.out", "Level.a")
+    dfd.connect("Level.out", "level")
+    return dfd
+
+
+def _walk_batch(count=6, ticks=40):
+    return [Scenario(f"walk{index}",
+                     {"u": RandomWalk(seed=index, start=0.0, step=5.0,
+                                      low=-50.0, high=50.0)}, ticks=ticks)
+            for index in range(count)]
+
+
+def _counted_campaign(model, batch, executor, **options):
+    """One campaign under a fresh session: its results and counters."""
+    with obs.session() as telemetry:
+        results = run_sharded(model, batch, executor=executor, **options)
+    assert all(result.ok for result in results), \
+        [(result.name, result.error) for result in results]
+    return results, telemetry.registry.counter_values("")
+
+
+@pytest.mark.parametrize("executor", [
+    "serial", "thread", pytest.param("process", marks=pytest.mark.parallel)])
+def test_identical_campaigns_compile_once_per_thread(executor):
+    """Three identical campaigns compile the model once per thread or
+    process that ran a task of it, and each such simulator promotes to
+    native at most once.  Simulators are cached per thread and pools are
+    warm, so the model's name is new to every cache."""
+    model = _tiered_model(f"CompileOnce_{executor}")
+    batch = _walk_batch()
+    options = {} if executor == "serial" else {"max_workers": 2}
+    workers, compiles, promotions = set(), 0, 0
+    for _ in range(3):
+        results, counters = _counted_campaign(model, batch, executor,
+                                              **options)
+        join_promotions(timeout=120)
+        workers |= {result.worker for result in results}
+        compiles += counters.get("compile.simulators", 0)
+        promotions += counters.get("compile.native_promotions", 0)
+    assert compiles == len(workers) <= options.get("max_workers", 1)
+    assert promotions <= compiles
+    if executor == "serial":
+        assert promotions == (1 if native_available() else 0)
+        # the promoted simulator runs the whole third campaign in C
+        assert counters.get("native.runs", 0) \
+            == (len(batch) if native_available() else 0)
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_unpicklable_model_compiles_once_per_campaign(executor):
+    """A model that cannot be pickled has no content key: every campaign
+    compiles it afresh, once per thread that runs a task of it."""
+    block = FunctionComponent("OpaquePerCampaign",
+                              lambda inputs: {"out": inputs["in1"] * 2})
+    block.add_input("in1")
+    block.add_output("out")
+    batch = [Scenario(f"s{index}", {"in1": float(index)}, 3)
+             for index in range(4)]
+    for _ in range(2):
+        results, counters = _counted_campaign(block, batch, executor,
+                                              max_workers=2)
+        assert counters["compile.simulators"] \
+            == len({result.worker for result in results})
+        assert [result.trace.output("out").values()[0]
+                for result in results] == [0.0, 2.0, 4.0, 6.0]
+
+
+def _add_branch(model):
+    extra = ExpressionComponent("Extra", {"out": "in1 * 3"})
+    extra.declare_interface_from_expressions()
+    model.add_subcomponent(extra)
+    model.add_output("z")
+    model.connect("u", "Extra.in1")
+    model.connect("Extra.out", "z")
+
+
+def _edit_expression(model):
+    model.subcomponent("B3").output_expressions["out"] = \
+        parse_expression("in1 + 5")
+
+
+def _edit_gain(model):
+    model.subcomponent("G").factor = 3.0
+
+
+@pytest.mark.parametrize("edit", [_add_branch, _edit_expression, _edit_gain],
+                         ids=["structure", "expression", "parameter"])
+def test_a_model_edited_between_campaigns_recompiles(edit):
+    """The cache key is the model's content: an edit between two serial
+    campaigns -- structural, an expression, a block parameter --
+    compiles the edited model, whose results match a cold simulator."""
+    model = _tiered_model(f"Edited_{edit.__name__}")
+    batch = _walk_batch(3, ticks=30)
+    before, counters = _counted_campaign(model, batch, "serial",
+                                         backend="flat")
+    assert counters["compile.simulators"] == 1
+    edit(model)
+    after, counters = _counted_campaign(model, batch, "serial",
+                                        backend="flat")
+    assert counters["compile.simulators"] == 1
+    cold = CompiledSimulator(model, backend="flat")
+    for scenario, old, new in zip(batch, before, after):
+        expected = cold.run(scenario.stimuli, scenario.ticks)
+        assert trace_to_json(new.trace) == trace_to_json(expected)
+        assert trace_to_json(new.trace) != trace_to_json(old.trace)
+
+
+def _report_campaign(model, batch):
+    """One serial ``run_with_report`` campaign, as bytes: traces, mode
+    histories and the report (its wall-clock duration dropped), plus the
+    kind of schedule each scenario ran on."""
+    with obs.session() as telemetry:
+        results, report = run_with_report(model, batch, executor="serial")
+    assert all(result.ok for result in results)
+    data = report.to_json_dict()
+    del data["scenarios"]["total_duration_s"]
+    kinds = [span.attributes["kind"] for span in telemetry.tracer.walk()
+             if span.name == "run"]
+    return ([trace_to_json(result.trace) for result in results],
+            [json.dumps(result.mode_paths, sort_keys=True)
+             for result in results],
+            json.dumps(data, sort_keys=True)), kinds
+
+
+def test_cached_and_promoted_campaigns_are_byte_identical_to_a_cold_one():
+    """A cold campaign, a campaign on the cached flat simulator and one
+    on the same simulator promoted to native produce the same traces,
+    mode histories and report.  Holding the promotion's lock keeps the
+    first two campaigns on the flat program."""
+    model = _tiered_model("CachedIdentity")
+    batch = _walk_batch(5, ticks=60)
+    with tiering._FORK_LOCK:
+        cold, cold_kinds = _report_campaign(model, batch)
+        cached, cached_kinds = _report_campaign(model, batch)
+    join_promotions(timeout=120)
+    promoted, promoted_kinds = _report_campaign(model, batch)
+    assert cold_kinds == cached_kinds == ["flat"] * len(batch)
+    assert promoted_kinds \
+        == ["native" if native_available() else "flat"] * len(batch)
+    assert any(paths != "{}" for paths in cold[1])
+    assert cold == cached == promoted
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in dir(casestudy) if name.startswith("build_")))
+def test_a_models_pickle_depends_only_on_its_content(name):
+    """Compiling and running a model leaves its pickle unchanged: the
+    execution plans and transition tables a compile caches stay out of
+    it, so the runner's cache key survives the first campaign."""
+    model = getattr(casestudy, name)()
+    if not isinstance(model, Component) or not model.has_behavior():
+        pytest.skip(f"{name} builds no simulatable component")
+    pristine = pickle.dumps(model)
+    simulator = CompiledSimulator(model, backend="flat")
+    assert pickle.dumps(model) == pristine
+    try:
+        simulator.run({}, 3)
+    except Exception:  # noqa: BLE001 - an empty stimulus may be rejected
+        pass
+    assert pickle.dumps(model) == pristine
+
+
+def _forked_serial_then_process(queue):
+    model = build_engine_modes_mtd("SerialThenProcess")
+    batch = _engine_batch(6, ticks=10)
+    run_sharded(model, batch, executor="serial")
+    results, counters = _counted_campaign(model, batch, "process",
+                                          max_workers=2)
+    queue.put((counters.get("compile.simulators", 0),
+               sorted({result.worker for result in results})))
+
+
+@pytest.mark.parallel
+def test_process_workers_forked_after_a_serial_campaign_compile_their_own():
+    """A pool forked from a thread that holds cached simulators starts
+    its workers with empty caches: each worker compiles the model once.
+    The campaign runs in a forked child, whose first process campaign
+    forks a new pool after its serial one."""
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_forked_serial_then_process,
+                            args=(queue,))
+    child.start()
+    try:
+        compiles, workers = queue.get(timeout=60)
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert workers and compiles == len(workers)
