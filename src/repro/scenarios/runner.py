@@ -12,9 +12,10 @@ run carries its own state -- so this module shards a batch across a
   nested functions and unpicklable by design), and scenarios stream to
   workers one by one (or in chunks) with results streaming back as they
   complete;
-* **thread pool**: the model itself travels, so models with opaque
-  Python callables work; each worker thread compiles its own simulator,
-  so no simulator is shared across threads;
+* **thread pool**: the model travels as its pickle, or as itself when
+  it cannot be pickled, so models with opaque Python callables work;
+  each worker thread compiles its own simulator, so no simulator is
+  shared across threads;
 * **serial**: an inline executor that runs the whole batch as one task in
   the calling thread, on the calling thread's own simulator and under the
   caller's own telemetry session.
@@ -34,11 +35,14 @@ model's pickle plus ``check_types`` and ``backend``.  A model's pickle
 depends only on its content (derived compile caches are left out), so an
 unchanged model is compiled once per model per thread or process however
 many campaigns run it, and a model edited between campaigns compiles
-afresh.  A cached ``auto`` simulator keeps its tiering state: the first
-campaign pays for the promotion to native and later ones run the C loop.
-A model that cannot be pickled (a custom ``react`` closure, say) gets a
-token of its own campaign instead, so serial and thread runs compile it
-once per campaign.  No simulator is ever shared between threads, and a
+afresh.  Every cached simulator compiles a private copy of the model,
+unpickled from the task, so editing the caller's object later never
+reaches a simulator cached under its earlier content.  A cached
+``auto`` simulator keeps its tiering state: the first campaign pays for
+the promotion to native and later ones run the C loop.  A model that
+cannot be pickled (a custom ``react`` closure, say) gets a token of its
+own campaign instead, so serial and thread runs compile it once per
+campaign, and each thread keeps only its latest token's simulator.  No simulator is ever shared between threads, and a
 forked child starts with an empty cache.  A pool broken by a crashed
 worker is dropped from the registry, so the next campaign forks a fresh
 one.  A pool's workers keep the environment the process
@@ -290,12 +294,14 @@ class _ShardOutcome:
 class _TaskSpec(NamedTuple):
     """The campaign settings every task carries.
 
-    *model* is the pickled component for a process pool and the component
-    itself otherwise, so threads keep serving unpicklable models.  *key*
-    names the model in the running thread's simulator cache, under every
-    executor: the 16-byte digest of the model's pickle, or a token of
-    the campaign for a model that cannot be pickled (:func:`_model_key`);
-    the cache key adds ``check_types`` and ``backend``.
+    *key* names the model in the running thread's simulator cache, under
+    every executor: the 16-byte digest of the model's pickle, or a token
+    of the campaign for a model that cannot be pickled
+    (:func:`_model_key`); the cache key adds ``check_types`` and
+    ``backend``.  *model* is the model's pickle whenever it has one, so
+    a cached simulator always runs a private copy that no later edit of
+    the caller's object reaches; only a model that cannot be pickled
+    travels as itself, to serial and thread runs.
     *config* holds the settings of the caller's telemetry session for an
     observed pool, and is ``None`` for an unobserved pool and for serial
     runs: tasks then run under the worker thread's own session, which is
@@ -324,7 +330,13 @@ _WORKER = threading.local()
 def _simulator(spec: _TaskSpec) -> CompiledSimulator:
     """This thread's simulator for *spec*: cached, or compiled here, in
     the task's session, so ``compile.simulators`` counts it where it
-    happens."""
+    happens.
+
+    A content-keyed simulator compiles a private copy of the model,
+    unpickled from the task.  A campaign token can never hit after its
+    campaign, so a new one evicts the thread's earlier tokens: at most
+    one simulator of an unpicklable model stays cached per thread.
+    """
     cache: Optional[OrderedDict] = getattr(_WORKER, "cache", None)
     if cache is None:
         cache = _WORKER.cache = OrderedDict()
@@ -333,8 +345,13 @@ def _simulator(spec: _TaskSpec) -> CompiledSimulator:
     if simulator is not None:
         cache.move_to_end(key)
         return simulator
-    model = pickle.loads(spec.model) if spec.executor == "process" \
-        else spec.model
+    if isinstance(spec.key, bytes):
+        model = pickle.loads(spec.model)
+    else:
+        for stale in [entry for entry in cache
+                      if not isinstance(entry[0], bytes)]:
+            del cache[stale]
+        model = spec.model
     simulator = CompiledSimulator(model, check_types=spec.check_types,
                                   backend=spec.backend)
     cache[key] = simulator
@@ -439,9 +456,10 @@ def _model_key(component: Component, executor: str) -> Tuple[Any, Any]:
     """The campaign's model key and the model its tasks carry.
 
     The key is the 16-byte ``blake2b`` digest of the model's pickle,
-    under every executor.  A model that cannot be pickled gets a fresh
-    token instead, so it compiles once per campaign and thread; a
-    process pool cannot ship it at all and raises.
+    under every executor, and the tasks carry that pickle.  A model that
+    cannot be pickled gets a fresh token instead and travels as itself,
+    so it compiles once per campaign and thread; a process pool cannot
+    ship it at all and raises.
     """
     try:
         payload = pickle.dumps(component)
@@ -454,8 +472,7 @@ def _model_key(component: Component, executor: str) -> Tuple[Any, Any]:
                 "use executor='thread' or executor='serial' instead") \
                 from exc
         return object(), component
-    digest = hashlib.blake2b(payload, digest_size=16).digest()
-    return digest, payload if executor == "process" else component
+    return hashlib.blake2b(payload, digest_size=16).digest(), payload
 
 
 #: The warm pools, one per ``(executor, size)``.
@@ -507,23 +524,18 @@ def _submit(executor: str, size: int, spec: _TaskSpec,
         return pool.submit(_worker_task, spec, task), pool
 
 
-def _forget_pools() -> None:
-    """A forked child owns none of its parent's pools."""
-    global _POOLS_LOCK
+def _forget_runner_state() -> None:
+    """A forked child owns none of its parent's runner state: no pool,
+    and no cached simulator, which may carry a promotion whose thread
+    the child lacks."""
+    global _POOLS_LOCK, _WORKER
     _POOLS.clear()
     _POOLS_LOCK = threading.Lock()
-
-
-def _forget_simulators() -> None:
-    """A forked child compiles its own simulators: one inherited from the
-    forking thread may carry a promotion whose thread the child lacks."""
-    global _WORKER
     _WORKER = threading.local()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
-    os.register_at_fork(after_in_child=_forget_simulators)
+    os.register_at_fork(after_in_child=_forget_runner_state)
 
 
 def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
@@ -545,14 +557,14 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     the first campaign that asks for that executor and size and kept
     until the interpreter exits; spans and events report
     ``min(max_workers, len(batch))`` workers.  Every task carries the
-    model and one cache key -- the digest of the model's pickle plus
+    model's pickle and one cache key -- the digest of that pickle plus
     ``check_types`` and ``backend`` -- and the thread that runs it (a
     process worker, a pool thread, the caller of a serial run) compiles
-    only when its simulator cache misses: once per model per thread or
-    process across campaigns, or once per campaign for a model that
-    cannot be pickled.  A cached ``auto`` simulator keeps its promotion
-    to native across campaigns.  A compile failure is isolated like any
-    failing task.
+    a private copy only when its simulator cache misses: once per model
+    per thread or process across campaigns, or once per campaign for a
+    model that cannot be pickled, which travels as itself.  A cached
+    ``auto`` simulator keeps its promotion to native across campaigns.
+    A compile failure is isolated like any failing task.
 
     *backend* selects the worker simulators' schedule backend (forwarded
     to :class:`~repro.simulation.compiled.CompiledSimulator`).  With

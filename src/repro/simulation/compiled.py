@@ -361,11 +361,11 @@ class ScenarioSuite:
         :meth:`run_all`, in the same order).
 
         Delegates to :func:`repro.scenarios.runner.run_sharded`, on its
-        shared warm pool: each task carries the model (pickled for
-        ``executor="process"``) and one cache key, the digest of the
-        model's pickle plus ``check_types`` and ``backend``, so each
-        worker thread or process compiles the model once, on its first
-        task of it, and reuses that simulator for later tasks and suites.
+        shared warm pool: each task carries the model's pickle and one
+        cache key, the digest of that pickle plus ``check_types`` and
+        ``backend``, so each worker thread or process compiles a private
+        copy of the model once, on its first task of it, and reuses that
+        simulator for later tasks and suites.
         The pool compiles its own simulators: this suite's
         :attr:`simulator` runs only :meth:`run_all`.  Stimuli must be
         picklable for ``executor="process"`` (the generators of

@@ -5,6 +5,7 @@ the suite with ``-m "not parallel"``; the serial and thread executors keep
 the runner covered everywhere.
 """
 
+import copy
 import json
 import multiprocessing
 import os
@@ -723,7 +724,8 @@ def test_identical_campaigns_compile_once_per_thread(executor):
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_unpicklable_model_compiles_once_per_campaign(executor):
     """A model that cannot be pickled has no content key: every campaign
-    compiles it afresh, once per thread that runs a task of it."""
+    compiles it afresh, once per thread that runs a task of it, and a
+    thread keeps only its latest campaign's simulator of it."""
     block = FunctionComponent("OpaquePerCampaign",
                               lambda inputs: {"out": inputs["in1"] * 2})
     block.add_input("in1")
@@ -737,6 +739,11 @@ def test_unpicklable_model_compiles_once_per_campaign(executor):
             == len({result.worker for result in results})
         assert [result.trace.output("out").values()[0]
                 for result in results] == [0.0, 2.0, 4.0, 6.0]
+    if executor == "serial":
+        # an earlier campaign's token can never hit again: it is evicted
+        tokens = [key for key in runner._WORKER.cache
+                  if not isinstance(key[0], bytes)]
+        assert len(tokens) == 1
 
 
 def _add_branch(model):
@@ -777,6 +784,27 @@ def test_a_model_edited_between_campaigns_recompiles(edit):
         expected = cold.run(scenario.stimuli, scenario.ticks)
         assert trace_to_json(new.trace) == trace_to_json(expected)
         assert trace_to_json(new.trace) != trace_to_json(old.trace)
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_a_cached_simulator_never_runs_an_object_edited_after_its_campaign(
+        executor):
+    """A cached simulator runs its own copy of the model: editing the
+    object a campaign ran leaves the cached simulator as it was, so a
+    twin with the original content, which shares its key, gets the
+    results of a cold simulator."""
+    batch = _walk_batch(3, ticks=30)
+    first = _tiered_model(f"EditedAfter_{executor}")
+    twin = copy.deepcopy(first)
+    _counted_campaign(first, batch, executor, max_workers=1, backend="flat")
+    _edit_gain(first)
+    results, counters = _counted_campaign(twin, batch, executor,
+                                          max_workers=1, backend="flat")
+    assert counters.get("compile.simulators", 0) == 0
+    cold = CompiledSimulator(twin, backend="flat")
+    for scenario, result in zip(batch, results):
+        expected = cold.run(scenario.stimuli, scenario.ticks)
+        assert trace_to_json(result.trace) == trace_to_json(expected)
 
 
 def _report_campaign(model, batch):
@@ -827,10 +855,9 @@ def test_a_models_pickle_depends_only_on_its_content(name):
     pristine = pickle.dumps(model)
     simulator = CompiledSimulator(model, backend="flat")
     assert pickle.dumps(model) == pristine
-    try:
-        simulator.run({}, 3)
-    except Exception:  # noqa: BLE001 - an empty stimulus may be rejected
-        pass
+    trace = simulator.run({port.name: port.port_type.default()
+                           for port in model.input_ports()}, 3)
+    assert trace.ticks == 3
     assert pickle.dumps(model) == pristine
 
 
