@@ -22,11 +22,15 @@ interpretation of the op program:
   (``ir-write-write``), malformed region jumps and regions that cross
   instead of nesting (``ir-gate-structure``) and
   gate regions whose clock provably never fires (``ir-unreachable-op``);
-* correction barriers: every scratch-tracked run op must be covered by a
-  matching barrier entry and vice versa, and untracked non-feedthrough
-  leaves must not have late producers writing their inputs
+* correction barriers: every barrier entry must name a well-formed
+  region -- ops that start with the copy of the inputs it saw, nest with
+  every ``gate`` / ``select`` region, run only the entry's leaves and
+  buffers and end before the barrier -- and every read that a later op of
+  the same tick overwrites must lie in a region whose barrier re-runs it
   (``ir-correction-unmatched`` / ``ir-correction-missing`` /
-  ``ir-correction-dead``);
+  ``ir-correction-dead``).  Inside ``[region start, barrier)`` reads of
+  the entry's input slots are provisional, exempt from
+  ``ir-read-before-write``;
 
 The verifier never executes a tick and never calls a step closure; it
 reads only the program tuples, the specs and the leaves' static metadata.
@@ -71,7 +75,8 @@ def _op_events(op: Tuple[Any, ...],
     Mirrors the execution order of the generated ``FlatSchedule.step``
     exactly: run/expr ops read their input spec, write their outputs, then run
     their post-propagation copies pair by pair; copy ops interleave reads
-    and writes pair by pair.
+    and writes pair by pair; a barrier reads every entry's input and
+    shadow slots.
 
     Write events carry an *origin*: ``("new", token)`` for a freshly
     computed value, ``("copy", src)`` for a forwarded one.  The dataflow
@@ -83,12 +88,8 @@ def _op_events(op: Tuple[Any, ...],
     code = op[0]
     events: List[Tuple[str, int, Any]] = []
     if code == OP_RUN:
-        _, _leaf, _fn, in_spec, out_spec, post, _si = op
-        # a correction-tracked run reads provisional (possibly still
-        # absent) inputs by design: the barrier re-runs it with the final
-        # values, so these reads are exempt from write-before-read ("cr")
-        read_kind = "cr" if _si >= 0 else "r"
-        events.extend((read_kind, slot, None) for _name, slot in in_spec)
+        _, _leaf, _fn, in_spec, out_spec, post = op
+        events.extend(("r", slot, None) for _name, slot in in_spec)
         events.extend(("w", slot, ("new", (index, name)))
                       for name, slot in out_spec)
         for src, dst in post:
@@ -112,8 +113,8 @@ def _op_events(op: Tuple[Any, ...],
     elif code == OP_BUF_WRITE:
         events.extend(("r", src, None) for src, _index in op[1])
     elif code == OP_CORRECT:
-        for _si, _leaf, _fn, in_spec in op[1]:
-            events.extend(("r", slot, None) for _name, slot in in_spec)
+        for *_ranges, seen in op[1]:
+            events.extend(("r", slot, None) for pair in seen for slot in pair)
     elif code == OP_SELECT:  # the mode controller's index slot
         events.append(("r", op[1][0], None))
     return events
@@ -171,7 +172,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
     for index, op in enumerate(program):
         for kind, slot, _origin in _op_events(op, index):
             target = writes_by_slot if kind == "w" else reads_by_slot
-            target.setdefault(slot, []).append(index)  # "r" and "cr" read
+            target.setdefault(slot, []).append(index)
     for slot in output_slots:
         reads_by_slot.setdefault(slot, []).append(n_ops)
 
@@ -229,6 +230,15 @@ def lint_flat_schedule(schedule: FlatSchedule,
     last_write_op = [-1] * schedule.n_slots
     region_stack: List[Tuple[int, List[int], List[Any]]] = []
 
+    # reads of an entry's input slots inside [region start, barrier) may see
+    # provisional (possibly still absent) values by design: the barrier
+    # re-runs the region with the final ones
+    provisional: Set[Tuple[int, int]] = {
+        (index, slot)
+        for barrier, op in enumerate(program) if op[0] == OP_CORRECT
+        for start, *_ranges, seen in op[1]
+        for index in range(max(start, 0), barrier) for slot, _ in seen}
+
     read_before_write: Dict[int, int] = {}   # slot -> first offending op
     never_written: Dict[int, int] = {}
     maybe_absent: Dict[int, int] = {}
@@ -248,14 +258,15 @@ def lint_flat_schedule(schedule: FlatSchedule,
         join_regions(index)
         op = program[index]
         for kind, slot, origin in _op_events(op, index):
-            if kind in ("r", "cr"):
-                state = states[slot]
-                if kind == "r" and state == _UNWRITTEN:
+            if kind == "r":
+                state = _WRITTEN if (index, slot) in provisional \
+                    else states[slot]
+                if state == _UNWRITTEN:
                     if writes_by_slot.get(slot):
                         read_before_write.setdefault(slot, index)
                     else:
                         never_written.setdefault(slot, index)
-                elif kind == "r" and state == _MAYBE:
+                elif state == _MAYBE:
                     maybe_absent.setdefault(slot, index)
                 read_since_write[slot] = True
             else:
@@ -337,85 +348,81 @@ def lint_flat_schedule(schedule: FlatSchedule,
     return report
 
 
+def _region_fault(schedule: FlatSchedule, barrier: int, entry: Any
+                  ) -> Optional[str]:
+    """Why a barrier entry does not name a region it can re-run, or
+    ``None`` for a well-formed one."""
+    program = schedule.program
+    start, end, (l0, l1), (b0, b1), seen = entry
+    if end > barrier:
+        return "the barrier runs before its region ends"
+    if not 0 <= start < end or program[start][0] != OP_COPY \
+            or tuple(program[start][1]) != seen:
+        return "the region does not start with the copy of its inputs"
+    for index, op in enumerate(program):
+        if op[0] in REGION_OPS and (start <= index < end < op[2]
+                                    or index < start < op[2] < end):
+            kind = "select" if op[0] == OP_SELECT else "gate"
+            return f"the region crosses the {kind} region at op {index}"
+        # a buffer op's pairs are (buffer, slot) or (slot, buffer)
+        if start <= index < end and (
+                op[0] in (OP_RUN, OP_EXPR) and not l0 <= op[1] < l1
+                or op[0] in (OP_BUF_READ, OP_BUF_WRITE) and any(
+                    not b0 <= pair[op[0] == OP_BUF_WRITE] < b1
+                    for pair in op[1])):
+            return (f"op {index} runs a leaf or delayed buffer outside the "
+                    f"region's ranges")
+    return None
+
+
 def _check_corrections(schedule: FlatSchedule,
                        writes_by_slot: Dict[int, List[int]]) -> List[Finding]:
-    """Verify correction-barrier coverage against the late-producer sets."""
+    """Verify the correction regions against the late-producer sets."""
     findings: List[Finding] = []
     program = schedule.program
-    tracked: Dict[int, Tuple[int, int, Tuple[Tuple[str, int], ...]]] = {}
-    covered: Set[int] = set()
+    #: (op, slot) -> the last barrier that re-runs op with slot's final value
+    covered: Dict[Tuple[int, int], int] = {}
 
-    for index, op in enumerate(program):
-        if op[0] == OP_RUN and op[6] >= 0:
-            tracked[op[6]] = (index, op[1], op[3])
-
-    def leaf_label(leaf_index: int) -> str:
-        return schedule.leaves[leaf_index].path
-
-    for index, op in enumerate(program):
+    for barrier, op in enumerate(program):
         if op[0] != OP_CORRECT:
             continue
-        for si, leaf_index, _fn, in_spec in op[1]:
-            run = tracked.get(si)
-            if run is None or run[0] > index or run[1] != leaf_index \
-                    or run[2] != in_spec:
-                reason = ("no run op tracks scratch slot "
-                          f"{si}" if run is None else
-                          "the tracked run op runs after the barrier"
-                          if run[0] > index else
-                          "the tracked run op is a different leaf"
-                          if run[1] != leaf_index else
-                          "the barrier re-reads a different input spec "
-                          "than the run op consumed")
+        for entry in op[1]:
+            start, end, _leaves, _buffers, seen = entry
+            reason = _region_fault(schedule, barrier, entry)
+            if reason is not None:
                 findings.append(_finding(
                     "ir-correction-unmatched",
-                    f"correction entry for leaf "
-                    f"{leaf_label(leaf_index)} at op {index}: {reason}",
-                    element=leaf_label(leaf_index),
-                    op=index, scratch=si))
+                    f"correction entry for ops {start}..{end - 1} at op "
+                    f"{barrier}: {reason}",
+                    element=f"op {barrier}", op=barrier, region=[start, end]))
                 continue
-            covered.add(si)
-            run_index = run[0]
-            live = any(any(run_index < w < index
-                           for w in writes_by_slot.get(slot, ()))
-                       for _name, slot in in_spec)
-            if not live:
+            inputs = [slot for slot, _shadow in seen]
+            for index in range(start, end):
+                covered.update(((index, slot), barrier) for slot in inputs)
+            if not any(start < writer < barrier for slot in inputs
+                       for writer in writes_by_slot.get(slot, ())):
                 findings.append(_finding(
                     "ir-correction-dead",
-                    f"correction entry for leaf {leaf_label(leaf_index)} "
-                    f"at op {index} is vacuous: no op between the run "
-                    f"(op {run_index}) and the barrier writes any of its "
-                    f"input slots",
-                    element=leaf_label(leaf_index),
-                    op=index, scratch=si, run=run_index))
+                    f"correction entry for ops {start}..{end - 1} at op "
+                    f"{barrier} is vacuous: no op between the region and "
+                    f"the barrier writes any of its input slots",
+                    element=f"op {barrier}", op=barrier, region=[start, end]))
 
-    for si, (run_index, leaf_index, _in_spec) in sorted(tracked.items()):
-        if si not in covered:
-            findings.append(_finding(
-                "ir-correction-missing",
-                f"run op {run_index} (leaf {leaf_label(leaf_index)}) "
-                f"tracks scratch slot {si} but no correction barrier "
-                f"covers it: late input changes are silently dropped",
-                element=leaf_label(leaf_index),
-                op=run_index, scratch=si))
-
-    # untracked non-feedthrough leaves with late producers
+    # reads that a later op of the tick overwrites: stale unless re-run
+    labels = schedule.op_labels()
     for index, op in enumerate(program):
-        if op[0] != OP_RUN or op[6] >= 0:
+        if op[0] == OP_CORRECT:
             continue
-        leaf = schedule.leaves[op[1]]
-        deps = leaf.component.instantaneous_dependencies()
-        if any(deps.values()):
-            continue  # feedthrough leaves re-read nothing from tick-start
-        late = sorted({w for _name, slot in op[3]
-                       for w in writes_by_slot.get(slot, ()) if w > index})
+        late = sorted({writer for kind, slot, _origin in _op_events(op, index)
+                       if kind == "r"
+                       for writer in writes_by_slot.get(slot, ())
+                       if writer > index
+                       and not writer < covered.get((index, slot), -1)})
         if late:
             findings.append(_finding(
                 "ir-correction-missing",
-                f"non-feedthrough leaf {leaf_label(op[1])} (run op {index}) "
-                f"has late producers (op(s) {late}) writing its input "
-                f"slots but is not correction-tracked: its state update "
-                f"saw stale inputs",
-                element=leaf_label(op[1]),
-                op=index, late_writers=late))
+                f"op {index} ({labels[index][1]}) has late producers (op(s) "
+                f"{late}) writing its input slots, but no correction "
+                f"barrier re-runs it: its state update saw stale inputs",
+                element=labels[index][1], op=index, late_writers=late))
     return findings

@@ -93,11 +93,11 @@ register("ir-gate-structure", "ir", Severity.ERROR,
 register("ir-unreachable-op", "ir", Severity.WARNING,
          "ops inside a gate region whose clock provably never fires")
 register("ir-correction-unmatched", "ir", Severity.ERROR,
-         "a correction-barrier entry does not match the tracked run op "
-         "(scratch index, leaf or input spec)")
+         "a correction-barrier entry does not name a region it can re-run "
+         "before the barrier")
 register("ir-correction-missing", "ir", Severity.ERROR,
-         "a non-feedthrough leaf can see stale inputs but is not covered "
-         "by any correction barrier")
+         "an op reads inputs a later op overwrites, but no correction "
+         "region re-runs it")
 register("ir-correction-dead", "ir", Severity.INFO,
          "a correction-barrier entry whose inputs no later op can change "
          "(the compare-and-rerun is provably a no-op)")

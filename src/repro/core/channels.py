@@ -16,7 +16,6 @@ Two communication semantics exist in AutoMoDe:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Tuple
 
 from .errors import ModelError
@@ -57,16 +56,19 @@ class ChannelEnd:
 
 
 class Channel:
-    """A directed connection from a source endpoint to a destination endpoint."""
+    """A directed connection from a source endpoint to a destination endpoint.
 
-    _counter = itertools.count(1)
+    An unnamed channel is named after its destination (``ch:A.in1``), which
+    a diagram drives with one channel at most: two builds of one model
+    name their channels alike, so they pickle to the same bytes.
+    """
 
     def __init__(self, source: ChannelEnd, destination: ChannelEnd,
                  name: Optional[str] = None, delayed: bool = False,
                  initial_value: Any = ABSENT):
         self.source = source
         self.destination = destination
-        self.name = name or f"ch{next(self._counter)}"
+        self.name = name or f"ch:{destination!r}"
         self.delayed = delayed
         self.initial_value = initial_value
 

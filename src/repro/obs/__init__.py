@@ -11,8 +11,8 @@ The in-process primitives and one switch:
   span-tree JSON or Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``; worker-tagged spans get their own tracks);
 * :class:`OpProfile` -- op-level attribution of flat-IR step programs
-  (per-op counts/times, gate skip rates, correction re-runs and
-  nested-fallback activity), rendered by
+  (per-op counts/times, gate skip rates and correction re-runs),
+  rendered by
   :func:`format_profile` / :func:`format_backend_comparison`;
 * :func:`enable` / :func:`disable` / :func:`session` -- the switch, one
   per thread: a session records what its own thread runs.  While off (the

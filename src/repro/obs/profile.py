@@ -4,7 +4,8 @@ The flat schedule (:mod:`repro.simulation.schedule_ir`) executes a linear
 op program.  An :class:`OpProfile` records, per program position:
 execution count and accumulated wall time, plus gate skip counts and
 correction-barrier re-runs -- everything needed to answer *where do the
-ticks go*.  Native schedules are profiled on their wrapped flat program
+ticks go*.  A re-run's ops are not counted again: its time is the
+barrier's.  Native schedules are profiled on their wrapped flat program
 (:meth:`repro.simulation.compiled.CompiledSimulator.run`).
 
 Profiles are recorded only by the **observed** horizon loop
@@ -23,23 +24,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-#: One op descriptor: ``(kind name, human label, runs-on-nested-fallback)``.
-OpLabel = Tuple[str, str, bool]
+#: One op descriptor: ``(kind name, human label)``.
+OpLabel = Tuple[str, str]
 
 
 class OpProfile:
     """Per-op execution counts and times of one compiled step program."""
 
-    __slots__ = ("label", "op_kinds", "op_names", "nested_ops", "counts",
-                 "times", "gate_skips", "correction_reruns", "ticks",
+    __slots__ = ("label", "op_kinds", "op_names", "counts", "times",
+                 "gate_skips", "correction_reruns", "ticks",
                  "total_time_s")
 
     def __init__(self, label: str, op_labels: Sequence[OpLabel]):
         self.label = label
-        self.op_kinds: Tuple[str, ...] = tuple(kind for kind, _, _ in op_labels)
-        self.op_names: Tuple[str, ...] = tuple(name for _, name, _ in op_labels)
-        self.nested_ops: Tuple[bool, ...] = tuple(nested
-                                                  for _, _, nested in op_labels)
+        self.op_kinds: Tuple[str, ...] = tuple(kind for kind, _ in op_labels)
+        self.op_names: Tuple[str, ...] = tuple(name for _, name in op_labels)
         size = len(self.op_kinds)
         self.counts: List[int] = [0] * size
         self.times: List[float] = [0.0] * size
@@ -58,12 +57,6 @@ class OpProfile:
             entry["count"] += self.counts[index]
             entry["time_s"] += self.times[index]
         return rollup
-
-    def nested_fallback_runs(self) -> int:
-        """Executions of ``run`` ops whose leaf is a composite or gate kept
-        as one step (the ``[nested]`` label)."""
-        return sum(count for count, nested
-                   in zip(self.counts, self.nested_ops) if nested)
 
     def gate_stats(self) -> Tuple[int, int]:
         """(region evaluations, region skips) across all ``gate`` and
@@ -116,7 +109,6 @@ class OpProfile:
             "gate_checks": gate_checks,
             "gate_skips": gate_skips,
             "correction_reruns": self.correction_reruns,
-            "nested_fallback_runs": self.nested_fallback_runs(),
             "ops": [{
                 "index": index,
                 "kind": self.op_kinds[index],
@@ -155,9 +147,6 @@ def format_profile(profile: OpProfile, top: int = 10) -> str:
                      f"({100.0 * skips / checks:.1f}% silent)")
     if profile.correction_reruns:
         lines.append(f"  correction re-runs: {profile.correction_reruns}")
-    if profile.nested_fallback_runs():
-        lines.append(f"  nested-fallback runs: "
-                     f"{profile.nested_fallback_runs()}")
     hottest = profile.hottest_ops(top)
     if hottest:
         lines.append(f"  hottest ops (top {len(hottest)}):")
@@ -172,7 +161,7 @@ def format_backend_comparison(profiles: Mapping[str, OpProfile]) -> str:
 
     *profiles* maps a backend or workload name (e.g. ``"flat"``) to its
     profile; the table shows ticks/s and the per-kind time split so the
-    trade-offs (lowered exprs vs nested-fallback runs) are visible in one
+    trade-offs (lowered exprs vs trampolined runs) are visible in one
     place.
     """
     if not profiles:

@@ -119,9 +119,8 @@ class FlightRecorder:
         if self.failure is not None:
             op_index = self.failure["op_index"]
             labels = schedule.op_labels()
-            kind, label, _nested = (labels[op_index]
-                                    if 0 <= op_index < len(labels)
-                                    else ("?", f"op {op_index}", False))
+            kind, label = (labels[op_index] if 0 <= op_index < len(labels)
+                           else ("?", f"op {op_index}"))
             failing = {
                 "tick": self.failure["tick"],
                 "op_index": op_index,

@@ -29,7 +29,10 @@ schedule decision precomputed:
   the expressions' source into the step;
 * every other component (function/stateful blocks, subclasses with a
   custom ``react``...) is already a single ``react`` call and is executed
-  directly.
+  directly;
+* a non-feedthrough entry that a later producer feeds is a correction
+  region of the same program, which its composite's barrier re-runs
+  with the final inputs: there is no nested program.
 
 **Run** (:class:`CompiledSimulator` / :class:`ScenarioSuite`): the compiled
 schedule is a pure function of ``(inputs, state, tick)`` and can therefore

@@ -58,9 +58,10 @@ Lowering decisions per op:
   block still guards every arithmetic step (overflow, int-exactness,
   opaque operands, error paths) and bails to the trampoline whenever
   exact Python semantics cannot be replicated in int64/double;
-* ``run`` / ``correct`` -- always the trampoline (MTD/STD/atomic leaves,
-  composites kept as one step and the correction barrier live on Python
-  state).
+* ``run`` / ``correct`` -- always the trampoline (MTD/STD/atomic leaves
+  and the correction barrier, whose replay re-runs its region in Python,
+  live on Python state); a correction region's own ops lower like any
+  others.
 
 The emitted fast path is compute-then-commit: an expression block writes
 slots only after every item evaluated cleanly, so a bail-out replays the
@@ -257,7 +258,7 @@ def lower_program(flat: FlatSchedule, emitter_version: int) -> LoweredProgram:
     prev_base = flat.n_slots                     # first previous buffer
     next_base = prev_base + len(flat.buffer_initials)  # first next buffer
 
-    for index, (op, (kind, label, _nested)) in enumerate(
+    for index, (op, (kind, label)) in enumerate(
             zip(program, flat.op_labels())):
         code = op[0]
         comment = f"{kind}: {label}".replace("*/", "* /")

@@ -54,10 +54,11 @@ flat engine's own per-op templates
 (:func:`repro.simulation.op_emit.native_replays`, spelling slot access
 ``load`` / ``store`` / ``copy`` on the tagged plane), so they run the
 same leaf step functions and the same generated expression source with
-the same semantics.  Leaf states roll lazily: the first replay of a new
-tick makes the last tick's next states the previous ones -- ticks without
-a replay leave leaf states untouched, so nothing is lost.  Mode histories
-cost no re-entry: they leave C as output rows.
+the same semantics.  A correction barrier's replay re-runs its region
+through the flat engine's re-run function.  Leaf states roll lazily: the
+first replay of a new tick makes the last tick's next states the previous
+ones -- ticks without a replay leave leaf states untouched, so nothing is
+lost.  Mode histories cost no re-entry: they leave C as output rows.
 
 **Errors.**  A replay that raises stores the exception and
 returns nonzero; the C loop stops at that tick and the exception is
@@ -214,9 +215,9 @@ class _Entry(NamedTuple):
 class NativeSchedule:
     """A flat schedule executing through a compiled C tick loop.
 
-    Introspection (``ops_summary`` / ``fallback_paths`` and the boundary
-    specs) delegates to the wrapped :attr:`flat` schedule: the native backend
-    changes the execution substrate, not the program.
+    Introspection (``ops_summary`` and the boundary specs) delegates to
+    the wrapped :attr:`flat` schedule: the native backend changes the
+    execution substrate, not the program.
     """
 
     kind = "native"
@@ -252,7 +253,6 @@ class NativeSchedule:
         n_buffers = len(flat.buffer_initials)
         n_inputs = len(columns)
         n_outputs = len(flat.output_spec) + len(flat.readout_spec)
-        n_scratch = flat._scratch_count  # noqa: SLF001
         # the plane layout of the emitted C (see .emit): slots, previous
         # buffers, next buffers, input rows, output rows (outputs, then
         # readouts)
@@ -271,23 +271,21 @@ class NativeSchedule:
         replay = self._replay
         ps = state.leaf_states
         ns = ps[:]
-        sc: List[Any] = [None] * n_scratch
         current = t0
         calls = 0
         error: Optional[BaseException] = None
         stopped = t0 + ticks
 
         def trampoline(op: int, tick: int) -> int:
-            nonlocal ps, ns, sc, current, calls, error, stopped
+            nonlocal ps, ns, current, calls, error, stopped
             try:
                 if tick != current:
                     # the first replay of a new tick rolls the leaf states
                     ps = ns
                     ns = ps[:]
-                    sc = [None] * n_scratch
                     current = tick
                 calls += 1
-                replay[op](ps, ns, sc, tick, load, store, copy)
+                replay[op](ps, ns, tick, load, store, copy)
                 return 0
             except BaseException as exc:  # noqa: BLE001 - re-raised by caller
                 error = exc
@@ -370,10 +368,6 @@ class NativeSchedule:
     @property
     def program(self) -> Tuple[Tuple[Any, ...], ...]:
         return self.flat.program
-
-    @property
-    def fallback_paths(self) -> List[str]:
-        return self.flat.fallback_paths
 
     def initial_state(self) -> FlatState:
         return self.flat.initial_state()

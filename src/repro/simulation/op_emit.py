@@ -38,9 +38,16 @@ one ``try`` per tick and hands the partial slot list and the tick's
 inputs to the recorder on a raise.
 
 **Readouts.**  The ``run`` template of a leaf in the schedule's
-``readout_spec`` (and the correction barrier's re-run of it) also writes
-the leaf's new state into its readout slot, in both substrates, so the
-horizon loop and the native C loop carry mode histories out as columns.
+``readout_spec`` also writes the leaf's new state into its readout slot,
+in both substrates, so the horizon loop and the native C loop carry mode
+histories out as columns.
+
+**Correction regions.**  A ``correct`` op compares each entry's final
+inputs with the copy of the inputs its region saw and, when they differ,
+calls the region's re-run (:func:`region_reruns`): one more function per
+region, generated from the same templates, whose own barriers call the
+re-runs of the regions inside it.  The barrier then writes back the
+region's readout slots.
 
 **Regions.**  A gate op sets one flag ``g<k> = p<k>(tick)`` (in the
 horizon loop, ``g<k> = gp[gt + column]`` from the gate plane) and a select
@@ -63,28 +70,31 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SimulationError
 from ..core.expr_compile import ExpressionSource, SourceScope
+from ..core.values import ABSENT
 from .schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY, OP_CORRECT,
                           OP_EXPR, OP_GATE, OP_RUN, OP_SELECT, REGION_OPS,
                           FlatState)
 
 #: Slot spelling of one substrate: ``(read(slot), write(slot, x), copy(src,
 #: dst))`` as source-text builders, plus the name through which generated
-#: expression helpers read slots.
+#: expression helpers read slots and the previous and next delayed buffers
+#: a region re-run is handed.
 _Slots = Tuple[Callable[..., str], Callable[..., str], Callable[..., str],
-               str]
+               str, str]
 
 _LIST: _Slots = (lambda slot: f"v[{slot}]",
                  lambda slot, x: f"v[{slot}] = {x}",
-                 lambda src, dst: f"v[{dst}] = v[{src}]", "v")
-_TAGGED: _Slots = (lambda slot: f"load({slot})",
-                   lambda slot, x: f"store({slot}, {x})",
-                   lambda src, dst: f"copy({src}, {dst})", "load")
+                 lambda src, dst: f"v[{dst}] = v[{src}]", "v", "pb, nb")
 
 
 def _env(in_spec: Sequence[Tuple[str, int]],
          read: Callable[[int], str]) -> str:
     return "{" + ", ".join(f"{name!r}: {read(slot)}"
                            for name, slot in in_spec) + "}"
+
+
+def _tuple(slots: Sequence[int], read: Callable[[int], str]) -> str:
+    return "(" + "".join(f"{read(slot)}, " for slot in slots) + ")"
 
 
 def _block(lines: List[str]) -> List[str]:
@@ -148,47 +158,47 @@ def _op_lines(k: int, op: Tuple[Any, ...], slots: _Slots, profiled: bool,
             flag = f"p{k}(tick)"
         return [f"g{k} = {flag}"] + (
             [f"if not g{k}: S[{k}] += 1"] if profiled else [])
-    if code == OP_CORRECT:
+    if code == OP_CORRECT:  # calls the region re-runs of region_reruns
         count = ["P.correction_reruns += 1"] if profiled else []
         lines = []
-        for j, (si, leaf, fn, in_spec) in enumerate(op[1]):
-            bound[f"c{k}_{j}"] = fn
-            lines += [f"fin = {_env(in_spec, read)}", f"if fin != sc[{si}]:"]
-            lines += _block(
-                [f"_, ns[{leaf}] = c{k}_{j}(fin, ps[{leaf}], tick)"]
-                + ([write(readout[leaf], f"ns[{leaf}]")]
-                   if leaf in readout else []) + count)
+        for j, (_start, _end, _leaves, buffers, seen) in enumerate(op[1]):
+            final, entry = zip(*seen)
+            views = slots[4] if buffers[0] < buffers[1] else "None, None"
+            lines += [f"fin = {_tuple(final, read)}",
+                      f"if fin != {_tuple(entry, read)}:",
+                      f"    for r, x in x{k}_{j}(fin, ps, ns, {views}, tick):",
+                      f"        {write('r', 'x')}"] + _block(count)
         return lines
     if code == OP_EXPR:
         _, _leaf, in_spec, items, post = op
         return (_expr_lines(in_spec, items, slots, scope)
                 + [copy(src, dst) for src, dst in post])
-    _, leaf, fn, in_spec, out_spec, post, si = op  # OP_RUN
+    _, leaf, fn, in_spec, out_spec, post = op  # OP_RUN
     bound[f"f{k}"] = fn
     lines = [f"sub = {_env(in_spec, read)}",
              f"out, ns[{leaf}] = f{k}(sub, ps[{leaf}], tick)"]
     if leaf in readout:
         lines.append(write(readout[leaf], f"ns[{leaf}]"))
     lines += [write(slot, f"out.get({name!r}, A)") for name, slot in out_spec]
-    if si >= 0:
-        lines.append(f"sc[{si}] = sub")
     return lines + [copy(src, dst) for src, dst in post]
 
 
-def _gate_guards(program: Sequence[Tuple[Any, ...]]
+def _gate_guards(program: Sequence[Tuple[Any, ...]], start: int, end: int
                  ) -> Optional[List[Optional[str]]]:
-    """The flag of each op's innermost enclosing region (``None`` at top
-    level), or ``None`` when the regions do not nest forward."""
-    n_ops = len(program)
+    """The flag of each op's innermost enclosing region among the ops
+    ``[start, end)`` (``None`` outside every region), or ``None`` when the
+    regions do not nest forward inside that range."""
     guards: List[Optional[str]] = []
-    open_gates: List[Tuple[str, int]] = []  # (flag, jump target)
-    for k, op in enumerate(program):
-        while open_gates and open_gates[-1][1] <= k:
+    # (flag, jump target); the range itself is the outermost region
+    open_gates: List[Tuple[Optional[str], int]] = [(None, end)]
+    for k in range(start, end):
+        while open_gates[-1][1] <= k:
             open_gates.pop()
-        guards.append(open_gates[-1][0] if open_gates else None)
+        guards.append(open_gates[-1][0])
+        op = program[k]
         if op[0] in REGION_OPS:
-            target = min(op[2], n_ops)
-            if target <= k or (open_gates and target > open_gates[-1][1]):
+            target = min(op[2], len(program))
+            if target <= k or target > open_gates[-1][1]:
                 return None
             open_gates.append((f"g{k}", target))
     return guards
@@ -197,25 +207,29 @@ def _gate_guards(program: Sequence[Tuple[Any, ...]]
 def _program_lines(program: Sequence[Tuple[Any, ...]], slots: _Slots,
                    profiled: bool, recording: bool, scope: SourceScope,
                    readout: Dict[int, int],
-                   plane: Optional[Dict[int, int]] = None) -> List[str]:
-    """The whole op program as depth-1 guarded straight-line source."""
-    guards = _gate_guards(program)
+                   plane: Optional[Dict[int, int]] = None,
+                   start: int = 0, end: Optional[int] = None) -> List[str]:
+    """The ops ``[start, end)`` of the program (all of them by default)
+    as depth-1 guarded straight-line source."""
+    end = len(program) if end is None else end
+    guards = _gate_guards(program, start, end)
     if guards is None:
         scope.bound["SimulationError"] = SimulationError
         return ['raise SimulationError("flat program gate regions do not '
                 'nest forward")']
+    span = range(start, end)
     # a nested gate's flag must read false when its parent region is skipped
-    lines = [f"g{k} = False" for k, op in enumerate(program)
-             if op[0] in REGION_OPS and guards[k] is not None]
+    lines = [f"g{k} = False" for k, guard in zip(span, guards)
+             if program[k][0] in REGION_OPS and guard is not None]
     open_guard = None
-    for k, op in enumerate(program):
+    for k, guard in zip(span, guards):
+        op = program[k]
         body = _op_lines(k, op, slots, profiled, scope, readout, plane)
         if profiled:
             body = ["t = clock()"] + body + [f"T[{k}] += clock() - t",
                                              f"C[{k}] += 1"]
         if recording:
             body = [f"index = {k}"] + body
-        guard = guards[k]
         if guard is None:
             lines += body
         else:
@@ -313,9 +327,7 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
         reads = [f"v[{slot}] = inputs.get({name!r}, A)"
                  for name, slot in flat.input_spec]
     head += ["ns = ps[:]", "nb = pb[:]", f"v = [A] * {flat.n_slots}"] + reads
-    n_scratch = flat._scratch_count  # noqa: SLF001
-    if n_scratch:
-        head.append(f"sc = [None] * {n_scratch}")
+    bound.update(flat.reruns)
     ops = _program_lines(flat.program, _LIST, profile is not None,
                          recorder is not None, scope, readout, plane)
     if recorder is not None:
@@ -358,25 +370,92 @@ def flat_step(flat: Any, profile: Any = None, recorder: Any = None,
                    f"<flat horizon {flat.component.name}>")
 
 
+def region_reruns(flat: Any) -> Dict[str, Callable[..., Tuple[Any, ...]]]:
+    """The re-run of every correction region of *flat*, by the name
+    ``x<k>_<j>`` the barrier at op *k* calls for its entry *j*.
+
+    ``x(fin, ps, ns, pb, nb, tick) -> readouts`` re-runs the region as the
+    interpreter's second pass re-runs a component: it resets the region's
+    next leaf states and delayed buffers from the tick-start ones, runs
+    the region's ops (the templates of every loop, unobserved, gates
+    calling their predicates) over a fresh all-ABSENT slot list holding
+    only the final inputs *fin*, discards that run's outputs and returns
+    the region's ``(readout slot, value)`` pairs.  A region inside it keeps
+    its own barrier, which calls that region's re-run.  *pb* and *nb* are
+    anything indexable by buffer: the flat loops' lists, or the native
+    plane's buffer cells.
+    """
+    scope = SourceScope({"Fresh": _Fresh}, _LIST[3])
+    readout = dict(flat.readout_spec)
+    lines: List[str] = []
+    for k, op in enumerate(flat.program):
+        for j, (start, end, (l0, l1), (b0, b1), seen) in enumerate(
+                op[1] if op[0] == OP_CORRECT else ()):
+            lines += [f"def x{k}_{j}(fin, ps, ns, pb, nb, tick):"] + _block(
+                [f"ns[{l0}:{l1}] = ps[{l0}:{l1}]"]
+                + [f"for b in range({b0}, {b1}): nb[b] = pb[b]"] * (b0 < b1)
+                + [f"v = Fresh(zip({tuple(slot for slot, _ in seen)}, fin))"]
+                + _program_lines(flat.program, _LIST, False, False, scope,
+                                 readout, None, start, end)
+                + ["return " + _tuple([slot for leaf, slot in readout.items()
+                                       if l0 <= leaf < l1],
+                                      lambda slot: f"({slot}, v[{slot}])")])
+    exec(_code("\n".join(scope.defs + lines),  # noqa: S102 - generated
+               f"<flat reruns {flat.component.name}>"), scope.bound)
+    return {name: value for name, value in scope.bound.items()
+            if name.startswith("x")}
+
+
+class _Fresh(dict):
+    """A region re-run's slot list: a slot reads ABSENT until written, and
+    a re-run costs what its region touches, not the program's size."""
+
+    def __missing__(self, slot: int) -> Any:
+        return ABSENT
+
+
+class _Cells:
+    """The delayed-buffer cells of a tagged slot plane from *base* on,
+    indexed by buffer like the flat loops' buffer lists: what a region
+    re-run reads and resets on native."""
+
+    def __init__(self, base: int, load: Callable[[int], Any],
+                 store: Callable[[int, Any], None]):
+        self.base, self.load, self.store = base, load, store
+
+    def __getitem__(self, index: int) -> Any:
+        return self.load(self.base + index)
+
+    def __setitem__(self, index: int, value: Any) -> None:
+        self.store(self.base + index, value)
+
+
 def native_replays(flat: Any) -> List[Optional[Callable[..., None]]]:
-    """Per-op replay functions ``(ps, ns, sc, tick, load, store, copy)``
-    of *flat*'s program.
+    """Per-op replay functions ``(ps, ns, tick, load, store, copy)`` of
+    *flat*'s program.
 
     ``run`` / ``expr`` / ``correct`` ops get one function each, executing
     the op through the *load* / *store* / *copy* accessors of the tagged
     slot plane it is called with (one plane per native call, so replays
-    share no state between concurrent runs); the other opcodes always run
-    in C and get ``None``.
+    share no state between concurrent runs); a barrier's replay also
+    views the plane's previous and next delayed buffers (the layout of
+    :mod:`repro.simulation.native.emit`) for its region re-runs.  The
+    other opcodes always run in C and get ``None``.
     """
-    scope = SourceScope({}, _TAGGED[3])
+    tagged: _Slots = (lambda slot: f"load({slot})",
+                      lambda slot, x: f"store({slot}, {x})",
+                      lambda src, dst: f"copy({src}, {dst})", "load",
+                      f"Cells({flat.n_slots}, load, store), Cells("
+                      f"{flat.n_slots + len(flat.buffer_initials)}, load, "
+                      "store)")
+    scope = SourceScope(dict(flat.reruns, Cells=_Cells), tagged[3])
     readout = dict(flat.readout_spec)
-    program = flat.program
     lines: List[str] = []
-    for k, op in enumerate(program):
+    for k, op in enumerate(flat.program):
         if op[0] in (OP_RUN, OP_EXPR, OP_CORRECT):
-            lines.append(f"def r{k}(ps, ns, sc, tick, load, store, copy):")
-            lines += _block(_op_lines(k, op, _TAGGED, False, scope, readout)
+            lines.append(f"def r{k}(ps, ns, tick, load, store, copy):")
+            lines += _block(_op_lines(k, op, tagged, False, scope, readout)
                             or ["pass"])
     source = "\n".join(scope.defs + lines)
     exec(_code(source, "<native replay>"), scope.bound)  # noqa: S102
-    return [scope.bound.get(f"r{k}") for k in range(len(program))]
+    return [scope.bound.get(f"r{k}") for k in range(len(flat.program))]

@@ -42,10 +42,12 @@ interpreter's composites, clock gates and mode-transition diagrams:
   laid out like ``gate``: ``[OP_SELECT, (index_slot, position), target]``
   jumps over the behaviour's ops unless the mode controller wrote the
   mode's *position* in ``modes()`` into *index_slot* this tick;
-* ``correct`` -- the per-composite correction barrier: non-feedthrough
-  entries whose inputs changed after they ran are re-stepped from their
-  tick-start state with the final values, mirroring the reference
-  interpreter's second pass.
+* ``correct`` -- the per-composite correction barrier over its *regions*:
+  a non-feedthrough entry a later producer feeds runs as an ordinary
+  region of ops that starts with a copy of the inputs it saw; when the
+  final inputs differ, the barrier re-runs the region from its tick-start
+  state with the final values, mirroring the reference interpreter's
+  second pass.
 
 **Execution.**  The program is not interpreted by an opcode loop: the
 step function is straight-line Python source generated from one body
@@ -54,8 +56,9 @@ once per schedule.  The whole-horizon loop behind
 :meth:`FlatSchedule.run`, its observed variant (op profiling and flight
 recording, :meth:`~repro.obs.context.Telemetry.observed_horizon`) and
 the native backend's trampoline replays are generated from the same
-templates; the per-tick step is generated only when something asks for
-it (a nested leaf's ``run`` op, a ``run_stepped`` caller).
+templates, and so is one re-run function per correction region; the
+per-tick step is generated only when a ``run_stepped`` caller asks for
+it.
 
 **State.**  Run-time state is a :class:`FlatState`: one flat list of leaf
 states plus one flat list of delayed-channel buffers.  A compiled program
@@ -68,10 +71,11 @@ leaves of the same program -- so the interpreter's nested dict states
 never reach a compiled program.
 
 **Mode histories.**  Every leaf that carries an MTD or STD -- a mode
-controller, an STD, a custom-``react`` or nested leaf with a machine
-inside -- and a bare MTD or atomic root has a readout slot
-(:attr:`FlatSchedule.readout_spec`): its ``run`` op, and the correction
-barrier's re-run of it, writes the leaf's new state there.  The horizon
+controller, an STD, a custom-``react`` leaf with a machine inside -- and
+a bare MTD or atomic root has a readout slot
+(:attr:`FlatSchedule.readout_spec`): its ``run`` op writes the leaf's new
+state there, and a correction barrier copies back the readout slots of
+the region it re-ran.  The horizon
 loops return the readout slots as columns beside the outputs, ABSENT on
 the ticks the leaf's region was skipped, and
 :meth:`FlatSchedule.decode_modes` turns them into the trace's mode
@@ -87,12 +91,10 @@ compiled to generated Python functions (:mod:`repro.core.expr_compile`),
 and an atomic block or a component with a custom ``react`` (an MTD or
 STD subclass with one included) runs its own ``react``.  A clock gate
 around a leaf is a ``gate`` region like any other, and every root
-compiles, a bare leaf root to a one-op program.  A non-feedthrough
-composite, gate or MTD fed by a later producer must stay a single step,
-so the correction barrier can re-run it atomically: it becomes a ``run``
-op whose step is its own flat program (:func:`compile_flat`).
-:meth:`FlatSchedule.ops_summary` labels every node that stays a single
-step ``nested``, and :attr:`FlatSchedule.fallback_paths` lists them.
+compiles, a bare leaf root to a one-op program.  There is no nested
+program: a composite, gate or MTD that a later producer feeds is hoisted
+like any other, as a correction region of the one linear program (a
+tracked STD or atomic leaf is a one-op region).
 
 Compilation is **iterative** (an explicit stack of emission generators plus
 the worklist helpers of :mod:`repro.core.components`), so hierarchies
@@ -162,20 +164,17 @@ class _Leaf:
 
     ``step`` is the leaf's ``(inputs, state, tick) -> (outputs, state)``
     step over the state ``initial_state()`` starts: an MTD's mode
-    controller, an STD's transition tables, a component's own ``react``,
-    or the step of ``nested``, the flat program of a composite, gate or
-    MTD that stays a single step.  A pure expression block has no step
-    (``None``): its ``expr`` op evaluates it inline.  ``modes`` holds the
-    ``(controller leaf, mode name)`` of every enclosing ``select``
-    region."""
+    controller, an STD's transition tables or a component's own
+    ``react``.  A pure expression block has no step (``None``): its
+    ``expr`` op evaluates it inline.  ``modes`` holds the ``(controller
+    leaf, mode name)`` of every enclosing ``select`` region."""
 
     __slots__ = ("index", "component", "run_kind", "step", "initial_state",
-                 "nested", "path", "mode_path", "modes")
+                 "path", "mode_path", "modes")
 
     def __init__(self, index: int, component: Component, run_kind: str,
                  step: Optional[StepFunction],
                  initial_state: Callable[[], Any],
-                 nested: Optional["FlatSchedule"],
                  path: str, mode_path: str,
                  modes: Tuple[Tuple[int, str], ...]):
         self.index = index
@@ -183,7 +182,6 @@ class _Leaf:
         self.run_kind = run_kind
         self.step = step
         self.initial_state = initial_state
-        self.nested = nested
         self.path = path
         self.mode_path = mode_path
         self.modes = modes
@@ -204,6 +202,12 @@ def is_flattenable(component: Component) -> bool:
         return type(component).react is ModeTransitionDiagram.react
     return (isinstance(component, CompositeComponent)
             and type(component).react is CompositeComponent.react)
+
+
+def _is_expression_block(component: Component) -> bool:
+    """True for a pure expression block: one inline ``expr`` op."""
+    return (isinstance(component, ExpressionComponent)
+            and type(component).react is ExpressionComponent.react)
 
 
 def _mode_controller_step(mtd: ModeTransitionDiagram) -> StepFunction:
@@ -360,8 +364,6 @@ class _Flattener:
         self.leaves: List[_Leaf] = []
         #: per delayed channel: its initial value
         self.buffer_initials: List[Any] = []
-        self.scratch_count = 0
-        self.fallback_paths: List[str] = []
         #: ``(controller leaf, mode name)`` of the open ``select`` regions
         self._modes: List[Tuple[int, str]] = []
         self._deps_cache: Dict[int, Any] = {}
@@ -411,7 +413,6 @@ class _Flattener:
             or (leaf.component is root and leaf.step is not None))
         return FlatSchedule(root, program, self.n_slots, input_spec,
                             output_spec, self.leaves, self.buffer_initials,
-                            self.scratch_count, self.fallback_paths,
                             tuple(self.slot_names), readout_spec)
 
     def _emit_node(self, component: Component, in_slots: Dict[str, int],
@@ -445,10 +446,9 @@ class _Flattener:
 
     def _new_leaf(self, component: Component, run_kind: str, path: str,
                   mode_path: str, step: Optional[StepFunction] = None,
-                  initial_state: Optional[Callable[[], Any]] = None,
-                  nested: Optional["FlatSchedule"] = None) -> _Leaf:
+                  initial_state: Optional[Callable[[], Any]] = None) -> _Leaf:
         leaf = _Leaf(len(self.leaves), component, run_kind, step,
-                     initial_state or component.initial_state, nested, path,
+                     initial_state or component.initial_state, path,
                      mode_path, tuple(self._modes))
         self.leaves.append(leaf)
         return leaf
@@ -473,7 +473,7 @@ class _Flattener:
             out_spec += (("#mode", mode_slot),)
         in_spec = tuple((name, in_slots[name]) for name in mtd.input_names())
         self.ops.append([OP_RUN, leaf.index, leaf.step, in_spec, out_spec,
-                         (), -1])
+                         ()])
         for position, mode in enumerate(mtd.modes()):
             if mode.behavior is None:
                 continue
@@ -490,26 +490,17 @@ class _Flattener:
 
     def _emit_leaf(self, component: Component, in_slots: Dict[str, int],
                    out_slots: Dict[str, int], prefix: str, mode_path: str,
-                   propagate: Tuple[Tuple[int, int], ...] = (),
-                   tracked: bool = False) -> Optional[Tuple[Any, ...]]:
+                   propagate: Tuple[Tuple[int, int], ...] = ()) -> None:
         """Emit one leaf as one ``expr`` op (a pure expression block) or
-        ``run`` op; returns the correction-barrier entry of a *tracked*
-        ``run`` op (one a late producer may feed after it ran).
-
-        The ``run`` op's step: an STD's transition tables, any other
-        component's own ``react`` -- and for a composite, gate or MTD
-        reaching here, the step of a flat program of its own, so the
-        barrier can re-run it atomically from its tick-start state, like
-        the reference interpreter's second pass.
-        """
+        ``run`` op, whose step is an STD's transition tables or any other
+        component's own ``react``."""
         path = f"{prefix}/{component.name}" if prefix else component.name
         if not component.has_behavior():
             raise SimulationError(
                 f"component {path!r} has no executable behaviour")
         in_spec = tuple((name, in_slots[name])
                         for name in component.input_names())
-        if isinstance(component, ExpressionComponent) \
-                and type(component).react is ExpressionComponent.react:
+        if _is_expression_block(component):
             # pure expression block: its expressions' source is inlined
             # into the step, evaluated straight into the slots.  No leaf
             # schedule, no step call, no output dict, and no correction
@@ -527,13 +518,8 @@ class _Flattener:
                           for name, expression
                           in component.output_expressions.items())
             self.ops.append([OP_EXPR, leaf.index, in_spec, items, propagate])
-            return None
-        if is_flattenable(component):
-            nested = compile_flat(component)
-            leaf = self._new_leaf(component, "nested", path, mode_path,
-                                  nested.step, nested.initial_state, nested)
-            self.fallback_paths.append(path)
-        elif isinstance(component, StateTransitionDiagram) \
+            return
+        if isinstance(component, StateTransitionDiagram) \
                 and type(component).react is StateTransitionDiagram.react:
             leaf = self._new_leaf(component, "std", path, mode_path,
                                   _std_step(component))
@@ -542,14 +528,8 @@ class _Flattener:
                                   component.react)
         out_spec = tuple((name, out_slots[name])
                          for name in component.output_names())
-        scratch, correction = -1, None
-        if tracked:
-            scratch = self.scratch_count
-            self.scratch_count += 1
-            correction = (scratch, leaf.index, leaf.step, in_spec)
         self.ops.append([OP_RUN, leaf.index, leaf.step, in_spec, out_spec,
-                         propagate, scratch])
-        return correction
+                         propagate])
 
     def _emit_composite(self, composite: CompositeComponent,
                         in_slots: Dict[str, int], out_slots: Dict[str, int],
@@ -597,9 +577,7 @@ class _Flattener:
         # i.e. only then is the correction barrier live.  An entry whose
         # producers all precede it in plan order always sees final inputs,
         # so the interpreter's compare-and-rerun provably never fires for
-        # it: such entries need no correction tracking, and non-feedthrough
-        # composites and gates among them can be hoisted instead of running
-        # as one step.
+        # it: such entries need no correction region.
         n_entries = len(plan.entries)
         has_late_producer = [False] * n_entries
         suffix_writes: set = set()
@@ -609,8 +587,11 @@ class _Flattener:
                               if dst[0] is not None}
             has_late_producer[index] = entry.name in suffix_writes
 
-        # sub-components in plan order
-        corrections = []
+        # sub-components in plan order.  A tracked entry (a late producer
+        # feeds it, and it has no feedthrough; a pure expression block
+        # reads nothing a late producer could change) is a region: a copy
+        # of the inputs it saw, then its ops, which the barrier re-runs.
+        regions = []
         #: copy pairs the untracked entries' propagation already ran
         forwarded: set = set()
         for index, entry in enumerate(plan.entries):
@@ -621,27 +602,38 @@ class _Flattener:
             sub_in = {name: slots[name] for name in sub.input_names()}
             sub_out = {name: slots[name] for name in sub.output_names()}
             sub_mode = f"{mode_path}/{entry.name}"
-            tracked = not entry.has_feedthrough and has_late_producer[index]
-            if not tracked:
+            tracked = not entry.has_feedthrough \
+                and has_late_producer[index] and not _is_expression_block(sub)
+            if tracked:
+                seen = tuple((slot, self._new_slot(
+                    f"{path}/{entry.name}.{name}#seen"))
+                    for name, slot in sub_in.items())
+                start, leaves = len(self.ops), len(self.leaves)
+                buffers = len(self.buffer_initials)
+                self.ops.append([OP_COPY, seen])
+            else:
                 forwarded.update(propagate)
-            if is_flattenable(sub) and not tracked:
+            hoisted = is_flattenable(sub)
+            if hoisted:
                 yield self._emit_node(sub, sub_in, sub_out, path, sub_mode)
-                if propagate:
-                    self.ops.append([OP_COPY, propagate])
-                continue
-            correction = self._emit_leaf(sub, sub_in, sub_out, path,
-                                         sub_mode, propagate, tracked)
-            if correction is not None:
-                corrections.append(correction)
+            else:
+                self._emit_leaf(sub, sub_in, sub_out, path, sub_mode,
+                                propagate)
+            if tracked:
+                regions.append((start, len(self.ops),
+                                (leaves, len(self.leaves)),
+                                (buffers, len(self.buffer_initials)), seen))
+            if hoisted and propagate:
+                self.ops.append([OP_COPY, propagate])
 
-        # correction barrier for this composite's non-feedthrough entries
-        if corrections:
-            self.ops.append([OP_CORRECT, tuple(corrections)])
+        # correction barrier for this composite's regions
+        if regions:
+            self.ops.append([OP_CORRECT, tuple(regions)])
 
         # boundary-output collection, then delayed commits.  A pair an
         # untracked entry's propagation already ran is not repeated: only
-        # its producer writes the source, the barrier writes no slot (it
-        # rolls leaf states), and nothing else targets a boundary output.
+        # its producer writes the source, the barrier writes no slot but
+        # readouts, and nothing else targets a boundary output.
         out_copy, out_buf = [], []
         for port_name, is_delayed, channel_name, _initial, src_key \
                 in plan.boundary_outputs:
@@ -667,8 +659,15 @@ class FlatSchedule:
     ``step`` has the leaf steps' ``(inputs, state, tick) -> (outputs,
     state)`` signature over a :class:`FlatState` that starts as
     :meth:`initial_state`.  The IR is inspectable through
-    :meth:`ops_summary` (one line per op, named by hierarchical path),
-    :meth:`op_labels` and :attr:`fallback_paths`.
+    :meth:`ops_summary` (one line per op, named by hierarchical path) and
+    :meth:`op_labels`.
+
+    A ``correct`` op is ``[OP_CORRECT, entries]``, one entry per region
+    it may re-run: ``(start, end, (first leaf, end leaf), (first buffer,
+    end buffer), seen)``.  Ops ``[start, end)`` are the region; op
+    *start* is the copy ``seen`` of the ``(input slot, shadow slot)``
+    pairs it read, and the region's leaves and delayed buffers are the
+    two index ranges.
     """
 
     kind = "flat"
@@ -677,7 +676,6 @@ class FlatSchedule:
                  n_slots: int, input_spec: Tuple[Tuple[str, int], ...],
                  output_spec: Tuple[Tuple[str, int], ...],
                  leaves: List[_Leaf], buffer_initials: List[Any],
-                 scratch_count: int, fallback_paths: List[str],
                  slot_names: Tuple[str, ...] = (),
                  readout_spec: Tuple[Tuple[int, int], ...] = ()):
         self.component = component
@@ -686,17 +684,15 @@ class FlatSchedule:
         self.leaves = leaves
         #: the initial value of every delayed-channel buffer
         self.buffer_initials = buffer_initials
-        self.fallback_paths = fallback_paths
         #: hierarchical ``path.port`` label per slot (forensics decoding)
         self.slot_names = slot_names
         #: ``(leaf index, slot)`` of every leaf whose ``run`` op (and
-        #: correction re-run) writes its new state into a readout slot, in
+        #: region re-run) writes its new state into a readout slot, in
         #: leaf order: the leaves carrying an MTD or STD, and a bare root
         #: (see :meth:`decode_modes`)
         self.readout_spec = readout_spec
         self._input_spec = input_spec
         self._output_spec = output_spec
-        self._scratch_count = scratch_count
         #: the gate predicates, in program order (the gate plane's columns)
         self.gate_predicates = tuple(op[1] for op in program
                                      if op[0] == OP_GATE)
@@ -709,11 +705,17 @@ class FlatSchedule:
     @functools.cached_property
     def step(self) -> Any:
         """The per-tick ``(inputs, state, tick) -> (outputs, state)`` step,
-        generated on first access: :meth:`run` never calls it, only a
-        nested leaf's ``run`` op and
+        generated on first access: :meth:`run` never calls it, only
         :func:`~repro.simulation.engine.run_stepped` callers do."""
         from .op_emit import flat_step
         return flat_step(self)
+
+    @functools.cached_property
+    def reruns(self) -> Dict[str, Callable[..., Tuple[Any, ...]]]:
+        """The re-run of every correction region, by the name its barrier
+        calls (:func:`~repro.simulation.op_emit.region_reruns`)."""
+        from .op_emit import region_reruns
+        return region_reruns(self)
 
     # -- boundary specs ----------------------------------------------------
 
@@ -846,25 +848,23 @@ class FlatSchedule:
                     state = value
                 carried.append(state)
             states.append(carried)
-        trace.mode_paths = self._histories(states, None, {})
+        trace.mode_paths = self._histories(states)
         if states and self.leaves[0].component is self.component:
             trace.mode_history = [state["mode"] for state in states[0]
                                   if isinstance(state, dict)
                                   and "mode" in state]
 
-    def _histories(self, states: List[List[Any]], path: Optional[str],
-                   out: Dict[str, List[Any]]) -> Dict[str, List[Any]]:
+    def _histories(self, states: List[List[Any]]) -> Dict[str, List[Any]]:
         """Per machine path, its mode or state at every tick it was active
         -- what :func:`~repro.simulation.engine.active_mode_paths` walks
-        to after every tick -- collected into *out* in leaf order from the
-        per-tick leaf *states* of the :attr:`readout_spec` leaves.
+        to after every tick -- in leaf order, from the per-tick leaf
+        *states* of the :attr:`readout_spec` leaves.
 
         A leaf is active while every enclosing mode controller is in the
-        leaf's mode.  Mode controllers and STDs are read directly, a
-        nested leaf by its own program, any other leaf (a custom
-        ``react``) by the walk.  With *path*, paths are rebased from this
-        root's name onto *path* (a flat program running as one step).
+        leaf's mode.  Mode controllers and STDs are read directly, any
+        other leaf (a custom ``react``) by the walk.
         """
+        out: Dict[str, List[Any]] = {}
         column_of = {index: column for (index, _slot), column
                      in zip(self.readout_spec, states)}
         for index, column in column_of.items():
@@ -875,20 +875,13 @@ class FlatSchedule:
                 live = [tick for tick in live if modes[tick]["mode"] == mode]
             if not live:
                 continue
-            base = leaf.mode_path if path is None \
-                else path + leaf.mode_path[len(self.component.name):]
+            base = leaf.mode_path
             if leaf.run_kind == "mtd":
                 out[base] = [column[tick]["mode"] for tick in live]
             elif leaf.run_kind == "std":
                 initial = leaf.component.initial_state_name
                 out[base] = [column[tick]["state"] or initial
                              for tick in live]
-            elif leaf.run_kind == "nested":
-                inner = leaf.nested
-                inner._histories([[column[tick].leaf_states[i]
-                                   for tick in live]
-                                  for i, _slot in inner.readout_spec],
-                                 base, out)
             else:
                 for tick in live:
                     for key, mode in active_mode_paths(
@@ -898,32 +891,26 @@ class FlatSchedule:
 
     # -- instrumentation ---------------------------------------------------
 
-    def op_labels(self) -> List[Tuple[str, str, bool]]:
-        """Per-op descriptors for :class:`repro.obs.profile.OpProfile`:
-        ``(kind name, human label, runs-on-nested-fallback)``.
-
-        Labels match :meth:`ops_summary`; the nested flag marks ``run`` ops
-        whose leaf is a composite, gate or MTD kept as one step (see
-        :attr:`fallback_paths`), so profiles can report fallback activity
-        without re-deriving it.
-        """
-        labels: List[Tuple[str, str, bool]] = []
+    def op_labels(self) -> List[Tuple[str, str]]:
+        """Per-op ``(kind name, human label)`` descriptors, as
+        :meth:`ops_summary` shows them (for
+        :class:`repro.obs.profile.OpProfile` and the flight recorder)."""
+        labels: List[Tuple[str, str]] = []
         for op in self.program:
             code = op[0]
             kind = _OP_NAMES[code]
-            nested = False
             if code in (OP_RUN, OP_EXPR):
                 leaf = self.leaves[op[1]]
                 label = f"{leaf.path} [{leaf.run_kind}]"
-                nested = leaf.run_kind == "nested"
             elif code in REGION_OPS:
                 label = f"{kind} -> {op[2]}"
             elif code == OP_CORRECT:
-                label = f"correction barrier ({len(op[1])})"
+                label = "correction barrier (ops " + ", ".join(
+                    f"{entry[0]}..{entry[1] - 1}" for entry in op[1]) + ")"
             else:
                 pairs = len(op[1])
                 label = f"{kind} ({pairs} pair{'s' if pairs != 1 else ''})"
-            labels.append((kind, label, nested))
+            labels.append((kind, label))
         return labels
 
     # -- introspection -----------------------------------------------------
@@ -932,18 +919,12 @@ class FlatSchedule:
         """One line per op of the flat program (the IR view): index, kind
         and the :meth:`op_labels` label.
 
-        ``run`` ops name the leaf's hierarchical path and compilation kind
-        (``nested`` marks composites, gates and MTDs kept as one step) and
-        are marked ``(correction-tracked)`` when a barrier may re-run them;
-        ``gate`` and ``select`` ops show their jump target.
+        ``run`` and ``expr`` ops name the leaf's hierarchical path and
+        compilation kind, ``gate`` and ``select`` ops show their jump
+        target and a correction barrier the op ranges it may re-run.
         """
-        lines = []
-        for index, (op, (kind, label, _nested)) in enumerate(
-                zip(self.program, self.op_labels())):
-            if op[0] == OP_RUN and op[6] >= 0:
-                label += " (correction-tracked)"
-            lines.append(f"{index:>4} {kind:>9}  {label}")
-        return lines
+        return [f"{index:>4} {kind:>9}  {label}"
+                for index, (kind, label) in enumerate(self.op_labels())]
 
     def __repr__(self) -> str:
         return (f"FlatSchedule({self.component.name!r}, "
@@ -964,6 +945,5 @@ def compile_flat(component: Component) -> FlatSchedule:
         if span is not None:
             span.attributes.update(ops=len(schedule.program),
                                    slots=schedule.n_slots,
-                                   leaves=len(schedule.leaves),
-                                   fallbacks=len(schedule.fallback_paths))
+                                   leaves=len(schedule.leaves))
     return schedule

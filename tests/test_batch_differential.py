@@ -35,8 +35,9 @@ from repro.notations.std import StateTransitionDiagram
 from repro import obs
 from repro.scenarios import Scenario, execute_scenario, run_sharded
 from repro.simulation import (ClockGatedComponent, CompiledSimulator,
-                              FlatSchedule, NativeLoweringError, Simulator,
-                              compile_flat, native_available)
+                              NativeLoweringError, Simulator, compile_flat,
+                              native_available)
+from repro.simulation.schedule_ir import OP_CORRECT
 from repro.simulation.native import tiering
 from repro.simulation.engine import active_mode_paths, run_stepped
 
@@ -388,14 +389,53 @@ def _behavior_dfd(rng, name, with_std):
     return dfd
 
 
-def _build_one_step_model(rng, index):
-    """Both composite shapes that compile to a flat program of their own.
+def _switching_core(rng, name):
+    """A core whose re-run takes another path than its first run.
+
+    Its first run sees ``u`` absent (``A`` feeds it later): the guards of
+    the MTD ``CM`` stay silent and the block ``CR`` (``100 / (a - k)``)
+    cannot raise.  The re-run sees the final ``u``: ``CM`` may switch
+    between ``Idle`` and ``Busy``, a mode behaviour with an internal
+    delayed channel, and ``CR`` may raise.  ``CM`` reaches ``s`` over a
+    delayed channel, so the core stays non-feedthrough.
+    """
+    threshold = rng.randint(-2, 2)
+    modes = ModeTransitionDiagram("CM")
+    modes.add_input("a")
+    modes.add_input("b")
+    modes.add_output("out")
+    modes.add_mode("Idle", _expression_block(rng, "CIdle"), initial=True)
+    modes.add_mode("Busy", _loop_dfd(rng, "CBusy"))
+    modes.add_transition("Idle", "Busy", f"present(a) and a != {threshold}")
+    modes.add_transition("Busy", "Idle", f"a <= {threshold}")
+    raiser = ExpressionComponent("CR", {"out": f"100 / (a - "
+                                               f"{rng.randint(-3, 3)})"})
+    raiser.add_input("a")
+    raiser.add_output("out")
+    core = DataFlowDiagram(name)
+    core.add_input("u")
+    core.add_output("y")
+    core.add_output("s")
+    core.add_subcomponent(UnitDelay("Z", initial=rng.randint(0, 3)))
+    core.add(raiser, modes)
+    core.connect("u", "Z.in1")
+    core.connect("Z.out", "y")
+    core.connect("u", "CR.a")
+    core.connect("u", "CM.a")
+    core.connect("CR.out", "CM.b")
+    core.connect("CM.out", "s", delayed=True, initial_value=0)
+    return core
+
+
+def _build_one_step_model(rng, index, switching=False):
+    """Both composite shapes that compile to a correction region.
 
     ``M`` is an MTD whose mode behaviours are DFDs, at least one holding
     an STD.  ``C`` is a non-feedthrough composite (its output comes from a
     delay, optionally under a clock gate) that is scheduled before ``A``
     although ``A`` feeds it: a late-produced composite, which the
-    correction barrier re-runs as one step.
+    correction barrier re-runs.  With *switching*, ``C``'s core is a
+    :func:`_switching_core`.
     """
     mtd = ModeTransitionDiagram("M")
     mtd.add_input("a")
@@ -410,19 +450,22 @@ def _build_one_step_model(rng, index):
     mtd.add_transition("High", "Low", f"a <= {threshold}")
 
     gated = rng.random() < 0.4
-    core = DataFlowDiagram("CCore" if gated else "C")
-    core.add_input("u")
-    core.add_output("y")
-    core.add_output("s")
-    core.add_subcomponent(UnitDelay("Z", initial=rng.randint(0, 3)))
-    core.add_subcomponent(_expression_block(rng, "CE"))
-    core.add_subcomponent(_std_block(rng, "CSeq"))
-    core.connect("u", "Z.in1")
-    core.connect("Z.out", "CE.a")
-    core.connect("Z.out", "CE.b")
-    core.connect("Z.out", "CSeq.a")
-    core.connect("CE.out", "y")
-    core.connect("CSeq.out", "s")
+    if switching:
+        core = _switching_core(rng, "CCore" if gated else "C")
+    else:
+        core = DataFlowDiagram("CCore" if gated else "C")
+        core.add_input("u")
+        core.add_output("y")
+        core.add_output("s")
+        core.add_subcomponent(UnitDelay("Z", initial=rng.randint(0, 3)))
+        core.add_subcomponent(_expression_block(rng, "CE"))
+        core.add_subcomponent(_std_block(rng, "CSeq"))
+        core.connect("u", "Z.in1")
+        core.connect("Z.out", "CE.a")
+        core.connect("Z.out", "CE.b")
+        core.connect("Z.out", "CSeq.a")
+        core.connect("CE.out", "y")
+        core.connect("CSeq.out", "s")
     child = (ClockGatedComponent(core, every(rng.randint(2, 3)), name="C")
              if gated else core)
 
@@ -447,7 +490,7 @@ def _build_one_step_model(rng, index):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_one_step_composites_agree_with_interpreter(seed):
-    """Late-produced composites compile to flat programs of their own and
+    """Late-produced composites compile to correction regions and
     composite MTD mode behaviours to ``select`` regions of the root's
     program; ``auto``, ``flat``, ``native`` and
     ``batch`` must reproduce the interpreter's typed traces, error strings
@@ -459,8 +502,11 @@ def test_one_step_composites_agree_with_interpreter(seed):
 
     flat = compile_flat(model)
     leaves = {leaf.component.name: leaf for leaf in flat.leaves}
-    assert isinstance(leaves["C"].nested, FlatSchedule)
-    assert flat.fallback_paths == [f"{model.name}/C"]
+    # C's leaves are leaves of the root's program, in C's one region
+    barrier, = [op for op in flat.program if op[0] == OP_CORRECT]
+    (_start, _end, (first, end), _buffers, _seen), = barrier[1]
+    assert [leaf.component.name for leaf in flat.leaves[first:end]] \
+        == ["Z", "CE", "CSeq"]
     controller = leaves["M"]
     assert controller.run_kind == "mtd"
     assert {leaf.modes for leaf in flat.leaves
@@ -482,6 +528,42 @@ def test_one_step_composites_agree_with_interpreter(seed):
         assert [(result.error, result.mode_paths,
                  _typed_streams(result.trace) if result.ok else None)
                 for result in results] == expected, (seed, backend)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_step_rerun_taking_another_path_agrees_with_interpreter(seed):
+    """``C``'s re-run takes another path than its first run
+    (:func:`_switching_core`): it switches mode, runs the other mode's
+    delayed channel and may raise where the first run could not.  ``flat``,
+    ``native`` and promoted ``auto`` reproduce the interpreter's typed
+    traces, errors with the tick they end the run at, and ``collect_modes``
+    histories."""
+    rng = random.Random(9750 + seed)
+    model = _build_one_step_model(rng, seed, switching=True)
+    battery = [Scenario(name, stimuli, ticks) for name, stimuli, ticks
+               in _battery(rng, model, size=5, max_ticks=14)]
+    expected = [(_interpreter_mtd_outcome(model, scenario),
+                 _interpreter_modes(model, scenario)[1])
+                for scenario in battery]
+    # the first run sees u absent, so it neither leaves Idle nor raises in
+    # CR: a Busy tick was switched by a re-run, CR's error raised by one
+    assert any("Busy" in histories.get(f"{model.name}/C/CM", ())
+               if histories else "100 / (a - " in outcome[0]
+               for outcome, histories in expected), seed
+    for backend in ["flat"] + (["native", "auto"] if _HAS_NATIVE else []):
+        simulator = CompiledSimulator(model, backend=backend)
+        if backend == "auto":
+            simulator._promote_now(force=True)  # noqa: SLF001 - test hook
+        for scenario, (outcome, histories) in zip(battery, expected):
+            got = _ticked_outcome(lambda ticks: simulator.run(
+                scenario.stimuli, ticks), scenario.ticks)
+            label = (seed, backend, scenario.name)
+            assert got == outcome, label
+            result = execute_scenario(simulator, scenario,
+                                      collect_modes=True)
+            assert result.mode_paths == histories, label
+        if backend == "auto":
+            assert simulator._native is not None  # noqa: SLF001
 
 
 # -- generated loop variants ---------------------------------------------------

@@ -8,8 +8,8 @@ this module pins the *contracts* of the new layer: which roots
 flatten, that ``ops_summary`` names every op of the program by its
 hierarchical path, that compilation is iterative (5000-level regression), that clock-gated
 subtrees hold state and suppress emissions across skip ticks exactly like
-the interpreter, and that the nested fallback and correction barrier
-appear exactly where the semantics require them.
+the interpreter, and that correction regions and their barriers appear
+exactly where the semantics require them.
 """
 
 import random
@@ -37,6 +37,8 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               is_flattenable, native_available)
 from repro.simulation.engine import run_stepped
 from repro.simulation.native import NativeSchedule
+from repro.simulation.schedule_ir import (OP_COPY, OP_CORRECT, OP_EXPR,
+                                          OP_GATE)
 
 
 def assert_engines_agree(component, stimuli, ticks):
@@ -172,10 +174,10 @@ def traced_gain_dfd():
 #: path, a bare leaf root is a one-op program.
 COMPILED_ROOTS = {
     "composite": (accumulator_in_composite,
-                  "   6       run  Outer/G [atomic]"),
+                  "   7       run  Outer/G [atomic]"),
     "gate": (lambda: ClockGatedComponent(accumulator_in_composite(),
                                          every(2)),
-             "   7       run  Outer_gated/Outer/G [atomic]"),
+             "   8       run  Outer_gated/Outer/G [atomic]"),
     "mtd": (modes_mtd, "   0       run  Modes [mtd]"),
     "gated_mtd": (lambda: ClockGatedComponent(modes_mtd(), every(2)),
                   "   1       run  Modes_gated/Modes [mtd]"),
@@ -225,13 +227,13 @@ def test_linear_steps_pin_exact_format():
     assert schedule.ops_summary() == [
         "   0      copy  copy (1 pair)",
         "   1      copy  copy (1 pair)",
-        "   2       run  Outer/Inner/Z [atomic] (correction-tracked)",
-        "   3      expr  Outer/Inner/ADD [expr]",
-        "   4   correct  correction barrier (1)",
-        "   5      copy  copy (1 pair)",
-        "   6       run  Outer/G [atomic]",
+        "   2      copy  copy (1 pair)",
+        "   3       run  Outer/Inner/Z [atomic]",
+        "   4      expr  Outer/Inner/ADD [expr]",
+        "   5   correct  correction barrier (ops 2..3)",
+        "   6      copy  copy (1 pair)",
+        "   7       run  Outer/G [atomic]",
     ]
-    assert schedule.fallback_paths == []
 
 
 #: ``ops_summary()`` of ``gated_mtd_system(every(3), direct)``, keyed by
@@ -269,7 +271,6 @@ GATED_MTD_OPS = {
 def test_gated_mtd_system_ops_summary_pins_the_program(direct):
     flat = compile_flat(gated_mtd_system(every(3), direct=direct))
     assert flat.ops_summary() == GATED_MTD_OPS[direct]
-    assert flat.fallback_paths == []
 
 
 def test_gated_ccd_ops_summary_pins_the_program(engine_ccd):
@@ -301,7 +302,6 @@ def test_gated_ccd_ops_summary_pins_the_program(engine_ccd):
         f"  18      expr  {fuel}/Injection [expr]",
         "  19      copy  copy (2 pairs)",
     ]
-    assert flat.fallback_paths == []
 
 
 # -- deep hierarchies (satellite: iterative compile, 5000 levels) --------------
@@ -366,7 +366,8 @@ def test_deep_gated_chain_compiles_and_runs():
     simulator = CompiledSimulator(_deep_gated_chain(1200))
     schedule = simulator.schedule
     assert isinstance(schedule, FlatSchedule)
-    assert schedule.fallback_paths == []   # every gate became a predicate
+    # every gate became a predicate, with no correction region
+    assert {op[0] for op in schedule.program} == {OP_GATE, OP_EXPR, OP_COPY}
     trace = simulator.run({"u": [1.0, 1.0, 2.0, 2.0]}, 4)
     # aligned every(2) gates: active (passthrough + 1) on even ticks only
     assert trace.output("y").values() == [2.0, ABSENT, 3.0, ABSENT]
@@ -463,32 +464,30 @@ def test_gating_predicate_is_a_flat_op_for_gated_composites():
     summary = "\n".join(flat.ops_summary())
     assert "gate" in summary          # flattened gated composite -> GATE op
     assert "[mtd]" in summary         # the MTD's hoisted mode controller
-    assert flat.fallback_paths == []
 
     flat_direct = compile_flat(gated_mtd_system(every(2), direct=True))
     summary = "\n".join(flat_direct.ops_summary())
     assert "gate" in summary          # gated MTD -> GATE op around it
     assert "Sys/Plant/Modes [mtd]" in summary
-    assert flat_direct.fallback_paths == []
 
 
-# -- correction barriers and nested fallback -----------------------------------
+# -- correction regions and barriers -------------------------------------------
 
 
 def test_correction_barrier_preserved_in_flat_program():
     model = accumulator_in_composite()
     flat = compile_flat(model)
     summary = "\n".join(flat.ops_summary())
-    assert "correct" in summary
-    assert "(correction-tracked)" in summary
+    assert "correction barrier (ops 2..3)" in summary
     reference, _ = assert_engines_agree(model, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [2, 4, 6, 8, 10]
 
 
-def test_late_produced_composite_falls_back_to_nested():
-    """A non-feedthrough composite fed by a later-scheduled producer must
-    stay one leaf so the correction barrier can re-run it atomically: a
-    ``run`` op over the composite's own flat program."""
+def test_late_produced_composite_is_a_correction_region():
+    """A non-feedthrough composite fed by a later-scheduled producer is
+    hoisted like any other, as a region the correction barrier re-runs:
+    the copy of the input it saw, then its ops, whose leaves are leaves of
+    the parent's program."""
     child = DataFlowDiagram("Child")
     child.add_input("u")
     child.add_output("y")
@@ -509,14 +508,20 @@ def test_late_produced_composite_falls_back_to_nested():
     parent.connect("A.out", "y")
 
     flat = compile_flat(parent)
-    assert flat.fallback_paths == ["Parent/Child"]
-    child_leaf, = [leaf for leaf in flat.leaves if leaf.component is child]
-    assert isinstance(child_leaf.nested, FlatSchedule)
+    assert [leaf.component for leaf in flat.leaves] == [delay, add]
     assert flat.ops_summary() == [
         "   0      copy  copy (1 pair)",
-        "   1       run  Parent/Child [nested] (correction-tracked)",
-        "   2      expr  Parent/A [expr]",
-        "   3   correct  correction barrier (1)"]
+        "   1      copy  copy (1 pair)",
+        "   2      copy  copy (1 pair)",
+        "   3       run  Parent/Child/Z [atomic]",
+        "   4      copy  copy (1 pair)",
+        "   5      expr  Parent/A [expr]",
+        "   6   correct  correction barrier (ops 1..3)"]
+    # ops 1..3 re-run leaf 0 over no buffers; op 1 copies what it saw
+    u, seen = flat.slot_names.index("Parent/Child.u"), \
+        flat.slot_names.index("Parent/Child.u#seen")
+    assert flat.program[6][1] == ((1, 4, (0, 1), (0, 0), ((u, seen),)),)
+    assert flat.program[1] == (OP_COPY, ((u, seen),))
     reference, _ = assert_engines_agree(parent, {"u": [1] * 5}, 5)
     assert reference.output("y").values() == [1, 2, 3, 4, 5]
 
@@ -543,11 +548,71 @@ def test_non_feedthrough_composite_without_late_producer_is_flattened():
     parent.connect("Child.y", "y")
 
     flat = compile_flat(parent)
-    assert flat.fallback_paths == []
+    assert all(op[0] != OP_CORRECT for op in flat.program)
     # the child's delay is an op of the parent's program
     assert "   3       run  Parent/Child/Z [atomic]" in flat.ops_summary()
     reference, _ = assert_engines_agree(parent, {"u": [1, 2, 3, 4]}, 4)
     assert reference.output("y").values() == [0, 2, 4, 6]
+
+
+def tracked_chain(depth):
+    """*depth* nested correction regions.  At level *n* the composite ``C``
+    (level *n - 1*; a unit delay at the bottom) runs before ``A``, which
+    feeds its ``u``; the delay ``D`` stores the level's own ``u`` and
+    ``S`` adds ``D``'s value to ``C``'s.  ``A`` is gated to tick *n*, so
+    at tick *n* one barrier re-runs level *n - 1*, and only there does a
+    ``D`` store a present value -- a re-run per tick, not two per level
+    and tick."""
+    current = DataFlowDiagram("L0")
+    current.add_input("u")
+    current.add_output("y")
+    current.add_subcomponent(UnitDelay("D", initial=0))
+    current.connect("u", "D.in1")
+    current.connect("D.out", "y")
+    for level in range(1, depth + 1):
+        current.name = "C"
+        adder = ExpressionComponent("Add", {"out": "v0 + fb"})
+        adder.declare_interface_from_expressions()
+        total = ExpressionComponent("S", {"out": "d + c"})
+        total.declare_interface_from_expressions()
+        parent = DataFlowDiagram(f"L{level}")
+        parent.add_input("u")
+        parent.add_input("v")
+        parent.add_output("y")
+        parent.add(current, ClockGatedComponent(adder, EventClock([level]),
+                                                name="A"),
+                   UnitDelay("D", initial=0), total)
+        if "v" in current.input_names():
+            parent.connect("v", "C.v")
+        parent.connect("v", "A.v0")
+        parent.connect("C.y", "A.fb")   # C runs before A ...
+        parent.connect("A.out", "C.u")  # ... but A feeds it
+        parent.connect("u", "D.in1")
+        parent.connect("D.out", "S.d")
+        parent.connect("C.y", "S.c")
+        parent.connect("S.out", "y")
+        current = parent
+    return current
+
+
+def test_deep_chain_of_correction_regions_matches_the_interpreter():
+    """30 correction regions nested in one linear program: each region
+    holds the next one and its barrier, whose re-run calls the inner
+    region's re-run.  Every backend matches the interpreter."""
+    model = tracked_chain(30)
+    flat = compile_flat(model)
+    barriers = [(index, op[1]) for index, op in enumerate(flat.program)
+                if op[0] == OP_CORRECT]
+    assert len(barriers) == 30
+    for (inner, (entry,)), (_outer, (outer_entry,)) in zip(barriers,
+                                                           barriers[1:]):
+        assert outer_entry[0] < entry[0] and inner < outer_entry[1]
+    stimuli = {"u": [1.0] * 34, "v": [float(tick) for tick in range(34)]}
+    expected = outcome(lambda: Simulator(model).run(stimuli, 34))
+    assert len(set(expected[2]["y"])) > 20
+    for simulator in compiled_simulators(model):
+        assert outcome(lambda: simulator.run(stimuli, 34)) == expected, \
+            simulator.backend
 
 
 # -- state representation and mode observability -------------------------------
@@ -659,9 +724,9 @@ def std_in_mode_mtd():
     return system
 
 
-def std_in_fallback_composite():
-    """An STD inside ``Child``, a composite that must stay a nested leaf:
-    it is non-feedthrough (the STD reads the delayed value) and fed by the
+def std_in_tracked_composite():
+    """An STD inside ``Child``, a correction region: the composite is
+    non-feedthrough (the STD reads the delayed value) and fed by the
     later-scheduled ``A``."""
     seq = StateTransitionDiagram("Seq")
     seq.add_input("x")
@@ -717,12 +782,13 @@ def test_mode_plan_walks_std_inside_mtd_mode():
     assert "Sys/Modes/High" in set().union(*observed)
 
 
-def test_mode_plan_walks_machine_inside_nested_fallback_leaf():
-    model = std_in_fallback_composite()
+def test_mode_plan_walks_machine_inside_correction_region():
+    model = std_in_tracked_composite()
     flat, observed = assert_mode_paths_track_reference(
         model, [{"u": value} for value in [1, 1, 1, 1, -4, -4, 1, 1]])
-    assert flat.fallback_paths == ["Parent/Child"]
-    assert planned_paths(flat) == ["Parent/Child"]
+    assert "   7   correct  correction barrier (ops 1..4)" \
+        in flat.ops_summary()
+    assert planned_paths(flat) == ["Parent/Child/Seq"]
     assert {paths["Parent/Child/Seq"] for paths in observed} \
         == {"Calm", "Hot"}
 
@@ -823,14 +889,12 @@ def test_op_labels_align_with_program_and_summary():
         labels = schedule.op_labels()
         summary = schedule.ops_summary()
         assert len(labels) == len(schedule.program) == len(summary)
-        for op, (kind, label, nested), line in zip(schedule.program,
-                                                   labels, summary):
+        for op, (kind, label), line in zip(schedule.program, labels,
+                                           summary):
             assert kind == _OP_NAMES[op[0]]
             assert label
             # the summary line for the same op names the same leaf/detail
-            assert f" {kind} " in f" {line} " or kind in line
-            if nested:
-                assert "[nested]" in label
+            assert line.endswith(f" {kind}  {label}")
 
 
 def test_slot_names_cover_every_slot_and_match_specs():
@@ -1154,6 +1218,8 @@ def test_default_campaign_never_generates_a_per_tick_step(monkeypatch):
 
     monkeypatch.setattr(op_emit, "flat_step", recording)
     model = gated_mtd_system(every(2), direct=False)
+    # a name no other test's model has: rebuilt models share cache keys
+    model.name = "NoPerTickStep"
     scenarios = [Scenario(f"s{index}", {"x": [float(index), 3.0, 0.0]}, 6)
                  for index in range(4)]
     results = run_sharded(model, scenarios, executor="serial",
@@ -1209,7 +1275,7 @@ def test_observed_runs_never_step_per_tick(step_forbidden, backend, session,
         simulator._promote_now(force=True)  # noqa: SLF001 - test hook
         simulator.run(stimuli, 8)
         assert simulator._native is not None  # noqa: SLF001
-    assert step_forbidden and not simulator.schedule.fallback_paths
+    assert step_forbidden
     config = OBSERVING_SESSIONS[session]
     with obs.session(postmortem_dir=str(tmp_path), ring_ticks=3,
                      **config) as telemetry:

@@ -129,7 +129,7 @@ def test_recorder_captures_exact_failure_tick_and_op():
     assert failure["tick"] == 5
     assert "division by zero" in failure["error"]
     assert failure["inputs"] == {"u": 5.0, "d": 0.0}
-    kind, label, _ = simulator.schedule.op_labels()[failure["op_index"]]
+    kind, label = simulator.schedule.op_labels()[failure["op_index"]]
     assert kind == "expr" and "DIV" in label
     # the ring holds exactly the ticks preceding the failure
     assert [tick for tick, _ in recorder.snapshots] == [1, 2, 3, 4]

@@ -13,7 +13,7 @@ This module pins that against the reference interpreter:
   ``mode_history``, ``collect_modes`` histories, and the error type,
   message and tick;
 * gates around an MTD, an STD and a custom-``react`` leaf: as the root,
-  hoisted into a composite, kept as one correction-tracked step, and as an
+  hoisted into a composite, hoisted as a correction region, and as an
   MTD mode behaviour -- traces, ``mode_paths`` and the ``ops_summary()``
   of the program;
 * telemetry on leaf roots: op profiles and flight-recorder bundles.
@@ -45,8 +45,8 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               compile_flat, is_flattenable,
                               native_available)
 from repro.simulation.engine import run_stepped
-from repro.simulation.schedule_ir import (OP_COPY, OP_EXPR, OP_GATE, OP_RUN,
-                                          OP_SELECT)
+from repro.simulation.schedule_ir import (OP_COPY, OP_CORRECT, OP_EXPR,
+                                          OP_GATE, OP_RUN, OP_SELECT)
 
 
 @pytest.fixture(autouse=True)
@@ -205,7 +205,7 @@ def test_case_study_root_compiles_to_one_flat_program(name):
         assert len(flat.program) == 1 and len(flat.leaves) == 1
         assert flat.leaves[0].component is root
         assert flat.leaves[0].path == root.name
-    assert flat.fallback_paths == []
+    assert all(op[0] != OP_CORRECT for op in flat.program)
 
 
 # -- gates around leaves ---------------------------------------------------------
@@ -213,7 +213,7 @@ def test_case_study_root_compiles_to_one_flat_program(name):
 
 class HeldModes(ModeTransitionDiagram):
     """An MTD declared non-feedthrough: a loop through it is causal, and a
-    later producer of its input leaves it correction-tracked."""
+    later producer of its input makes it a correction region."""
 
     def instantaneous_dependencies(self):
         return {name: set() for name in self.output_names()}
@@ -317,8 +317,7 @@ def hoisted_system(make_leaf, clock):
 
 def late_producer_system(make_leaf, clock):
     """The gated leaf (non-feedthrough) feeds ``A``, which feeds it back:
-    ``A`` is a later producer, so the gate stays one correction-tracked
-    step, a flat program of its own."""
+    ``A`` is a later producer, so the gate is a correction region."""
     system = DataFlowDiagram("Loop")
     system.add_input("u")
     system.add_output("y")
@@ -435,8 +434,8 @@ class CountingModes(ModeTransitionDiagram):
 
 
 def correction_tracked_std():
-    """An STD fed by a later producer: its ``run`` op is correction-tracked
-    and the barrier re-runs it with the final input."""
+    """An STD fed by a later producer: its ``run`` op is a correction
+    region, which the barrier re-runs with the final input."""
     system = DataFlowDiagram("Loop")
     system.add_input("u")
     system.add_output("y")
@@ -457,8 +456,8 @@ HISTORY_CASES = {
     "std_in_inactive_select": lambda: behaviour_host(sequencer_leaf,
                                                      every(1)),
     "correction_tracked_std": correction_tracked_std,
-    "nested_fallback_leaf": lambda: late_producer_system(sequencer_leaf,
-                                                         every(2)),
+    "tracked_gate_region": lambda: late_producer_system(sequencer_leaf,
+                                                        every(2)),
     "custom_react_mtd": lambda: hoisted_system(
         lambda: modes_leaf(kind=CountingModes), every(1)),
     "mode_carrying_atomic_root": Tally,
@@ -471,8 +470,10 @@ def test_mode_histories_match_the_interpreter_walk(case):
     summary = "\n".join(compile_flat(model).ops_summary())
     assert {"alternate_ticks_gate": "gate",
             "std_in_inactive_select": "select",
-            "correction_tracked_std": "Loop/Seq [std] (correction-tracked)",
-            "nested_fallback_leaf": "[nested] (correction-tracked)",
+            "correction_tracked_std": "   4   correct  correction barrier "
+                                      "(ops 1..2)",
+            "tracked_gate_region": "   6   correct  correction barrier "
+                                   "(ops 1..3)",
             "custom_react_mtd": "Sys/G/Modes [atomic]",
             "mode_carrying_atomic_root": "Tally [atomic]"}[case] in summary
     reference = Simulator(model)
@@ -493,7 +494,7 @@ def test_mode_histories_match_the_interpreter_walk(case):
 
 def _gated_ops(machine, kind):
     """The ``ops_summary()`` of a gate around the leaf *machine* of *kind*
-    as a root, and in the contexts that hoist it or keep it one step."""
+    as a root, and in the contexts that hoist it."""
     host = ["   0       run  Host [mtd]",
             "   1    select  select -> 3",
             "   2      expr  Host/Idle/IdleB [expr]"]
@@ -516,12 +517,20 @@ def _gated_ops(machine, kind):
                         "   7      expr  Sys/G/Modes/High/HighB [expr]",
                         "   8      copy  copy (1 pair)",
                         "   9      copy  copy (1 pair)"],
-            "late_producer": ["   0      copy  copy (1 pair)",
-                              "   1       run  Loop/G [nested] "
-                              "(correction-tracked)",
-                              "   2      expr  Loop/A [expr]",
-                              "   3   correct  correction barrier (1)",
-                              "   4      copy  copy (1 pair)"],
+            "late_producer": [
+                "   0      copy  copy (1 pair)",
+                "   1      copy  copy (1 pair)",
+                "   2      gate  gate -> 9",
+                "   3       run  Loop/G/Modes [mtd]",
+                "   4    select  select -> 6",
+                "   5      expr  Loop/G/Modes/Low/LowB [expr]",
+                "   6    select  select -> 8",
+                "   7      expr  Loop/G/Modes/High/HighB [expr]",
+                "   8      copy  copy (1 pair)",
+                "   9      copy  copy (2 pairs)",
+                "  10      expr  Loop/A [expr]",
+                "  11   correct  correction barrier (ops 1..8)",
+                "  12      copy  copy (1 pair)"],
             "behaviour": host + [
                 "   3    select  select -> 11",
                 "   4      gate  gate -> 11",
@@ -542,11 +551,13 @@ def _gated_ops(machine, kind):
                     f"   3       run  Sys/G/{machine} [{kind}]",
                     "   4      copy  copy (1 pair)"],
         "late_producer": ["   0      copy  copy (1 pair)",
-                          "   1       run  Loop/G [nested] "
-                          "(correction-tracked)",
-                          "   2      expr  Loop/A [expr]",
-                          "   3   correct  correction barrier (1)",
-                          "   4      copy  copy (1 pair)"],
+                          "   1      copy  copy (1 pair)",
+                          "   2      gate  gate -> 4",
+                          f"   3       run  Loop/G/{machine} [{kind}]",
+                          "   4      copy  copy (2 pairs)",
+                          "   5      expr  Loop/A [expr]",
+                          "   6   correct  correction barrier (ops 1..3)",
+                          "   7      copy  copy (1 pair)"],
         "behaviour": host + ["   3    select  select -> 6",
                              "   4      gate  gate -> 6",
                              f"   5       run  Host/Busy/G/{machine} "
@@ -573,8 +584,6 @@ def test_gated_leaf_keeps_its_linear_steps(leaf, context):
     model = CONTEXTS[context](LEAVES[leaf], every(2))
     schedule = CompiledSimulator(model).schedule
     assert schedule.ops_summary() == GATED_LEAF_OPS[leaf, context]
-    expected_fallbacks = ["Loop/G"] if context == "late_producer" else []
-    assert schedule.fallback_paths == expected_fallbacks
     if context == "behaviour":
         controller = schedule.leaves[0]
         assert controller.component is model
@@ -585,6 +594,8 @@ def test_gated_leaf_keeps_its_linear_steps(leaf, context):
 
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
 def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
+    """A gated leaf is a ``gate`` region in every context; a late producer
+    makes that region a correction region too."""
     make_leaf = LEAVES[leaf]
     model = gated_root(make_leaf, every(2))
     root = compile_flat(model)
@@ -592,17 +603,19 @@ def test_gate_around_a_leaf_is_a_region_unless_correction_tracked(leaf):
     mtd_ops = [OP_SELECT, OP_EXPR] * 2 + [OP_COPY] if leaf == "mtd" else []
     assert [op[0] for op in root.program] == [OP_GATE, OP_RUN] + mtd_ops
     assert root.program[0][2] == len(root.program)
-    assert root.fallback_paths == []
     assert root.leaves[0].component is model.inner
 
     hoisted = compile_flat(hoisted_system(make_leaf, every(2)))
     assert "gate" in "\n".join(hoisted.ops_summary())
-    assert hoisted.fallback_paths == []
+    assert all(op[0] != OP_CORRECT for op in hoisted.program)
 
     late = compile_flat(late_producer_system(make_leaf, every(2)))
-    summary = "\n".join(late.ops_summary())
-    assert "Loop/G [nested] (correction-tracked)" in summary
-    assert late.fallback_paths == ["Loop/G"]
+    barrier, = [op for op in late.program if op[0] == OP_CORRECT]
+    (start, end, _leaves, _buffers, _seen), = barrier[1]
+    # the region: the copy of the input G saw, then G's gate region
+    assert [op[0] for op in late.program[start:start + 2]] \
+        == [OP_COPY, OP_GATE]
+    assert late.program[start + 1][2] == end
 
 
 # -- composite mode behaviours ----------------------------------------------------

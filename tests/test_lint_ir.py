@@ -40,8 +40,7 @@ def _doctor(schedule, program, n_slots=None):
         schedule.component, tuple(program),
         schedule.n_slots if n_slots is None else n_slots,
         schedule.input_spec, schedule.output_spec, schedule.leaves,
-        schedule.buffer_initials, schedule._scratch_count,
-        schedule.fallback_paths, schedule.slot_names)
+        schedule.buffer_initials, schedule.slot_names)
 
 
 @pytest.fixture
@@ -49,10 +48,9 @@ def momentum_schedule():
     return compile_flat(build_momentum_controller())
 
 
-@pytest.fixture
-def feedback_schedule():
-    """A delayed feedback loop: the UnitDelay runs before its producer and
-    is correction-tracked (the program contains a real OP_CORRECT)."""
+def _feedback_model(clock=None):
+    """A delayed feedback loop: the UnitDelay (behind a gate on *clock*)
+    runs before its producer, so it is a correction region."""
     dfd = DataFlowDiagram("FB")
     dfd.add_input("x")
     dfd.add_output("out")
@@ -62,15 +60,29 @@ def feedback_schedule():
     adder.add_output("out")
     delay = UnitDelay("Z", initial=0)
     dfd.add_subcomponent(adder)
-    dfd.add_subcomponent(delay)
+    dfd.add_subcomponent(delay if clock is None
+                         else ClockGatedComponent(delay, clock, name="Z"))
     dfd.connect("x", "A.a")
     dfd.connect("Z.out", "A.b")
     dfd.connect("A.out", "Z.in1")
     dfd.connect("A.out", "out")
-    schedule = compile_flat(dfd)
-    assert any(op[0] == OP_CORRECT for op in schedule.program)
-    assert any(op[0] == OP_RUN and op[6] >= 0 for op in schedule.program)
+    return dfd
+
+
+@pytest.fixture
+def feedback_schedule():
+    """The feedback loop's program holds a real OP_CORRECT."""
+    schedule = compile_flat(_feedback_model())
+    barrier, = [op for op in schedule.program if op[0] == OP_CORRECT]
+    (start, end, _leaves, _buffers, _seen), = barrier[1]
+    assert [op[0] for op in schedule.program[start:end]] == [OP_COPY, OP_RUN]
     return schedule
+
+
+def _barrier(program):
+    """The index and the (mutable) op of the program's one barrier."""
+    return next((index, op) for index, op in enumerate(program)
+                if op[0] == OP_CORRECT)
 
 
 def _gated_model(clock):
@@ -300,30 +312,62 @@ def test_mutation_correction_missing_dropped_barrier(feedback_schedule):
 
 def test_mutation_correction_unmatched_input_spec(feedback_schedule):
     program = [list(op) for op in feedback_schedule.program]
-    barrier = next(op for op in program if op[0] == OP_CORRECT)
-    si, leaf_index, fn, in_spec = barrier[1][0]
-    barrier[1] = ((si, leaf_index, fn,
-                   tuple((name, slot + 1) for name, slot in in_spec)),)
+    _, barrier = _barrier(program)
+    start, end, leaves, buffers, seen = barrier[1][0]
+    barrier[1] = ((start, end, leaves, buffers,
+                   tuple((slot + 1, shadow) for slot, shadow in seen)),)
     report = lint_flat_schedule(_doctor(feedback_schedule, program))
-    assert report.by_rule("ir-correction-unmatched"), report.describe()
+    unmatched = report.by_rule("ir-correction-unmatched")
+    assert unmatched, report.describe()
+    assert "copy of its inputs" in unmatched[0].message
 
 
 def test_mutation_correction_missing_untracked_late_producer(
         feedback_schedule):
-    program = [list(op) for op in feedback_schedule.program
-               if op[0] != OP_CORRECT]
-    run = next(op for op in program if op[0] == OP_RUN)
-    run[6] = -1  # pretend the flattener forgot to track the delay
+    """A dropped entry: the barrier stays, the delay's region is not
+    re-run any more."""
+    program = [list(op) for op in feedback_schedule.program]
+    _, barrier = _barrier(program)
+    barrier[1] = ()  # pretend the flattener forgot to track the delay
     report = lint_flat_schedule(_doctor(feedback_schedule, program))
     missing = report.by_rule("ir-correction-missing")
     assert missing, report.describe()
     assert "late producers" in missing[0].message
+    assert all(f.severity is Severity.ERROR for f in missing)
+
+
+def test_mutation_correction_region_crosses_a_gate():
+    """The entry's region ends inside the gate region it holds."""
+    schedule = compile_flat(_feedback_model(every(2)))
+    program = [list(op) for op in schedule.program]
+    _, barrier = _barrier(program)
+    start, end, leaves, buffers, seen = barrier[1][0]
+    assert program[start + 1][0] == OP_GATE and program[start + 1][2] == end
+    barrier[1] = ((start, end - 1, leaves, buffers, seen),)
+    report = lint_flat_schedule(_doctor(schedule, program))
+    unmatched = report.by_rule("ir-correction-unmatched")
+    assert [f.location["op"] for f in unmatched] == [program.index(barrier)]
+    assert f"crosses the gate region at op {start + 1}" \
+        in unmatched[0].message
+    assert unmatched[0].severity is Severity.ERROR
+
+
+def test_mutation_correction_barrier_before_its_region_ends(
+        feedback_schedule):
+    program = [list(op) for op in feedback_schedule.program]
+    index, barrier = _barrier(program)
+    start, _end, leaves, buffers, seen = barrier[1][0]
+    barrier[1] = ((start, index + 1, leaves, buffers, seen),)
+    report = lint_flat_schedule(_doctor(feedback_schedule, program))
+    unmatched = report.by_rule("ir-correction-unmatched")
+    assert unmatched, report.describe()
+    assert "the barrier runs before its region" in unmatched[0].message
 
 
 def test_mutation_correction_dead_barrier(feedback_schedule):
     program = list(feedback_schedule.program)
     run_index = next(i for i, op in enumerate(program) if op[0] == OP_RUN)
-    barrier = next(op for op in program if op[0] == OP_CORRECT)
+    _, barrier = _barrier(program)
     mutant = program[:run_index + 1] + [barrier] + program[run_index + 1:]
     report = lint_flat_schedule(_doctor(feedback_schedule, mutant))
     dead = report.by_rule("ir-correction-dead")
@@ -369,6 +413,17 @@ def test_no_false_positives_on_fuzz_models(seed):
     rng = random.Random(9000 + seed)
     model = _build_model(rng, seed)
     report = lint_model(model)
+    assert not report.errors(), report.describe()
+    assert not _ir_noise(report), report.describe()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_no_false_positives_on_one_step_models(seed):
+    """Correction regions (composites, gates and MTDs a late producer
+    feeds) verify clean: their provisional input reads are exempt."""
+    from test_batch_differential import _build_one_step_model
+    model = _build_one_step_model(random.Random(9500 + seed), seed)
+    report = lint_flat_schedule(compile_flat(model))
     assert not report.errors(), report.describe()
     assert not _ir_noise(report), report.describe()
 

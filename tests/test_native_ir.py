@@ -35,7 +35,7 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               compile_flat, compile_native, native_available)
 from repro.simulation.native import (EMITTER_VERSION, cache_key, evict_stale,
                                      lower_program, reset_toolchain_cache)
-from repro.simulation.schedule_ir import OP_GATE
+from repro.simulation.schedule_ir import OP_CORRECT, OP_EXPR, OP_GATE
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C compiler on this host")
@@ -298,7 +298,7 @@ def test_native_cli_info_runs():
 
 
 @requires_cc
-def test_trampoline_covers_nested_fallback_and_exact_escapes():
+def test_trampoline_covers_fallback_ops_and_exact_escapes():
     """Atomic leaves always trampoline; huge-int arithmetic bails at run
     time; the lowered fast path never fires the trampoline on plain
     small-int traffic through expression blocks only."""
@@ -317,6 +317,57 @@ def test_trampoline_covers_nested_fallback_and_exact_escapes():
     before = schedule.trampoline_calls
     native.run({"x": Stream([2 ** 70]), "y": Stream([2 ** 70])}, 1)
     assert schedule.trampoline_calls - before > 1  # run-time bails fired
+
+
+def _tracked_late_producer():
+    """A gated MTD fed by a later producer: its gate region, mode
+    controller and two expression behaviours are one correction region."""
+    import test_leaf_roots
+    return (test_leaf_roots.late_producer_system(test_leaf_roots.modes_leaf,
+                                                 every(2)),
+            {"u": Stream([1, 4, 2, 0, 3, 5, 1, 2])})
+
+
+def _tracked_one_step():
+    """The one-step fuzz model of seed 0: ``C`` is a correction region."""
+    import random
+
+    import test_batch_differential
+    return (test_batch_differential._build_one_step_model(  # noqa: SLF001
+        random.Random(9500), 0),
+        {"x": Stream([1, 3, -2, 4, 2, 5, 1, 2]),
+         "y": Stream([2, 1, 3, -1, 2, 4, 1, 3])})
+
+
+@requires_cc
+@pytest.mark.parametrize("build", [_tracked_late_producer, _tracked_one_step],
+                         ids=["late_producer", "one_step"])
+def test_correction_region_lowers_and_trampolines_per_fallback_op(build):
+    """A correction region's own ops lower to C like any others: its
+    ``expr`` ops are lowered ops, and each run re-enters Python exactly
+    once per execution of a fallback op (``run`` ops and the barrier,
+    whose replay re-runs the region in Python when the inputs changed)."""
+    model, stimuli = build()
+    native = CompiledSimulator(model, backend="native")
+    schedule = native.schedule
+    program = schedule.program
+    barrier, = [op for op in program if op[0] == OP_CORRECT]
+    region_exprs = [index for start, end, *_entry in barrier[1]
+                    for index in range(start, end)
+                    if program[index][0] == OP_EXPR]
+    assert region_exprs
+    assert set(region_exprs) <= set(schedule.lowered.lowered_ops)
+
+    # the observed flat loop counts the executions of every op
+    with obs.session(profile_ops=True) as telemetry:
+        profiled = native.run(stimuli, 8)
+    profile, = telemetry.profiles.values()
+    assert profile.correction_reruns  # the barrier re-ran the region
+    executions = sum(profile.counts[index]
+                     for index in schedule.lowered.fallback_ops)
+    before = schedule.trampoline_calls
+    assert trace_to_json(native.run(stimuli, 8)) == trace_to_json(profiled)
+    assert schedule.trampoline_calls - before == executions
 
 
 # -- toolchain fault injection -------------------------------------------------

@@ -392,8 +392,8 @@ def test_compile_spans_and_plan_cache_counters():
 def test_gate_stats_count_select_checks_with_their_skips():
     """``select`` regions are checked like gates: a profile counts their
     evaluations beside the skips it sums over every op."""
-    labels = [("run", "M [mtd]", False), ("select", "s", False),
-              ("expr", "e", False), ("gate", "g", False)]
+    labels = [("run", "M [mtd]"), ("select", "s"),
+              ("expr", "e"), ("gate", "g")]
     profile = OpProfile("m[flat]", labels)
     profile.counts[:] = [5, 5, 2, 5]
     profile.gate_skips[1] = 3
@@ -403,7 +403,7 @@ def test_gate_stats_count_select_checks_with_their_skips():
 
 
 def test_op_profile_merge_requires_same_shape():
-    labels = [("expr", "a", False), ("gate", "g", False)]
+    labels = [("expr", "a"), ("gate", "g")]
     first = OpProfile("m[flat]", labels)
     second = OpProfile("m[flat]", labels)
     first.counts[0] = 3
@@ -413,7 +413,7 @@ def test_op_profile_merge_requires_same_shape():
     assert first.counts[0] == 7
     assert first.gate_skips[1] == 2
     with pytest.raises(ValueError):
-        first.merge(OpProfile("other", [("expr", "a", False)]))
+        first.merge(OpProfile("other", [("expr", "a")]))
 
 
 def _flattenable_engine(engine_modes_mtd):

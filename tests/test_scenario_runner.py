@@ -807,6 +807,25 @@ def test_a_cached_simulator_never_runs_an_object_edited_after_its_campaign(
         assert trace_to_json(result.trace) == trace_to_json(expected)
 
 
+@pytest.mark.parametrize("build", [casestudy.build_engine_ccd,
+                                   casestudy.build_door_lock_control],
+                         ids=["engine_ccd", "door_lock"])
+def test_a_rebuilt_model_pickles_alike_and_hits_the_cache(build):
+    """Unnamed channels are named after their destination, so a case-study
+    model built twice pickles to the same bytes: one cache key, and a
+    campaign on the second build compiles nothing."""
+    first, second = build(), build()
+    assert pickle.dumps(first) == pickle.dumps(second)
+    assert runner._model_key(first, "serial")[0] \
+        == runner._model_key(second, "serial")[0]
+    batch = [Scenario(f"quiet{index}", {}, ticks=5 + index)
+             for index in range(3)]
+    _counted_campaign(first, batch, "serial", backend="flat")
+    _results, counters = _counted_campaign(second, batch, "serial",
+                                           backend="flat")
+    assert counters.get("compile.simulators", 0) == 0
+
+
 def _report_campaign(model, batch):
     """One serial ``run_with_report`` campaign, as bytes: traces, mode
     histories and the report (its wall-clock duration dropped), plus the
