@@ -1,21 +1,23 @@
-"""[P9] Tiered ``auto``: flat at once, the native C loop from a scenario boundary.
+"""[P9] Tiered ``auto``: flat at once, the native C loop from the second run.
 
 Not a paper figure: pins the tiering decision of ``backend="auto"``
-(:mod:`repro.simulation.native.tiering`) on the models the end-to-end
-benchmark (``perfbench/``) campaigns over, by deterministic counts, so
-it holds on any host:
+(:func:`repro.simulation.native.schedule.promote`) on the models the
+end-to-end benchmark (``perfbench/``) campaigns over, by deterministic
+counts, so it holds on any host:
 
 * the 60-block rate-banded gated CCD (``ccd_sweep``'s model: 60 lowered
-  ops, one fallback) promotes exactly once, and once the promotion is
-  joined every later scenario is one C entry (``native.runs``), with
-  traces byte-identical to ``backend="flat"``; the background thread
-  records no ``native.compile.*`` counter;
+  ops, one fallback) promotes exactly once, on its second scenario, in
+  the calling thread: every scenario from the second on is one C entry
+  (``native.runs``), with traces byte-identical to ``backend="flat"``,
+  and the promotion counts one native compile (``native.compile.total``)
+  in the caller's session;
 * every other case-study model of ``portfolio`` and ``fault_campaign``'s
-  gated engine CCD stays flat: each declines before any lowering, so the
-  second run starts no promotion and no thread, and no native compile is
-  counted.  That includes ``comfort_closing``, a bare expression root
-  whose one ``expr`` op has string-literal outputs: the pre-lowering
-  check counts it as a fallback op, as the emitter would;
+  gated engine CCD stays flat: the cost check declines its lowered
+  program, so no promotion and no native compile is counted.  That
+  includes ``comfort_closing``, a bare expression root whose one
+  ``expr`` op has string-literal outputs, which the emitter sends to
+  the trampoline;
+* no model starts a thread;
 * ``compile.simulators`` still counts one compile per simulator: one
   for a tiered serial campaign, one per worker that ran a task of a
   model's first process-pool campaign (the :mod:`bench_scenario_sharding`
@@ -40,7 +42,6 @@ from repro.io import trace_to_json
 from repro.scenarios import RandomWalk, Scenario, run_sharded
 from repro.simulation import (CompiledSimulator, build_gated_ccd,
                               native_available)
-from repro.simulation.native.tiering import join_promotions
 
 from _bench_utils import median_paired_ratio, report
 from bench_scenario_sharding import _counted_pool_run, _gated_ccd_workload
@@ -75,43 +76,39 @@ def _constant_stimuli(root):
     return stimuli
 
 
-def _run_joined(simulator, batch):
-    """Run *batch*, joining the promotion after the second scenario;
-    returns the outcomes and whether the second run started a
-    promotion."""
+def _run(simulator, batch):
+    """Run *batch*; returns the traces, or error strings."""
     outcomes = []
-    started = False
-    for index, scenario in enumerate(batch):
-        if index == 2:
-            started = simulator._promotion is not None
-            assert simulator.join_promotion(timeout=120)
+    for scenario in batch:
         try:
             outcomes.append(trace_to_json(
                 simulator.run(scenario.stimuli, scenario.ticks)))
         except Exception as exc:  # noqa: BLE001 - errors count as runs
             outcomes.append(f"{type(exc).__name__}: {exc}")
-    return outcomes, started
+    return outcomes
 
 
 def test_p9_gated_ccd_promotes_once_then_one_c_entry_per_scenario():
     gated = _gated_ccd_workload(60)
     batch = _walks()
     flat = CompiledSimulator(gated, backend="flat")
+    threads = threading.active_count()
     with obs.session() as telemetry:
         tiered = CompiledSimulator(gated)
-        outcomes, started = _run_joined(tiered, batch)
+        outcomes = _run(tiered, batch)
     counters = telemetry.registry.counter_values("")
-    assert started
-    assert outcomes == _run_joined(flat, batch)[0]
+    assert threading.active_count() == threads, "the promotion started " \
+        "a thread"
+    assert outcomes == _run(flat, batch)
     assert counters["compile.native_promotions"] == 1
-    assert counters["native.runs"] == SCENARIOS - 2, (
-        "every scenario after the joined promotion is one C entry")
+    assert counters["native.runs"] == SCENARIOS - 1, (
+        "every scenario from the second on is one C entry")
     assert counters["compile.simulators"] == 1
-    assert "native.compile.total" not in counters
+    assert counters["native.compile.total"] == 1
     assert tiered.schedule.kind == "flat"
     report("P9", f"gated_ccd60: {SCENARIOS} scenarios x {TICKS} ticks -> "
                  f"{counters['compile.native_promotions']:.0f} promotion, "
-                 f"{counters['native.runs']:.0f} C entries after the join")
+                 f"{counters['native.runs']:.0f} C entries")
 
 
 def _declining_models():
@@ -130,21 +127,20 @@ def _case_study_batch(root):
 
 
 def test_p9_case_study_models_never_promote():
-    join_promotions()
     threads = threading.active_count()
     summary = []
     for workload, root, check_types in _declining_models():
         batch = _case_study_batch(root)
         with obs.session() as telemetry:
             simulator = CompiledSimulator(root, check_types=check_types)
-            _outcomes, started = _run_joined(simulator, batch)
+            _run(simulator, batch)
         counters = telemetry.registry.counter_values("")
         promotions = counters.get("compile.native_promotions", 0)
         compiles = counters.get("native.compile.total", 0)
         summary.append(f"{workload}/{root.name}: {simulator.schedule.kind}, "
                        f"{promotions:.0f} promotions, {compiles:.0f} native "
                        "compiles")
-        assert (started, promotions, compiles) == (False, 0, 0), summary[-1]
+        assert (promotions, compiles) == (0, 0), summary[-1]
     assert threading.active_count() == threads, "a declined model started " \
         "a thread"
     report("P9", "\n".join(summary))
@@ -180,7 +176,6 @@ def test_p9_tiered_campaign_vs_flat_informative():
     campaign("native")()  # a warm shared-object cache, as after set-up
     ratio, t_flat, t_tiered = median_paired_ratio(
         campaign("flat"), campaign("auto"), PAIRS)
-    join_promotions()
     report("P9", f"{SCENARIOS}-scenario campaign (median of {PAIRS} "
                  f"pairs): flat {t_flat * 1e3:.1f} ms, tiered auto "
                  f"{t_tiered * 1e3:.1f} ms -> {1 / ratio:.2f}x")

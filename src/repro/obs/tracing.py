@@ -120,6 +120,18 @@ class Tracer:
             if self._stack.pop() is span:
                 break
 
+    def now(self) -> float:
+        """A reading of the tracer's clock, to :meth:`record` a span from."""
+        return self._clock()
+
+    def record(self, name: str, start: float, **attributes: Any) -> Span:
+        """Attach a closed span that began at *start* (a :meth:`now`
+        reading) and ends now: a region kept only once it succeeded."""
+        span = Span(name, start, attributes)
+        span.end = self._clock()
+        self.adopt(span)
+        return span
+
     def adopt(self, span: Span) -> None:
         """Attach an externally built (e.g. deserialized) span tree."""
         if self._stack:

@@ -525,9 +525,8 @@ def _submit(executor: str, size: int, spec: _TaskSpec,
 
 
 def _forget_runner_state() -> None:
-    """A forked child owns none of its parent's runner state: no pool,
-    and no cached simulator, which may carry a promotion whose thread
-    the child lacks."""
+    """A forked child owns none of its parent's runner state: no pool
+    and no cached simulator."""
     global _POOLS_LOCK, _WORKER
     _POOLS.clear()
     _POOLS_LOCK = threading.Lock()
@@ -575,10 +574,9 @@ def run_sharded(component: Component, scenarios: Sequence[Scenario], *,
     ``"native"``: it compiles and dispatches exactly the same way.
     With the default ``backend="auto"`` every simulator -- the serial
     one, each thread's, each worker's -- is tiered: it starts on the
-    flat program and may switch to the native C loop between two of its
-    scenarios (:class:`~repro.simulation.compiled.CompiledSimulator`),
-    with identical results.  A process pool forks only once no
-    promotion of this process is in flight.
+    flat program and may switch to the native C loop on its second
+    scenario (:class:`~repro.simulation.compiled.CompiledSimulator`),
+    with identical results.
 
     Under the caller's telemetry session (:func:`repro.obs.session`) a
     serial run records straight into it.  Pool workers, threads and

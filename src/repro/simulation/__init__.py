@@ -15,8 +15,9 @@
   per scenario (requires a platform C compiler; check
   :func:`native_available`).  It serves ``backend="native"`` and its
   alias ``backend="batch"``, and tiered ``backend="auto"`` switches to
-  it between scenarios (:mod:`repro.simulation.native.tiering`); hosts
-  without a compiler run the flat program.
+  it on a simulator's second scenario
+  (:func:`repro.simulation.native.schedule.promote`); hosts without a
+  compiler run the flat program.
 * :mod:`repro.simulation.trace` -- recorded traces, trace tables, equivalence
 * :mod:`repro.simulation.causality` -- hierarchical instantaneous-loop check
 * :mod:`repro.simulation.multirate` -- stimulus generators and resampling

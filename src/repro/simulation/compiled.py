@@ -40,7 +40,9 @@ be reused across any number of simulation runs.  Its state is its own: a
 run starts from the schedule's ``initial_state()`` (a flat program's
 :class:`~repro.simulation.schedule_ir.FlatState`), never from the
 interpreter's nested ``component.initial_state()``.  Every schedule a
-simulator runs is flat or native, and runs a scenario's whole horizon at
+simulator runs is flat or native -- the default ``backend="auto"`` runs
+its first scenario flat and lowers, loads and switches to native in the
+calling thread on its second -- and runs a scenario's whole horizon at
 once through one shell, :func:`~repro.simulation.engine.run_horizon`:
 every stimulus is drawn into columns first, then one generated Python
 tick loop (flat) or one C call (native) runs all ticks, and the output
@@ -113,12 +115,13 @@ _BACKENDS = ("auto", "batch", "flat", "native")
 #: simulator, recorded while observability is on.
 COMPILE_COUNTER = "compile.simulators"
 
-#: Counters of tiered ``auto``: switches to the native C loop, and
+#: Counters of tiered ``auto``: promotions to the native C loop, and
 #: promotions the compiler (or the ``ir_verify`` gate) failed.
 PROMOTION_COUNTER = "compile.native_promotions"
 PROMOTION_FAILURE_COUNTER = "compile.native_promotion_failures"
 
-#: Serializes the tiering state changes of simulators shared by threads.
+#: Serializes the run counts of simulators shared by threads (never held
+#: across a promotion).
 _TIER_LOCK = threading.Lock()
 
 
@@ -141,20 +144,22 @@ class CompiledSimulator:
     events still carry the name the caller passed); ``"auto"`` (default)
     is flat at once, then tiered.
 
-    ``"auto"`` is tiered (:mod:`repro.simulation.native.tiering`): a
-    simulator runs its first scenarios at once on the flat program, its
-    second :meth:`run` starts a background lowering to C when the host
-    has a compiler and the program passes the static cost check, and the
-    first :meth:`run` after that lowering finished switches to the native
-    C loop (``compile.native_promotions``; a failed compile leaves it on
-    flat and counts ``compile.native_promotion_failures``).  A simulator
-    that is only constructed, or run once, starts no thread.
-    :attr:`schedule` stays the flat schedule the constructor built;
-    :meth:`join_promotion` waits for an in-flight lowering.  The tiering
-    state belongs to the simulator, so it persists across campaigns: the
-    sharded runner (:func:`~repro.scenarios.runner.run_sharded`) caches
-    one simulator per model per thread or process, whose first campaign
-    pays for the promotion and whose later campaigns run the C loop.
+    ``"auto"`` is tiered: a simulator runs its first scenario on the flat
+    program, and its second :meth:`run` promotes it in the calling
+    thread (:func:`~repro.simulation.native.schedule.promote`: the build
+    of ``"native"`` plus a cost check between lowering and loading), then
+    runs that scenario and every later one on the native C loop
+    (``compile.native_promotions``, plus the ``compile.native`` span and
+    counters of the native compile).  Without a compiler, or when the
+    cost check declines, no C compiler runs and the simulator stays flat
+    for good; so does a failed compile, which counts
+    ``compile.native_promotion_failures``.  No thread is started.
+    :attr:`schedule` stays the flat schedule the constructor built.  The
+    tiering state belongs to the simulator, so it persists across
+    campaigns: the sharded runner
+    (:func:`~repro.scenarios.runner.run_sharded`) caches one simulator
+    per model per thread or process, whose first campaign pays for the
+    promotion and whose later campaigns run the C loop.
     """
 
     def __init__(self, component: Component, check_types: bool = False,
@@ -187,55 +192,38 @@ class CompiledSimulator:
         registry = current_registry()
         if registry is not None:
             registry.counter(COMPILE_COUNTER).inc()
-        #: tiered ``auto``: runs so far, the in-flight promotion and the
-        #: native schedule it produced
+        #: tiered ``auto``: runs so far, and the native schedule promoted to
         self._tiering = backend == "auto"
         self._runs = 0
-        self._promotion: Any = None
         self._native: Any = None
 
     def _tier_up(self) -> None:
-        """Advance tiered ``auto`` at a scenario boundary: start the
-        promotion on the second run, switch once it is done."""
+        """Count a run of tiered ``auto``; the second one promotes.  Of
+        threads sharing the simulator, exactly one promotes, while the
+        others keep running flat."""
         with _TIER_LOCK:
-            promotion = self._promotion
-            if promotion is None:
-                self._runs += 1
-                if self._runs == 2:
-                    from .native.tiering import start_promotion
-                    self._promotion = start_promotion(self.schedule)
-                    self._tiering = self._promotion is not None
-                return
-            if not promotion.done:
+            self._runs += 1
+            if self._runs < 2 or not self._tiering:
                 return
             self._tiering = False
-            self._promotion = None
-            self._native = promotion.native
-        if promotion.native is not None:
-            counter = PROMOTION_COUNTER
-        elif promotion.error is not None:
+        self._promote_now()
+
+    def _promote_now(self, force: bool = False) -> None:
+        """Promote to the native C loop in this thread, ending tiering
+        (also a test hook; *force* skips the cost check)."""
+        from .native.schedule import promote
+        self._tiering = False
+        try:
+            self._native = promote(self.schedule, force)
+        except Exception:  # noqa: BLE001 - counted; the simulator stays flat
             counter = PROMOTION_FAILURE_COUNTER
-        else:  # the post-lowering cost check declined
-            return
+        else:
+            if self._native is None:  # no compiler, or the check declined
+                return
+            counter = PROMOTION_COUNTER
         registry = current_registry()
         if registry is not None:
             registry.counter(counter).inc()
-
-    def join_promotion(self, timeout: Optional[float] = None) -> bool:
-        """Wait for an in-flight promotion to the native C loop (the next
-        :meth:`run` switches); returns whether none is still running."""
-        promotion = self._promotion
-        return promotion is None or promotion.join(timeout)
-
-    def _promote_now(self, force: bool = False) -> None:
-        """Lower and load synchronously, so the next :meth:`run` switches
-        (a test hook; *force* skips the post-lowering cost check)."""
-        from .native.tiering import Promotion
-        promotion = Promotion(self.schedule, force)
-        promotion.work()
-        with _TIER_LOCK:
-            self._promotion = promotion
-            self._tiering = True
 
     def run(self, stimuli: Optional[Mapping[str, StimulusSpec]] = None,
             ticks: int = 10) -> SimulationTrace:
@@ -266,8 +254,9 @@ class CompiledSimulator:
         untouched: it runs the same generated code whether or not
         :mod:`repro.obs` was ever enabled.
 
-        Tiered ``auto`` (see the class docstring) switches here, between
-        runs, and a promoted simulator runs like a native one.
+        Tiered ``auto`` (see the class docstring) promotes here, before
+        its second scenario runs, and a promoted simulator runs like a
+        native one.
         """
         if self._tiering:
             self._tier_up()

@@ -9,8 +9,9 @@ behind the standard stepped contract (:mod:`.schedule`).  Select it with ``backe
 :class:`~repro.simulation.compiled.CompiledSimulator` /
 :class:`~repro.simulation.compiled.ScenarioSuite`; hosts without a C
 compiler degrade gracefully to the flat interpreter.  The default
-``backend="auto"`` promotes a flat simulator to it between scenarios
-(:mod:`.tiering`).
+``backend="auto"`` promotes a flat simulator to it on its second
+scenario, in the calling thread, through the same build plus one cost
+check (:func:`.schedule.promote`).
 
 ``python -m repro.simulation.native --info`` reports the discovered
 compiler and the shared-object cache.

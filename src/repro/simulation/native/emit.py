@@ -156,24 +156,16 @@ def _expr_abstract_kinds(leaf: Any) -> Any:
     return kinds, clean
 
 
-def expr_syntax_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
-    """The syntactic half of the routing decision for one ``expr`` op:
-    every item expression passes
-    :func:`~repro.ascet.c_expr.lowerable_expression` over the op's inputs
-    (shared with the pre-lowering cost check of :mod:`.tiering`)."""
+def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
+    """Static routing decision for one ``expr`` op."""
     component = leaf.component
     expressions = list(component.output_expressions.values())
     if len(expressions) != len(op[3]):
         return False
     input_names = {name for name, _slot in op[2]}
     functions = component._evaluator.functions  # noqa: SLF001
-    return all(lowerable_expression(expression, input_names, functions)
-               for expression in expressions)
-
-
-def _expr_is_lowerable(op: Tuple[Any, ...], leaf: Any) -> bool:
-    """Static routing decision for one ``expr`` op."""
-    if not expr_syntax_lowerable(op, leaf):
+    if not all(lowerable_expression(expression, input_names, functions)
+               for expression in expressions):
         return False
     kinds, clean = _expr_abstract_kinds(leaf)
     # enum/struct-kind values are Python objects on the tagged plane; the

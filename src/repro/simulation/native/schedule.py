@@ -88,7 +88,7 @@ from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
 
 from ...core.values import ABSENT
 from ...obs.context import active as _obs_active
-from ...obs.context import current_registry, maybe_span
+from ...obs.context import current_registry
 from ..engine import StimulusSpec, run_horizon
 from ..op_emit import native_replays
 from ..schedule_ir import FlatSchedule, FlatState
@@ -417,26 +417,63 @@ def compile_native(schedule: Any,
     :class:`NativeLoweringError`
     (:class:`~repro.simulation.compiled.CompiledSimulator` checks
     :func:`~.toolchain.native_available` first and degrades to ``"flat"``
-    instead of calling this).  The compile records a ``compile.native``
-    span and the ``native.compile.*`` / ``native.ops.*`` counters.
+    instead of calling this).  A compile that loads records a
+    ``compile.native`` span and the ``native.compile.*`` /
+    ``native.ops.*`` counters.
     """
     if not isinstance(schedule, FlatSchedule):
         from ..schedule_ir import compile_flat
         schedule = compile_flat(schedule)
-    check_lowerable(schedule)
+    return _build(schedule, cache_directory)
+
+
+#: Fallback-to-lowered cost bound of tiered ``auto`` (:func:`worth_loading`).
+PROMOTION_RATIO = 10
+
+
+def worth_loading(lowered: LoweredProgram) -> bool:
+    """Tiered ``auto``'s cost check: promotion only pays when most of the
+    program runs in C, so it promotes only when ``fallback ops x
+    PROMOTION_RATIO <= lowered ops`` in the emitter's routing (``run``
+    ops and correction barriers always trampoline)."""
+    return (len(lowered.fallback_ops) * PROMOTION_RATIO
+            <= len(lowered.lowered_ops))
+
+
+def promote(flat: FlatSchedule,
+            force: bool = False) -> Optional[NativeSchedule]:
+    """Tiered ``auto``'s promotion of *flat*, in the calling thread.
+
+    The build of :func:`compile_native` with :func:`worth_loading`
+    between lowering and loading (*force* skips it).  Returns ``None``
+    -- having invoked no C compiler and recorded nothing -- when the host
+    has no compiler or the check declines; a failing build raises.
+    """
+    if find_compiler() is None:
+        return None
+    return _build(flat, check=not force)
+
+
+def _build(flat: FlatSchedule, cache_directory: Optional[str] = None,
+           check: bool = False) -> Optional[NativeSchedule]:
+    """The one build path: :func:`check_lowerable`, lower, the cost check
+    when *check* is set, load.  Only a loaded program records its
+    ``compile.native`` span (lowering and load) and counters."""
+    check_lowerable(flat)
     telemetry = _obs_active()
-    registry = telemetry.registry if telemetry is not None else None
-    with maybe_span("compile.native", component=schedule.component.name,
-                    ops=len(schedule.program)) as span:
-        lowered = lower_program(schedule, EMITTER_VERSION)
-        lib, so_path, cache_hit = load_shared_object(lowered.source,
-                                                     cache_directory)
-        native = NativeSchedule(schedule, so_path, lowered, lib)
-        if span is not None:
-            span.attributes.update(lowered_ops=len(lowered.lowered_ops),
-                                   fallback_ops=len(lowered.fallback_ops),
-                                   cache_hit=cache_hit)
-    if registry is not None:
+    started = telemetry.tracer.now() if telemetry is not None else 0.0
+    lowered = lower_program(flat, EMITTER_VERSION)
+    if check and not worth_loading(lowered):
+        return None
+    lib, so_path, cache_hit = load_shared_object(lowered.source,
+                                                 cache_directory)
+    native = NativeSchedule(flat, so_path, lowered, lib)
+    if telemetry is not None:
+        telemetry.tracer.record(
+            "compile.native", started, component=flat.component.name,
+            ops=len(flat.program), lowered_ops=len(lowered.lowered_ops),
+            fallback_ops=len(lowered.fallback_ops), cache_hit=cache_hit)
+        registry = telemetry.registry
         registry.counter("native.compile.total").inc()
         registry.counter("native.compile.cache_hits" if cache_hit
                          else "native.compile.cache_misses").inc()

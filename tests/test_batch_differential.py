@@ -38,7 +38,7 @@ from repro.simulation import (ClockGatedComponent, CompiledSimulator,
                               NativeLoweringError, Simulator, compile_flat,
                               native_available)
 from repro.simulation.schedule_ir import OP_CORRECT
-from repro.simulation.native import tiering
+from repro.simulation.native import schedule as native_schedule
 from repro.simulation.engine import active_mode_paths, run_stepped
 
 _HAS_NATIVE = native_available()
@@ -307,9 +307,9 @@ def _failing_load(*args, **kwargs):
 @pytest.mark.parametrize("seed", range(8))
 def test_tiered_auto_switch_mid_battery_matches_interpreter(
         seed, check_types, promotion, monkeypatch):
-    """An ``auto`` simulator promoted synchronously before scenario *k* (a
-    test hook, forced past the cost check; its own background promotion
-    is switched off) reproduces the interpreter on every scenario before
+    """An ``auto`` simulator promoted before scenario *k* (a test hook,
+    forced past the cost check; a patched check declines the second run's
+    own promotion) reproduces the interpreter on every scenario before
     and after the switch: typed traces, error strings -- type, message and
     tick -- and ``collect_modes`` histories.  With ``check_types`` the
     output port is an int range, so output type errors land at random
@@ -321,9 +321,10 @@ def test_tiered_auto_switch_mid_battery_matches_interpreter(
     switch = random.Random(9800 + seed).randrange(len(battery))
     if check_types:
         model.port("out").port_type = IntType(-1000, 1000)
-    monkeypatch.setattr(tiering, "start_promotion", lambda flat: None)
+    monkeypatch.setattr(native_schedule, "worth_loading", lambda lowered: False)
     if promotion == "fails":
-        monkeypatch.setattr(tiering, "load_shared_object", _failing_load)
+        monkeypatch.setattr(native_schedule, "load_shared_object",
+                            _failing_load)
     expected = [_interpreter_modes(model, scenario, check_types)
                 for scenario in battery]
 

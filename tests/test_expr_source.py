@@ -147,7 +147,6 @@ def test_deep_expression_block_matches_interpreter(shape, backend):
     with obs.session() as telemetry:
         for _ in range(3):  # auto: the later runs may take the C loop
             assert trace_to_json(simulator.run(stimuli, ticks)) == expected
-            simulator.join_promotion()
     if backend == "native" and native_available():
         counters = telemetry.registry.counter_values("native.")
         assert counters["native.runs"] == 3

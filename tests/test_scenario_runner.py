@@ -35,8 +35,6 @@ from repro.scenarios import (RandomWalk, Scenario, run_sharded,
                              run_with_report, runner)
 from repro.simulation import (CompiledSimulator, ScenarioSuite,
                               first_difference, native_available)
-from repro.simulation.native import tiering
-from repro.simulation.native.tiering import join_promotions
 
 #: The ``src`` directory holding :mod:`repro`, for subprocesses.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -708,7 +706,6 @@ def test_identical_campaigns_compile_once_per_thread(executor):
     for _ in range(3):
         results, counters = _counted_campaign(model, batch, executor,
                                               **options)
-        join_promotions(timeout=120)
         workers |= {result.worker for result in results}
         compiles += counters.get("compile.simulators", 0)
         promotions += counters.get("compile.native_promotions", 0)
@@ -826,12 +823,13 @@ def test_a_rebuilt_model_pickles_alike_and_hits_the_cache(build):
     assert counters.get("compile.simulators", 0) == 0
 
 
-def _report_campaign(model, batch):
+def _report_campaign(model, batch, backend="auto"):
     """One serial ``run_with_report`` campaign, as bytes: traces, mode
     histories and the report (its wall-clock duration dropped), plus the
     kind of schedule each scenario ran on."""
     with obs.session() as telemetry:
-        results, report = run_with_report(model, batch, executor="serial")
+        results, report = run_with_report(model, batch, executor="serial",
+                                          backend=backend)
     assert all(result.ok for result in results)
     data = report.to_json_dict()
     del data["scenarios"]["total_duration_s"]
@@ -844,22 +842,21 @@ def _report_campaign(model, batch):
 
 
 def test_cached_and_promoted_campaigns_are_byte_identical_to_a_cold_one():
-    """A cold campaign, a campaign on the cached flat simulator and one
-    on the same simulator promoted to native produce the same traces,
-    mode histories and report.  Holding the promotion's lock keeps the
-    first two campaigns on the flat program."""
+    """A cold ``backend="flat"`` campaign, the first tiered campaign
+    (flat, then promoted on its second scenario) and a second one on the
+    cached promoted simulator produce the same traces, mode histories and
+    report."""
     model = _tiered_model("CachedIdentity")
     batch = _walk_batch(5, ticks=60)
-    with tiering._FORK_LOCK:
-        cold, cold_kinds = _report_campaign(model, batch)
-        cached, cached_kinds = _report_campaign(model, batch)
-    join_promotions(timeout=120)
-    promoted, promoted_kinds = _report_campaign(model, batch)
-    assert cold_kinds == cached_kinds == ["flat"] * len(batch)
-    assert promoted_kinds \
-        == ["native" if native_available() else "flat"] * len(batch)
+    cold, cold_kinds = _report_campaign(model, batch, backend="flat")
+    first, first_kinds = _report_campaign(model, batch)
+    cached, cached_kinds = _report_campaign(model, batch)
+    tier = "native" if native_available() else "flat"
+    assert cold_kinds == ["flat"] * len(batch)
+    assert first_kinds == ["flat"] + [tier] * (len(batch) - 1)
+    assert cached_kinds == [tier] * len(batch)
     assert any(paths != "{}" for paths in cold[1])
-    assert cold == cached == promoted
+    assert cold == first == cached
 
 
 @pytest.mark.parametrize("name", sorted(

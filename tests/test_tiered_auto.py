@@ -1,19 +1,17 @@
-"""Tiered ``backend="auto"``: flat at once, native from a scenario boundary.
+"""Tiered ``backend="auto"``: flat at once, native from the second run.
 
-A flat ``auto`` simulator starts a background lowering to C on its second
-run when the host has a compiler and the program passes the static cost
-check, and switches to the native C loop at the first run after the
-lowering finished.  These tests pin the switch (counters, traces, the
-schedule the simulator exposes) and the thread lifecycle: no thread
-without a compiler, for a simulator that is only built or run once, or
-for a program the cost check declines; no thread outliving its work or
-keeping a simulator alive; no fork while a promotion is in flight.
+A flat ``auto`` simulator's second run lowers its program to C, checks
+the cost of the lowered program and loads it, in the calling thread,
+when the host has a compiler; that run and every later one then take
+the native C loop.  These tests pin the switch (counters, spans, traces,
+the schedule the simulator exposes), the one cost check, and what never
+happens: no C compiler invoked without a compiler, for a simulator only
+built or run once, or for a program the check declines; no thread
+started; no lock shared between simulators held across a compile.
 """
 
-import gc
 import sys
 import threading
-import weakref
 
 import pytest
 
@@ -24,15 +22,16 @@ from repro.core.errors import ExpressionEvalError
 from repro.notations.blocks import UnitDelay
 from repro.notations.dfd import DataFlowDiagram
 from repro.scenarios import RandomWalk, Scenario, run_sharded
-from repro.simulation import (CompiledSimulator, compile_flat,
+from repro.simulation import (CompiledSimulator, Simulator, compile_flat,
                               first_difference, native_available)
-from repro.simulation.native import NativeLoweringError, tiering
-from repro.simulation.native.tiering import join_promotions
+from repro.simulation.native import (EMITTER_VERSION, NativeLoweringError,
+                                     lower_program)
+from repro.simulation.native import schedule as native_schedule
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C compiler on this host")
 
-#: Bound on every wait for a promotion (a cold compile takes well under).
+#: Bound on every wait on another thread (a cold compile takes well under).
 JOIN_S = 120
 
 
@@ -43,7 +42,6 @@ def _module_cache(tmp_path_factory):
         patch.setenv("REPRO_NATIVE_CACHE",
                      str(tmp_path_factory.mktemp("native-cache")))
         yield
-    join_promotions(timeout=JOIN_S)
 
 
 def _chain(length=12, delays=0, name="TierChain"):
@@ -72,12 +70,41 @@ def _stimuli(index, ticks=30):
     return {"u": [float(index + tick % 5) for tick in range(ticks)]}
 
 
-def _promotion_threads():
-    return [thread for thread in threading.enumerate()
-            if thread.name.startswith(tiering.THREAD_PREFIX)]
+def _corrected(regions=2, name="Corrected"):
+    """Lowerable ``expr`` ops only, plus late-fed composites: each child
+    is an ``expr`` op behind a delayed channel, fed by the parent's adder
+    that reads it, so the parent's one correction barrier (always
+    trampolined) re-runs every child."""
+    parent = DataFlowDiagram(name)
+    parent.add_input("u")
+    parent.add_output("y")
+    previous = "u"
+    for index in range(regions):
+        child = DataFlowDiagram(f"C{index}")
+        child.add_input("u")
+        child.add_output("y")
+        block = ExpressionComponent("B", {"out": "in1 * 2"})
+        block.declare_interface_from_expressions()
+        child.add_subcomponent(block)
+        child.connect("u", "B.in1", delayed=True, initial_value=0.0)
+        child.connect("B.out", "y")
+        add = ExpressionComponent(f"A{index}", {"out": "u0 + fb"})
+        add.declare_interface_from_expressions()
+        parent.add(add, child)
+        parent.connect(previous, f"A{index}.u0")
+        parent.connect(f"C{index}.y", f"A{index}.fb")
+        parent.connect(f"A{index}.out", f"C{index}.u")
+        previous = f"A{index}.out"
+    parent.connect(previous, "y")
+    return parent
 
 
-# -- the static cost check -----------------------------------------------------
+def _worth_loading(component):
+    flat = compile_flat(component)
+    return native_schedule.worth_loading(lower_program(flat, EMITTER_VERSION))
+
+
+# -- the cost check ------------------------------------------------------------
 
 
 def _with_text_block(dfd):
@@ -92,28 +119,28 @@ def _with_text_block(dfd):
 
 
 def test_cost_check_counts_run_against_expr_ops():
-    assert tiering.worth_lowering(compile_flat(_chain(10, delays=1)))
-    assert not tiering.worth_lowering(compile_flat(_chain(10, delays=2)))
-    assert tiering.worth_lowering(compile_flat(_chain(0)))
+    assert _worth_loading(_chain(10, delays=1))
+    assert not _worth_loading(_chain(10, delays=2))
+    assert _worth_loading(_chain(0))
 
 
-def test_cost_check_counts_unlowerable_expr_ops_as_fallback(monkeypatch):
+def test_cost_check_counts_unlowerable_expr_ops_as_fallback():
     # 1 run + 1 text op against 10 lowerable ops: 20 > 10
-    assert not tiering.worth_lowering(
-        compile_flat(_with_text_block(_chain(10, delays=1))))
+    assert not _worth_loading(_with_text_block(_chain(10, delays=1)))
     # ... against 20 lowerable ops: 20 <= 20
-    assert tiering.worth_lowering(
-        compile_flat(_with_text_block(_chain(20, delays=1))))
+    assert _worth_loading(_with_text_block(_chain(20, delays=1)))
     # comfort_closing: one expr op, string literals only
-    assert not tiering.worth_lowering(compile_flat(build_comfort_closing()))
-    # the run ops decide first: a machine root checks no expression
-    checked = []
-    monkeypatch.setattr(tiering, "expr_syntax_lowerable",
-                        lambda op, leaf: checked.append(op) or True)
-    assert not tiering.worth_lowering(compile_flat(build_engine_modes_mtd()))
-    assert not tiering.worth_lowering(
-        compile_flat(_with_text_block(_chain(5, delays=1))))
-    assert checked == []
+    assert not _worth_loading(build_comfort_closing())
+    # a machine root: its mode controller's run op and no lowered op
+    assert not _worth_loading(build_engine_modes_mtd())
+
+
+def test_cost_check_counts_correction_barriers_as_fallback():
+    """Four lowered ``expr`` ops and not one ``run`` op, but one barrier:
+    10 > 4."""
+    lowered = lower_program(compile_flat(_corrected()), EMITTER_VERSION)
+    assert (len(lowered.lowered_ops), len(lowered.fallback_ops)) == (4, 1)
+    assert not native_schedule.worth_loading(lowered)
 
 
 # -- the switch ------------------------------------------------------------------
@@ -123,24 +150,26 @@ def test_cost_check_counts_unlowerable_expr_ops_as_fallback(monkeypatch):
 def test_second_run_promotes_and_later_runs_enter_c_once_each():
     model = _chain()
     reference = CompiledSimulator(model, backend="flat")
+    threads = threading.active_count()
     with obs.session() as telemetry:
         simulator = CompiledSimulator(model)
-        traces = [simulator.run(_stimuli(0), 30), simulator.run(_stimuli(1),
-                                                                30)]
-        assert simulator.join_promotion(JOIN_S)
-        traces += [simulator.run(_stimuli(index), 30)
-                   for index in range(2, 6)]
+        traces = [simulator.run(_stimuli(index), 30) for index in range(6)]
+    assert threading.active_count() == threads
     counters = telemetry.registry.counter_values("")
     assert counters["compile.native_promotions"] == 1
-    assert counters["native.runs"] == 4
+    assert counters["native.runs"] == 5
     assert counters["compile.simulators"] == 1
-    # the background thread recorded nothing into the global telemetry
-    assert "native.compile.total" not in counters
-    assert "compile.native" not in {span.name
-                                    for span in telemetry.tracer.walk()}
+    # the promotion records what a native compile records, in the session
+    assert counters["native.compile.total"] == 1
+    assert counters["native.ops.lowered"] == 12
+    (span,) = [span for span in telemetry.tracer.walk()
+               if span.name == "compile.native"]
+    assert (span.attributes["lowered_ops"], span.attributes["fallback_ops"]) \
+        == (12, 0)
+    assert span.duration() > 0
     run_kinds = [span.attributes["kind"] for span in telemetry.tracer.walk()
                  if span.name == "run"]
-    assert run_kinds == ["flat", "flat"] + ["native"] * 4
+    assert run_kinds == ["flat"] + ["native"] * 5
     # the simulator keeps exposing the flat schedule it compiled
     assert simulator.schedule.kind == "flat"
     for index, trace in enumerate(traces):
@@ -166,18 +195,18 @@ def test_a_failing_compiler_leaves_the_simulator_on_flat(monkeypatch):
     def broken(*args, **kwargs):
         raise NativeLoweringError("stubbed compiler failure")
 
-    monkeypatch.setattr(tiering, "load_shared_object", broken)
+    monkeypatch.setattr(native_schedule, "load_shared_object", broken)
     with obs.session() as telemetry:
         simulator = CompiledSimulator(_chain())
-        simulator.run(_stimuli(0), 30)
-        simulator.run(_stimuli(1), 30)
-        assert simulator.join_promotion(JOIN_S)
-        simulator.run(_stimuli(2), 30)
-        simulator.run(_stimuli(3), 30)
+        for index in range(4):
+            simulator.run(_stimuli(index), 30)
     counters = telemetry.registry.counter_values("")
-    assert counters["compile.native_promotion_failures"] == 1
-    assert "compile.native_promotions" not in counters
-    assert "native.runs" not in counters
+    # a failed promotion records its failure and nothing else
+    assert {name: value for name, value in counters.items()
+            if name.startswith(("native.", "compile.native"))} \
+        == {"compile.native_promotion_failures": 1}
+    assert "compile.native" not in {span.name
+                                    for span in telemetry.tracer.walk()}
 
 
 @pytest.mark.parametrize("backend", ["flat",
@@ -186,22 +215,23 @@ def test_only_auto_tiers(backend):
     simulator = CompiledSimulator(_chain(), backend=backend)
     for index in range(3):
         simulator.run(_stimuli(index), 10)
-    assert simulator._promotion is None and simulator._native is None
+    assert simulator._native is None
 
 
 @requires_cc
 def test_a_simulator_shared_by_threads_promotes_once(monkeypatch):
     """Eight threads race on one simulator's tier state under a tiny
-    switch interval: exactly one promotion starts, and every trace --
-    flat or native, before or after the switch -- matches flat."""
-    starts = []
-    start_promotion = tiering.start_promotion
+    switch interval: exactly one native program is built, and every
+    trace -- flat or native, before or after the switch -- matches
+    flat."""
+    builds = []
+    build = native_schedule._build
 
-    def counted(flat):
-        starts.append(flat)
-        return start_promotion(flat)
+    def counted(flat, *args, **kwargs):
+        builds.append(flat)
+        return build(flat, *args, **kwargs)
 
-    monkeypatch.setattr(tiering, "start_promotion", counted)
+    monkeypatch.setattr(native_schedule, "_build", counted)
     model = _chain(name="Shared")
     flat = CompiledSimulator(model, backend="flat")
     reference = [flat.run(_stimuli(index), 30) for index in range(6)]
@@ -225,74 +255,109 @@ def test_a_simulator_shared_by_threads_promotes_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert simulator.join_promotion(JOIN_S)
-    assert len(starts) == 1
+    assert len(builds) == 1
     assert not diverged
 
 
-# -- thread lifecycle ------------------------------------------------------------
-
-
-def _assert_runs_start_no_thread(simulator):
-    before = threading.active_count()
-    for index in range(4):
-        simulator.run(_stimuli(index), 10)
-        # a started promotion stays on the simulator until a later run
-        assert simulator._promotion is None, f"run {index + 1} started one"
-        assert threading.active_count() == before
-    assert simulator._native is None
-
-
-def test_no_compiler_no_thread(monkeypatch):
-    join_promotions(timeout=JOIN_S)
-    monkeypatch.setattr(tiering, "find_compiler", lambda: None)
-    _assert_runs_start_no_thread(CompiledSimulator(_chain()))
-
-
-def test_constructed_or_once_run_simulators_start_no_thread():
-    join_promotions(timeout=JOIN_S)
-    before = threading.active_count()
-    CompiledSimulator(_chain())
-    CompiledSimulator(_chain()).run(_stimuli(0), 10)
-    assert threading.active_count() == before
-    assert not _promotion_threads()
-
-
-def test_declined_programs_start_no_thread():
-    """Eleven ``run`` ops against twelve ``expr`` ops: declined before
-    any lowering."""
-    join_promotions(timeout=JOIN_S)
-    _assert_runs_start_no_thread(CompiledSimulator(_chain(delays=11)))
-
-
 @requires_cc
-def test_a_dropped_simulator_is_collected_and_its_thread_ends(monkeypatch):
-    """The promotion thread holds the flat program, not the simulator: a
-    simulator dropped mid-promotion is collected while the thread still
-    runs, and the thread ends once its work is done."""
-    join_promotions(timeout=JOIN_S)
-    release = threading.Event()
-    load_shared_object = tiering.load_shared_object
+def test_no_shared_lock_is_held_across_a_compile(monkeypatch):
+    """Simulator A's promotion is held inside the loader until B, in
+    another thread, has run four scenarios, its own promotion
+    included."""
+    release, entered = threading.Event(), threading.Event()
+    load_shared_object = native_schedule.load_shared_object
+    holder = threading.current_thread()
 
     def held(*args, **kwargs):
-        assert release.wait(JOIN_S)
+        if threading.current_thread() is holder:
+            entered.set()
+            assert release.wait(JOIN_S), "B never finished"
         return load_shared_object(*args, **kwargs)
 
-    monkeypatch.setattr(tiering, "load_shared_object", held)
-    simulator = CompiledSimulator(_chain(length=14, name="Dropped"))
+    monkeypatch.setattr(native_schedule, "load_shared_object", held)
+    finished = []
+
+    def run_b():
+        try:
+            assert entered.wait(JOIN_S)
+            with obs.session() as telemetry:
+                simulator = CompiledSimulator(_chain(name="LockFreeB"))
+                for index in range(4):
+                    simulator.run(_stimuli(index), 10)
+            finished.append(telemetry.registry.counter_values("").get(
+                "compile.native_promotions"))
+        finally:
+            release.set()
+
+    other = threading.Thread(target=run_b)
+    other.start()
+    simulator_a = CompiledSimulator(_chain(name="LockFreeA"))
+    simulator_a.run(_stimuli(0), 10)
+    simulator_a.run(_stimuli(1), 10)
+    other.join(JOIN_S)
+    assert not other.is_alive()
+    assert finished == [1]
+    assert simulator_a._native is not None
+
+
+# -- what a simulator never does -------------------------------------------------
+
+
+def _assert_stays_flat_without_compiling(simulator, monkeypatch):
+    """Four runs on the flat program: no load or compile of a shared
+    object, and no thread started."""
+    loads = []
+    monkeypatch.setattr(native_schedule, "load_shared_object",
+                        lambda *args, **kwargs: loads.append(args))
+    before = threading.active_count()
+    with obs.session() as telemetry:
+        for index in range(4):
+            simulator.run(_stimuli(index), 10)
+            assert threading.active_count() == before
+    assert loads == [] and simulator._native is None
+    spans = list(telemetry.tracer.walk())
+    assert {span.attributes["kind"] for span in spans
+            if span.name == "run"} == {"flat"}
+    assert "compile.native" not in {span.name for span in spans}
+    counters = telemetry.registry.counter_values("")
+    assert not any(name.startswith(("native.", "compile.native"))
+                   for name in counters), counters
+
+
+def test_no_compiler_stays_flat_and_never_compiles(monkeypatch):
+    monkeypatch.setattr(native_schedule, "find_compiler", lambda: None)
+    _assert_stays_flat_without_compiling(CompiledSimulator(_chain()),
+                                         monkeypatch)
+
+
+def test_constructed_or_once_run_simulators_never_compile(monkeypatch):
+    loads = []
+    monkeypatch.setattr(native_schedule, "load_shared_object",
+                        lambda *args, **kwargs: loads.append(args))
+    before = threading.active_count()
+    CompiledSimulator(_chain())
+    simulator = CompiledSimulator(_chain())
     simulator.run(_stimuli(0), 10)
-    simulator.run(_stimuli(1), 10)
-    assert simulator._promotion is not None
-    ref = weakref.ref(simulator)
-    del simulator
-    gc.collect()
-    try:
-        assert _promotion_threads(), "the promotion finished too early"
-        assert ref() is None
-    finally:
-        release.set()
-        join_promotions(timeout=JOIN_S)
-    assert not _promotion_threads()
+    assert threading.active_count() == before
+    assert loads == [] and simulator._native is None
+
+
+def test_declined_programs_stay_flat_and_never_compile(monkeypatch):
+    """Eleven ``run`` ops against twelve ``expr`` ops."""
+    _assert_stays_flat_without_compiling(
+        CompiledSimulator(_chain(delays=11)), monkeypatch)
+
+
+def test_correction_barriers_keep_a_program_flat(monkeypatch):
+    """The barrier of :func:`_corrected` pushes its fallback count over
+    the ratio: it stays flat on every run, and its traces match the
+    interpreter's."""
+    model = _corrected()
+    _assert_stays_flat_without_compiling(CompiledSimulator(model),
+                                         monkeypatch)
+    assert first_difference(Simulator(model).run(_stimuli(0), 10),
+                            CompiledSimulator(model).run(_stimuli(0), 10)) \
+        is None
 
 
 def test_run_errors_still_advance_the_tiers():
@@ -303,13 +368,12 @@ def test_run_errors_still_advance_the_tiers():
         simulator.run({"u": ["not a number"] * 3}, 3)
     simulator.run(_stimuli(0), 10)
     assert simulator._runs == 2
-    simulator.join_promotion(JOIN_S)
 
 
 @pytest.mark.parallel
 def test_serial_campaign_then_process_pool_completes():
-    """A serial campaign leaves a promotion in flight; a process pool
-    created right after it forks only once the promotion is done."""
+    """A serial campaign that promoted its simulator, then a process pool
+    forked right after it, agree scenario for scenario."""
     model = _chain(length=16, name="ForkRace")
     batch = [Scenario(f"s{index}", {"u": RandomWalk(seed=index, step=1.0)},
                       ticks=40) for index in range(6)]

@@ -3,8 +3,10 @@
 For every model of every perfbench workload (``workloads.WORKLOADS``),
 both its ``root`` and its ``flat_root``, this prints the flat program's
 ``ops_summary()``, a digest of the code object of its generated horizon
-loop (``marshal``) and, when a C compiler is found, a digest of its
-lowered C source.  Two checkouts that print the same lines compile the
+loop (``marshal``), its lowered and fallback op counts with the verdict
+of tiered ``auto``'s cost check (``promotes`` or ``stays flat``; a host
+without a C compiler keeps every program flat) and, when a C compiler
+is found, a digest of its lowered C source.  Two checkouts that print the same lines compile the
 same programs: a compiler change that must leave the benchmark's
 programs alone can be checked by diffing the output of both.
 
@@ -39,6 +41,7 @@ def main() -> int:
     import workloads
     from repro.simulation import compile_flat
     from repro.simulation.native import EMITTER_VERSION, lower_program
+    from repro.simulation.native.schedule import worth_loading
     from repro.simulation.native.toolchain import find_compiler
     from repro.simulation.op_emit import flat_step
 
@@ -55,11 +58,15 @@ def main() -> int:
                 print("\n".join(flat.ops_summary()))
                 code = flat_step(flat, horizon=True).__code__
                 print(f"horizon loop {_digest(marshal.dumps(code))}")
+                lowered = lower_program(flat, EMITTER_VERSION)
+                verdict = "promotes" if worth_loading(lowered) \
+                    else "stays flat"
+                print(f"lowered {len(lowered.lowered_ops)} fallback "
+                      f"{len(lowered.fallback_ops)}: {verdict}")
                 if compiler is None:
                     print("C source: no C compiler")
                 else:
-                    source = lower_program(flat, EMITTER_VERSION).source
-                    print(f"C source {_digest(source.encode())}")
+                    print(f"C source {_digest(lowered.source.encode())}")
     return 0
 
 
