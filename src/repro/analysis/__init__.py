@@ -5,15 +5,14 @@
 * :mod:`repro.analysis.mode_analysis` -- global mode transition system
 * :mod:`repro.analysis.well_definedness` -- LA/CCD target-specific conditions
 * :mod:`repro.analysis.consistency` -- cross-level consistency checks
-* :mod:`repro.analysis.lint` -- the unified static-analysis engine
+* :mod:`repro.analysis.lint` -- the static-analysis engine
   (IR dataflow verification, expression abstract interpretation,
   machine-level checks, JSON/SARIF export)
 """
 
 from .conflicts import (ActuatorConflict, ConflictAnalysis, analyze_conflicts,
                         suggest_coordinator_name)
-from .lint import (Finding, LintReport, findings_from_report,
-                   lint_component, lint_flat_schedule, lint_model,
+from .lint import (lint_component, lint_flat_schedule, lint_model,
                    to_sarif, verify_component)
 from .consistency import (check_faa_fda_coverage, check_fda_la_allocation,
                           check_interface_refinement, check_la_ta_deployment)
@@ -29,7 +28,6 @@ from .well_definedness import (OSEK_FIXED_PRIORITY, PROFILES, TIME_TRIGGERED,
                                missing_delays, repair_rate_transitions)
 
 __all__ = [
-    "Finding", "LintReport", "findings_from_report",
     "lint_component", "lint_flat_schedule", "lint_model", "to_sarif",
     "verify_component",
     "ActuatorConflict", "ConflictAnalysis", "GlobalModeSystem",

@@ -1,7 +1,7 @@
 """``python -m repro.analysis.lint`` -- lint models from the command line.
 
-Lints the built-in case-study models and/or example files and reports
-through the unified finding schema::
+Lints the built-in case-study models and/or example files and writes one
+:class:`~repro.core.validation.ValidationReport` per subject::
 
     python -m repro.analysis.lint --all
     python -m repro.analysis.lint engine-ccd momentum --json out.json
@@ -27,9 +27,11 @@ import sys
 from typing import Any, Callable, Dict, List, Tuple
 
 from ...core.components import Component
+from ...core.validation import FINDING_SCHEMA_VERSION, ValidationReport
 from ...notations.ccd import ClusterCommunicationDiagram
-from .engine import lint_model, lint_well_definedness
-from .findings import FINDING_SCHEMA_VERSION, LintReport, to_sarif
+from ..well_definedness import check_well_definedness
+from .engine import lint_model
+from .findings import to_sarif
 from .registry import all_rules
 
 
@@ -81,23 +83,19 @@ def _example_builders(path: str) -> List[Tuple[str, Callable[[], Any]]]:
 
 
 def _lint_target(label: str, builder: Callable[[], Any],
-                 well_definedness: bool = False) -> LintReport:
+                 well_definedness: bool = False) -> ValidationReport:
     model = builder()
     if not isinstance(model, Component):
-        return LintReport(label)
-    report = lint_model(model)
-    report.subject = label
-    for finding in report.findings:
-        finding.subject = label
+        return ValidationReport(label)
+    findings = lint_model(model).findings
     if well_definedness and isinstance(model, ClusterCommunicationDiagram):
         # opt-in: case-study CCDs deliberately ship repairable rate
         # transitions, so target-profile conditions are not part of the
         # default gate
-        extra = lint_well_definedness(model)
-        for finding in extra.findings:
-            finding.subject = label
-        report.merge(extra)
-    return report
+        findings += check_well_definedness(model).findings
+    for finding in findings:
+        finding.subject = label
+    return ValidationReport(label, findings)
 
 
 def _makedirs_for(path: str) -> None:

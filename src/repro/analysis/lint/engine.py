@@ -9,11 +9,12 @@
 * :func:`lint_model` -- both: the hierarchy *and*, when the model is
   flattenable, the schedule it compiles to;
 * :func:`verify_component` -- :func:`lint_model` that raises
-  :class:`~repro.core.errors.ValidationError` on any error finding;
-* :func:`lint_well_definedness` / :func:`lint_conflicts` /
-  :func:`lint_causality` -- the legacy LA/FAA analyses adopted into the
-  unified :class:`Finding` schema (stable rule ids preserved), so every
-  analysis in the repository exports through one JSON/SARIF path.
+  :class:`~repro.core.errors.ValidationError` on any error finding.
+
+Every entry point returns a :class:`~repro.core.validation.ValidationReport`
+of :class:`~repro.core.validation.Finding` objects, the one report class the
+notation rule sets and the model-level analyses (``analyze_causality``,
+``check_well_definedness``, ``analyze_conflicts``) fill too.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ from typing import Iterator, Optional, Tuple
 from ...core.components import (Component, CompositeComponent,
                                 ExpressionComponent)
 from ...core.errors import SimulationError
-from ...notations.ccd import ClusterCommunicationDiagram
+from ...core.validation import ValidationReport
 from ...notations.mtd import ModeTransitionDiagram
 from ...simulation.causality import analyze_causality
 from ...simulation.schedule_ir import compile_flat, is_flattenable
 from .expr_check import lint_expression_component
-from .findings import Finding, LintReport, findings_from_report
 from .ir_verify import lint_flat_schedule
 from .machine_check import lint_machines
-from .registry import get_rule
 
 
 def _walk_components(component: Component,
@@ -61,21 +60,10 @@ def _walk_components(component: Component,
 
 
 def lint_component(component: Component,
-                   subject: Optional[str] = None) -> LintReport:
+                   subject: Optional[str] = None) -> ValidationReport:
     """Model-level lint of a component hierarchy (no compilation needed)."""
-    report = LintReport(subject or component.name)
-
-    analysis = analyze_causality(component)
-    for result in analysis.cycles():
-        rule = get_rule("causality")
-        report.add(Finding(
-            rule="causality", severity=rule.default_severity,
-            message=f"{result.component!r}: instantaneous loop through "
-                    f"{', '.join(result.cycle)}",
-            element=result.component,
-            suggestion="insert a unit delay or an SSD-level (delayed) "
-                       "channel into the loop",
-            location={"cycle": list(result.cycle)}))
+    report = ValidationReport(subject or component.name)
+    report.extend(analyze_causality(component).cycle_findings())
 
     for path, sub in _walk_components(component):
         if isinstance(sub, ExpressionComponent):
@@ -85,7 +73,7 @@ def lint_component(component: Component,
     return report
 
 
-def lint_model(component: Component) -> LintReport:
+def lint_model(component: Component) -> ValidationReport:
     """Full lint: the hierarchy plus (when flattenable) its compiled IR."""
     report = lint_component(component)
     if component.has_behavior() and not report.errors() \
@@ -101,45 +89,8 @@ def lint_model(component: Component) -> LintReport:
     return report
 
 
-def verify_component(component: Component) -> LintReport:
+def verify_component(component: Component) -> ValidationReport:
     """Lint and raise :class:`ValidationError` on any error finding."""
     report = lint_model(component)
     report.raise_on_errors()
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Legacy analyses adopted into the unified schema (satellite: one export
-# path for check_well_definedness / check_rate_transitions /
-# analyze_conflicts / causality, stable rule ids preserved).
-# ---------------------------------------------------------------------------
-
-
-def lint_causality(component: Component) -> LintReport:
-    """Whole-hierarchy causality as a :class:`LintReport` (rule
-    ``causality``), including the per-composite evaluation-order infos."""
-    legacy = analyze_causality(component).to_report()
-    report = LintReport(legacy.subject)
-    report.extend(findings_from_report(legacy))
-    return report
-
-
-def lint_well_definedness(ccd: ClusterCommunicationDiagram,
-                          profile=None) -> LintReport:
-    """LA-level CCD well-definedness (rule ``ccd-rate-transition`` plus the
-    CCD notation rules) in the unified schema."""
-    from ..well_definedness import OSEK_FIXED_PRIORITY, check_well_definedness
-    legacy = check_well_definedness(ccd, profile or OSEK_FIXED_PRIORITY)
-    report = LintReport(legacy.subject)
-    report.extend(findings_from_report(legacy))
-    return report
-
-
-def lint_conflicts(network: CompositeComponent) -> LintReport:
-    """FAA conflict analysis (rules ``faa-actuator-conflict`` /
-    ``faa-shared-sensor``) in the unified schema."""
-    from ..conflicts import analyze_conflicts
-    legacy = analyze_conflicts(network).to_report()
-    report = LintReport(legacy.subject)
-    report.extend(findings_from_report(legacy))
     return report

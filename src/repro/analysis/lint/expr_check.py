@@ -42,9 +42,8 @@ from ...core.expressions import (BinaryOp, Call, Conditional, Expression,
                                  Literal, Present, UnaryOp, Variable)
 from ...core.types import (AnyType, BoolType, EnumType, FloatType, IntType,
                            StructType, Type)
-from ...core.validation import Severity
-from .findings import Finding
-from .registry import get_rule
+from ...core.validation import Finding, Severity
+from .registry import rule_finding
 
 #: Sentinel: "no constant known" (any value incl. None may be a constant).
 _NO_CONST = object()
@@ -133,18 +132,6 @@ def environment_of_ports(component: Component) -> Dict[str, AbstractValue]:
             for port in component.input_ports()}
 
 
-def _finding(rule_id: str, message: str, element: str,
-             severity: Optional[Severity] = None,
-             suggestion: str = "", **location: Any) -> Finding:
-    rule = get_rule(rule_id)
-    if severity is None:
-        severity = rule.default_severity if rule else Severity.WARNING
-    return Finding(rule=rule_id, severity=severity, message=message,
-                   element=element, suggestion=suggestion,
-                   location={k: v for k, v in location.items()
-                             if v is not None})
-
-
 class _Analyzer:
     """One abstract-interpretation pass over a single expression."""
 
@@ -159,12 +146,13 @@ class _Analyzer:
     # -- helpers -----------------------------------------------------------
 
     def _warn(self, rule_id: str, message: str, **location: Any) -> None:
-        self.findings.append(_finding(rule_id, message, self.element,
-                                      **location))
+        self.findings.append(rule_finding(rule_id, message, self.element,
+                                          **location))
 
     def _error(self, rule_id: str, message: str, **location: Any) -> None:
-        self.findings.append(_finding(rule_id, message, self.element,
-                                      severity=Severity.ERROR, **location))
+        self.findings.append(rule_finding(rule_id, message, self.element,
+                                          severity=Severity.ERROR,
+                                          **location))
 
     # -- the transfer functions --------------------------------------------
 
@@ -458,7 +446,7 @@ def lint_expression_component(component: ExpressionComponent,
                                                 functions)
         findings.extend(expr_findings)
         if name not in declared:
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "expr-undeclared-output",
                 f"expression for {name!r} has no matching declared output "
                 f"port on {component.name!r} (it is evaluated every tick "
@@ -468,7 +456,7 @@ def lint_expression_component(component: ExpressionComponent,
             continue
         port_type = component.port(name).port_type
         if not _kind_compatible(value, port_type):
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "expr-output-type",
                 f"expression for output {name!r} has inferred kind(s) "
                 f"{sorted(value.kinds)} incompatible with the declared "

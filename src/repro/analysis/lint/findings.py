@@ -1,187 +1,34 @@
-"""The unified finding schema of the static-analysis engine.
+"""SARIF 2.1.0 export of :class:`~repro.core.validation.ValidationReport`s.
 
-Every analysis in this repository -- IR dataflow verification, expression
-abstract interpretation, machine-level checks, causality, the CCD
-well-definedness conditions, FAA conflict detection -- reports through one
-schema: a :class:`Finding` with a stable rule id (registered in
-:mod:`repro.analysis.lint.registry`), a severity, a human message and a
-machine-readable location.  A :class:`LintReport` collects findings per
-subject and exports them as JSON (one stable dict shape) and as SARIF 2.1.0
-(the interchange format CI code-scanning UIs ingest).
-
-The schema is a superset of the older
-:class:`~repro.core.validation.Issue`/``ValidationReport`` pair;
-:func:`findings_from_report` adopts legacy reports losslessly (rule ids are
-preserved), so the notation ``validate()`` rule sets and the LA-level
-checks export through the same path as the new verifier.
+Every check in this repository -- the notation ``validate()`` rule sets,
+the level validators, causality, the CCD well-definedness conditions, FAA
+conflict detection, and this engine's IR, expression and machine rules --
+reports :class:`~repro.core.validation.Finding` objects into a
+``ValidationReport``.  :func:`to_sarif` exports any number of such reports
+as one SARIF log (the interchange format CI code-scanning UIs ingest),
+with rule metadata from :mod:`repro.analysis.lint.registry`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
-from ...core.errors import ValidationError
 from ...core.validation import Severity, ValidationReport
-
-#: Schema version of the JSON export (bump on incompatible shape changes).
-FINDING_SCHEMA_VERSION = 1
+from .registry import get_rule
 
 #: SARIF level per severity (SARIF has no separate "info" failure level).
 _SARIF_LEVELS = {Severity.INFO: "note", Severity.WARNING: "warning",
                  Severity.ERROR: "error"}
 
 
-@dataclass
-class Finding:
-    """One static-analysis finding.
-
-    ``rule`` is a stable registered rule id, ``element`` the model element
-    (hierarchical path, slot name, transition...) the finding is anchored
-    to, and ``location`` an optional machine-readable dict (op index, slot
-    index, witness valuation...) whose keys are rule-specific but stable
-    per rule.
-    """
-
-    rule: str
-    severity: Severity
-    message: str
-    subject: str = ""
-    element: str = ""
-    suggestion: str = ""
-    location: Dict[str, Any] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        where = f" [{self.element}]" if self.element else ""
-        hint = f" -- suggestion: {self.suggestion}" if self.suggestion else ""
-        return f"{self.severity}: ({self.rule}){where} {self.message}{hint}"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """The stable JSON shape of one finding."""
-        out: Dict[str, Any] = {
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "message": self.message,
-            "subject": self.subject,
-            "element": self.element,
-        }
-        if self.suggestion:
-            out["suggestion"] = self.suggestion
-        if self.location:
-            out["location"] = dict(self.location)
-        return out
-
-
-class LintReport:
-    """All findings produced by analysing one subject (model or schedule)."""
-
-    def __init__(self, subject: str,
-                 findings: Optional[Iterable[Finding]] = None):
-        self.subject = subject
-        self.findings: List[Finding] = list(findings or ())
-
-    # -- building ----------------------------------------------------------
-
-    def add(self, finding: Finding) -> Finding:
-        if not finding.subject:
-            finding.subject = self.subject
-        self.findings.append(finding)
-        return finding
-
-    def extend(self, findings: Iterable[Finding]) -> None:
-        for finding in findings:
-            self.add(finding)
-
-    def merge(self, other: "LintReport") -> None:
-        self.extend(other.findings)
-
-    # -- queries -----------------------------------------------------------
-
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
-
-    def infos(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.INFO]
-
-    def by_rule(self, rule: str) -> List[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
-    def is_clean(self, worst_allowed: Severity = Severity.WARNING) -> bool:
-        """True if no finding is more severe than *worst_allowed*."""
-        if worst_allowed is Severity.ERROR:
-            return True
-        if worst_allowed is Severity.WARNING:
-            return not self.errors()
-        return not self.errors() and not self.warnings()
-
-    def raise_on_errors(self) -> None:
-        """Raise :class:`ValidationError` summarising all errors, if any."""
-        errors = self.errors()
-        if errors:
-            details = "; ".join(finding.describe() for finding in errors)
-            raise ValidationError(
-                f"{self.subject}: {len(errors)} static-analysis "
-                f"error(s): {details}")
-
-    def summary(self) -> str:
-        return (f"{self.subject}: {len(self.errors())} error(s), "
-                f"{len(self.warnings())} warning(s), "
-                f"{len(self.infos())} info(s)")
-
-    def describe(self) -> str:
-        lines = [self.summary()]
-        lines.extend("  " + finding.describe() for finding in self.findings)
-        return "\n".join(lines)
-
-    # -- export ------------------------------------------------------------
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": FINDING_SCHEMA_VERSION,
-            "subject": self.subject,
-            "counts": {"error": len(self.errors()),
-                       "warning": len(self.warnings()),
-                       "info": len(self.infos())},
-            "findings": [finding.to_json_dict()
-                         for finding in self.findings],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True,
-                          default=repr)
-
-    def __repr__(self) -> str:
-        return f"LintReport({self.subject!r}, findings={len(self.findings)})"
-
-
-def findings_from_report(report: ValidationReport,
-                         subject: str = "") -> List[Finding]:
-    """Adopt a legacy :class:`ValidationReport` as :class:`Finding` objects.
-
-    Rule ids are preserved verbatim -- the registry registers the legacy
-    ids -- so notation ``validate()`` output and the LA-level checks export
-    through the same JSON/SARIF path as the new analyses.
-    """
-    subject = subject or report.subject
-    return [Finding(rule=issue.rule, severity=issue.severity,
-                    message=issue.message, subject=subject,
-                    element=issue.element, suggestion=issue.suggestion)
-            for issue in report.issues]
-
-
-def to_sarif(reports: Iterable[LintReport],
+def to_sarif(reports: Iterable[ValidationReport],
              tool_version: str = "1.0.0") -> Dict[str, Any]:
     """Export one or more reports as a SARIF 2.1.0 log (one run).
 
-    Rule metadata comes from the registry; unregistered rule ids (custom
-    rules added by downstream users) still export with a minimal
-    descriptor, so the log always validates.
+    Rule metadata comes from the registry; unregistered rule ids (the
+    notation rule sets' ids, custom rules added by downstream users) still
+    export with a minimal descriptor, so the log always validates.
     """
-    from .registry import get_rule
     reports = list(reports)
     rule_ids: List[str] = []
     for report in reports:

@@ -44,28 +44,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...core.clocks import EventClock
-from ...core.validation import Severity
+from ...core.validation import Finding, ValidationReport
 from ...simulation.schedule_ir import (OP_BUF_READ, OP_BUF_WRITE, OP_COPY,
                                        OP_CORRECT, OP_EXPR, OP_RUN, OP_SELECT,
                                        REGION_OPS, FlatSchedule)
-from .findings import Finding, LintReport
-from .registry import get_rule
+from .registry import rule_finding
 
 # Abstract slot states of the dataflow lattice.
 _UNWRITTEN, _MAYBE, _WRITTEN = 0, 1, 2
-
-
-def _finding(rule_id: str, message: str, element: str = "",
-             suggestion: str = "",
-             severity: Optional[Severity] = None,
-             **location: Any) -> Finding:
-    rule = get_rule(rule_id)
-    if severity is None:
-        severity = rule.default_severity if rule else Severity.WARNING
-    return Finding(rule=rule_id, severity=severity, message=message,
-                   element=element, suggestion=suggestion,
-                   location={k: v for k, v in location.items()
-                             if v is not None})
 
 
 def _op_events(op: Tuple[Any, ...],
@@ -157,10 +143,10 @@ def _slot_name(schedule: FlatSchedule, slot: int) -> str:
 
 
 def lint_flat_schedule(schedule: FlatSchedule,
-                       subject: Optional[str] = None) -> LintReport:
+                       subject: Optional[str] = None) -> ValidationReport:
     """Run every IR dataflow rule over *schedule* and report findings."""
-    report = LintReport(subject or
-                        f"flat schedule of {schedule.component.name!r}")
+    report = ValidationReport(subject or
+                              f"flat schedule of {schedule.component.name!r}")
     program = schedule.program
     n_ops = len(program)
     input_slots = {slot for _name, slot in schedule.input_spec}
@@ -189,7 +175,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
         kind = "select" if op[0] == OP_SELECT else "gate"
         if not index < target <= n_ops:
             bad_gates.add(index)
-            report.add(_finding(
+            report.add(rule_finding(
                 "ir-gate-structure",
                 f"{kind} at op {index} jumps to {target}, outside the legal "
                 f"range ({index + 1}..{n_ops})",
@@ -198,7 +184,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
         if open_gates and target > open_gates[-1][1]:
             outer, outer_target = open_gates[-1]
             bad_gates.add(index)
-            report.add(_finding(
+            report.add(rule_finding(
                 "ir-gate-structure",
                 f"{kind} at op {index} jumps to {target}, past the end "
                 f"({outer_target}) of the enclosing region at "
@@ -209,7 +195,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
         open_gates.append((index, target))
         clock = _gate_clock(op[1])
         if _clock_never_fires(clock):
-            report.add(_finding(
+            report.add(rule_finding(
                 "ir-unreachable-op",
                 f"ops {index + 1}..{target - 1} are unreachable: gate "
                 f"clock {clock.expression()} never fires",
@@ -292,7 +278,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
             never_written.setdefault(slot, n_ops)
 
     for slot, index in sorted(read_before_write.items()):
-        report.add(_finding(
+        report.add(rule_finding(
             "ir-read-before-write",
             f"op {index} reads slot {slot} ({_slot_name(schedule, slot)}) "
             f"before its first writer, op {min(writes_by_slot[slot])}, "
@@ -304,7 +290,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
     for slot, index in sorted(never_written.items()):
         where = ("the boundary output spec" if index == n_ops
                  else f"op {index}")
-        report.add(_finding(
+        report.add(rule_finding(
             "ir-never-written",
             f"{where} reads slot {slot} ({_slot_name(schedule, slot)}) "
             f"which no op and no boundary input ever writes: the value is "
@@ -313,7 +299,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
             suggestion="connect the port or drop it from the model",
             op=None if index == n_ops else index, slot=slot))
     for slot, (index, earlier) in sorted(write_write.items()):
-        report.add(_finding(
+        report.add(rule_finding(
             "ir-write-write",
             f"op {index} overwrites slot {slot} "
             f"({_slot_name(schedule, slot)}) already written by op "
@@ -323,7 +309,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
     if maybe_absent:
         sample = [(_slot_name(schedule, slot), slot)
                   for slot in sorted(maybe_absent)[:8]]
-        report.add(_finding(
+        report.add(rule_finding(
             "ir-may-skip-read",
             f"{len(maybe_absent)} slot(s) are read after a gate region "
             f"that may skip their writer; generated code must initialize "
@@ -335,7 +321,7 @@ def lint_flat_schedule(schedule: FlatSchedule,
     # -- dead stores (slot granularity, may-read over-approximated) --------
     for slot in sorted(writes_by_slot):
         if not reads_by_slot.get(slot):
-            report.add(_finding(
+            report.add(rule_finding(
                 "ir-dead-store",
                 f"slot {slot} ({_slot_name(schedule, slot)}) is written by "
                 f"op(s) {writes_by_slot[slot]} but never read: the computed "
@@ -390,7 +376,7 @@ def _check_corrections(schedule: FlatSchedule,
             start, end, _leaves, _buffers, seen = entry
             reason = _region_fault(schedule, barrier, entry)
             if reason is not None:
-                findings.append(_finding(
+                findings.append(rule_finding(
                     "ir-correction-unmatched",
                     f"correction entry for ops {start}..{end - 1} at op "
                     f"{barrier}: {reason}",
@@ -401,7 +387,7 @@ def _check_corrections(schedule: FlatSchedule,
                 covered.update(((index, slot), barrier) for slot in inputs)
             if not any(start < writer < barrier for slot in inputs
                        for writer in writes_by_slot.get(slot, ())):
-                findings.append(_finding(
+                findings.append(rule_finding(
                     "ir-correction-dead",
                     f"correction entry for ops {start}..{end - 1} at op "
                     f"{barrier} is vacuous: no op between the region and "
@@ -419,7 +405,7 @@ def _check_corrections(schedule: FlatSchedule,
                        if writer > index
                        and not writer < covered.get((index, slot), -1)})
         if late:
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "ir-correction-missing",
                 f"op {index} ({labels[index][1]}) has late producers (op(s) "
                 f"{late}) writing its input slots, but no correction "

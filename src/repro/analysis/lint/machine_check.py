@@ -23,7 +23,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ...core.components import Component
 from ...core.errors import ExpressionEvalError
-from ...core.validation import Severity
+from ...core.validation import Finding
 from ...core.values import ABSENT, is_present
 from ...notations.mtd import ModeTransitionDiagram
 from ...notations.std import StateTransitionDiagram
@@ -31,25 +31,12 @@ from ..mode_analysis import (_guard_constants, _scenario_valuations,
                              machine_inventory)
 from .expr_check import (_NO_CONST, AbstractValue, abstract_of_type,
                          abstract_of_value, check_expression)
-from .findings import Finding
-from .registry import get_rule
+from .registry import rule_finding
 
 Machine = Union[ModeTransitionDiagram, StateTransitionDiagram]
 
 #: Cap on the valuations tried per machine for overlap satisfiability.
 _OVERLAP_VALUATION_LIMIT = 512
-
-
-def _finding(rule_id: str, message: str, element: str,
-             severity: Optional[Severity] = None, suggestion: str = "",
-             **location: Any) -> Finding:
-    rule = get_rule(rule_id)
-    if severity is None:
-        severity = rule.default_severity if rule else Severity.WARNING
-    return Finding(rule=rule_id, severity=severity, message=message,
-                   element=element, suggestion=suggestion,
-                   location={k: v for k, v in location.items()
-                             if v is not None})
 
 
 def _machine_environment(machine: Machine) -> Dict[str, AbstractValue]:
@@ -111,7 +98,7 @@ def _check_unreachable(machine: Machine, path: str) -> List[Finding]:
     findings = []
     for name in names:
         if name not in reachable:
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "machine-unreachable",
                 f"{kind} {name!r} of {machine.name!r} is unreachable from "
                 f"the initial {kind} {initial!r}",
@@ -158,7 +145,7 @@ def _check_guard_overlap(machine: Machine, path: str) -> List[Finding]:
         witness = next((valuation for at, valuation in enumerate(valuations)
                         if fires(first, at) and fires(second, at)), None)
         if witness is not None:
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "machine-guard-overlap",
                 f"transitions {first.describe()} and {second.describe()} "
                 f"from {source!r} have equal priority {first.priority} and "
@@ -182,7 +169,7 @@ def _check_expressions(machine: Machine, path: str) -> List[Finding]:
             transition.guard, env, element, functions)
         findings.extend(guard_findings)
         if value.const is False:
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "expr-constant-guard",
                 f"guard {transition.guard.to_source()} of transition "
                 f"{transition.describe()} is constant false: the "
@@ -191,7 +178,7 @@ def _check_expressions(machine: Machine, path: str) -> List[Finding]:
                 suggestion="remove the dead transition or fix the guard"))
         elif value.const is True and not value.may_absent \
                 and _shadows_another(machine, transition):
-            findings.append(_finding(
+            findings.append(rule_finding(
                 "expr-constant-guard",
                 f"guard {transition.guard.to_source()} of transition "
                 f"{transition.describe()} is constant true and shadows "

@@ -13,20 +13,19 @@ Layers:
 * ``model``   -- hierarchy/model-level analyses (causality, conflicts,
   rate transitions, cross-level consistency, notation well-formedness)
 
-The ``model`` layer includes the *legacy* ids that predate this engine
-(``causality``, ``ccd-rate-transition``, ``faa-actuator-conflict``...);
-registering them here is what makes
-:func:`~repro.analysis.lint.findings.findings_from_report` a lossless
-adoption path with full SARIF rule metadata.
+The ``model`` layer registers the ids of the model-level analyses
+(``causality``, ``ccd-rate-transition``, ``faa-actuator-conflict``...),
+which report into the same :class:`~repro.core.validation.ValidationReport`
+as this engine, so their findings export to SARIF with full rule metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ...core.errors import ValidationError
-from ...core.validation import Severity
+from ...core.validation import Finding, Severity
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,20 @@ def register(rule_id: str, layer: str, default_severity: Severity,
 
 def get_rule(rule_id: str) -> Optional[LintRule]:
     return _RULES.get(rule_id)
+
+
+def rule_finding(rule_id: str, message: str, element: str = "", *,
+                 severity: Optional[Severity] = None, suggestion: str = "",
+                 **location: Any) -> Finding:
+    """A finding of *rule_id* at the rule's default severity (unless
+    *severity* is given); ``None`` location values are dropped."""
+    if severity is None:
+        rule = get_rule(rule_id)
+        severity = rule.default_severity if rule else Severity.WARNING
+    return Finding(rule=rule_id, severity=severity, message=message,
+                   element=element, suggestion=suggestion,
+                   location={k: v for k, v in location.items()
+                             if v is not None})
 
 
 def all_rules(layer: Optional[str] = None) -> List[LintRule]:
@@ -136,8 +149,8 @@ register("machine-guard-overlap", "machine", Severity.WARNING,
          "order)")
 
 # --------------------------------------------------------------------------
-# Model-level analyses, including legacy rule ids adopted via
-# findings_from_report (ids preserved verbatim for stability).
+# Model-level analyses (causality, LA well-definedness, FAA conflicts,
+# cross-level consistency).
 # --------------------------------------------------------------------------
 
 register("causality", "model", Severity.ERROR,

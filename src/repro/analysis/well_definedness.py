@@ -18,10 +18,10 @@ paper's reference example, plus a time-triggered profile for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from ..core.validation import Severity, ValidationReport
-from ..notations.ccd import ClusterCommunicationDiagram
+from ..core.validation import ValidationReport
+from ..notations.ccd import CCD_RULES, ClusterCommunicationDiagram
 
 
 @dataclass
@@ -119,9 +119,8 @@ def check_well_definedness(ccd: ClusterCommunicationDiagram,
                            profile: TargetProfile = OSEK_FIXED_PRIORITY
                            ) -> ValidationReport:
     """Full LA-level well-definedness check: structure + rate transitions."""
-    report = ccd.validate()
-    report.subject = (f"well-definedness of CCD {ccd.name!r} for target "
-                      f"{profile.name!r}")
+    report = CCD_RULES.apply(ccd, report=ValidationReport(
+        f"well-definedness of CCD {ccd.name!r} for target {profile.name!r}"))
     for finding in check_rate_transitions(ccd, profile):
         if finding.is_well_defined:
             report.info("ccd-rate-transition", finding.describe(),

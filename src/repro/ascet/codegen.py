@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.components import Component, CompositeComponent, ExpressionComponent
+from ..core.components import ExpressionComponent
 from ..core.errors import CodeGenError
 from ..core.expressions import (BinaryOp, Call, Conditional, Expression,
                                 Present, UnaryOp, Variable)
@@ -38,12 +38,8 @@ from ..core.types import Type
 from ..notations.ccd import Cluster, ClusterCommunicationDiagram
 from ..platform.can import CANBus
 from ..platform.ecu import TechnicalArchitecture
+from .c_expr import c_type_of, expression_to_c
 from .comm_matrix import CommunicationMatrix
-
-# The expression -> C translation is shared with the native simulation
-# backend (repro.simulation.native); the single source of truth lives in
-# repro.ascet.c_expr and is re-exported here for backward compatibility.
-from .c_expr import _C_FUNCTIONS, _C_OPERATORS, c_type_of, expression_to_c
 
 __all__ = ["AscetProjectGenerator", "GeneratedProject", "c_type_of",
            "expression_to_c"]

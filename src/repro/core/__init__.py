@@ -33,8 +33,8 @@ from .ports import Port, PortDirection, input_port, output_port
 from .types import (ANY, BOOL, FLOAT, INT, AnyType, BoolType, EnumType,
                     FloatType, IntType, StructType, Type, TypeEnvironment,
                     check_value, infer_type, is_assignable, unify)
-from .validation import (Issue, Rule, RuleSet, Severity, ValidationReport,
-                         merge_reports)
+from .validation import (FINDING_SCHEMA_VERSION, Finding, Rule, RuleSet,
+                         Severity, ValidationReport)
 from .values import ABSENT, Stream, every as every_pattern, is_absent, is_present
 
 __all__ = [
@@ -44,10 +44,11 @@ __all__ = [
     "ClockError", "CodeGenError", "CompiledExpression", "Component",
     "CompositeComponent", "Conditional", "DeploymentError", "EnumType", "EventClock", "Expression",
     "ExpressionComponent", "ExpressionError", "ExpressionEvalError",
-    "ExpressionEvaluator", "ExpressionParseError", "FLOAT", "FixedPointType",
-    "FloatType", "FunctionComponent", "INT", "INT16", "INT32", "INT8",
+    "ExpressionEvaluator", "ExpressionParseError", "FINDING_SCHEMA_VERSION",
+    "FLOAT", "Finding", "FixedPointType", "FloatType", "FunctionComponent",
+    "INT", "INT16", "INT32", "INT8",
     "ImplEnumType", "ImplementationMapping", "ImplementationType", "IntType",
-    "Issue", "LEVEL_ORDER", "Literal", "MachineIntType", "ModelError",
+    "LEVEL_ORDER", "Literal", "MachineIntType", "ModelError",
     "NameConflictError", "PeriodicClock", "Port", "PortDirection", "Present",
     "QuantizationError", "RateRelation", "Rule", "RuleSet", "SampledClock",
     "SchedulingError", "SerializationError", "Severity", "SimulationError",
@@ -58,6 +59,6 @@ __all__ = [
     "are_synchronous", "check_value", "choose_implementation_type",
     "compile_expression", "connect", "evaluate", "every", "every_pattern", "hyperperiod", "infer_type",
     "input_port", "is_absent", "is_assignable", "is_more_abstract",
-    "is_present", "is_subclock", "merge_reports", "output_port",
+    "is_present", "is_subclock", "output_port",
     "parse_expression", "rate_ratio", "relate", "slower_than", "unify",
 ]

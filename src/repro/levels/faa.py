@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional
 from ..analysis.conflicts import ConflictAnalysis, analyze_conflicts
 from ..core.components import Component
 from ..core.errors import ModelError
-from ..core.validation import ValidationReport, merge_reports
+from ..core.validation import ValidationReport
 from ..notations.ssd import SSDComponent
 from ..simulation.engine import simulate
 from ..simulation.trace import SimulationTrace
@@ -66,9 +66,10 @@ class FunctionalAnalysisArchitecture:
 
     def validate(self) -> ValidationReport:
         """Structural SSD validation (behaviour may be unspecified) + rules."""
-        structural = self.network.validate(require_behavior=False)
-        conflicts = self.conflict_analysis().to_report()
-        return merge_reports(f"FAA {self.name!r}", [structural, conflicts])
+        report = ValidationReport(f"FAA {self.name!r}")
+        report.merge(self.network.validate(require_behavior=False))
+        report.merge(self.conflict_analysis().to_report())
+        return report
 
     def simulate_prototype(self, stimuli: Optional[Mapping] = None,
                            ticks: int = 20) -> SimulationTrace:

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional
 from ..analysis.mode_analysis import mode_explicitness_summary
 from ..core.components import Component
 from ..core.errors import ModelError
-from ..core.validation import ValidationReport, merge_reports
+from ..core.validation import ValidationReport
 from ..notations.dfd import DataFlowDiagram
 from ..notations.mtd import ModeTransitionDiagram
 from ..notations.ssd import SSDComponent
@@ -68,13 +68,14 @@ class FunctionalDesignArchitecture:
     # -- analysis ------------------------------------------------------------------
     def validate(self) -> ValidationReport:
         """Full FDA validation: structure, behavioural completeness, causality."""
-        reports = [self.architecture.validate(require_behavior=True)]
-        reports.append(analyze_causality(self.architecture).to_report())
+        report = ValidationReport(f"FDA {self.name!r}")
+        report.merge(self.architecture.validate(require_behavior=True))
+        report.merge(analyze_causality(self.architecture).to_report())
         for component in self.software_components():
             if isinstance(component, (DataFlowDiagram, ModeTransitionDiagram,
                                       StateTransitionDiagram)):
-                reports.append(component.validate())
-        return merge_reports(f"FDA {self.name!r}", reports)
+                report.merge(component.validate())
+        return report
 
     def is_behaviorally_complete(self) -> bool:
         return self.architecture.has_behavior()

@@ -58,26 +58,18 @@ def absorb(report: BatchReport, result: Any) -> CoverageGain:
     """Fold one result into *report* and return what it added.
 
     New modes and transitions are the declared ones the result visited
-    that the report had not.  Port novelty is read off each trace port's
+    that the report had not: the report's visited sets are read before and
+    after the one fold.  Port novelty is read off each trace port's
     :class:`~repro.scenarios.report.PortStats` range before and after the
-    fold: a port's first numeric range counts one unit, and each side the
+    fold too: a port's first numeric range counts one unit, and each side the
     result pushed outward counts its extension relative to the known span
     (floored at 1.0), capped at one unit -- a small, bounded reward that
     keeps scenarios exploring new value territory alive even when they take
     no new transition.  Failed results add nothing.
     """
-    new_modes: List[ModeItem] = []
-    new_transitions: List[TransitionItem] = []
-    visited = report.visited(result)
-    for path in sorted(visited):
-        coverage = report.coverage[path]
-        modes, pairs = visited[path]
-        new_modes.extend((path, mode) for mode in sorted(
-            modes.intersection(coverage.declared_modes)
-            - coverage.visited_modes))
-        new_transitions.extend((path, pair) for pair in sorted(
-            (pairs & coverage.declared_transition_pairs())
-            - coverage.visited_transitions))
+    seen = {path: (set(coverage.visited_modes),
+                   set(coverage.visited_transitions))
+            for path, coverage in report.coverage.items()}
     trace = getattr(result, "trace", None)
     pools = () if trace is None else (
         (trace.outputs, report.output_stats),
@@ -85,6 +77,16 @@ def absorb(report: BatchReport, result: Any) -> CoverageGain:
     known = [[_extent(stats.get(name)) for name in streams]
              for streams, stats in pools]
     report.observe_result(result)
+    new_modes: List[ModeItem] = []
+    new_transitions: List[TransitionItem] = []
+    for path, (modes, pairs) in sorted(seen.items()):
+        coverage = report.coverage[path]
+        new_modes.extend((path, mode) for mode in sorted(
+            (coverage.visited_modes - modes).intersection(
+                coverage.declared_modes)))
+        new_transitions.extend((path, pair) for pair in sorted(
+            (coverage.visited_transitions - pairs)
+            & coverage.declared_transition_pairs()))
     novelty = 0.0
     for (streams, stats), extents in zip(pools, known):
         for name, (known_low, known_high) in zip(streams, extents):

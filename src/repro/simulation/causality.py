@@ -15,7 +15,7 @@ from typing import Dict, List, Set
 
 from ..core.components import Component, CompositeComponent
 from ..core.errors import CausalityError
-from ..core.validation import Severity, ValidationReport
+from ..core.validation import Finding, Severity, ValidationReport
 
 
 @dataclass
@@ -48,7 +48,12 @@ class CausalityAnalysis:
     def composite_count(self) -> int:
         return len(self.results)
 
+    def cycle_findings(self) -> List[Finding]:
+        """One ``causality`` error finding per instantaneous loop."""
+        return [_cycle_finding(result) for result in self.cycles()]
+
     def to_report(self) -> ValidationReport:
+        """The loops as errors, every causal composite's order as an info."""
         report = ValidationReport(f"causality of {self.root!r}")
         for result in self.results:
             if result.is_causal:
@@ -57,13 +62,19 @@ class CausalityAnalysis:
                             f"{' -> '.join(result.order) if result.order else '(empty)'}",
                             element=result.component)
             else:
-                report.error("causality",
-                             f"{result.component!r}: instantaneous loop through "
-                             f"{', '.join(result.cycle)}",
-                             element=result.component,
-                             suggestion="insert a unit delay or an SSD-level "
-                                        "(delayed) channel into the loop")
+                report.add(_cycle_finding(result))
         return report
+
+
+def _cycle_finding(result: CausalityResult) -> Finding:
+    return Finding(
+        "causality", Severity.ERROR,
+        f"{result.component!r}: instantaneous loop through "
+        f"{', '.join(result.cycle)}",
+        element=result.component,
+        suggestion="insert a unit delay or an SSD-level (delayed) channel "
+                   "into the loop",
+        location={"cycle": list(result.cycle)})
 
 
 def analyze_causality(root: Component) -> CausalityAnalysis:

@@ -268,12 +268,12 @@ class TestConsistencyFailurePaths:
         assert unallocated == {"CompA", "CompB"}
 
     def test_consistency_failures_surface_with_registered_rule_ids(self):
-        from repro.analysis.lint import findings_from_report, rule_ids
+        from repro.analysis.lint import rule_ids
         fda = SSDComponent("FDA")
         fda.add_subcomponent(Component("CompA"))
         report = check_fda_la_allocation(fda, ClusterCommunicationDiagram("LA"))
-        findings = findings_from_report(report, subject="consistency")
-        errors = [f for f in findings if f.severity.value == "error"]
+        errors = [f for f in report.findings if f.severity.value == "error"]
         assert errors and all(f.rule == "fda-la-allocation" for f in errors)
+        assert all(f.subject == report.subject for f in errors)
         assert "fda-la-allocation" in rule_ids()
         assert "interface-refinement" in rule_ids()

@@ -4,7 +4,6 @@
 
 import pytest
 
-from repro.analysis.lint import lint_causality
 from repro.core.components import ExpressionComponent
 from repro.core.errors import CausalityError
 from repro.core.validation import Severity
@@ -98,8 +97,8 @@ def test_assert_causal_raises_with_cycle_members():
 
 def test_to_report_severities():
     report = analyze_causality(_nested_loop()).to_report()
-    errors = [e for e in report.issues if e.severity is Severity.ERROR]
-    infos = [e for e in report.issues if e.severity is Severity.INFO]
+    errors = [e for e in report.findings if e.severity is Severity.ERROR]
+    infos = [e for e in report.findings if e.severity is Severity.INFO]
     assert len(errors) == 1 and errors[0].rule == "causality"
     assert len(infos) == 1  # the causal Top composite still reports its order
     assert errors[0].suggestion
@@ -114,7 +113,7 @@ def test_instantaneous_path_exists():
 
 
 def test_lint_registry_promotion():
-    report = lint_causality(_loop())
+    report = analyze_causality(_loop()).to_report()
     findings = report.by_rule("causality")
     errors = [f for f in findings if f.severity is Severity.ERROR]
     assert errors and "F" in errors[0].message and "G" in errors[0].message

@@ -5,8 +5,8 @@ import pytest
 from repro.core.errors import ModelError, UnknownElementError, ValidationError
 from repro.core.model import (AbstractionLevel, AutoModeModel, LEVEL_ORDER,
                               is_more_abstract)
-from repro.core.validation import (Issue, RuleSet, Severity, ValidationReport,
-                                   merge_reports)
+from repro.core.validation import (Finding, RuleSet, Severity,
+                                   ValidationReport)
 
 
 class TestValidationReport:
@@ -36,8 +36,9 @@ class TestValidationReport:
             report.raise_on_errors()
 
     def test_issue_describe_contains_suggestion(self):
-        issue = Issue("rule", Severity.WARNING, "msg", "elem", "try this")
-        text = issue.describe()
+        finding = Finding("rule", Severity.WARNING, "msg", element="elem",
+                          suggestion="try this")
+        text = finding.describe()
         assert "rule" in text and "elem" in text and "try this" in text
 
     def test_extend_and_merge(self):
@@ -45,9 +46,15 @@ class TestValidationReport:
         first.error("r", "x")
         second = ValidationReport("b")
         second.warning("r", "y")
-        merged = merge_reports("both", [first, second])
-        assert len(merged.issues) == 2
+        merged = ValidationReport("both")
+        merged.merge(first)
+        merged.merge(second)
+        assert len(merged.findings) == 2
         assert merged.subject == "both"
+        # a merged finding keeps the subject it was found under
+        assert [f.subject for f in merged.findings] == ["a", "b"]
+        merged.extend([Finding("r", Severity.INFO, "z")])
+        assert merged.findings[-1].subject == "both"
 
 
 class TestRuleSet:

@@ -1,26 +1,44 @@
-"""Unified reporting: rule registry, Finding/LintReport JSON schema, SARIF
-export, legacy-report adapters and the ``python -m repro.analysis.lint``
-CLI end to end.
+"""Unified reporting: rule registry, Finding/ValidationReport JSON schema,
+SARIF export of every report producer and the ``python -m
+repro.analysis.lint`` CLI end to end.
 """
 
 import json
 
 import pytest
 
-from repro.analysis.lint import (FINDING_SCHEMA_VERSION, Finding, LintReport,
-                                 all_rules, findings_from_report, get_rule,
-                                 lint_causality, lint_conflicts,
-                                 lint_well_definedness, register, rule_ids,
-                                 to_sarif, verify_component)
+from repro.analysis.conflicts import analyze_conflicts
+from repro.analysis.consistency import (check_faa_fda_coverage,
+                                        check_fda_la_allocation,
+                                        check_interface_refinement,
+                                        check_la_ta_deployment)
+from repro.analysis.lint import (all_rules, get_rule, lint_component,
+                                 lint_flat_schedule, lint_model, register,
+                                 rule_ids, to_sarif, verify_component)
 from repro.analysis.lint.__main__ import main as lint_main
+from repro.analysis.well_definedness import check_well_definedness
 from repro.casestudy.door_lock import build_door_lock_faa
-from repro.casestudy.engine_control import build_engine_ccd
-from repro.casestudy.momentum import build_momentum_controller
+from repro.casestudy.engine_control import (build_crank_sequencer_std,
+                                            build_engine_ccd,
+                                            build_engine_modes_mtd)
+from repro.casestudy.momentum import (build_closed_loop,
+                                      build_momentum_controller)
+from repro.casestudy.reengineered import build_reengineered_fda
 from repro.core.components import ExpressionComponent
 from repro.core.errors import ValidationError
-from repro.core.validation import Severity, ValidationReport
+from repro.core.validation import (FINDING_SCHEMA_VERSION, Finding, Severity,
+                                   ValidationReport)
+from repro.levels.faa import FunctionalAnalysisArchitecture
+from repro.levels.fda import FunctionalDesignArchitecture
+from repro.levels.la import LogicalArchitecture
+from repro.levels.oa import OperationalArchitecture
+from repro.levels.ta import TechnicalArchitectureLevel
 from repro.notations.dfd import DataFlowDiagram
+from repro.simulation.causality import analyze_causality
 from repro.simulation.compiled import compile_component
+from repro.simulation.schedule_ir import compile_flat
+from repro.transformations.deployment import ClusterDeployment, deploy
+from repro.transformations.mtd_to_dataflow import MtdToDataflowTransformation
 
 
 def _loop_model():
@@ -84,15 +102,17 @@ def test_finding_json_shape():
 
 
 def test_report_counts_and_json_roundtrip():
-    report = LintReport("demo")
+    report = ValidationReport("demo")
     report.add(Finding("ir-dead-store", Severity.INFO, "a"))
     report.add(Finding("ir-write-write", Severity.WARNING, "b"))
     report.add(Finding("ir-read-before-write", Severity.ERROR, "c"))
     assert len(report.errors()) == 1
     assert len(report.warnings()) == 1
     assert len(report.infos()) == 1
-    assert not report.is_clean()
-    assert report.is_clean(worst_allowed=Severity.ERROR)
+    assert not report.is_valid()
+    # warnings and infos alone leave a report valid
+    assert ValidationReport("demo",
+                            report.warnings() + report.infos()).is_valid()
     payload = json.loads(report.to_json())
     assert payload["schema_version"] == FINDING_SCHEMA_VERSION
     assert payload["subject"] == "demo"
@@ -101,42 +121,116 @@ def test_report_counts_and_json_roundtrip():
 
 
 def test_raise_on_errors():
-    report = LintReport("demo")
+    report = ValidationReport("demo")
     report.add(Finding("causality", Severity.ERROR, "loop through F, G"))
     with pytest.raises(ValidationError, match="loop through F, G"):
         report.raise_on_errors()
-    LintReport("clean").raise_on_errors()  # no error -> no raise
+    ValidationReport("clean").raise_on_errors()  # no error -> no raise
 
 
-# -- legacy report adapters (satellite: unified rule ids) --------------------
+# -- every report producer exports through one schema -----------------------
 
 
-def test_findings_from_validation_report_preserve_rule_and_severity():
-    legacy = ValidationReport("legacy")
-    legacy.error("ccd-rate-transition", "slow reader without delay")
-    legacy.warning("faa-shared-sensor", "two agents share a sensor")
-    findings = findings_from_report(legacy, subject="legacy")
-    assert [f.rule for f in findings] == ["ccd-rate-transition",
-                                          "faa-shared-sensor"]
-    assert findings[0].severity is Severity.ERROR
-    assert findings[1].severity is Severity.WARNING
-    assert all(f.subject == "legacy" for f in findings)
+def _engine_deployment(ccd):
+    return deploy(ccd, ["ECU_Engine", "ECU_Body"],
+                  allocation={"SensorProcessing": "ECU_Engine",
+                              "FuelAndIgnition": "ECU_Engine",
+                              "IdleSpeed": "ECU_Body",
+                              "Monitoring": "ECU_Body"})
 
 
-def test_lint_causality_flags_instantaneous_loop():
-    report = lint_causality(_loop_model())
+def _report_producers():
+    """Every check that reports, run on the case-study models."""
+    faa, fda, ccd = (build_door_lock_faa(), build_reengineered_fda(),
+                     build_engine_ccd())
+    deployment = _engine_deployment(ccd)
+    ta = TechnicalArchitectureLevel("EngineTA", deployment)
+    mtd = build_engine_modes_mtd()
+    return {
+        "ssd rules": lambda: faa.validate(),
+        "dfd rules": lambda: build_momentum_controller().validate(),
+        "mtd rules": lambda: mtd.validate(),
+        "std rules": lambda: build_crank_sequencer_std().validate(),
+        "ccd rules": lambda: ccd.validate(),
+        "faa level": lambda: FunctionalAnalysisArchitecture(
+            "DoorLock", faa).validate(),
+        "fda level": lambda: FunctionalDesignArchitecture(
+            "Engine", fda).validate(),
+        "la level": lambda: LogicalArchitecture("EngineLA", ccd).validate(),
+        "ta level": lambda: ta.validate(),
+        "oa level": lambda: OperationalArchitecture(
+            "EngineOA", ccd, deployment).validate(),
+        "causality": lambda: analyze_causality(fda).to_report(),
+        "conflicts": lambda: analyze_conflicts(faa).to_report(),
+        "well-definedness": lambda: check_well_definedness(ccd),
+        "faa/fda coverage": lambda: check_faa_fda_coverage(faa, fda),
+        "fda/la allocation": lambda: check_fda_la_allocation(fda, ccd),
+        "interface refinement": lambda: check_interface_refinement(
+            mtd, build_engine_modes_mtd()),
+        "la/ta deployment": lambda: check_la_ta_deployment(
+            ccd, ta.task_of_cluster()),
+        "mtd-to-dataflow applicability": lambda:
+            MtdToDataflowTransformation().check_applicable(ccd),
+        "deployment applicability": lambda:
+            ClusterDeployment().check_applicable(ccd),
+        "lint_component": lambda: lint_component(_loop_model()),
+        "lint_model": lambda: lint_model(mtd),
+        "lint_flat_schedule": lambda: lint_flat_schedule(
+            compile_flat(build_closed_loop())),
+        "verify_component": lambda: verify_component(
+            build_momentum_controller()),
+    }
+
+
+def test_every_report_producer_exports_json_and_sarif():
+    exported = 0
+    for name, produce in _report_producers().items():
+        report = produce()
+        assert isinstance(report, ValidationReport), name
+        payload = json.loads(json.dumps(report.to_json_dict(), default=repr))
+        assert payload["schema_version"] == FINDING_SCHEMA_VERSION, name
+        assert len(payload["findings"]) == len(report.findings), name
+        assert all(finding["subject"] for finding in payload["findings"]), name
+        results = to_sarif([report])["runs"][0]["results"]
+        assert [result["ruleId"] for result in results] == \
+            [finding.rule for finding in report.findings], name
+        assert [result["properties"]["subject"] for result in results] == \
+            [finding.subject for finding in report.findings], name
+        exported += len(results)
+    assert exported > 0
+
+
+def test_well_definedness_findings_keep_the_renamed_subject():
+    report = check_well_definedness(build_engine_ccd())
+    assert report.subject.startswith("well-definedness of CCD")
+    assert {finding.subject for finding in report.findings} == \
+        {report.subject}
+
+
+def test_causality_analysis_flags_instantaneous_loop():
+    report = analyze_causality(_loop_model()).to_report()
     findings = report.by_rule("causality")
     assert findings and findings[0].severity is Severity.ERROR
 
 
-def test_lint_well_definedness_reports_deliberate_missing_delay():
+def test_lint_component_takes_the_causality_analysis_error_findings():
+    model = _loop_model()
+    linted = lint_component(model).by_rule("causality")
+    analysed = analyze_causality(model).to_report().errors()
+    assert [(f.message, f.element, f.suggestion, f.location)
+            for f in linted] == \
+        [(f.message, f.element, f.suggestion, f.location) for f in analysed]
+    assert linted[0].location == {"cycle": ["F", "G"]}
+
+
+def test_well_definedness_reports_deliberate_missing_delay():
     # engine-ccd ships one repairable rate transition by design
-    report = lint_well_definedness(build_engine_ccd())
+    report = check_well_definedness(build_engine_ccd())
     assert report.by_rule("ccd-rate-transition")
 
 
-def test_lint_conflicts_uses_registered_faa_rules():
-    report = lint_conflicts(build_door_lock_faa())
+def test_conflict_analysis_uses_registered_faa_rules():
+    report = analyze_conflicts(build_door_lock_faa()).to_report()
     # the door-lock FAA has a known actuator conflict (both functions drive
     # the door locks); it must surface under the registered rule id
     conflicts = report.by_rule("faa-actuator-conflict")
@@ -147,7 +241,7 @@ def test_lint_conflicts_uses_registered_faa_rules():
 
 
 def test_sarif_export_shape():
-    report = LintReport("demo")
+    report = ValidationReport("demo")
     report.add(Finding("ir-dead-store", Severity.INFO, "a",
                        element="demo.op[1]"))
     report.add(Finding("causality", Severity.ERROR, "loop"))
@@ -166,7 +260,7 @@ def test_sarif_export_shape():
 
 
 def test_sarif_handles_unregistered_legacy_rule_ids():
-    report = LintReport("demo")
+    report = ValidationReport("demo")
     report.add(Finding("ccd-clusters-only", Severity.WARNING, "legacy"))
     sarif = to_sarif([report])
     driver = sarif["runs"][0]["tool"]["driver"]

@@ -47,6 +47,31 @@ def test_frontier_attributes_gain_once(engine_modes_mtd):
     assert not again.earned()
 
 
+def test_absorb_folds_each_mode_history_once(engine_modes_mtd,
+                                             monkeypatch):
+    import repro.scenarios.report as report_module
+    folds = []
+    fold = report_module.fold_mode_history
+
+    def counting_fold(history, initial):
+        folds.append(initial)
+        return fold(history, initial)
+
+    report = BatchReport.for_component(engine_modes_mtd)
+    assert len(report.coverage) == 1
+    battery = [FULL_SWEEP] + [
+        Scenario(f"weak-{index}", WEAK_BATTERY[0].stimuli, ticks=20)
+        for index in range(3)]
+    results = run_sharded(engine_modes_mtd, battery, executor="serial",
+                          collect_modes=True)
+    monkeypatch.setattr(report_module, "fold_mode_history", counting_fold)
+    for result in results:
+        absorb(report, result)
+    # one fold per machine per absorbed result
+    assert len(folds) == len(results) * len(report.coverage) == 4
+    assert report.total == 4
+
+
 def test_frontier_ignores_failed_results(engine_modes_mtd):
     report = BatchReport.for_component(engine_modes_mtd)
 
